@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoverageError, DimensionError
 from .lattice import DTYPE, Dims, OccupancyGrid, SparseLatent
-from .patchwork import PatchGrid
+from .patchwork import PatchGrid, SparseWindowPlan
 
 OUTSIDE_SDF = 1.0
 
@@ -106,9 +106,8 @@ def merge_sdf_patches(patches: Mapping, grid: PatchGrid) -> SdfGrid:
 
 def decode_scene_sdf(slat: SparseLatent, grid: PatchGrid) -> SdfGrid:
     """Window-by-window decode of a global feature field into one SDF."""
-    from .patchwork import patch_sparse  # local import to keep module deps one-way
-
-    patches = {(w.i, w.j): toy_decode_sdf(patch_sparse(slat, w)) for w in grid.windows()}
+    plan = SparseWindowPlan(grid, slat.coords)
+    patches = {(w.i, w.j): toy_decode_sdf(plan.gather(slat, k)) for k, w in enumerate(plan.windows)}
     return merge_sdf_patches(patches, grid)
 
 
@@ -140,18 +139,20 @@ def export_ply(obj: OccupancyGrid | SparseLatent, with_colors: bool = False) -> 
     if with_colors:
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
+    header = "\n".join(lines) + "\n"
+    # One %-format over all vertices; colors are integral floats, which
+    # %d prints like the uchar they stand for.
+    columns = [(coords + 0.5) / M]
+    row_format = "%.9g %.9g %.9g"
     if with_colors:
         rgb = np.zeros((len(coords), 3), dtype=np.float64)
         nch = min(3, feats.shape[1])
         rgb[:, :nch] = feats[:, :nch]
-        rgb = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
-    for row in range(len(coords)):
-        cx, cy, cz = ((coords[row] + 0.5) / M).astype(np.float64)
-        text = f"{cx:.9g} {cy:.9g} {cz:.9g}"
-        if with_colors:
-            text += f" {rgb[row, 0]} {rgb[row, 1]} {rgb[row, 2]}"
-        lines.append(text)
-    return ("\n".join(lines) + "\n").encode("ascii")
+        columns.append(np.clip(np.rint(rgb * 255.0), 0, 255))
+        row_format += " %d %d %d"
+    values = tuple(np.hstack(columns).ravel().tolist())
+    body = (row_format + "\n") * len(coords) % values
+    return (header + body).encode("ascii")
 
 
 def ply_points_to_voxels(points: np.ndarray, M: int) -> np.ndarray:

@@ -18,20 +18,21 @@ from __future__ import annotations
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, ProviderError, SingularityError
+from .errors import ConfigError, DimensionError, DivergenceError, ProviderError, SingularityError
 from .lattice import DTYPE, DenseLatent, Schedule, SparseLatent, _coord_key
 from .patchwork import (
     DilatedPartition,
     PatchGrid,
+    SparseWindowPlan,
     Window,
     merge_vectors,
     patch_dense,
-    patch_sparse,
+    restrict_sparse,
 )
 from .priors import ConditionEmbedding, NormalizationBox, ScenePrior, image_patchify, toy_condition
 
@@ -84,6 +85,8 @@ class OracleField(VectorFieldProvider):
 
 def _align_sparse_target(target: SparseLatent, patch: SparseLatent) -> np.ndarray:
     """Target features row-aligned to the patch's coordinates (absent -> 0)."""
+    if np.array_equal(target.coords, patch.coords):
+        return target.features
     out = np.zeros_like(patch.features)
     if len(target) == 0 or len(patch) == 0:
         return out
@@ -137,13 +140,26 @@ def decode_oracle_condition(cond: ConditionEmbedding):
     raise ProviderError(f"unknown oracle condition kind {kind}")
 
 
+# Bounds on GlobalOracleProvider's restriction cache, so queries for
+# arbitrary boxes (say, from remote clients) cannot grow it without limit.
+SLAT_BOX_ROWS = 16
+SLAT_BOX_LIMIT = 1024
+
+
 @dataclass(frozen=True)
 class GlobalOracleProvider(VectorFieldProvider):
     """Oracle over one global scene: answers any window or pillar query
-    against the matching restriction of the global target(s)."""
+    against the matching restriction of the global target(s).
+
+    Sparse restrictions are kept per box once computed, up to
+    `SLAT_BOX_ROWS` cached rows per target row (the windows of a d = 4
+    grid hold at most 16) in at most `SLAT_BOX_LIMIT` boxes.  Two threads
+    computing the same box store equal values.
+    """
 
     ss_target: DenseLatent | None = None
     slat_target: SparseLatent | None = None
+    _slat_boxes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def evaluate(self, patch, condition, t):
         if t <= 0.0:
@@ -157,40 +173,41 @@ class GlobalOracleProvider(VectorFieldProvider):
             kind = decode_oracle_condition(condition)
             if kind[0] != "box":
                 raise ProviderError("sparse oracle expects a box condition")
-            _, x0, y0, K = kind
-            target_patch = _sparse_restriction(self.slat_target, x0, y0, K)
+            target_patch = self._slat_restriction(kind[1:])
             aligned = _align_sparse_target(target_patch, patch)
             return patch.with_features((patch.features - aligned) * inv)
         if self.ss_target is None:
             raise ProviderError("no dense target configured")
-        target = self._dense_restriction(condition, patch.data.shape)
+        target = _dense_restriction(self.ss_target, condition, patch.data.shape)
         with np.errstate(over="ignore"):  # garbage inputs surface as ValueError
             return patch.with_data((patch.data - target) * inv)
 
-    def _dense_restriction(self, condition, shape) -> np.ndarray:
-        kind = decode_oracle_condition(condition)
-        data = self.ss_target.data
-        if kind[0] == "box":
-            _, x0, y0, K = kind
-            sub = data[x0 : x0 + K, y0 : y0 + K, :K]
-        else:
-            _, src_x, src_y = kind
-            sub = data[src_x, src_y, :, :]
-        if sub.shape != shape:
-            raise ProviderError(f"oracle restriction {sub.shape} != patch {shape}")
-        return sub
+    def _slat_restriction(self, box: tuple[int, int, int]) -> SparseLatent:
+        cache = self._slat_boxes
+        target_patch = cache.get(box)
+        if target_patch is None:
+            target_patch = restrict_sparse(self.slat_target, *box)
+            # list() copies the values in one step, so an insert from
+            # another thread cannot break the iteration.
+            cached_rows = sum(map(len, list(cache.values()))) + len(target_patch)
+            if len(cache) < SLAT_BOX_LIMIT and cached_rows <= SLAT_BOX_ROWS * len(self.slat_target):
+                cache[box] = target_patch
+        return target_patch
 
 
-def _sparse_restriction(target: SparseLatent, x0: int, y0: int, K: int) -> SparseLatent:
-    """Entries of `target` inside the box at (x0, y0), translated to [0, K)^3."""
-    c = target.coords
-    mask = (
-        (c[:, 0] >= x0) & (c[:, 0] < x0 + K)
-        & (c[:, 1] >= y0) & (c[:, 1] < y0 + K)
-        & (c[:, 2] < K)
-    )
-    shifted = c[mask] - np.array([x0, y0, 0], dtype=np.int64)
-    return SparseLatent(target.dims.patch_dims(), shifted, target.features[mask])
+def _dense_restriction(target: DenseLatent, condition, shape) -> np.ndarray:
+    """The box or pillar section of `target` that `condition` names."""
+    kind = decode_oracle_condition(condition)
+    data = target.data
+    if kind[0] == "box":
+        _, x0, y0, K = kind
+        sub = data[x0 : x0 + K, y0 : y0 + K, :K]
+    else:
+        _, src_x, src_y = kind
+        sub = data[src_x, src_y, :, :]
+    if sub.shape != shape:
+        raise ProviderError(f"oracle restriction {sub.shape} != patch {shape}")
+    return sub
 
 
 @dataclass(frozen=True)
@@ -209,14 +226,7 @@ class BiasedOracleProvider(VectorFieldProvider):
     def evaluate(self, patch, condition, t):
         if isinstance(patch, SparseLatent):
             raise ProviderError("biased oracle serves dense patches only")
-        kind = decode_oracle_condition(condition)
-        data = self.ss_target.data
-        if kind[0] == "box":
-            _, x0, y0, K = kind
-            sub = data[x0 : x0 + K, y0 : y0 + K, :K]
-        else:
-            _, src_x, src_y = kind
-            sub = data[src_x, src_y, :, :]
+        sub = _dense_restriction(self.ss_target, condition, patch.data.shape)
         return patch.with_data((patch.data - sub) * DTYPE(self.rate))
 
 
@@ -285,25 +295,33 @@ def extended_field(
     provider: VectorFieldProvider,
     conditioner: Conditioner,
     workers: int = 1,
+    plan: SparseWindowPlan | None = None,
 ) -> PatchLatent:
     """Patch-wise field: evaluate the provider per window and merge.
 
-    The merge (and therefore the result) is independent of evaluation
-    order; provider failures carry the window index.
+    A sparse Z is cut by `plan`, the window plan of its grid and
+    coordinates (built here when not given).  The merge (and therefore
+    the result) is independent of evaluation order; provider failures
+    carry the window index.
     """
-    jobs = [(w, conditioner.window_condition(w)) for w in grid.windows()]
+    sparse = isinstance(Z, SparseLatent)
+    if sparse and plan is None:
+        plan = SparseWindowPlan(grid, Z.coords)
+    elif sparse and (plan.grid != grid or not np.array_equal(plan.coords, Z.coords)):
+        raise ConfigError("window plan was built for another grid or coordinate set")
+    jobs = [(k, w, conditioner.window_condition(w)) for k, w in enumerate(grid.windows())]
     t_eval = float(DTYPE(t))
 
     def run(job):
-        w, cond = job
-        patch = patch_sparse(Z, w) if isinstance(Z, SparseLatent) else patch_dense(Z, w)
+        k, w, cond = job
+        patch = plan.gather(Z, k) if sparse else patch_dense(Z, w)
         try:
             return (w.i, w.j), provider.evaluate(patch, cond, t_eval)
         except Exception as exc:
             raise ProviderError(f"provider failed on patch ({w.i}, {w.j}): {exc}") from exc
 
     results = dict(_map_jobs(run, jobs, workers, provider.concurrent_safe))
-    return merge_vectors(results, grid)
+    return merge_vectors(results, grid, plan)
 
 
 def _map_jobs(fn, jobs, workers, concurrent_safe):

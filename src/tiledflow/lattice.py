@@ -102,8 +102,15 @@ class DenseLatent:
         return DenseLatent(self.dims, data)
 
 
-def _canonical_sparse(coords: np.ndarray, features: np.ndarray):
-    """Sort entries lexicographically by coordinate; reject duplicates."""
+def _canonical_sparse(coords: np.ndarray, features: np.ndarray, dims: Dims):
+    """Sort entries lexicographically by coordinate; reject duplicates.
+
+    Coordinates must already be in bounds, so their keys are a bijection:
+    strictly increasing keys mean the input is canonical and unique, and
+    the sort is skipped.
+    """
+    if (np.diff(_coord_key(coords, dims)) > 0).all():
+        return coords, features
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
     features = features[order]
@@ -136,7 +143,7 @@ class SparseLatent:
             raise BoundsError(f"coordinate {tuple(bad)} outside grid {self.dims.grid_shape}")
         if not np.isfinite(features).all():
             raise ValueError("sparse latent contains non-finite features")
-        coords, features = _canonical_sparse(coords, features)
+        coords, features = _canonical_sparse(coords, features, self.dims)
         object.__setattr__(self, "coords", _freeze(coords))
         object.__setattr__(self, "features", _freeze(features))
 

@@ -6,6 +6,15 @@ and overlapping contributions are combined by per-cell averaging over
 the coverage count.  Dilated sampling is the complementary scheme: the
 lattice splits into K x K blocks of a x b pillar columns, and a*b
 backbone-sized samples are assembled from one pillar per block.
+
+Sparse latents keep their coordinates across a whole schedule, so the
+window geometry is planned once per (grid, coordinate set): a
+`SparseWindowPlan` holds, per window, the rows inside it (found by a
+binary search on the sorted x column plus a y/z mask, `box_rows`) and
+their window-local coordinates, plus the permutation and segment starts
+that group all windows' rows by global row.  Each step then only gathers
+feature rows into patches and sums them back with one `np.add.reduceat`
+in fixed window order, dividing by the per-row coverage.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, DimensionError
+from .errors import ConfigError, CoverageError, DimensionError, ProviderError
 from .lattice import DTYPE, DenseLatent, Dims, SparseLatent, _coord_key
 
 
@@ -113,10 +122,6 @@ class PatchGrid:
         cy = self.axis_coverage(self.nj, self.dims.b * self.K)
         return np.outer(cx, cy)
 
-    def coverage_of_coords(self, coords: np.ndarray) -> np.ndarray:
-        cov = self.coverage_xy()
-        return cov[coords[:, 0], coords[:, 1]]
-
 
 def make_patch_grid(dims: Dims, d: int, K: int) -> PatchGrid:
     """Overlapping-window grid; ((a-1)d + 1) * ((b-1)d + 1) windows in total."""
@@ -140,18 +145,25 @@ def unpatch_dense(X: DenseLatent, w: Window, dims: Dims) -> DenseLatent:
     return DenseLatent(dims, out)
 
 
+def box_rows(coords: np.ndarray, x0: int, y0: int, K: int) -> np.ndarray:
+    """Ascending indices of the rows of lexicographically sorted `coords`
+    inside the box [x0, x0 + K) x [y0, y0 + K) x [0, K)."""
+    lo, hi = np.searchsorted(coords[:, 0], [x0, x0 + K])
+    c = coords[lo:hi]
+    inside = (c[:, 1] >= y0) & (c[:, 1] < y0 + K) & (c[:, 2] < K)
+    return lo + np.flatnonzero(inside)
+
+
+def restrict_sparse(Z: SparseLatent, x0: int, y0: int, K: int) -> SparseLatent:
+    """Entries of Z inside the box at (x0, y0), translated into [0, K)^3."""
+    rows = box_rows(Z.coords, x0, y0, K)
+    shifted = Z.coords[rows] - np.array([x0, y0, 0], dtype=np.int64)
+    return SparseLatent(Z.dims.patch_dims(), shifted, Z.features[rows])
+
+
 def patch_sparse(Z: SparseLatent, w: Window) -> SparseLatent:
     """Keep entries inside the window, translated into [0, K)^2 x [0, K)."""
-    c = Z.coords
-    mask = (
-        (c[:, 0] >= w.x0)
-        & (c[:, 0] < w.x0 + w.K)
-        & (c[:, 1] >= w.y0)
-        & (c[:, 1] < w.y0 + w.K)
-        & (c[:, 2] < w.K)
-    )
-    shifted = c[mask] - np.array([w.x0, w.y0, 0], dtype=np.int64)
-    return SparseLatent(Z.dims.patch_dims(), shifted, Z.features[mask])
+    return restrict_sparse(Z, w.x0, w.y0, w.K)
 
 
 def unpatch_sparse(X: SparseLatent, w: Window, global_coords: np.ndarray, dims: Dims) -> SparseLatent:
@@ -178,12 +190,14 @@ def _coords_difference(candidates: np.ndarray, present: np.ndarray, dims: Dims) 
     return candidates[~np.isin(ck, pk)]
 
 
-def merge_vectors(patch_vectors: Mapping, grid: PatchGrid):
+def merge_vectors(patch_vectors: Mapping, grid: PatchGrid, plan: SparseWindowPlan | None = None):
     """Average overlapping patch vectors into one extended vector.
 
     Per cell: sum of zero-padded patch values divided by the number of
     covering windows.  Sparse latents use the same rule per coordinate
-    and feature channel, dividing by the geometric coverage count.
+    and feature channel, dividing by the geometric coverage count; each
+    sparse patch must hold exactly its window's share of the coordinates
+    `plan` was built for (by default, the union of all patches).
     Accumulation runs in float64 with a fixed window order.
     """
     expected = {(w.i, w.j) for w in grid.windows()}
@@ -191,7 +205,9 @@ def merge_vectors(patch_vectors: Mapping, grid: PatchGrid):
         raise CoverageError("merge requires exactly one patch vector per grid window")
     first = patch_vectors[next(iter(sorted(patch_vectors)))]
     if isinstance(first, SparseLatent):
-        return _merge_sparse(patch_vectors, grid)
+        if plan is None:
+            plan = SparseWindowPlan(grid, _union_coords(patch_vectors, grid))
+        return plan.merge([patch_vectors[(w.i, w.j)] for w in plan.windows])
     return _merge_dense(patch_vectors, grid)
 
 
@@ -211,31 +227,71 @@ def _merge_dense(patch_vectors: Mapping, grid: PatchGrid) -> DenseLatent:
     return DenseLatent(dims, acc.astype(DTYPE))
 
 
-def _merge_sparse(patch_vectors: Mapping, grid: PatchGrid) -> SparseLatent:
-    dims = grid.dims
-    coord_parts, feat_parts = [], []
-    for w in grid.windows():
-        X = patch_vectors[(w.i, w.j)]
-        offset = np.array([w.x0, w.y0, 0], dtype=np.int64)
-        coord_parts.append(X.coords + offset)
-        feat_parts.append(X.features.astype(np.float64))
-    all_coords = np.concatenate(coord_parts)
-    if len(all_coords) == 0:
-        return SparseLatent.empty(dims)
-    all_feats = np.concatenate(feat_parts)
-    keys = _coord_key(all_coords, dims)
-    # Stable sort keeps window order within each coordinate group, so the
-    # float64 accumulation order is fixed regardless of evaluation order.
-    order = np.argsort(keys, kind="stable")
-    keys, all_coords, all_feats = keys[order], all_coords[order], all_feats[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    coords = all_coords[starts]
-    acc = np.add.reduceat(all_feats, starts, axis=0)
-    cov = grid.coverage_of_coords(coords)
-    if (cov < 1).any():
-        raise CoverageError("sparse coordinate not covered by any window")
-    acc /= cov[:, None]
-    return SparseLatent(dims, coords, acc.astype(DTYPE))
+def _union_coords(patch_vectors: Mapping, grid: PatchGrid) -> np.ndarray:
+    """Sorted union of all patches' coordinates, translated to global."""
+    parts = [
+        patch_vectors[(w.i, w.j)].coords + np.array([w.x0, w.y0, 0], dtype=np.int64)
+        for w in grid.windows()
+    ]
+    return np.unique(np.concatenate(parts), axis=0)
+
+
+class SparseWindowPlan:
+    """Window geometry of one fixed, sorted coordinate set on a grid.
+
+    Window k (`windows[k]`, in the grid's fixed row-major order) covers
+    the global rows `rows[k]`, whose window-local coordinates are
+    `local_coords[k]`.  `order` stably sorts the concatenated rows of all
+    windows by global row, so each row's contributions stay in window
+    order; `starts` marks where each row's group begins and `coverage`
+    is its size.  Every row must lie in at least one window.
+    """
+
+    def __init__(self, grid: PatchGrid, coords: np.ndarray):
+        self.grid = grid
+        self.coords = coords
+        self.windows = list(grid.windows())
+        self.rows = [box_rows(coords, w.x0, w.y0, w.K) for w in self.windows]
+        self.local_coords = [
+            coords[rows] - np.array([w.x0, w.y0, 0], dtype=np.int64)
+            for w, rows in zip(self.windows, self.rows)
+        ]
+        all_rows = np.concatenate(self.rows)
+        self.coverage = np.bincount(all_rows, minlength=len(coords))
+        if (self.coverage < 1).any():
+            raise CoverageError("sparse coordinate not covered by any window")
+        self.order = np.argsort(all_rows, kind="stable")
+        self.starts = np.concatenate([[0], np.cumsum(self.coverage[:-1])])
+
+    def gather(self, Z: SparseLatent, k: int) -> SparseLatent:
+        """Patch of window k: Z's rows inside it, in window-local coordinates."""
+        feats = Z.features.take(self.rows[k], axis=0)
+        return SparseLatent(Z.dims.patch_dims(), self.local_coords[k], feats)
+
+    def merge(self, results: Sequence[SparseLatent]) -> SparseLatent:
+        """Coverage-averaged sum of the per-window vectors, given in window order.
+
+        This is the sum a stable sort of all contributions by coordinate
+        followed by `np.add.reduceat` gives, so it does not depend on the
+        order in which the windows were evaluated.  Each vector must keep
+        its patch's coordinates; the first that does not is named.
+        """
+        dims = self.grid.dims
+        if len(results) != len(self.windows):
+            raise CoverageError("merge requires exactly one patch vector per grid window")
+        for w, local, X in zip(self.windows, self.local_coords, results):
+            if not (
+                isinstance(X, SparseLatent)
+                and X.dims.l == dims.l
+                and np.array_equal(X.coords, local)
+            ):
+                raise ProviderError(f"patch ({w.i}, {w.j}) does not keep its window's coordinates")
+        if len(self.coords) == 0:
+            return SparseLatent.empty(dims)
+        feats = np.concatenate([X.features for X in results]).take(self.order, axis=0)
+        acc = np.add.reduceat(feats.astype(np.float64), self.starts, axis=0)
+        acc /= self.coverage[:, None]
+        return SparseLatent(dims, self.coords, acc.astype(DTYPE))
 
 
 @dataclass(frozen=True)

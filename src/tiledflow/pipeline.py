@@ -36,7 +36,7 @@ from .flowcore import (
 )
 from .lattice import DenseLatent, Dims, OccupancyGrid, Schedule, SparseLatent, init_sparse_noise
 from .optim import AdamParams, LossWeights, OptimState, optimize_vector, slat_objective, ss_loss
-from .patchwork import make_patch_grid
+from .patchwork import SparseWindowPlan, make_patch_grid
 from .priors import NormalizationBox, ScenePrior, load_scene_prior, voxelize
 from .structedit import SdeditParams, ToyCodec, iterative_sdedit
 
@@ -354,6 +354,7 @@ def generate_slat(
     conditioner = _make_conditioner(bundle.conditioner_kind, prior, grid, box)
     schedule = Schedule.linear(1.0, config.schedule_steps)
     Z1 = init_sparse_noise(coords, dims, substream_seed(config.seed, _STREAM_SLAT_INIT))
+    plan = SparseWindowPlan(grid, Z1.coords)
     trace = _TraceRecorder()
 
     hook = None
@@ -373,7 +374,7 @@ def generate_slat(
             return v.with_features(v_opt.astype(np.float32))
 
     def field_fn(Z, t):
-        return extended_field(Z, t, grid, bundle.provider, conditioner, config.workers)
+        return extended_field(Z, t, grid, bundle.provider, conditioner, config.workers, plan)
 
     started = time.monotonic()
     Z0 = euler_integrate(Z1, schedule, field_fn, hook)

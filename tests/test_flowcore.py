@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from tiledflow.errors import DivergenceError, ProviderError, SingularityError
+from tiledflow import flowcore
+from tiledflow.errors import ConfigError, DivergenceError, ProviderError, SingularityError
 from tiledflow.flowcore import (
     GlobalOracleProvider,
     OracleConditioner,
     OracleField,
     VectorFieldProvider,
     ZeroFieldProvider,
+    decode_oracle_condition,
     dilated_field,
     euler_integrate,
     extended_field,
@@ -22,7 +24,7 @@ from tiledflow.lattice import (
     init_sparse_noise,
     sample_gaussian,
 )
-from tiledflow.patchwork import dilated_partition, make_patch_grid
+from tiledflow.patchwork import SparseWindowPlan, dilated_partition, make_patch_grid
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=3)
@@ -131,6 +133,70 @@ class TestExtendedField:
         grid = make_patch_grid(DIMS, 2, DIMS.N)
         with pytest.raises(ProviderError, match=r"patch \(0, 0\)"):
             extended_field(Z, 0.5, grid, Broken(), OracleConditioner())
+
+    @pytest.mark.parametrize("change", ["drop_row", "empty"])
+    def test_provider_changing_coordinates_names_window(self, change):
+        class Reshaping(VectorFieldProvider):
+            def evaluate(self, patch, condition, t):
+                _, x0, y0, _ = decode_oracle_condition(condition)
+                if (x0, y0) == (4, 4):  # window (1, 1) of the d = 2 grid
+                    if change == "drop_row":
+                        return SparseLatent(patch.dims, patch.coords[1:], patch.features[1:])
+                    return SparseLatent.empty(patch.dims)
+                return patch.with_features(np.zeros_like(patch.features))
+
+        rng = np.random.default_rng(20)
+        Z = init_sparse_noise(np.argwhere(rng.random(DIMS.grid_shape) < 0.3), DIMS, seed=3)
+        grid = make_patch_grid(DIMS, 2, DIMS.M)
+        with pytest.raises(ProviderError, match=r"patch \(1, 1\)"):
+            extended_field(Z, 0.5, grid, Reshaping(), OracleConditioner())
+
+    def test_plan_for_other_coordinates_rejected(self):
+        rng = np.random.default_rng(21)
+        coords = np.argwhere(rng.random(DIMS.grid_shape) < 0.3)
+        Z = init_sparse_noise(coords, DIMS, seed=4)
+        grid = make_patch_grid(DIMS, 2, DIMS.M)
+        plan = SparseWindowPlan(grid, Z.coords[1:])
+        with pytest.raises(ConfigError):
+            extended_field(Z, 0.5, grid, ZeroFieldProvider(), OracleConditioner(), plan=plan)
+
+    @pytest.mark.parametrize(
+        "bound,value,cached", [("SLAT_BOX_LIMIT", 2, 2), ("SLAT_BOX_ROWS", 0, 0)]
+    )
+    def test_oracle_restriction_cache_is_bounded(self, monkeypatch, bound, value, cached):
+        monkeypatch.setattr(flowcore, bound, value)
+        rng = np.random.default_rng(22)
+        coords = np.argwhere(rng.random(DIMS.grid_shape) < 0.3)
+        target = init_sparse_noise(coords, DIMS, seed=5)
+        Z = init_sparse_noise(coords, DIMS, seed=6)
+        grid = make_patch_grid(DIMS, 2, DIMS.M)
+        provider = GlobalOracleProvider(slat_target=target)
+        for _ in range(2):  # the second call mixes cached and uncached boxes
+            out = extended_field(Z, 0.5, grid, provider, OracleConditioner())
+            expected = (Z.features - target.features) / np.float32(0.5)
+            assert np.abs(out.features - expected).max() < 1e-6
+        assert len(provider._slat_boxes) == cached
+
+    def test_oracle_restriction_cache_shared_by_threads(self):
+        import sys
+
+        rng = np.random.default_rng(23)
+        coords = np.argwhere(rng.random(DIMS.grid_shape) < 0.3)
+        target = init_sparse_noise(coords, DIMS, seed=7)
+        Z = init_sparse_noise(coords, DIMS, seed=8)
+        grid = make_patch_grid(DIMS, 4, DIMS.M)
+        serial = GlobalOracleProvider(slat_target=target)
+        expected = extended_field(Z, 0.5, grid, serial, OracleConditioner())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                provider = GlobalOracleProvider(slat_target=target)
+                out = extended_field(Z, 0.5, grid, provider, OracleConditioner(), workers=8)
+                assert out.features.tobytes() == expected.features.tobytes()
+                assert len(provider._slat_boxes) == grid.count
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_non_concurrent_provider_is_serialized(self):
         import threading

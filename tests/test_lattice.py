@@ -142,6 +142,11 @@ class TestSparse:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             SparseLatent(SMALL, np.array([[1, 1, 1], [1, 1, 1]]), np.zeros((2, 4)))
+        # sorted input, duplicate in the middle: must not pass as canonical
+        with pytest.raises(ValueError):
+            SparseLatent(
+                SMALL, np.array([[0, 0, 0], [1, 1, 1], [1, 1, 1], [2, 0, 0]]), np.zeros((4, 4))
+            )
 
     def test_canonical_order_and_lookup(self):
         coords = np.array([[5, 0, 0], [0, 3, 2], [0, 3, 1]])

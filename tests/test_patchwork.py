@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tiledflow.errors import ConfigError, CoverageError
-from tiledflow.lattice import DenseLatent, Dims, SparseLatent, init_sparse_noise
+from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
 from tiledflow.patchwork import (
+    SparseWindowPlan,
     Window,
     dilated_partition,
     make_patch_grid,
@@ -260,6 +262,120 @@ class TestMerge:
         grid = make_patch_grid(dims, 2, 4)
         with pytest.raises(CoverageError):
             merge_vectors({}, grid)
+
+
+def reference_gather(Z, w):
+    """Window restriction by a full mask and a lexsort, as before plans."""
+    c = Z.coords
+    mask = (
+        (c[:, 0] >= w.x0)
+        & (c[:, 0] < w.x0 + w.K)
+        & (c[:, 1] >= w.y0)
+        & (c[:, 1] < w.y0 + w.K)
+        & (c[:, 2] < w.K)
+    )
+    shifted = c[mask] - np.array([w.x0, w.y0, 0], dtype=np.int64)
+    feats = Z.features[mask]
+    order = np.lexsort((shifted[:, 2], shifted[:, 1], shifted[:, 0]))
+    return shifted[order], feats[order]
+
+
+def reference_merge(vectors, grid):
+    """Sparse merge by a stable argsort of all contributions and reduceat."""
+    dims = grid.dims
+    coord_parts, feat_parts = [], []
+    for w, X in zip(grid.windows(), vectors):
+        coord_parts.append(X.coords + np.array([w.x0, w.y0, 0], dtype=np.int64))
+        feat_parts.append(X.features.astype(np.float64))
+    all_coords = np.concatenate(coord_parts)
+    all_feats = np.concatenate(feat_parts)
+    keys = _coord_key(all_coords, dims)
+    order = np.argsort(keys, kind="stable")
+    keys, all_coords, all_feats = keys[order], all_coords[order], all_feats[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    coords = all_coords[starts]
+    acc = np.add.reduceat(all_feats, starts, axis=0)
+    acc /= grid.coverage_xy()[coords[:, 0], coords[:, 1]][:, None]
+    return coords, acc.astype(np.float32)
+
+
+@st.composite
+def plan_cases(draw):
+    """(dims, d, Z, rng): a != b, d in {1, 2, 4}, and a coordinate set that
+    is dense, sparse, confined to the first K x K column (so some windows
+    hold no rows) or a single voxel."""
+    N = draw(st.sampled_from([2, 4]))
+    M = N * draw(st.sampled_from([1, 2]))
+    a, b = draw(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda ab: ab[0] != ab[1])
+    )
+    d = draw(st.sampled_from([d for d in (1, 2, 4) if M % d == 0]))
+    dims = Dims(a, b, N, M, l=draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["dense", "sparse", "first_column", "one_voxel"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = dims.grid_shape
+    if kind == "one_voxel":
+        coords = rng.integers(0, shape, size=(1, 3))
+    else:
+        occupied = rng.random(shape) < (0.6 if kind == "dense" else 0.05)
+        if kind == "first_column":
+            occupied[M:, :, :] = False
+            occupied[:, M:, :] = False
+        occupied[tuple(rng.integers(0, M, size=3))] = True  # never empty
+        coords = np.argwhere(occupied)
+    return dims, d, init_sparse_noise(coords, dims, seed=int(rng.integers(2**31))), rng
+
+
+def random_vector(patch, rng):
+    """Features drawn half from normals and half from a pool of huge, unit
+    and signed-zero values, so the float64 sums cancel and round
+    differently in every addition order, visibly even after the float32
+    cast."""
+    n, l = patch.features.shape
+    pool = np.array([2.0**60, -(2.0**60), 1.0, -1.0, 0.75, 2.0**-60, 0.0, -0.0])
+    feats = np.where(
+        rng.random((n, l)) < 0.5, rng.choice(pool, size=(n, l)), rng.standard_normal((n, l))
+    )
+    return patch.with_features(feats.astype(np.float32))
+
+
+class TestSparseWindowPlan:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(plan_cases())
+    def test_gather_and_merge_bit_equal_reference(self, case):
+        dims, d, Z, rng = case
+        grid = make_patch_grid(dims, d, dims.M)
+        plan = SparseWindowPlan(grid, Z.coords)
+        vectors = []
+        for k, w in enumerate(grid.windows()):
+            patch = plan.gather(Z, k)
+            ref_coords, ref_feats = reference_gather(Z, w)
+            assert np.array_equal(patch.coords, ref_coords)
+            assert patch.features.tobytes() == ref_feats.tobytes()
+            vectors.append(random_vector(patch, rng))
+        ref_coords, ref_feats = reference_merge(vectors, grid)
+        by_window = {(w.i, w.j): X for w, X in zip(grid.windows(), vectors)}
+        for merged in (plan.merge(vectors), merge_vectors(by_window, grid)):
+            assert np.array_equal(merged.coords, ref_coords)
+            assert np.array_equal(merged.coords, Z.coords)
+            assert merged.features.tobytes() == ref_feats.tobytes()
+
+    def test_empty_windows_gather_nothing(self):
+        dims = Dims(3, 1, 4, 8, l=2)
+        grid = make_patch_grid(dims, 2, 8)
+        Z = init_sparse_noise(np.array([[1, 2, 3]]), dims, seed=0)
+        plan = SparseWindowPlan(grid, Z.coords)
+        sizes = [len(plan.gather(Z, k)) for k in range(grid.count)]
+        assert sizes == [1] + [0] * (grid.count - 1)
+        merged = plan.merge([plan.gather(Z, k) for k in range(grid.count)])
+        assert np.array_equal(merged.features, Z.features)
+
+    def test_uncovered_coordinate_rejected(self):
+        # a K = N grid does not reach fine-grid heights z >= N
+        dims = Dims(1, 1, 4, 8, l=1)
+        Z = init_sparse_noise(np.array([[0, 0, 5]]), dims, seed=0)
+        with pytest.raises(CoverageError):
+            SparseWindowPlan(make_patch_grid(dims, 2, 4), Z.coords)
 
 
 class TestDilated:
