@@ -32,6 +32,6 @@ with ProviderServer(provider, dims) as server:
     identical = np.array_equal(
         local_field.data.view(np.uint32), remote_field.data.view(np.uint32)
     )
-    print(f"evaluated {grid.count} patches remotely (8 workers, pipelined)")
+    print(f"evaluated {grid.count} patches remotely in 8 concurrent batch requests")
     print(f"remote field bit-identical to in-process: {identical}")
     remote.close()

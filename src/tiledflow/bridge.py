@@ -8,6 +8,23 @@ t, a mode byte (1 dense / 2 sparse), four u32 shape fields, opaque
 condition bytes, and the float32 latent payload; the response carries
 the float32 vector of identical shape.
 
+Batch requests (mode 3) carry many evaluations in one frame: the same
+head with the item count in shape[0], zero for the other shape fields
+and an empty condition, then per item a u32 length and a mode 1 or 2
+request with the head's t.  The response is one frame holding the
+items' float32 vectors concatenated in item order.  A batch fails as a
+whole: one error frame whose text starts "item N:" when item N is the
+one that failed (the client reports it as a ProviderError with `item`
+N).  Nested batches, a count the payload cannot hold, and an item whose
+t differs from the head's get an error frame, and the connection stays
+open.  RemoteProvider sends every evaluation as a batch; a server that
+predates mode 3 answers it with an "unknown eval mode 3" error frame.
+Frames go out in gathered writes, so both ends set TCP_NODELAY.
+
+The server reads at most MAX_PIPELINED requests of one connection ahead
+of its answers; then it stops reading until an answer is sent, and TCP
+flow control holds the client back.
+
 Closing: the server answers every request it read before the client's
 end of stream, and closes only once those answers are sent (or the
 server stops).  A stream that cannot be framed (bad magic, unknown type,
@@ -21,6 +38,7 @@ the error frame.
 from __future__ import annotations
 
 import itertools
+import re
 import socket
 import struct
 import threading
@@ -42,22 +60,32 @@ TYPE_ERROR = 3
 
 MODE_DENSE = 1
 MODE_SPARSE = 2
+MODE_BATCH = 3
 
 MAX_PAYLOAD = 256 * 1024 * 1024
 # Bounds on the input a server discards after a framing error before closing.
 DRAIN_BYTES = 4 * 1024 * 1024
 DRAIN_SECONDS = 2.0
+# Requests of one connection the server holds at once (queued or being
+# answered); beyond it the server stops reading, and TCP holds the client.
+MAX_PIPELINED = 16
 _HEADER = struct.Struct("<4sBQI")
 HEADER_SIZE = _HEADER.size
 
 _REQ_HEAD = struct.Struct("<fB4II")  # t, mode, shape[4], condition_len
+_U32 = struct.Struct("<I")
+# Bounds on one gathered write (the kernel caps an iovec at 1024 buffers);
+# the byte bound keeps few on-the-fly request parts alive at once.
+_SEND_BUFFERS = 256
+_SEND_BYTES = 1 << 20
+_ITEM_ERROR = re.compile(r"item (\d+):")
 
 
 @dataclass(frozen=True)
 class Frame:
     type: int
     request_id: int
-    payload: bytes
+    payload: bytes | bytearray
 
 
 @dataclass(frozen=True)
@@ -69,12 +97,29 @@ class EvalRequest:
     latent: bytes
 
 
+def _frame_header(ftype: int, request_id: int, payload_len: int) -> bytes:
+    if ftype not in (TYPE_REQUEST, TYPE_RESPONSE, TYPE_ERROR):
+        raise ProtocolError(f"unknown frame type {ftype}")
+    if payload_len > MAX_PAYLOAD:
+        raise ProtocolError(f"payload of {payload_len} bytes exceeds limit")
+    return _HEADER.pack(MAGIC, ftype, request_id, payload_len)
+
+
+def _parse_header(header) -> tuple[int, int, int]:
+    """(type, request id, payload length) of the frame header at the
+    head of `header`; ProtocolError when it cannot be framed."""
+    magic, ftype, request_id, payload_len = _HEADER.unpack_from(header, 0)
+    if magic != MAGIC:
+        raise ProtocolError(f"bad magic {magic!r}")
+    if ftype not in (TYPE_REQUEST, TYPE_RESPONSE, TYPE_ERROR):
+        raise ProtocolError(f"unknown frame type {ftype}")
+    if payload_len > MAX_PAYLOAD:
+        raise ProtocolError(f"declared payload of {payload_len} bytes exceeds limit")
+    return ftype, request_id, payload_len
+
+
 def encode_frame(frame: Frame) -> bytes:
-    if frame.type not in (TYPE_REQUEST, TYPE_RESPONSE, TYPE_ERROR):
-        raise ProtocolError(f"unknown frame type {frame.type}")
-    if len(frame.payload) > MAX_PAYLOAD:
-        raise ProtocolError(f"payload of {len(frame.payload)} bytes exceeds limit")
-    return _HEADER.pack(MAGIC, frame.type, frame.request_id, len(frame.payload)) + frame.payload
+    return _frame_header(frame.type, frame.request_id, len(frame.payload)) + frame.payload
 
 
 def decode_frame(data: bytes) -> tuple[Frame, int]:
@@ -85,28 +130,32 @@ def decode_frame(data: bytes) -> tuple[Frame, int]:
     """
     if len(data) < HEADER_SIZE:
         raise IncompleteFrameError(f"need {HEADER_SIZE} header bytes, have {len(data)}")
-    magic, ftype, request_id, payload_len = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}")
-    if ftype not in (TYPE_REQUEST, TYPE_RESPONSE, TYPE_ERROR):
-        raise ProtocolError(f"unknown frame type {ftype}")
-    if payload_len > MAX_PAYLOAD:
-        raise ProtocolError(f"declared payload of {payload_len} bytes exceeds limit")
+    ftype, request_id, payload_len = _parse_header(data)
     end = HEADER_SIZE + payload_len
     if len(data) < end:
         raise IncompleteFrameError(f"need {end} bytes, have {len(data)}")
     return Frame(ftype, request_id, bytes(data[HEADER_SIZE:end])), end
 
 
-def encode_eval_request(req: EvalRequest) -> bytes:
+def _request_parts(req: EvalRequest) -> list:
+    """An eval request as buffers: head and condition, then the latent."""
     head = _REQ_HEAD.pack(req.t, req.mode, *req.shape, len(req.condition))
-    return head + req.condition + req.latent
+    return [head + bytes(req.condition), req.latent]
+
+
+def encode_eval_request(req: EvalRequest) -> bytes:
+    return b"".join(_request_parts(req))
+
+
+def _parse_head(payload) -> tuple:
+    if len(payload) < _REQ_HEAD.size:
+        raise ProtocolError(f"eval request header truncated at {len(payload)} bytes")
+    return _REQ_HEAD.unpack_from(payload, 0)
 
 
 def parse_eval_request(payload: bytes) -> EvalRequest:
-    if len(payload) < _REQ_HEAD.size:
-        raise ProtocolError(f"eval request header truncated at {len(payload)} bytes")
-    t, mode, s0, s1, s2, s3, cond_len = _REQ_HEAD.unpack_from(payload, 0)
+    """One dense or sparse (mode 1 or 2) eval request."""
+    t, mode, s0, s1, s2, s3, cond_len = _parse_head(payload)
     if mode not in (MODE_DENSE, MODE_SPARSE):
         raise ProtocolError(f"unknown eval mode {mode}")
     off = _REQ_HEAD.size
@@ -128,26 +177,77 @@ def parse_eval_request(payload: bytes) -> EvalRequest:
             raise ProtocolError(
                 f"sparse latent payload is {len(latent)} bytes, expected {expected}"
             )
-        (declared,) = struct.unpack_from("<I", latent, 0)
+        (declared,) = _U32.unpack_from(latent, 0)
         if declared != n:
             raise ProtocolError(f"sparse count {declared} != shape count {n}")
     return EvalRequest(float(t), int(mode), shape, condition, latent)
 
 
-def serialize_sparse(slat: SparseLatent) -> bytes:
+def parse_request(payload) -> list[EvalRequest]:
+    """The items of an eval request payload: itself for mode 1 or 2, the
+    batch's items for mode 3.
+
+    A batch head carries the item count in shape[0] and nothing else;
+    each item is a u32 length and a mode 1 or 2 request with the head's
+    t.  Items are memoryview slices of `payload`.
+    """
+    t, mode, count, s1, s2, s3, cond_len = _parse_head(payload)
+    if mode != MODE_BATCH:
+        return [parse_eval_request(payload)]
+    if (s1, s2, s3, cond_len) != (0, 0, 0, 0):
+        raise ProtocolError("batch head holds more than an item count")
+    if count == 0:
+        raise ProtocolError("empty batch")
+    view = memoryview(payload).cast("B")
+    off = _REQ_HEAD.size
+    if count * (_U32.size + _REQ_HEAD.size) > len(view) - off:
+        raise ProtocolError(f"batch of {count} items cannot fit in {len(view) - off} bytes")
+    items = []
+    for n in range(count):
+        try:
+            if len(view) - off < _U32.size:
+                raise ProtocolError("length truncated")
+            (size,) = _U32.unpack_from(view, off)
+            off += _U32.size
+            if size > len(view) - off:
+                raise ProtocolError(f"{size} bytes declared, {len(view) - off} left")
+            item = view[off : off + size]
+            off += size
+            if _parse_head(item)[1] == MODE_BATCH:
+                raise ProtocolError("nested batch")
+            req = parse_eval_request(item)
+            if req.t != t:
+                raise ProtocolError(f"t = {req.t} differs from the batch's {t}")
+        except ProtocolError as exc:
+            raise ProtocolError(f"item {n}: {exc}") from None
+        items.append(req)
+    if off != len(view):
+        raise ProtocolError(f"{len(view) - off} bytes after the last batch item")
+    return items
+
+
+def _sparse_payload(slat: SparseLatent) -> np.ndarray:
+    """Sparse latent wire bytes (u32 count, then x, y, z and l features a
+    row), as one uint8 array."""
     n = len(slat)
     l = slat.dims.l
-    rows = np.zeros((n, 12 + 4 * l), dtype=np.uint8)
+    out = np.empty(4 + n * (12 + 4 * l), dtype=np.uint8)
+    out[:4] = np.frombuffer(_U32.pack(n), dtype=np.uint8)
+    rows = out[4:].reshape(n, 12 + 4 * l)
     if n:
         rows[:, :12] = slat.coords.astype("<u4").view(np.uint8).reshape(n, 12)
         rows[:, 12:] = slat.features.astype("<f4").view(np.uint8).reshape(n, 4 * l)
-    return struct.pack("<I", n) + rows.tobytes()
+    return out
+
+
+def serialize_sparse(slat: SparseLatent) -> bytes:
+    return _sparse_payload(slat).tobytes()
 
 
 def deserialize_sparse(data: bytes, dims: Dims) -> SparseLatent:
     if len(data) < 4:
         raise ProtocolError("sparse payload truncated")
-    (n,) = struct.unpack_from("<I", data, 0)
+    (n,) = _U32.unpack_from(data, 0)
     row = 12 + 4 * dims.l
     if len(data) != 4 + n * row:
         raise ProtocolError(f"sparse payload is {len(data)} bytes, expected {4 + n * row}")
@@ -158,34 +258,93 @@ def deserialize_sparse(data: bytes, dims: Dims) -> SparseLatent:
 
 
 def _request_for_patch(patch, condition: ConditionEmbedding, t: float) -> EvalRequest:
+    """The patch's eval request; its latent is a view, not a copy."""
     if isinstance(patch, SparseLatent):
         shape = (len(patch), patch.dims.l, 0, 0)
-        return EvalRequest(t, MODE_SPARSE, shape, condition.data, serialize_sparse(patch))
+        return EvalRequest(t, MODE_SPARSE, shape, condition.data, memoryview(_sparse_payload(patch)))
     data = np.ascontiguousarray(patch.data, dtype="<f4")
-    return EvalRequest(t, MODE_DENSE, data.shape, condition.data, data.tobytes())
+    return EvalRequest(t, MODE_DENSE, data.shape, condition.data, memoryview(data).cast("B"))
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
+def _request_size(patch, condition: ConditionEmbedding) -> int:
+    """Bytes of the patch's eval request."""
+    if isinstance(patch, SparseLatent):
+        latent = 4 + len(patch) * (12 + 4 * patch.dims.l)
+    else:
+        latent = 4 * patch.data.size
+    return _REQ_HEAD.size + len(condition.data) + latent
+
+
+def _batch_parts(patches, conditions, t):
+    """The buffers of a batch request payload, made one item at a time."""
+    yield _REQ_HEAD.pack(t, MODE_BATCH, len(patches), 0, 0, 0, 0)
+    for patch, condition in zip(patches, conditions):
+        head, latent = _request_parts(_request_for_patch(patch, condition, t))
+        yield _U32.pack(len(head) + len(latent)) + head
+        yield latent
+
+
+def _reply_size(patch) -> int:
+    """Bytes of the float32 vector answering `patch`."""
+    values = patch.features if isinstance(patch, SparseLatent) else patch.data
+    return 4 * values.size
+
+
+def _send_frame(sock: socket.socket, ftype: int, request_id: int, size: int, parts) -> None:
+    """Send one frame whose payload is the `size` bytes of the buffers
+    `parts` yields, in order.  The buffers are never joined: they go out
+    in gathered writes of at most _SEND_BUFFERS buffers or about
+    _SEND_BYTES bytes, so parts made on the fly are held one write at a
+    time."""
+    views = [memoryview(_frame_header(ftype, request_id, size))]
+    queued = total = 0
+    for part in parts:
+        view = memoryview(part).cast("B")
+        if len(view):
+            views.append(view)
+            queued += len(view)
+            total += len(view)
+        if len(views) >= _SEND_BUFFERS or queued >= _SEND_BYTES:
+            _send_views(sock, views)
+            views, queued = [], 0
+    _send_views(sock, views)
+    if total != size:
+        raise ProtocolError(f"frame payload of {total} bytes was declared as {size}")
+
+
+def _send_views(sock: socket.socket, views: list) -> None:
+    i = 0
+    while i < len(views):
+        sent = sock.sendmsg(views[i:])
+        while i < len(views) and sent >= len(views[i]):
+            sent -= len(views[i])
+            i += 1
+        if sent:
+            views[i] = views[i][sent:]
+
+
+def _no_delay(sock: socket.socket) -> None:
+    """Frames go out in several writes; without this, Nagle's algorithm
+    holds a frame's tail until the peer's delayed ACK."""
+    if sock.family in (socket.AF_INET, socket.AF_INET6):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _recv_exact(sock: socket.socket, count: int) -> bytearray:
+    buf = bytearray(count)
+    view = memoryview(buf)
+    got = 0
+    while got < count:
+        n = sock.recv_into(view[got:])
+        if not n:
             raise ConnectionError("connection closed by peer")
-        buf += chunk
-    return bytes(buf)
+        got += n
+    return buf
 
 
 def _read_frame(sock: socket.socket) -> Frame:
-    header = _recv_exact(sock, HEADER_SIZE)
-    magic, ftype, request_id, payload_len = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}")
-    if ftype not in (TYPE_REQUEST, TYPE_RESPONSE, TYPE_ERROR):
-        raise ProtocolError(f"unknown frame type {ftype}")
-    if payload_len > MAX_PAYLOAD:
-        raise ProtocolError(f"declared payload of {payload_len} bytes exceeds limit")
-    payload = _recv_exact(sock, payload_len) if payload_len else b""
-    return Frame(ftype, request_id, payload)
+    ftype, request_id, payload_len = _parse_header(_recv_exact(sock, HEADER_SIZE))
+    return Frame(ftype, request_id, _recv_exact(sock, payload_len))
 
 
 def _parse_endpoint(endpoint: str) -> tuple[str, int]:
@@ -207,8 +366,9 @@ class _Pending:
 class RemoteProvider(VectorFieldProvider):
     """VectorFieldProvider backed by an XFP1 peer.
 
-    Safe for concurrent evaluate() calls; requests are pipelined on one
-    connection and matched to responses by request id.
+    Safe for concurrent calls; requests are pipelined on one connection
+    and matched to responses by request id.  Each `evaluate_batch` call
+    is one mode-3 frame and `evaluate` is a batch of one.
     """
 
     concurrent_safe = True
@@ -219,6 +379,7 @@ class RemoteProvider(VectorFieldProvider):
         else:
             host, port = _parse_endpoint(endpoint)
             self._sock = socket.create_connection((host, port))
+        _no_delay(self._sock)
         self.timeout = timeout
         self._ids = itertools.count(1)
         self._send_lock = threading.Lock()
@@ -250,18 +411,42 @@ class RemoteProvider(VectorFieldProvider):
             slot.event.set()
 
     def evaluate(self, patch, condition, t):
+        return self.evaluate_batch([patch], [condition], t)[0]
+
+    def evaluate_batch(self, patches, conditions, t):
+        if not patches:
+            return []
+        size = _REQ_HEAD.size + sum(_U32.size + _request_size(p, c) for p, c in zip(patches, conditions))
+        request_id, payload = self._exchange(size, _batch_parts(patches, conditions, t))
+        view = memoryview(payload)
+        sizes = [_reply_size(patch) for patch in patches]
+        if sum(sizes) != len(view):
+            raise ProtocolError(
+                f"response {request_id}: payload {len(view)} bytes != expected {sum(sizes)}"
+            )
+        vectors = []
+        off = 0
+        for patch, size in zip(patches, sizes):
+            values = np.frombuffer(view[off : off + size], dtype="<f4")
+            off += size
+            if isinstance(patch, SparseLatent):
+                vectors.append(patch.with_features(values.reshape(patch.features.shape)))
+            else:
+                vectors.append(patch.with_data(values.reshape(patch.data.shape)))
+        return vectors
+
+    def _exchange(self, size: int, parts) -> tuple[int, bytearray]:
+        """Send one request frame and wait for its response payload."""
         if self._closed:
             raise ProviderError("provider connection is closed")
-        req = _request_for_patch(patch, condition, t)
         request_id = next(self._ids)
         slot = _Pending()
         with self._pending_lock:
             self._pending[request_id] = slot
-        frame = Frame(TYPE_REQUEST, request_id, encode_eval_request(req))
         try:
             with self._send_lock:
-                self._sock.sendall(encode_frame(frame))
-        except OSError as exc:
+                _send_frame(self._sock, TYPE_REQUEST, request_id, size, parts)
+        except (OSError, ProtocolError) as exc:
             with self._pending_lock:
                 self._pending.pop(request_id, None)
             raise ProviderError(f"send failed for request {request_id}: {exc}") from exc
@@ -273,27 +458,13 @@ class RemoteProvider(VectorFieldProvider):
             raise ProviderError(f"connection failed for request {request_id}: {slot.error}")
         reply = slot.frame
         if reply.type == TYPE_ERROR:
+            text = reply.payload.decode("utf-8", "replace")
+            item = _ITEM_ERROR.match(text)
             raise ProviderError(
-                f"remote error for request {request_id}: {reply.payload.decode('utf-8', 'replace')}"
+                f"remote error for request {request_id}: {text}",
+                item=int(item.group(1)) if item else None,
             )
-        return self._vector_from_response(patch, reply.payload, request_id)
-
-    def _vector_from_response(self, patch, payload: bytes, request_id: int):
-        if isinstance(patch, SparseLatent):
-            expected = 4 * len(patch) * patch.dims.l
-            if len(payload) != expected:
-                raise ProtocolError(
-                    f"response {request_id}: payload {len(payload)} bytes != expected {expected}"
-                )
-            feats = np.frombuffer(payload, dtype="<f4").reshape(len(patch), patch.dims.l)
-            return patch.with_features(feats.copy())
-        expected = 4 * patch.data.size
-        if len(payload) != expected:
-            raise ProtocolError(
-                f"response {request_id}: payload {len(payload)} bytes != expected {expected}"
-            )
-        data = np.frombuffer(payload, dtype="<f4").reshape(patch.data.shape)
-        return patch.with_data(data.copy())
+        return request_id, reply.payload
 
     def close(self):
         self._closed = True
@@ -315,16 +486,20 @@ class _Connection:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
+        _no_delay(sock)
         self.send_lock = threading.Lock()
         self.idle = threading.Condition()
         self.in_flight = 0
 
-    def send(self, frame: Frame):
+    def send(self, ftype: int, request_id: int, parts: list):
         try:
             with self.send_lock:
-                self.sock.sendall(encode_frame(frame))
+                _send_frame(self.sock, ftype, request_id, sum(memoryview(p).nbytes for p in parts), parts)
         except OSError:
             pass
+
+    def send_error(self, request_id: int, text: str):
+        self.send(TYPE_ERROR, request_id, [text.encode("utf-8")])
 
     def answer_started(self):
         with self.idle:
@@ -333,8 +508,7 @@ class _Connection:
     def answer_done(self):
         with self.idle:
             self.in_flight -= 1
-            if not self.in_flight:
-                self.idle.notify_all()
+            self.idle.notify_all()
 
     def drain(self):
         """Half-close, then discard input until EOF or a byte/time bound."""
@@ -412,18 +586,20 @@ class ProviderServer:
         framing_lost = False
         try:
             while True:
+                with conn.idle:
+                    # stop() wakes this wait and shuts the socket down, so the read ends.
+                    conn.idle.wait_for(lambda: conn.in_flight < MAX_PIPELINED or self._stopping)
                 try:
                     frame = _read_frame(conn.sock)
                 except ProtocolError as exc:
                     # Framing is lost; answer once, then drain and close.
-                    conn.send(Frame(TYPE_ERROR, 0, str(exc).encode("utf-8")))
+                    conn.send_error(0, str(exc))
                     framing_lost = True
                     break
                 except OSError:  # EOF, reset, or stop()
                     break
                 if frame.type != TYPE_REQUEST:
-                    conn.send(Frame(TYPE_ERROR, frame.request_id,
-                                    f"expected request frame, got type {frame.type}".encode()))
+                    conn.send_error(frame.request_id, f"expected request frame, got type {frame.type}")
                     continue
                 conn.answer_started()
                 try:
@@ -442,19 +618,36 @@ class ProviderServer:
 
     def _answer(self, conn: _Connection, frame: Frame):
         try:
-            req = parse_eval_request(frame.payload)
-            patch = self._patch_from_request(req)
-            cond = ConditionEmbedding(bytes(req.condition))
-            vector = self.provider.evaluate(patch, cond, req.t)
-            if isinstance(vector, SparseLatent):
-                payload = np.ascontiguousarray(vector.features, dtype="<f4").tobytes()
-            else:
-                payload = np.ascontiguousarray(vector.data, dtype="<f4").tobytes()
-            conn.send(Frame(TYPE_RESPONSE, frame.request_id, payload))
+            conn.send(TYPE_RESPONSE, frame.request_id, self._evaluate(frame.payload))
         except Exception as exc:
-            conn.send(Frame(TYPE_ERROR, frame.request_id, str(exc).encode("utf-8")))
+            item = exc.item if isinstance(exc, ProviderError) else None
+            conn.send_error(frame.request_id, str(exc) if item is None else f"item {item}: {exc}")
         finally:
             conn.answer_done()
+
+    def _evaluate(self, payload) -> list[np.ndarray]:
+        """The float32 vectors answering a request's items, in item order."""
+        requests = parse_request(payload)
+        patches = []
+        for n, req in enumerate(requests):
+            try:
+                patches.append(self._patch_from_request(req))
+            except Exception as exc:
+                raise ProviderError(str(exc), item=n) from exc
+        conditions = [ConditionEmbedding(bytes(req.condition)) for req in requests]
+        vectors = self.provider.evaluate_batch(patches, conditions, requests[0].t)
+        if len(vectors) != len(patches):
+            raise ProviderError(f"provider returned {len(vectors)} vectors for {len(patches)} items")
+        replies = []
+        for n, (patch, vector) in enumerate(zip(patches, vectors)):
+            values = vector.features if isinstance(vector, SparseLatent) else vector.data
+            values = np.ascontiguousarray(values, dtype="<f4")
+            if 4 * values.size != _reply_size(patch):
+                raise ProviderError(
+                    f"vector of {values.size} values for a patch of {_reply_size(patch) // 4}", item=n
+                )
+            replies.append(values)
+        return replies
 
     def _patch_from_request(self, req: EvalRequest):
         if req.mode == MODE_SPARSE:

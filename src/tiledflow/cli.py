@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("prior", help="SPR1 scene prior file")
     p.add_argument("--config", help="JSON pipeline configuration")
     p.add_argument("--out", help="output directory (overrides config out_dir)")
-    p.add_argument("--workers", type=int, help="patch evaluation workers")
+    p.add_argument("--workers", type=int, help="concurrent provider batches")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("voxelize", help="voxelize a PLY point cloud to an occupancy tensor")
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-demo", help="self-contained end-to-end fixture run")
     p.add_argument("--out", help="output directory (default oracle-demo-out)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="concurrent provider batches")
     p.add_argument("--exact", action="store_true",
                    help="disable per-step optimization for exact oracle reconstruction")
     p.set_defaults(func=_cmd_oracle_demo)

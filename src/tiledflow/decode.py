@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoverageError, DimensionError
 from .lattice import DTYPE, Dims, OccupancyGrid, SparseLatent
-from .patchwork import PatchGrid, SparseWindowPlan
+from .patchwork import PatchGrid, SparseWindowPlan, window_plan
 
 OUTSIDE_SDF = 1.0
 
@@ -104,10 +104,14 @@ def merge_sdf_patches(patches: Mapping, grid: PatchGrid) -> SdfGrid:
     return SdfGrid(dims, (acc / wsum).astype(DTYPE))
 
 
-def decode_scene_sdf(slat: SparseLatent, grid: PatchGrid) -> SdfGrid:
-    """Window-by-window decode of a global feature field into one SDF."""
-    plan = SparseWindowPlan(grid, slat.coords)
-    patches = {(w.i, w.j): toy_decode_sdf(plan.gather(slat, k)) for k, w in enumerate(plan.windows)}
+def decode_scene_sdf(slat: SparseLatent, grid: PatchGrid, plan: SparseWindowPlan | None = None) -> SdfGrid:
+    """Window-by-window decode of a global feature field into one SDF.
+
+    `plan` is the window plan of the grid and the field's coordinates,
+    built here when not given.
+    """
+    plan = window_plan(grid, slat.coords, plan)
+    patches = {(w.i, w.j): toy_decode_sdf(p) for w, p in zip(plan.windows, plan.gather(slat))}
     return merge_sdf_patches(patches, grid)
 
 

@@ -60,4 +60,11 @@ class IncompleteFrameError(ProtocolError):
 
 
 class ProviderError(TiledFlowError):
-    """A vector-field provider failed to produce an evaluation."""
+    """A vector-field provider failed to produce an evaluation.
+
+    ``item`` is the index of the failing item of a batch, when known.
+    """
+
+    def __init__(self, message: str, item: int | None = None):
+        super().__init__(message)
+        self.item = item

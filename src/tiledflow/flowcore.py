@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, ProviderError, SingularityError
+from .errors import DimensionError, DivergenceError, ProviderError, SingularityError
 from .lattice import DTYPE, DenseLatent, Schedule, SparseLatent, _coord_key
 from .patchwork import (
     DilatedPartition,
@@ -33,6 +33,7 @@ from .patchwork import (
     merge_vectors,
     patch_dense,
     restrict_sparse,
+    window_plan,
 )
 from .priors import ConditionEmbedding, NormalizationBox, ScenePrior, image_patchify, toy_condition
 
@@ -42,16 +43,37 @@ PatchLatent = DenseLatent | SparseLatent
 class VectorFieldProvider:
     """Behavioral interface: evaluate(patch, condition, t) -> same-shape vector.
 
+    The engine calls `evaluate_batch(patches, conditions, t)` once per
+    chunk of windows (or dilated samples), in window order: item n of the
+    returned list is the vector of `patches[n]` under `conditions[n]`,
+    and every item shares the one t.  A batch either answers every item
+    or raises; when the failing item is known, the error is a
+    ProviderError whose `item` is its index, so the engine can name the
+    window.  The default loops over `evaluate`, so a provider that
+    defines only `evaluate` works unchanged.
+
     The engine quantizes t to float32 before every call (the wire
     protocol carries it as f32, and in-process and remote providers must
     see bit-identical inputs).  Providers that cannot run concurrently
-    set `concurrent_safe = False`; the engine then serializes calls.
+    set `concurrent_safe = False`; the engine then makes one batch call
+    at a time.
     """
 
     concurrent_safe: bool = True
 
     def evaluate(self, patch: PatchLatent, condition: ConditionEmbedding, t: float) -> PatchLatent:
         raise NotImplementedError
+
+    def evaluate_batch(
+        self, patches: list[PatchLatent], conditions: list[ConditionEmbedding], t: float
+    ) -> list[PatchLatent]:
+        vectors = []
+        for n, (patch, condition) in enumerate(zip(patches, conditions)):
+            try:
+                vectors.append(self.evaluate(patch, condition, t))
+            except Exception as exc:
+                raise ProviderError(str(exc), item=n) from exc
+        return vectors
 
 
 class ZeroFieldProvider(VectorFieldProvider):
@@ -297,37 +319,69 @@ def extended_field(
     workers: int = 1,
     plan: SparseWindowPlan | None = None,
 ) -> PatchLatent:
-    """Patch-wise field: evaluate the provider per window and merge.
+    """Patch-wise field: evaluate the provider on every window and merge.
 
     A sparse Z is cut by `plan`, the window plan of its grid and
-    coordinates (built here when not given).  The merge (and therefore
-    the result) is independent of evaluation order; provider failures
-    carry the window index.
+    coordinates (built here when not given).  The windows go to the
+    provider in at most `workers` batches (see `_evaluate`) and merge in
+    the grid's fixed window order, so the result does not depend on the
+    worker count; provider failures carry the window index.
     """
-    sparse = isinstance(Z, SparseLatent)
-    if sparse and plan is None:
-        plan = SparseWindowPlan(grid, Z.coords)
-    elif sparse and (plan.grid != grid or not np.array_equal(plan.coords, Z.coords)):
-        raise ConfigError("window plan was built for another grid or coordinate set")
-    jobs = [(k, w, conditioner.window_condition(w)) for k, w in enumerate(grid.windows())]
-    t_eval = float(DTYPE(t))
-
-    def run(job):
-        k, w, cond = job
-        patch = plan.gather(Z, k) if sparse else patch_dense(Z, w)
-        try:
-            return (w.i, w.j), provider.evaluate(patch, cond, t_eval)
-        except Exception as exc:
-            raise ProviderError(f"provider failed on patch ({w.i}, {w.j}): {exc}") from exc
-
-    results = dict(_map_jobs(run, jobs, workers, provider.concurrent_safe))
+    windows = list(grid.windows())
+    if isinstance(Z, SparseLatent):
+        plan = window_plan(grid, Z.coords, plan)
+        patches = plan.gather(Z)
+    else:
+        patches = [patch_dense(Z, w) for w in windows]
+    conditions = [conditioner.window_condition(w) for w in windows]
+    vectors = _evaluate(
+        provider, patches, conditions, t, workers,
+        lambda k: f"patch ({windows[k].i}, {windows[k].j})",
+    )
+    del patches  # free the inputs before the merge allocates its own
+    results = {(w.i, w.j): v for w, v in zip(windows, vectors)}
     return merge_vectors(results, grid, plan)
 
 
-def _map_jobs(fn, jobs, workers, concurrent_safe):
-    if workers <= 1 or not concurrent_safe or len(jobs) <= 1:
+def _evaluate(provider, patches, conditions, t, workers, name) -> list:
+    """The provider's vectors for `patches`, in order.
+
+    The items are cut into at most `workers` contiguous chunks, one
+    `evaluate_batch` call each; the chunks run on a thread pool only
+    when workers > 1 and the provider is concurrent-safe.  `name(k)`
+    names item k in errors.
+    """
+    t_eval = float(DTYPE(t))
+    count = len(patches)
+    chunks = min(workers, count) if workers > 1 and provider.concurrent_safe else 1
+    bounds = [count * c // chunks for c in range(chunks + 1)]
+
+    def run(span):
+        lo, hi = span
+        try:
+            vectors = provider.evaluate_batch(patches[lo:hi], conditions[lo:hi], t_eval)
+        except Exception as exc:
+            item = exc.item if isinstance(exc, ProviderError) else None
+            if item is not None and 0 <= item < hi - lo:
+                where = name(lo + item)
+            else:
+                where = f"{name(lo)} to {name(hi - 1)}"
+            raise ProviderError(f"provider failed on {where}: {exc}") from exc
+        if len(vectors) != hi - lo:
+            raise ProviderError(
+                f"provider returned {len(vectors)} vectors for {name(lo)} to {name(hi - 1)}"
+            )
+        return vectors
+
+    spans = list(zip(bounds, bounds[1:]))
+    return [v for vectors in _map_jobs(run, spans) for v in vectors]
+
+
+def _map_jobs(fn, jobs):
+    """`fn` over `jobs` in order; two or more jobs run one thread each."""
+    if len(jobs) <= 1:
         return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(fn, jobs))
 
 
@@ -340,19 +394,14 @@ def dilated_field(
     workers: int = 1,
 ) -> DenseLatent:
     """Evaluate the provider on every dilated sample and scatter back."""
-    jobs = list(range(len(partition)))
-    t_eval = float(DTYPE(t))
-
-    def run(n):
-        sample = partition.gather(Z, n)
-        cond = conditioner.dilated_condition(partition, n)
-        try:
-            return n, provider.evaluate(sample, cond, t_eval)
-        except Exception as exc:
-            raise ProviderError(f"provider failed on dilated sample {n}: {exc}") from exc
-
-    results = dict(_map_jobs(run, jobs, workers, provider.concurrent_safe))
-    return partition.scatter([results[n] for n in jobs])
+    samples = range(len(partition))
+    vectors = _evaluate(
+        provider,
+        [partition.gather(Z, n) for n in samples],
+        [conditioner.dilated_condition(partition, n) for n in samples],
+        t, workers, lambda n: f"dilated sample {n}",
+    )
+    return partition.scatter(vectors)
 
 
 def mixed_field(

@@ -174,7 +174,27 @@ class SparseLatent:
         return _coord_key(self.coords, self.dims)
 
     def with_features(self, features: np.ndarray) -> "SparseLatent":
-        return SparseLatent(self.dims, self.coords, features)
+        """Same coordinates, new features; only the features are checked."""
+        return SparseLatent._on_checked_coords(self.dims, self.coords, features)
+
+    @classmethod
+    def _on_checked_coords(cls, dims: Dims, coords: np.ndarray, features) -> "SparseLatent":
+        """Latent over `coords` that a constructor already checked for `dims`.
+
+        The coordinates must be the read-only array of a built latent (or
+        one checked the same way); the features get the constructor's
+        shape, dtype and finiteness checks.
+        """
+        features = np.ascontiguousarray(
+            np.asarray(features).reshape(len(coords), dims.l), dtype=DTYPE
+        )
+        if not np.isfinite(features).all():
+            raise ValueError("sparse latent contains non-finite features")
+        latent = object.__new__(cls)
+        object.__setattr__(latent, "dims", dims)
+        object.__setattr__(latent, "coords", coords)
+        object.__setattr__(latent, "features", _freeze(features))
+        return latent
 
 
 def _coord_key(coords: np.ndarray, dims: Dims) -> np.ndarray:

@@ -237,36 +237,54 @@ def _union_coords(patch_vectors: Mapping, grid: PatchGrid) -> np.ndarray:
 
 
 class SparseWindowPlan:
-    """Window geometry of one fixed, sorted coordinate set on a grid.
+    """Window geometry of one fixed coordinate set (held sorted) on a grid.
 
     Window k (`windows[k]`, in the grid's fixed row-major order) covers
-    the global rows `rows[k]`, whose window-local coordinates are
-    `local_coords[k]`.  `order` stably sorts the concatenated rows of all
-    windows by global row, so each row's contributions stay in window
-    order; `starts` marks where each row's group begins and `coverage`
-    is its size.  Every row must lie in at least one window.
+    the global rows `rows[bounds[k]:bounds[k + 1]]`, whose window-local
+    coordinates are `local_coords[k]`.  `order` stably sorts `rows` (the
+    rows of all windows, in window order) by global row, so each row's
+    contributions stay in window order; `starts` marks where each row's
+    group begins and `coverage` is its size.  Every row must lie in at
+    least one window.
+
+    The coordinates and every window's local coordinates pass the
+    `SparseLatent` constructor's checks once, here; gathered patches and
+    the merged vector then check only their features.
     """
 
     def __init__(self, grid: PatchGrid, coords: np.ndarray):
         self.grid = grid
-        self.coords = coords
+        self.coords = _checked_coords(grid.dims, coords)
         self.windows = list(grid.windows())
-        self.rows = [box_rows(coords, w.x0, w.y0, w.K) for w in self.windows]
+        window_rows = [box_rows(self.coords, w.x0, w.y0, w.K) for w in self.windows]
+        # Translation keeps the sorted order, so the checked local
+        # coordinates stay aligned with their rows.
+        patch_dims = grid.dims.patch_dims()
         self.local_coords = [
-            coords[rows] - np.array([w.x0, w.y0, 0], dtype=np.int64)
-            for w, rows in zip(self.windows, self.rows)
+            _checked_coords(patch_dims, self.coords[rows] - np.array([w.x0, w.y0, 0], dtype=np.int64))
+            for w, rows in zip(self.windows, window_rows)
         ]
-        all_rows = np.concatenate(self.rows)
-        self.coverage = np.bincount(all_rows, minlength=len(coords))
+        self.rows = np.concatenate(window_rows)
+        self.bounds = np.cumsum([0] + [len(rows) for rows in window_rows])
+        self.coverage = np.bincount(self.rows, minlength=len(self.coords))
         if (self.coverage < 1).any():
             raise CoverageError("sparse coordinate not covered by any window")
-        self.order = np.argsort(all_rows, kind="stable")
+        self.order = np.argsort(self.rows, kind="stable")
         self.starts = np.concatenate([[0], np.cumsum(self.coverage[:-1])])
 
-    def gather(self, Z: SparseLatent, k: int) -> SparseLatent:
-        """Patch of window k: Z's rows inside it, in window-local coordinates."""
-        feats = Z.features.take(self.rows[k], axis=0)
-        return SparseLatent(Z.dims.patch_dims(), self.local_coords[k], feats)
+    def gather(self, Z: SparseLatent) -> list[SparseLatent]:
+        """Every window's patch, in window order: Z's rows inside it, in
+        window-local coordinates.
+
+        One `take` serves all windows; the patches' features are views
+        of its result.
+        """
+        feats = Z.features.take(self.rows, axis=0)
+        patch_dims = Z.dims.patch_dims()
+        return [
+            SparseLatent._on_checked_coords(patch_dims, local, feats[lo:hi])
+            for local, lo, hi in zip(self.local_coords, self.bounds[:-1], self.bounds[1:])
+        ]
 
     def merge(self, results: Sequence[SparseLatent]) -> SparseLatent:
         """Coverage-averaged sum of the per-window vectors, given in window order.
@@ -291,7 +309,25 @@ class SparseWindowPlan:
         feats = np.concatenate([X.features for X in results]).take(self.order, axis=0)
         acc = np.add.reduceat(feats.astype(np.float64), self.starts, axis=0)
         acc /= self.coverage[:, None]
-        return SparseLatent(dims, self.coords, acc.astype(DTYPE))
+        return SparseLatent._on_checked_coords(dims, self.coords, acc.astype(DTYPE))
+
+
+def window_plan(grid: PatchGrid, coords: np.ndarray, plan: SparseWindowPlan | None = None) -> SparseWindowPlan:
+    """The window plan of `coords` on `grid`: `plan` when given, else a new one.
+
+    A plan built for another grid or coordinate set is a ConfigError.
+    """
+    if plan is None:
+        return SparseWindowPlan(grid, coords)
+    if plan.grid != grid or not np.array_equal(plan.coords, coords):
+        raise ConfigError("window plan was built for another grid or coordinate set")
+    return plan
+
+
+def _checked_coords(dims: Dims, coords: np.ndarray) -> np.ndarray:
+    """`coords` checked and ordered as the SparseLatent constructor does."""
+    coords = np.asarray(coords).reshape(-1, 3)
+    return SparseLatent(dims, coords, np.zeros((len(coords), dims.l), dtype=DTYPE)).coords
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .flowcore import (
 )
 from .lattice import DenseLatent, Dims, OccupancyGrid, Schedule, SparseLatent, init_sparse_noise
 from .optim import AdamParams, LossWeights, OptimState, optimize_vector, slat_objective, ss_loss
-from .patchwork import SparseWindowPlan, make_patch_grid
+from .patchwork import SparseWindowPlan, make_patch_grid, window_plan
 from .priors import NormalizationBox, ScenePrior, load_scene_prior, voxelize
 from .structedit import SdeditParams, ToyCodec, iterative_sdedit
 
@@ -342,9 +342,14 @@ def generate_slat(
     bundle: ProviderBundle,
     report: RunReport | None = None,
     box: NormalizationBox | None = None,
+    plan: SparseWindowPlan | None = None,
 ) -> SparseLatent:
     """Feature stage: denoise per-voxel features over fixed coordinates,
-    optimizing the rendering objective at every step."""
+    optimizing the rendering objective at every step.
+
+    `plan` is the window plan of the fine grid and `coords`, built here
+    when not given.
+    """
     if len(coords) == 0:
         raise ConfigError("feature stage requires a non-empty coordinate set")
     dims = config.dims
@@ -354,7 +359,7 @@ def generate_slat(
     conditioner = _make_conditioner(bundle.conditioner_kind, prior, grid, box)
     schedule = Schedule.linear(1.0, config.schedule_steps)
     Z1 = init_sparse_noise(coords, dims, substream_seed(config.seed, _STREAM_SLAT_INIT))
-    plan = SparseWindowPlan(grid, Z1.coords)
+    plan = window_plan(grid, Z1.coords, plan)
     trace = _TraceRecorder()
 
     hook = None
@@ -405,12 +410,13 @@ def run_pipeline(prior: ScenePrior, config: PipelineConfig, bundle: ProviderBund
     box = NormalizationBox.from_points(prior.valid_points())
 
     coords = generate_sparse_structure(prior, config, bundle, report, box)
-    slat = generate_slat(coords, prior, config, bundle, report, box)
+    dims = config.dims
+    plan = SparseWindowPlan(make_patch_grid(dims, config.d, dims.M), coords)
+    slat = generate_slat(coords, prior, config, bundle, report, box, plan)
 
     started = time.monotonic()
-    dims = config.dims
     occupancy = OccupancyGrid.from_coords(dims, coords)
-    sdf = decode_scene_sdf(slat, make_patch_grid(dims, config.d, dims.M))
+    sdf = decode_scene_sdf(slat, plan.grid, plan)
 
     paths = {
         "scene_ply": out_dir / "scene.ply",

@@ -1,15 +1,19 @@
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tiledflow.bridge import (
     Frame,
     HEADER_SIZE,
     MAGIC,
     MAX_PAYLOAD,
+    MAX_PIPELINED,
+    MODE_BATCH,
     ProviderServer,
     RemoteProvider,
     TYPE_ERROR,
@@ -21,6 +25,7 @@ from tiledflow.bridge import (
     encode_frame,
     EvalRequest,
     parse_eval_request,
+    parse_request,
     serialize_sparse,
     deserialize_sparse,
 )
@@ -30,10 +35,12 @@ from tiledflow.flowcore import (
     OracleConditioner,
     VectorFieldProvider,
     ZeroFieldProvider,
+    decode_oracle_condition,
+    dilated_field,
     extended_field,
 )
 from tiledflow.lattice import DenseLatent, Dims, init_sparse_noise
-from tiledflow.patchwork import make_patch_grid
+from tiledflow.patchwork import dilated_partition, make_patch_grid
 from tiledflow.priors import ConditionEmbedding
 
 
@@ -470,3 +477,244 @@ class TestConnectionClose:
             assert client.recv(65536) == b""
         finally:
             client.close()
+
+
+_REQ_HEAD = struct.Struct("<fB4II")  # t, mode, shape[4], condition_len (the XFP1 eval head)
+
+
+def _dense_item(t, seed=30, window=(0, 0)):
+    """A mode-1 eval request for one dense window of the d = 2 grid."""
+    patch = random_dense(DIMS.patch_dims(), seed)
+    cond = OracleConditioner().window_condition(make_patch_grid(DIMS, 2, DIMS.N).window(*window))
+    return encode_eval_request(EvalRequest(t, 1, patch.data.shape, cond.data, patch.data.tobytes()))
+
+
+def _batch(t, items, count=None):
+    """A mode-3 payload: the batch head, then each item behind its u32 length."""
+    body = b"".join(struct.pack("<I", len(item)) + item for item in items)
+    return _REQ_HEAD.pack(t, MODE_BATCH, len(items) if count is None else count, 0, 0, 0, 0) + body
+
+
+def _read_frames(sock, count):
+    """The next `count` frames of the stream."""
+    frames, buf = [], b""
+    while len(frames) < count:
+        try:
+            frame, used = decode_frame(buf)
+        except IncompleteFrameError:
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("peer closed")
+            buf += chunk
+            continue
+        frames.append(frame)
+        buf = buf[used:]
+    return frames
+
+
+class TestBatch:
+    def _connect(self, server):
+        host, port = server.address.rsplit(":", 1)
+        sock = socket.create_connection((host, int(port)))
+        sock.settimeout(5)
+        return sock
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_remote_fields_bit_equal_in_process(self, oracle_server, workers):
+        server, target, slat_target = oracle_server
+        local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        cond = OracleConditioner()
+        Z = random_dense(DIMS, 40)
+        S = slat_target.with_features(np.float32(0.5) * slat_target.features + 1)
+        dense_grid = make_patch_grid(DIMS, 2, DIMS.N)
+        sparse_grid = make_patch_grid(DIMS, 2, DIMS.M)
+        partition = dilated_partition(DIMS, DIMS.N, seed=1)
+
+        def fields(provider):
+            return (
+                extended_field(Z, 0.7, dense_grid, provider, cond, workers).data,
+                extended_field(S, 0.4, sparse_grid, provider, cond, workers).features,
+                dilated_field(Z, 0.6, partition, provider, cond, workers).data,
+            )
+
+        with RemoteProvider(server.address, timeout=10) as remote:
+            remote_fields = fields(remote)
+        for a, b in zip(remote_fields, fields(local)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_large_and_many_item_batches_round_trip(self):
+        # Frames past the gathered-write bounds: 2.8 MB in 3 sparse items,
+        # 1,201 buffers in 600 dense items.
+        class Echo(VectorFieldProvider):
+            def evaluate(self, patch, condition, t):
+                return patch
+
+        dims = Dims(1, 1, 8, 32, l=4)
+        rng = np.random.default_rng(42)
+        full = np.argwhere(np.ones(dims.grid_shape, dtype=bool))
+        sparse = [init_sparse_noise(full, dims, seed=s) for s in range(3)]
+        dense = [random_dense(dims, s) for s in range(600)]
+        cond = ConditionEmbedding(rng.bytes(7))
+        server = ProviderServer(Echo(), dims).start()
+        host, port = server.address.rsplit(":", 1)
+        sock = socket.create_connection((host, int(port)))
+        # a socket timeout and a small send buffer make sendmsg return short counts
+        sock.settimeout(30)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 16384)
+        try:
+            with RemoteProvider(sock, timeout=30) as remote:
+                for patches, values in ((sparse, lambda x: x.features), (dense, lambda x: x.data)):
+                    out = remote.evaluate_batch(patches, [cond] * len(patches), 0.5)
+                    assert [values(x).tobytes() for x in out] == [values(x).tobytes() for x in patches]
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_remote_failure_on_one_window_names_it(self, workers):
+        class FailsAtOneWindow(VectorFieldProvider):
+            def evaluate(self, patch, condition, t):
+                if decode_oracle_condition(condition)[1:3] == (2, 2):  # window (1, 1)
+                    raise RuntimeError("boom")
+                return patch.with_data(np.zeros_like(patch.data))
+
+        server = ProviderServer(FailsAtOneWindow(), DIMS).start()
+        try:
+            with RemoteProvider(server.address, timeout=10) as remote:
+                grid = make_patch_grid(DIMS, 2, DIMS.N)
+                with pytest.raises(ProviderError, match=r"patch \(1, 1\): .*boom"):
+                    extended_field(random_dense(DIMS, 41), 0.5, grid, remote, OracleConditioner(), workers)
+                # the connection still serves a field without that window
+                grid = make_patch_grid(DIMS, 1, DIMS.N)
+                out = extended_field(random_dense(DIMS, 41), 0.5, grid, remote, OracleConditioner(), workers)
+                assert not out.data.any()
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize(
+        "payload,text",
+        [
+            (_batch(0.5, [_dense_item(0.5)], count=1000), "cannot fit"),
+            (_batch(0.5, [_dense_item(0.5), _dense_item(0.5)])[:-3], "item 1"),
+            (_batch(0.5, [_batch(0.5, [_dense_item(0.5)])]), "nested"),
+            (_batch(0.5, [_dense_item(0.5), _dense_item(0.25)]), "item 1: t"),
+        ],
+        ids=["count-exceeds-payload", "truncated-item", "nested-batch", "t-mismatch"],
+    )
+    def test_malformed_batch_gets_one_error_frame(self, oracle_server, payload, text):
+        server, _, _ = oracle_server
+        sock = self._connect(server)
+        try:
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 50, payload)))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_ERROR, 50)
+            assert text in reply.payload.decode()
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 51, _batch(0.5, [_dense_item(0.5)]))))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_RESPONSE, 51)
+        finally:
+            sock.close()
+
+    def test_single_patch_request_still_answered(self, oracle_server):
+        server, target, _ = oracle_server
+        sock = self._connect(server)
+        try:
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 60, _dense_item(0.5, seed=61))))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_RESPONSE, 60)
+            patch = random_dense(DIMS.patch_dims(), 61)
+            expected = (patch.data - target.data[:4, :4, :4]) / np.float32(0.5)
+            assert reply.payload == expected.astype("<f4").tobytes()
+        finally:
+            sock.close()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        t=st.just(0.5) | st.floats(width=32),  # 0.5 is the valid items' t
+        count=st.integers(0, 6) | st.integers(0, 2**32 - 1),
+        rest=st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 3)]),
+        items=st.lists(
+            st.binary(max_size=64)
+            | st.sampled_from([_dense_item(0.5), _batch(0.5, [_dense_item(0.5)])])
+            | st.tuples(st.integers(0, 400), st.integers(0, 255)).map(
+                lambda m: bytes(_mutate(_dense_item(0.5), *m))
+            ),
+            max_size=4,
+        ),
+        prefixed=st.booleans(),
+        tail=st.binary(max_size=16),
+    )
+    # a second item whose u32 length is cut short
+    @example(t=0.5, count=2, rest=(0, 0, 0, 0), items=[_dense_item(0.5)], prefixed=True, tail=b"\x01")
+    def test_parser_maps_any_batch_payload_to_protocol_error(self, t, count, rest, items, prefixed, tail):
+        body = b"".join(struct.pack("<I", len(i)) + i if prefixed else i for i in items)
+        payload = _REQ_HEAD.pack(t, MODE_BATCH, count, *rest) + body + tail
+        try:
+            requests = parse_request(payload)
+        except ProtocolError:
+            return
+        assert len(requests) == count and all(r.mode in (1, 2) for r in requests)
+
+
+def _mutate(blob, pos, value):
+    out = bytearray(blob)
+    out[pos % len(out)] = value
+    return out
+
+
+class TestPipelineBound:
+    def _blocked_server(self):
+        release = threading.Event()
+        lock = threading.Lock()
+        seen = {"now": 0, "max": 0}
+
+        class Blocking(VectorFieldProvider):
+            def evaluate(self, patch, condition, t):
+                with lock:
+                    seen["now"] += 1
+                    seen["max"] = max(seen["max"], seen["now"])
+                release.wait(10)
+                with lock:
+                    seen["now"] -= 1
+                return patch
+
+        # more pool threads than the bound, so only the bound can hold requests back
+        server = ProviderServer(Blocking(), DIMS, workers=MAX_PIPELINED + 5).start()
+        host, port = server.address.rsplit(":", 1)
+        sock = socket.create_connection((host, int(port)))
+        sock.settimeout(5)
+        total = MAX_PIPELINED + 5
+        sock.sendall(b"".join(_valid_request_blob(i) for i in range(1, total + 1)))
+        deadline = time.monotonic() + 5
+        while seen["now"] < MAX_PIPELINED and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.3)  # time enough for the reader to take more, were it not held
+        return server, sock, release, seen, total
+
+    def test_reader_holds_at_bound_and_answers_all(self):
+        server, sock, release, seen, total = self._blocked_server()
+        try:
+            assert seen["now"] == MAX_PIPELINED
+            release.set()
+            frames = _read_frames(sock, total)
+            assert sorted(f.request_id for f in frames) == list(range(1, total + 1))
+            assert all(f.type == TYPE_RESPONSE for f in frames)
+            assert seen["max"] == MAX_PIPELINED
+        finally:
+            release.set()
+            sock.close()
+            server.stop()
+
+    def test_stop_wakes_reader_held_at_bound(self):
+        server, sock, release, seen, _ = self._blocked_server()
+        try:
+            assert seen["now"] == MAX_PIPELINED
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 1
+            deadline = time.monotonic() + 2
+            while server._conns and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._conns
+        finally:
+            release.set()
+            sock.close()

@@ -134,6 +134,82 @@ class TestExtendedField:
         with pytest.raises(ProviderError, match=r"patch \(0, 0\)"):
             extended_field(Z, 0.5, grid, Broken(), OracleConditioner())
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_failure_on_one_window_names_it(self, workers):
+        class FailsAtOneWindow(VectorFieldProvider):
+            def evaluate(self, patch, condition, t):
+                if decode_oracle_condition(condition)[1:3] == (2, 2):  # window (1, 1)
+                    raise RuntimeError("boom")
+                return patch.with_data(np.zeros_like(patch.data))
+
+        Z = random_dense(DIMS, 18)
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        with pytest.raises(ProviderError, match=r"patch \(1, 1\): boom"):
+            extended_field(Z, 0.5, grid, FailsAtOneWindow(), OracleConditioner(), workers=workers)
+
+    def test_default_batch_reports_failing_item(self):
+        class FailsOnSecond(VectorFieldProvider):
+            def evaluate(self, patch, condition, t):
+                if condition == "second":
+                    raise RuntimeError("boom")
+                return patch
+
+        patch = random_dense(DIMS.patch_dims(), 1)
+        with pytest.raises(ProviderError, match="boom") as err:
+            FailsOnSecond().evaluate_batch([patch] * 3, ["first", "second", "third"], 0.5)
+        assert err.value.item == 1
+        assert FailsOnSecond().evaluate_batch([], [], 0.5) == []
+
+    @pytest.mark.parametrize(
+        "workers,concurrent_safe,sizes",
+        [(1, True, [9]), (2, True, [4, 5]), (4, True, [2, 2, 2, 3]), (8, False, [9])],
+    )
+    def test_windows_go_out_in_contiguous_batches(self, workers, concurrent_safe, sizes):
+        import threading
+
+        class Recording(VectorFieldProvider):
+            def __init__(self):
+                self.concurrent_safe = concurrent_safe
+                self.batches = []
+                self.lock = threading.Lock()
+
+            def evaluate_batch(self, patches, conditions, t):
+                with self.lock:
+                    self.batches.append([decode_oracle_condition(c)[1:3] for c in conditions])
+                return [p.with_data(np.zeros_like(p.data)) for p in patches]
+
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        provider = Recording()
+        extended_field(random_dense(DIMS, 19), 0.5, grid, provider, OracleConditioner(), workers)
+        batches = sorted(provider.batches)
+        assert [len(b) for b in batches] == sizes
+        assert sum(batches, []) == [(w.x0, w.y0) for w in grid.windows()]
+
+    def test_wrong_vector_count_rejected(self):
+        class Short(VectorFieldProvider):
+            def evaluate_batch(self, patches, conditions, t):
+                return patches[1:]
+
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        with pytest.raises(ProviderError, match="returned 8 vectors"):
+            extended_field(random_dense(DIMS, 20), 0.5, grid, Short(), OracleConditioner())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_on_one_dilated_sample_names_it(self, workers):
+        partition = dilated_partition(DIMS, DIMS.N, seed=0)
+        bad = OracleConditioner().dilated_condition(partition, 2).data
+
+        class FailsAtOneSample(VectorFieldProvider):
+            def evaluate(self, patch, condition, t):
+                if condition.data == bad:
+                    raise RuntimeError("boom")
+                return patch
+
+        with pytest.raises(ProviderError, match="dilated sample 2: boom"):
+            dilated_field(
+                random_dense(DIMS, 21), 0.5, partition, FailsAtOneSample(), OracleConditioner(), workers
+            )
+
     @pytest.mark.parametrize("change", ["drop_row", "empty"])
     def test_provider_changing_coordinates_names_window(self, change):
         class Reshaping(VectorFieldProvider):

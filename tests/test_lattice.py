@@ -148,6 +148,20 @@ class TestSparse:
                 SMALL, np.array([[0, 0, 0], [1, 1, 1], [1, 1, 1], [2, 0, 0]]), np.zeros((4, 4))
             )
 
+    def test_with_features_checks_only_features(self):
+        s = init_sparse_noise(np.array([[0, 0, 0], [3, 2, 1], [1, 1, 1]]), SMALL, seed=0)
+        out = s.with_features(np.ones((3, SMALL.l)))
+        assert out.coords is s.coords  # already checked, kept as is
+        assert out.features.dtype == np.float32 and not out.features.flags.writeable
+        assert out.features.tobytes() == SparseLatent(SMALL, s.coords, np.ones((3, SMALL.l))).features.tobytes()
+        bad = np.ones((3, SMALL.l), dtype=np.float32)
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            s.with_features(bad)
+        for shape in ((2, SMALL.l), (3, SMALL.l + 1)):
+            with pytest.raises(ValueError):
+                s.with_features(np.ones(shape))
+
     def test_canonical_order_and_lookup(self):
         coords = np.array([[5, 0, 0], [0, 3, 2], [0, 3, 1]])
         feats = np.array([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0]], dtype=np.float32)

@@ -347,8 +347,7 @@ class TestSparseWindowPlan:
         grid = make_patch_grid(dims, d, dims.M)
         plan = SparseWindowPlan(grid, Z.coords)
         vectors = []
-        for k, w in enumerate(grid.windows()):
-            patch = plan.gather(Z, k)
+        for w, patch in zip(grid.windows(), plan.gather(Z)):
             ref_coords, ref_feats = reference_gather(Z, w)
             assert np.array_equal(patch.coords, ref_coords)
             assert patch.features.tobytes() == ref_feats.tobytes()
@@ -360,14 +359,27 @@ class TestSparseWindowPlan:
             assert np.array_equal(merged.coords, Z.coords)
             assert merged.features.tobytes() == ref_feats.tobytes()
 
+    def test_gather_equals_constructor_built_patch(self):
+        dims = Dims(3, 2, 4, 8, l=2)
+        grid = make_patch_grid(dims, 4, 8)
+        rng = np.random.default_rng(3)
+        Z = init_sparse_noise(np.argwhere(rng.random(dims.grid_shape) < 0.2), dims, seed=1)
+        plan = SparseWindowPlan(grid, Z.coords)
+        for w, patch in zip(grid.windows(), plan.gather(Z)):
+            built = SparseLatent(dims.patch_dims(), *reference_gather(Z, w))
+            assert patch.dims == built.dims
+            assert patch.coords.tobytes() == built.coords.tobytes()
+            assert patch.features.tobytes() == built.features.tobytes()
+            assert not patch.coords.flags.writeable and not patch.features.flags.writeable
+
     def test_empty_windows_gather_nothing(self):
         dims = Dims(3, 1, 4, 8, l=2)
         grid = make_patch_grid(dims, 2, 8)
         Z = init_sparse_noise(np.array([[1, 2, 3]]), dims, seed=0)
         plan = SparseWindowPlan(grid, Z.coords)
-        sizes = [len(plan.gather(Z, k)) for k in range(grid.count)]
+        sizes = [len(patch) for patch in plan.gather(Z)]
         assert sizes == [1] + [0] * (grid.count - 1)
-        merged = plan.merge([plan.gather(Z, k) for k in range(grid.count)])
+        merged = plan.merge(plan.gather(Z))
         assert np.array_equal(merged.features, Z.features)
 
     def test_uncovered_coordinate_rejected(self):

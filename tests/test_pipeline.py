@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tiledflow import tensorio
+from tiledflow.decode import decode_scene_sdf
 from tiledflow.errors import ConfigError
 from tiledflow.fixtures import build_demo_scene, demo_bundle, run_oracle_demo
 from tiledflow.lattice import Dims
@@ -19,6 +20,7 @@ from tiledflow.pipeline import (
     run_pipeline,
     write_slat_table,
 )
+from tiledflow.patchwork import SparseWindowPlan, make_patch_grid
 from tiledflow.priors import NormalizationBox, voxelize
 
 
@@ -160,6 +162,20 @@ class TestSlatStage:
         config = small_config(slat_adam=AdamParams(steps=2))
         slat = generate_slat(coords, scene.prior, config, demo_bundle(scene))
         assert np.array_equal(slat.coords, coords)
+
+    def test_plan_for_other_grid_or_coordinates_rejected(self):
+        scene = build_demo_scene(SMALL)
+        coords = scene.occ_target.coords()
+        config = small_config()
+        for grid, planned in (
+            (make_patch_grid(SMALL, 1, SMALL.M), coords),
+            (make_patch_grid(SMALL, config.d, SMALL.M), coords[1:]),
+        ):
+            plan = SparseWindowPlan(grid, planned)
+            with pytest.raises(ConfigError):
+                generate_slat(coords, scene.prior, config, demo_bundle(scene), plan=plan)
+            with pytest.raises(ConfigError):
+                decode_scene_sdf(scene.slat_target, make_patch_grid(SMALL, config.d, SMALL.M), plan)
 
     def test_empty_coords_rejected(self):
         scene = build_demo_scene(SMALL)
