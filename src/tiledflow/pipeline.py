@@ -35,7 +35,16 @@ from .flowcore import (
     euler_integrate,
 )
 from .lattice import DenseLatent, Dims, OccupancyGrid, Schedule, SparseLatent, init_sparse_noise
-from .optim import AdamParams, LossWeights, OptimState, optimize_vector, slat_objective, ss_loss
+from .optim import (
+    AdamParams,
+    LossWeights,
+    OptimState,
+    PriorCells,
+    RenderTarget,
+    optimize_vector,
+    slat_objective,
+    ss_loss,
+)
 from .patchwork import SparseWindowPlan, make_patch_grid, window_plan
 from .priors import NormalizationBox, ScenePrior, load_scene_prior, voxelize
 from .structedit import SdeditParams, ToyCodec, iterative_sdedit
@@ -279,6 +288,7 @@ def generate_sparse_structure(
 
     hook_for_round = None
     if config.ss_adam.steps > 0 and len(prior_voxels) > 0:
+        prior_cells = PriorCells.build(prior_voxels, codec.dims)
         persist_state = {}
 
         def make_hook(round_idx: int):
@@ -291,7 +301,7 @@ def generate_sparse_structure(
                     state = persist_state.setdefault(
                         "ss", OptimState.zeros(v.data.shape)
                     )
-                objective = lambda vec: ss_loss(vec, Z, t, prior_voxels, codec)
+                objective = lambda vec: ss_loss(vec, Z, t, prior_cells, codec)
                 v_opt, losses = optimize_vector(v.data, objective, config.ss_adam, state)
                 trace.record(t, losses)
                 return v.with_data(v_opt.astype(np.float32))
@@ -364,8 +374,10 @@ def generate_slat(
 
     hook = None
     if config.slat_adam.steps > 0:
-        target = _resample_nn(
-            prior.image.astype(np.float64), (dims.a * dims.M, dims.b * dims.M)
+        target = RenderTarget.build(
+            dims,
+            Z1.coords,
+            _resample_nn(prior.image.astype(np.float64), (dims.a * dims.M, dims.b * dims.M)),
         )
         persist_state = {}
 

@@ -47,6 +47,8 @@ class ScenePrior:
             raise ValueError(f"valid mask shape {valid.shape} != {(h, w)}")
         if camera.shape != (3, 4):
             raise ValueError(f"camera must be 3x4, got {camera.shape}")
+        if not np.isfinite(image).all():
+            raise ValueError("image has non-finite values")
         if image.min() < 0.0 or image.max() > 1.0:
             raise ValueError("image values must lie in [0, 1]")
         if valid.any() and not np.isfinite(point_map[valid]).all():
@@ -280,9 +282,16 @@ def parse_ply_points(data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
             if tok[1:2] != ["ascii"]:
                 raise ParseError(f"unsupported PLY format {' '.join(tok[1:])}")
         elif tok[0] == "element":
+            if len(tok) < 2:
+                raise ParseError(f"PLY element line {idx} lacks a name")
             in_vertex_element = tok[1] == "vertex"
             if in_vertex_element:
-                n_vertex = int(tok[2])
+                try:
+                    n_vertex = int(tok[2])
+                except (IndexError, ValueError):
+                    n_vertex = -1
+                if n_vertex < 0:
+                    raise ParseError(f"PLY vertex count on line {idx} is not a count")
         elif tok[0] == "property" and in_vertex_element:
             properties.append(tok[-1])
         elif tok[0] == "end_header":
@@ -306,9 +315,14 @@ def parse_ply_points(data: bytes) -> tuple[np.ndarray, np.ndarray | None]:
         tok = line.split()
         if len(tok) < len(properties):
             raise ParseError(f"short PLY vertex row {r}")
-        points[r] = (float(tok[ix]), float(tok[iy]), float(tok[iz]))
-        if has_color:
-            colors[r] = (int(tok[ir]), int(tok[ig]), int(tok[ib]))
+        try:
+            points[r] = (float(tok[ix]), float(tok[iy]), float(tok[iz]))
+            if has_color:
+                colors[r] = (int(tok[ir]), int(tok[ig]), int(tok[ib]))
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"bad PLY vertex row {r}: {exc}") from exc
+    if not np.isfinite(points).all():
+        raise ParseError("PLY vertex has a non-finite coordinate")
     return points, colors
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tiledflow.errors import BoundsError, DimensionError, ParseError
+from tiledflow.errors import BoundsError, DimensionError, ParseError, TiledFlowError
 from tiledflow.lattice import (
     DenseLatent,
     Dims,
@@ -237,3 +238,26 @@ class TestTensorIO:
         blob = tensorio.tensor_to_bytes(np.ones(3, dtype=np.float32))
         with pytest.raises(ParseError):
             tensorio.tensor_from_bytes(blob + b"x")
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_any_bytes_give_tensor_or_parse_error(self, data):
+        valid = tensorio.tensor_to_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
+        edits = st.lists(
+            st.tuples(st.integers(0, len(valid)), st.binary(min_size=1, max_size=8)),
+            min_size=1, max_size=3,
+        ).map(lambda cuts: _splice(valid, cuts))
+        huge_dim = valid[:12] + b"\xff" * 4
+        blob = data.draw(st.one_of(st.binary(max_size=64), edits, st.just(huge_dim)))
+        try:
+            back = tensorio.tensor_from_bytes(blob)
+        except TiledFlowError:
+            return
+        assert back.dtype == np.float32 and 4 * back.size + 12 + 4 * back.ndim == len(blob)
+
+
+def _splice(blob: bytes, edits) -> bytes:
+    out = bytearray(blob)
+    for at, chunk in edits:
+        out[at : at + len(chunk)] = chunk
+    return bytes(out)

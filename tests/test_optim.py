@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tiledflow.errors import ConfigError, OptimizationError
+from tiledflow.errors import BoundsError, ConfigError, OptimizationError
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, init_sparse_noise
 from tiledflow.optim import (
     AdamParams,
     LossWeights,
     OptimState,
+    PriorCells,
+    RenderTarget,
+    SsimTarget,
+    _box_adjoint,
+    _box_sum,
+    _Columns,
+    _render_mean,
     adam_step,
     optimize_vector,
     projection_render,
@@ -268,3 +276,295 @@ class TestSlatObjective:
         _, analytic = objective(v)
         numeric = finite_difference(objective, v)
         assert relative_error(analytic, numeric) < 1e-3
+
+
+# Reference copies of the objectives as they were before the per-stage
+# plans: one np.add.at scatter per call, the target's SSIM statistics and
+# the image columns recomputed on every call.  The planned code must give
+# equal loss floats and equal gradient and state bytes.
+
+
+def _ref_adam_step(value, grad, state, params):
+    grad = grad.astype(np.float64, copy=False)
+    state.step += 1
+    t = state.step
+    state.m = params.beta1 * state.m + (1.0 - params.beta1) * grad
+    state.v = params.beta2 * state.v + (1.0 - params.beta2) * grad * grad
+    m_hat = state.m / (1.0 - params.beta1**t)
+    v_hat = state.v / (1.0 - params.beta2**t)
+    new_value = value - params.lr * m_hat / (np.sqrt(v_hat) + params.eps)
+    return new_value, state
+
+
+def _ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_ss_loss(v_hat, Z_t, t, P, codec):
+    P = np.asarray(P, dtype=np.int64).reshape(-1, 3)
+    dims = codec.dims
+    x = Z_t.data.astype(np.float64) - t * v_hat.astype(np.float64)
+    r = dims.ratio
+    cx, cy, cz = P[:, 0] // r, P[:, 1] // r, P[:, 2] // r
+    logits = x[cx, cy, cz, :].mean(axis=1)
+    loss = float(np.mean(np.logaddexp(0.0, -logits)))
+    dz = (_ref_sigmoid(logits) - 1.0) / len(P)
+    grad_x = np.zeros_like(x)
+    np.add.at(grad_x, (cx, cy, cz), np.repeat(dz[:, None] / dims.C, dims.C, axis=1))
+    return loss, -t * grad_x
+
+
+def _ref_render_mean(dims, coords, feats64):
+    h, w = dims.a * dims.M, dims.b * dims.M
+    rgb = np.zeros((len(coords), 3), dtype=np.float64)
+    rgb[:, : min(3, dims.l)] = feats64[:, : min(3, dims.l)]
+    img = np.zeros((h, w, 3), dtype=np.float64)
+    cnt = np.zeros((h, w), dtype=np.int64)
+    np.add.at(img, (coords[:, 0], coords[:, 1]), rgb)
+    np.add.at(cnt, (coords[:, 0], coords[:, 1]), 1)
+    nz = cnt > 0
+    img[nz] /= cnt[nz][:, None]
+    return img, cnt
+
+
+def _ref_box_sum(x, k):
+    c = np.cumsum(np.cumsum(x, axis=0), axis=1)
+    pad = [(1, 0), (1, 0)] + [(0, 0)] * (x.ndim - 2)
+    c = np.pad(c, pad)
+    return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
+
+
+def _ref_box_adjoint(g, k):
+    pad = [(k - 1, k - 1), (k - 1, k - 1)] + [(0, 0)] * (g.ndim - 2)
+    return _ref_box_sum(np.pad(g, pad), k)
+
+
+def _ref_ssim_with_grad(img_a, img_b, need_grad=True):
+    a = np.asarray(img_a, dtype=np.float64)
+    b = np.asarray(img_b, dtype=np.float64)
+    squeeze = a.ndim == 2
+    if squeeze:
+        a, b = a[:, :, None], b[:, :, None]
+    h, w, ch = a.shape
+    k = min(8, h, w)
+    n = k * k
+    mu_a = _ref_box_sum(a, k) / n
+    mu_b = _ref_box_sum(b, k) / n
+    saa = _ref_box_sum(a * a, k) / n - mu_a**2
+    sbb = _ref_box_sum(b * b, k) / n - mu_b**2
+    sab = _ref_box_sum(a * b, k) / n - mu_a * mu_b
+    a1 = 2.0 * mu_a * mu_b + 0.01**2
+    a2 = 2.0 * sab + 0.03**2
+    b1 = mu_a**2 + mu_b**2 + 0.01**2
+    b2 = saa + sbb + 0.03**2
+    s = (a1 * a2) / (b1 * b2)
+    n_windows = s.shape[0] * s.shape[1]
+    value = float(s.mean())
+    if not need_grad:
+        return value, None
+    d = b1 * b2
+    ds_dmu_a = (a2 / d) * 2.0 * mu_b - (s / b1) * 2.0 * mu_a
+    ds_dsaa = -s / b2
+    ds_dsab = (a1 / d) * 2.0
+    scale = 1.0 / (n_windows * ch * n)
+    grad = scale * (
+        _ref_box_adjoint(ds_dmu_a, k)
+        + 2.0 * a * _ref_box_adjoint(ds_dsaa, k)
+        - 2.0 * _ref_box_adjoint(ds_dsaa * mu_a, k)
+        + b * _ref_box_adjoint(ds_dsab, k)
+        - _ref_box_adjoint(ds_dsab * mu_b, k)
+    )
+    if squeeze:
+        grad = grad[:, :, 0]
+    return value, grad
+
+
+def _ref_slat_objective(v_hat, Z_t, t, target_image, weights):
+    dims = Z_t.dims
+    target = np.asarray(target_image, dtype=np.float64)
+    h, w = dims.a * dims.M, dims.b * dims.M
+    feats0 = Z_t.features.astype(np.float64) - t * v_hat.astype(np.float64)
+    img, cnt = _ref_render_mean(dims, Z_t.coords, feats0)
+    diff = img - target
+    l2 = float((diff * diff).sum() / (h * w))
+    sval, sgrad = _ref_ssim_with_grad(img, target, need_grad=weights.ssim > 0)
+    loss = weights.l2 * l2 - weights.ssim * sval
+    d_img = weights.l2 * 2.0 * diff / (h * w)
+    if weights.ssim > 0:
+        d_img = d_img - weights.ssim * sgrad
+    grad_feats = np.zeros_like(feats0)
+    cols = cnt[Z_t.coords[:, 0], Z_t.coords[:, 1]].astype(np.float64)
+    nch = min(3, dims.l)
+    grad_feats[:, :nch] = d_img[Z_t.coords[:, 0], Z_t.coords[:, 1], :nch] / cols[:, None]
+    return loss, -t * grad_feats
+
+
+def _same_bytes(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+_WEIGHTS = [
+    LossWeights(1.0, 1.0), LossWeights(1.0, 0.0), LossWeights(0.0, 1.0), LossWeights(0.3, 2.5)
+]
+
+
+@st.composite
+def _plan_cases(draw):
+    N = draw(st.sampled_from([1, 2, 4]))
+    dims = Dims(
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 2)),
+        N,
+        N * draw(st.sampled_from([1, 2])),
+        C=draw(st.integers(1, 3)),
+        l=draw(st.integers(1, 5)),
+    )
+    return dims, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(_WEIGHTS))
+
+
+class TestPlannedObjectivesBitEqual:
+    """The per-stage plans reproduce the reference objectives bit for bit."""
+
+    @settings(max_examples=150)
+    @given(_plan_cases())
+    def test_ss_loss(self, case):
+        dims, seed, _ = case
+        rng = np.random.default_rng(seed)
+        codec = ToyCodec(dims)
+        Z = DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32) * 4)
+        v = rng.standard_normal(dims.dense_shape)
+        n = int(rng.integers(1, 40))
+        # a small box makes duplicate points and shared cells likely
+        hi = np.minimum(dims.grid_shape, rng.integers(1, 5, size=3))
+        P = rng.integers(0, hi, size=(n, 3))
+        t = float(rng.uniform(0.01, 1.0))
+        want = _ref_ss_loss(v, Z, t, P, codec)
+        cells = PriorCells.build(P, dims)
+        for prior in (P, cells):
+            loss, grad = ss_loss(v, Z, t, prior, codec)
+            assert loss == want[0]
+            assert _same_bytes(grad, want[1])
+        assert len(cells.inverse) == n
+
+    @settings(max_examples=150)
+    @given(_plan_cases())
+    def test_render_and_slat_objective(self, case):
+        dims, seed, weights = case
+        rng = np.random.default_rng(seed)
+        h, w, depth = dims.grid_shape
+        n = int(rng.integers(1, min(h * w * depth, 60) + 1))
+        flat = rng.choice(h * w * depth, size=n, replace=False)
+        coords = np.stack(np.unravel_index(flat, (h, w, depth)), axis=1)
+        Z = init_sparse_noise(coords, dims, seed=seed)
+        v = rng.standard_normal(Z.features.shape)
+        t = float(rng.uniform(0.01, 1.0))
+        target = rng.random((h, w, 3))
+
+        feats = Z.features.astype(np.float64) - t * v
+        img = _render_mean(_Columns.build(dims, Z.coords), feats[:, : min(3, dims.l)])
+        assert _same_bytes(img, _ref_render_mean(dims, Z.coords, feats)[0])
+
+        want = _ref_slat_objective(v, Z, t, target, weights)
+        for given_target in (target, RenderTarget.build(dims, Z.coords, target)):
+            loss, grad = slat_objective(v, Z, t, given_target, weights)
+            assert loss == want[0]
+            assert _same_bytes(grad, want[1])
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 12), st.integers(1, 12), st.sampled_from([0, 1, 3]),
+        st.integers(0, 2**32 - 1), st.booleans(),
+    )
+    def test_ssim(self, h, w, ch, seed, need_grad):
+        rng = np.random.default_rng(seed)
+        shape = (h, w) if ch == 0 else (h, w, ch)
+        a, b = rng.random(shape), rng.random(shape)
+        if seed % 3 == 0:
+            a[: h // 2] = -0.0  # signed zeros through the padded adjoint
+        want = _ref_ssim_with_grad(a, b, need_grad)
+        for target in (b, SsimTarget.build(b)):
+            value, grad = ssim_with_grad(a, target, need_grad)
+            assert value == want[0]
+            assert (grad is None) == (want[1] is None)
+            if grad is not None:
+                assert _same_bytes(grad, want[1])
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 9), st.integers(1, 9), st.sampled_from([(), (1,), (3,)]),
+        st.integers(1, 9), st.integers(0, 2**32 - 1),
+    )
+    def test_box_sums(self, h, w, tail, k, seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, h, w)
+        # signed zeros and large magnitudes make a changed summation order visible
+        x = rng.choice([-0.0, 0.0, 0.0, 1.0, -2.5, 3e-17, 1e16], size=(h, w) + tail)
+        assert _same_bytes(_box_sum(x, k), _ref_box_sum(x, k))
+        assert _same_bytes(_box_adjoint(x, k), _ref_box_adjoint(x, k))
+
+    @settings(max_examples=100)
+    @given(
+        st.sampled_from([(), (1,), (3,), (2, 3)]),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+    )
+    def test_adam_step(self, shape, seed, steps):
+        rng = np.random.default_rng(seed)
+        params = AdamParams(lr=float(rng.uniform(1e-4, 1.0)), beta1=0.8, beta2=0.99)
+        value = np.asarray(rng.standard_normal(shape))
+        ref_value = value.copy()
+        state, ref_state = OptimState.zeros(shape), OptimState.zeros(shape)
+        for _ in range(steps):
+            grad = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6))
+            value, state = adam_step(value, grad, state, params)
+            ref_value, ref_state = _ref_adam_step(ref_value, grad, ref_state, params)
+            assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes()
+            assert np.asarray(state.m).tobytes() == np.asarray(ref_state.m).tobytes()
+            assert np.asarray(state.v).tobytes() == np.asarray(ref_state.v).tobytes()
+            assert state.step == ref_state.step
+
+
+class TestObjectivePlans:
+    def test_single_point_prior(self):
+        Z = DenseLatent.zeros(DIMS)
+        v = np.zeros(DIMS.dense_shape)
+        cells = PriorCells.build(np.array([[5, 2, 7]]), DIMS)
+        assert len(cells.inverse) == 1
+        assert ss_loss(v, Z, 0.5, cells, CODEC)[0] == pytest.approx(np.log(2), rel=1e-12)
+
+    def test_prior_cells_checked_once_at_build(self):
+        with pytest.raises(ValueError):
+            PriorCells.build(np.zeros((0, 3)), DIMS)
+        with pytest.raises(BoundsError):
+            PriorCells.build(np.array([[0, 0, DIMS.M]]), DIMS)
+
+    def test_t_checked_on_every_call(self):
+        cells = PriorCells.build(np.array([[0, 0, 0]]), DIMS)
+        with pytest.raises(ValueError):
+            ss_loss(np.zeros(DIMS.dense_shape), DenseLatent.zeros(DIMS), 0.0, cells, CODEC)
+
+    def test_prior_cells_for_other_dims_rejected(self):
+        other = Dims(2, 1, 4, 8, C=1, l=4)
+        cells = PriorCells.build(np.array([[0, 0, 0]]), other)
+        with pytest.raises(ConfigError):
+            ss_loss(np.zeros(DIMS.dense_shape), DenseLatent.zeros(DIMS), 0.5, cells, CODEC)
+
+    def test_render_target_for_other_coordinates_rejected(self):
+        Z = init_sparse_noise(np.array([[0, 0, 0], [1, 2, 3]]), DIMS, seed=0)
+        moved = init_sparse_noise(np.array([[0, 0, 0], [1, 2, 4]]), DIMS, seed=0)
+        target = RenderTarget.build(DIMS, Z.coords, np.zeros((8, 8, 3)))
+        v = np.zeros(Z.features.shape)
+        slat_objective(v, Z, 0.5, target)
+        # an equal coordinate array that is another object passes too
+        slat_objective(v, init_sparse_noise(Z.coords.copy(), DIMS, seed=1), 0.5, target)
+        with pytest.raises(ConfigError):
+            slat_objective(v, moved, 0.5, target)
+        wider = init_sparse_noise(Z.coords, Dims(2, 1, 4, 8, C=1, l=4), seed=0)
+        with pytest.raises(ConfigError):
+            slat_objective(v, wider, 0.5, target)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tiledflow.decode import export_ply, ply_points_to_voxels
-from tiledflow.errors import BoundsError, ParseError
+from tiledflow.errors import BoundsError, ParseError, TiledFlowError
 from tiledflow.lattice import Dims, OccupancyGrid
 from tiledflow.patchwork import make_patch_grid
 from tiledflow.priors import (
@@ -46,6 +47,14 @@ class TestScenePrior:
             ScenePrior(image=image, point_map=bad.point_map, valid=bad.valid, camera=bad.camera)
 
 
+    def test_non_finite_image_rejected(self):
+        bad = tiny_prior()
+        image = bad.image.copy()
+        image[1, 0, 2] = np.nan
+        with pytest.raises(ValueError):
+            ScenePrior(image=image, point_map=bad.point_map, valid=bad.valid, camera=bad.camera)
+
+
 class TestSprFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         prior = tiny_prior()
@@ -76,6 +85,50 @@ class TestSprFormat:
         with pytest.raises(ParseError) as err:
             load_scene_prior(tmp_path / "bad.spr")
         assert err.value.offset == 0
+
+
+    def test_nan_image_is_parse_error(self, tmp_path):
+        path = tmp_path / "p.spr"
+        write_scene_prior(path, tiny_prior())
+        data = bytearray(path.read_bytes())
+        data[12:16] = np.array([np.nan], dtype="<f4").tobytes()  # first image value
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError):
+            load_scene_prior(path)
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_any_bytes_give_prior_or_parse_error(self, tmp_path, data):
+        path = tmp_path / "fuzz.spr"
+        write_scene_prior(path, tiny_prior(h=2, w=3))
+        blob = data.draw(_mutated(path.read_bytes()))
+        path.write_bytes(blob)
+        try:
+            prior = load_scene_prior(path)
+        except TiledFlowError:
+            return
+        assert prior.image.shape[:2] == prior.shape
+
+
+def _mutated(valid: bytes):
+    """Random bytes, or `valid` with a few bytes overwritten, inserted or cut."""
+
+    @st.composite
+    def edit(draw):
+        blob = bytearray(valid)
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(blob)))
+            chunk = draw(st.binary(min_size=1, max_size=8))
+            kind = draw(st.sampled_from(["overwrite", "insert", "cut"]))
+            if kind == "overwrite":
+                blob[at : at + len(chunk)] = chunk
+            elif kind == "insert":
+                blob[at:at] = chunk
+            else:
+                del blob[at : at + len(chunk)]
+        return bytes(blob)
+
+    return st.one_of(st.binary(max_size=200), edit())
 
 
 class TestVoxelize:
@@ -259,3 +312,60 @@ class TestPlyParsing:
         )
         with pytest.raises(ParseError):
             parse_ply_points(blob)
+
+    _HEADER = b"ply\nformat ascii 1.0\n"
+    _XYZ = b"property float x\nproperty float y\nproperty float z\n"
+
+    @pytest.mark.parametrize(
+        "element",
+        [b"element vertex\n", b"element\n", b"element vertex x\n", b"element vertex -2\n"],
+    )
+    def test_bad_element_line(self, element):
+        with pytest.raises(ParseError):
+            parse_ply_points(self._HEADER + element + self._XYZ + b"end_header\n0 0 0\n")
+
+    @pytest.mark.parametrize("row", [b"a b c", b"nan 0 0", b"0 inf 0", b"0 0 -1e999"])
+    def test_bad_vertex_row(self, row):
+        blob = self._HEADER + b"element vertex 1\n" + self._XYZ + b"end_header\n" + row + b"\n"
+        with pytest.raises(ParseError):
+            parse_ply_points(blob)
+
+    def test_color_above_255(self):
+        blob = (
+            self._HEADER + b"element vertex 1\n" + self._XYZ
+            + b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            + b"end_header\n0 0 0 256 0 0\n"
+        )
+        with pytest.raises(ParseError):
+            parse_ply_points(blob)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_any_bytes_give_points_or_parse_error(self, data):
+        valid = (
+            self._HEADER + b"element vertex 2\n" + self._XYZ
+            + b"property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            + b"end_header\n0.5 1 -2 0 128 255\n3 4 5 1 2 3\n"
+        )
+        tokens = valid.split(b" ")
+        vocab = [
+            b"", b"x", b"-1", b"256", b"1e999", b"nan", b"element", b"vertex", b"\n", b"9" * 5000
+        ]
+        token_edit = st.lists(
+            st.tuples(st.integers(0, len(tokens) - 1), st.sampled_from(vocab)),
+            min_size=1, max_size=3,
+        ).map(lambda edits: b" ".join(_replace_tokens(tokens, edits)))
+        blob = data.draw(st.one_of(_mutated(valid), token_edit))
+        try:
+            points, colors = parse_ply_points(blob)
+        except TiledFlowError:
+            return
+        assert points.shape[1] == 3 and np.isfinite(points).all()
+        assert colors is None or colors.shape == points.shape
+
+
+def _replace_tokens(tokens, edits):
+    tokens = list(tokens)
+    for at, token in edits:
+        tokens[at] = token
+    return tokens
