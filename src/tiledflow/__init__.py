@@ -43,9 +43,7 @@ from .patchwork import (
     merge_vectors,
     patch_dense,
     patch_sparse,
-    scatter_dilated,
     unpatch_dense,
-    unpatch_sparse,
 )
 from .flowcore import (
     BiasedOracleProvider,
@@ -60,14 +58,13 @@ from .flowcore import (
     gamma,
     mixed_field,
 )
-from .structedit import SdeditParams, ToyCodec, iterative_sdedit, sdedit_round, under_noise
+from .structedit import ToyCodec, iterative_sdedit, sdedit_round, under_noise
 from .priors import (
     ConditionEmbedding,
     NormalizationBox,
     ScenePrior,
     image_patchify,
     load_scene_prior,
-    pixel_to_window,
     toy_condition,
     voxelize,
     write_scene_prior,

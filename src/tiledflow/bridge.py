@@ -689,11 +689,6 @@ class ProviderServer:
         self.stop()
 
 
-def remote_provider(endpoint: str, timeout: float = 30.0) -> RemoteProvider:
-    """Connect to a serving peer and wrap it as a VectorFieldProvider."""
-    return RemoteProvider(endpoint, timeout=timeout)
-
-
 def serve_provider(provider: VectorFieldProvider, endpoint: str, dims: Dims, workers: int = 8):
     """Blocking serving loop (runs until the process is interrupted)."""
     host, port = _parse_endpoint(endpoint)

@@ -13,24 +13,27 @@ from dataclasses import replace
 import numpy as np
 
 from . import tensorio
-from .errors import ConfigError, TiledFlowError
-from .lattice import DenseLatent, Dims
-from .pipeline import (
-    PipelineConfig,
-    generate_scene,
-    load_config,
-    read_slat_table,
-)
+from .errors import ConfigError, DimensionError, TiledFlowError
+from .lattice import Dims
+from .pipeline import PipelineConfig, generate_scene, load_config, load_oracle
 from .priors import NormalizationBox, read_ply_points, voxelize
 
 
 def _parse_dims(text: str) -> Dims:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) not in (4, 6):
-        raise ConfigError("--dims expects a,b,N,M or a,b,N,M,C,l")
-    if len(parts) == 4:
-        return Dims(parts[0], parts[1], parts[2], parts[3])
-    return Dims(*parts)
+    try:
+        parts = [int(v) for v in text.split(",")]
+        if len(parts) not in (4, 6):
+            raise ValueError("expected a,b,N,M or a,b,N,M,C,l")
+        return Dims(*parts)
+    except (ValueError, DimensionError) as exc:
+        raise ConfigError(f"--dims {text!r}: {exc}") from exc
+
+
+def _workers(args, default: int) -> int:
+    """The --workers value, or `default` when the flag is absent."""
+    if args.workers is not None and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    return args.workers or default
 
 
 def _cmd_generate(args) -> int:
@@ -76,29 +79,22 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_serve_oracle(args) -> int:
     from .bridge import serve_provider
-    from .flowcore import GlobalOracleProvider
 
+    workers = _workers(args, 8)
     dims = _parse_dims(args.dims)
-    ss_target = None
-    slat_target = None
-    if args.target:
-        ss_target = DenseLatent(dims, tensorio.read_tensor(args.target))
-    if args.slat_target:
-        slat_target = read_slat_table(args.slat_target, dims)
-    if ss_target is None and slat_target is None:
+    provider = load_oracle(dims, args.target, args.slat_target)
+    if provider is None:
         raise ConfigError("serve-oracle needs --target and/or --slat-target")
-    provider = GlobalOracleProvider(ss_target=ss_target, slat_target=slat_target)
-    serve_provider(provider, args.listen, dims, workers=args.workers or 8)
+    serve_provider(provider, args.listen, dims, workers=workers)
     return 0
 
 
 def _cmd_oracle_demo(args) -> int:
     from .fixtures import run_oracle_demo
 
+    workers = _workers(args, 1)
     out_dir = args.out or "oracle-demo-out"
-    report, _ = run_oracle_demo(
-        out_dir, seed=args.seed, workers=args.workers or 1, exact=args.exact
-    )
+    report, _ = run_oracle_demo(out_dir, seed=args.seed, workers=workers, exact=args.exact)
     print(report.to_json())
     return 0
 

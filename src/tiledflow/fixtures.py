@@ -21,7 +21,7 @@ from .optim import AdamParams, projection_render
 from .patchwork import make_patch_grid
 from .pipeline import PipelineConfig, ProviderBundle, RunReport, run_pipeline
 from .priors import ScenePrior
-from .structedit import ToyCodec
+from .structedit import ToyCodec, iterative_sdedit, upsample_blocks
 
 
 def _block_scene(a: int, b: int, N: int) -> np.ndarray:
@@ -40,13 +40,6 @@ def _block_scene(a: int, b: int, N: int) -> np.ndarray:
         y1 = min(y0 + h, b * N)
         occ[x0:x1, y0:y1, 1 : min(1 + height, N)] = True
     return occ
-
-
-def _upsample_blocks(coarse: np.ndarray, r: int) -> np.ndarray:
-    fine = coarse
-    for axis in range(3):
-        fine = np.repeat(fine, r, axis=axis)
-    return fine
 
 
 def _top_surface(occ: np.ndarray) -> np.ndarray:
@@ -72,7 +65,7 @@ def build_demo_scene(dims: Dims | None = None) -> DemoScene:
     dims = dims or Dims()
     codec = ToyCodec(dims)
     coarse = _block_scene(dims.a, dims.b, dims.N)
-    fine = _upsample_blocks(coarse, dims.ratio)
+    fine = upsample_blocks(coarse, dims.ratio)
     occ_target = OccupancyGrid(dims, fine)
     ss_target = codec.encode(occ_target)
 
@@ -162,7 +155,7 @@ def build_cavity_fixture(dims: Dims | None = None) -> CavityFixture:
     x0 = (dims.a * dims.N) // 3
     y0 = (dims.b * dims.N) // 3
     coarse[x0 : x0 + 6, y0 : y0 + 6, 1:5] = True  # solid block, interior hidden
-    fine = _upsample_blocks(coarse, dims.ratio)
+    fine = upsample_blocks(coarse, dims.ratio)
 
     z_top = _top_surface(fine)
     shell = np.zeros_like(fine)
@@ -192,39 +185,25 @@ def cavity_recall(
     """Hidden-region occupancy recall after `n_iter` editing rounds with
     the rate-limited oracle (no per-step optimization).
 
-    Unlike the library's editing loop this also accepts over-noised
-    settings (t_noise > t_start), which the noising-level comparison
-    needs as a baseline arm; those rounds are assembled directly from
-    the interpolation and integration primitives.
+    Over-noised settings (t_noise > t_start) are accepted: the
+    noising-level comparison needs them as a baseline arm.
     """
-    from .flowcore import euler_integrate, extended_field, mixed_field
-    from .patchwork import dilated_partition
-
-    dims = fixture.dims
-    codec = ToyCodec(dims)
-    provider = BiasedOracleProvider(codec.encode(fixture.occ_target), rate=rate)
-    conditioner = OracleConditioner()
-    grid = make_patch_grid(dims, d, dims.N)
-    schedule = Schedule.linear(t_start, schedule_steps)
-    rng = np.random.default_rng(seed)
-
-    occ = fixture.occ_prior
-    for _ in range(n_iter):
-        guide = codec.encode(occ)
-        eps = rng.standard_normal(dims.dense_shape, dtype=DTYPE)
-        tn = DTYPE(t_noise)
-        Z = guide.with_data((DTYPE(1) - tn) * guide.data + tn * eps)
-
-        if alpha is None:
-            field_fn = lambda state, t: extended_field(state, t, grid, provider, conditioner)
-        else:
-            def field_fn(state, t):
-                partition = dilated_partition(dims, grid.K, seed=int(rng.integers(2**63)))
-                return mixed_field(state, t, grid, provider, conditioner, partition, alpha)
-
-        occ = codec.decode_occupancy(euler_integrate(Z, schedule, field_fn))
-
     n_hidden = int(fixture.hidden.sum())
     if n_hidden == 0:
         raise ValueError("fixture has no hidden region")
+    dims = fixture.dims
+    codec = ToyCodec(dims)
+    coords = iterative_sdedit(
+        fixture.occ_prior,
+        t_noise,
+        n_iter,
+        Schedule.linear(t_start, schedule_steps),
+        BiasedOracleProvider(codec.encode(fixture.occ_target), rate=rate),
+        OracleConditioner(),
+        make_patch_grid(dims, d, dims.N),
+        codec,
+        seed=seed,
+        dilated_alpha=alpha,
+    )
+    occ = OccupancyGrid.from_coords(dims, coords)
     return float((occ.occupied & fixture.hidden).sum() / n_hidden)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, CoverageError, DimensionError, ProviderError
-from .lattice import DTYPE, DenseLatent, Dims, SparseLatent, _coord_key
+from .lattice import DTYPE, DenseLatent, Dims, SparseLatent
 
 
 @dataclass(frozen=True)
@@ -164,30 +164,6 @@ def restrict_sparse(Z: SparseLatent, x0: int, y0: int, K: int) -> SparseLatent:
 def patch_sparse(Z: SparseLatent, w: Window) -> SparseLatent:
     """Keep entries inside the window, translated into [0, K)^2 x [0, K)."""
     return restrict_sparse(Z, w.x0, w.y0, w.K)
-
-
-def unpatch_sparse(X: SparseLatent, w: Window, global_coords: np.ndarray, dims: Dims) -> SparseLatent:
-    """Translate a patch back; global coordinates it misses get the zero feature."""
-    global_coords = np.asarray(global_coords, dtype=np.int64).reshape(-1, 3)
-    offset = np.array([w.x0, w.y0, 0], dtype=np.int64)
-    translated = X.coords + offset
-
-    out = SparseLatent(dims, translated, X.features)
-    missing = _coords_difference(global_coords, out.coords, dims)
-    if len(missing) == 0:
-        return out
-    coords = np.concatenate([out.coords, missing])
-    feats = np.concatenate([out.features, np.zeros((len(missing), dims.l), dtype=DTYPE)])
-    return SparseLatent(dims, coords, feats)
-
-
-def _coords_difference(candidates: np.ndarray, present: np.ndarray, dims: Dims) -> np.ndarray:
-    """Rows of `candidates` whose coordinate is absent from `present`."""
-    if len(candidates) == 0:
-        return candidates
-    ck = _coord_key(candidates, dims)
-    pk = _coord_key(present, dims)
-    return candidates[~np.isin(ck, pk)]
 
 
 def merge_vectors(patch_vectors: Mapping, grid: PatchGrid, plan: SparseWindowPlan | None = None):
@@ -384,8 +360,3 @@ def dilated_partition(dims: Dims, K: int, seed: int = 0) -> DilatedPartition:
 def _ro(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def scatter_dilated(sample_vectors: Sequence[DenseLatent], partition: DilatedPartition) -> DenseLatent:
-    """Write each dilated sample back to its pillars; coverage is exact."""
-    return partition.scatter(sample_vectors)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from os import PathLike
 from pathlib import Path
 
@@ -38,7 +38,6 @@ from .lattice import DenseLatent, Dims, OccupancyGrid, Schedule, SparseLatent, i
 from .optim import (
     AdamParams,
     LossWeights,
-    OptimState,
     PriorCells,
     RenderTarget,
     optimize_vector,
@@ -47,7 +46,7 @@ from .optim import (
 )
 from .patchwork import SparseWindowPlan, make_patch_grid, window_plan
 from .priors import NormalizationBox, ScenePrior, load_scene_prior, voxelize
-from .structedit import SdeditParams, ToyCodec, iterative_sdedit
+from .structedit import ToyCodec, iterative_sdedit
 
 # Substream tags for deriving per-purpose generators from the master seed.
 # The structure stream also feeds the per-step pillar shuffles.
@@ -77,7 +76,6 @@ class PipelineConfig:
     seed: int = 0
     workers: int = 1
     optimize_every_round: bool = True
-    adam_state_persist: bool = False
     oracle_ss_target: str | None = None
     oracle_slat_target: str | None = None
     out_dir: str | None = None
@@ -165,16 +163,7 @@ class RunReport:
         self.stages.append({"name": name, "seconds": round(seconds, 6), **detail})
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "stages": self.stages,
-                "round_occupancy": self.round_occupancy,
-                "asset_paths": self.asset_paths,
-                "empty_windows": self.empty_windows,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass
@@ -193,25 +182,26 @@ class ProviderBundle:
 def build_provider(config: PipelineConfig) -> ProviderBundle:
     """Construct the configured provider (oracle targets come from files)."""
     if config.provider == "builtin-oracle":
-        ss_target = slat_target = None
-        if config.oracle_ss_target:
-            arr = tensorio.read_tensor(config.oracle_ss_target)
-            ss_target = DenseLatent(config.dims, arr)
-        if config.oracle_slat_target:
-            slat_target = read_slat_table(config.oracle_slat_target, config.dims)
-        if ss_target is None and slat_target is None:
-            raise ConfigError(
-                "builtin-oracle needs oracle_ss_target and/or oracle_slat_target"
-            )
-        return ProviderBundle(
-            GlobalOracleProvider(ss_target=ss_target, slat_target=slat_target),
-            config.conditioner,
-        )
+        oracle = load_oracle(config.dims, config.oracle_ss_target, config.oracle_slat_target)
+        if oracle is None:
+            raise ConfigError("builtin-oracle needs oracle_ss_target and/or oracle_slat_target")
+        return ProviderBundle(oracle, config.conditioner)
     endpoint = config.provider.split(":", 1)[1]
     from .bridge import RemoteProvider  # imported lazily; bridge depends on flowcore
 
     remote = RemoteProvider(endpoint)
     return ProviderBundle(remote, config.conditioner, closer=remote.close)
+
+
+def load_oracle(dims: Dims, ss_path, slat_path) -> GlobalOracleProvider | None:
+    """The builtin oracle over the dense and/or sparse target files given
+    (XLT1 tensor, sparse latent table); None when neither is."""
+    if not ss_path and not slat_path:
+        return None
+    return GlobalOracleProvider(
+        ss_target=DenseLatent(dims, tensorio.read_tensor(ss_path)) if ss_path else None,
+        slat_target=read_slat_table(slat_path, dims) if slat_path else None,
+    )
 
 
 def read_slat_table(path: str | PathLike, dims: Dims) -> SparseLatent:
@@ -247,18 +237,39 @@ def _resample_nn(image: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 class _TraceRecorder:
     def __init__(self):
         self.rows: list[tuple[int, float, float]] = []
-        self._counter = 0
 
     def record(self, t: float, losses: list):
         for loss in losses:
-            self.rows.append((self._counter, float(t), float(loss)))
-            self._counter += 1
+            self.rows.append((len(self.rows), float(t), float(loss)))
 
     def write_csv(self, path: Path):
         with open(path, "w") as fh:
             fh.write("step,t,loss\n")
             for step, t, loss in self.rows:
                 fh.write(f"{step},{t:.6g},{loss:.9g}\n")
+
+
+def _scene_box(prior: ScenePrior) -> NormalizationBox:
+    """The normalization box of the prior's valid points."""
+    points = prior.valid_points()
+    if len(points) == 0:
+        raise ConfigError("prior has no valid points to build a scene box from")
+    return NormalizationBox.from_points(points)
+
+
+def _adam_hook(loss, params: AdamParams, trace: _TraceRecorder):
+    """Per-step hook: Adam on the step's vector (a dense one's data, a
+    sparse one's features) against `loss(vec, Z, t)`, losses to `trace`."""
+
+    def hook(v, Z, t):
+        sparse = isinstance(v, SparseLatent)
+        objective = lambda vec: loss(vec, Z, t)
+        v_opt, losses = optimize_vector(v.features if sparse else v.data, objective, params)
+        trace.record(t, losses)
+        v_opt = v_opt.astype(np.float32)
+        return v.with_features(v_opt) if sparse else v.with_data(v_opt)
+
+    return hook
 
 
 def generate_sparse_structure(
@@ -272,43 +283,27 @@ def generate_sparse_structure(
     under-noised editing with per-step structure-loss optimization."""
     dims = config.dims
     points = prior.valid_points()
-    if box is None:
-        if len(points) == 0:
-            raise ConfigError("prior has no valid points to build a scene box from")
-        box = NormalizationBox.from_points(points)
+    box = box or _scene_box(prior)
     occ0 = voxelize(points, box, dims)
     prior_voxels = box.to_voxels(points, dims)
 
     grid = make_patch_grid(dims, config.d, dims.N)
     conditioner = _make_conditioner(bundle.conditioner_kind, prior, grid, box)
     codec = ToyCodec(dims)
-    params = SdeditParams(config.t_start, config.t_noise, config.n_iter)
     schedule = Schedule.linear(config.t_start, config.schedule_steps)
     trace = _TraceRecorder()
 
     hook_for_round = None
     if config.ss_adam.steps > 0 and len(prior_voxels) > 0:
         prior_cells = PriorCells.build(prior_voxels, codec.dims)
-        persist_state = {}
+        hook = _adam_hook(
+            lambda vec, Z, t: ss_loss(vec, Z, t, prior_cells, codec), config.ss_adam, trace
+        )
 
-        def make_hook(round_idx: int):
-            if not config.optimize_every_round and round_idx != config.n_iter - 1:
-                return None
-
-            def hook(v, Z, t):
-                state = None
-                if config.adam_state_persist:
-                    state = persist_state.setdefault(
-                        "ss", OptimState.zeros(v.data.shape)
-                    )
-                objective = lambda vec: ss_loss(vec, Z, t, prior_cells, codec)
-                v_opt, losses = optimize_vector(v.data, objective, config.ss_adam, state)
-                trace.record(t, losses)
-                return v.with_data(v_opt.astype(np.float32))
-
-            return hook
-
-        hook_for_round = make_hook
+        def hook_for_round(round_idx: int):
+            if config.optimize_every_round or round_idx == config.n_iter - 1:
+                return hook
+            return None
 
     def on_round(n, occ):
         if report is not None:
@@ -317,7 +312,8 @@ def generate_sparse_structure(
     started = time.monotonic()
     coords = iterative_sdedit(
         occ0,
-        params,
+        config.t_noise,
+        config.n_iter,
         schedule,
         bundle.provider,
         conditioner,
@@ -363,8 +359,7 @@ def generate_slat(
     if len(coords) == 0:
         raise ConfigError("feature stage requires a non-empty coordinate set")
     dims = config.dims
-    if box is None:
-        box = NormalizationBox.from_points(prior.valid_points())
+    box = box or _scene_box(prior)
     grid = make_patch_grid(dims, config.d, dims.M)
     conditioner = _make_conditioner(bundle.conditioner_kind, prior, grid, box)
     schedule = Schedule.linear(1.0, config.schedule_steps)
@@ -379,16 +374,11 @@ def generate_slat(
             Z1.coords,
             _resample_nn(prior.image.astype(np.float64), (dims.a * dims.M, dims.b * dims.M)),
         )
-        persist_state = {}
-
-        def hook(v, Z, t):
-            state = None
-            if config.adam_state_persist:
-                state = persist_state.setdefault("slat", OptimState.zeros(v.features.shape))
-            objective = lambda vec: slat_objective(vec, Z, t, target, config.loss_weights)
-            v_opt, losses = optimize_vector(v.features, objective, config.slat_adam, state)
-            trace.record(t, losses)
-            return v.with_features(v_opt.astype(np.float32))
+        hook = _adam_hook(
+            lambda vec, Z, t: slat_objective(vec, Z, t, target, config.loss_weights),
+            config.slat_adam,
+            trace,
+        )
 
     def field_fn(Z, t):
         return extended_field(Z, t, grid, bundle.provider, conditioner, config.workers, plan)
@@ -419,7 +409,7 @@ def run_pipeline(prior: ScenePrior, config: PipelineConfig, bundle: ProviderBund
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = RunReport()
-    box = NormalizationBox.from_points(prior.valid_points())
+    box = _scene_box(prior)
 
     coords = generate_sparse_structure(prior, config, bundle, report, box)
     dims = config.dims

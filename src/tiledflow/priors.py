@@ -15,7 +15,7 @@ from os import PathLike
 
 import numpy as np
 
-from .errors import BoundsError, ParseError
+from .errors import ParseError
 from .lattice import DTYPE, Dims, OccupancyGrid
 from .patchwork import PatchGrid, Window
 
@@ -178,22 +178,6 @@ def voxelize(points: np.ndarray, box: NormalizationBox, dims: Dims) -> Occupancy
     if clamped:
         log.info("voxelize: clamped %d of %d points into the box", clamped, len(points))
     return OccupancyGrid.from_coords(dims, idx)
-
-
-def pixel_to_window(q: np.ndarray, grid: PatchGrid) -> list[Window]:
-    """All windows containing the voxel coordinate q (full coverage holds)."""
-    x, y, z = (int(v) for v in np.asarray(q).reshape(3))
-    shape = (grid.dims.a * grid.K, grid.dims.b * grid.K, grid.K)
-    if not (0 <= x < shape[0] and 0 <= y < shape[1] and 0 <= z < shape[2]):
-        raise BoundsError(f"coordinate {(x, y, z)} outside lattice {shape}")
-    s = grid.K // grid.d
-    i_lo = max(0, -(-(x - grid.K + 1) // s))
-    i_hi = min(grid.ni - 1, x // s)
-    j_lo = max(0, -(-(y - grid.K + 1) // s))
-    j_hi = min(grid.nj - 1, y // s)
-    found = [grid.window(i, j) for i in range(i_lo, i_hi + 1) for j in range(j_lo, j_hi + 1)]
-    assert found, "coverage invariant violated: coordinate in no window"
-    return found
 
 
 @dataclass(frozen=True)

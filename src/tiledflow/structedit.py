@@ -6,11 +6,13 @@ fraction o to 2o - 1; decode nearest-neighbor-upsamples the lattice to a
 logit grid thresholded strictly at 0.  Block-constant grids round-trip
 exactly, which makes every edit analyzable.
 
-An edit round noises the encoded guide to level t_noise but denoises
-along a schedule starting at t_start >= t_noise; with t_start strictly
-greater (under-noising) the field treats missing structure as residual
-noise and fills it in.  Rounds chain: each consumes the previous
-round's decoded occupancy.
+An edit round noises the encoded guide to level t_noise and denoises
+along a schedule starting at t_start.  A round accepts any pair of
+levels, so over-noising (t_noise > t_start) can serve as a baseline;
+the pipeline's configuration enforces t_noise <= t_start.  With t_start
+strictly greater (under-noising) the field treats missing structure as
+residual noise and fills it in.  Rounds chain: each consumes the
+previous round's decoded occupancy.
 """
 
 from __future__ import annotations
@@ -28,8 +30,15 @@ from .flowcore import (
     extended_field,
     mixed_field,
 )
-from .lattice import DTYPE, DenseLatent, Dims, OccupancyGrid, Schedule
+from .lattice import DTYPE, DenseLatent, Dims, OccupancyGrid, Schedule, lerp_latent
 from .patchwork import PatchGrid, dilated_partition
+
+
+def upsample_blocks(coarse: np.ndarray, r: int) -> np.ndarray:
+    """Nearest-neighbor upsample: each cell becomes an r x r x r block."""
+    for axis in range(3):
+        coarse = np.repeat(coarse, r, axis=axis)
+    return coarse
 
 
 @dataclass(frozen=True)
@@ -56,56 +65,29 @@ class ToyCodec:
         """Nearest-neighbor upsample of the channel-mean lattice."""
         if Z.dims != self.dims:
             raise DimensionError("latent dims do not match codec dims")
-        r = self.dims.ratio
         logits = Z.data.mean(axis=3, dtype=np.float64).astype(DTYPE)
-        for axis in range(3):
-            logits = np.repeat(logits, r, axis=axis)
-        return logits
+        return upsample_blocks(logits, self.dims.ratio)
 
     def decode_occupancy(self, Z: DenseLatent) -> OccupancyGrid:
         """Occupied wherever the decoded logit is strictly positive."""
         return OccupancyGrid(self.dims, self.decode_logits(Z) > 0.0)
 
 
-@dataclass(frozen=True)
-class SdeditParams:
-    """Noising/denoising levels for one edit round.
+def under_noise(Z0g: DenseLatent, t_noise: float, seed) -> DenseLatent:
+    """(1 - t_noise) * guide + t_noise * eps, for t_noise in [0, 1].
 
-    t_noise <= t_start; equality is the classic scheme, a strict gap is
-    under-noising.  t_noise = 0 degenerates to no noising at all.
-    """
-
-    t_start: float
-    t_noise: float
-    n_iter: int = 2
-
-    def __post_init__(self):
-        if not 0.0 < self.t_start <= 1.0:
-            raise ValueError(f"t_start must lie in (0, 1], got {self.t_start}")
-        if not 0.0 <= self.t_noise <= self.t_start:
-            raise ValueError(
-                f"t_noise must lie in [0, t_start={self.t_start}], got {self.t_noise}"
-            )
-        if self.n_iter < 0:
-            raise ValueError(f"n_iter must be >= 0, got {self.n_iter}")
-
-
-def under_noise(Z0g: DenseLatent, params: SdeditParams, seed) -> DenseLatent:
-    """(1 - t_noise) * guide + t_noise * eps.
-
-    The interpolation level is t_noise even though the subsequent
-    schedule starts at t_start; `seed` may be an int or a Generator (the
+    The interpolation level is t_noise whatever level the subsequent
+    schedule starts at; `seed` may be an int or a Generator (the
     iterative loop passes one advancing stream).
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     eps = rng.standard_normal(Z0g.dims.dense_shape, dtype=DTYPE)
-    tn = DTYPE(params.t_noise)
-    return Z0g.with_data((DTYPE(1) - tn) * Z0g.data + tn * eps)
+    return lerp_latent(Z0g, DenseLatent(Z0g.dims, eps), t_noise)
 
 
 def sdedit_round(
     occ: OccupancyGrid,
-    params: SdeditParams,
+    t_noise: float,
     schedule: Schedule,
     provider: VectorFieldProvider,
     conditioner: Conditioner,
@@ -116,17 +98,13 @@ def sdedit_round(
     dilated_alpha: int | None = None,
     workers: int = 1,
 ) -> OccupancyGrid:
-    """One edit round: encode, under-noise, integrate, decode, threshold.
+    """One edit round: encode, noise to `t_noise`, integrate along
+    `schedule` (from its first time), decode, threshold.
 
     `dilated_alpha` enables the gamma-mixed dilated field (structure
     stage only); each step redraws the pillar partition from `rng`.
     """
-    if abs(schedule.times[0] - params.t_start) > 1e-12:
-        raise ValueError(
-            f"schedule starts at {schedule.times[0]}, params.t_start is {params.t_start}"
-        )
-    Z0g = codec.encode(occ)
-    Z = under_noise(Z0g, params, rng)
+    Z = under_noise(codec.encode(occ), t_noise, rng)
 
     if dilated_alpha is None:
         def field_fn(state, t):
@@ -144,14 +122,14 @@ def sdedit_round(
 
 def iterative_sdedit(
     occ0: OccupancyGrid,
-    params: SdeditParams,
+    t_noise: float,
+    n_iter: int,
     schedule: Schedule,
     provider: VectorFieldProvider,
     conditioner: Conditioner,
     grid: PatchGrid,
     codec: ToyCodec,
     seed: int,
-    optimizer_hook: StepHook | None = None,
     hook_for_round=None,
     dilated_alpha: int | None = None,
     workers: int = 1,
@@ -162,16 +140,15 @@ def iterative_sdedit(
     Fresh noise for every round comes from one advancing stream seeded
     once, so runs are reproducible.  n_iter = 0 returns the input grid's
     coordinates untouched.  `hook_for_round(n)` may supply a per-round
-    optimizer hook (overrides `optimizer_hook` when given); `on_round`
-    observes each round's output grid.
+    optimizer hook; `on_round` observes each round's output grid.
     """
     rng = np.random.default_rng(seed)
     occ = occ0
-    for n in range(params.n_iter):
-        hook = hook_for_round(n) if hook_for_round is not None else optimizer_hook
+    for n in range(n_iter):
         occ = sdedit_round(
-            occ, params, schedule, provider, conditioner, grid, codec, rng,
-            optimizer_hook=hook, dilated_alpha=dilated_alpha, workers=workers,
+            occ, t_noise, schedule, provider, conditioner, grid, codec, rng,
+            optimizer_hook=hook_for_round(n) if hook_for_round is not None else None,
+            dilated_alpha=dilated_alpha, workers=workers,
         )
         if on_round is not None:
             on_round(n, occ)

@@ -1,6 +1,8 @@
 import json
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from tiledflow import tensorio
 from tiledflow.cli import main
@@ -56,6 +58,13 @@ class TestVoxelize:
         cloud.write_bytes(export_ply(OccupancyGrid.from_coords(SMALL, np.array([[1, 1, 1]]))))
         assert main(["voxelize", str(cloud), "--dims", "2,2", "--out", str(tmp_path / "o.xlt")]) == 2
 
+    @pytest.mark.parametrize("dims", ["2,x,4,8", "2,2,4,6", "2,2,0,8", "2,2,4,8,"])
+    def test_invalid_dims_are_config_errors(self, tmp_path, dims, capsys):
+        cloud = tmp_path / "cloud.ply"
+        cloud.write_bytes(export_ply(OccupancyGrid.from_coords(SMALL, np.array([[1, 1, 1]]))))
+        assert main(["voxelize", str(cloud), "--dims", dims, "--out", str(tmp_path / "o.xlt")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestGenerate:
     def _write_oracle_inputs(self, tmp_path):
@@ -92,6 +101,18 @@ class TestGenerate:
         config_path.write_text(json.dumps(small_config_dict(tmp_path / "out")))
         assert main(["generate", str(prior_path), "--config", str(config_path)]) == 2
 
+    def test_prior_without_valid_points_is_config_error(self, tmp_path, capsys):
+        scene, _, ss_path, slat_path = self._write_oracle_inputs(tmp_path)
+        prior_path = tmp_path / "blind.spr"
+        write_scene_prior(prior_path, replace(scene.prior, valid=np.zeros_like(scene.prior.valid)))
+        config = small_config_dict(tmp_path / "out")
+        config["oracle_ss_target"] = str(ss_path)
+        config["oracle_slat_target"] = str(slat_path)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["generate", str(prior_path), "--config", str(config_path)]) == 2
+        assert "no valid points" in capsys.readouterr().err
+
     def test_corrupt_prior_is_runtime_error(self, tmp_path):
         _, prior_path, ss_path, slat_path = self._write_oracle_inputs(tmp_path)
         config = small_config_dict(tmp_path / "out")
@@ -121,3 +142,32 @@ class TestOracleDemo:
 class TestServeOracle:
     def test_requires_target(self, tmp_path):
         assert main(["serve-oracle", "--listen", "127.0.0.1:0", "--dims", "2,2,4,8"]) == 2
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["generate", "oracle-demo", "serve-oracle"])
+    def test_below_one_is_config_error(self, tmp_path, monkeypatch, capsys, command, workers):
+        import tiledflow.bridge
+        import tiledflow.fixtures
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{command} ran with --workers {workers}")
+
+        monkeypatch.setattr(tiledflow.bridge, "serve_provider", must_not_run)
+        monkeypatch.setattr(tiledflow.fixtures, "run_oracle_demo", must_not_run)
+        scene = build_demo_scene(SMALL)
+        prior_path = tmp_path / "scene.spr"
+        write_scene_prior(prior_path, scene.prior)
+        target = tmp_path / "ss_target.xlt"
+        tensorio.write_tensor(target, scene.ss_target.data)
+        argv = {
+            "generate": ["generate", str(prior_path), "--out", str(tmp_path / "out")],
+            "oracle-demo": ["oracle-demo", "--out", str(tmp_path / "demo")],
+            "serve-oracle": [
+                "serve-oracle", "--target", str(target), "--listen", "127.0.0.1:0",
+                "--dims", "2,2,4,8",
+            ],
+        }[command]
+        assert main(argv + ["--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err

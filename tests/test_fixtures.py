@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tiledflow.fixtures import build_cavity_fixture, build_demo_scene, cavity_recall
 from tiledflow.lattice import Dims
@@ -51,3 +52,18 @@ class TestCavityFixture:
         u = cavity_recall(f, 0.6, 0.8, n_iter=1, seed=1)
         o = cavity_recall(f, 0.8, 0.6, n_iter=1, seed=1)
         assert u > o
+
+    @pytest.mark.parametrize(
+        "t_noise, t_start, n_iter, alpha, recall",
+        [
+            (0.6, 0.8, 1, 5, 0.9434523809523809),
+            (0.8, 0.6, 1, 5, 0.796875),
+            (0.6, 0.8, 2, 5, 0.9970238095238095),
+            (0.6, 0.8, 2, None, 0.9925595238095238),
+        ],
+    )
+    def test_recall_pinned(self, t_noise, t_start, n_iter, alpha, recall):
+        # exact values: a change in how rounds draw from the seeded
+        # stream (noise, then one pillar shuffle per step) moves them
+        f = build_cavity_fixture()
+        assert cavity_recall(f, t_noise, t_start, n_iter, seed=0, alpha=alpha) == recall

@@ -12,9 +12,7 @@ from tiledflow.patchwork import (
     merge_vectors,
     patch_dense,
     patch_sparse,
-    scatter_dilated,
     unpatch_dense,
-    unpatch_sparse,
 )
 
 
@@ -167,17 +165,6 @@ class TestSparsePatch:
             assert set(sub) == set(expected)
             for key in expected:
                 assert np.array_equal(sub[key], expected[key])
-
-    def test_unpatch_round_trip_and_zero_fill(self):
-        coords = np.array([[0, 0, 0], [5, 5, 1], [7, 0, 3]])
-        Z = init_sparse_noise(coords, self.dims, seed=3)
-        w = Window(1, 1, 8, 2)
-        sub = patch_sparse(Z, w)
-        back = unpatch_sparse(sub, w, Z.coords, self.dims)
-        assert np.array_equal(back.coords, Z.coords)
-        assert np.array_equal(back.feature_at([5, 5, 1]), Z.feature_at([5, 5, 1]))
-        assert np.all(back.feature_at([0, 0, 0]) == 0)  # outside the window
-        assert np.all(back.feature_at([7, 0, 3]) == 0)
 
 
 class TestMerge:
@@ -431,14 +418,14 @@ class TestDilated:
         rng = np.random.default_rng(seed + 100)
         Z = DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32))
         samples = [part.gather(Z, n) for n in range(len(part))]
-        back = scatter_dilated(samples, part)
+        back = part.scatter(samples)
         assert np.array_equal(back.data, Z.data)
 
     def test_zero_samples_zero_field(self):
         dims = Dims(2, 2, 4, 4)
         part = dilated_partition(dims, 4, seed=0)
         zeros = [DenseLatent.zeros(dims.patch_dims()) for _ in range(4)]
-        assert np.all(scatter_dilated(zeros, part).data == 0)
+        assert np.all(part.scatter(zeros).data == 0)
 
     def test_deterministic(self):
         dims = Dims(2, 2, 4, 4)

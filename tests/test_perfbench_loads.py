@@ -1,0 +1,40 @@
+"""The benchmark under perfbench/ still loads against this checkout.
+
+`perfbench/bench_core.py` imports the library and `bench_trace`, which
+wraps library functions by module attribute.  A change that removes a
+name either of them uses fails here instead of in a benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+SCRIPT = """
+import json
+import bench_core, bench_trace
+missing = set()
+with bench_trace.instrument(bench_trace.Tracer(), missing):
+    pass
+print(json.dumps(sorted(missing)))
+"""
+
+
+def test_bench_core_imports_and_instruments():
+    env = dict(os.environ, PYTHONPATH=str(PERFBENCH))
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        cwd=PERFBENCH,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    missing = json.loads(result.stdout.strip().splitlines()[-1])
+    # flowcore gathers sparse windows through SparseWindowPlan, so the
+    # trace's wrap of flowcore.patch_sparse has had no target since then
+    assert set(missing) == {"tiledflow.flowcore.patch_sparse"}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,27 @@ class TestConfig:
     def test_invalid_dims_surface_as_config_error(self):
         with pytest.raises(ConfigError, match="invalid 'dims'"):
             config_from_dict({"dims": {"a": 2, "b": 2, "N": 8, "M": 12}})
+
+    def test_under_noising_allowed(self):
+        for t_noise in (0.0, 0.6, 0.8):
+            c = config_from_dict({"t_start": 0.8, "t_noise": t_noise})
+            assert c.t_noise <= c.t_start
+
+    def test_rejects_noise_above_start(self):
+        with pytest.raises(ConfigError, match="t_noise <= t_start"):
+            PipelineConfig(t_start=0.6, t_noise=0.8)
+        with pytest.raises(ConfigError, match="t_noise <= t_start"):
+            config_from_dict({"t_start": 0.6, "t_noise": 0.8})
+
+    def test_rejects_negative_iters(self):
+        with pytest.raises(ConfigError, match="n_iter"):
+            PipelineConfig(n_iter=-1)
+        with pytest.raises(ConfigError, match="n_iter"):
+            config_from_dict({"n_iter": -1})
+
+    def test_adam_state_persist_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_dict({"adam_state_persist": True})
 
 
 class TestSparseStructureStage:
@@ -236,6 +258,15 @@ class TestEndToEnd:
         iou = (occ & target).sum() / (occ | target).sum()
         assert iou == 1.0
 
+    def test_prior_without_valid_points_is_config_error(self, tmp_path):
+        scene = build_demo_scene(SMALL)
+        prior = replace(scene.prior, valid=np.zeros_like(scene.prior.valid))
+        config = small_config(out_dir=str(tmp_path / "empty"))
+        with pytest.raises(ConfigError, match="no valid points"):
+            run_pipeline(prior, config, demo_bundle(scene))
+        with pytest.raises(ConfigError, match="no valid points"):
+            generate_slat(scene.occ_target.coords(), prior, config, demo_bundle(scene))
+
     def test_trace_files_written_when_enabled(self, tmp_path):
         scene = build_demo_scene(SMALL)
         config = small_config(
@@ -268,7 +299,7 @@ class TestPureFlowReference:
         from tiledflow.lattice import Schedule, init_sparse_noise
         from tiledflow.patchwork import make_patch_grid
         from tiledflow.pipeline import _STREAM_SLAT_INIT, _STREAM_SS_NOISE, substream_seed
-        from tiledflow.structedit import SdeditParams, ToyCodec, iterative_sdedit
+        from tiledflow.structedit import ToyCodec, iterative_sdedit
 
         scene = build_demo_scene(SMALL)
         config = small_config(dilated_enabled=False, seed=11)
@@ -284,7 +315,8 @@ class TestPureFlowReference:
         grid = make_patch_grid(SMALL, config.d, SMALL.N)
         ref_coords = iterative_sdedit(
             occ0,
-            SdeditParams(config.t_start, config.t_noise, config.n_iter),
+            config.t_noise,
+            config.n_iter,
             Schedule.linear(config.t_start, config.schedule_steps),
             bundle.provider,
             OracleConditioner(),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tiledflow.decode import export_ply, ply_points_to_voxels
-from tiledflow.errors import BoundsError, ParseError, TiledFlowError
+from tiledflow.errors import ParseError, TiledFlowError
 from tiledflow.lattice import Dims, OccupancyGrid
 from tiledflow.patchwork import make_patch_grid
 from tiledflow.priors import (
@@ -13,7 +13,6 @@ from tiledflow.priors import (
     image_patchify,
     load_scene_prior,
     parse_ply_points,
-    pixel_to_window,
     toy_condition,
     voxelize,
     write_scene_prior,
@@ -167,34 +166,6 @@ class TestVoxelize:
         box = NormalizationBox.from_points(pts, margin=0.02)
         assert np.allclose(box.lo, [-0.2, -0.08, -0.04])
         assert np.allclose(box.hi, [10.2, 4.08, 2.04])
-
-
-class TestPixelToWindow:
-    def test_corner_single_window_d1(self):
-        grid = make_patch_grid(Dims(2, 2, 4, 8), d=1, K=8)
-        found = pixel_to_window(np.array([0, 0, 0]), grid)
-        assert len(found) == 1
-        assert (found[0].i, found[0].j) == (0, 0)
-
-    def test_double_overlap_band(self):
-        grid = make_patch_grid(Dims(2, 1, 4, 8), d=2, K=8)
-        found = pixel_to_window(np.array([5, 0, 0]), grid)  # x in [4,8): windows 0 and 1
-        assert sorted((w.i, w.j) for w in found) == [(0, 0), (1, 0)]
-
-    def test_matches_membership_brute_force(self):
-        grid = make_patch_grid(Dims(3, 2, 4, 4), d=2, K=4)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            q = rng.integers([0, 0, 0], [12, 8, 4])
-            found = {(w.i, w.j) for w in pixel_to_window(q, grid)}
-            expected = {(w.i, w.j) for w in grid.windows() if w.contains(q)}
-            assert found == expected
-            assert len(found) >= 1
-
-    def test_out_of_lattice_rejected(self):
-        grid = make_patch_grid(Dims(2, 2, 4, 8), d=1, K=8)
-        with pytest.raises(BoundsError):
-            pixel_to_window(np.array([99, 0, 0]), grid)
 
 
 class TestImagePatchify:

@@ -4,13 +4,7 @@ import pytest
 from tiledflow.flowcore import GlobalOracleProvider, OracleConditioner, ZeroFieldProvider
 from tiledflow.lattice import DenseLatent, Dims, OccupancyGrid, Schedule
 from tiledflow.patchwork import make_patch_grid
-from tiledflow.structedit import (
-    SdeditParams,
-    ToyCodec,
-    iterative_sdedit,
-    sdedit_round,
-    under_noise,
-)
+from tiledflow.structedit import ToyCodec, iterative_sdedit, sdedit_round, under_noise
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=4)
@@ -67,37 +61,22 @@ class TestToyCodec:
         assert back.occupied[:2, :2, :2].sum() == 0
 
 
-class TestSdeditParams:
-    def test_under_noising_allowed(self):
-        p = SdeditParams(t_start=0.8, t_noise=0.6)
-        assert p.t_noise < p.t_start
-
-    def test_rejects_noise_above_start(self):
-        with pytest.raises(ValueError):
-            SdeditParams(t_start=0.6, t_noise=0.8)
-
-    def test_rejects_negative_iters(self):
-        with pytest.raises(ValueError):
-            SdeditParams(t_start=0.8, t_noise=0.6, n_iter=-1)
-
-
 class TestUnderNoise:
     def test_zero_noise_keeps_guide(self):
         guide = CODEC.encode(block_grid(DIMS, 1))
-        out = under_noise(guide, SdeditParams(0.8, 0.0), seed=0)
+        out = under_noise(guide, 0.0, seed=0)
         assert np.array_equal(out.data, guide.data)
 
     def test_full_noise_is_pure_gaussian(self):
         guide = CODEC.encode(block_grid(DIMS, 2))
-        out = under_noise(guide, SdeditParams(1.0, 1.0), seed=3)
+        out = under_noise(guide, 1.0, seed=3)
         eps = np.random.default_rng(3).standard_normal(DIMS.dense_shape, dtype=np.float32)
         assert np.allclose(out.data, eps, atol=1e-6)
 
     def test_under_noised_level(self):
         # noised at 0.6 while the schedule will start at 0.8
         guide = CODEC.encode(block_grid(DIMS, 3))
-        params = SdeditParams(t_start=0.8, t_noise=0.6)
-        out = under_noise(guide, params, seed=4)
+        out = under_noise(guide, 0.6, seed=4)
         eps = np.random.default_rng(4).standard_normal(DIMS.dense_shape, dtype=np.float32)
         expected = 0.4 * guide.data.astype(np.float64) + 0.6 * eps
         assert np.abs(out.data - expected).max() < 1e-6
@@ -106,17 +85,22 @@ class TestUnderNoise:
         from tiledflow.lattice import lerp_latent
 
         guide = CODEC.encode(block_grid(DIMS, 5))
-        params = SdeditParams(t_start=0.7, t_noise=0.7)
-        out = under_noise(guide, params, seed=6)
+        out = under_noise(guide, 0.7, seed=6)
         eps = DenseLatent(
             DIMS, np.random.default_rng(6).standard_normal(DIMS.dense_shape, dtype=np.float32)
         )
         assert np.allclose(out.data, lerp_latent(guide, eps, 0.7).data, atol=1e-6)
 
+    @pytest.mark.parametrize("t_noise", [-0.1, 1.5, float("nan")])
+    def test_rejects_level_outside_unit_interval(self, t_noise):
+        guide = CODEC.encode(block_grid(DIMS, 1))
+        with pytest.raises(ValueError):
+            under_noise(guide, t_noise, seed=0)
+
 
 def _round_args(provider, t_start=0.8, t_noise=0.6):
     return dict(
-        params=SdeditParams(t_start, t_noise),
+        t_noise=t_noise,
         schedule=Schedule.linear(t_start, 25),
         provider=provider,
         conditioner=OracleConditioner(),
@@ -156,20 +140,21 @@ class TestSdeditRound:
         out = sdedit_round(start, rng=np.random.default_rng(1), **_round_args(provider))
         assert np.array_equal(out.occupied, target.occupied)
 
-    def test_schedule_start_must_match(self):
-        provider = ZeroFieldProvider()
-        args = _round_args(provider)
-        args["schedule"] = Schedule.linear(0.5, 10)
-        with pytest.raises(ValueError):
-            sdedit_round(block_grid(DIMS, 0), rng=np.random.default_rng(0), **args)
+    def test_over_noising_accepted(self):
+        # noise level above the schedule start: the round runs, and the
+        # oracle still lands on its target
+        target = block_grid(DIMS, 10)
+        provider = GlobalOracleProvider(ss_target=CODEC.encode(target))
+        args = _round_args(provider, t_start=0.6, t_noise=0.8)
+        out = sdedit_round(block_grid(DIMS, 0), rng=np.random.default_rng(0), **args)
+        assert np.array_equal(out.occupied, target.occupied)
 
 
 class TestIterativeSdedit:
     def test_zero_iterations_returns_input_coords(self):
         start = block_grid(DIMS, 11)
         args = _round_args(ZeroFieldProvider())
-        args["params"] = SdeditParams(0.8, 0.6, n_iter=0)
-        coords = iterative_sdedit(start, seed=0, **args)
+        coords = iterative_sdedit(start, n_iter=0, seed=0, **args)
         assert np.array_equal(coords, start.coords())
 
     def test_oracle_stabilizes_after_first_round(self):
@@ -178,8 +163,7 @@ class TestIterativeSdedit:
         outputs = []
         for n_iter in (1, 2, 3):
             args = _round_args(provider)
-            args["params"] = SdeditParams(0.8, 0.6, n_iter=n_iter)
-            coords = iterative_sdedit(block_grid(DIMS, 13), seed=5, **args)
+            coords = iterative_sdedit(block_grid(DIMS, 13), n_iter=n_iter, seed=5, **args)
             outputs.append(coords)
         for coords in outputs:
             assert np.array_equal(coords, target.coords())
@@ -189,9 +173,8 @@ class TestIterativeSdedit:
         provider = GlobalOracleProvider(ss_target=CODEC.encode(target))
         seen = []
         args = _round_args(provider)
-        args["params"] = SdeditParams(0.8, 0.6, n_iter=2)
         iterative_sdedit(
-            block_grid(DIMS, 15), seed=6, on_round=lambda n, occ: seen.append((n, occ.count())), **args
+            block_grid(DIMS, 15), n_iter=2, seed=6, on_round=lambda n, occ: seen.append((n, occ.count())), **args
         )
         assert [n for n, _ in seen] == [0, 1]
         assert seen[0][1] == target.count()
@@ -200,7 +183,6 @@ class TestIterativeSdedit:
         target = block_grid(DIMS, 16)
         provider = GlobalOracleProvider(ss_target=CODEC.encode(target))
         args = _round_args(provider)
-        args["params"] = SdeditParams(0.8, 0.6, n_iter=2)
-        a = iterative_sdedit(block_grid(DIMS, 17), seed=7, dilated_alpha=5, **args)
-        b = iterative_sdedit(block_grid(DIMS, 17), seed=7, dilated_alpha=5, **args)
+        a = iterative_sdedit(block_grid(DIMS, 17), n_iter=2, seed=7, dilated_alpha=5, **args)
+        b = iterative_sdedit(block_grid(DIMS, 17), n_iter=2, seed=7, dilated_alpha=5, **args)
         assert np.array_equal(a, b)
