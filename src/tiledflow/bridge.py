@@ -45,12 +45,22 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolError, ProviderError
-from .flowcore import VectorFieldProvider
-from .lattice import DenseLatent, Dims, SparseLatent
+from .flowcore import VectorFieldProvider, evaluate_one
+from .lattice import (
+    DTYPE,
+    DenseBatch,
+    Dims,
+    PatchBatch,
+    SparseBatch,
+    SparseLatent,
+    batch_coords_problem,
+    first_nonfinite_item,
+)
 from .priors import ConditionEmbedding
 
 MAGIC = b"XFP1"
@@ -137,14 +147,9 @@ def decode_frame(data: bytes) -> tuple[Frame, int]:
     return Frame(ftype, request_id, bytes(data[HEADER_SIZE:end])), end
 
 
-def _request_parts(req: EvalRequest) -> list:
-    """An eval request as buffers: head and condition, then the latent."""
-    head = _REQ_HEAD.pack(req.t, req.mode, *req.shape, len(req.condition))
-    return [head + bytes(req.condition), req.latent]
-
-
 def encode_eval_request(req: EvalRequest) -> bytes:
-    return b"".join(_request_parts(req))
+    head = _REQ_HEAD.pack(req.t, req.mode, *req.shape, len(req.condition))
+    return head + bytes(req.condition) + bytes(req.latent)
 
 
 def _parse_head(payload) -> tuple:
@@ -226,22 +231,20 @@ def parse_request(payload) -> list[EvalRequest]:
     return items
 
 
-def _sparse_payload(slat: SparseLatent) -> np.ndarray:
-    """Sparse latent wire bytes (u32 count, then x, y, z and l features a
-    row), as one uint8 array."""
-    n = len(slat)
-    l = slat.dims.l
-    out = np.empty(4 + n * (12 + 4 * l), dtype=np.uint8)
-    out[:4] = np.frombuffer(_U32.pack(n), dtype=np.uint8)
-    rows = out[4:].reshape(n, 12 + 4 * l)
+def _sparse_rows(coords: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Sparse wire rows, one uint8 row per entry: x, y, z as u32, then
+    the features as f32."""
+    n, l = features.shape
+    rows = np.empty((n, 12 + 4 * l), dtype=np.uint8)
     if n:
-        rows[:, :12] = slat.coords.astype("<u4").view(np.uint8).reshape(n, 12)
-        rows[:, 12:] = slat.features.astype("<f4").view(np.uint8).reshape(n, 4 * l)
-    return out
+        rows[:, :12] = coords.astype("<u4").view(np.uint8).reshape(n, 12)
+        rows[:, 12:] = features.astype("<f4").view(np.uint8).reshape(n, 4 * l)
+    return rows
 
 
 def serialize_sparse(slat: SparseLatent) -> bytes:
-    return _sparse_payload(slat).tobytes()
+    """Sparse latent wire bytes: a u32 count, then the rows."""
+    return _U32.pack(len(slat)) + _sparse_rows(slat.coords, slat.features).tobytes()
 
 
 def deserialize_sparse(data: bytes, dims: Dims) -> SparseLatent:
@@ -257,37 +260,37 @@ def deserialize_sparse(data: bytes, dims: Dims) -> SparseLatent:
     return SparseLatent(dims, coords.reshape(n, 3), feats.reshape(n, dims.l))
 
 
-def _request_for_patch(patch, condition: ConditionEmbedding, t: float) -> EvalRequest:
-    """The patch's eval request; its latent is a view, not a copy."""
-    if isinstance(patch, SparseLatent):
-        shape = (len(patch), patch.dims.l, 0, 0)
-        return EvalRequest(t, MODE_SPARSE, shape, condition.data, memoryview(_sparse_payload(patch)))
-    data = np.ascontiguousarray(patch.data, dtype="<f4")
-    return EvalRequest(t, MODE_DENSE, data.shape, condition.data, memoryview(data).cast("B"))
-
-
-def _request_size(patch, condition: ConditionEmbedding) -> int:
-    """Bytes of the patch's eval request."""
-    if isinstance(patch, SparseLatent):
-        latent = 4 + len(patch) * (12 + 4 * patch.dims.l)
+def _batch_parts(batch: PatchBatch, conditions, t: float) -> tuple[int, Iterator]:
+    """Size and buffers of the mode-3 request payload carrying `batch`,
+    packed from its stacked arrays: after the batch head, per item one
+    prefix (its u32 length, eval head, condition and, when sparse, row
+    count), then its values as a view of the stack, or its wire rows,
+    made while the frame is sent so that one item's rows exist at a
+    time."""
+    if isinstance(batch, DenseBatch):
+        data = np.ascontiguousarray(batch.data, dtype="<f4")
+        heads = [
+            _REQ_HEAD.pack(t, MODE_DENSE, *data.shape[1:], len(c.data)) + c.data for c in conditions
+        ]
+        sizes = [data[0].nbytes] * len(heads)
+        latents = (memoryview(values).cast("B") for values in data)
     else:
-        latent = 4 * patch.data.size
-    return _REQ_HEAD.size + len(condition.data) + latent
+        l = batch.dims.l
+        spans = list(zip(batch.bounds[:-1].tolist(), batch.bounds[1:].tolist()))
+        heads = [
+            _REQ_HEAD.pack(t, MODE_SPARSE, hi - lo, l, 0, 0, len(c.data)) + c.data + _U32.pack(hi - lo)
+            for (lo, hi), c in zip(spans, conditions)
+        ]
+        sizes = [(hi - lo) * (12 + 4 * l) for lo, hi in spans]
+        latents = (_sparse_rows(batch.coords[lo:hi], batch.features[lo:hi]).reshape(-1) for lo, hi in spans)
 
+    def parts():
+        yield _REQ_HEAD.pack(t, MODE_BATCH, len(heads), 0, 0, 0, 0)
+        for head, size, latent in zip(heads, sizes, latents):
+            yield _U32.pack(len(head) + size) + head
+            yield latent
 
-def _batch_parts(patches, conditions, t):
-    """The buffers of a batch request payload, made one item at a time."""
-    yield _REQ_HEAD.pack(t, MODE_BATCH, len(patches), 0, 0, 0, 0)
-    for patch, condition in zip(patches, conditions):
-        head, latent = _request_parts(_request_for_patch(patch, condition, t))
-        yield _U32.pack(len(head) + len(latent)) + head
-        yield latent
-
-
-def _reply_size(patch) -> int:
-    """Bytes of the float32 vector answering `patch`."""
-    values = patch.features if isinstance(patch, SparseLatent) else patch.data
-    return 4 * values.size
+    return _REQ_HEAD.size + sum(map(len, heads)) + sum(sizes) + _U32.size * len(heads), parts()
 
 
 def _send_frame(sock: socket.socket, ftype: int, request_id: int, size: int, parts) -> None:
@@ -411,29 +414,18 @@ class RemoteProvider(VectorFieldProvider):
             slot.event.set()
 
     def evaluate(self, patch, condition, t):
-        return self.evaluate_batch([patch], [condition], t)[0]
+        return evaluate_one(self, patch, condition, t)
 
-    def evaluate_batch(self, patches, conditions, t):
-        if not patches:
-            return []
-        size = _REQ_HEAD.size + sum(_U32.size + _request_size(p, c) for p, c in zip(patches, conditions))
-        request_id, payload = self._exchange(size, _batch_parts(patches, conditions, t))
-        view = memoryview(payload)
-        sizes = [_reply_size(patch) for patch in patches]
-        if sum(sizes) != len(view):
+    def evaluate_batch(self, batch, conditions, t):
+        if not len(batch):
+            return np.empty_like(batch.values)
+        request_id, payload = self._exchange(*_batch_parts(batch, conditions, t))
+        expected = 4 * batch.values.size
+        if len(payload) != expected:
             raise ProtocolError(
-                f"response {request_id}: payload {len(view)} bytes != expected {sum(sizes)}"
+                f"response {request_id}: payload {len(payload)} bytes != expected {expected}"
             )
-        vectors = []
-        off = 0
-        for patch, size in zip(patches, sizes):
-            values = np.frombuffer(view[off : off + size], dtype="<f4")
-            off += size
-            if isinstance(patch, SparseLatent):
-                vectors.append(patch.with_features(values.reshape(patch.features.shape)))
-            else:
-                vectors.append(patch.with_data(values.reshape(patch.data.shape)))
-        return vectors
+        return np.frombuffer(payload, dtype="<f4").reshape(batch.values.shape)
 
     def _exchange(self, size: int, parts) -> tuple[int, bytearray]:
         """Send one request frame and wait for its response payload."""
@@ -626,41 +618,61 @@ class ProviderServer:
             conn.answer_done()
 
     def _evaluate(self, payload) -> list[np.ndarray]:
-        """The float32 vectors answering a request's items, in item order."""
+        """The float32 vectors answering a request's items, in item order,
+        as one buffer."""
         requests = parse_request(payload)
-        patches = []
-        for n, req in enumerate(requests):
-            try:
-                patches.append(self._patch_from_request(req))
-            except Exception as exc:
-                raise ProviderError(str(exc), item=n) from exc
+        batch = self._batch(requests)
         conditions = [ConditionEmbedding(bytes(req.condition)) for req in requests]
-        vectors = self.provider.evaluate_batch(patches, conditions, requests[0].t)
-        if len(vectors) != len(patches):
-            raise ProviderError(f"provider returned {len(vectors)} vectors for {len(patches)} items")
-        replies = []
-        for n, (patch, vector) in enumerate(zip(patches, vectors)):
-            values = vector.features if isinstance(vector, SparseLatent) else vector.data
-            values = np.ascontiguousarray(values, dtype="<f4")
-            if 4 * values.size != _reply_size(patch):
-                raise ProviderError(
-                    f"vector of {values.size} values for a patch of {_reply_size(patch) // 4}", item=n
-                )
-            replies.append(values)
-        return replies
+        values = np.asarray(self.provider.evaluate_batch(batch, conditions, requests[0].t))
+        if values.shape != batch.values.shape:
+            raise ProviderError(
+                f"provider returned values of shape {values.shape} for a batch of {batch.values.shape}"
+            )
+        return [np.ascontiguousarray(values, dtype="<f4")]
 
-    def _patch_from_request(self, req: EvalRequest):
-        if req.mode == MODE_SPARSE:
-            if req.shape[1] != self.dims.l:
-                raise ProtocolError(f"sparse feature width {req.shape[1]} != {self.dims.l}")
-            return deserialize_sparse(req.latent, self.dims.patch_dims())
-        k0, k1, k2, c = req.shape
-        data = np.frombuffer(req.latent, dtype="<f4").reshape(req.shape)
+    def _batch(self, requests: list[EvalRequest]) -> PatchBatch:
+        """The stacked batch of a request's items, unpacked straight from
+        the payload: all dense of one cubic shape, or all sparse."""
+        first = requests[0]
+        for n, req in enumerate(requests):
+            if req.mode != first.mode or (req.mode == MODE_DENSE and req.shape != first.shape):
+                raise ProviderError("batch items must share one mode and dense shape", item=n)
+        if first.mode == MODE_SPARSE:
+            return self._sparse_batch(requests)
+        k0, k1, k2, c = first.shape
         if k0 != k1 or k1 != k2:
-            raise ProtocolError(f"dense patch must be cubic, got {req.shape}")
-        ratio = self.dims.ratio
-        patch_dims = Dims(1, 1, k0, k0 * ratio, c, self.dims.l)
-        return DenseLatent(patch_dims, data.copy())
+            raise ProviderError(f"dense patch must be cubic, got {first.shape}", item=0)
+        try:
+            patch_dims = Dims(1, 1, k0, k0 * self.dims.ratio, c, self.dims.l)
+        except Exception as exc:
+            raise ProviderError(str(exc), item=0) from exc
+        data = np.empty((len(requests),) + first.shape, dtype=DTYPE)
+        for n, req in enumerate(requests):
+            data[n] = np.frombuffer(req.latent, dtype="<f4").reshape(first.shape)
+        item = first_nonfinite_item(data)
+        if item is not None:
+            raise ProviderError("dense latent contains non-finite entries", item=item)
+        return DenseBatch._of_finite(patch_dims, data)
+
+    def _sparse_batch(self, requests: list[EvalRequest]) -> SparseBatch:
+        l = self.dims.l
+        for n, req in enumerate(requests):
+            if req.shape[1] != l:
+                raise ProviderError(f"sparse feature width {req.shape[1]} != {l}", item=n)
+        bounds = np.cumsum([0] + [req.shape[0] for req in requests])
+        rows = np.empty((bounds[-1], 12 + 4 * l), dtype=np.uint8)
+        for req, lo, hi in zip(requests, bounds[:-1], bounds[1:]):
+            rows[lo:hi] = np.frombuffer(req.latent, dtype=np.uint8)[4:].reshape(hi - lo, 12 + 4 * l)
+        coords = rows[:, :12].copy().view("<u4").astype(np.int64)
+        features = rows[:, 12:].copy().view("<f4").astype(DTYPE)
+        patch_dims = self.dims.patch_dims()
+        problem = batch_coords_problem(patch_dims, coords, bounds)
+        if problem is not None:
+            raise ProviderError(problem[1], item=problem[0])
+        item = first_nonfinite_item(features, bounds)
+        if item is not None:
+            raise ProviderError("sparse latent contains non-finite features", item=item)
+        return SparseBatch._on_checked_coords(patch_dims, coords, features, bounds)
 
     def stop(self):
         with self._lock:

@@ -22,16 +22,30 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, DivergenceError, ProviderError, SingularityError
-from .lattice import DTYPE, DenseLatent, Schedule, SparseLatent, _coord_key
-from .patchwork import (
+from .lattice import (
+    DTYPE,
+    DenseBatch,
+    DenseLatent,
+    PatchBatch,
+    Schedule,
+    SparseBatch,
+    SparseLatent,
+    _coord_key,
+    first_nonfinite_item,
+    stack_patches,
+)
+from .patchwork import (  # patch_dense and merge_vectors: the per-window forms, kept importable here
     DilatedPartition,
     PatchGrid,
     SparseWindowPlan,
     Window,
-    merge_vectors,
-    patch_dense,
+    gather_dense,
+    merge_dense,
+    merge_vectors,  # noqa: F401
+    patch_dense,  # noqa: F401
     restrict_sparse,
     window_plan,
 )
@@ -43,14 +57,24 @@ PatchLatent = DenseLatent | SparseLatent
 class VectorFieldProvider:
     """Behavioral interface: evaluate(patch, condition, t) -> same-shape vector.
 
-    The engine calls `evaluate_batch(patches, conditions, t)` once per
-    chunk of windows (or dilated samples), in window order: item n of the
-    returned list is the vector of `patches[n]` under `conditions[n]`,
-    and every item shares the one t.  A batch either answers every item
-    or raises; when the failing item is known, the error is a
+    The engine calls `evaluate_batch(batch, conditions, t)` once per
+    chunk of windows (or dilated samples), in window order.  The batch is
+    stacked: a DenseBatch holds its n patches as one (n, K, K, K, C)
+    float32 array, and a SparseBatch holds their rows as one (rows, l)
+    feature block with their window-local coordinates and per-item
+    bounds.  The reply is one float32 array shaped like `batch.values`:
+    item n's vector, for `conditions[n]`, sits where item n's values
+    sit.  Every item shares the one t.  The engine checks the reply's
+    shape and finiteness once per batch.  A batch either answers every
+    item or raises; when the failing item is known, the error is a
     ProviderError whose `item` is its index, so the engine can name the
-    window.  The default loops over `evaluate`, so a provider that
-    defines only `evaluate` works unchanged.
+    window.
+
+    The default `evaluate_batch` loops over `evaluate`, one latent per
+    item, so a provider that defines only `evaluate` works unchanged
+    (a sparse item's vector must keep its patch's coordinates).  A
+    provider that answers whole batches defines `evaluate_batch` and can
+    answer single patches with `evaluate_one`.
 
     The engine quantizes t to float32 before every call (the wire
     protocol carries it as f32, and in-process and remote providers must
@@ -65,15 +89,34 @@ class VectorFieldProvider:
         raise NotImplementedError
 
     def evaluate_batch(
-        self, patches: list[PatchLatent], conditions: list[ConditionEmbedding], t: float
-    ) -> list[PatchLatent]:
-        vectors = []
-        for n, (patch, condition) in enumerate(zip(patches, conditions)):
+        self, batch: PatchBatch, conditions: list[ConditionEmbedding], t: float
+    ) -> np.ndarray:
+        values = np.empty_like(batch.values)
+        dense = isinstance(batch, DenseBatch)
+        for n, (patch, condition) in enumerate(zip(batch, conditions)):
+            slot = values[n] if dense else values[batch.bounds[n] : batch.bounds[n + 1]]
             try:
-                vectors.append(self.evaluate(patch, condition, t))
+                vector = self.evaluate(patch, condition, t)
+                if isinstance(vector, SparseLatent):
+                    if not (vector.coords is patch.coords or np.array_equal(vector.coords, patch.coords)):
+                        raise ProviderError("the vector does not keep its patch's coordinates")
+                    reply = vector.features
+                else:
+                    reply = vector.data
+                if np.shape(reply) != slot.shape:
+                    raise ProviderError(f"vector of shape {np.shape(reply)} for a patch of shape {slot.shape}")
+                slot[...] = reply
             except Exception as exc:
                 raise ProviderError(str(exc), item=n) from exc
-        return vectors
+        return values
+
+
+def evaluate_one(
+    provider: VectorFieldProvider, patch: PatchLatent, condition: ConditionEmbedding, t: float
+) -> PatchLatent:
+    """The provider's vector for one patch, through `evaluate_batch`."""
+    batch = stack_patches([patch])
+    return batch.with_values(provider.evaluate_batch(batch, [condition], t))[0]
 
 
 class ZeroFieldProvider(VectorFieldProvider):
@@ -96,7 +139,7 @@ class OracleField(VectorFieldProvider):
             raise SingularityError("oracle field is singular at t = 0")
         inv = DTYPE(1.0 / t)
         if isinstance(patch, SparseLatent):
-            aligned = _align_sparse_target(self.target, patch)
+            aligned = _align_sparse_target(self.target, patch.coords)
             return patch.with_features((patch.features - aligned) * inv)
         if patch.data.shape != self.target.data.shape:
             raise DimensionError(
@@ -105,15 +148,15 @@ class OracleField(VectorFieldProvider):
         return patch.with_data((patch.data - self.target.data) * inv)
 
 
-def _align_sparse_target(target: SparseLatent, patch: SparseLatent) -> np.ndarray:
-    """Target features row-aligned to the patch's coordinates (absent -> 0)."""
-    if np.array_equal(target.coords, patch.coords):
+def _align_sparse_target(target: SparseLatent, coords: np.ndarray) -> np.ndarray:
+    """Target features row-aligned to a patch's coordinates (absent -> 0)."""
+    if np.array_equal(target.coords, coords):
         return target.features
-    out = np.zeros_like(patch.features)
-    if len(target) == 0 or len(patch) == 0:
+    out = np.zeros((len(coords), target.dims.l), dtype=DTYPE)
+    if len(target) == 0 or len(coords) == 0:
         return out
     tk = _coord_key(target.coords, target.dims)
-    pk = _coord_key(patch.coords, target.dims)
+    pk = _coord_key(coords, target.dims)
     pos = np.searchsorted(tk, pk)
     pos = np.clip(pos, 0, len(tk) - 1)
     hit = tk[pos] == pk
@@ -184,25 +227,37 @@ class GlobalOracleProvider(VectorFieldProvider):
     _slat_boxes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def evaluate(self, patch, condition, t):
-        if t <= 0.0:
-            raise SingularityError("oracle field is singular at t = 0")
-        inv = DTYPE(1.0 / t)
-        if not np.isfinite(inv):
-            raise SingularityError(f"t = {t} is too small to evaluate")
-        if isinstance(patch, SparseLatent):
-            if self.slat_target is None:
-                raise ProviderError("no sparse target configured")
-            kind = decode_oracle_condition(condition)
-            if kind[0] != "box":
-                raise ProviderError("sparse oracle expects a box condition")
-            target_patch = self._slat_restriction(kind[1:])
-            aligned = _align_sparse_target(target_patch, patch)
-            return patch.with_features((patch.features - aligned) * inv)
-        if self.ss_target is None:
-            raise ProviderError("no dense target configured")
-        target = _dense_restriction(self.ss_target, condition, patch.data.shape)
-        with np.errstate(over="ignore"):  # garbage inputs surface as ValueError
-            return patch.with_data((patch.data - target) * inv)
+        return evaluate_one(self, patch, condition, t)
+
+    def evaluate_batch(self, batch, conditions, t):
+        """(batch - target sections) / t, over the whole stack at once."""
+        inv = _inverse_time(t)
+        with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
+            if isinstance(batch, SparseBatch):
+                out = self._slat_targets(batch, conditions)
+                np.subtract(batch.features, out, out=out)
+            elif self.ss_target is None:
+                raise ProviderError("no dense target configured")
+            else:
+                out = batch.data - _dense_targets(self.ss_target, conditions, batch.dims.dense_shape)
+            out *= inv
+        return out
+
+    def _slat_targets(self, batch: SparseBatch, conditions) -> np.ndarray:
+        """The target features aligned to every item's rows."""
+        if self.slat_target is None:
+            raise ProviderError("no sparse target configured")
+        out = np.empty_like(batch.features)
+        for n, condition in enumerate(conditions):
+            lo, hi = batch.bounds[n], batch.bounds[n + 1]
+            try:
+                kind = decode_oracle_condition(condition)
+                if kind[0] != "box":
+                    raise ProviderError("sparse oracle expects a box condition")
+                out[lo:hi] = _align_sparse_target(self._slat_restriction(kind[1:]), batch.coords[lo:hi])
+            except Exception as exc:
+                raise ProviderError(str(exc), item=n) from exc
+        return out
 
     def _slat_restriction(self, box: tuple[int, int, int]) -> SparseLatent:
         cache = self._slat_boxes
@@ -215,6 +270,61 @@ class GlobalOracleProvider(VectorFieldProvider):
             if len(cache) < SLAT_BOX_LIMIT and cached_rows <= SLAT_BOX_ROWS * len(self.slat_target):
                 cache[box] = target_patch
         return target_patch
+
+
+def _inverse_time(t: float):
+    """1 / t as float32; SingularityError where the oracle field is singular."""
+    if t <= 0.0:
+        raise SingularityError("oracle field is singular at t = 0")
+    inv = DTYPE(1.0 / t)
+    if not np.isfinite(inv):
+        raise SingularityError(f"t = {t} is too small to evaluate")
+    return inv
+
+
+def _dense_targets(target: DenseLatent, conditions, shape) -> np.ndarray:
+    """The sections of `target` that `conditions` name, stacked; each
+    must have `shape`.  Conditions that are all full-size boxes, or all
+    pillar maps, take one index over the whole stack; others are cut one
+    at a time, and a failing one is named by its item."""
+    if not conditions:
+        return np.empty((0,) + tuple(shape), dtype=DTYPE)
+    sections = _uniform_sections(target.data, conditions, tuple(shape))
+    if sections is not None:
+        return sections
+    items = []
+    for n, condition in enumerate(conditions):
+        try:
+            items.append(_dense_restriction(target, condition, shape))
+        except Exception as exc:
+            raise ProviderError(str(exc), item=n) from exc
+    return np.stack(items)
+
+
+def _uniform_sections(data: np.ndarray, conditions, shape) -> np.ndarray | None:
+    """The sections of `data` for conditions that are all boxes of side
+    shape[0] inside the lattice, or all in-range pillar maps of that
+    side, by one strided or fancy index; None for any other mix."""
+    size = len(conditions[0].data)
+    if any(len(c.data) != size for c in conditions):
+        return None
+    n = len(conditions)
+    rows = np.frombuffer(b"".join(c.data for c in conditions), dtype=np.uint8).reshape(n, size)
+    K = shape[0]
+    X, Y, H, C = data.shape
+    if size == 13 and (rows[:, 0] == _COND_BOX).all():
+        x0, y0, side = rows[:, 1:].copy().view("<u4").astype(np.int64).T
+        inside = K <= H and (x0 + K <= X).all() and (y0 + K <= Y).all()
+        if shape == (K, K, K, C) and (side == K).all() and inside:
+            boxes = sliding_window_view(data[:, :, :K], (K, K), axis=(0, 1))  # (x0, y0, z, C, x, y)
+            return boxes[x0, y0].transpose(0, 3, 4, 1, 2)
+    elif size == 5 + 8 * K * K and (rows[:, 0] == _COND_PILLARS).all():
+        side = rows[:, 1:5].copy().view("<u4")
+        pairs = rows[:, 5:].copy().view("<u4").reshape(n, K, K, 2).astype(np.int64)
+        src_x, src_y = pairs[..., 0], pairs[..., 1]
+        if shape == (K, K, H, C) and (side == K).all() and (src_x < X).all() and (src_y < Y).all():
+            return data[src_x, src_y]
+    return None
 
 
 def _dense_restriction(target: DenseLatent, condition, shape) -> np.ndarray:
@@ -246,10 +356,14 @@ class BiasedOracleProvider(VectorFieldProvider):
     rate: float = 1.0
 
     def evaluate(self, patch, condition, t):
-        if isinstance(patch, SparseLatent):
+        return evaluate_one(self, patch, condition, t)
+
+    def evaluate_batch(self, batch, conditions, t):
+        if isinstance(batch, SparseBatch):
             raise ProviderError("biased oracle serves dense patches only")
-        sub = _dense_restriction(self.ss_target, condition, patch.data.shape)
-        return patch.with_data((patch.data - sub) * DTYPE(self.rate))
+        out = batch.data - _dense_targets(self.ss_target, conditions, batch.dims.dense_shape)
+        out *= DTYPE(self.rate)
+        return out
 
 
 class Conditioner:
@@ -322,44 +436,47 @@ def extended_field(
     """Patch-wise field: evaluate the provider on every window and merge.
 
     A sparse Z is cut by `plan`, the window plan of its grid and
-    coordinates (built here when not given).  The windows go to the
-    provider in at most `workers` batches (see `_evaluate`) and merge in
-    the grid's fixed window order, so the result does not depend on the
-    worker count; provider failures carry the window index.
+    coordinates (built here when not given).  All windows travel as one
+    stacked batch: one gather, at most `workers` provider calls (see
+    `_evaluate`), one merge in the grid's fixed window order, so the
+    result does not depend on the worker count; provider failures carry
+    the window index.
     """
-    windows = list(grid.windows())
+    windows = grid.windows()
     if isinstance(Z, SparseLatent):
         plan = window_plan(grid, Z.coords, plan)
-        patches = plan.gather(Z)
+        batch = plan.gather(Z)
     else:
-        patches = [patch_dense(Z, w) for w in windows]
-    conditions = [conditioner.window_condition(w) for w in windows]
-    vectors = _evaluate(
-        provider, patches, conditions, t, workers,
+        batch = gather_dense(Z, grid)
+    values = _evaluate(
+        provider, batch, [conditioner.window_condition(w) for w in windows], t, workers,
         lambda k: f"patch ({windows[k].i}, {windows[k].j})",
     )
-    del patches  # free the inputs before the merge allocates its own
-    results = {(w.i, w.j): v for w, v in zip(windows, vectors)}
-    return merge_vectors(results, grid, plan)
+    del batch  # free the inputs before the merge allocates its own
+    if isinstance(Z, SparseLatent):
+        return plan.merge_features(values)
+    return merge_dense(values, grid)
 
 
-def _evaluate(provider, patches, conditions, t, workers, name) -> list:
-    """The provider's vectors for `patches`, in order.
+def _evaluate(provider, batch, conditions, t, workers, name) -> np.ndarray:
+    """The provider's vectors for `batch`, stacked like `batch.values`.
 
     The items are cut into at most `workers` contiguous chunks, one
     `evaluate_batch` call each; the chunks run on a thread pool only
-    when workers > 1 and the provider is concurrent-safe.  `name(k)`
-    names item k in errors.
+    when workers > 1 and the provider is concurrent-safe.  Each reply is
+    checked once for shape and finiteness.  `name(k)` names item k in
+    errors.
     """
     t_eval = float(DTYPE(t))
-    count = len(patches)
+    count = len(batch)
     chunks = min(workers, count) if workers > 1 and provider.concurrent_safe else 1
     bounds = [count * c // chunks for c in range(chunks + 1)]
 
     def run(span):
         lo, hi = span
+        part = batch[lo:hi]
         try:
-            vectors = provider.evaluate_batch(patches[lo:hi], conditions[lo:hi], t_eval)
+            values = provider.evaluate_batch(part, conditions[lo:hi], t_eval)
         except Exception as exc:
             item = exc.item if isinstance(exc, ProviderError) else None
             if item is not None and 0 <= item < hi - lo:
@@ -367,14 +484,27 @@ def _evaluate(provider, patches, conditions, t, workers, name) -> list:
             else:
                 where = f"{name(lo)} to {name(hi - 1)}"
             raise ProviderError(f"provider failed on {where}: {exc}") from exc
-        if len(vectors) != hi - lo:
-            raise ProviderError(
-                f"provider returned {len(vectors)} vectors for {name(lo)} to {name(hi - 1)}"
-            )
-        return vectors
+        return _checked_reply(part, values, lambda k: name(lo + k))
 
-    spans = list(zip(bounds, bounds[1:]))
-    return [v for vectors in _map_jobs(run, spans) for v in vectors]
+    replies = _map_jobs(run, list(zip(bounds, bounds[1:])))
+    return replies[0] if len(replies) == 1 else np.concatenate(replies)
+
+
+def _checked_reply(part: PatchBatch, values, name) -> np.ndarray:
+    """`values` as float32 when it is shaped like `part.values` and
+    finite; else a ProviderError naming the items (item k is `name(k)`)."""
+    values = np.asarray(values)
+    expected = part.values.shape
+    where = f"{name(0)} to {name(len(part) - 1)}"
+    if values.shape != expected:
+        if values.shape[1:] == expected[1:] and isinstance(part, DenseBatch):
+            raise ProviderError(f"provider returned {len(values)} vectors for {where}")
+        raise ProviderError(f"provider returned values of shape {values.shape} for {where}, expected {expected}")
+    values = np.ascontiguousarray(values, dtype=DTYPE)
+    item = first_nonfinite_item(values, part.bounds if isinstance(part, SparseBatch) else None)
+    if item is not None:
+        raise ProviderError(f"provider returned non-finite values for {name(item)}")
+    return values
 
 
 def _map_jobs(fn, jobs):
@@ -394,14 +524,13 @@ def dilated_field(
     workers: int = 1,
 ) -> DenseLatent:
     """Evaluate the provider on every dilated sample and scatter back."""
-    samples = range(len(partition))
-    vectors = _evaluate(
+    values = _evaluate(
         provider,
-        [partition.gather(Z, n) for n in samples],
-        [conditioner.dilated_condition(partition, n) for n in samples],
+        partition.gather_batch(Z),
+        [conditioner.dilated_condition(partition, n) for n in range(len(partition))],
         t, workers, lambda n: f"dilated sample {n}",
     )
-    return partition.scatter(vectors)
+    return partition.scatter(values)
 
 
 def mixed_field(

@@ -197,6 +197,209 @@ class SparseLatent:
         return latent
 
 
+@dataclass(frozen=True)
+class DenseBatch:
+    """n dense patch latents of one `dims`, stacked along a new first axis.
+
+    `data` has shape (n,) + dims.dense_shape and holds float32 values,
+    finite and read-only, like a DenseLatent's.  `batch[k]` is item k as
+    a DenseLatent and `batch[lo:hi]` is a batch of the items lo to hi;
+    both are views of `data`.
+    """
+
+    dims: Dims
+    data: np.ndarray
+
+    def __post_init__(self):
+        data = _dense_batch_data(self.dims, self.data)
+        item = first_nonfinite_item(data)
+        if item is not None:
+            raise ValueError(f"item {item} of a dense batch contains non-finite entries")
+        object.__setattr__(self, "data", _freeze(data))
+
+    @classmethod
+    def _of_finite(cls, dims: Dims, data: np.ndarray) -> "DenseBatch":
+        """Batch of values known to be finite (gathered from latents, or
+        checked with `first_nonfinite_item`); only the shape is checked."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "dims", dims)
+        object.__setattr__(batch, "data", _freeze(_dense_batch_data(dims, data)))
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return DenseBatch._of_finite(self.dims, self.data[k])
+        latent = object.__new__(DenseLatent)
+        object.__setattr__(latent, "dims", self.dims)
+        object.__setattr__(latent, "data", self.data[k])
+        return latent
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.data
+
+    def with_values(self, values: np.ndarray) -> "DenseBatch":
+        return DenseBatch(self.dims, values)
+
+
+def _dense_batch_data(dims: Dims, data) -> np.ndarray:
+    data = np.ascontiguousarray(data, dtype=DTYPE)
+    if data.ndim != 5 or data.shape[1:] != dims.dense_shape:
+        raise DimensionError(f"dense batch shape {data.shape} != (n,) + {dims.dense_shape}")
+    return data
+
+
+@dataclass(frozen=True)
+class SparseBatch:
+    """n sparse patch latents of one `dims`, stacked row-wise.
+
+    Item k holds rows `bounds[k]:bounds[k + 1]` of `coords` (int64,
+    (rows, 3)) and `features` (float32, (rows, l)).  Each item's
+    coordinates are in bounds and strictly increasing, as a
+    SparseLatent's are; features are finite.  All arrays are read-only;
+    `batch[k]` and `batch[lo:hi]` are views.
+    """
+
+    dims: Dims
+    coords: np.ndarray
+    features: np.ndarray
+    bounds: np.ndarray
+
+    def __post_init__(self):
+        coords = np.ascontiguousarray(np.asarray(self.coords).reshape(-1, 3), dtype=np.int64)
+        bounds = np.ascontiguousarray(self.bounds, dtype=np.int64).reshape(-1)
+        if len(bounds) < 1 or bounds[0] != 0 or bounds[-1] != len(coords) or (np.diff(bounds) < 0).any():
+            raise DimensionError(f"batch bounds do not split {len(coords)} rows")
+        problem = batch_coords_problem(self.dims, coords, bounds)
+        if problem is not None:
+            raise BoundsError(f"item {problem[0]} of a sparse batch: {problem[1]}")
+        features = _sparse_batch_features(self.dims, self.features, len(coords))
+        item = first_nonfinite_item(features, bounds)
+        if item is not None:
+            raise ValueError(f"item {item} of a sparse batch contains non-finite features")
+        for name, value in (("coords", coords), ("features", features), ("bounds", bounds)):
+            object.__setattr__(self, name, _freeze(value))
+
+    @classmethod
+    def _on_checked_coords(
+        cls, dims: Dims, coords: np.ndarray, features, bounds: np.ndarray
+    ) -> "SparseBatch":
+        """Batch over `coords` and `bounds` that a constructor (or
+        `batch_coords_problem`) already checked, with features known to be
+        finite; only the features' shape is checked.  The arrays are
+        marked read-only, not copied."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "dims", dims)
+        object.__setattr__(batch, "coords", _freeze(coords))
+        object.__setattr__(batch, "features", _freeze(_sparse_batch_features(dims, features, len(coords))))
+        object.__setattr__(batch, "bounds", _freeze(bounds))
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            lo, hi, step = k.indices(len(self))
+            if step != 1:
+                raise IndexError("sparse batches slice contiguously")
+            hi = max(lo, hi)
+            r0, r1 = self.bounds[lo], self.bounds[hi]
+            return SparseBatch._on_checked_coords(
+                self.dims, self.coords[r0:r1], self.features[r0:r1], self.bounds[lo : hi + 1] - r0
+            )
+        k = range(len(self))[k]
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        latent = object.__new__(SparseLatent)
+        object.__setattr__(latent, "dims", self.dims)
+        object.__setattr__(latent, "coords", self.coords[lo:hi])
+        object.__setattr__(latent, "features", self.features[lo:hi])
+        return latent
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.features
+
+    def with_values(self, values: np.ndarray) -> "SparseBatch":
+        """Same coordinates and bounds, new features (checked)."""
+        features = _sparse_batch_features(self.dims, values, len(self.coords))
+        item = first_nonfinite_item(features, self.bounds)
+        if item is not None:
+            raise ValueError(f"item {item} of a sparse batch contains non-finite features")
+        return SparseBatch._on_checked_coords(self.dims, self.coords, features, self.bounds)
+
+
+PatchBatch = DenseBatch | SparseBatch
+
+
+def _sparse_batch_features(dims: Dims, features, rows: int) -> np.ndarray:
+    features = np.ascontiguousarray(features, dtype=DTYPE)
+    if features.shape != (rows, dims.l):
+        raise DimensionError(f"sparse batch features {features.shape} != {(rows, dims.l)}")
+    return features
+
+
+def stack_patches(patches: Sequence) -> PatchBatch:
+    """The batch of `patches` in order: latents of one kind and one dims."""
+    if not patches:
+        raise ValueError("no patches to stack")
+    dims = patches[0].dims
+    kind = type(patches[0])
+    if any(type(p) is not kind or p.dims != dims for p in patches):
+        raise DimensionError("stacked patches must share one latent type and dims")
+    if kind is DenseLatent:
+        return DenseBatch._of_finite(dims, np.stack([p.data for p in patches]))
+    return SparseBatch._on_checked_coords(
+        dims,
+        np.concatenate([p.coords for p in patches]),
+        np.concatenate([p.features for p in patches]),
+        np.cumsum([0] + [len(p) for p in patches]),
+    )
+
+
+def first_nonfinite_item(values: np.ndarray, bounds: np.ndarray | None = None) -> int | None:
+    """Index of the first batch item holding a non-finite value, or None.
+
+    Dense values stack their items along axis 0; sparse feature row r
+    belongs to the item k with bounds[k] <= r < bounds[k + 1].
+    """
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+    return row if bounds is None else int(np.searchsorted(bounds, row, side="right")) - 1
+
+
+def batch_coords_problem(dims: Dims, coords: np.ndarray, bounds: np.ndarray) -> tuple[int, str] | None:
+    """(item, reason) for the first item of a sparse batch whose
+    coordinates are outside `dims`'s grid or not strictly increasing;
+    None when every item's coordinates could be a SparseLatent's as
+    given."""
+    if not len(coords):
+        return None
+    outside = ((coords < 0) | (coords >= np.array(dims.grid_shape))).any(axis=1)
+    unsorted = np.zeros(len(coords), dtype=bool)
+    unsorted[1:] = np.diff(_coord_key(coords, dims)) <= 0
+    unsorted[bounds[:-1][np.diff(bounds) > 0]] = False  # an item's first row starts afresh
+    bad = outside | unsorted
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    item = int(np.searchsorted(bounds, row, side="right")) - 1
+    if outside[row]:
+        return item, f"coordinate {tuple(int(v) for v in coords[row])} outside grid {dims.grid_shape}"
+    return item, "coordinates are not sorted and unique"
+
+
 def _coord_key(coords: np.ndarray, dims: Dims) -> np.ndarray:
     """Flatten coordinates into sortable scalar keys (lexicographic order)."""
     bm, m = dims.b * dims.M, dims.M

@@ -93,17 +93,16 @@ def adam_step(value: np.ndarray, grad: np.ndarray, state: OptimState, params: Ad
     return value - np.divide(step, denom, out=step), state
 
 
-def optimize_vector(v_init: np.ndarray, objective, params: AdamParams, state: OptimState | None = None):
-    """Run `params.steps` Adam steps from v_init; returns (v, loss trace).
+def optimize_vector(v_init: np.ndarray, objective, params: AdamParams):
+    """Run `params.steps` Adam steps from v_init and zero moments;
+    returns (v, loss trace).
 
     `objective(v) -> (loss, grad)`.  The trace holds one loss per
     evaluation, including a final evaluation after the last step, so it
-    has steps + 1 entries.  Passing a warm `state` continues previous
-    moments instead of resetting them.
+    has steps + 1 entries.
     """
     v = v_init.astype(np.float64, copy=True)
-    if state is None:
-        state = OptimState.zeros(v.shape)
+    state = OptimState.zeros(v.shape)
     losses: list[float] = []
     for _ in range(params.steps):
         loss, grad = objective(v)

@@ -7,25 +7,39 @@ the coverage count.  Dilated sampling is the complementary scheme: the
 lattice splits into K x K blocks of a x b pillar columns, and a*b
 backbone-sized samples are assembled from one pillar per block.
 
+The engine moves all windows of a field call as one stacked batch
+(`DenseBatch`, `SparseBatch`).  Dense windows are gathered with one
+strided copy of a sliding-window view and merged by d*d block adds of
+the whole stack into a float64 buffer, ordered so that each cell still
+adds its windows in the grid's row-major order.  Dilated samples are
+gathered with one fancy index and scattered back with one assignment.
+
 Sparse latents keep their coordinates across a whole schedule, so the
 window geometry is planned once per (grid, coordinate set): a
 `SparseWindowPlan` holds, per window, the rows inside it (found by a
 binary search on the sorted x column plus a y/z mask, `box_rows`) and
 their window-local coordinates, plus the permutation and segment starts
-that group all windows' rows by global row.  Each step then only gathers
-feature rows into patches and sums them back with one `np.add.reduceat`
-in fixed window order, dividing by the per-row coverage.
+that group all windows' rows by global row.  Each step then gathers the
+feature rows into one block with one `take` and sums them back with one
+`np.add.reduceat` in fixed window order, dividing by the per-row
+coverage.
+
+The per-window forms (`patch_dense`, `merge_vectors` over a mapping,
+`DilatedPartition.gather` of one sample) remain for callers that hold
+single patches; they give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CoverageError, DimensionError, ProviderError
-from .lattice import DTYPE, DenseLatent, Dims, SparseLatent
+from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent
 
 
 @dataclass(frozen=True)
@@ -102,11 +116,13 @@ class PatchGrid:
             raise ConfigError(f"window index ({i}, {j}) outside grid {self.ni}x{self.nj}")
         return Window(i, j, self.K, self.d)
 
-    def windows(self):
+    def windows(self) -> tuple[Window, ...]:
         """All windows in fixed row-major order (the reduction order)."""
-        for i in range(self.ni):
-            for j in range(self.nj):
-                yield self.window(i, j)
+        return self._windows
+
+    @cached_property
+    def _windows(self) -> tuple[Window, ...]:
+        return tuple(Window(i, j, self.K, self.d) for i in range(self.ni) for j in range(self.nj))
 
     def axis_coverage(self, n_windows: int, extent: int) -> np.ndarray:
         """Per-position window-coverage count along one extended axis."""
@@ -135,6 +151,24 @@ def patch_dense(Z: DenseLatent, w: Window) -> DenseLatent:
         raise DimensionError(f"window {w.box} exceeds lattice {Z.data.shape}")
     sub = Z.data[x0:x1, y0:y1, z0:z1].copy()
     return DenseLatent(Z.dims.patch_dims(), sub)
+
+
+def gather_dense(Z: DenseLatent, grid: PatchGrid) -> DenseBatch:
+    """Every window's patch of Z, in window order, as one batch.
+
+    One strided copy of a sliding-window view; item k equals
+    `patch_dense(Z, grid.windows()[k])`.
+    """
+    K = grid.K
+    stride = K // grid.d
+    X, Y, H, C = Z.data.shape
+    if (grid.ni - 1) * stride + K > X or (grid.nj - 1) * stride + K > Y or K > H:
+        raise DimensionError(f"windows of side {K} exceed lattice {Z.data.shape}")
+    # (ni, nj, z, C, x, y) views of the window origins, then one copy into
+    # (window, x, y, z, C)
+    view = sliding_window_view(Z.data[:, :, :K], (K, K), axis=(0, 1))[::stride, ::stride]
+    stack = view[: grid.ni, : grid.nj].transpose(0, 1, 4, 5, 2, 3).reshape(grid.count, K, K, K, C)
+    return DenseBatch._of_finite(Z.dims.patch_dims(), stack)
 
 
 def unpatch_dense(X: DenseLatent, w: Window, dims: Dims) -> DenseLatent:
@@ -167,7 +201,8 @@ def patch_sparse(Z: SparseLatent, w: Window) -> SparseLatent:
 
 
 def merge_vectors(patch_vectors: Mapping, grid: PatchGrid, plan: SparseWindowPlan | None = None):
-    """Average overlapping patch vectors into one extended vector.
+    """Average overlapping patch vectors, one per window (i, j), into one
+    extended vector.
 
     Per cell: sum of zero-padded patch values divided by the number of
     covering windows.  Sparse latents use the same rule per coordinate
@@ -176,26 +211,38 @@ def merge_vectors(patch_vectors: Mapping, grid: PatchGrid, plan: SparseWindowPla
     `plan` was built for (by default, the union of all patches).
     Accumulation runs in float64 with a fixed window order.
     """
-    expected = {(w.i, w.j) for w in grid.windows()}
-    if set(patch_vectors.keys()) != expected:
+    windows = grid.windows()
+    if set(patch_vectors.keys()) != {(w.i, w.j) for w in windows}:
         raise CoverageError("merge requires exactly one patch vector per grid window")
-    first = patch_vectors[next(iter(sorted(patch_vectors)))]
-    if isinstance(first, SparseLatent):
+    vectors = [patch_vectors[(w.i, w.j)] for w in windows]
+    if isinstance(vectors[0], SparseLatent):
         if plan is None:
             plan = SparseWindowPlan(grid, _union_coords(patch_vectors, grid))
-        return plan.merge([patch_vectors[(w.i, w.j)] for w in plan.windows])
-    return _merge_dense(patch_vectors, grid)
+        return plan.merge(vectors)
+    return merge_dense(np.stack([X.data for X in vectors]), grid)
 
 
-def _merge_dense(patch_vectors: Mapping, grid: PatchGrid) -> DenseLatent:
-    dims = grid.dims
-    aK, bK = dims.a * grid.K, dims.b * grid.K
-    C = dims.C
-    acc = np.zeros((aK, bK, grid.K, C), dtype=np.float64)
-    for w in grid.windows():
-        X = patch_vectors[(w.i, w.j)]
-        (x0, x1), (y0, y1), _ = w.box
-        acc[x0:x1, y0:y1, : w.K] += X.data.astype(np.float64)
+def merge_dense(values: np.ndarray, grid: PatchGrid) -> DenseLatent:
+    """Average the stacked window vectors `values` ((n, K, K, K, C), in
+    window order) into one extended vector.
+
+    The float64 sum adds each cell's windows in window order, so it is
+    bit-equal to adding the zero-padded patches one window at a time.
+    """
+    dims, K, d = grid.dims, grid.K, grid.d
+    stride, C = K // d, dims.C
+    if values.shape != (grid.count, K, K, K, C):
+        raise DimensionError(f"window vectors {values.shape} != {(grid.count, K, K, K, C)}")
+    acc = np.zeros((dims.a * K, dims.b * K, K, C), dtype=np.float64)
+    # The lattice in stride x stride column blocks, and every window in its
+    # d x d blocks: window (i, j) adds its block (p, q) onto block
+    # (i + p, j + q).  Descending p, then q, adds each block's windows in
+    # row-major window order.
+    blocks = acc.reshape(dims.a * d, stride, dims.b * d, stride, K, C).swapaxes(1, 2)
+    parts = values.reshape(grid.ni, grid.nj, d, stride, d, stride, K, C).swapaxes(3, 4)
+    for p in reversed(range(d)):
+        for q in reversed(range(d)):
+            blocks[p : p + grid.ni, q : q + grid.nj] += parts[:, :, p, q]
     cov = grid.coverage_xy()
     if (cov < 1).any():
         raise CoverageError("uncovered cell in patch grid")
@@ -217,73 +264,68 @@ class SparseWindowPlan:
 
     Window k (`windows[k]`, in the grid's fixed row-major order) covers
     the global rows `rows[bounds[k]:bounds[k + 1]]`, whose window-local
-    coordinates are `local_coords[k]`.  `order` stably sorts `rows` (the
-    rows of all windows, in window order) by global row, so each row's
-    contributions stay in window order; `starts` marks where each row's
-    group begins and `coverage` is its size.  Every row must lie in at
-    least one window.
+    coordinates are `local[bounds[k]:bounds[k + 1]]`.  `order` stably
+    sorts `rows` (the rows of all windows, in window order) by global
+    row, so each row's contributions stay in window order; `starts`
+    marks where each row's group begins and `coverage` is its size.
+    Every row must lie in at least one window.
 
-    The coordinates and every window's local coordinates pass the
-    `SparseLatent` constructor's checks once, here; gathered patches and
-    the merged vector then check only their features.
+    The coordinates pass the `SparseLatent` constructor's checks once,
+    here; each window's local coordinates are a translated run of them,
+    so they stay in bounds and in order.  Gathered batches and the
+    merged vector then check only their features.
     """
 
     def __init__(self, grid: PatchGrid, coords: np.ndarray):
         self.grid = grid
         self.coords = _checked_coords(grid.dims, coords)
-        self.windows = list(grid.windows())
+        self.windows = grid.windows()
         window_rows = [box_rows(self.coords, w.x0, w.y0, w.K) for w in self.windows]
-        # Translation keeps the sorted order, so the checked local
-        # coordinates stay aligned with their rows.
-        patch_dims = grid.dims.patch_dims()
-        self.local_coords = [
-            _checked_coords(patch_dims, self.coords[rows] - np.array([w.x0, w.y0, 0], dtype=np.int64))
-            for w, rows in zip(self.windows, window_rows)
-        ]
+        counts = [len(rows) for rows in window_rows]
         self.rows = np.concatenate(window_rows)
-        self.bounds = np.cumsum([0] + [len(rows) for rows in window_rows])
+        self.bounds = _ro(np.cumsum([0] + counts))
+        local = self.coords[self.rows]
+        for w, lo, hi in zip(self.windows, self.bounds[:-1], self.bounds[1:]):
+            local[lo:hi, :2] -= (w.x0, w.y0)
+        self.local = _ro(local)
         self.coverage = np.bincount(self.rows, minlength=len(self.coords))
         if (self.coverage < 1).any():
             raise CoverageError("sparse coordinate not covered by any window")
         self.order = np.argsort(self.rows, kind="stable")
         self.starts = np.concatenate([[0], np.cumsum(self.coverage[:-1])])
 
-    def gather(self, Z: SparseLatent) -> list[SparseLatent]:
-        """Every window's patch, in window order: Z's rows inside it, in
-        window-local coordinates.
-
-        One `take` serves all windows; the patches' features are views
-        of its result.
-        """
+    def gather(self, Z: SparseLatent) -> SparseBatch:
+        """Every window's patch, in window order, as one batch: Z's rows
+        inside it, in window-local coordinates, gathered by one `take`."""
         feats = Z.features.take(self.rows, axis=0)
-        patch_dims = Z.dims.patch_dims()
-        return [
-            SparseLatent._on_checked_coords(patch_dims, local, feats[lo:hi])
-            for local, lo, hi in zip(self.local_coords, self.bounds[:-1], self.bounds[1:])
-        ]
+        return SparseBatch._on_checked_coords(Z.dims.patch_dims(), self.local, feats, self.bounds)
 
     def merge(self, results: Sequence[SparseLatent]) -> SparseLatent:
-        """Coverage-averaged sum of the per-window vectors, given in window order.
+        """Coverage-averaged sum of the per-window vectors, given in window
+        order; each must keep its patch's coordinates, and the first that
+        does not is named.  The sum is `merge_features`'."""
+        if len(results) != len(self.windows):
+            raise CoverageError("merge requires exactly one patch vector per grid window")
+        l = self.grid.dims.l
+        for w, lo, hi, X in zip(self.windows, self.bounds[:-1], self.bounds[1:], results):
+            if not (isinstance(X, SparseLatent) and X.dims.l == l and np.array_equal(X.coords, self.local[lo:hi])):
+                raise ProviderError(f"patch ({w.i}, {w.j}) does not keep its window's coordinates")
+        return self.merge_features(np.concatenate([X.features for X in results]))
+
+    def merge_features(self, values: np.ndarray) -> SparseLatent:
+        """Coverage-averaged sum of the stacked window features `values`
+        ((rows, l) float32, rows in the order `gather` makes them).
 
         This is the sum a stable sort of all contributions by coordinate
         followed by `np.add.reduceat` gives, so it does not depend on the
-        order in which the windows were evaluated.  Each vector must keep
-        its patch's coordinates; the first that does not is named.
+        order in which the windows were evaluated.
         """
         dims = self.grid.dims
-        if len(results) != len(self.windows):
-            raise CoverageError("merge requires exactly one patch vector per grid window")
-        for w, local, X in zip(self.windows, self.local_coords, results):
-            if not (
-                isinstance(X, SparseLatent)
-                and X.dims.l == dims.l
-                and np.array_equal(X.coords, local)
-            ):
-                raise ProviderError(f"patch ({w.i}, {w.j}) does not keep its window's coordinates")
+        if values.shape != (len(self.rows), dims.l):
+            raise DimensionError(f"window features {values.shape} != {(len(self.rows), dims.l)}")
         if len(self.coords) == 0:
             return SparseLatent.empty(dims)
-        feats = np.concatenate([X.features for X in results]).take(self.order, axis=0)
-        acc = np.add.reduceat(feats.astype(np.float64), self.starts, axis=0)
+        acc = np.add.reduceat(values.take(self.order, axis=0).astype(np.float64), self.starts, axis=0)
         acc /= self.coverage[:, None]
         return SparseLatent._on_checked_coords(dims, self.coords, acc.astype(DTYPE))
 
@@ -324,17 +366,28 @@ class DilatedPartition:
         return self.dims.a * self.dims.b
 
     def gather(self, Z: DenseLatent, n: int) -> DenseLatent:
-        data = Z.data[self.src_x[n], self.src_y[n], :, :]
-        return DenseLatent(self.dims.patch_dims(), data.copy())
+        """Sample n of Z."""
+        return DenseLatent(self.dims.patch_dims(), Z.data[self.src_x[n], self.src_y[n]])
 
-    def scatter(self, sample_vectors: Sequence[DenseLatent]) -> DenseLatent:
+    def gather_batch(self, Z: DenseLatent) -> DenseBatch:
+        """All samples of Z, in sample order, by one fancy index."""
+        return DenseBatch._of_finite(self.dims.patch_dims(), Z.data[self.src_x, self.src_y])
+
+    def scatter(self, sample_vectors) -> DenseLatent:
+        """The lattice whose pillars hold the samples' columns.
+
+        `sample_vectors` is a stacked (n, K, K, K, C) array or a sequence
+        of n sample latents; the pillars are disjoint, so one assignment
+        places them all.
+        """
         if len(sample_vectors) != len(self):
             raise DimensionError(
                 f"expected {len(self)} dilated samples, got {len(sample_vectors)}"
             )
+        if not isinstance(sample_vectors, np.ndarray):
+            sample_vectors = np.stack([sample.data for sample in sample_vectors])
         out = np.zeros(self.dims.dense_shape, dtype=DTYPE)
-        for n, sample in enumerate(sample_vectors):
-            out[self.src_x[n], self.src_y[n], :, :] = sample.data
+        out[self.src_x, self.src_y] = sample_vectors
         return DenseLatent(self.dims, out)
 
 

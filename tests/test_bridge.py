@@ -2,6 +2,7 @@ import socket
 import struct
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tiledflow.bridge import (
     TYPE_REQUEST,
     TYPE_RESPONSE,
     _Connection,
+    _read_frame,
     decode_frame,
     encode_eval_request,
     encode_frame,
@@ -39,8 +41,8 @@ from tiledflow.flowcore import (
     dilated_field,
     extended_field,
 )
-from tiledflow.lattice import DenseLatent, Dims, init_sparse_noise
-from tiledflow.patchwork import dilated_partition, make_patch_grid
+from tiledflow.lattice import DenseLatent, Dims, SparseLatent, init_sparse_noise, stack_patches
+from tiledflow.patchwork import dilated_partition, make_patch_grid, patch_dense, patch_sparse
 from tiledflow.priors import ConditionEmbedding
 
 
@@ -564,7 +566,8 @@ class TestBatch:
         try:
             with RemoteProvider(sock, timeout=30) as remote:
                 for patches, values in ((sparse, lambda x: x.features), (dense, lambda x: x.data)):
-                    out = remote.evaluate_batch(patches, [cond] * len(patches), 0.5)
+                    batch = stack_patches(patches)
+                    out = batch.with_values(remote.evaluate_batch(batch, [cond] * len(patches), 0.5))
                     assert [values(x).tobytes() for x in out] == [values(x).tobytes() for x in patches]
         finally:
             server.stop()
@@ -718,3 +721,140 @@ class TestPipelineBound:
         finally:
             release.set()
             sock.close()
+
+
+class EvaluateOnly(VectorFieldProvider):
+    """Delegates `evaluate` only, as a timing or tracing wrapper does, so
+    batches reach it through the default per-item loop.  With
+    `poison = k`, the k-th evaluation answers a well-formed reply of NaNs
+    in a plain namespace (a latent type would refuse to hold them)."""
+
+    def __init__(self, inner, poison=None):
+        self.inner = inner
+        self.poison = poison
+        self.evals = 0
+        self.lock = threading.Lock()
+
+    def evaluate(self, patch, condition, t):
+        vector = self.inner.evaluate(patch, condition, t)
+        with self.lock:
+            self.evals += 1
+            poison = self.evals == self.poison
+        if poison:
+            values = vector.features if hasattr(vector, "features") else vector.data
+            return SimpleNamespace(data=np.full_like(values, np.nan))
+        return vector
+
+
+def _stacked_fields(provider, target, slat_target, workers):
+    """Dense, sparse and dilated fields of one provider, as bytes."""
+    cond = OracleConditioner()
+    Z = random_dense(DIMS, 41)
+    S = slat_target.with_features(np.float32(0.25) * slat_target.features - 1)
+    return (
+        extended_field(Z, 0.7, make_patch_grid(DIMS, 2, DIMS.N), provider, cond, workers).data.tobytes(),
+        extended_field(S, 0.4, make_patch_grid(DIMS, 2, DIMS.M), provider, cond, workers).features.tobytes(),
+        dilated_field(Z, 0.6, dilated_partition(DIMS, DIMS.N, seed=2), provider, cond, workers).data.tobytes(),
+    )
+
+
+class TestEvaluateOnlyProvider:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fallback_fields_bit_equal_in_process_and_remote(self, oracle_server, workers):
+        server, target, slat_target = oracle_server
+        oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        expected = _stacked_fields(oracle, target, slat_target, workers)
+        assert _stacked_fields(EvaluateOnly(oracle), target, slat_target, workers) == expected
+        wrapped = ProviderServer(EvaluateOnly(oracle), DIMS).start()
+        try:
+            with RemoteProvider(wrapped.address, timeout=10) as remote:
+                assert _stacked_fields(remote, target, slat_target, workers) == expected
+                # and the client side of the wrapper: per-item frames
+                assert _stacked_fields(EvaluateOnly(remote), target, slat_target, workers) == expected
+        finally:
+            wrapped.stop()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_poisoned_reply_fails_on_the_client(self, oracle_server, sparse):
+        _, target, slat_target = oracle_server
+        oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        grid = make_patch_grid(DIMS, 2, DIMS.M if sparse else DIMS.N)
+        Z = slat_target if sparse else random_dense(DIMS, 42)
+        with pytest.raises(ProviderError, match=r"non-finite values for patch \(1, 0\)"):
+            extended_field(Z, 0.5, grid, EvaluateOnly(oracle, poison=4), OracleConditioner())
+        server = ProviderServer(EvaluateOnly(oracle, poison=4), DIMS).start()
+        try:
+            with RemoteProvider(server.address, timeout=10) as remote:
+                with pytest.raises(ProviderError, match=r"non-finite values for patch \(1, 0\)"):
+                    extended_field(Z, 0.5, grid, remote, OracleConditioner())
+                # the connection survives; the next call is clean
+                extended_field(Z, 0.5, grid, remote, OracleConditioner())
+        finally:
+            server.stop()
+
+
+class TestStackedWireBytes:
+    """The stacked client and server put the same XFP1 mode-3 bytes on the
+    wire as the per-latent code before them; the digests were taken from
+    that code on these inputs."""
+
+    GOLDEN = {
+        ("dense", "request"): (1687, "9a531d7d5bf47267dfdab5d34f68780beafd0abaf9e44f37171d4840ebbe6ebc"),
+        ("dense", "reply"): (1536, "90fc83176781c56ef7a0ff00a530907479d299ee524d9e7232db9ef985a08747"),
+        ("sparse", "request"): (5443, "09da75063bd22209c70dff5c957aa38f72a7e7eea2b969339110e1663bc8196f"),
+        ("sparse", "reply"): (2640, "67bf5344430f924de8cf94f3ff57a7e123bbcf7793f9c691ad263646aa0dd8e6"),
+    }
+
+    @staticmethod
+    def _scene():
+        dims = Dims(2, 2, 4, 8, C=2, l=3)
+        shape = dims.dense_shape
+        count = int(np.prod(shape))
+        Z = DenseLatent(dims, np.arange(count, dtype=np.float32).reshape(shape) * np.float32(0.25) - 7)
+        T = DenseLatent(dims, np.cos(np.arange(count, dtype=np.float32)).reshape(shape))
+        g = np.indices(dims.grid_shape).reshape(3, -1).T
+        coords = g[(g[:, 0] + 2 * g[:, 1] + 3 * g[:, 2]) % 7 == 0]
+        rows = np.arange(len(coords) * 3, dtype=np.float32).reshape(-1, 3)
+        S = SparseLatent(dims, coords, (rows - 40) * np.float32(0.125))
+        ST = SparseLatent(dims, coords, np.sin(rows.reshape(-1)).reshape(-1, 3))
+        return dims, Z, T, S, ST
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_three_window_batch_bytes_unchanged(self, kind):
+        import hashlib
+
+        dims, Z, T, S, ST = self._scene()
+        grid = make_patch_grid(dims, 2, dims.N if kind == "dense" else dims.M)
+        windows = grid.windows()[:3]
+        patches = [patch_dense(Z, w) if kind == "dense" else patch_sparse(S, w) for w in windows]
+        conditions = [OracleConditioner().window_condition(w) for w in windows]
+        oracle = GlobalOracleProvider(ss_target=T, slat_target=ST)
+        server = ProviderServer(oracle, dims).start()
+        host, port = server.address.rsplit(":", 1)
+        client_end, relay_end = socket.socketpair()
+        seen = {}
+
+        def relay():
+            # records the request, forwards it to the server, records and returns the reply
+            frame = _read_frame(relay_end)
+            seen["request"] = bytes(frame.payload)
+            with socket.create_connection((host, int(port))) as upstream:
+                upstream.sendall(encode_frame(frame))
+                reply = _read_frame(upstream)
+            seen["reply"] = bytes(reply.payload)
+            relay_end.sendall(encode_frame(reply))
+
+        thread = threading.Thread(target=relay)
+        thread.start()
+        try:
+            batch = stack_patches(patches)
+            with RemoteProvider(client_end, timeout=10) as remote:
+                values = remote.evaluate_batch(batch, conditions, 0.5)
+            thread.join(10)
+        finally:
+            server.stop()
+            relay_end.close()
+        assert values.tobytes() == oracle.evaluate_batch(batch, conditions, 0.5).tobytes()
+        for part in ("request", "reply"):
+            length, digest = self.GOLDEN[(kind, part)]
+            assert (len(seen[part]), hashlib.sha256(seen[part]).hexdigest()) == (length, digest)

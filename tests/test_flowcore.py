@@ -23,6 +23,7 @@ from tiledflow.lattice import (
     SparseLatent,
     init_sparse_noise,
     sample_gaussian,
+    stack_patches,
 )
 from tiledflow.patchwork import SparseWindowPlan, dilated_partition, make_patch_grid
 
@@ -155,10 +156,11 @@ class TestExtendedField:
                 return patch
 
         patch = random_dense(DIMS.patch_dims(), 1)
+        batch = stack_patches([patch] * 3)
         with pytest.raises(ProviderError, match="boom") as err:
-            FailsOnSecond().evaluate_batch([patch] * 3, ["first", "second", "third"], 0.5)
+            FailsOnSecond().evaluate_batch(batch, ["first", "second", "third"], 0.5)
         assert err.value.item == 1
-        assert FailsOnSecond().evaluate_batch([], [], 0.5) == []
+        assert FailsOnSecond().evaluate_batch(batch[:0], [], 0.5).shape == (0,) + patch.data.shape
 
     @pytest.mark.parametrize(
         "workers,concurrent_safe,sizes",
@@ -173,10 +175,10 @@ class TestExtendedField:
                 self.batches = []
                 self.lock = threading.Lock()
 
-            def evaluate_batch(self, patches, conditions, t):
+            def evaluate_batch(self, batch, conditions, t):
                 with self.lock:
                     self.batches.append([decode_oracle_condition(c)[1:3] for c in conditions])
-                return [p.with_data(np.zeros_like(p.data)) for p in patches]
+                return np.zeros_like(batch.data)
 
         grid = make_patch_grid(DIMS, 2, DIMS.N)
         provider = Recording()
@@ -187,8 +189,8 @@ class TestExtendedField:
 
     def test_wrong_vector_count_rejected(self):
         class Short(VectorFieldProvider):
-            def evaluate_batch(self, patches, conditions, t):
-                return patches[1:]
+            def evaluate_batch(self, batch, conditions, t):
+                return batch.data[1:]
 
         grid = make_patch_grid(DIMS, 2, DIMS.N)
         with pytest.raises(ProviderError, match="returned 8 vectors"):
@@ -301,6 +303,38 @@ class TestExtendedField:
         provider = Fragile()
         extended_field(Z, 0.5, grid, provider, OracleConditioner(), workers=8)
         assert provider.max_in_flight == 1
+
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_builtin_oracle_answers_each_chunk_with_one_batch_call(self, monkeypatch, workers):
+        calls = {"evaluate": 0, "evaluate_batch": 0}
+
+        def counting(name):
+            real = getattr(GlobalOracleProvider, name)
+
+            def spy(self, *args):
+                calls[name] += 1
+                return real(self, *args)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(GlobalOracleProvider, name, counting(name))
+        rng = np.random.default_rng(24)
+        slat_target = init_sparse_noise(np.argwhere(rng.random(DIMS.grid_shape) < 0.3), DIMS, seed=9)
+        provider = GlobalOracleProvider(ss_target=random_dense(DIMS, 25), slat_target=slat_target)
+        Z, cond = random_dense(DIMS, 26), OracleConditioner()
+        dense_grid, sparse_grid = make_patch_grid(DIMS, 2, DIMS.N), make_patch_grid(DIMS, 2, DIMS.M)
+        partition = dilated_partition(DIMS, DIMS.N)
+        fields = [
+            lambda: extended_field(Z, 0.5, dense_grid, provider, cond, workers),
+            lambda: extended_field(slat_target, 0.5, sparse_grid, provider, cond, workers),
+            lambda: dilated_field(Z, 0.5, partition, provider, cond, workers),
+        ]
+        for field_call, items in zip(fields, (9, 9, 4)):
+            calls.update(evaluate=0, evaluate_batch=0)
+            field_call()
+            assert calls == {"evaluate": 0, "evaluate_batch": min(workers, items)}
 
 
 class TestMixedField:

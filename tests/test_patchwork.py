@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tiledflow.errors import ConfigError, CoverageError
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
 from tiledflow.patchwork import (
     SparseWindowPlan,
     Window,
+    box_rows,
     dilated_partition,
+    gather_dense,
     make_patch_grid,
+    merge_dense,
     merge_vectors,
     patch_dense,
     patch_sparse,
@@ -433,3 +436,160 @@ class TestDilated:
         p2 = dilated_partition(dims, 4, seed=11)
         assert np.array_equal(p1.src_x, p2.src_x)
         assert np.array_equal(p1.src_y, p2.src_y)
+
+
+# Copies of the per-window code that the stacked batches replaced; the
+# stacked forms must reproduce their bytes.
+
+
+def old_patch_dense_loop(Z, grid):
+    out = []
+    for w in grid.windows():
+        (x0, x1), (y0, y1), (z0, z1) = w.box
+        out.append(DenseLatent(Z.dims.patch_dims(), Z.data[x0:x1, y0:y1, z0:z1].copy()))
+    return out
+
+
+def old_merge_dense(patch_vectors, grid):
+    dims = grid.dims
+    acc = np.zeros((dims.a * grid.K, dims.b * grid.K, grid.K, dims.C), dtype=np.float64)
+    for w in grid.windows():
+        X = patch_vectors[(w.i, w.j)]
+        (x0, x1), (y0, y1), _ = w.box
+        acc[x0:x1, y0:y1, : w.K] += X.data.astype(np.float64)
+    acc /= grid.coverage_xy()[:, :, None, None]
+    return DenseLatent(dims, acc.astype(np.float32))
+
+
+class OldSparseWindowPlan:
+    def __init__(self, grid, coords):
+        self.coords = coords
+        self.windows = list(grid.windows())
+        window_rows = [box_rows(coords, w.x0, w.y0, w.K) for w in self.windows]
+        patch_dims = grid.dims.patch_dims()
+        self.local_coords = [
+            SparseLatent(
+                patch_dims,
+                coords[rows] - np.array([w.x0, w.y0, 0], dtype=np.int64),
+                np.zeros((len(rows), patch_dims.l), dtype=np.float32),
+            ).coords
+            for w, rows in zip(self.windows, window_rows)
+        ]
+        self.rows = np.concatenate(window_rows)
+        self.bounds = np.cumsum([0] + [len(rows) for rows in window_rows])
+        self.coverage = np.bincount(self.rows, minlength=len(coords))
+        self.order = np.argsort(self.rows, kind="stable")
+        self.starts = np.concatenate([[0], np.cumsum(self.coverage[:-1])])
+
+    def gather(self, Z):
+        feats = Z.features.take(self.rows, axis=0)
+        return [
+            SparseLatent(Z.dims.patch_dims(), local, feats[lo:hi])
+            for local, lo, hi in zip(self.local_coords, self.bounds[:-1], self.bounds[1:])
+        ]
+
+    def merge(self, results):
+        feats = np.concatenate([X.features for X in results]).take(self.order, axis=0)
+        acc = np.add.reduceat(feats.astype(np.float64), self.starts, axis=0)
+        acc /= self.coverage[:, None]
+        return acc.astype(np.float32)
+
+
+def old_dilated_gather(partition, Z, n):
+    return DenseLatent(partition.dims.patch_dims(), Z.data[partition.src_x[n], partition.src_y[n], :, :].copy())
+
+
+def old_dilated_scatter(partition, sample_vectors):
+    out = np.zeros(partition.dims.dense_shape, dtype=np.float32)
+    for n, sample in enumerate(sample_vectors):
+        out[partition.src_x[n], partition.src_y[n], :, :] = sample.data
+    return out
+
+
+def mixed_values(rng, shape):
+    """float32 values of mixed sign and exponent (1e-30 to 1e30), with
+    signed zeros, so float64 sums round differently in every order."""
+    pool = np.array([0.0, -0.0, 1e-30, -1e-30, 1e30, -1e30, 1.0, -0.75])
+    scaled = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-30, 30, size=shape)
+    values = np.where(rng.random(shape) < 0.4, rng.choice(pool, size=shape), scaled)
+    return values.astype(np.float32)
+
+
+@st.composite
+def stacked_cases(draw):
+    """(dims, d, rng): a and b in 1-4, d in {1, 2, 4, 8}, C (and the sparse
+    feature width l) in 1-3, on N = M = 8 so every d divides the window."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    C = draw(st.integers(1, 3))
+    d = draw(st.sampled_from([1, 2, 4, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return Dims(a, b, 8, 8, C=C, l=C), d, rng
+
+
+SINGLE_WINDOW = (Dims(1, 1, 8, 8, C=2, l=2), 4, np.random.default_rng(0))
+
+
+class TestStackedBitEquality:
+    @settings(max_examples=150)
+    @given(stacked_cases())
+    @example(SINGLE_WINDOW)
+    def test_dense_gather_equals_per_window_loop(self, case):
+        dims, d, rng = case
+        grid = make_patch_grid(dims, d, dims.N)
+        Z = DenseLatent(dims, mixed_values(rng, dims.dense_shape))
+        batch = gather_dense(Z, grid)
+        assert len(batch) == grid.count
+        for item, ref in zip(batch, old_patch_dense_loop(Z, grid)):
+            assert item.data.tobytes() == ref.data.tobytes()
+
+    @settings(max_examples=150)
+    @given(stacked_cases())
+    @example(SINGLE_WINDOW)
+    def test_dense_merge_equals_per_window_merge(self, case):
+        dims, d, rng = case
+        grid = make_patch_grid(dims, d, dims.N)
+        values = mixed_values(rng, (grid.count,) + dims.patch_dims().dense_shape)
+        by_window = {(w.i, w.j): DenseLatent(dims.patch_dims(), v) for w, v in zip(grid.windows(), values)}
+        expected = old_merge_dense(by_window, grid).data.tobytes()
+        assert merge_dense(values, grid).data.tobytes() == expected
+        assert merge_vectors(by_window, grid).data.tobytes() == expected
+
+    @settings(max_examples=150)
+    @given(stacked_cases(), st.sampled_from([0.02, 0.3, 0.9]))
+    @example(SINGLE_WINDOW, 0.3)
+    def test_sparse_gather_and_merge_equal_per_window_plan(self, case, density):
+        dims, d, rng = case
+        grid = make_patch_grid(dims, d, dims.M)
+        occupied = rng.random(dims.grid_shape) < density
+        occupied[tuple(rng.integers(0, dims.M, size=3))] = True
+        Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
+        Z = Z.with_features(mixed_values(rng, Z.features.shape))
+        plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
+        batch = plan.gather(Z)
+        ref_patches = old.gather(Z)
+        assert len(batch) == len(ref_patches)
+        for item, ref in zip(batch, ref_patches):
+            assert item.coords.tobytes() == ref.coords.tobytes()
+            assert item.features.tobytes() == ref.features.tobytes()
+        values = mixed_values(rng, batch.features.shape)
+        vectors = [ref.with_features(v) for ref, v in zip(ref_patches, np.split(values, batch.bounds[1:-1]))]
+        expected = old.merge(vectors).tobytes()
+        assert plan.merge_features(values).features.tobytes() == expected
+        assert plan.merge(vectors).features.tobytes() == expected
+
+    @settings(max_examples=150)
+    @given(stacked_cases())
+    @example(SINGLE_WINDOW)
+    def test_dilated_gather_and_scatter_equal_per_sample_loops(self, case):
+        dims, _, rng = case
+        partition = dilated_partition(dims, dims.N, seed=int(rng.integers(2**31)))
+        Z = DenseLatent(dims, mixed_values(rng, dims.dense_shape))
+        batch = partition.gather_batch(Z)
+        for n, item in enumerate(batch):
+            assert item.data.tobytes() == old_dilated_gather(partition, Z, n).data.tobytes()
+            assert partition.gather(Z, n).data.tobytes() == item.data.tobytes()
+        values = mixed_values(rng, batch.data.shape)
+        samples = [DenseLatent(dims.patch_dims(), v) for v in values]
+        expected = old_dilated_scatter(partition, samples).tobytes()
+        assert partition.scatter(values).data.tobytes() == expected
+        assert partition.scatter(samples).data.tobytes() == expected

@@ -150,9 +150,9 @@ class TestSparseStructureStage:
 
         real = pl.optimize_vector
 
-        def spy(v, objective, params, state=None):
+        def spy(v, objective, params):
             calls.append(1)
-            return real(v, objective, params, state)
+            return real(v, objective, params)
 
         monkeypatch.setattr(pl, "optimize_vector", spy)
         scene = build_demo_scene(SMALL)
