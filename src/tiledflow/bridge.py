@@ -17,9 +17,14 @@ whole: one error frame whose text starts "item N:" when item N is the
 one that failed (the client reports it as a ProviderError with `item`
 N).  Nested batches, a count the payload cannot hold, and an item whose
 t differs from the head's get an error frame, and the connection stays
-open.  RemoteProvider sends every evaluation as a batch; a server that
-predates mode 3 answers it with an "unknown eval mode 3" error frame.
-Frames go out in gathered writes, so both ends set TCP_NODELAY.
+open.  The server unpacks a batch into one stacked DenseBatch or
+SparseBatch, so its items must all be dense of one shape or all sparse
+(sorted, unique coordinates); the first item that breaks this is the
+failing item.  RemoteProvider packs every evaluation as a batch
+straight from the stacked batch, with the bytes per-item packing gives,
+and reads the reply as one stacked array; a server that predates mode 3
+answers it with an "unknown eval mode 3" error frame.  Frames go out in
+gathered writes, so both ends set TCP_NODELAY.
 
 The server reads at most MAX_PIPELINED requests of one connection ahead
 of its answers; then it stops reading until an answer is sent, and TCP

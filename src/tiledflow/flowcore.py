@@ -214,7 +214,8 @@ SLAT_BOX_LIMIT = 1024
 @dataclass(frozen=True)
 class GlobalOracleProvider(VectorFieldProvider):
     """Oracle over one global scene: answers any window or pillar query
-    against the matching restriction of the global target(s).
+    against the matching restriction of the global target(s), a whole
+    batch with one vector operation.
 
     Sparse restrictions are kept per box once computed, up to
     `SLAT_BOX_ROWS` cached rows per target row (the windows of a d = 4
@@ -232,14 +233,14 @@ class GlobalOracleProvider(VectorFieldProvider):
     def evaluate_batch(self, batch, conditions, t):
         """(batch - target sections) / t, over the whole stack at once."""
         inv = _inverse_time(t)
+        if isinstance(batch, SparseBatch):
+            out = self._slat_targets(batch, conditions)
+        elif self.ss_target is None:
+            raise ProviderError("no dense target configured")
+        else:
+            out = _dense_targets(self.ss_target, conditions, batch.dims.dense_shape)
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
-            if isinstance(batch, SparseBatch):
-                out = self._slat_targets(batch, conditions)
-                np.subtract(batch.features, out, out=out)
-            elif self.ss_target is None:
-                raise ProviderError("no dense target configured")
-            else:
-                out = batch.data - _dense_targets(self.ss_target, conditions, batch.dims.dense_shape)
+            np.subtract(batch.values, out, out=out)
             out *= inv
         return out
 
@@ -283,8 +284,8 @@ def _inverse_time(t: float):
 
 
 def _dense_targets(target: DenseLatent, conditions, shape) -> np.ndarray:
-    """The sections of `target` that `conditions` name, stacked; each
-    must have `shape`.  Conditions that are all full-size boxes, or all
+    """The sections of `target` that `conditions` name, stacked in a new
+    C-ordered array; each must have `shape`.  Conditions that are all full-size boxes, or all
     pillar maps, take one index over the whole stack; others are cut one
     at a time, and a failing one is named by its item."""
     if not conditions:
@@ -317,7 +318,7 @@ def _uniform_sections(data: np.ndarray, conditions, shape) -> np.ndarray | None:
         inside = K <= H and (x0 + K <= X).all() and (y0 + K <= Y).all()
         if shape == (K, K, K, C) and (side == K).all() and inside:
             boxes = sliding_window_view(data[:, :, :K], (K, K), axis=(0, 1))  # (x0, y0, z, C, x, y)
-            return boxes[x0, y0].transpose(0, 3, 4, 1, 2)
+            return boxes.transpose(0, 1, 4, 5, 2, 3)[x0, y0]
     elif size == 5 + 8 * K * K and (rows[:, 0] == _COND_PILLARS).all():
         side = rows[:, 1:5].copy().view("<u4")
         pairs = rows[:, 5:].copy().view("<u4").reshape(n, K, K, 2).astype(np.int64)
@@ -361,7 +362,8 @@ class BiasedOracleProvider(VectorFieldProvider):
     def evaluate_batch(self, batch, conditions, t):
         if isinstance(batch, SparseBatch):
             raise ProviderError("biased oracle serves dense patches only")
-        out = batch.data - _dense_targets(self.ss_target, conditions, batch.dims.dense_shape)
+        out = _dense_targets(self.ss_target, conditions, batch.dims.dense_shape)
+        np.subtract(batch.data, out, out=out)
         out *= DTYPE(self.rate)
         return out
 

@@ -372,9 +372,11 @@ def first_nonfinite_item(values: np.ndarray, bounds: np.ndarray | None = None) -
     Dense values stack their items along axis 0; sparse feature row r
     belongs to the item k with bounds[k] <= r < bounds[k + 1].
     """
-    finite = np.isfinite(values)
-    if finite.all():
+    # A float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value is; it needs no full-size mask.
+    if np.isfinite(values.sum(dtype=np.float64)):
         return None
+    finite = np.isfinite(values)
     row = int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
     return row if bounds is None else int(np.searchsorted(bounds, row, side="right")) - 1
 

@@ -793,6 +793,38 @@ class TestEvaluateOnlyProvider:
             server.stop()
 
 
+def _sparse_item(coords, t=0.5):
+    """A mode-2 eval request for window (0, 0) of the fine d = 2 grid,
+    with the given coordinates in the given order."""
+    rows = b"".join(struct.pack("<3I3f", *c, 1.0, 2.0, 3.0) for c in coords)
+    cond = OracleConditioner().window_condition(make_patch_grid(DIMS, 2, DIMS.M).window(0, 0))
+    latent = struct.pack("<I", len(coords)) + rows
+    return encode_eval_request(EvalRequest(t, 2, (len(coords), DIMS.l, 0, 0), cond.data, latent))
+
+
+class TestStackedServer:
+    @pytest.mark.parametrize(
+        "items,text",
+        [
+            ([_dense_item(0.5), _sparse_item([(0, 0, 0)])], "item 1: batch items must share"),
+            ([_sparse_item([(0, 0, 0)]), _sparse_item([(0, 0, 2), (0, 0, 1)])], "item 1: coordinates are not sorted"),
+            ([_sparse_item([(0, 0, 99)])], "item 0: coordinate (0, 0, 99) outside grid"),
+        ],
+        ids=["mixed-modes", "unsorted-coordinates", "coordinate-outside"],
+    )
+    def test_batch_the_server_cannot_stack_names_its_item(self, oracle_server, items, text):
+        server, _, _ = oracle_server
+        host, port = server.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 70, _batch(0.5, items))))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_ERROR, 70)
+            assert reply.payload.decode().startswith(text)
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 71, _batch(0.5, [_sparse_item([(0, 0, 1)])]))))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id, len(reply.payload)) == (TYPE_RESPONSE, 71, 4 * DIMS.l)
+
+
 class TestStackedWireBytes:
     """The stacked client and server put the same XFP1 mode-3 bytes on the
     wire as the per-latent code before them; the digests were taken from

@@ -4,14 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from tiledflow.errors import BoundsError, DimensionError, ParseError, TiledFlowError
 from tiledflow.lattice import (
+    DenseBatch,
     DenseLatent,
     Dims,
     OccupancyGrid,
     Schedule,
+    SparseBatch,
     SparseLatent,
+    first_nonfinite_item,
     init_sparse_noise,
     lerp_latent,
     sample_gaussian,
+    stack_patches,
 )
 from tiledflow import tensorio
 
@@ -178,6 +182,59 @@ class TestSparse:
         again = SparseLatent.from_dict(SMALL, s.as_dict())
         assert np.array_equal(again.coords, s.coords)
         assert np.array_equal(again.features, s.features)
+
+
+class TestBatches:
+    PATCH = SMALL.patch_dims()
+
+    def _sparse(self, seed, n=5):
+        coords = np.random.default_rng(seed).integers(0, self.PATCH.M, size=(n, 3))
+        return init_sparse_noise(coords, self.PATCH, seed)
+
+    def test_dense_batch_checks_shape_and_names_non_finite_item(self):
+        data = np.zeros((3,) + self.PATCH.dense_shape, dtype=np.float32)
+        with pytest.raises(DimensionError):
+            DenseBatch(self.PATCH, data[:, :2])
+        data[2, 1, 0, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="item 2"):
+            DenseBatch(self.PATCH, data)
+
+    def test_sparse_batch_checks_each_items_coordinates(self):
+        first, second = self._sparse(1), self._sparse(2)
+        batch = stack_patches([first, second])
+        # each item starts afresh: the second item's first row may sort before the first's last
+        rebuilt = SparseBatch(self.PATCH, batch.coords, batch.features, batch.bounds)
+        assert rebuilt.coords.tobytes() == batch.coords.tobytes()
+        swapped = batch.coords[[0, 1, 2, 3, 4, 6, 5, 7, 8, 9]]
+        with pytest.raises(BoundsError, match="item 1 .*not sorted"):
+            SparseBatch(self.PATCH, swapped, batch.features, batch.bounds)
+        with pytest.raises(DimensionError):
+            SparseBatch(self.PATCH, batch.coords, batch.features, [0, 4, 9])
+
+    def test_items_and_slices_are_views_of_the_stack(self):
+        patches = [self._sparse(seed, n) for seed, n in ((3, 4), (4, 0), (5, 6))]
+        batch = stack_patches(patches)
+        assert list(batch.bounds) == [0, 4, 4, 10]
+        part = batch[1:3]
+        assert list(part.bounds) == [0, 0, 6]
+        for item, patch in zip(list(batch) + list(part), patches + patches[1:]):
+            assert item.coords.tobytes() == patch.coords.tobytes()
+            assert item.features.tobytes() == patch.features.tobytes()
+            assert not item.features.flags.writeable
+        with pytest.raises(IndexError):
+            batch[::2]
+        dense = stack_patches([DenseLatent.full(self.PATCH, v) for v in (1.0, 2.0, 3.0)])
+        assert [float(item.data.max()) for item in dense[1:]] == [2.0, 3.0]
+        with pytest.raises(DimensionError):
+            stack_patches([dense[0], patches[0]])
+
+    def test_first_nonfinite_item_skips_empty_items(self):
+        values = np.ones((6, 2), dtype=np.float32)
+        assert first_nonfinite_item(values, np.array([0, 2, 2, 6])) is None
+        values[3, 1] = np.nan
+        assert first_nonfinite_item(values, np.array([0, 2, 2, 6])) == 2
+        huge = np.full((2, 3), np.finfo(np.float32).max, dtype=np.float32)
+        assert first_nonfinite_item(huge) is None  # the float64 sum does not overflow
 
 
 class TestOccupancy:
