@@ -660,23 +660,24 @@ class ProviderServer:
         return DenseBatch._of_finite(patch_dims, data)
 
     def _sparse_batch(self, requests: list[EvalRequest]) -> SparseBatch:
+        """Each item's rows are unpacked and checked while they are in
+        cache, straight into the stacked coordinates and features."""
         l = self.dims.l
-        for n, req in enumerate(requests):
+        patch_dims = self.dims.patch_dims()
+        bounds = np.cumsum([0] + [req.shape[0] for req in requests])
+        coords = np.empty((bounds[-1], 3), dtype=np.int64)
+        features = np.empty((bounds[-1], l), dtype=DTYPE)
+        for n, (req, lo, hi) in enumerate(zip(requests, bounds[:-1].tolist(), bounds[1:].tolist())):
             if req.shape[1] != l:
                 raise ProviderError(f"sparse feature width {req.shape[1]} != {l}", item=n)
-        bounds = np.cumsum([0] + [req.shape[0] for req in requests])
-        rows = np.empty((bounds[-1], 12 + 4 * l), dtype=np.uint8)
-        for req, lo, hi in zip(requests, bounds[:-1], bounds[1:]):
-            rows[lo:hi] = np.frombuffer(req.latent, dtype=np.uint8)[4:].reshape(hi - lo, 12 + 4 * l)
-        coords = rows[:, :12].copy().view("<u4").astype(np.int64)
-        features = rows[:, 12:].copy().view("<f4").astype(DTYPE)
-        patch_dims = self.dims.patch_dims()
-        problem = batch_coords_problem(patch_dims, coords, bounds)
-        if problem is not None:
-            raise ProviderError(problem[1], item=problem[0])
-        item = first_nonfinite_item(features, bounds)
-        if item is not None:
-            raise ProviderError("sparse latent contains non-finite features", item=item)
+            rows = np.frombuffer(req.latent, dtype=np.uint8)[4:].reshape(hi - lo, 12 + 4 * l)
+            coords[lo:hi] = rows[:, :12].view("<u4")
+            features[lo:hi] = rows[:, 12:].view("<f4")
+            problem = batch_coords_problem(patch_dims, coords[lo:hi], np.array([0, hi - lo]))
+            if problem is not None:
+                raise ProviderError(problem[1], item=n)
+            if first_nonfinite_item(features[lo:hi]) is not None:
+                raise ProviderError("sparse latent contains non-finite features", item=n)
         return SparseBatch._on_checked_coords(patch_dims, coords, features, bounds)
 
     def stop(self):

@@ -228,7 +228,17 @@ class GlobalOracleProvider(VectorFieldProvider):
     _slat_boxes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def evaluate(self, patch, condition, t):
-        return evaluate_one(self, patch, condition, t)
+        """One patch, with the bits `evaluate_batch` gives it in a batch.
+        Providers that wrap only `evaluate` call this once per item, so
+        it slices the target directly instead of building a batch."""
+        inv = _inverse_time(t)
+        if isinstance(patch, SparseLatent):
+            return patch.with_features((patch.features - self._slat_target(condition, patch.coords)) * inv)
+        if self.ss_target is None:
+            raise ProviderError("no dense target configured")
+        target = _dense_restriction(self.ss_target, condition, patch.data.shape)
+        with np.errstate(over="ignore"):  # garbage inputs surface as ValueError
+            return patch.with_data((patch.data - target) * inv)
 
     def evaluate_batch(self, batch, conditions, t):
         """(batch - target sections) / t, over the whole stack at once."""
@@ -246,19 +256,23 @@ class GlobalOracleProvider(VectorFieldProvider):
 
     def _slat_targets(self, batch: SparseBatch, conditions) -> np.ndarray:
         """The target features aligned to every item's rows."""
-        if self.slat_target is None:
-            raise ProviderError("no sparse target configured")
         out = np.empty_like(batch.features)
         for n, condition in enumerate(conditions):
             lo, hi = batch.bounds[n], batch.bounds[n + 1]
             try:
-                kind = decode_oracle_condition(condition)
-                if kind[0] != "box":
-                    raise ProviderError("sparse oracle expects a box condition")
-                out[lo:hi] = _align_sparse_target(self._slat_restriction(kind[1:]), batch.coords[lo:hi])
+                out[lo:hi] = self._slat_target(condition, batch.coords[lo:hi])
             except Exception as exc:
                 raise ProviderError(str(exc), item=n) from exc
         return out
+
+    def _slat_target(self, condition, coords: np.ndarray) -> np.ndarray:
+        """The target features of the box `condition` names, aligned to `coords`."""
+        if self.slat_target is None:
+            raise ProviderError("no sparse target configured")
+        kind = decode_oracle_condition(condition)
+        if kind[0] != "box":
+            raise ProviderError("sparse oracle expects a box condition")
+        return _align_sparse_target(self._slat_restriction(kind[1:]), coords)
 
     def _slat_restriction(self, box: tuple[int, int, int]) -> SparseLatent:
         cache = self._slat_boxes

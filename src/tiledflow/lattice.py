@@ -388,13 +388,16 @@ def batch_coords_problem(dims: Dims, coords: np.ndarray, bounds: np.ndarray) -> 
     given."""
     if not len(coords):
         return None
-    outside = ((coords < 0) | (coords >= np.array(dims.grid_shape))).any(axis=1)
-    unsorted = np.zeros(len(coords), dtype=bool)
-    unsorted[1:] = np.diff(_coord_key(coords, dims)) <= 0
-    unsorted[bounds[:-1][np.diff(bounds) > 0]] = False  # an item's first row starts afresh
-    bad = outside | unsorted
-    if not bad.any():
+    hi = np.array(dims.grid_shape)
+    inside = coords.min() >= 0 and (coords < hi).all()
+    steps = np.diff(_coord_key(coords, dims))
+    starts = bounds[1:-1][bounds[1:-1] < len(coords)]
+    steps[starts - 1] = 1  # an item's first row starts afresh
+    if inside and steps.min(initial=1) > 0:
         return None
+    outside = ((coords < 0) | (coords >= hi)).any(axis=1)
+    unsorted = np.concatenate([[False], steps <= 0])
+    bad = outside | unsorted
     row = int(np.argmax(bad))
     item = int(np.searchsorted(bounds, row, side="right")) - 1
     if outside[row]:
