@@ -62,7 +62,6 @@ from .lattice import (
     Dims,
     PatchBatch,
     SparseBatch,
-    SparseLatent,
     batch_coords_problem,
     first_nonfinite_item,
 )
@@ -245,24 +244,6 @@ def _sparse_rows(coords: np.ndarray, features: np.ndarray) -> np.ndarray:
         rows[:, :12] = coords.astype("<u4").view(np.uint8).reshape(n, 12)
         rows[:, 12:] = features.astype("<f4").view(np.uint8).reshape(n, 4 * l)
     return rows
-
-
-def serialize_sparse(slat: SparseLatent) -> bytes:
-    """Sparse latent wire bytes: a u32 count, then the rows."""
-    return _U32.pack(len(slat)) + _sparse_rows(slat.coords, slat.features).tobytes()
-
-
-def deserialize_sparse(data: bytes, dims: Dims) -> SparseLatent:
-    if len(data) < 4:
-        raise ProtocolError("sparse payload truncated")
-    (n,) = _U32.unpack_from(data, 0)
-    row = 12 + 4 * dims.l
-    if len(data) != 4 + n * row:
-        raise ProtocolError(f"sparse payload is {len(data)} bytes, expected {4 + n * row}")
-    raw = np.frombuffer(data, dtype=np.uint8, offset=4).reshape(n, row) if n else np.zeros((0, row), np.uint8)
-    coords = raw[:, :12].copy().view("<u4").astype(np.int64)
-    feats = raw[:, 12:].copy().view("<f4").astype(np.float32)
-    return SparseLatent(dims, coords.reshape(n, 3), feats.reshape(n, dims.l))
 
 
 def _batch_parts(batch: PatchBatch, conditions, t: float) -> tuple[int, Iterator]:

@@ -50,8 +50,8 @@ class AdamParams:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 0:
+            raise ValueError(f"steps must be an integer >= 0, got {self.steps!r}")
 
 
 @dataclass

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensorio
 from .decode import decode_scene_sdf, export_ply
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, ParseError
 from .flowcore import (
     Conditioner,
     GlobalOracleProvider,
@@ -79,26 +79,28 @@ class PipelineConfig:
     oracle_ss_target: str | None = None
     oracle_slat_target: str | None = None
     out_dir: str | None = None
-    trace_losses: bool = False
 
     def __post_init__(self):
-        if self.d < 1 or self.dims.N % self.d != 0 or self.dims.M % self.d != 0:
+        for name, floor in _INT_FLOORS.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {value}")
+        for name, kinds in _STR_FIELDS.items():
+            if not isinstance(getattr(self, name), kinds):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.dims.N % self.d != 0 or self.dims.M % self.d != 0:
             raise ConfigError(f"d={self.d} must divide N={self.dims.N} and M={self.dims.M}")
-        if self.schedule_steps < 2:
-            raise ConfigError("schedule_steps must be at least 2")
         if not 0.0 < self.t_start <= 1.0 or not 0.0 <= self.t_noise <= self.t_start:
             raise ConfigError(
                 f"need 0 < t_start <= 1 and 0 <= t_noise <= t_start, "
                 f"got t_start={self.t_start}, t_noise={self.t_noise}"
             )
-        if self.n_iter < 0:
-            raise ConfigError("n_iter must be >= 0")
-        if self.alpha < 1 or self.alpha % 2 == 0:
+        if self.alpha % 2 == 0:
             raise ConfigError(f"alpha must be an odd positive integer, got {self.alpha}")
         if self.conditioner not in ("window", "image"):
             raise ConfigError(f"conditioner must be 'window' or 'image', got {self.conditioner!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not (self.provider == "builtin-oracle" or self.provider.startswith("remote:")):
             raise ConfigError(
                 f"provider must be 'builtin-oracle' or 'remote:HOST:PORT', got {self.provider!r}"
@@ -106,6 +108,17 @@ class PipelineConfig:
         if self.provider == "builtin-oracle" and self.conditioner != "window":
             raise ConfigError("the builtin oracle requires the 'window' conditioner")
 
+
+# The integer fields and their least values; the string fields and
+# whether they may be null.
+_INT_FLOORS = {"d": 1, "n_iter": 0, "schedule_steps": 2, "alpha": 1, "seed": 0, "workers": 1}
+_STR_FIELDS = {
+    "provider": str,
+    "conditioner": str,
+    "oracle_ss_target": (str, type(None)),
+    "oracle_slat_target": (str, type(None)),
+    "out_dir": (str, type(None)),
+}
 
 _NESTED_FIELDS = {
     "dims": (Dims, ("a", "b", "N", "M", "C", "l")),
@@ -147,17 +160,25 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 def load_config(path: str | PathLike) -> PipelineConfig:
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     return config_from_dict(raw)
 
 
 @dataclass
 class RunReport:
+    """What a run did, written as its `report.json`.
+
+    `losses` maps a stage name to one `{"t": t, "loss": [...]}` entry per
+    optimized Euler step, in step order, holding the Adam loss trace of
+    that step.
+    """
+
     stages: list = field(default_factory=list)
     round_occupancy: list = field(default_factory=list)
     asset_paths: dict = field(default_factory=dict)
     empty_windows: list = field(default_factory=list)
+    losses: dict = field(default_factory=dict)
 
     def add_stage(self, name: str, seconds: float, **detail):
         self.stages.append({"name": name, "seconds": round(seconds, 6), **detail})
@@ -211,7 +232,15 @@ def read_slat_table(path: str | PathLike, dims: Dims) -> SparseLatent:
         raise ConfigError(
             f"sparse latent table must be (n, {3 + dims.l}), got {table.shape}"
         )
-    return SparseLatent(dims, np.rint(table[:, :3]).astype(np.int64), table[:, 3:])
+    coords = table[:, :3]
+    # NaN and infinities fail these comparisons, so they are rejected too.
+    inside = (coords == np.rint(coords)) & (coords >= 0) & (coords < dims.grid_shape)
+    if not inside.all():
+        raise ParseError(f"{path}: coordinates must be integers inside the grid {dims.grid_shape}")
+    try:
+        return SparseLatent(dims, coords.astype(np.int64), table[:, 3:])
+    except ValueError as exc:  # non-finite features or a repeated coordinate
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_slat_table(path: str | PathLike, slat: SparseLatent) -> None:
@@ -234,21 +263,6 @@ def _resample_nn(image: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return image[rows][:, cols]
 
 
-class _TraceRecorder:
-    def __init__(self):
-        self.rows: list[tuple[int, float, float]] = []
-
-    def record(self, t: float, losses: list):
-        for loss in losses:
-            self.rows.append((len(self.rows), float(t), float(loss)))
-
-    def write_csv(self, path: Path):
-        with open(path, "w") as fh:
-            fh.write("step,t,loss\n")
-            for step, t, loss in self.rows:
-                fh.write(f"{step},{t:.6g},{loss:.9g}\n")
-
-
 def _scene_box(prior: ScenePrior) -> NormalizationBox:
     """The normalization box of the prior's valid points."""
     points = prior.valid_points()
@@ -257,15 +271,25 @@ def _scene_box(prior: ScenePrior) -> NormalizationBox:
     return NormalizationBox.from_points(points)
 
 
-def _adam_hook(loss, params: AdamParams, trace: _TraceRecorder):
+def _record_empty_windows(report: RunReport, stage: str, conditioner: Conditioner):
+    """Record the stage's windows whose image cut held no valid pixel
+    and that took the whole-image condition instead."""
+    if isinstance(conditioner, ImageConditioner):
+        report.empty_windows.extend(
+            {"stage": stage, "window": list(k)} for k in conditioner.empty_windows
+        )
+
+
+def _adam_hook(loss, params: AdamParams, steps: list):
     """Per-step hook: Adam on the step's vector (a dense one's data, a
-    sparse one's features) against `loss(vec, Z, t)`, losses to `trace`."""
+    sparse one's features) against `loss(vec, Z, t)`; each step's t and
+    loss trace are appended to `steps`."""
 
     def hook(v, Z, t):
         sparse = isinstance(v, SparseLatent)
         objective = lambda vec: loss(vec, Z, t)
         v_opt, losses = optimize_vector(v.features if sparse else v.data, objective, params)
-        trace.record(t, losses)
+        steps.append({"t": float(t), "loss": losses})
         v_opt = v_opt.astype(np.float32)
         return v.with_features(v_opt) if sparse else v.with_data(v_opt)
 
@@ -280,7 +304,9 @@ def generate_sparse_structure(
     box: NormalizationBox | None = None,
 ) -> np.ndarray:
     """Structure stage: voxelize the prior and complete it by iterative
-    under-noised editing with per-step structure-loss optimization."""
+    under-noised editing with per-step structure-loss optimization,
+    recorded into `report` (a fresh one when not given)."""
+    report = report or RunReport()
     dims = config.dims
     points = prior.valid_points()
     box = box or _scene_box(prior)
@@ -291,13 +317,13 @@ def generate_sparse_structure(
     conditioner = _make_conditioner(bundle.conditioner_kind, prior, grid, box)
     codec = ToyCodec(dims)
     schedule = Schedule.linear(config.t_start, config.schedule_steps)
-    trace = _TraceRecorder()
+    steps = report.losses.setdefault("sparse_structure", [])
 
     hook_for_round = None
     if config.ss_adam.steps > 0 and len(prior_voxels) > 0:
         prior_cells = PriorCells.build(prior_voxels, codec.dims)
         hook = _adam_hook(
-            lambda vec, Z, t: ss_loss(vec, Z, t, prior_cells, codec), config.ss_adam, trace
+            lambda vec, Z, t: ss_loss(vec, Z, t, prior_cells, codec), config.ss_adam, steps
         )
 
         def hook_for_round(round_idx: int):
@@ -306,8 +332,7 @@ def generate_sparse_structure(
             return None
 
     def on_round(n, occ):
-        if report is not None:
-            report.round_occupancy.append({"round": n, "occupied": occ.count()})
+        report.round_occupancy.append({"round": n, "occupied": occ.count()})
 
     started = time.monotonic()
     coords = iterative_sdedit(
@@ -325,19 +350,14 @@ def generate_sparse_structure(
         workers=config.workers,
         on_round=on_round,
     )
-    if report is not None:
-        report.add_stage(
-            "sparse_structure",
-            time.monotonic() - started,
-            prior_points=int(len(points)),
-            initial_occupied=occ0.count(),
-            final_occupied=int(len(coords)),
-        )
-        if isinstance(conditioner, ImageConditioner):
-            report.empty_windows.extend(
-                {"stage": "ss", "window": list(k)} for k in conditioner.empty_windows
-            )
-        report.ss_trace = trace
+    report.add_stage(
+        "sparse_structure",
+        time.monotonic() - started,
+        prior_points=int(len(points)),
+        initial_occupied=occ0.count(),
+        final_occupied=int(len(coords)),
+    )
+    _record_empty_windows(report, "ss", conditioner)
     return coords
 
 
@@ -354,10 +374,12 @@ def generate_slat(
     optimizing the rendering objective at every step.
 
     `plan` is the window plan of the fine grid and `coords`, built here
-    when not given.
+    when not given.  The stage is recorded into `report` (a fresh one
+    when not given).
     """
     if len(coords) == 0:
         raise ConfigError("feature stage requires a non-empty coordinate set")
+    report = report or RunReport()
     dims = config.dims
     box = box or _scene_box(prior)
     grid = make_patch_grid(dims, config.d, dims.M)
@@ -365,7 +387,7 @@ def generate_slat(
     schedule = Schedule.linear(1.0, config.schedule_steps)
     Z1 = init_sparse_noise(coords, dims, substream_seed(config.seed, _STREAM_SLAT_INIT))
     plan = window_plan(grid, Z1.coords, plan)
-    trace = _TraceRecorder()
+    steps = report.losses.setdefault("structured_latent", [])
 
     hook = None
     if config.slat_adam.steps > 0:
@@ -377,7 +399,7 @@ def generate_slat(
         hook = _adam_hook(
             lambda vec, Z, t: slat_objective(vec, Z, t, target, config.loss_weights),
             config.slat_adam,
-            trace,
+            steps,
         )
 
     def field_fn(Z, t):
@@ -385,11 +407,10 @@ def generate_slat(
 
     started = time.monotonic()
     Z0 = euler_integrate(Z1, schedule, field_fn, hook)
-    if report is not None:
-        report.add_stage(
-            "structured_latent", time.monotonic() - started, coordinates=int(len(coords))
-        )
-        report.slat_trace = trace
+    report.add_stage(
+        "structured_latent", time.monotonic() - started, coordinates=int(len(coords))
+    )
+    _record_empty_windows(report, "slat", conditioner)
     return Z0
 
 
@@ -432,14 +453,5 @@ def run_pipeline(prior: ScenePrior, config: PipelineConfig, bundle: ProviderBund
     write_slat_table(paths["slat_xlt"], slat)
     report.asset_paths = {k: str(v) for k, v in paths.items()}
     report.add_stage("decode_export", time.monotonic() - started)
-
-    if config.trace_losses:
-        for name in ("ss_trace", "slat_trace"):
-            recorder = getattr(report, name, None)
-            if recorder is not None and recorder.rows:
-                path = out_dir / f"{name.replace('_trace', '')}_loss_trace.csv"
-                recorder.write_csv(path)
-                report.asset_paths[name] = str(path)
-
     (out_dir / "report.json").write_text(report.to_json())
     return report

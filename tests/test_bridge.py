@@ -28,8 +28,6 @@ from tiledflow.bridge import (
     EvalRequest,
     parse_eval_request,
     parse_request,
-    serialize_sparse,
-    deserialize_sparse,
 )
 from tiledflow.errors import IncompleteFrameError, ProtocolError, ProviderError
 from tiledflow.flowcore import (
@@ -111,14 +109,6 @@ class TestEvalPayloads:
         req = EvalRequest(0.5, 1, patch.data.shape, b"cond", patch.data.tobytes())
         back = parse_eval_request(encode_eval_request(req))
         assert back == req
-
-    def test_sparse_round_trip(self):
-        coords = np.array([[0, 0, 0], [3, 5, 7]])
-        slat = init_sparse_noise(coords, DIMS, seed=0)
-        blob = serialize_sparse(slat)
-        back = deserialize_sparse(blob, DIMS)
-        assert np.array_equal(back.coords, slat.coords)
-        assert np.array_equal(back.features, slat.features)
 
     def test_mode_validated(self):
         with pytest.raises(ProtocolError):

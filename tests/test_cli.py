@@ -95,6 +95,35 @@ class TestGenerate:
         config_path.write_text(json.dumps({"not_a_key": 1}))
         assert main(["generate", str(prior_path), "--config", str(config_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"provider": 5},
+            {"n_iter": 2.5},
+            {"workers": 1.5},
+            {"out_dir": 7},
+            {"seed": -1},
+            {"ss_adam": {"steps": 2.5}},
+        ],
+        ids=lambda bad: next(iter(bad)),
+    )
+    def test_mistyped_config_value_is_config_error(self, tmp_path, capsys, bad):
+        _, prior_path, ss_path, slat_path = self._write_oracle_inputs(tmp_path)
+        config = small_config_dict(tmp_path / "out")
+        config["oracle_ss_target"] = str(ss_path)
+        config["oracle_slat_target"] = str(slat_path)
+        config.update(bad)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["generate", str(prior_path), "--config", str(config_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path):
+        _, prior_path, *_ = self._write_oracle_inputs(tmp_path)
+        config_path = tmp_path / "c.json"
+        config_path.write_bytes(b'{"out_dir": "\xff"}')
+        assert main(["generate", str(prior_path), "--config", str(config_path)]) == 2
+
     def test_missing_oracle_targets_is_config_error(self, tmp_path):
         _, prior_path, *_ = self._write_oracle_inputs(tmp_path)
         config_path = tmp_path / "c.json"

@@ -3,16 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tiledflow.pipeline as pl
 from tiledflow import tensorio
 from tiledflow.decode import decode_scene_sdf
-from tiledflow.errors import ConfigError
+from tiledflow.errors import ConfigError, ParseError, TiledFlowError
 from tiledflow.fixtures import build_demo_scene, demo_bundle, run_oracle_demo
+from tiledflow.flowcore import ImageConditioner, ZeroFieldProvider
 from tiledflow.lattice import Dims
 from tiledflow.optim import AdamParams
 from tiledflow.pipeline import (
     PipelineConfig,
     ProviderBundle,
+    RunReport,
     config_from_dict,
     generate_slat,
     generate_sparse_structure,
@@ -22,7 +26,7 @@ from tiledflow.pipeline import (
     write_slat_table,
 )
 from tiledflow.patchwork import SparseWindowPlan, make_patch_grid
-from tiledflow.priors import NormalizationBox, voxelize
+from tiledflow.priors import NormalizationBox, toy_condition, voxelize
 
 
 SMALL = Dims(2, 2, 4, 8, C=1, l=4)
@@ -123,6 +127,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict({"adam_state_persist": True})
 
+    def test_trace_losses_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_dict({"trace_losses": True})
+
 
 class TestSparseStructureStage:
     def test_oracle_recovers_target_exactly(self):
@@ -146,8 +154,6 @@ class TestSparseStructureStage:
 
     def test_optimize_every_round_flag(self, monkeypatch):
         calls = []
-        import tiledflow.pipeline as pl
-
         real = pl.optimize_vector
 
         def spy(v, objective, params):
@@ -267,18 +273,75 @@ class TestEndToEnd:
         with pytest.raises(ConfigError, match="no valid points"):
             generate_slat(scene.occ_target.coords(), prior, config, demo_bundle(scene))
 
-    def test_trace_files_written_when_enabled(self, tmp_path):
+    def test_report_records_each_optimized_steps_losses(self, tmp_path, monkeypatch):
+        # the objectives tell which stage and t an optimize_vector call serves
+        seen = []
+
+        def tagged(stage, loss):
+            def spy(vec, Z, t, *rest):
+                seen.append((stage, t))
+                return loss(vec, Z, t, *rest)
+
+            return spy
+
+        monkeypatch.setattr(pl, "ss_loss", tagged("sparse_structure", pl.ss_loss))
+        monkeypatch.setattr(pl, "slat_objective", tagged("structured_latent", pl.slat_objective))
+        calls = []
+        real = pl.optimize_vector
+
+        def spy(v, objective, params):
+            seen.clear()
+            result = real(v, objective, params)
+            ((stage, t),) = set(seen)
+            calls.append((stage, t, result[1]))
+            return result
+
+        monkeypatch.setattr(pl, "optimize_vector", spy)
         scene = build_demo_scene(SMALL)
         config = small_config(
-            out_dir=str(tmp_path / "traced"),
-            ss_adam=AdamParams(steps=2),
-            slat_adam=AdamParams(steps=2),
-            trace_losses=True,
+            out_dir=str(tmp_path / "out"), ss_adam=AdamParams(steps=2), slat_adam=AdamParams(steps=2)
         )
-        run_pipeline(scene.prior, config, demo_bundle(scene))
-        ss_trace = (tmp_path / "traced" / "ss_loss_trace.csv").read_text().splitlines()
-        assert ss_trace[0] == "step,t,loss"
-        assert len(ss_trace) > 1
+        report = run_pipeline(scene.prior, config, demo_bundle(scene))
+
+        expected = {
+            name: [{"t": t, "loss": losses} for stage, t, losses in calls if stage == name]
+            for name in ("sparse_structure", "structured_latent")
+        }
+        assert all(expected.values())
+        assert report.losses == expected
+        for name, steps in expected.items():
+            assert all(a["loss"] is b["loss"] for a, b in zip(report.losses[name], steps))
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert written["losses"] == expected
+
+    def test_empty_image_windows_reported_for_both_stages(self, monkeypatch):
+        conditions = {}
+        real = ImageConditioner.window_condition
+
+        def spy(self, window):
+            condition = real(self, window)
+            conditions[(self.grid.K, window.i, window.j)] = condition
+            return condition
+
+        monkeypatch.setattr(ImageConditioner, "window_condition", spy)
+        scene = build_demo_scene(SMALL)
+        valid = scene.prior.valid.copy()
+        valid[:8, :8] = False
+        prior = replace(scene.prior, valid=valid)
+        config = small_config(provider="remote:unused:0", conditioner="image")
+        bundle = ProviderBundle(ZeroFieldProvider(), "image")
+        report = RunReport()
+        coords = generate_sparse_structure(prior, config, bundle, report)
+        generate_slat(coords, prior, config, bundle, report)
+
+        assert report.empty_windows == [
+            {"stage": "ss", "window": [0, 0]},
+            {"stage": "slat", "window": [0, 0]},
+        ]
+        whole_image = toy_condition(prior.image)
+        assert conditions[(SMALL.N, 0, 0)] == whole_image
+        assert conditions[(SMALL.M, 0, 0)] == whole_image
+        assert conditions[(SMALL.M, 1, 1)] != whole_image
 
 
 class TestSlatTableIO:
@@ -289,6 +352,70 @@ class TestSlatTableIO:
         back = read_slat_table(path, SMALL)
         assert np.array_equal(back.coords, scene.slat_target.coords)
         assert np.array_equal(back.features, scene.slat_target.features)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "row, col, value",
+        [
+            (0, 3, np.nan),  # feature
+            (0, 4, np.inf),  # feature
+            (0, 0, np.nan),
+            (0, 1, np.inf),
+            (0, 2, 1e30),
+            (0, 0, 0.4),
+            (0, 0, -1.0),
+            (0, 2, float(SMALL.M)),
+        ],
+    )
+    def test_malformed_table_is_parse_error(self, tmp_path, row, col, value):
+        table = _slat_table()
+        table[row, col] = value
+        path = tmp_path / "bad.xlt"
+        tensorio.write_tensor(path, table)
+        with pytest.raises(ParseError):
+            read_slat_table(path, SMALL)
+
+    def test_duplicate_coordinate_is_parse_error(self, tmp_path):
+        table = _slat_table()
+        table[0, :3] = table[1, :3]
+        path = tmp_path / "dup.xlt"
+        tensorio.write_tensor(path, table)
+        with pytest.raises(ParseError):
+            read_slat_table(path, SMALL)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_mutated_tables_give_their_rows_or_a_typed_error(self, tmp_path_factory, data):
+        valid = _slat_table()
+        cells = st.tuples(
+            st.integers(0, valid.shape[0] - 1),
+            st.integers(0, valid.shape[1] - 1),
+            st.sampled_from([np.nan, np.inf, -1.0, 0.4, 1e30, float(SMALL.M), 2 * SMALL.M, 0.0, 3.0]),
+        )
+        table = valid.copy()
+        for row, col, value in data.draw(st.lists(cells, min_size=1, max_size=3)):
+            table[row, col] = value
+        blob = bytearray(tensorio.tensor_to_bytes(table))
+        for at, chunk in data.draw(
+            st.lists(st.tuples(st.integers(0, len(blob)), st.binary(min_size=1, max_size=8)), max_size=2)
+        ):
+            blob[at : at + len(chunk)] = chunk
+        path = tmp_path_factory.mktemp("slat") / "t.xlt"
+        path.write_bytes(bytes(blob))
+        try:
+            back = read_slat_table(path, SMALL)
+        except TiledFlowError:
+            return
+        rows = np.concatenate([back.coords.astype(np.float32), back.features], axis=1)
+        table = tensorio.tensor_from_bytes(bytes(blob))
+        assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, table.tolist()))
+
+
+def _slat_table() -> np.ndarray:
+    """A valid sparse latent table of the demo scene: x, y, z, features."""
+    target = build_demo_scene(SMALL).slat_target
+    return np.concatenate([target.coords.astype(np.float32), target.features], axis=1)
 
 
 class TestPureFlowReference:
