@@ -19,7 +19,7 @@ import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -89,7 +89,7 @@ class VectorFieldProvider:
         raise NotImplementedError
 
     def evaluate_batch(
-        self, batch: PatchBatch, conditions: list[ConditionEmbedding], t: float
+        self, batch: PatchBatch, conditions: Sequence[ConditionEmbedding], t: float
     ) -> np.ndarray:
         values = np.empty_like(batch.values)
         dense = isinstance(batch, DenseBatch)
@@ -178,10 +178,15 @@ def box_condition(x0: int, y0: int, K: int) -> ConditionEmbedding:
 
 
 def pillar_condition(src_x: np.ndarray, src_y: np.ndarray) -> ConditionEmbedding:
-    K = src_x.shape[0]
-    payload = struct.pack("<BI", _COND_PILLARS, K)
+    return pillar_conditions(src_x[None], src_y[None])[0]
+
+
+def pillar_conditions(src_x: np.ndarray, src_y: np.ndarray) -> list[ConditionEmbedding]:
+    """One pillar condition per (K, K) map of the stacked (n, K, K) maps,
+    all cast to little-endian u4 at once."""
+    payload = struct.pack("<BI", _COND_PILLARS, src_x.shape[-1])
     pairs = np.stack([src_x, src_y], axis=-1).astype("<u4")
-    return ConditionEmbedding(payload + pairs.tobytes())
+    return [ConditionEmbedding(payload + item.tobytes()) for item in pairs]
 
 
 def decode_oracle_condition(cond: ConditionEmbedding):
@@ -383,13 +388,33 @@ class BiasedOracleProvider(VectorFieldProvider):
 
 
 class Conditioner:
-    """Produces provider conditions for windows and dilated samples."""
+    """Produces provider conditions for windows and dilated samples.
+
+    A subclass defines `window_condition` and `dilated_condition`.  The
+    engine asks for a field call's conditions all at once: a grid's
+    window conditions are built once per conditioner, by one
+    `window_condition` call per window, and then reused by every call on
+    that grid; a partition's conditions are built for each partition.
+    """
 
     def window_condition(self, window: Window) -> ConditionEmbedding:
         raise NotImplementedError
 
     def dilated_condition(self, partition: DilatedPartition, n: int) -> ConditionEmbedding:
         raise NotImplementedError
+
+    def window_conditions(self, grid: PatchGrid) -> tuple[ConditionEmbedding, ...]:
+        """Every window's condition, in window order, built once per grid."""
+        # kept in the instance dict, so subclasses need not call __init__
+        built = self.__dict__.setdefault("_window_conditions", {})
+        conditions = built.get(grid)
+        if conditions is None:
+            conditions = built[grid] = tuple(self.window_condition(w) for w in grid.windows())
+        return conditions
+
+    def dilated_conditions(self, partition: DilatedPartition) -> list[ConditionEmbedding]:
+        """Every dilated sample's condition, in sample order."""
+        return [self.dilated_condition(partition, n) for n in range(len(partition))]
 
 
 class OracleConditioner(Conditioner):
@@ -400,6 +425,9 @@ class OracleConditioner(Conditioner):
 
     def dilated_condition(self, partition, n):
         return pillar_condition(partition.src_x[n], partition.src_y[n])
+
+    def dilated_conditions(self, partition):
+        return pillar_conditions(partition.src_x, partition.src_y)
 
 
 class ImageConditioner(Conditioner):
@@ -413,21 +441,18 @@ class ImageConditioner(Conditioner):
         h, w = prior.shape
         self._voxel_map = box.to_voxels(prior.point_map.reshape(-1, 3), grid.dims).reshape(h, w, 3)
         self._global = toy_condition(prior.image)
-        self._cache: dict[tuple[int, int], ConditionEmbedding] = {}
         self.empty_windows: list[tuple[int, int]] = []
 
     def window_condition(self, window):
-        key = (window.i, window.j)
-        if key not in self._cache:
-            patch = image_patchify(self.prior, window, self.grid, self.box, self._voxel_map)
-            if patch.empty:
-                # No valid pixel maps into this window; fall back to the
-                # whole-image condition rather than an all-black embedding.
-                self.empty_windows.append(key)
-                self._cache[key] = self._global
-            else:
-                self._cache[key] = toy_condition(patch)
-        return self._cache[key]
+        """The embedding of the window's image cut; each window whose cut
+        is empty is recorded in `empty_windows` once per call."""
+        patch = image_patchify(self.prior, window, self.grid, self.box, self._voxel_map)
+        if patch.empty:
+            # No valid pixel maps into this window; fall back to the
+            # whole-image condition rather than an all-black embedding.
+            self.empty_windows.append((window.i, window.j))
+            return self._global
+        return toy_condition(patch)
 
     def dilated_condition(self, partition, n):
         return self._global
@@ -465,7 +490,7 @@ def extended_field(
     else:
         batch = gather_dense(Z, grid)
     values = _evaluate(
-        provider, batch, [conditioner.window_condition(w) for w in windows], t, workers,
+        provider, batch, conditioner.window_conditions(grid), t, workers,
         lambda k: f"patch ({windows[k].i}, {windows[k].j})",
     )
     del batch  # free the inputs before the merge allocates its own
@@ -543,7 +568,7 @@ def dilated_field(
     values = _evaluate(
         provider,
         partition.gather_batch(Z),
-        [conditioner.dilated_condition(partition, n) for n in range(len(partition))],
+        conditioner.dilated_conditions(partition),
         t, workers, lambda n: f"dilated sample {n}",
     )
     return partition.scatter(values)

@@ -24,17 +24,41 @@ and per-pixel sums use `np.bincount`, which adds its weights one at a
 time in input order in float64, as the `np.add.at` scatter did
 (`np.add.reduceat` would not: it adds a segment's head to the sum of
 its tail), and the structure loss still averages n per-point values.
+
+Within one Euler step Z_t and t are fixed too, and each objective has
+gradient on only part of the vector: the structure loss on the prior's
+cells, the rendering loss on feature channels 0-2.  `PriorCells.at` and
+`RenderTarget.at` bind a plan to one step, taking Z_t at that support
+in float64 once, and name the support as `index`.  Given a binding, an
+objective takes and returns only the support entries; the full-vector
+call binds, evaluates that form and scatters the gradient into -0.0.
+So the pipeline runs Adam on `vec[index]` alone: outside the support
+the gradient is -0.0, and an Adam step on it from zero moments moves
+nothing, so the full vector comes out with the same bits.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BoundsError, ConfigError, OptimizationError
-from .lattice import DTYPE, Dims, SparseLatent
+from .lattice import DTYPE, DenseLatent, Dims, SparseLatent
 from .structedit import ToyCodec
+
+
+def is_finite_real(value) -> bool:
+    """Whether `value` is a finite real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_reals(obj, names):
+    for name in names:
+        if not is_finite_real(getattr(obj, name)):
+            raise ValueError(f"{name} must be a finite real number, got {getattr(obj, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +70,11 @@ class AdamParams:
     steps: int = 5
 
     def __post_init__(self):
+        _check_reals(self, ("lr", "beta1", "beta2", "eps"))
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 0:
@@ -152,31 +179,78 @@ class PriorCells:
         unique, inverse = np.unique(keys, return_inverse=True)
         return cls(dims, np.unravel_index(unique, shape), inverse)
 
+    def at(self, Z_t: DenseLatent, t: float) -> "StepCells":
+        """These cells bound to one Euler step (Z_t, t)."""
+        _check_t(t)
+        return StepCells(self, Z_t, t, Z_t.data[self.cells].astype(np.float64))
 
-def ss_loss(v_hat: np.ndarray, Z_t, t: float, P: np.ndarray | PriorCells, codec: ToyCodec):
-    """Structure loss: -mean_p log sigmoid(logit of the denoised latent at p).
 
-    P is an (n, 3) array of prior coordinates on the fine grid, or its
-    `PriorCells`; repeated rows are allowed and weigh their voxel more.
-    The gradient w.r.t. v_hat is analytic through the linear codec: only
-    lattice cells feeding a sampled logit receive gradient.
-    """
+@dataclass(frozen=True)
+class StepCells:
+    """Prior cells bound to one Euler step: the step's latent and t, and
+    the latent at the cells in float64 (`z`, (cells, C)).  `index`
+    selects the cells, the support of the structure loss, in a vector
+    shaped like the latent's data."""
+
+    prior: PriorCells
+    latent: DenseLatent
+    t: float
+    z: np.ndarray
+
+    @property
+    def index(self) -> tuple:
+        return self.prior.cells
+
+
+def _check_t(t: float):
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t must lie in (0, 1], got {t}")
-    dims = codec.dims
+
+
+def _check_step(step, Z_t, t, u):
+    """A step binding serves only the step it was made for, and a vector
+    on its support."""
+    if step.latent is not Z_t or step.t != t:
+        raise ConfigError("the objective was bound to another step")
+    if np.shape(u) != step.z.shape:
+        raise ValueError(f"support vector shape {np.shape(u)} != {step.z.shape}")
+
+
+def ss_loss(v_hat: np.ndarray, Z_t, t: float, P: np.ndarray | PriorCells | StepCells, codec: ToyCodec):
+    """Structure loss: -mean_p log sigmoid(logit of the denoised latent at p).
+
+    P is an (n, 3) array of prior coordinates on the fine grid, its
+    `PriorCells`, or those bound to this step (`PriorCells.at(Z_t, t)`);
+    repeated rows are allowed and weigh their voxel more.  The gradient
+    w.r.t. v_hat is analytic through the linear codec: only lattice
+    cells feeding a sampled logit receive gradient, every other entry
+    is -0.0.  With a step binding, v_hat and the gradient hold only
+    the cells' entries, `v_hat[step.index]`.
+    """
+    if isinstance(P, StepCells):
+        if P.prior.dims != codec.dims:
+            raise ConfigError("prior cells were built for other lattice dims")
+        _check_step(P, Z_t, t, v_hat)
+        x = P.z - t * np.asarray(v_hat, dtype=np.float64)
+        logits = x.mean(axis=1)
+        inverse = P.prior.inverse
+        loss = float(np.mean(np.logaddexp(0.0, -logits)[inverse]))
+        dz = (_sigmoid(logits) - 1.0) / len(inverse)  # d loss / d logit per point of a cell
+        grad = np.empty(x.shape)
+        grad[:] = np.bincount(inverse, weights=(dz / codec.dims.C)[inverse])[:, None]
+        grad *= -t
+        return loss, grad
+    _check_t(t)
     if not isinstance(P, PriorCells):
-        P = PriorCells.build(P, dims)
-    elif P.dims != dims:
+        P = PriorCells.build(P, codec.dims)
+    elif P.dims != codec.dims:
         raise ConfigError("prior cells were built for other lattice dims")
     if v_hat.shape != Z_t.data.shape:
         raise ValueError(f"v_hat shape {v_hat.shape} != latent shape {Z_t.data.shape}")
-    x = Z_t.data[P.cells].astype(np.float64) - t * v_hat[P.cells].astype(np.float64)
-    logits = x.mean(axis=1)
-    loss = float(np.mean(np.logaddexp(0.0, -logits)[P.inverse]))
-    dz = (_sigmoid(logits) - 1.0) / len(P.inverse)  # d loss / d logit per point of a cell
-    grad_x = np.zeros(Z_t.data.shape)
-    grad_x[P.cells] = np.bincount(P.inverse, weights=(dz / dims.C)[P.inverse])[:, None]
-    grad_x *= -t
+    step = P.at(Z_t, t)
+    loss, grad = ss_loss(v_hat[step.index], Z_t, t, step, codec)
+    grad_x = np.full(Z_t.data.shape, -0.0)
+    grad_x[step.index] = grad
     return loss, grad_x
 
 
@@ -334,6 +408,7 @@ class LossWeights:
     ssim: float = 1.0
 
     def __post_init__(self):
+        _check_reals(self, ("l2", "ssim"))
         if self.l2 < 0 or self.ssim < 0:
             raise ValueError("loss weights must be non-negative")
 
@@ -356,12 +431,40 @@ class RenderTarget:
             raise ConfigError(f"target image shape {image.shape} != {(h, w, 3)}")
         return cls(_Columns.build(dims, coords), image, SsimTarget.build(image))
 
+    def at(self, Z_t: SparseLatent, t: float) -> "StepRender":
+        """This target bound to one Euler step (Z_t, t); Z_t must have
+        the target's dims and coordinates."""
+        columns = self.columns
+        if columns.dims != Z_t.dims or not (
+            Z_t.coords is columns.coords or np.array_equal(Z_t.coords, columns.coords)
+        ):
+            raise ConfigError("render target was built for other dims or another coordinate set")
+        nch = min(3, Z_t.dims.l)
+        return StepRender(self, Z_t, t, Z_t.features[:, :nch].astype(np.float64))
+
+
+@dataclass(frozen=True)
+class StepRender:
+    """A render target bound to one Euler step: the step's latent and t,
+    and the latent's rendered channels in float64 (`z`, (rows, nch) with
+    nch = min(3, l)).  `index` selects those channels, the support of
+    the rendering objective, in a vector shaped like the features."""
+
+    target: RenderTarget
+    latent: SparseLatent
+    t: float
+    z: np.ndarray
+
+    @property
+    def index(self) -> tuple:
+        return (slice(None), slice(0, self.z.shape[1]))
+
 
 def slat_objective(
     v_hat: np.ndarray,
     Z_t: SparseLatent,
     t: float,
-    target_image: np.ndarray | RenderTarget | None,
+    target_image: np.ndarray | RenderTarget | StepRender | None,
     weights: LossWeights = LossWeights(),
 ):
     """Rendering objective on the denoised feature field.
@@ -369,34 +472,37 @@ def slat_objective(
     The denoised features Z_t - t * v_hat are projected to an image and
     scored as l2_weight * ||I - target||^2 / (H*W) - ssim_weight * SSIM.
     The gradient chains analytically through the linear projector; only
-    the first 3 feature channels receive gradient.  `target_image` is an
-    (H, W, 3) image or a `RenderTarget` built for Z_t's coordinates.
+    the first 3 feature channels receive gradient, every other entry is
+    -0.0.  `target_image` is an (H, W, 3) image, a `RenderTarget` built
+    for Z_t's coordinates, or one bound to this step
+    (`RenderTarget.at(Z_t, t)`); with a step binding, v_hat and the
+    gradient hold only the rendered channels, `v_hat[step.index]`.
     """
+    if isinstance(target_image, StepRender):
+        step, target = target_image, target_image.target
+        _check_step(step, Z_t, t, v_hat)
+        columns = target.columns
+        dims = Z_t.dims
+        h, w = dims.a * dims.M, dims.b * dims.M
+        feats0 = step.z - t * np.asarray(v_hat, dtype=np.float64)
+        img = _render_mean(columns, feats0)
+        diff = img - target.image
+        l2 = float((diff * diff).sum() / (h * w))
+        sval, sgrad = ssim_with_grad(img, target.ssim, need_grad=weights.ssim > 0)
+        loss = weights.l2 * l2 - weights.ssim * sval
+        d_img = weights.l2 * 2.0 * diff / (h * w)
+        if weights.ssim > 0:
+            d_img = d_img - weights.ssim * sgrad
+        grad = d_img.reshape(h * w, 3).take(columns.flat, axis=0)[:, : feats0.shape[1]]
+        grad /= columns.row_count[:, None]
+        grad *= -t
+        return loss, grad
     if target_image is None:
         raise ConfigError("slat objective requires a target image")
-    dims = Z_t.dims
     if not isinstance(target_image, RenderTarget):
-        target_image = RenderTarget.build(dims, Z_t.coords, target_image)
-    columns = target_image.columns
-    if columns.dims != dims or not (
-        Z_t.coords is columns.coords or np.array_equal(Z_t.coords, columns.coords)
-    ):
-        raise ConfigError("render target was built for other dims or another coordinate set")
-    h, w = dims.a * dims.M, dims.b * dims.M
-    nch = min(3, dims.l)
-    v_rgb = np.asarray(v_hat[:, :nch], dtype=np.float64)
-    feats0 = Z_t.features[:, :nch].astype(np.float64) - t * v_rgb
-    img = _render_mean(columns, feats0)
-    diff = img - target_image.image
-    l2 = float((diff * diff).sum() / (h * w))
-    sval, sgrad = ssim_with_grad(img, target_image.ssim, need_grad=weights.ssim > 0)
-    loss = weights.l2 * l2 - weights.ssim * sval
-    d_img = weights.l2 * 2.0 * diff / (h * w)
-    if weights.ssim > 0:
-        d_img = d_img - weights.ssim * sgrad
-    grad_feats = np.zeros(Z_t.features.shape)
-    grad_feats[:, :nch] = (
-        d_img.reshape(h * w, 3).take(columns.flat, axis=0)[:, :nch] / columns.row_count[:, None]
-    )
-    grad_feats *= -t
+        target_image = RenderTarget.build(Z_t.dims, Z_t.coords, target_image)
+    step = target_image.at(Z_t, t)
+    loss, grad = slat_objective(v_hat[step.index], Z_t, t, step, weights)
+    grad_feats = np.full(Z_t.features.shape, -0.0)
+    grad_feats[step.index] = grad
     return loss, grad_feats

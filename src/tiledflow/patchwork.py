@@ -32,7 +32,7 @@ single patches; they give the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -393,21 +393,25 @@ class DilatedPartition:
 
 def dilated_partition(dims: Dims, K: int, seed: int = 0) -> DilatedPartition:
     """Split the (a*K, b*K, K) lattice into K*K blocks of a*b pillars and
-    deal the pillars into a*b samples by a seeded per-block permutation."""
+    deal the pillars into a*b samples by a seeded per-block permutation.
+
+    One `permuted` draw shuffles the sample axis of the (a*b, K, K) stack
+    of pillar indices lane by lane, blocks in row-major order, so it takes
+    the same draws as one `permutation(a*b)` call per block in that order.
+    """
     if K not in (dims.N, dims.M):
         raise ConfigError(f"K={K} must be one of N={dims.N}, M={dims.M}")
-    a, b = dims.a, dims.b
-    n_samples = a * b
-    rng = np.random.default_rng(seed)
-    src_x = np.empty((n_samples, K, K), dtype=np.int64)
-    src_y = np.empty((n_samples, K, K), dtype=np.int64)
-    for u in range(K):
-        for v in range(K):
-            perm = rng.permutation(n_samples)
-            sx, sy = np.divmod(perm, b)
-            src_x[:, u, v] = u * a + sx
-            src_y[:, u, v] = v * b + sy
+    pillars = np.random.default_rng(seed).permuted(_block_pillars(dims.a, dims.b, K), axis=0)
+    src_x, src_y = np.divmod(pillars, dims.b * K)
     return DilatedPartition(dims, K, _ro(src_x), _ro(src_y))
+
+
+@lru_cache(maxsize=16)
+def _block_pillars(a: int, b: int, K: int) -> np.ndarray:
+    """Read-only (a*b, K, K) flat indices x * b*K + y of the pillars: entry
+    (s, u, v) is pillar s of block (u, v), at (u*a + s // b, v*b + s % b)."""
+    s, u, v = np.indices((a * b, K, K))
+    return _ro((u * a + s // b) * (b * K) + v * b + s % b)
 
 
 def _ro(arr: np.ndarray) -> np.ndarray:

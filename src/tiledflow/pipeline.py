@@ -40,6 +40,7 @@ from .optim import (
     LossWeights,
     PriorCells,
     RenderTarget,
+    is_finite_real,
     optimize_vector,
     slat_objective,
     ss_loss,
@@ -90,6 +91,12 @@ class PipelineConfig:
         for name, kinds in _STR_FIELDS.items():
             if not isinstance(getattr(self, name), kinds):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in _REAL_FIELDS:
+            if not is_finite_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite real number, got {getattr(self, name)!r}")
         if self.dims.N % self.d != 0 or self.dims.M % self.d != 0:
             raise ConfigError(f"d={self.d} must divide N={self.dims.N} and M={self.dims.M}")
         if not 0.0 < self.t_start <= 1.0 or not 0.0 <= self.t_noise <= self.t_start:
@@ -110,7 +117,7 @@ class PipelineConfig:
 
 
 # The integer fields and their least values; the string fields and
-# whether they may be null.
+# whether they may be null; the bool fields; the float fields.
 _INT_FLOORS = {"d": 1, "n_iter": 0, "schedule_steps": 2, "alpha": 1, "seed": 0, "workers": 1}
 _STR_FIELDS = {
     "provider": str,
@@ -119,6 +126,8 @@ _STR_FIELDS = {
     "oracle_slat_target": (str, type(None)),
     "out_dir": (str, type(None)),
 }
+_BOOL_FIELDS = ("dilated_enabled", "optimize_every_round")
+_REAL_FIELDS = ("t_start", "t_noise")
 
 _NESTED_FIELDS = {
     "dims": (Dims, ("a", "b", "N", "M", "C", "l")),
@@ -280,18 +289,28 @@ def _record_empty_windows(report: RunReport, stage: str, conditioner: Conditione
         )
 
 
-def _adam_hook(loss, params: AdamParams, steps: list):
-    """Per-step hook: Adam on the step's vector (a dense one's data, a
-    sparse one's features) against `loss(vec, Z, t)`; each step's t and
-    loss trace are appended to `steps`."""
+def _adam_hook(loss, bind, params: AdamParams, steps: list):
+    """Per-step hook: Adam on the support of the step's objective.
+
+    `bind(Z, t)` does once per step what the objective keeps fixed
+    within it, and its `index` selects the support in the step's vector
+    (a dense one's data, a sparse one's features).  Adam runs on
+    `vec[index]` against `loss(u, Z, t, bound)`.  The entries outside
+    keep their bits: the objective has no gradient there, and an Adam
+    step on a zero gradient from zero moments moves nothing.  Each
+    step's t and loss trace are appended to `steps`.
+    """
 
     def hook(v, Z, t):
         sparse = isinstance(v, SparseLatent)
-        objective = lambda vec: loss(vec, Z, t)
-        v_opt, losses = optimize_vector(v.features if sparse else v.data, objective, params)
+        vec = v.features if sparse else v.data
+        bound = bind(Z, t)
+        objective = lambda u: loss(u, Z, t, bound)
+        u_opt, losses = optimize_vector(vec[bound.index], objective, params)
         steps.append({"t": float(t), "loss": losses})
-        v_opt = v_opt.astype(np.float32)
-        return v.with_features(v_opt) if sparse else v.with_data(v_opt)
+        out = vec.copy()
+        out[bound.index] = u_opt
+        return v.with_features(out) if sparse else v.with_data(out)
 
     return hook
 
@@ -323,7 +342,7 @@ def generate_sparse_structure(
     if config.ss_adam.steps > 0 and len(prior_voxels) > 0:
         prior_cells = PriorCells.build(prior_voxels, codec.dims)
         hook = _adam_hook(
-            lambda vec, Z, t: ss_loss(vec, Z, t, prior_cells, codec), config.ss_adam, steps
+            lambda u, Z, t, cells: ss_loss(u, Z, t, cells, codec), prior_cells.at, config.ss_adam, steps
         )
 
         def hook_for_round(round_idx: int):
@@ -397,7 +416,8 @@ def generate_slat(
             _resample_nn(prior.image.astype(np.float64), (dims.a * dims.M, dims.b * dims.M)),
         )
         hook = _adam_hook(
-            lambda vec, Z, t: slat_objective(vec, Z, t, target, config.loss_weights),
+            lambda u, Z, t, bound: slat_objective(u, Z, t, bound, config.loss_weights),
+            target.at,
             config.slat_adam,
             steps,
         )

@@ -118,6 +118,31 @@ class TestGenerate:
         assert main(["generate", str(prior_path), "--config", str(config_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"dilated_enabled": "no"},
+            {"optimize_every_round": 0},
+            {"t_start": True},
+            {"ss_adam": {"steps": 1, "eps": "x"}},
+            {"loss_weights": {"l2": float("nan")}},
+            {"ss_adam": {"lr": float("nan")}},
+        ],
+        ids=[
+            "dilated_enabled-str", "optimize_every_round-int", "t_start-bool", "eps-str", "l2-nan", "lr-nan"
+        ],
+    )
+    def test_mistyped_bool_or_float_is_config_error(self, tmp_path, capsys, bad):
+        _, prior_path, ss_path, slat_path = self._write_oracle_inputs(tmp_path)
+        config = small_config_dict(tmp_path / "out")
+        config["oracle_ss_target"] = str(ss_path)
+        config["oracle_slat_target"] = str(slat_path)
+        config.update(bad)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))  # NaN is written as the token NaN
+        assert main(["generate", str(prior_path), "--config", str(config_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_non_utf8_config_is_config_error(self, tmp_path):
         _, prior_path, *_ = self._write_oracle_inputs(tmp_path)
         config_path = tmp_path / "c.json"

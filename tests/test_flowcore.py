@@ -4,11 +4,13 @@ import pytest
 from tiledflow import flowcore
 from tiledflow.errors import ConfigError, DivergenceError, ProviderError, SingularityError
 from tiledflow.flowcore import (
+    Conditioner,
     GlobalOracleProvider,
     OracleConditioner,
     OracleField,
     VectorFieldProvider,
     ZeroFieldProvider,
+    box_condition,
     decode_oracle_condition,
     dilated_field,
     euler_integrate,
@@ -97,6 +99,42 @@ class TestExtendedField:
         out = extended_field(Z, 0.25, grid, provider, OracleConditioner())
         direct = provider.evaluate(Z, OracleConditioner().window_condition(grid.window(0, 0)), 0.25)
         assert np.array_equal(out.data, direct.data)
+
+    def test_window_conditions_built_once_per_grid(self):
+        class BoxesOnly(Conditioner):
+            """Defines only `window_condition`, and no __init__ chain."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def window_condition(self, window):
+                self.calls += 1
+                return box_condition(window.x0, window.y0, window.K)
+
+        provider = GlobalOracleProvider(ss_target=random_dense(DIMS, 10))
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        conditioner = BoxesOnly()
+        for seed, t in ((11, 0.5), (12, 0.3)):
+            Z = random_dense(DIMS, seed)
+            want = extended_field(Z, t, grid, provider, OracleConditioner())
+            assert extended_field(Z, t, grid, provider, conditioner).data.tobytes() == want.data.tobytes()
+        assert conditioner.calls == grid.count
+        assert conditioner.window_conditions(grid) is conditioner.window_conditions(grid)
+        other = make_patch_grid(DIMS, 4, DIMS.N)
+        assert conditioner.window_conditions(other) == tuple(
+            OracleConditioner().window_condition(w) for w in other.windows()
+        )
+        assert conditioner.calls == grid.count + other.count
+
+    @pytest.mark.parametrize("a,b,K", [(1, 1, 4), (2, 3, 4), (2, 2, 8)])
+    def test_stacked_pillar_conditions_equal_per_sample(self, a, b, K):
+        partition = dilated_partition(Dims(a, b, 4, 8), K, seed=a + b + K)
+        conditioner = OracleConditioner()
+        stacked = conditioner.dilated_conditions(partition)
+        assert [c.data for c in stacked] == [
+            conditioner.dilated_condition(partition, n).data for n in range(len(partition))
+        ]
+        assert stacked == Conditioner.dilated_conditions(conditioner, partition)
 
     def test_zero_provider(self):
         Z = random_dense(DIMS, 14)

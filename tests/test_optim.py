@@ -23,6 +23,7 @@ from tiledflow.optim import (
     ssim,
     ssim_with_grad,
 )
+from tiledflow.pipeline import _adam_hook
 from tiledflow.structedit import ToyCodec
 
 
@@ -568,3 +569,127 @@ class TestObjectivePlans:
         wider = init_sparse_noise(Z.coords, Dims(2, 1, 4, 8, C=1, l=4), seed=0)
         with pytest.raises(ConfigError):
             slat_objective(v, wider, 0.5, target)
+
+
+# The per-step hook as it was before Adam ran on the support: Adam over the
+# whole step vector against the full-vector objective.
+
+
+def _old_adam_hook(loss, params, steps):
+    def hook(v, Z, t):
+        sparse = isinstance(v, SparseLatent)
+        objective = lambda vec: loss(vec, Z, t)
+        v_opt, losses = optimize_vector(v.features if sparse else v.data, objective, params)
+        steps.append({"t": float(t), "loss": losses})
+        v_opt = v_opt.astype(np.float32)
+        return v.with_features(v_opt) if sparse else v.with_data(v_opt)
+
+    return hook
+
+
+@st.composite
+def _hook_cases(draw):
+    N = draw(st.sampled_from([1, 2, 4]))
+    dims = Dims(
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 2)),
+        N,
+        N * draw(st.sampled_from([1, 2])),
+        C=draw(st.integers(1, 3)),
+        l=draw(st.integers(1, 4)),
+    )
+    weights = draw(st.sampled_from([LossWeights(1.0, 0.0), LossWeights(0.0, 1.0), LossWeights(0.3, 2.5)]))
+    return dims, draw(st.integers(0, 2**32 - 1)), weights, draw(st.integers(1, 4))
+
+
+class TestSupportHookBitEqual:
+    """Adam on the objective's support gives the full-vector hook's bits."""
+
+    @staticmethod
+    def _run(hook, v, Z, t):
+        steps = []
+        return hook(steps)(v, Z, t), steps
+
+    @settings(max_examples=150)
+    @given(_hook_cases())
+    def test_structure_stage(self, case):
+        dims, seed, _, n_steps = case
+        rng = np.random.default_rng(seed)
+        codec = ToyCodec(dims)
+        params = AdamParams(lr=float(rng.uniform(1e-3, 0.5)), steps=n_steps)
+        Z = DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32) * 4)
+        v = Z.with_data(rng.standard_normal(dims.dense_shape, dtype=np.float32))
+        # a small box makes duplicate points and shared cells likely
+        hi = np.minimum(dims.grid_shape, rng.integers(1, 4, size=3))
+        P = rng.integers(0, hi, size=(int(rng.integers(1, 60)), 3))
+        t = float(rng.uniform(0.01, 1.0))
+        cells = PriorCells.build(P, dims)
+
+        new, new_steps = self._run(
+            lambda steps: _adam_hook(lambda u, Z, t, b: ss_loss(u, Z, t, b, codec), cells.at, params, steps),
+            v, Z, t,
+        )
+        old, old_steps = self._run(
+            lambda steps: _old_adam_hook(lambda vec, Z, t: _ref_ss_loss(vec, Z, t, P, codec), params, steps),
+            v, Z, t,
+        )
+        assert _same_bytes(new.data, old.data)
+        assert new_steps == old_steps and len(new_steps[0]["loss"]) == n_steps + 1
+
+    @settings(max_examples=150)
+    @given(_hook_cases())
+    def test_feature_stage(self, case):
+        dims, seed, weights, n_steps = case
+        rng = np.random.default_rng(seed)
+        params = AdamParams(lr=float(rng.uniform(1e-3, 0.5)), steps=n_steps)
+        h, w, depth = dims.grid_shape
+        n = int(rng.integers(1, min(h * w * depth, 60) + 1))
+        flat = rng.choice(h * w * depth, size=n, replace=False)
+        Z = init_sparse_noise(np.stack(np.unravel_index(flat, (h, w, depth)), axis=1), dims, seed=seed)
+        v = Z.with_features(rng.standard_normal(Z.features.shape, dtype=np.float32))
+        t = float(rng.uniform(0.01, 1.0))
+        image = rng.random((h, w, 3))
+        target = RenderTarget.build(dims, Z.coords, image)
+
+        new, new_steps = self._run(
+            lambda steps: _adam_hook(
+                lambda u, Z, t, b: slat_objective(u, Z, t, b, weights), target.at, params, steps
+            ),
+            v, Z, t,
+        )
+        old, old_steps = self._run(
+            lambda steps: _old_adam_hook(
+                lambda vec, Z, t: _ref_slat_objective(vec, Z, t, image, weights), params, steps
+            ),
+            v, Z, t,
+        )
+        assert new.coords is v.coords
+        assert _same_bytes(new.features, old.features)
+        assert new_steps == old_steps and len(new_steps[0]["loss"]) == n_steps + 1
+
+
+class TestStepBindings:
+    def test_binding_serves_only_its_step(self):
+        cells = PriorCells.build(np.array([[0, 0, 0], [5, 2, 7]]), DIMS)
+        Z = DenseLatent.zeros(DIMS)
+        step = cells.at(Z, 0.5)
+        u = np.zeros(step.z.shape)
+        ss_loss(u, Z, 0.5, step, CODEC)
+        for other_Z, other_t in ((DenseLatent.zeros(DIMS), 0.5), (Z, 0.25)):
+            with pytest.raises(ConfigError):
+                ss_loss(u, other_Z, other_t, step, CODEC)
+        with pytest.raises(ValueError):
+            ss_loss(np.zeros(DIMS.dense_shape), Z, 0.5, step, CODEC)
+        with pytest.raises(ValueError):
+            cells.at(Z, 0.0)
+
+    def test_render_binding_checks_coordinates_once_per_step(self):
+        Z = init_sparse_noise(np.array([[0, 0, 0], [1, 2, 3]]), DIMS, seed=0)
+        moved = init_sparse_noise(np.array([[0, 0, 0], [1, 2, 4]]), DIMS, seed=0)
+        target = RenderTarget.build(DIMS, Z.coords, np.zeros((8, 8, 3)))
+        step = target.at(Z, 0.5)
+        assert step.index == (slice(None), slice(0, min(3, DIMS.l)))
+        with pytest.raises(ConfigError):
+            target.at(moved, 0.5)
+        with pytest.raises(ConfigError):
+            slat_objective(np.zeros(step.z.shape), moved, 0.5, step)

@@ -437,6 +437,31 @@ class TestDilated:
         assert np.array_equal(p1.src_x, p2.src_x)
         assert np.array_equal(p1.src_y, p2.src_y)
 
+    def test_pinned_seed_zero(self):
+        part = dilated_partition(Dims(2, 3, 2, 4), 2, seed=0)
+        assert part.src_x.tolist() == [
+            [[1, 1], [3, 3]], [[0, 1], [2, 3]], [[1, 0], [2, 2]],
+            [[1, 0], [3, 2]], [[0, 0], [3, 3]], [[0, 1], [2, 2]],
+        ]
+        assert part.src_y.tolist() == [
+            [[0, 4], [0, 5]], [[2, 5], [2, 4]], [[2, 4], [0, 5]],
+            [[1, 5], [2, 4]], [[0, 3], [1, 3]], [[1, 3], [1, 3]],
+        ]
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 5), st.integers(1, 5), st.sampled_from([(2, 4), (4, 8), (8, 32)]),
+        st.booleans(), st.one_of(st.integers(0, 2**16), st.integers(2**62, 2**63 - 1)),
+    )
+    def test_equals_per_block_loop(self, a, b, NM, coarse, seed):
+        dims = Dims(a, b, *NM)
+        K = dims.N if coarse else dims.M
+        part = dilated_partition(dims, K, seed=seed)
+        want_x, want_y = old_dilated_partition(dims, K, seed)
+        assert part.src_x.tobytes() == want_x.tobytes()
+        assert part.src_y.tobytes() == want_y.tobytes()
+        assert part.src_x.flags.c_contiguous and not part.src_x.flags.writeable
+
 
 # Copies of the per-window code that the stacked batches replaced; the
 # stacked forms must reproduce their bytes.
@@ -493,6 +518,20 @@ class OldSparseWindowPlan:
         acc = np.add.reduceat(feats.astype(np.float64), self.starts, axis=0)
         acc /= self.coverage[:, None]
         return acc.astype(np.float32)
+
+
+def old_dilated_partition(dims, K, seed):
+    """The partition as one `permutation` draw per K x K block."""
+    a, b = dims.a, dims.b
+    rng = np.random.default_rng(seed)
+    src_x = np.empty((a * b, K, K), dtype=np.int64)
+    src_y = np.empty((a * b, K, K), dtype=np.int64)
+    for u in range(K):
+        for v in range(K):
+            sx, sy = np.divmod(rng.permutation(a * b), b)
+            src_x[:, u, v] = u * a + sx
+            src_y[:, u, v] = v * b + sy
+    return src_x, src_y
 
 
 def old_dilated_gather(partition, Z, n):

@@ -10,7 +10,7 @@ from tiledflow import tensorio
 from tiledflow.decode import decode_scene_sdf
 from tiledflow.errors import ConfigError, ParseError, TiledFlowError
 from tiledflow.fixtures import build_demo_scene, demo_bundle, run_oracle_demo
-from tiledflow.flowcore import ImageConditioner, ZeroFieldProvider
+from tiledflow.flowcore import ImageConditioner, OracleConditioner, ZeroFieldProvider
 from tiledflow.lattice import Dims
 from tiledflow.optim import AdamParams
 from tiledflow.pipeline import (
@@ -123,6 +123,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_iter"):
             config_from_dict({"n_iter": -1})
 
+    @pytest.mark.parametrize(
+        "raw,name",
+        [
+            ({"dilated_enabled": "no"}, "dilated_enabled"),
+            ({"optimize_every_round": 0}, "optimize_every_round"),
+            ({"t_start": True}, "t_start"),
+            ({"t_noise": "0.5"}, "t_noise"),
+            ({"ss_adam": {"eps": "x"}}, "eps"),
+            ({"ss_adam": {"eps": 0.0}}, "eps"),
+            ({"slat_adam": {"beta1": False}}, "beta1"),
+            ({"loss_weights": {"l2": float("nan")}}, "l2"),
+            ({"loss_weights": {"ssim": float("inf")}}, "ssim"),
+            ({"ss_adam": {"lr": float("nan")}}, "lr"),
+        ],
+        ids=[
+            "dilated_enabled-str", "optimize_every_round-int", "t_start-bool", "t_noise-str", "eps-str",
+            "eps-zero", "beta1-bool", "l2-nan", "ssim-inf", "lr-nan",
+        ],
+    )
+    def test_bool_and_float_fields_checked(self, raw, name):
+        with pytest.raises(ConfigError, match=name):
+            config_from_dict(raw)
+
     def test_adam_state_persist_is_not_a_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict({"adam_state_persist": True})
@@ -151,6 +174,21 @@ class TestSparseStructureStage:
         config = small_config(ss_adam=AdamParams(steps=3))
         coords = generate_sparse_structure(scene.prior, config, demo_bundle(scene))
         assert np.array_equal(coords, scene.occ_target.coords())
+
+    def test_window_conditions_built_once_per_stage(self, monkeypatch):
+        calls = []
+        real = OracleConditioner.window_condition
+
+        def spy(self, window):
+            calls.append((window.i, window.j))
+            return real(self, window)
+
+        monkeypatch.setattr(OracleConditioner, "window_condition", spy)
+        scene = build_demo_scene(SMALL)
+        config = small_config(n_iter=2)
+        generate_sparse_structure(scene.prior, config, demo_bundle(scene))
+        grid = make_patch_grid(SMALL, config.d, SMALL.N)
+        assert calls == [(w.i, w.j) for w in grid.windows()]
 
     def test_optimize_every_round_flag(self, monkeypatch):
         calls = []
