@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -64,16 +65,14 @@ def _cmd_voxelize(args) -> int:
 
 def _cmd_inspect(args) -> int:
     array = tensorio.read_tensor(args.file)
-    stats = {
-        "shape": list(array.shape),
-        "dtype": str(array.dtype),
-        "min": float(array.min()),
-        "max": float(array.max()),
-        "mean": float(array.mean()),
-        "std": float(array.std()),
-        "finite": bool(np.isfinite(array).all()),
-    }
-    print(json.dumps(stats, indent=2))
+    stats = {"shape": list(array.shape), "dtype": str(array.dtype)}
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name in ("min", "max", "mean", "std"):
+            value = float(getattr(array, name)()) if array.size else math.nan
+            # JSON has no NaN or inf: an undefined or infinite stat is null
+            stats[name] = value if math.isfinite(value) else None
+    stats["finite"] = bool(np.isfinite(array).all())
+    print(json.dumps(stats, indent=2, allow_nan=False))
     return 0
 
 

@@ -18,10 +18,15 @@ Sparse latents keep their coordinates across a whole schedule, so the
 window geometry is planned once per (grid, coordinate set): a
 `SparseWindowPlan` holds, per window, the rows inside it (found by a
 binary search on the sorted x column plus a y/z mask, `box_rows`) and
-their window-local coordinates, plus the permutation and segment starts
-that group all windows' rows by global row.  Each step then gathers the
-feature rows into one block with one `take` and sums them back with one
-`np.add.reduceat` in fixed window order, dividing by the per-row
+their window-local coordinates, plus a rank layout of all windows'
+rows: the global rows in groups of equal coverage c, and each group's
+contributions as c contiguous runs, run j holding every row's j-th
+window in window order.  Each step gathers the feature rows into one
+block with one `take`.  The merge takes the reply into the rank layout
+with one more, and sums each group run by run in float64, in the order
+`np.add.reduceat` over each row's window-ordered contributions would
+(the first, plus numpy's pairwise sum of the rest), so it gives the
+same bits without a float64 copy of the reply.  It then divides by the
 coverage.
 
 The per-window forms (`patch_dense`, `merge_vectors` over a mapping,
@@ -264,11 +269,10 @@ class SparseWindowPlan:
 
     Window k (`windows[k]`, in the grid's fixed row-major order) covers
     the global rows `rows[bounds[k]:bounds[k + 1]]`, whose window-local
-    coordinates are `local[bounds[k]:bounds[k + 1]]`.  `order` stably
-    sorts `rows` (the rows of all windows, in window order) by global
-    row, so each row's contributions stay in window order; `starts`
-    marks where each row's group begins and `coverage` is its size.
-    Every row must lie in at least one window.
+    coordinates are `local[bounds[k]:bounds[k + 1]]`.  `coverage[r]`
+    counts the windows holding global row r, and every row must lie in
+    at least one.  `slot`, `groups` and `layout` are the rank layout
+    `merge_features` sums through (see `_rank_layout`).
 
     The coordinates pass the `SparseLatent` constructor's checks once,
     here; each window's local coordinates are a translated run of them,
@@ -291,8 +295,7 @@ class SparseWindowPlan:
         self.coverage = np.bincount(self.rows, minlength=len(self.coords))
         if (self.coverage < 1).any():
             raise CoverageError("sparse coordinate not covered by any window")
-        self.order = np.argsort(self.rows, kind="stable")
-        self.starts = np.concatenate([[0], np.cumsum(self.coverage[:-1])])
+        self.slot, self.groups, self.layout = _rank_layout(self.rows, self.coverage)
 
     def gather(self, Z: SparseLatent) -> SparseBatch:
         """Every window's patch, in window order, as one batch: Z's rows
@@ -316,18 +319,86 @@ class SparseWindowPlan:
         """Coverage-averaged sum of the stacked window features `values`
         ((rows, l) float32, rows in the order `gather` makes them).
 
-        This is the sum a stable sort of all contributions by coordinate
-        followed by `np.add.reduceat` gives, so it does not depend on the
-        order in which the windows were evaluated.
+        One `take` lays the reply out by rank (`_rank_layout`).  Per
+        coverage group, rank 0 is cast into the group's slice of a float64
+        accumulator, ranks 1..c-1 are summed in numpy's pairwise order
+        (`_pairwise_sum`) and added on, and the slice is divided by c;
+        one `take` through `slot` puts the float32 rows back in global
+        order.  `np.add.reduceat` over a row's contributions in window
+        order copies the first and adds the pairwise sum of the rest to
+        it, and casts to float64 are exact, so every row gets the bits
+        that reduceat gives.  They do not depend on the order in which
+        the windows were evaluated.
         """
         dims = self.grid.dims
         if values.shape != (len(self.rows), dims.l):
             raise DimensionError(f"window features {values.shape} != {(len(self.rows), dims.l)}")
-        if len(self.coords) == 0:
-            return SparseLatent.empty(dims)
-        acc = np.add.reduceat(values.take(self.order, axis=0).astype(np.float64), self.starts, axis=0)
-        acc /= self.coverage[:, None]
-        return SparseLatent._on_checked_coords(dims, self.coords, acc.astype(DTYPE))
+        ranks = values.take(self.layout, axis=0)
+        acc = np.empty((len(self.coords), dims.l), dtype=np.float64)
+        for c, g0, g1, lo in self.groups:
+            block = ranks[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0, dims.l)
+            head = acc[g0:g1]
+            head[...] = block[0]
+            if c > 1:
+                head += _pairwise_sum(block[1:])
+            head /= c
+        merged = acc.astype(DTYPE).take(self.slot, axis=0)
+        return SparseLatent._on_checked_coords(dims, self.coords, merged)
+
+
+def _rank_layout(rows: np.ndarray, coverage: np.ndarray):
+    """The rank layout of a plan's contributions: (slot, groups, layout).
+
+    `rows` holds the global row of every contribution, window by window,
+    and `coverage` counts each row's contributions.  A stable argsort on
+    -coverage puts the global rows in groups of equal coverage; global
+    row r sits at `slot[r]` of that order.  `groups` holds one
+    (c, g0, g1, lo) per group: its coverage, its run [g0, g1) of the
+    order, and where its contributions start in `layout`.  There they
+    form a (c, g1 - g0) block in which rank j is one contiguous run
+    holding each row's j-th contribution in window order.
+    """
+    order = np.argsort(rows, kind="stable")  # by row; each row's windows in order
+    starts = np.cumsum(coverage) - coverage
+    perm = np.argsort(-coverage, kind="stable")
+    cov = coverage[perm]
+    edges = np.flatnonzero(np.diff(cov, prepend=0, append=0))
+    groups, parts, lo = [], [np.zeros(0, dtype=np.intp)], 0
+    for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        c = int(cov[g0])
+        parts.append((starts[perm[g0:g1]] + np.arange(c)[:, None]).ravel())
+        groups.append((c, g0, g1, lo))
+        lo += c * (g1 - g0)
+    slot = np.empty_like(perm)
+    slot[perm] = np.arange(len(perm))
+    return _ro(slot), tuple(groups), _ro(order.take(np.concatenate(parts)))
+
+
+def _pairwise_sum(ranks: np.ndarray):
+    """Float64 sum over the leading axis of `ranks` in the order numpy's
+    `pairwise_sum` adds a strided run of n values: sequentially for
+    n < 8; for n <= 128 into eight accumulators, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
+    one by one; above that, the sums of two halves, the first n // 2
+    rounded down to a multiple of 8."""
+    n = len(ranks)
+    if n < 8:
+        res = ranks[0].astype(np.float64)
+        for r in ranks[1:]:
+            res += r
+        return res
+    if n <= 128:
+        m = n - n % 8
+        acc = ranks[:8].astype(np.float64)
+        for i in range(8, m, 8):
+            acc += ranks[i : i + 8]
+        pairs = acc[0::2] + acc[1::2]
+        res = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+        for r in ranks[m:]:
+            res += r
+        return res
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(ranks[:half]) + _pairwise_sum(ranks[half:])
 
 
 def window_plan(grid: PatchGrid, coords: np.ndarray, plan: SparseWindowPlan | None = None) -> SparseWindowPlan:

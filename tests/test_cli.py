@@ -41,6 +41,36 @@ class TestInspect:
     def test_missing_file_is_runtime_error(self, tmp_path):
         assert main(["inspect", str(tmp_path / "nope.xlt")]) == 3
 
+    @staticmethod
+    def strict_json(text):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    def test_zero_size_tensor_has_null_stats(self, tmp_path, capsys):
+        path = tmp_path / "empty.xlt"
+        tensorio.write_tensor(path, np.zeros((0, 3), dtype=np.float32))
+        assert main(["inspect", str(path)]) == 0
+        out = self.strict_json(capsys.readouterr().out)
+        assert out["shape"] == [0, 3]
+        assert out["dtype"] == "float32"
+        assert [out[k] for k in ("min", "max", "mean", "std")] == [None] * 4
+        assert out["finite"] is True
+
+    @pytest.mark.parametrize(
+        "values, stats",
+        [([1.0, np.nan, np.inf, -2.0], [None] * 4), ([1.0, np.inf, -2.0], [-2.0, None, None, None])],
+    )
+    def test_non_finite_tensor_prints_valid_json(self, tmp_path, capsys, values, stats):
+        path = tmp_path / "nonfinite.xlt"
+        tensorio.write_tensor(path, np.array(values, dtype=np.float32))
+        assert main(["inspect", str(path)]) == 0
+        out = self.strict_json(capsys.readouterr().out)
+        assert out["shape"] == [len(values)]
+        assert [out[k] for k in ("min", "max", "mean", "std")] == stats
+        assert out["finite"] is False
+
 
 class TestVoxelize:
     def test_ply_to_occupancy(self, tmp_path, capsys):

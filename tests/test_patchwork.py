@@ -7,6 +7,7 @@ from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_
 from tiledflow.patchwork import (
     SparseWindowPlan,
     Window,
+    _pairwise_sum,
     box_rows,
     dilated_partition,
     gather_dense,
@@ -316,17 +317,18 @@ def plan_cases(draw):
     return dims, d, init_sparse_noise(coords, dims, seed=int(rng.integers(2**31))), rng
 
 
-def random_vector(patch, rng):
-    """Features drawn half from normals and half from a pool of huge, unit
-    and signed-zero values, so the float64 sums cancel and round
+def cancelling_values(rng, shape):
+    """float32 values drawn half from normals and half from a pool of huge,
+    unit and signed-zero values, so the float64 sums cancel and round
     differently in every addition order, visibly even after the float32
     cast."""
-    n, l = patch.features.shape
     pool = np.array([2.0**60, -(2.0**60), 1.0, -1.0, 0.75, 2.0**-60, 0.0, -0.0])
-    feats = np.where(
-        rng.random((n, l)) < 0.5, rng.choice(pool, size=(n, l)), rng.standard_normal((n, l))
-    )
-    return patch.with_features(feats.astype(np.float32))
+    feats = np.where(rng.random(shape) < 0.5, rng.choice(pool, size=shape), rng.standard_normal(shape))
+    return feats.astype(np.float32)
+
+
+def random_vector(patch, rng):
+    return patch.with_features(cancelling_values(rng, patch.features.shape))
 
 
 class TestSparseWindowPlan:
@@ -615,6 +617,39 @@ class TestStackedBitEquality:
         expected = old.merge(vectors).tobytes()
         assert plan.merge_features(values).features.tobytes() == expected
         assert plan.merge(vectors).features.tobytes() == expected
+
+    @settings(max_examples=25)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.02, 0.1, 0.3]),
+        st.sampled_from([mixed_values, cancelling_values]),
+    )
+    def test_sparse_merge_above_pairwise_block_equals_per_window_plan(self, seed, density, draw_values):
+        # d = K = 16: stride-1 windows, so coverage reaches 16 * 16 = 256 and
+        # the tail sums take the recursive halving branch (n > 128)
+        dims = Dims(2, 2, 16, 16, l=2)
+        grid = make_patch_grid(dims, 16, 16)
+        rng = np.random.default_rng(seed)
+        occupied = rng.random(dims.grid_shape) < density
+        occupied[16, 16, rng.integers(16)] = True
+        Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
+        plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
+        assert plan.coverage.max() == 256
+        values = draw_values(rng, (len(plan.rows), dims.l))
+        vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
+        assert plan.merge_features(values).features.tobytes() == old.merge(vectors).tobytes()
+
+    def test_pairwise_sum_follows_reduceat(self):
+        # every branch and two levels of halving; rows are a row's
+        # contributions, so reduceat adds the head to the tail's pairwise sum
+        rng = np.random.default_rng(7)
+        for n in range(1, 530):
+            values = mixed_values(rng, (n, 3, 2))
+            expected = np.add.reduceat(values.astype(np.float64), [0], axis=0)[0]
+            got = values[0].astype(np.float64)
+            if n > 1:
+                got += _pairwise_sum(values[1:])
+            assert got.tobytes() == expected.tobytes(), n
 
     @settings(max_examples=150)
     @given(stacked_cases())
