@@ -26,9 +26,36 @@ and reads the reply as one stacked array; a server that predates mode 3
 answers it with an "unknown eval mode 3" error frame.  Frames go out in
 gathered writes, so both ends set TCP_NODELAY.
 
+Stage sessions (modes 4 and 5) carry a window field without its
+windows.  A register request (mode 4) has shape (session id, K, d,
+kind), kind 1 a dense PatchGrid and 2 a SparseWindowPlan; its condition
+section holds the grid's window conditions in window order, each a u32
+length and its bytes, and its latent section is empty for a dense grid
+and, for a sparse plan, a u32 n and n x 3 u32 coordinates.  The server
+builds the layout on its own Dims with the library's constructors and
+their checks (K is N or M and d divides K, one condition per window,
+coordinates inside the grid, sorted, unique and covered) and answers
+with an empty response.  A field request (mode 5) has shape (session
+id, 0, 0, 0), no condition, and the global latent's float32 values:
+dense (aK, bK, K, C), or sparse (n, l) in the registered coordinate
+order.  The server checks its length and finiteness, gathers the windows
+with `gather_dense` / `SparseWindowPlan.gather`, and answers in mode 3's
+layout: every window's vector, in window order; a provider failure
+keeps its "item N:" text.  A connection holds at most MAX_SESSIONS
+sessions (a further registration evicts the oldest), and they are
+dropped when it closes; a field request naming any other id gets
+"unknown session N".  RemoteProvider registers each layout once per
+connection under an id it never reuses, waits for the acknowledgement,
+and then sends one mode-5 frame per window field.  It registers anew,
+once, after "unknown session", and a peer that answers the registration
+with "unknown eval mode 4" gets mode-3 batches for the rest of the
+connection.
+
 The server reads at most MAX_PIPELINED requests of one connection ahead
 of its answers; then it stops reading until an answer is sent, and TCP
-flow control holds the client back.
+flow control holds the client back.  A payload is received into a
+buffer that grows with the bytes that arrived, so a header alone
+reserves no more than _RECV_CHUNK bytes.
 
 Closing: the server answers every request it read before the client's
 end of stream, and closes only once those answers are sent (or the
@@ -43,11 +70,14 @@ the error frame.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import socket
 import struct
 import threading
 import time
+import weakref
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -55,16 +85,19 @@ from typing import Iterator
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolError, ProviderError
-from .flowcore import VectorFieldProvider, evaluate_one
+from .flowcore import VectorFieldProvider, evaluate_one, window_values_shape
 from .lattice import (
     DTYPE,
     DenseBatch,
+    DenseLatent,
     Dims,
     PatchBatch,
     SparseBatch,
+    SparseLatent,
     batch_coords_problem,
     first_nonfinite_item,
 )
+from .patchwork import PatchGrid, SparseWindowPlan, gather_dense
 from .priors import ConditionEmbedding
 
 MAGIC = b"XFP1"
@@ -75,6 +108,8 @@ TYPE_ERROR = 3
 MODE_DENSE = 1
 MODE_SPARSE = 2
 MODE_BATCH = 3
+MODE_REGISTER = 4
+MODE_FIELD = 5
 
 MAX_PAYLOAD = 256 * 1024 * 1024
 # Bounds on the input a server discards after a framing error before closing.
@@ -83,6 +118,11 @@ DRAIN_SECONDS = 2.0
 # Requests of one connection the server holds at once (queued or being
 # answered); beyond it the server stops reading, and TCP holds the client.
 MAX_PIPELINED = 16
+# Window layouts one connection holds; a further registration evicts the oldest.
+MAX_SESSIONS = 4
+# A payload is received into a buffer that starts at this size and at
+# most doubles per step, so it grows only with the bytes that arrived.
+_RECV_CHUNK = 1 << 20
 _HEADER = struct.Struct("<4sBQI")
 HEADER_SIZE = _HEADER.size
 
@@ -279,6 +319,71 @@ def _batch_parts(batch: PatchBatch, conditions, t: float) -> tuple[int, Iterator
     return _REQ_HEAD.size + sum(map(len, heads)) + sum(sizes) + _U32.size * len(heads), parts()
 
 
+def _register_parts(session: int, layout: PatchGrid | SparseWindowPlan, conditions) -> tuple[int, list]:
+    """Size and buffers of the mode-4 request registering `layout` and
+    its window conditions under `session`: the head (t 0, shape
+    (session, K, d, kind)), each condition behind its u32 length, then,
+    for a sparse plan, a u32 count and the coordinates as u32 triples."""
+    sparse = isinstance(layout, SparseWindowPlan)
+    grid = layout.grid if sparse else layout
+    section = b"".join(_U32.pack(len(c.data)) + c.data for c in conditions)
+    kind = MODE_SPARSE if sparse else MODE_DENSE
+    parts = [_REQ_HEAD.pack(0.0, MODE_REGISTER, session, grid.K, grid.d, kind, len(section)), section]
+    if sparse:
+        parts += [_U32.pack(len(layout.coords)), np.ascontiguousarray(layout.coords, dtype="<u4")]
+    return sum(memoryview(p).nbytes for p in parts), parts
+
+
+def _parse_register(payload, dims: Dims) -> tuple[int, PatchGrid | SparseWindowPlan, tuple]:
+    """(session, layout, conditions) of a mode-4 request, the layout
+    built on `dims` by the library's constructors and their checks: K is
+    N or M and d divides K, there is one condition per window, and a
+    sparse plan's coordinates are inside the grid, sorted, unique and
+    covered."""
+    _, _, session, K, d, kind, cond_len = _parse_head(payload)
+    if kind not in (MODE_DENSE, MODE_SPARSE):
+        raise ProtocolError(f"unknown layout kind {kind}")
+    grid = PatchGrid(dims, d, K)
+    view = memoryview(payload).cast("B")
+    off = _REQ_HEAD.size
+    if cond_len > len(view) - off:
+        raise ProtocolError("register condition section truncated")
+    section, latent = view[off : off + cond_len], view[off + cond_len :]
+    conditions, pos = [], 0
+    while pos < len(section) and len(conditions) < grid.count:
+        if len(section) - pos < _U32.size:
+            raise ProtocolError(f"condition {len(conditions)}: length truncated")
+        (size,) = _U32.unpack_from(section, pos)
+        pos += _U32.size
+        if size > len(section) - pos:
+            raise ProtocolError(f"condition {len(conditions)}: {size} bytes declared, {len(section) - pos} left")
+        conditions.append(ConditionEmbedding(bytes(section[pos : pos + size])))
+        pos += size
+    if len(conditions) != grid.count or pos != len(section):
+        raise ProtocolError(f"register needs exactly one condition per window of {grid.count}")
+    if kind == MODE_DENSE:
+        if len(latent):
+            raise ProtocolError("dense register carries no latent section")
+        grid.check_fits(dims.dense_shape)
+        return session, grid, tuple(conditions)
+    if len(latent) < _U32.size or len(latent) != _U32.size + 12 * _U32.unpack_from(latent, 0)[0]:
+        raise ProtocolError(f"sparse register latent section of {len(latent)} bytes is not a count and its coordinates")
+    coords = np.frombuffer(latent, dtype="<u4", offset=_U32.size).reshape(-1, 3).astype(np.int64)
+    problem = batch_coords_problem(dims, coords, np.array([0, len(coords)]))
+    if problem is not None:
+        raise ProtocolError(problem[1])
+    return session, SparseWindowPlan(grid, coords), tuple(conditions)
+
+
+def _field_parts(session: int, Z: DenseLatent | SparseLatent, t: float) -> tuple[int, list]:
+    """Size and buffers of the mode-5 request evaluating `session`'s
+    windows on Z: the head (shape (session, 0, 0, 0)), then Z's float32
+    values, a dense lattice or the sparse rows in registered order."""
+    values = np.ascontiguousarray(Z.features if isinstance(Z, SparseLatent) else Z.data, dtype="<f4")
+    head = _REQ_HEAD.pack(t, MODE_FIELD, session, 0, 0, 0, 0)
+    return len(head) + values.nbytes, [head, values]
+
+
 def _send_frame(sock: socket.socket, ftype: int, request_id: int, size: int, parts) -> None:
     """Send one frame whose payload is the `size` bytes of the buffers
     `parts` yields, in order.  The buffers are never joined: they go out
@@ -320,11 +425,16 @@ def _no_delay(sock: socket.socket) -> None:
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytearray:
-    buf = bytearray(count)
-    view = memoryview(buf)
+    """The next `count` bytes of the stream.  The buffer starts at
+    _RECV_CHUNK bytes and at most doubles once full, so a peer that
+    declares a large payload holds only about twice what it sent."""
+    buf = bytearray(min(count, _RECV_CHUNK))
     got = 0
     while got < count:
-        n = sock.recv_into(view[got:])
+        if got == len(buf):
+            buf += bytes(min(len(buf), count - got))
+        with memoryview(buf) as view:
+            n = sock.recv_into(view[got:])
         if not n:
             raise ConnectionError("connection closed by peer")
         got += n
@@ -343,6 +453,14 @@ def _parse_endpoint(endpoint: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+class _RemoteError(ProviderError):
+    """An error frame answering a request; `text` is its payload."""
+
+    def __init__(self, message: str, text: str, item: int | None = None):
+        super().__init__(message, item)
+        self.text = text
+
+
 class _Pending:
     __slots__ = ("event", "frame", "error")
 
@@ -358,6 +476,14 @@ class RemoteProvider(VectorFieldProvider):
     Safe for concurrent calls; requests are pipelined on one connection
     and matched to responses by request id.  Each `evaluate_batch` call
     is one mode-3 frame and `evaluate` is a batch of one.
+
+    A window field (`evaluate_windows`) is one mode-5 frame on a stage
+    session: the first call on a layout registers it and its conditions
+    (mode 4) under a fresh id and waits for the acknowledgement.  The
+    registry holds layouts by weak reference.  A session the peer has
+    evicted is registered once more under a fresh id; a peer that
+    answers "unknown eval mode 4" gets mode-3 batches for the rest of
+    the connection.
     """
 
     concurrent_safe = True
@@ -375,6 +501,11 @@ class RemoteProvider(VectorFieldProvider):
         self._pending: dict[int, _Pending] = {}
         self._pending_lock = threading.Lock()
         self._closed = False
+        self._session_ids = itertools.count(1)
+        # layout -> (conditions, session id), for layouts still alive
+        self._sessions = weakref.WeakKeyDictionary()
+        self._session_lock = threading.Lock()
+        self._sessions_served = True
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -413,6 +544,49 @@ class RemoteProvider(VectorFieldProvider):
             )
         return np.frombuffer(payload, dtype="<f4").reshape(batch.values.shape)
 
+    def evaluate_windows(self, Z, layout, conditions, t, workers=1):
+        """One mode-5 frame on the layout's session, whatever `workers`;
+        the default mode-3 batches when the peer has no sessions."""
+        stale = None
+        while True:
+            session = self._session(layout, conditions, stale)
+            if session is None:
+                return super().evaluate_windows(Z, layout, conditions, t, workers)
+            try:
+                request_id, payload = self._exchange(*_field_parts(session, Z, t))
+            except _RemoteError as exc:
+                if stale is not None or not exc.text.startswith("unknown session"):
+                    raise
+                stale = session
+                continue
+            shape = window_values_shape(Z, layout)
+            if len(payload) != 4 * math.prod(shape):
+                raise ProtocolError(
+                    f"response {request_id}: payload {len(payload)} bytes != expected {4 * math.prod(shape)}"
+                )
+            return np.frombuffer(payload, dtype="<f4").reshape(shape)
+
+    def _session(self, layout, conditions, stale: int | None) -> int | None:
+        """The id of this connection's session holding `layout` with
+        `conditions`, registered under a fresh id when there is none or
+        it is `stale`; None when the peer has no sessions."""
+        with self._session_lock:
+            if not self._sessions_served:
+                return None
+            entry = self._sessions.get(layout)
+            if entry is not None and entry[1] != stale and (entry[0] is conditions or entry[0] == tuple(conditions)):
+                return entry[1]
+            session = next(self._session_ids)
+            try:
+                self._exchange(*_register_parts(session, layout, conditions))
+            except _RemoteError as exc:
+                if exc.text != f"unknown eval mode {MODE_REGISTER}":
+                    raise
+                self._sessions_served = False
+                return None
+            self._sessions[layout] = (tuple(conditions), session)
+            return session
+
     def _exchange(self, size: int, parts) -> tuple[int, bytearray]:
         """Send one request frame and wait for its response payload."""
         if self._closed:
@@ -438,8 +612,8 @@ class RemoteProvider(VectorFieldProvider):
         if reply.type == TYPE_ERROR:
             text = reply.payload.decode("utf-8", "replace")
             item = _ITEM_ERROR.match(text)
-            raise ProviderError(
-                f"remote error for request {request_id}: {text}",
+            raise _RemoteError(
+                f"remote error for request {request_id}: {text}", text,
                 item=int(item.group(1)) if item else None,
             )
         return request_id, reply.payload
@@ -460,7 +634,8 @@ class RemoteProvider(VectorFieldProvider):
 
 
 class _Connection:
-    """One accepted socket: serialized sends and a count of answers in flight."""
+    """One accepted socket: serialized sends, a count of answers in
+    flight, and its sessions (at most MAX_SESSIONS, oldest evicted)."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -468,6 +643,24 @@ class _Connection:
         self.send_lock = threading.Lock()
         self.idle = threading.Condition()
         self.in_flight = 0
+        self.sessions: OrderedDict[int, tuple] = OrderedDict()
+        self.sessions_lock = threading.Lock()
+
+    def register(self, session: int, layout, conditions: tuple):
+        with self.sessions_lock:
+            if session in self.sessions:
+                raise ProviderError(f"session {session} is already registered")
+            while len(self.sessions) >= MAX_SESSIONS:
+                self.sessions.popitem(last=False)
+            self.sessions[session] = (layout, conditions)
+
+    def session(self, session: int) -> tuple:
+        """(layout, conditions) of a registered session."""
+        with self.sessions_lock:
+            entry = self.sessions.get(session)
+        if entry is None:
+            raise ProviderError(f"unknown session {session}")
+        return entry
 
     def send(self, ftype: int, request_id: int, parts: list):
         try:
@@ -596,25 +789,50 @@ class ProviderServer:
 
     def _answer(self, conn: _Connection, frame: Frame):
         try:
-            conn.send(TYPE_RESPONSE, frame.request_id, self._evaluate(frame.payload))
+            conn.send(TYPE_RESPONSE, frame.request_id, self._evaluate(conn, frame.payload))
         except Exception as exc:
             item = exc.item if isinstance(exc, ProviderError) else None
             conn.send_error(frame.request_id, str(exc) if item is None else f"item {item}: {exc}")
         finally:
             conn.answer_done()
 
-    def _evaluate(self, payload) -> list[np.ndarray]:
-        """The float32 vectors answering a request's items, in item order,
-        as one buffer."""
+    def _evaluate(self, conn: _Connection, payload) -> list[np.ndarray]:
+        """The buffers answering a request: nothing for a registration,
+        else the float32 vectors of its items or of its session's
+        windows, in order, as one buffer."""
+        t, mode, session, s1, s2, s3, cond_len = _parse_head(payload)
+        if mode == MODE_REGISTER:
+            conn.register(*_parse_register(payload, self.dims))
+            return []
+        if mode == MODE_FIELD:
+            if (s1, s2, s3, cond_len) != (0, 0, 0, 0):
+                raise ProtocolError("field head holds more than a session id")
+            layout, conditions = conn.session(session)
+            return self._reply(self._gather(layout, memoryview(payload)[_REQ_HEAD.size :]), conditions, float(t))
         requests = parse_request(payload)
-        batch = self._batch(requests)
         conditions = [ConditionEmbedding(bytes(req.condition)) for req in requests]
-        values = np.asarray(self.provider.evaluate_batch(batch, conditions, requests[0].t))
+        return self._reply(self._batch(requests), conditions, requests[0].t)
+
+    def _reply(self, batch: PatchBatch, conditions, t: float) -> list[np.ndarray]:
+        values = np.asarray(self.provider.evaluate_batch(batch, conditions, t))
         if values.shape != batch.values.shape:
             raise ProviderError(
                 f"provider returned values of shape {values.shape} for a batch of {batch.values.shape}"
             )
         return [np.ascontiguousarray(values, dtype="<f4")]
+
+    def _gather(self, layout, latent: memoryview) -> PatchBatch:
+        """The windows of `layout` over the global latent a mode-5 request
+        carries, once its length is checked; the latent constructors
+        check that every value is finite."""
+        sparse = isinstance(layout, SparseWindowPlan)
+        shape = (len(layout.coords), self.dims.l) if sparse else self.dims.dense_shape
+        if len(latent) != 4 * math.prod(shape):
+            raise ProtocolError(f"field latent is {len(latent)} bytes, expected {4 * math.prod(shape)}")
+        values = np.frombuffer(latent, dtype="<f4").reshape(shape).astype(DTYPE)  # aligned copy
+        if sparse:
+            return layout.gather(SparseLatent._on_checked_coords(self.dims, layout.coords, values))
+        return gather_dense(DenseLatent(self.dims, values), layout)
 
     def _batch(self, requests: list[EvalRequest]) -> PatchBatch:
         """The stacked batch of a request's items, unpacked straight from

@@ -76,6 +76,12 @@ class VectorFieldProvider:
     provider that answers whole batches defines `evaluate_batch` and can
     answer single patches with `evaluate_one`.
 
+    A window field reaches the provider through `evaluate_windows(Z,
+    layout, conditions, t, workers)`, whose default gathers the windows
+    and makes the chunked `evaluate_batch` calls; a provider that can
+    gather the windows itself (a remote one holding the layout on its
+    peer) overrides it.
+
     The engine quantizes t to float32 before every call (the wire
     protocol carries it as f32, and in-process and remote providers must
     see bit-identical inputs).  Providers that cannot run concurrently
@@ -109,6 +115,29 @@ class VectorFieldProvider:
             except Exception as exc:
                 raise ProviderError(str(exc), item=n) from exc
         return values
+
+    def evaluate_windows(
+        self,
+        Z: PatchLatent,
+        layout: PatchGrid | SparseWindowPlan,
+        conditions: Sequence[ConditionEmbedding],
+        t: float,
+        workers: int = 1,
+    ) -> np.ndarray:
+        """Every window's vector for Z, stacked as the gathered windows
+        stack their values: (windows, K, K, K, C) for a dense Z on its
+        PatchGrid, (window rows, l) for a sparse Z on the
+        SparseWindowPlan of its coordinates.  `conditions` holds one
+        condition per window, in window order.
+
+        The default gathers the windows into one batch and answers it
+        with at most `workers` `evaluate_batch` calls on contiguous
+        chunks (`_evaluate_chunks`).  The engine checks the reply's shape
+        and finiteness and names the failing window; a ProviderError's
+        `item`, when set, is a window index.
+        """
+        batch = layout.gather(Z) if isinstance(layout, SparseWindowPlan) else gather_dense(Z, layout)
+        return _evaluate_chunks(self, batch, conditions, t, workers)
 
 
 def evaluate_one(
@@ -477,72 +506,95 @@ def extended_field(
     """Patch-wise field: evaluate the provider on every window and merge.
 
     A sparse Z is cut by `plan`, the window plan of its grid and
-    coordinates (built here when not given).  All windows travel as one
-    stacked batch: one gather, at most `workers` provider calls (see
-    `_evaluate`), one merge in the grid's fixed window order, so the
+    coordinates (built here when not given).  The provider gets the
+    whole window field in one `evaluate_windows` call (by default one
+    stacked gather and at most `workers` batch calls); the reply is
+    checked once and merged in the grid's fixed window order, so the
     result does not depend on the worker count; provider failures carry
     the window index.
     """
     windows = grid.windows()
     if isinstance(Z, SparseLatent):
-        plan = window_plan(grid, Z.coords, plan)
-        batch = plan.gather(Z)
+        layout = window_plan(grid, Z.coords, plan)
+        bounds = layout.bounds
     else:
-        batch = gather_dense(Z, grid)
-    values = _evaluate(
-        provider, batch, conditioner.window_conditions(grid), t, workers,
-        lambda k: f"patch ({windows[k].i}, {windows[k].j})",
+        layout, bounds = grid, None
+        grid.check_fits(Z.data.shape)
+    conditions = conditioner.window_conditions(grid)
+    t_eval = float(DTYPE(t))
+    values = _checked_call(
+        lambda: provider.evaluate_windows(Z, layout, conditions, t_eval, workers),
+        window_values_shape(Z, layout), bounds, lambda k: f"patch ({windows[k].i}, {windows[k].j})",
     )
-    del batch  # free the inputs before the merge allocates its own
     if isinstance(Z, SparseLatent):
-        return plan.merge_features(values)
+        return layout.merge_features(values)
     return merge_dense(values, grid)
 
 
-def _evaluate(provider, batch, conditions, t, workers, name) -> np.ndarray:
-    """The provider's vectors for `batch`, stacked like `batch.values`.
+def window_values_shape(Z: PatchLatent, layout: PatchGrid | SparseWindowPlan) -> tuple[int, ...]:
+    """The shape of the stacked window vectors of Z on `layout`."""
+    if isinstance(layout, SparseWindowPlan):
+        return (len(layout.rows), Z.dims.l)
+    return (layout.count, layout.K, layout.K, layout.K, Z.data.shape[-1])
+
+
+def _evaluate_chunks(provider, batch, conditions, t, workers) -> np.ndarray:
+    """The provider's vectors for `batch`, unchecked, stacked like
+    `batch.values`.
 
     The items are cut into at most `workers` contiguous chunks, one
     `evaluate_batch` call each; the chunks run on a thread pool only
-    when workers > 1 and the provider is concurrent-safe.  Each reply is
-    checked once for shape and finiteness.  `name(k)` names item k in
-    errors.
+    when workers > 1 and the provider is concurrent-safe.  A failing
+    chunk's ProviderError `item` is re-based to the whole batch.
     """
-    t_eval = float(DTYPE(t))
     count = len(batch)
     chunks = min(workers, count) if workers > 1 and provider.concurrent_safe else 1
+    if chunks == 1:
+        return provider.evaluate_batch(batch, conditions, t)
     bounds = [count * c // chunks for c in range(chunks + 1)]
 
     def run(span):
         lo, hi = span
         part = batch[lo:hi]
         try:
-            values = provider.evaluate_batch(part, conditions[lo:hi], t_eval)
-        except Exception as exc:
-            item = exc.item if isinstance(exc, ProviderError) else None
-            if item is not None and 0 <= item < hi - lo:
-                where = name(lo + item)
-            else:
-                where = f"{name(lo)} to {name(hi - 1)}"
-            raise ProviderError(f"provider failed on {where}: {exc}") from exc
-        return _checked_reply(part, values, lambda k: name(lo + k))
+            values = np.asarray(provider.evaluate_batch(part, conditions[lo:hi], t))
+        except ProviderError as exc:
+            if exc.item is None or not 0 <= exc.item < hi - lo:
+                raise
+            raise ProviderError(str(exc), item=lo + exc.item) from exc
+        if values.shape != part.values.shape:
+            raise ProviderError(
+                f"provider returned values of shape {values.shape} for items {lo} to {hi - 1}, "
+                f"expected {part.values.shape}"
+            )
+        return values
 
-    replies = _map_jobs(run, list(zip(bounds, bounds[1:])))
-    return replies[0] if len(replies) == 1 else np.concatenate(replies)
+    return np.concatenate(_map_jobs(run, list(zip(bounds, bounds[1:]))))
 
 
-def _checked_reply(part: PatchBatch, values, name) -> np.ndarray:
-    """`values` as float32 when it is shaped like `part.values` and
-    finite; else a ProviderError naming the items (item k is `name(k)`)."""
-    values = np.asarray(values)
-    expected = part.values.shape
-    where = f"{name(0)} to {name(len(part) - 1)}"
-    if values.shape != expected:
-        if values.shape[1:] == expected[1:] and isinstance(part, DenseBatch):
+def _checked_call(call, shape, bounds, name) -> np.ndarray:
+    """`call()`'s reply as float32 when it has `shape` and is finite.
+
+    A failure of the call, or a reply of another shape or with a
+    non-finite value, is a ProviderError naming the items: item k is
+    `name(k)`, and sparse rows belong to items by `bounds` (None for
+    dense items stacked along axis 0).
+    """
+    count = shape[0] if bounds is None else len(bounds) - 1
+    where = f"{name(0)} to {name(count - 1)}"
+    try:
+        values = np.asarray(call())
+    except Exception as exc:
+        item = exc.item if isinstance(exc, ProviderError) else None
+        if item is not None and 0 <= item < count:
+            where = name(item)
+        raise ProviderError(f"provider failed on {where}: {exc}") from exc
+    if values.shape != shape:
+        if bounds is None and values.shape[1:] == shape[1:]:
             raise ProviderError(f"provider returned {len(values)} vectors for {where}")
-        raise ProviderError(f"provider returned values of shape {values.shape} for {where}, expected {expected}")
+        raise ProviderError(f"provider returned values of shape {values.shape} for {where}, expected {shape}")
     values = np.ascontiguousarray(values, dtype=DTYPE)
-    item = first_nonfinite_item(values, part.bounds if isinstance(part, SparseBatch) else None)
+    item = first_nonfinite_item(values, bounds)
     if item is not None:
         raise ProviderError(f"provider returned non-finite values for {name(item)}")
     return values
@@ -564,12 +616,14 @@ def dilated_field(
     conditioner: Conditioner,
     workers: int = 1,
 ) -> DenseLatent:
-    """Evaluate the provider on every dilated sample and scatter back."""
-    values = _evaluate(
-        provider,
-        partition.gather_batch(Z),
-        conditioner.dilated_conditions(partition),
-        t, workers, lambda n: f"dilated sample {n}",
+    """Evaluate the provider on every dilated sample, in at most
+    `workers` batch calls, and scatter back."""
+    batch = partition.gather_batch(Z)
+    conditions = conditioner.dilated_conditions(partition)
+    t_eval = float(DTYPE(t))
+    values = _checked_call(
+        lambda: _evaluate_chunks(provider, batch, conditions, t_eval, workers),
+        batch.values.shape, None, lambda n: f"dilated sample {n}",
     )
     return partition.scatter(values)
 

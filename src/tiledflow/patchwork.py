@@ -129,6 +129,14 @@ class PatchGrid:
     def _windows(self) -> tuple[Window, ...]:
         return tuple(Window(i, j, self.K, self.d) for i in range(self.ni) for j in range(self.nj))
 
+    def check_fits(self, shape: Sequence[int]) -> None:
+        """DimensionError unless every window fits inside a lattice of
+        `shape` (x, y, z, ...)."""
+        stride = self.K // self.d
+        X, Y, H = shape[:3]
+        if (self.ni - 1) * stride + self.K > X or (self.nj - 1) * stride + self.K > Y or self.K > H:
+            raise DimensionError(f"windows of side {self.K} exceed lattice {tuple(shape)}")
+
     def axis_coverage(self, n_windows: int, extent: int) -> np.ndarray:
         """Per-position window-coverage count along one extended axis."""
         pos = np.arange(extent)
@@ -164,11 +172,10 @@ def gather_dense(Z: DenseLatent, grid: PatchGrid) -> DenseBatch:
     One strided copy of a sliding-window view; item k equals
     `patch_dense(Z, grid.windows()[k])`.
     """
+    grid.check_fits(Z.data.shape)
     K = grid.K
     stride = K // grid.d
-    X, Y, H, C = Z.data.shape
-    if (grid.ni - 1) * stride + K > X or (grid.nj - 1) * stride + K > Y or K > H:
-        raise DimensionError(f"windows of side {K} exceed lattice {Z.data.shape}")
+    C = Z.data.shape[3]
     # (ni, nj, z, C, x, y) views of the window origins, then one copy into
     # (window, x, y, z, C)
     view = sliding_window_view(Z.data[:, :, :K], (K, K), axis=(0, 1))[::stride, ::stride]

@@ -14,7 +14,10 @@ from tiledflow.bridge import (
     MAGIC,
     MAX_PAYLOAD,
     MAX_PIPELINED,
+    MAX_SESSIONS,
     MODE_BATCH,
+    MODE_FIELD,
+    MODE_REGISTER,
     ProviderServer,
     RemoteProvider,
     TYPE_ERROR,
@@ -40,7 +43,14 @@ from tiledflow.flowcore import (
     extended_field,
 )
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, init_sparse_noise, stack_patches
-from tiledflow.patchwork import dilated_partition, make_patch_grid, patch_dense, patch_sparse
+from tiledflow.patchwork import (
+    SparseWindowPlan,
+    dilated_partition,
+    make_patch_grid,
+    merge_dense,
+    patch_dense,
+    patch_sparse,
+)
 from tiledflow.priors import ConditionEmbedding
 
 
@@ -880,3 +890,390 @@ class TestStackedWireBytes:
         for part in ("request", "reply"):
             length, digest = self.GOLDEN[(kind, part)]
             assert (len(seen[part]), hashlib.sha256(seen[part]).hexdigest()) == (length, digest)
+
+    # Stage sessions on the same scene, whole 3 x 3 window grids: the
+    # mode-4 registration, the mode-5 request and its reply, which is
+    # mode 3's reply layout for all nine windows.
+    SESSION_GOLDEN = {
+        ("dense", "register"): (178, "3b273fb6e2ea95951c17798b7ab1db90a726ca86d78ce8f28491b96372193e19"),
+        ("dense", "field"): (2073, "bc4884769f2b43041dc804c280b26f29651b42c1cfaf7c39837d6c87a37d07c8"),
+        ("dense", "reply"): (4608, "f935068b8220714faf17f54cd7fa8d000aa7f46319516c487d47712f136f1748"),
+        ("sparse", "register"): (3698, "6a2b7075317ceb836ffd0cb55353af1ea90a76aaddf73c8fb74b350f9d5e0f4d"),
+        ("sparse", "field"): (3541, "a224dc415258219124f890328a5eabcbc774e51840277b55c25376d1a612b309"),
+        ("sparse", "reply"): (7896, "0ba8436c9e5a1b3517804007355381cc34e06bb2cbb163c656ebb3bd42139569"),
+    }
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_session_bytes_pinned(self, kind):
+        import hashlib
+
+        dims, Z, T, S, ST = self._scene()
+        grid = make_patch_grid(dims, 2, dims.N if kind == "dense" else dims.M)
+        oracle = GlobalOracleProvider(ss_target=T, slat_target=ST)
+        server = ProviderServer(oracle, dims).start()
+        relay = _Relay(server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                field = extended_field(Z if kind == "dense" else S, 0.5, grid, remote, OracleConditioner())
+        finally:
+            relay.close()
+            server.stop()
+        expected = extended_field(Z if kind == "dense" else S, 0.5, grid, oracle, OracleConditioner())
+        values = (lambda X: X.data) if kind == "dense" else (lambda X: X.features)
+        assert values(field).tobytes() == values(expected).tobytes()
+        register, request = relay.requests
+        seen = {"register": register.payload, "field": request.payload, "reply": relay.replies[1].payload}
+        # the layout of those bytes, spelled out
+        latent = Z.data if kind == "dense" else S.features
+        conditions = [OracleConditioner().window_condition(w) for w in grid.windows()]
+        section = b"".join(struct.pack("<I", len(c.data)) + c.data for c in conditions)
+        coords = b"" if kind == "dense" else struct.pack("<I", len(S)) + S.coords.astype("<u4").tobytes()
+        head = _REQ_HEAD.pack(0.0, MODE_REGISTER, 1, grid.K, 2, 1 if kind == "dense" else 2, len(section))
+        assert seen["register"] == head + section + coords
+        assert seen["field"] == _REQ_HEAD.pack(0.5, MODE_FIELD, 1, 0, 0, 0, 0) + latent.tobytes()
+        patches = [patch_dense(Z, w) if kind == "dense" else patch_sparse(S, w) for w in grid.windows()]
+        assert seen["reply"] == oracle.evaluate_batch(stack_patches(patches), conditions, 0.5).tobytes()
+        for part, payload in seen.items():
+            assert (len(payload), hashlib.sha256(payload).hexdigest()) == self.SESSION_GOLDEN[(kind, part)]
+
+
+class TestBoundedReceive:
+    def test_header_alone_pins_no_payload_buffer(self):
+        import tracemalloc
+
+        sender, receiver = socket.socketpair()
+        try:
+            sender.sendall(struct.pack("<4sBQI", MAGIC, TYPE_REQUEST, 1, 64 << 20) + bytes(1024))
+            sender.close()
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConnectionError):
+                    _read_frame(receiver)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            receiver.close()
+        assert peak < 4 << 20
+
+    def test_payloads_past_the_first_buffer_arrive_whole(self):
+        sender, receiver = socket.socketpair()
+        payload = np.random.default_rng(3).bytes(5 * (1 << 20) + 7)
+        thread = threading.Thread(target=sender.sendall, args=(encode_frame(Frame(TYPE_RESPONSE, 4, payload)),))
+        thread.start()
+        try:
+            frame = _read_frame(receiver)
+        finally:
+            thread.join(10)
+            sender.close()
+            receiver.close()
+        assert (frame.type, frame.request_id, bytes(frame.payload)) == (TYPE_RESPONSE, 4, payload)
+
+
+class _Relay:
+    """Forwards XFP1 frames between a client on `self.client` (one end of
+    a socketpair) and `server`, recording both directions.  `answer(frame)`
+    may return a reply to send the client instead of forwarding the
+    request."""
+
+    def __init__(self, server, answer=None):
+        self.client, self._end = socket.socketpair()
+        host, port = server.address.rsplit(":", 1)
+        self._up = socket.create_connection((host, int(port)))
+        self._answer = answer
+        self._lock = threading.Lock()
+        self.requests, self.replies = [], []
+        self._threads = [threading.Thread(target=f, daemon=True) for f in (self._forward, self._back)]
+        for thread in self._threads:
+            thread.start()
+
+    def _to_client(self, frame):
+        with self._lock:
+            self._end.sendall(encode_frame(frame))
+
+    def _forward(self):
+        try:
+            while True:
+                frame = _read_frame(self._end)
+                self.requests.append(frame)
+                reply = self._answer(frame) if self._answer else None
+                if reply is None:
+                    self._up.sendall(encode_frame(frame))
+                else:
+                    self._to_client(reply)
+        except OSError:
+            pass
+        finally:
+            self._up.shutdown(socket.SHUT_WR)
+
+    def _back(self):
+        try:
+            while True:
+                frame = _read_frame(self._up)
+                self.replies.append(frame)
+                self._to_client(frame)
+        except OSError:
+            pass
+
+    def modes(self):
+        return [_REQ_HEAD.unpack_from(f.payload)[1] for f in self.requests]
+
+    def close(self):
+        for thread in self._threads:
+            thread.join(10)
+        self._end.close()
+        self._up.close()
+
+
+class TestSessions:
+    def _connect(self, server):
+        host, port = server.address.rsplit(":", 1)
+        sock = socket.create_connection((host, int(port)))
+        sock.settimeout(5)
+        return sock
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_window_field_is_one_frame_after_one_registration(self, oracle_server, workers):
+        server, target, slat_target = oracle_server
+        local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        cond = OracleConditioner()
+        Z = random_dense(DIMS, 43)
+        S = slat_target.with_features(np.float32(0.75) * slat_target.features + 2)
+        dense_grid, sparse_grid = make_patch_grid(DIMS, 2, DIMS.N), make_patch_grid(DIMS, 2, DIMS.M)
+        plan = SparseWindowPlan(sparse_grid, S.coords)
+
+        def fields(provider):
+            return [
+                extended_field(Z, t, dense_grid, provider, cond, workers).data.tobytes()
+                + extended_field(S, t, sparse_grid, provider, cond, workers, plan).features.tobytes()
+                for t in (0.7, 0.3)
+            ]
+
+        relay = _Relay(server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                assert fields(remote) == fields(local)
+        finally:
+            relay.close()
+        assert relay.modes() == [MODE_REGISTER, MODE_FIELD, MODE_REGISTER, MODE_FIELD, MODE_FIELD, MODE_FIELD]
+
+    def test_concurrent_fields_register_each_layout_once(self, oracle_server):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        server, target, slat_target = oracle_server
+        local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        cond = OracleConditioner()
+        Z = random_dense(DIMS, 46)
+        dense_grid, sparse_grid = make_patch_grid(DIMS, 2, DIMS.N), make_patch_grid(DIMS, 2, DIMS.M)
+        plan = SparseWindowPlan(sparse_grid, slat_target.coords)
+
+        def field(provider, n):
+            if n % 2:
+                return extended_field(slat_target, 0.5, sparse_grid, provider, cond, plan=plan).features.tobytes()
+            return extended_field(Z, 0.5, dense_grid, provider, cond).data.tobytes()
+
+        expected = [field(local, n) for n in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        relay = _Relay(server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(pool.map(lambda n: field(remote, n), range(32)))
+        finally:
+            sys.setswitchinterval(interval)
+            relay.close()
+        assert results == [expected[n % 2] for n in range(32)]
+        modes = relay.modes()
+        assert (modes.count(MODE_REGISTER), modes.count(MODE_FIELD)) == (2, 32)
+
+    def test_peer_without_sessions_gets_batches_for_the_connection(self, oracle_server):
+        server, target, slat_target = oracle_server
+        oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+
+        def as_parent_server(frame):
+            # the error frame a server that predates sessions answers mode 4 with
+            if _REQ_HEAD.unpack_from(frame.payload)[1] == MODE_REGISTER:
+                return Frame(TYPE_ERROR, frame.request_id, b"unknown eval mode 4")
+            return None
+
+        for workers in (1, 2):
+            expected = _stacked_fields(oracle, target, slat_target, workers)
+            relay = _Relay(server, as_parent_server)
+            try:
+                with RemoteProvider(relay.client, timeout=10) as remote:
+                    assert _stacked_fields(remote, target, slat_target, workers) == expected
+                    assert _stacked_fields(remote, target, slat_target, workers) == expected
+            finally:
+                relay.close()
+            modes = relay.modes()
+            assert modes.count(MODE_REGISTER) == 1 and MODE_FIELD not in modes
+            # three fields, each in `workers` batches, twice
+            assert modes.count(MODE_BATCH) == 2 * 3 * workers
+
+    def test_registration_beyond_the_bound_evicts_the_oldest(self, oracle_server):
+        server, target, _ = oracle_server
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        conditions = [OracleConditioner().window_condition(w).data for w in grid.windows()]
+        section = b"".join(struct.pack("<I", len(c)) + c for c in conditions)
+        Z = random_dense(DIMS, 44)
+        field = lambda session: _REQ_HEAD.pack(0.5, MODE_FIELD, session, 0, 0, 0, 0) + Z.data.tobytes()
+        sock = self._connect(server)
+        try:
+            for session in range(1, MAX_SESSIONS + 2):
+                register = _REQ_HEAD.pack(0.0, MODE_REGISTER, session, DIMS.N, 2, 1, len(section)) + section
+                sock.sendall(encode_frame(Frame(TYPE_REQUEST, session, register)))
+                (reply,) = _read_frames(sock, 1)
+                assert (reply.type, reply.request_id, reply.payload) == (TYPE_RESPONSE, session, b"")
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 100, field(1))))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_ERROR, 100)
+            assert reply.payload.decode() == "unknown session 1"
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 101, field(MAX_SESSIONS + 1))))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_RESPONSE, 101)
+            expected = extended_field(Z, 0.5, grid, GlobalOracleProvider(ss_target=target), OracleConditioner())
+            values = np.frombuffer(reply.payload, dtype="<f4").reshape(grid.count, 4, 4, 4, 1)
+            assert merge_dense(values, grid).data.tobytes() == expected.data.tobytes()
+            sock.sendall(_valid_request_blob(102))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_RESPONSE, 102)
+        finally:
+            sock.close()
+
+    def test_evicted_session_is_registered_again(self, oracle_server):
+        server, target, slat_target = oracle_server
+        local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        cond = OracleConditioner()
+        Z = random_dense(DIMS, 45)
+        grids = [make_patch_grid(DIMS, d, DIMS.N) for d in (1, 2, 4)]
+        grids += [make_patch_grid(DIMS, d, DIMS.M) for d in (1, 2, 4)]
+        plans = [SparseWindowPlan(g, slat_target.coords) for g in grids[3:]]
+
+        def fields(provider):
+            out = [extended_field(Z, 0.5, g, provider, cond).data.tobytes() for g in grids[:3]]
+            out += [extended_field(slat_target, 0.5, p.grid, provider, cond, plan=p).features.tobytes() for p in plans]
+            out.append(extended_field(Z, 0.5, grids[0], provider, cond).data.tobytes())
+            return out
+
+        relay = _Relay(server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                assert fields(remote) == fields(local)
+        finally:
+            relay.close()
+        # six layouts, then the first again: its session was evicted, so
+        # the field is refused once and the layout registered anew
+        assert relay.modes() == [MODE_REGISTER, MODE_FIELD] * 6 + [MODE_FIELD, MODE_REGISTER, MODE_FIELD]
+        (refused,) = [f for f in relay.replies if f.request_id == relay.requests[-3].request_id]
+        assert refused.type == TYPE_ERROR and refused.payload.decode() == "unknown session 1"
+
+    @pytest.mark.parametrize(
+        "layout,text",
+        [
+            (("dense", DIMS.N, 3), "division factor d=3 must divide K=4"),
+            (("dense", 5, 1), "K=5 must be one of N=4, M=8"),
+            (("dense", DIMS.M, 2), "exceed lattice"),
+            (("sparse-unsorted", DIMS.M, 2), "not sorted"),
+            (("sparse-uncovered", DIMS.N, 2), "not covered"),
+            (("conditions", DIMS.N, 2), "one condition per window"),
+        ],
+    )
+    def test_bad_registration_gets_an_error_frame(self, oracle_server, layout, text):
+        server, _, slat_target = oracle_server
+        kind, K, d = layout
+        count = ((DIMS.a - 1) * d + 1) * ((DIMS.b - 1) * d + 1)
+        conditions = [b"c"] * (count - (kind == "conditions"))
+        section = b"".join(struct.pack("<I", len(c)) + c for c in conditions)
+        latent = b""
+        if kind.startswith("sparse"):
+            coords = slat_target.coords[::-1] if kind == "sparse-unsorted" else slat_target.coords
+            latent = struct.pack("<I", len(coords)) + coords.astype("<u4").tobytes()
+        payload = _REQ_HEAD.pack(0.0, MODE_REGISTER, 1, K, d, 2 if latent else 1, len(section)) + section + latent
+        sock = self._connect(server)
+        try:
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 80, payload)))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_ERROR, 80)
+            assert text in reply.payload.decode()
+            sock.sendall(_valid_request_blob(81))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_RESPONSE, 81)
+        finally:
+            sock.close()
+
+
+_FUZZ_DIMS = Dims(2, 2, 4, 8, C=1, l=2)
+
+
+def _fuzz_layouts():
+    """Valid register payloads for sessions 1 (dense) and 2 (sparse) on
+    _FUZZ_DIMS, and valid field payloads on them."""
+    dims = _FUZZ_DIMS
+    rng = np.random.default_rng(50)
+    coords = np.argwhere(rng.random(dims.grid_shape) < 0.05)
+    sections = []
+    for grid in (make_patch_grid(dims, 2, dims.N), make_patch_grid(dims, 2, dims.M)):
+        conditions = [OracleConditioner().window_condition(w).data for w in grid.windows()]
+        sections.append(b"".join(struct.pack("<I", len(c)) + c for c in conditions))
+    coord_section = struct.pack("<I", len(coords)) + coords.astype("<u4").tobytes()
+    registers = [
+        _REQ_HEAD.pack(0.0, MODE_REGISTER, 1, dims.N, 2, 1, len(sections[0])) + sections[0],
+        _REQ_HEAD.pack(0.0, MODE_REGISTER, 2, dims.M, 2, 2, len(sections[1])) + sections[1] + coord_section,
+    ]
+    dense = rng.standard_normal(dims.dense_shape).astype("<f4")
+    features = rng.standard_normal((len(coords), dims.l)).astype("<f4")
+    fields = [
+        _REQ_HEAD.pack(0.5, MODE_FIELD, 1, 0, 0, 0, 0) + dense.tobytes(),
+        _REQ_HEAD.pack(0.5, MODE_FIELD, 2, 0, 0, 0, 0) + features.tobytes(),
+    ]
+    return registers, fields, coords
+
+
+_REGISTERS, _FIELDS, _FUZZ_COORDS = _fuzz_layouts()
+
+
+@pytest.fixture(scope="module")
+def fuzz_server():
+    dims = _FUZZ_DIMS
+    rng = np.random.default_rng(51)
+    target = DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32))
+    slat_target = init_sparse_noise(_FUZZ_COORDS, dims, seed=52)
+    server = ProviderServer(GlobalOracleProvider(ss_target=target, slat_target=slat_target), dims).start()
+    yield server
+    server.stop()
+
+
+class TestSessionFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        payload=st.tuples(
+            st.sampled_from(_REGISTERS + _FIELDS), st.integers(0, 10**6), st.integers(0, 255),
+            st.sampled_from(["mutate", "cut", "extend"]), st.binary(max_size=16),
+        ).map(lambda m: bytes(
+            _mutate(m[0], m[1], m[2]) if m[3] == "mutate"
+            else m[0][: m[1] % len(m[0])] if m[3] == "cut" else m[0] + m[4]
+        ))
+        | st.tuples(
+            st.floats(width=32), st.sampled_from([MODE_REGISTER, MODE_FIELD]),
+            st.lists(st.integers(0, 9) | st.integers(0, 2**32 - 1), min_size=4, max_size=4),
+            st.integers(0, 64) | st.integers(0, 2**32 - 1), st.binary(max_size=96),
+        ).map(lambda h: _REQ_HEAD.pack(h[0], h[1], *h[2], h[3]) + h[4]),
+    )
+    # a registration that re-uses a live session id
+    @example(payload=_REGISTERS[0])
+    def test_any_session_payload_gets_one_answer_and_the_connection_serves_on(self, fuzz_server, payload):
+        host, port = fuzz_server.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            for n, register in enumerate(_REGISTERS, 1):
+                sock.sendall(encode_frame(Frame(TYPE_REQUEST, n, register)))
+                (reply,) = _read_frames(sock, 1)
+                assert (reply.type, reply.payload) == (TYPE_RESPONSE, b"")
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 10, payload)))
+            (reply,) = _read_frames(sock, 1)
+            assert reply.type in (TYPE_RESPONSE, TYPE_ERROR) and reply.request_id == 10
+            for n, field in enumerate(_FIELDS, 11):
+                sock.sendall(encode_frame(Frame(TYPE_REQUEST, n, field)))
+                (reply,) = _read_frames(sock, 1)
+                assert (reply.type, reply.request_id) == (TYPE_RESPONSE, n)
