@@ -4,11 +4,11 @@
 Starts a loopback XFP1 server wrapping the oracle provider, points the
 engine's remote provider at it, and checks that the remotely evaluated
 patch-wise fields, dense and sparse, are bit-identical to the in-process
-ones.  The server counts the batch calls its provider answers, so the
-demo reports what crossed the wire.
+ones.  The server's provider counts the batch calls and windows it
+answers, so the demo reports how the windows reached it: with a stage
+session, each field's windows arrive as one batch, whatever `workers`
+is.
 """
-
-import numpy as np
 
 from tiledflow.bridge import ProviderServer, RemoteProvider
 from tiledflow.fixtures import build_demo_scene

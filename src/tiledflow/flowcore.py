@@ -64,8 +64,8 @@ class VectorFieldProvider:
     feature block with their window-local coordinates and per-item
     bounds.  The reply is one float32 array shaped like `batch.values`:
     item n's vector, for `conditions[n]`, sits where item n's values
-    sit.  Every item shares the one t.  The engine checks the reply's
-    shape and finiteness once per batch.  A batch either answers every
+    sit.  Every item shares the one t.  The engine checks the replies'
+    shape and finiteness once per field call.  A batch either answers every
     item or raises; when the failing item is known, the error is a
     ProviderError whose `item` is its index, so the engine can name the
     window.
