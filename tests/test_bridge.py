@@ -1203,6 +1203,38 @@ class TestSessions:
         finally:
             sock.close()
 
+    @pytest.mark.parametrize(
+        "field,text",
+        [
+            (lambda Z: _REQ_HEAD.pack(0.5, MODE_FIELD, 1, 0, 0, 0, 0) + Z[:-4], "field latent is"),
+            (lambda Z: _REQ_HEAD.pack(0.5, MODE_FIELD, 1, 0, 0, 0, 0) + Z[:-4] + struct.pack("<f", np.nan), "non-finite"),
+            (lambda Z: _REQ_HEAD.pack(0.5, MODE_FIELD, 1, 0, 1, 0, 0) + Z, "more than a session id"),
+            (lambda Z: _REQ_HEAD.pack(0.5, MODE_FIELD, 2, 0, 0, 0, 0) + Z, "unknown session 2"),
+        ],
+        ids=["short-latent", "non-finite", "shape-fields", "unknown-session"],
+    )
+    def test_bad_field_request_gets_an_error_frame(self, oracle_server, field, text):
+        server, _, _ = oracle_server
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        conditions = [OracleConditioner().window_condition(w).data for w in grid.windows()]
+        section = b"".join(struct.pack("<I", len(c)) + c for c in conditions)
+        Z = random_dense(DIMS, 47).data.tobytes()
+        sock = self._connect(server)
+        try:
+            register = _REQ_HEAD.pack(0.0, MODE_REGISTER, 1, DIMS.N, 2, 1, len(section)) + section
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 90, register)))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.payload) == (TYPE_RESPONSE, b"")
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 91, field(Z))))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id) == (TYPE_ERROR, 91)
+            assert text in reply.payload.decode()
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 92, _REQ_HEAD.pack(0.5, MODE_FIELD, 1, 0, 0, 0, 0) + Z)))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.request_id, len(reply.payload)) == (TYPE_RESPONSE, 92, 4 * grid.count * DIMS.N**3 * DIMS.C)
+        finally:
+            sock.close()
+
 
 _FUZZ_DIMS = Dims(2, 2, 4, 8, C=1, l=2)
 
