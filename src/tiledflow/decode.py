@@ -158,7 +158,3 @@ def export_ply(obj: OccupancyGrid | SparseLatent, with_colors: bool = False) -> 
     body = (row_format + "\n") * len(coords) % values
     return (header + body).encode("ascii")
 
-
-def ply_points_to_voxels(points: np.ndarray, M: int) -> np.ndarray:
-    """Invert the exporter's center formula: p = round(x * M - 0.5)."""
-    return np.rint(np.asarray(points, dtype=np.float64) * M - 0.5).astype(np.int64)

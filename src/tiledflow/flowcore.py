@@ -10,7 +10,11 @@ vector can be optimized.
 
 Closed-form oracle fields make the whole machinery exactly verifiable:
 the trajectory of (Z - target) / t is the straight interpolation line,
-so integration from any start lands on the target.
+so integration from any start lands on the target.  An oracle's
+condition bytes say which part of the scene a patch came from (a
+window's box origin, or a dilated sample's pillar maps);
+`read_oracle_conditions` reads a whole batch of them at once, and box
+sections are cut from the target's `window_boxes` view, as windows are.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, DivergenceError, ProviderError, SingularityError
+from .errors import DivergenceError, ProviderError, SingularityError
 from .lattice import (
     DTYPE,
     DenseBatch,
@@ -37,7 +40,9 @@ from .lattice import (
     first_nonfinite_item,
     stack_patches,
 )
-from .patchwork import (  # patch_dense and merge_vectors: the per-window forms, kept importable here
+# patch_dense and merge_vectors stay importable here because the
+# benchmark's trace wraps them as flowcore attributes.
+from .patchwork import (
     DilatedPartition,
     PatchGrid,
     SparseWindowPlan,
@@ -47,6 +52,7 @@ from .patchwork import (  # patch_dense and merge_vectors: the per-window forms,
     merge_vectors,  # noqa: F401
     patch_dense,  # noqa: F401
     restrict_sparse,
+    window_boxes,
     window_plan,
 )
 from .priors import ConditionEmbedding, NormalizationBox, ScenePrior, image_patchify, toy_condition
@@ -148,35 +154,6 @@ def evaluate_one(
     return batch.with_values(provider.evaluate_batch(batch, [condition], t))[0]
 
 
-class ZeroFieldProvider(VectorFieldProvider):
-    """Returns the zero vector; the flow becomes the identity."""
-
-    def evaluate(self, patch, condition, t):
-        if isinstance(patch, SparseLatent):
-            return patch.with_features(np.zeros_like(patch.features))
-        return patch.with_data(np.zeros_like(patch.data))
-
-
-@dataclass(frozen=True)
-class OracleField(VectorFieldProvider):
-    """Closed-form field (Z - target) / t toward one fixed patch target."""
-
-    target: PatchLatent
-
-    def evaluate(self, patch, condition, t):
-        if t <= 0.0:
-            raise SingularityError("oracle field is singular at t = 0")
-        inv = DTYPE(1.0 / t)
-        if isinstance(patch, SparseLatent):
-            aligned = _align_sparse_target(self.target, patch.coords)
-            return patch.with_features((patch.features - aligned) * inv)
-        if patch.data.shape != self.target.data.shape:
-            raise DimensionError(
-                f"patch shape {patch.data.shape} != target {self.target.data.shape}"
-            )
-        return patch.with_data((patch.data - self.target.data) * inv)
-
-
 def _align_sparse_target(target: SparseLatent, coords: np.ndarray) -> np.ndarray:
     """Target features row-aligned to a patch's coordinates (absent -> 0)."""
     if np.array_equal(target.coords, coords):
@@ -197,9 +174,12 @@ def _align_sparse_target(target: SparseLatent, coords: np.ndarray) -> np.ndarray
 # conditioned on image embeddings; an oracle instead needs to know which
 # part of the scene a patch came from, so its condition bytes encode the
 # gather geometry (a window origin, or pillar maps for dilated samples).
+# `read_oracle_conditions` is their one decoder.
 
 _COND_BOX = 1
 _COND_PILLARS = 2
+
+BOX_RECORD = np.dtype([("kind", "u1"), ("box", "<u4", (3,))])  # box: x0, y0, K
 
 
 def box_condition(x0: int, y0: int, K: int) -> ConditionEmbedding:
@@ -218,25 +198,90 @@ def pillar_conditions(src_x: np.ndarray, src_y: np.ndarray) -> list[ConditionEmb
     return [ConditionEmbedding(payload + item.tobytes()) for item in pairs]
 
 
-def decode_oracle_condition(cond: ConditionEmbedding):
-    data = cond.data
-    if len(data) < 1:
-        raise ProviderError("empty oracle condition")
-    kind = data[0]
-    if kind == _COND_BOX:
-        if len(data) != 13:
-            raise ProviderError(f"bad box condition length {len(data)}")
-        x0, y0, K = struct.unpack_from("<3I", data, 1)
-        return ("box", int(x0), int(y0), int(K))
-    if kind == _COND_PILLARS:
-        if len(data) < 5:
-            raise ProviderError("truncated pillar condition")
-        (K,) = struct.unpack_from("<I", data, 1)
-        if len(data) != 5 + 8 * K * K:
-            raise ProviderError(f"bad pillar condition length {len(data)}")
-        pairs = np.frombuffer(data, dtype="<u4", count=2 * K * K, offset=5).reshape(K, K, 2)
-        return ("pillars", pairs[:, :, 0].astype(np.int64), pairs[:, :, 1].astype(np.int64))
-    raise ProviderError(f"unknown oracle condition kind {kind}")
+def read_oracle_conditions(conditions: Sequence[ConditionEmbedding]) -> np.ndarray:
+    """The records of oracle `conditions`, read by one `np.frombuffer`:
+    BOX_RECORDs, or the pillar records of one side K (kind, K, then the
+    (K, K) map of (src_x, src_y) pairs).  No conditions read as no boxes.
+
+    The first condition sets the kind.  The first that is empty, of an
+    unknown kind or of the wrong length, or whose kind or side differs
+    from the first's, is a ProviderError whose `item` is its index.
+    """
+    datas = [c.data for c in conditions]
+    if not datas:
+        return np.empty(0, BOX_RECORD)
+    dtype = _record_dtype(datas[0], 0)
+    head = datas[0][: 1 if dtype == BOX_RECORD else 5]  # kind, and a pillar map's side
+    for n, data in enumerate(datas):
+        if len(data) != dtype.itemsize or not data.startswith(head):
+            _record_dtype(data, n)
+            raise ProviderError("oracle conditions mix kinds or pillar sides", item=n)
+    return np.frombuffer(b"".join(datas), dtype)
+
+
+def _record_dtype(data: bytes, item: int) -> np.dtype:
+    """The record that condition `data`, item `item` of its batch, fills."""
+    if not data:
+        raise ProviderError("empty oracle condition", item=item)
+    if data[0] == _COND_BOX:
+        if len(data) != BOX_RECORD.itemsize:
+            raise ProviderError(f"bad box condition length {len(data)}", item=item)
+        return BOX_RECORD
+    if data[0] != _COND_PILLARS:
+        raise ProviderError(f"unknown oracle condition kind {data[0]}", item=item)
+    if len(data) < 5:
+        raise ProviderError("truncated pillar condition", item=item)
+    K = int.from_bytes(data[1:5], "little")
+    if len(data) != 5 + 8 * K * K:
+        raise ProviderError(f"bad pillar condition length {len(data)}", item=item)
+    return np.dtype([("kind", "u1"), ("K", "<u4"), ("src", "<u4", (K, K, 2))])
+
+
+def _dense_sections(data: np.ndarray, conditions, shape: tuple, views: dict) -> np.ndarray:
+    """The sections of the lattice `data` that oracle `conditions` name,
+    stacked in a new (n,) + `shape` array.
+
+    A box (x0, y0, K) names data[x0 : x0 + K, y0 : y0 + K, :K], which
+    must lie inside the lattice and have `shape`; boxes are cut by one
+    index into `data`'s window-box view of side K (kept in `views`),
+    pillar maps by one fancy index.  The first condition that does not
+    read, or whose section does not fit, is a ProviderError naming it.
+    """
+    try:
+        records = read_oracle_conditions(conditions)
+    except ProviderError as exc:
+        _dense_sections(data, conditions[: exc.item], shape, views)  # an earlier misfit comes first
+        raise
+    X, Y, H, C = data.shape
+    K = shape[0]
+    if records.dtype != BOX_RECORD:
+        src = records["src"].astype(np.intp)
+        fits = src.shape[1:3] + (H, C) == shape
+        if fits:
+            try:
+                return data[src[..., 0], src[..., 1]]  # numpy checks that every pillar is inside
+            except IndexError:
+                pass
+        outside = (src >= (X, Y)).reshape(len(src), -1).any(axis=1)
+        misfit = [not fits or out for out in outside.tolist()]
+    else:
+        boxes = records["box"].tolist()
+        fits = shape == (K, K, K, C) and K <= H
+        # item by item: cheaper than array operations for the few boxes
+        # of a window grid, and for the one box of `evaluate`
+        misfit = [not fits or side != K or x0 > X - K or y0 > Y - K for x0, y0, side in boxes]
+        if True not in misfit:
+            if not boxes:
+                return np.empty((0,) + shape, dtype=DTYPE)
+            view = views.get(K)
+            if view is None:
+                view = views[K] = window_boxes(data, K)
+            if len(boxes) == 1:  # a basic index and a copy, much cheaper than a fancy index
+                return view[boxes[0][0], boxes[0][1]][None].copy()
+            origins = records["box"][:, :2].astype(np.intp)  # aligned indices index faster
+            return view[origins[:, 0], origins[:, 1]]
+    n = misfit.index(True)
+    raise ProviderError(f"oracle condition does not fit lattice {data.shape} as a patch {shape}", item=n)
 
 
 # Bounds on GlobalOracleProvider's restriction cache, so queries for
@@ -251,26 +296,30 @@ class GlobalOracleProvider(VectorFieldProvider):
     against the matching restriction of the global target(s), a whole
     batch with one vector operation.
 
-    Sparse restrictions are kept per box once computed, up to
-    `SLAT_BOX_ROWS` cached rows per target row (the windows of a d = 4
-    grid hold at most 16) in at most `SLAT_BOX_LIMIT` boxes.  Two threads
-    computing the same box store equal values.
+    The dense target's window-box view is kept per box side (a view, so
+    it holds no copy of the target).  Sparse restrictions are kept per
+    box once computed, up to `SLAT_BOX_ROWS` cached rows per target row
+    (the windows of a d = 4 grid hold at most 16) in at most
+    `SLAT_BOX_LIMIT` boxes.  Two threads computing the same box store
+    equal values.
     """
 
     ss_target: DenseLatent | None = None
     slat_target: SparseLatent | None = None
     _slat_boxes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _box_views: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def evaluate(self, patch, condition, t):
         """One patch, with the bits `evaluate_batch` gives it in a batch.
         Providers that wrap only `evaluate` call this once per item, so
-        it slices the target directly instead of building a batch."""
+        it reads the one condition without building a batch."""
         inv = _inverse_time(t)
         if isinstance(patch, SparseLatent):
-            return patch.with_features((patch.features - self._slat_target(condition, patch.coords)) * inv)
+            (target,) = self._slat_targets((condition,), patch.coords, (0, len(patch)))
+            return patch.with_features((patch.features - target) * inv)
         if self.ss_target is None:
             raise ProviderError("no dense target configured")
-        target = _dense_restriction(self.ss_target, condition, patch.data.shape)
+        target = _dense_sections(self.ss_target.data, (condition,), patch.data.shape, self._box_views)[0]
         with np.errstate(over="ignore"):  # garbage inputs surface as ValueError
             return patch.with_data((patch.data - target) * inv)
 
@@ -278,35 +327,37 @@ class GlobalOracleProvider(VectorFieldProvider):
         """(batch - target sections) / t, over the whole stack at once."""
         inv = _inverse_time(t)
         if isinstance(batch, SparseBatch):
-            out = self._slat_targets(batch, conditions)
+            targets = self._slat_targets(conditions, batch.coords, batch.bounds)
+            out = np.concatenate(targets) if targets else np.empty_like(batch.features)
         elif self.ss_target is None:
             raise ProviderError("no dense target configured")
         else:
-            out = _dense_targets(self.ss_target, conditions, batch.dims.dense_shape)
+            out = _dense_sections(self.ss_target.data, conditions, batch.dims.dense_shape, self._box_views)
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
             np.subtract(batch.values, out, out=out)
             out *= inv
         return out
 
-    def _slat_targets(self, batch: SparseBatch, conditions) -> np.ndarray:
-        """The target features aligned to every item's rows."""
-        out = np.empty_like(batch.features)
-        for n, condition in enumerate(conditions):
-            lo, hi = batch.bounds[n], batch.bounds[n + 1]
+    def _slat_targets(self, conditions, coords: np.ndarray, bounds) -> list[np.ndarray]:
+        """Per item, the target features of the box its condition names,
+        aligned to its rows coords[bounds[n]:bounds[n + 1]]."""
+        if self.slat_target is None:
+            raise ProviderError("no sparse target configured", item=0)
+        try:
+            records = read_oracle_conditions(conditions)
+        except ProviderError as exc:
+            self._slat_targets(conditions[: exc.item], coords, bounds)  # an earlier failure comes first
+            raise
+        if records.dtype != BOX_RECORD:
+            raise ProviderError("sparse oracle expects box conditions", item=0)
+        targets = []
+        for n, box in enumerate(records["box"].tolist()):
             try:
-                out[lo:hi] = self._slat_target(condition, batch.coords[lo:hi])
+                target = self._slat_restriction(tuple(box))
+                targets.append(_align_sparse_target(target, coords[bounds[n] : bounds[n + 1]]))
             except Exception as exc:
                 raise ProviderError(str(exc), item=n) from exc
-        return out
-
-    def _slat_target(self, condition, coords: np.ndarray) -> np.ndarray:
-        """The target features of the box `condition` names, aligned to `coords`."""
-        if self.slat_target is None:
-            raise ProviderError("no sparse target configured")
-        kind = decode_oracle_condition(condition)
-        if kind[0] != "box":
-            raise ProviderError("sparse oracle expects a box condition")
-        return _align_sparse_target(self._slat_restriction(kind[1:]), coords)
+        return targets
 
     def _slat_restriction(self, box: tuple[int, int, int]) -> SparseLatent:
         cache = self._slat_boxes
@@ -331,66 +382,6 @@ def _inverse_time(t: float):
     return inv
 
 
-def _dense_targets(target: DenseLatent, conditions, shape) -> np.ndarray:
-    """The sections of `target` that `conditions` name, stacked in a new
-    C-ordered array; each must have `shape`.  Conditions that are all full-size boxes, or all
-    pillar maps, take one index over the whole stack; others are cut one
-    at a time, and a failing one is named by its item."""
-    if not conditions:
-        return np.empty((0,) + tuple(shape), dtype=DTYPE)
-    sections = _uniform_sections(target.data, conditions, tuple(shape))
-    if sections is not None:
-        return sections
-    items = []
-    for n, condition in enumerate(conditions):
-        try:
-            items.append(_dense_restriction(target, condition, shape))
-        except Exception as exc:
-            raise ProviderError(str(exc), item=n) from exc
-    return np.stack(items)
-
-
-def _uniform_sections(data: np.ndarray, conditions, shape) -> np.ndarray | None:
-    """The sections of `data` for conditions that are all boxes of side
-    shape[0] inside the lattice, or all in-range pillar maps of that
-    side, by one strided or fancy index; None for any other mix."""
-    size = len(conditions[0].data)
-    if any(len(c.data) != size for c in conditions):
-        return None
-    n = len(conditions)
-    rows = np.frombuffer(b"".join(c.data for c in conditions), dtype=np.uint8).reshape(n, size)
-    K = shape[0]
-    X, Y, H, C = data.shape
-    if size == 13 and (rows[:, 0] == _COND_BOX).all():
-        x0, y0, side = rows[:, 1:].copy().view("<u4").astype(np.int64).T
-        inside = K <= H and (x0 + K <= X).all() and (y0 + K <= Y).all()
-        if shape == (K, K, K, C) and (side == K).all() and inside:
-            boxes = sliding_window_view(data[:, :, :K], (K, K), axis=(0, 1))  # (x0, y0, z, C, x, y)
-            return boxes.transpose(0, 1, 4, 5, 2, 3)[x0, y0]
-    elif size == 5 + 8 * K * K and (rows[:, 0] == _COND_PILLARS).all():
-        side = rows[:, 1:5].copy().view("<u4")
-        pairs = rows[:, 5:].copy().view("<u4").reshape(n, K, K, 2).astype(np.int64)
-        src_x, src_y = pairs[..., 0], pairs[..., 1]
-        if shape == (K, K, H, C) and (side == K).all() and (src_x < X).all() and (src_y < Y).all():
-            return data[src_x, src_y]
-    return None
-
-
-def _dense_restriction(target: DenseLatent, condition, shape) -> np.ndarray:
-    """The box or pillar section of `target` that `condition` names."""
-    kind = decode_oracle_condition(condition)
-    data = target.data
-    if kind[0] == "box":
-        _, x0, y0, K = kind
-        sub = data[x0 : x0 + K, y0 : y0 + K, :K]
-    else:
-        _, src_x, src_y = kind
-        sub = data[src_x, src_y, :, :]
-    if sub.shape != shape:
-        raise ProviderError(f"oracle restriction {sub.shape} != patch {shape}")
-    return sub
-
-
 @dataclass(frozen=True)
 class BiasedOracleProvider(VectorFieldProvider):
     """Constant-rate relaxation toward a completed dense target.
@@ -410,7 +401,7 @@ class BiasedOracleProvider(VectorFieldProvider):
     def evaluate_batch(self, batch, conditions, t):
         if isinstance(batch, SparseBatch):
             raise ProviderError("biased oracle serves dense patches only")
-        out = _dense_targets(self.ss_target, conditions, batch.dims.dense_shape)
+        out = _dense_sections(self.ss_target.data, conditions, batch.dims.dense_shape, {})
         np.subtract(batch.data, out, out=out)
         out *= DTYPE(self.rate)
         return out

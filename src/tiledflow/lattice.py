@@ -14,7 +14,7 @@ as float32; reductions elsewhere accumulate in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -153,25 +153,6 @@ class SparseLatent:
     @classmethod
     def empty(cls, dims: Dims) -> "SparseLatent":
         return cls(dims, np.zeros((0, 3), dtype=np.int64), np.zeros((0, dims.l), dtype=DTYPE))
-
-    @classmethod
-    def from_dict(cls, dims: Dims, entries: Mapping[tuple, np.ndarray]) -> "SparseLatent":
-        coords = np.array(sorted(entries.keys()), dtype=np.int64).reshape(-1, 3)
-        feats = np.array([entries[tuple(c)] for c in coords], dtype=DTYPE).reshape(-1, dims.l)
-        return cls(dims, coords, feats)
-
-    def as_dict(self) -> dict[tuple, np.ndarray]:
-        return {tuple(int(x) for x in c): f for c, f in zip(self.coords, self.features)}
-
-    def feature_at(self, p: Sequence[int]) -> np.ndarray:
-        p = np.asarray(p, dtype=np.int64)
-        idx = np.searchsorted(self._keys(), _coord_key(p[None, :], self.dims)[0])
-        if idx >= len(self.coords) or not (self.coords[idx] == p).all():
-            raise KeyError(f"no entry at {tuple(int(x) for x in p)}")
-        return self.features[idx]
-
-    def _keys(self) -> np.ndarray:
-        return _coord_key(self.coords, self.dims)
 
     def with_features(self, features: np.ndarray) -> "SparseLatent":
         """Same coordinates, new features; only the features are checked."""

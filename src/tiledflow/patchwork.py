@@ -1,18 +1,19 @@
-"""Sliding-window patchification of extended lattices and its inverses.
+"""Sliding-window patchification of extended lattices, and merging back.
 
 A window of side K steps across the x/y-extended lattice with stride
-K/d, so d controls overlap density.  Patches map back by zero-padding,
-and overlapping contributions are combined by per-cell averaging over
-the coverage count.  Dilated sampling is the complementary scheme: the
-lattice splits into K x K blocks of a x b pillar columns, and a*b
-backbone-sized samples are assembled from one pillar per block.
+K/d, so d controls overlap density.  Overlapping window vectors are
+combined by per-cell averaging over the coverage count.  Dilated
+sampling is the complementary scheme: the lattice splits into K x K
+blocks of a x b pillar columns, and a*b backbone-sized samples are
+assembled from one pillar per block.
 
 The engine moves all windows of a field call as one stacked batch
-(`DenseBatch`, `SparseBatch`).  Dense windows are gathered with one
-strided copy of a sliding-window view and merged by d*d block adds of
-the whole stack into a float64 buffer, ordered so that each cell still
-adds its windows in the grid's row-major order.  Dilated samples are
-gathered with one fancy index and scattered back with one assignment.
+(`DenseBatch`, `SparseBatch`).  Dense window boxes are cut by origin
+from one sliding-window view (`window_boxes`, which the oracles' box
+sections use too) and merged by d*d block adds of the whole stack into
+a float64 buffer, ordered so that each cell still adds its windows in
+the grid's row-major order.  Dilated samples are gathered with one
+fancy index and scattered back with one assignment.
 
 Sparse latents keep their coordinates across a whole schedule, so the
 window geometry is planned once per (grid, coordinate set): a
@@ -81,14 +82,6 @@ class Window:
     def box(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
         return ((self.x0, self.x0 + self.K), (self.y0, self.y0 + self.K), (0, self.K))
 
-    def contains(self, p: Sequence[int]) -> bool:
-        x, y, z = (int(v) for v in p)
-        return (
-            self.x0 <= x < self.x0 + self.K
-            and self.y0 <= y < self.y0 + self.K
-            and 0 <= z < self.K
-        )
-
 
 @dataclass(frozen=True)
 class PatchGrid:
@@ -129,6 +122,13 @@ class PatchGrid:
     def _windows(self) -> tuple[Window, ...]:
         return tuple(Window(i, j, self.K, self.d) for i in range(self.ni) for j in range(self.nj))
 
+    @cached_property
+    def origins(self) -> tuple[np.ndarray, np.ndarray]:
+        """The windows' x0 and y0, in window order, as read-only arrays."""
+        i, j = np.divmod(np.arange(self.count), self.nj)
+        stride = self.K // self.d
+        return _ro(i * stride), _ro(j * stride)
+
     def check_fits(self, shape: Sequence[int]) -> None:
         """DimensionError unless every window fits inside a lattice of
         `shape` (x, y, z, ...)."""
@@ -166,29 +166,24 @@ def patch_dense(Z: DenseLatent, w: Window) -> DenseLatent:
     return DenseLatent(Z.dims.patch_dims(), sub)
 
 
-def gather_dense(Z: DenseLatent, grid: PatchGrid) -> DenseBatch:
-    """Every window's patch of Z, in window order, as one batch.
+def window_boxes(data: np.ndarray, K: int) -> np.ndarray:
+    """Every box of side K in the (X, Y, H, C) lattice `data`, as one
+    (x0, y0, K, K, K, C) view: entry [x0, y0] is
+    data[x0 : x0 + K, y0 : y0 + K, :K].  Indexing it with arrays of
+    origins copies their boxes out in one step.
+    """
+    # (x0, y0, z, C, x, y), then the box axes in lattice order
+    return sliding_window_view(data[:, :, :K], (K, K), axis=(0, 1)).transpose(0, 1, 4, 5, 2, 3)
 
-    One strided copy of a sliding-window view; item k equals
+
+def gather_dense(Z: DenseLatent, grid: PatchGrid) -> DenseBatch:
+    """Every window's patch of Z, in window order, as one batch: the
+    boxes at the grid's origins (`window_boxes`).  Item k equals
     `patch_dense(Z, grid.windows()[k])`.
     """
     grid.check_fits(Z.data.shape)
-    K = grid.K
-    stride = K // grid.d
-    C = Z.data.shape[3]
-    # (ni, nj, z, C, x, y) views of the window origins, then one copy into
-    # (window, x, y, z, C)
-    view = sliding_window_view(Z.data[:, :, :K], (K, K), axis=(0, 1))[::stride, ::stride]
-    stack = view[: grid.ni, : grid.nj].transpose(0, 1, 4, 5, 2, 3).reshape(grid.count, K, K, K, C)
+    stack = window_boxes(Z.data, grid.K)[grid.origins]
     return DenseBatch._of_finite(Z.dims.patch_dims(), stack)
-
-
-def unpatch_dense(X: DenseLatent, w: Window, dims: Dims) -> DenseLatent:
-    """Zero-padded inverse: the window box receives X, everything else 0."""
-    out = np.zeros(dims.dense_shape, dtype=DTYPE)
-    (x0, x1), (y0, y1), _ = w.box
-    out[x0:x1, y0:y1, : w.K] = X.data
-    return DenseLatent(dims, out)
 
 
 def box_rows(coords: np.ndarray, x0: int, y0: int, K: int) -> np.ndarray:

@@ -68,13 +68,9 @@ class ScenePrior:
 
 @dataclass(frozen=True)
 class ConditionEmbedding:
-    """Opaque provider condition: raw bytes plus their length."""
+    """Opaque provider condition: raw bytes."""
 
     data: bytes
-
-    @property
-    def length(self) -> int:
-        return len(self.data)
 
 
 @dataclass(frozen=True)
@@ -107,11 +103,16 @@ class NormalizationBox:
 
     def to_voxels(self, points: np.ndarray, dims: Dims) -> np.ndarray:
         """floor((p - lo) / extent * gridsize), clamped into the grid."""
+        return self._clamped_voxels(points, dims)[0]
+
+    def _clamped_voxels(self, points: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+        """`to_voxels`' indices, and which points the clamp moved."""
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         size = np.array(dims.grid_shape, dtype=np.float64)
         rel = (points - self.lo) / (self.hi - self.lo)
-        idx = np.floor(rel * size).astype(np.int64)
-        return np.clip(idx, 0, np.array(dims.grid_shape, dtype=np.int64) - 1)
+        raw = np.floor(rel * size).astype(np.int64)
+        idx = np.clip(raw, 0, np.array(dims.grid_shape, dtype=np.int64) - 1)
+        return idx, (raw != idx).any(axis=1)
 
 
 def write_scene_prior(path: str | PathLike, prior: ScenePrior) -> None:
@@ -169,12 +170,8 @@ def voxelize(points: np.ndarray, box: NormalizationBox, dims: Dims) -> Occupancy
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(points) == 0:
         return OccupancyGrid.empty(dims)
-    size = np.array(dims.grid_shape, dtype=np.float64)
-    rel = (points - box.lo) / (box.hi - box.lo)
-    raw = np.floor(rel * size).astype(np.int64)
-    hi = np.array(dims.grid_shape, dtype=np.int64) - 1
-    idx = np.clip(raw, 0, hi)
-    clamped = int((raw != idx).any(axis=1).sum())
+    idx, moved = box._clamped_voxels(points, dims)
+    clamped = int(moved.sum())
     if clamped:
         log.info("voxelize: clamped %d of %d points into the box", clamped, len(points))
     return OccupancyGrid.from_coords(dims, idx)

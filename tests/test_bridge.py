@@ -37,10 +37,9 @@ from tiledflow.flowcore import (
     GlobalOracleProvider,
     OracleConditioner,
     VectorFieldProvider,
-    ZeroFieldProvider,
-    decode_oracle_condition,
     dilated_field,
     extended_field,
+    read_oracle_conditions,
 )
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, init_sparse_noise, stack_patches
 from tiledflow.patchwork import (
@@ -52,6 +51,8 @@ from tiledflow.patchwork import (
     patch_sparse,
 )
 from tiledflow.priors import ConditionEmbedding
+
+from reference_copies import ZeroFieldProvider
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=3)
@@ -576,7 +577,7 @@ class TestBatch:
     def test_remote_failure_on_one_window_names_it(self, workers):
         class FailsAtOneWindow(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
-                if decode_oracle_condition(condition)[1:3] == (2, 2):  # window (1, 1)
+                if read_oracle_conditions([condition])["box"][0, :2].tolist() == [2, 2]:  # window (1, 1)
                     raise RuntimeError("boom")
                 return patch.with_data(np.zeros_like(patch.data))
 

@@ -8,13 +8,12 @@ from tiledflow.decode import (
     decode_scene_sdf,
     export_ply,
     merge_sdf_patches,
-    ply_points_to_voxels,
     toy_decode_sdf,
 )
 from tiledflow.errors import CoverageError
 from tiledflow.lattice import Dims, OccupancyGrid, SparseLatent, init_sparse_noise
 from tiledflow.patchwork import make_patch_grid
-from tiledflow.priors import parse_ply_points
+from tiledflow.priors import NormalizationBox, parse_ply_points
 
 
 class TestToyDecodeSdf:
@@ -198,7 +197,9 @@ class TestExportPly:
         coords = np.unique(rng.integers(0, [64, 64, 32], size=(40, 3)), axis=0)
         grid = OccupancyGrid.from_coords(dims, coords)
         points, _ = parse_ply_points(export_ply(grid))
-        back = ply_points_to_voxels(points, dims.M)
+        # vertices sit at (p + 0.5) / M, in [0, a) x [0, b) x [0, 1)
+        box = NormalizationBox(np.zeros(3), np.array([dims.a, dims.b, 1.0]))
+        back = box.to_voxels(points, dims)
         assert set(map(tuple, back.tolist())) == set(map(tuple, coords.tolist()))
 
     def test_colors_from_features(self):

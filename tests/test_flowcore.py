@@ -7,16 +7,14 @@ from tiledflow.flowcore import (
     Conditioner,
     GlobalOracleProvider,
     OracleConditioner,
-    OracleField,
     VectorFieldProvider,
-    ZeroFieldProvider,
     box_condition,
-    decode_oracle_condition,
     dilated_field,
     euler_integrate,
     extended_field,
     gamma,
     mixed_field,
+    read_oracle_conditions,
 )
 from tiledflow.lattice import (
     DenseLatent,
@@ -29,6 +27,8 @@ from tiledflow.lattice import (
 )
 from tiledflow.patchwork import SparseWindowPlan, dilated_partition, make_patch_grid
 
+from reference_copies import OracleField, ZeroFieldProvider
+
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=3)
 
@@ -39,29 +39,34 @@ def random_dense(dims, seed):
 
 
 class TestOracleField:
+    """The oracle field (Z - target) / t of one patch: the global oracle
+    over a patch-sized target, asked for its one window."""
+
+    WINDOW = box_condition(0, 0, DIMS.N)
+
     def test_fixed_point(self):
         target = random_dense(DIMS.patch_dims(), 0)
-        field = OracleField(target)
-        out = field.evaluate(target, None, 0.5)
+        field = GlobalOracleProvider(ss_target=target)
+        out = field.evaluate(target, self.WINDOW, 0.5)
         assert np.all(out.data == 0)
 
     def test_endpoint_derivative(self):
         target = random_dense(DIMS.patch_dims(), 1)
         eps = random_dense(DIMS.patch_dims(), 2)
-        out = OracleField(target).evaluate(eps, None, 1.0)
+        out = GlobalOracleProvider(ss_target=target).evaluate(eps, self.WINDOW, 1.0)
         assert np.allclose(out.data, eps.data - target.data, atol=1e-6)
 
     def test_single_euler_step_lands_on_target(self):
         target = random_dense(DIMS.patch_dims(), 3)
         eps = random_dense(DIMS.patch_dims(), 4)
-        field = OracleField(target)
-        final = euler_integrate(eps, Schedule((1.0, 0.0)), lambda Z, t: field.evaluate(Z, None, t))
+        field = GlobalOracleProvider(ss_target=target)
+        final = euler_integrate(eps, Schedule((1.0, 0.0)), lambda Z, t: field.evaluate(Z, self.WINDOW, t))
         assert np.abs(final.data - target.data).max() < 1e-5
 
     def test_singularity(self):
         target = random_dense(DIMS.patch_dims(), 5)
         with pytest.raises(SingularityError):
-            OracleField(target).evaluate(target, None, 0.0)
+            GlobalOracleProvider(ss_target=target).evaluate(target, self.WINDOW, 0.0)
 
 
 class TestGamma:
@@ -177,7 +182,7 @@ class TestExtendedField:
     def test_failure_on_one_window_names_it(self, workers):
         class FailsAtOneWindow(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
-                if decode_oracle_condition(condition)[1:3] == (2, 2):  # window (1, 1)
+                if read_oracle_conditions([condition])["box"][0, :2].tolist() == [2, 2]:  # window (1, 1)
                     raise RuntimeError("boom")
                 return patch.with_data(np.zeros_like(patch.data))
 
@@ -215,7 +220,8 @@ class TestExtendedField:
 
             def evaluate_batch(self, batch, conditions, t):
                 with self.lock:
-                    self.batches.append([decode_oracle_condition(c)[1:3] for c in conditions])
+                    boxes = read_oracle_conditions(conditions)["box"].tolist()
+                    self.batches.append([tuple(box[:2]) for box in boxes])
                 return np.zeros_like(batch.data)
 
         grid = make_patch_grid(DIMS, 2, DIMS.N)
@@ -254,7 +260,7 @@ class TestExtendedField:
     def test_provider_changing_coordinates_names_window(self, change):
         class Reshaping(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
-                _, x0, y0, _ = decode_oracle_condition(condition)
+                x0, y0, _ = read_oracle_conditions([condition])["box"][0].tolist()
                 if (x0, y0) == (4, 4):  # window (1, 1) of the d = 2 grid
                     if change == "drop_row":
                         return SparseLatent(patch.dims, patch.coords[1:], patch.features[1:])

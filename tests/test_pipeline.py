@@ -10,7 +10,7 @@ from tiledflow import tensorio
 from tiledflow.decode import decode_scene_sdf
 from tiledflow.errors import ConfigError, ParseError, TiledFlowError
 from tiledflow.fixtures import build_demo_scene, demo_bundle, run_oracle_demo
-from tiledflow.flowcore import ImageConditioner, OracleConditioner, ZeroFieldProvider
+from tiledflow.flowcore import ImageConditioner, OracleConditioner
 from tiledflow.lattice import Dims
 from tiledflow.optim import AdamParams
 from tiledflow.pipeline import (
@@ -27,6 +27,8 @@ from tiledflow.pipeline import (
 )
 from tiledflow.patchwork import SparseWindowPlan, make_patch_grid
 from tiledflow.priors import NormalizationBox, toy_condition, voxelize
+
+from reference_copies import ZeroFieldProvider
 
 
 SMALL = Dims(2, 2, 4, 8, C=1, l=4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tiledflow.decode import export_ply, ply_points_to_voxels
+from tiledflow.decode import export_ply
 from tiledflow.errors import ParseError, TiledFlowError
 from tiledflow.lattice import Dims, OccupancyGrid
 from tiledflow.patchwork import make_patch_grid
@@ -143,6 +143,21 @@ class TestVoxelize:
         grid = voxelize(np.array([[16.0, 16.0, 8.0]]), self.box, self.dims)
         assert grid.occupied[15, 15, 7]
 
+    def test_clamped_points_are_counted(self, caplog):
+        # inside, on the upper faces (index 16 or 8 before the clamp), outside
+        pts = np.array(
+            [[1.0, 1.0, 1.0], [16.0, 3.0, 3.0], [3.0, 3.0, 8.0], [-0.1, 3.0, 3.0], [20.0, -5.0, 99.0]]
+        )
+        with caplog.at_level("INFO", logger="tiledflow.priors"):
+            grid = voxelize(pts, self.box, self.dims)
+        assert caplog.messages == ["voxelize: clamped 4 of 5 points into the box"]
+        cells = self.box.to_voxels(pts, self.dims)
+        assert np.array_equal(grid.occupied, OccupancyGrid.from_coords(self.dims, cells).occupied)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="tiledflow.priors"):
+            voxelize(pts[:1], self.box, self.dims)
+        assert caplog.messages == []
+
     def test_distinct_cells(self):
         pts = np.array([[x + 0.5, x + 0.5, (x % 8) + 0.5] for x in range(8)], dtype=float)
         grid = voxelize(pts, self.box, self.dims)
@@ -229,7 +244,7 @@ class TestToyCondition:
     def test_all_black(self):
         cond = toy_condition(np.zeros((5, 5, 3), dtype=np.float32))
         values = np.frombuffer(cond.data, dtype="<f4")
-        assert cond.length == 44
+        assert len(cond.data) == 44
         assert np.allclose(values[:3], 0)
         assert values[3] == 1.0  # all luminance mass in bin 0
         assert np.all(values[4:] == 0)
@@ -246,7 +261,7 @@ class TestToyCondition:
         assert toy_condition(patch).data == toy_condition(patch).data
 
     def test_length_fixed(self):
-        assert ConditionEmbedding(b"abc").length == 3
+        assert len(ConditionEmbedding(b"abc").data) == 3
 
 
 class TestPlyParsing:
@@ -258,7 +273,7 @@ class TestPlyParsing:
         points, colors = parse_ply_points(blob)
         assert colors is None
         assert len(points) == 3
-        back = ply_points_to_voxels(points, dims.M)
+        back = NormalizationBox(np.zeros(3), np.ones(3)).to_voxels(points, dims)
         assert np.array_equal(np.sort(back, axis=0), np.sort(coords, axis=0))
 
     def test_vertex_center_formula(self):

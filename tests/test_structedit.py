@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from tiledflow.flowcore import GlobalOracleProvider, OracleConditioner, ZeroFieldProvider
+from tiledflow.flowcore import GlobalOracleProvider, OracleConditioner
 from tiledflow.lattice import DenseLatent, Dims, OccupancyGrid, Schedule
 from tiledflow.patchwork import make_patch_grid
 from tiledflow.structedit import ToyCodec, iterative_sdedit, sdedit_round, under_noise
+
+from reference_copies import ZeroFieldProvider
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=4)
