@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -302,12 +303,21 @@ class GlobalOracleProvider(VectorFieldProvider):
     (the windows of a d = 4 grid hold at most 16) in at most
     `SLAT_BOX_LIMIT` boxes.  Two threads computing the same box store
     equal values.
+
+    A sparse window field on a `SparseWindowPlan` whose conditions are
+    exactly the plan's window boxes needs no restriction: every window
+    row's target is the target row at its global coordinate.  The
+    target aligned to the plan's coordinates is kept per plan (weakly,
+    so it lives as long as the plan) with the boxes it stands for.
     """
 
     ss_target: DenseLatent | None = None
     slat_target: SparseLatent | None = None
     _slat_boxes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _box_views: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _plan_targets: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, compare=False, repr=False
+    )
 
     def evaluate(self, patch, condition, t):
         """One patch, with the bits `evaluate_batch` gives it in a batch.
@@ -337,6 +347,33 @@ class GlobalOracleProvider(VectorFieldProvider):
             np.subtract(batch.values, out, out=out)
             out *= inv
         return out
+
+    def evaluate_windows(self, Z, layout, conditions, t, workers=1):
+        """A sparse window field whose conditions are its plan's window
+        boxes: (Z - aligned target) / t per global row, then one `take`
+        into the window rows, the bits the per-window subtraction gives.
+        Anything else takes the default path."""
+        target = self._plan_target(layout, conditions) if isinstance(layout, SparseWindowPlan) else None
+        if target is None or Z.features.shape != target.shape:
+            return super().evaluate_windows(Z, layout, conditions, t, workers)
+        inv = _inverse_time(t)
+        with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
+            out = (Z.features - target).take(layout.rows, axis=0)
+            out *= inv
+        return out
+
+    def _plan_target(self, plan: SparseWindowPlan, conditions) -> np.ndarray | None:
+        """The sparse target aligned to `plan.coords` (absent -> 0), or
+        None when there is no sparse target of the plan's dims or the
+        conditions are not the plan's window boxes."""
+        if self.slat_target is None or self.slat_target.dims != plan.grid.dims:
+            return None
+        entry = self._plan_targets.get(plan)
+        if entry is None:
+            boxes = tuple(box_condition(w.x0, w.y0, w.K) for w in plan.windows)
+            entry = self._plan_targets[plan] = (boxes, _align_sparse_target(self.slat_target, plan.coords))
+        boxes, target = entry
+        return target if tuple(conditions) == boxes else None
 
     def _slat_targets(self, conditions, coords: np.ndarray, bounds) -> list[np.ndarray]:
         """Per item, the target features of the box its condition names,

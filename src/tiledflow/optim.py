@@ -29,19 +29,33 @@ Within one Euler step Z_t and t are fixed too, and each objective has
 gradient on only part of the vector: the structure loss on the prior's
 cells, the rendering loss on feature channels 0-2.  `PriorCells.at` and
 `RenderTarget.at` bind a plan to one step, taking Z_t at that support
-in float64 once, and name the support as `index`.  Given a binding, an
-objective takes and returns only the support entries; the full-vector
-call binds, evaluates that form and scatters the gradient into -0.0.
-So the pipeline runs Adam on `vec[index]` alone: outside the support
-the gradient is -0.0, and an Adam step on it from zero moments moves
-nothing, so the full vector comes out with the same bits.
+in float64 once, and name the support as `index`.  Outside it the
+full-vector gradient is -0.0, and an Adam step on it from zero moments
+moves nothing, so the pipeline runs Adam on `vec[index]` alone.
+
+Within the support the gradient takes few distinct values.  The
+rendering loss gives every voxel of an image column the same gradient,
+-t * d_img[pixel] / count[pixel], and the structure loss gives every
+channel of a cell the same one.  A binding's `classes` gives each
+support row its class (a cell's class has one column for its C
+channels), and given a binding an objective takes the support entries
+and returns its gradient per class.  Adam's moments and step depend
+only on the gradient history, so from zero moments the entries of one
+class keep equal moments and steps; `optimize_vector` keeps the
+moments per class and subtracts each row's class step through one
+`take`, with the bits per-entry Adam gives.  The full-vector call
+binds, evaluates that form and spreads the class gradient over the
+support, -0.0 elsewhere.  A run's final evaluation uses the binding
+with `need_grad=False`: the same code computes the loss, and no
+gradient.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -95,13 +109,18 @@ class OptimState:
 
 
 def adam_step(value: np.ndarray, grad: np.ndarray, state: OptimState, params: AdamParams):
-    """One bias-corrected Adam update; returns (new value, state).
+    """One bias-corrected Adam update; returns (new value, state)."""
+    if value.shape != grad.shape:
+        raise ValueError(f"value shape {value.shape} != grad shape {grad.shape}")
+    return value - _adam_delta(grad, state, params), state
+
+
+def _adam_delta(grad: np.ndarray, state: OptimState, params: AdamParams) -> np.ndarray:
+    """Advance `state` by one gradient; returns the step to subtract.
 
     The moments are new arrays; the other intermediates share two
     buffers, written with `out=`, in the textbook operation order.
     """
-    if value.shape != grad.shape:
-        raise ValueError(f"value shape {value.shape} != grad shape {grad.shape}")
     if not np.isfinite(grad).all():
         raise OptimizationError("non-finite gradient in Adam step")
     grad = grad.astype(np.float64, copy=False)
@@ -117,7 +136,26 @@ def adam_step(value: np.ndarray, grad: np.ndarray, state: OptimState, params: Ad
     denom = np.divide(v, 1.0 - b2**t, out=np.empty(grad.shape))
     denom = np.add(np.sqrt(denom, out=denom), params.eps, out=denom)
     step = np.multiply(params.lr, np.divide(m, 1.0 - b1**t, out=tmp), out=tmp)
-    return value - np.divide(step, denom, out=step), state
+    return np.divide(step, denom, out=step)
+
+
+@dataclass(frozen=True)
+class StepObjective:
+    """`loss(u, Z, t, step)` on one step binding, as `optimize_vector`
+    takes it: called on the support vector u it returns the loss and the
+    gradient per class of `step.classes`; `loss_only(u)` returns the
+    loss alone, through the binding with `need_grad=False`."""
+
+    loss: Callable
+    Z: object
+    t: float
+    step: "StepCells | StepRender"
+
+    def __call__(self, u: np.ndarray):
+        return self.loss(u, self.Z, self.t, self.step)
+
+    def loss_only(self, u: np.ndarray) -> float:
+        return self.loss(u, self.Z, self.t, replace(self.step, need_grad=False))[0]
 
 
 def optimize_vector(v_init: np.ndarray, objective, params: AdamParams):
@@ -126,19 +164,26 @@ def optimize_vector(v_init: np.ndarray, objective, params: AdamParams):
 
     `objective(v) -> (loss, grad)`.  The trace holds one loss per
     evaluation, including a final evaluation after the last step, so it
-    has steps + 1 entries.
+    has steps + 1 entries.  A `StepObjective`'s gradient holds one row
+    per class: Adam's moments are kept per class, each row of v takes
+    its class's step, and the final evaluation computes no gradient.
     """
     v = v_init.astype(np.float64, copy=True)
-    state = OptimState.zeros(v.shape)
+    classes = objective.step.classes if isinstance(objective, StepObjective) else None
+    state = None
     losses: list[float] = []
     for _ in range(params.steps):
         loss, grad = objective(v)
         if not np.isfinite(loss):
             raise OptimizationError(f"non-finite loss during optimization; trace={losses}")
         losses.append(float(loss))
-        v, state = adam_step(v, grad, state, params)
+        if classes is None:
+            v, state = adam_step(v, grad, state or OptimState.zeros(v.shape), params)
+        else:
+            state = state or OptimState.zeros(grad.shape)
+            v -= _adam_delta(grad, state, params).take(classes, axis=0)
     if params.steps > 0:
-        final, _ = objective(v)
+        final = objective(v)[0] if classes is None else objective.loss_only(v)
         if not np.isfinite(final):
             raise OptimizationError(f"non-finite final loss; trace={losses}")
         losses.append(float(final))
@@ -146,12 +191,9 @@ def optimize_vector(v_init: np.ndarray, objective, params: AdamParams):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)), through exp(-|z|) so that it never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -190,16 +232,22 @@ class StepCells:
     """Prior cells bound to one Euler step: the step's latent and t, and
     the latent at the cells in float64 (`z`, (cells, C)).  `index`
     selects the cells, the support of the structure loss, in a vector
-    shaped like the latent's data."""
+    shaped like the latent's data.  Each cell is one gradient class
+    (`classes`), with one column for its C channels."""
 
     prior: PriorCells
     latent: DenseLatent
     t: float
     z: np.ndarray
+    need_grad: bool = True
 
     @property
     def index(self) -> tuple:
         return self.prior.cells
+
+    @property
+    def classes(self) -> np.ndarray:
+        return np.arange(len(self.z))
 
 
 def _check_t(t: float):
@@ -224,8 +272,8 @@ def ss_loss(v_hat: np.ndarray, Z_t, t: float, P: np.ndarray | PriorCells | StepC
     repeated rows are allowed and weigh their voxel more.  The gradient
     w.r.t. v_hat is analytic through the linear codec: only lattice
     cells feeding a sampled logit receive gradient, every other entry
-    is -0.0.  With a step binding, v_hat and the gradient hold only
-    the cells' entries, `v_hat[step.index]`.
+    is -0.0.  With a step binding, v_hat holds only the cells' entries,
+    `v_hat[step.index]`, and the gradient is one column per cell.
     """
     if isinstance(P, StepCells):
         if P.prior.dims != codec.dims:
@@ -235,9 +283,10 @@ def ss_loss(v_hat: np.ndarray, Z_t, t: float, P: np.ndarray | PriorCells | StepC
         logits = x.mean(axis=1)
         inverse = P.prior.inverse
         loss = float(np.mean(np.logaddexp(0.0, -logits)[inverse]))
+        if not P.need_grad:
+            return loss, None
         dz = (_sigmoid(logits) - 1.0) / len(inverse)  # d loss / d logit per point of a cell
-        grad = np.empty(x.shape)
-        grad[:] = np.bincount(inverse, weights=(dz / codec.dims.C)[inverse])[:, None]
+        grad = np.bincount(inverse, weights=(dz / codec.dims.C)[inverse])[:, None]
         grad *= -t
         return loss, grad
     _check_t(t)
@@ -267,8 +316,7 @@ class _Columns:
     """The image column of every voxel of one coordinate set.
 
     `flat` is each voxel's pixel index in the flattened (h, w) image,
-    `count` the float64 voxel count of every pixel and `row_count` the
-    count of each voxel's own pixel.
+    and `count` the float64 voxel count of every pixel.
     """
 
     dims: Dims
@@ -276,14 +324,13 @@ class _Columns:
     flat: np.ndarray
     count: np.ndarray
     nonempty: np.ndarray
-    row_count: np.ndarray
 
     @classmethod
     def build(cls, dims: Dims, coords: np.ndarray) -> "_Columns":
         w = dims.b * dims.M
         flat = coords[:, 0] * w + coords[:, 1]
         count = np.bincount(flat, minlength=dims.a * dims.M * w).astype(np.float64)
-        return cls(dims, coords, flat, count, count > 0, count[flat])
+        return cls(dims, coords, flat, count, count > 0)
 
 
 def _render_mean(columns: _Columns, feats64: np.ndarray) -> np.ndarray:
@@ -416,12 +463,17 @@ class LossWeights:
 @dataclass(frozen=True)
 class RenderTarget:
     """What the rendering objective keeps over a feature stage: the image
-    columns of one coordinate set and the target image with its SSIM
-    statistics."""
+    columns of one coordinate set, the target image with its SSIM
+    statistics, and the gradient classes: the occupied pixels (`pixels`,
+    flat indices in ascending order, with their voxel counts
+    `pixel_count`) and each voxel's index among them (`classes`)."""
 
     columns: _Columns
     image: np.ndarray
     ssim: SsimTarget
+    pixels: np.ndarray
+    pixel_count: np.ndarray
+    classes: np.ndarray
 
     @classmethod
     def build(cls, dims: Dims, coords: np.ndarray, target_image: np.ndarray) -> "RenderTarget":
@@ -429,7 +481,9 @@ class RenderTarget:
         h, w = dims.a * dims.M, dims.b * dims.M
         if image.shape != (h, w, 3):
             raise ConfigError(f"target image shape {image.shape} != {(h, w, 3)}")
-        return cls(_Columns.build(dims, coords), image, SsimTarget.build(image))
+        columns = _Columns.build(dims, coords)
+        pixels, classes = np.unique(columns.flat, return_inverse=True)
+        return cls(columns, image, SsimTarget.build(image), pixels, columns.count[pixels], classes)
 
     def at(self, Z_t: SparseLatent, t: float) -> "StepRender":
         """This target bound to one Euler step (Z_t, t); Z_t must have
@@ -448,16 +502,22 @@ class StepRender:
     """A render target bound to one Euler step: the step's latent and t,
     and the latent's rendered channels in float64 (`z`, (rows, nch) with
     nch = min(3, l)).  `index` selects those channels, the support of
-    the rendering objective, in a vector shaped like the features."""
+    the rendering objective, in a vector shaped like the features.  The
+    voxels of one occupied pixel form one gradient class (`classes`)."""
 
     target: RenderTarget
     latent: SparseLatent
     t: float
     z: np.ndarray
+    need_grad: bool = True
 
     @property
     def index(self) -> tuple:
         return (slice(None), slice(0, self.z.shape[1]))
+
+    @property
+    def classes(self) -> np.ndarray:
+        return self.target.classes
 
 
 def slat_objective(
@@ -475,8 +535,9 @@ def slat_objective(
     the first 3 feature channels receive gradient, every other entry is
     -0.0.  `target_image` is an (H, W, 3) image, a `RenderTarget` built
     for Z_t's coordinates, or one bound to this step
-    (`RenderTarget.at(Z_t, t)`); with a step binding, v_hat and the
-    gradient hold only the rendered channels, `v_hat[step.index]`.
+    (`RenderTarget.at(Z_t, t)`); with a step binding, v_hat holds only
+    the rendered channels, `v_hat[step.index]`, and the gradient one row
+    per occupied pixel.
     """
     if isinstance(target_image, StepRender):
         step, target = target_image, target_image.target
@@ -488,13 +549,15 @@ def slat_objective(
         img = _render_mean(columns, feats0)
         diff = img - target.image
         l2 = float((diff * diff).sum() / (h * w))
-        sval, sgrad = ssim_with_grad(img, target.ssim, need_grad=weights.ssim > 0)
+        sval, sgrad = ssim_with_grad(img, target.ssim, need_grad=step.need_grad and weights.ssim > 0)
         loss = weights.l2 * l2 - weights.ssim * sval
+        if not step.need_grad:
+            return loss, None
         d_img = weights.l2 * 2.0 * diff / (h * w)
         if weights.ssim > 0:
             d_img = d_img - weights.ssim * sgrad
-        grad = d_img.reshape(h * w, 3).take(columns.flat, axis=0)[:, : feats0.shape[1]]
-        grad /= columns.row_count[:, None]
+        grad = d_img.reshape(h * w, 3).take(target.pixels, axis=0)[:, : feats0.shape[1]]
+        grad /= target.pixel_count[:, None]
         grad *= -t
         return loss, grad
     if target_image is None:
@@ -504,5 +567,5 @@ def slat_objective(
     step = target_image.at(Z_t, t)
     loss, grad = slat_objective(v_hat[step.index], Z_t, t, step, weights)
     grad_feats = np.full(Z_t.features.shape, -0.0)
-    grad_feats[step.index] = grad
+    grad_feats[step.index] = grad.take(step.classes, axis=0)
     return loss, grad_feats

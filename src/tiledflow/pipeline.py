@@ -40,6 +40,7 @@ from .optim import (
     LossWeights,
     PriorCells,
     RenderTarget,
+    StepObjective,
     is_finite_real,
     optimize_vector,
     slat_objective,
@@ -293,20 +294,21 @@ def _adam_hook(loss, bind, params: AdamParams, steps: list):
     """Per-step hook: Adam on the support of the step's objective.
 
     `bind(Z, t)` does once per step what the objective keeps fixed
-    within it, and its `index` selects the support in the step's vector
-    (a dense one's data, a sparse one's features).  Adam runs on
-    `vec[index]` against `loss(u, Z, t, bound)`.  The entries outside
-    keep their bits: the objective has no gradient there, and an Adam
-    step on a zero gradient from zero moments moves nothing.  Each
-    step's t and loss trace are appended to `steps`.
+    within it; the binding's `index` selects the support in the step's
+    vector (a dense one's data, a sparse one's features) and its
+    `classes` the entries that share a gradient.  Adam runs on
+    `vec[index]` against `loss(u, Z, t, bound)`, one moment per class
+    (see `optim`).  The entries outside keep their bits: the objective
+    has no gradient there, and an Adam step on a zero gradient from zero
+    moments moves nothing.  Each step's t and loss trace are appended to
+    `steps`.
     """
 
     def hook(v, Z, t):
         sparse = isinstance(v, SparseLatent)
         vec = v.features if sparse else v.data
         bound = bind(Z, t)
-        objective = lambda u: loss(u, Z, t, bound)
-        u_opt, losses = optimize_vector(vec[bound.index], objective, params)
+        u_opt, losses = optimize_vector(vec[bound.index], StepObjective(loss, Z, t, bound), params)
         steps.append({"t": float(t), "loss": losses})
         out = vec.copy()
         out[bound.index] = u_opt

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from dataclasses import replace
 
 from tiledflow import flowcore
 from tiledflow.errors import ConfigError, DivergenceError, ProviderError, SingularityError
@@ -36,6 +39,16 @@ DIMS = Dims(2, 2, 4, 8, C=1, l=3)
 def random_dense(dims, seed):
     rng = np.random.default_rng(seed)
     return DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32))
+
+
+def restricted_field(Z, grid, provider, workers=1):
+    """Z's window field on `grid` through the default `evaluate_windows`:
+    the gathered windows in `evaluate_batch` chunks, the path on which the
+    oracle cuts box restrictions (a server answering a session takes it)."""
+    plan = SparseWindowPlan(grid, Z.coords)
+    conditions = OracleConditioner().window_conditions(grid)
+    values = VectorFieldProvider.evaluate_windows(provider, Z, plan, conditions, 0.5, workers)
+    return plan.merge_features(values)
 
 
 class TestOracleField:
@@ -294,7 +307,7 @@ class TestExtendedField:
         grid = make_patch_grid(DIMS, 2, DIMS.M)
         provider = GlobalOracleProvider(slat_target=target)
         for _ in range(2):  # the second call mixes cached and uncached boxes
-            out = extended_field(Z, 0.5, grid, provider, OracleConditioner())
+            out = restricted_field(Z, grid, provider)
             expected = (Z.features - target.features) / np.float32(0.5)
             assert np.abs(out.features - expected).max() < 1e-6
         assert len(provider._slat_boxes) == cached
@@ -314,7 +327,7 @@ class TestExtendedField:
         try:
             for _ in range(5):
                 provider = GlobalOracleProvider(slat_target=target)
-                out = extended_field(Z, 0.5, grid, provider, OracleConditioner(), workers=8)
+                out = restricted_field(Z, grid, provider, workers=8)
                 assert out.features.tobytes() == expected.features.tobytes()
                 assert len(provider._slat_boxes) == grid.count
         finally:
@@ -375,10 +388,77 @@ class TestExtendedField:
             lambda: extended_field(slat_target, 0.5, sparse_grid, provider, cond, workers),
             lambda: dilated_field(Z, 0.5, partition, provider, cond, workers),
         ]
-        for field_call, items in zip(fields, (9, 9, 4)):
+        # the sparse window field subtracts one plan-aligned target: no batch call
+        for field_call, batches in zip(fields, (min(workers, 9), 0, min(workers, 4))):
             calls.update(evaluate=0, evaluate_batch=0)
             field_call()
-            assert calls == {"evaluate": 0, "evaluate_batch": min(workers, items)}
+            assert calls == {"evaluate": 0, "evaluate_batch": batches}
+
+
+@st.composite
+def _oracle_plan_cases(draw):
+    N = draw(st.sampled_from([1, 2, 4]))
+    dims = Dims(
+        draw(st.integers(1, 3)), draw(st.integers(1, 2)), N, N * draw(st.sampled_from([1, 2])),
+        C=1, l=draw(st.integers(1, 4)),
+    )
+    d = draw(st.sampled_from([k for k in (1, 2, 4) if dims.M % k == 0]))
+    conditions = draw(st.sampled_from(["plan", "shuffled", "moved", "short", "pillars", "empty", "dims"]))
+    t = draw(st.sampled_from([0.5, 1.0, 0.37, 1e-3, 0.0]))
+    return dims, d, conditions, t, draw(st.integers(0, 2**32 - 1))
+
+
+def _outcome(call):
+    try:
+        return "ok", call().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "item", None)
+
+
+class TestOraclePlanTarget:
+    """A sparse window field on a plan takes one plan-aligned target and
+    answers with the default path's bits, or its error."""
+
+    @settings(max_examples=150)
+    @given(_oracle_plan_cases())
+    def test_matches_default_path(self, case):
+        dims, d, kind, t, seed = case
+        rng = np.random.default_rng(seed)
+        grid = make_patch_grid(dims, d, dims.M)
+        cells = np.argwhere(np.ones(dims.grid_shape, dtype=bool))
+        keep = rng.random(len(cells)) < 0.5
+        keep[rng.integers(len(cells))] = True
+        Z = init_sparse_noise(cells[keep], dims, seed)
+        # a target missing some of Z's coordinates and holding others
+        target_dims = replace(dims, l=dims.l + 1) if kind == "dims" else dims
+        target = init_sparse_noise(cells[rng.random(len(cells)) < 0.5], target_dims, seed + 1)
+        plan = SparseWindowPlan(grid, Z.coords)
+        conditions = list(OracleConditioner().window_conditions(grid))
+        if kind == "shuffled" and len(conditions) > 1:
+            conditions = conditions[1:] + conditions[:1]
+        elif kind == "moved":
+            conditions[-1] = box_condition(0, 0, grid.K)
+        elif kind == "short" and len(conditions) > 1:
+            conditions = conditions[:-1]
+        elif kind == "pillars":
+            conditions[0] = flowcore.pillar_condition(np.zeros((2, 2), int), np.zeros((2, 2), int))
+        elif kind == "empty":
+            conditions[-1] = type(conditions[-1])(b"")
+        provider = GlobalOracleProvider(slat_target=target)
+        reference = GlobalOracleProvider(slat_target=target)
+        got = _outcome(lambda: provider.evaluate_windows(Z, plan, conditions, t))
+        want = _outcome(lambda: VectorFieldProvider.evaluate_windows(reference, Z, plan, conditions, t))
+        assert got == want
+        if kind == "plan":  # the plan's own boxes cut no restriction
+            assert not provider._slat_boxes
+
+    def test_without_sparse_target_falls_back(self):
+        Z = init_sparse_noise(np.argwhere(np.ones(DIMS.grid_shape, dtype=bool)), DIMS, 0)
+        grid = make_patch_grid(DIMS, 2, DIMS.M)
+        plan, conditions = SparseWindowPlan(grid, Z.coords), OracleConditioner().window_conditions(grid)
+        with pytest.raises(ProviderError, match="no sparse target") as info:
+            GlobalOracleProvider().evaluate_windows(Z, plan, conditions, 0.5)
+        assert info.value.item == 0
 
 
 class TestMixedField:

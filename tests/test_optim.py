@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tiledflow import optim
 from tiledflow.errors import BoundsError, ConfigError, OptimizationError
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, init_sparse_noise
 from tiledflow.optim import (
@@ -15,6 +16,7 @@ from tiledflow.optim import (
     _box_sum,
     _Columns,
     _render_mean,
+    _sigmoid,
     adam_step,
     optimize_vector,
     projection_render,
@@ -509,6 +511,18 @@ class TestPlannedObjectivesBitEqual:
         assert _same_bytes(_box_sum(x, k), _ref_box_sum(x, k))
         assert _same_bytes(_box_adjoint(x, k), _ref_box_adjoint(x, k))
 
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    def test_sigmoid(self, seed, n):
+        rng = np.random.default_rng(seed)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, 745.2, -745.2, 800.0, -800.0]
+        z = np.concatenate([
+            rng.choice(edges, size=n),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-6, 3),
+            rng.uniform(-800.0, 800.0, size=n),
+        ])
+        assert _same_bytes(_sigmoid(z), _ref_sigmoid(z))
+
     @settings(max_examples=100)
     @given(
         st.sampled_from([(), (1,), (3,), (2, 3)]),
@@ -666,6 +680,85 @@ class TestSupportHookBitEqual:
         assert new.coords is v.coords
         assert _same_bytes(new.features, old.features)
         assert new_steps == old_steps and len(new_steps[0]["loss"]) == n_steps + 1
+
+
+    @pytest.mark.parametrize("scene", ["deep columns", "empty pixels"])
+    def test_feature_stage_column_layouts(self, scene):
+        dims = Dims(2, 1, 4, 8, C=1, l=4)
+        h, w, depth = dims.grid_shape
+        rng = np.random.default_rng(7)
+        if scene == "deep columns":
+            # six columns holding 1 to 8 voxels each
+            pixels = rng.choice(h * w, size=6, replace=False)
+            coords = [(p // w, p % w, z) for p, k in zip(pixels, (1, 2, 3, 5, 8, 8)) for z in range(k)]
+        else:
+            # one voxel in every other pixel, the rest of the image empty
+            coords = [(x, y, (3 * x + y) % depth) for x in range(h) for y in range(w) if (x + y) % 2 == 0]
+        Z = init_sparse_noise(np.array(coords), dims, seed=8)
+        v = Z.with_features(rng.standard_normal(Z.features.shape, dtype=np.float32))
+        image = rng.random((h, w, 3))
+        target = RenderTarget.build(dims, Z.coords, image)
+        weights, params = LossWeights(0.3, 2.5), AdamParams(lr=0.2, steps=4)
+        new, new_steps = self._run(
+            lambda steps: _adam_hook(
+                lambda u, Z, t, b: slat_objective(u, Z, t, b, weights), target.at, params, steps
+            ),
+            v, Z, 0.6,
+        )
+        old, old_steps = self._run(
+            lambda steps: _old_adam_hook(
+                lambda vec, Z, t: _ref_slat_objective(vec, Z, t, image, weights), params, steps
+            ),
+            v, Z, 0.6,
+        )
+        assert _same_bytes(new.features, old.features)
+        assert new_steps == old_steps
+
+
+class TestClassAdam:
+    """Adam's moments live on the gradient's classes, and a run's final
+    evaluation computes no gradient."""
+
+    @staticmethod
+    def _spy(monkeypatch, name, record):
+        real = getattr(optim, name)
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            record(*args, **kwargs)
+            return out
+
+        monkeypatch.setattr(optim, name, spy)
+
+    def test_feature_stage(self, monkeypatch):
+        moments, asked = [], []
+        self._spy(monkeypatch, "_adam_delta", lambda grad, state, params: moments.append(state.m.shape))
+        self._spy(monkeypatch, "ssim_with_grad", lambda a, b, need_grad=True: asked.append(need_grad))
+        dims = Dims(2, 1, 4, 8, C=1, l=2)
+        # pixel (0, 0) holds three voxels, (1, 1) one; every other pixel is empty
+        Z = init_sparse_noise(np.array([[0, 0, 0], [0, 0, 3], [0, 0, 7], [1, 1, 2]]), dims, seed=1)
+        target = RenderTarget.build(dims, Z.coords, np.full((16, 8, 3), 0.5))
+        hook = _adam_hook(
+            lambda u, Z, t, b: slat_objective(u, Z, t, b), target.at, AdamParams(steps=3), []
+        )
+        hook(Z.with_features(np.ones(Z.features.shape, dtype=np.float32)), Z, 0.5)
+        assert asked == [True, True, True, False]
+        assert moments == [(2, 2)] * 3  # (occupied pixels, min(3, l))
+        assert target.classes.tolist() == [0, 0, 0, 1]
+
+    def test_structure_stage(self, monkeypatch):
+        moments, sigmoids = [], []
+        self._spy(monkeypatch, "_adam_delta", lambda grad, state, params: moments.append(state.m.shape))
+        self._spy(monkeypatch, "_sigmoid", lambda z: sigmoids.append(z.shape))
+        dims = Dims(2, 1, 4, 8, C=3, l=2)
+        # four prior points in two coarse cells
+        cells = PriorCells.build(np.array([[0, 0, 0], [1, 1, 1], [1, 0, 1], [7, 3, 4]]), dims)
+        Z = DenseLatent.zeros(dims)
+        codec = ToyCodec(dims)
+        hook = _adam_hook(lambda u, Z, t, b: ss_loss(u, Z, t, b, codec), cells.at, AdamParams(steps=2), [])
+        hook(Z, Z, 0.5)
+        assert moments == [(2, 1)] * 2  # one column per cell
+        assert sigmoids == [(2,)] * 2  # the final evaluation takes no sigmoid
 
 
 class TestStepBindings:
