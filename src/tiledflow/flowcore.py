@@ -304,11 +304,9 @@ class GlobalOracleProvider(VectorFieldProvider):
     `SLAT_BOX_LIMIT` boxes.  Two threads computing the same box store
     equal values.
 
-    A sparse window field on a `SparseWindowPlan` whose conditions are
-    exactly the plan's window boxes needs no restriction: every window
-    row's target is the target row at its global coordinate.  The
-    target aligned to the plan's coordinates is kept per plan (weakly,
-    so it lives as long as the plan) with the boxes it stands for.
+    A sparse window field on a plan's own window boxes cuts no
+    restriction: the target aligned to the plan's coordinates is kept
+    per plan, weakly, and answers every window row.
     """
 
     ss_target: DenseLatent | None = None
@@ -349,9 +347,8 @@ class GlobalOracleProvider(VectorFieldProvider):
         return out
 
     def evaluate_windows(self, Z, layout, conditions, t, workers=1):
-        """A sparse window field whose conditions are its plan's window
-        boxes: (Z - aligned target) / t per global row, then one `take`
-        into the window rows, the bits the per-window subtraction gives.
+        """On a plan's own window boxes, (Z - aligned target) / t per
+        global row taken into the window rows: the per-window bits.
         Anything else takes the default path."""
         target = self._plan_target(layout, conditions) if isinstance(layout, SparseWindowPlan) else None
         if target is None or Z.features.shape != target.shape:
@@ -363,9 +360,8 @@ class GlobalOracleProvider(VectorFieldProvider):
         return out
 
     def _plan_target(self, plan: SparseWindowPlan, conditions) -> np.ndarray | None:
-        """The sparse target aligned to `plan.coords` (absent -> 0), or
-        None when there is no sparse target of the plan's dims or the
-        conditions are not the plan's window boxes."""
+        """The sparse target aligned to `plan.coords`; None without a
+        sparse target of the plan's dims or for other conditions."""
         if self.slat_target is None or self.slat_target.dims != plan.grid.dims:
             return None
         entry = self._plan_targets.get(plan)

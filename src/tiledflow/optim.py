@@ -33,21 +33,17 @@ in float64 once, and name the support as `index`.  Outside it the
 full-vector gradient is -0.0, and an Adam step on it from zero moments
 moves nothing, so the pipeline runs Adam on `vec[index]` alone.
 
-Within the support the gradient takes few distinct values.  The
-rendering loss gives every voxel of an image column the same gradient,
--t * d_img[pixel] / count[pixel], and the structure loss gives every
-channel of a cell the same one.  A binding's `classes` gives each
-support row its class (a cell's class has one column for its C
-channels), and given a binding an objective takes the support entries
-and returns its gradient per class.  Adam's moments and step depend
-only on the gradient history, so from zero moments the entries of one
-class keep equal moments and steps; `optimize_vector` keeps the
-moments per class and subtracts each row's class step through one
-`take`, with the bits per-entry Adam gives.  The full-vector call
-binds, evaluates that form and spreads the class gradient over the
-support, -0.0 elsewhere.  A run's final evaluation uses the binding
-with `need_grad=False`: the same code computes the loss, and no
-gradient.
+Within the support the gradient takes few distinct values: every
+voxel of an image column gets -t * d_img[pixel] / count[pixel], and
+every channel of a cell the same value.  A binding's `classes` gives
+each support row its class, and given a binding an objective returns
+one gradient row per class (one column per cell).  From zero moments,
+Adam's moments and steps depend only on the gradient history, so
+`optimize_vector` keeps them per class and subtracts each row's class
+step through one `take`, with the bits per-entry Adam gives.  The
+full-vector call spreads the class gradient over the support, -0.0
+elsewhere.  A run's final evaluation binds with `need_grad=False`: the
+same code computes the loss, and no gradient.
 """
 
 from __future__ import annotations
@@ -141,10 +137,8 @@ def _adam_delta(grad: np.ndarray, state: OptimState, params: AdamParams) -> np.n
 
 @dataclass(frozen=True)
 class StepObjective:
-    """`loss(u, Z, t, step)` on one step binding, as `optimize_vector`
-    takes it: called on the support vector u it returns the loss and the
-    gradient per class of `step.classes`; `loss_only(u)` returns the
-    loss alone, through the binding with `need_grad=False`."""
+    """`loss(u, Z, t, step)` on one step binding: (loss, gradient per
+    class of `step.classes`), or with `loss_only` the loss alone."""
 
     loss: Callable
     Z: object
@@ -464,9 +458,8 @@ class LossWeights:
 class RenderTarget:
     """What the rendering objective keeps over a feature stage: the image
     columns of one coordinate set, the target image with its SSIM
-    statistics, and the gradient classes: the occupied pixels (`pixels`,
-    flat indices in ascending order, with their voxel counts
-    `pixel_count`) and each voxel's index among them (`classes`)."""
+    statistics, the occupied pixels (flat, ascending) with their voxel
+    counts, and each voxel's index among them, its gradient class."""
 
     columns: _Columns
     image: np.ndarray
