@@ -119,6 +119,14 @@ def _canonical_sparse(coords: np.ndarray, features: np.ndarray, dims: Dims):
     return coords, features
 
 
+def check_in_grid(coords: np.ndarray, dims: Dims) -> None:
+    """BoundsError naming the first (n, 3) coordinate outside the fine grid."""
+    hi = np.array(dims.grid_shape, dtype=np.int64)
+    if len(coords) and ((coords < 0) | (coords >= hi)).any():
+        bad = coords[((coords < 0) | (coords >= hi)).any(axis=1)][0]
+        raise BoundsError(f"coordinate {tuple(bad)} outside grid {dims.grid_shape}")
+
+
 @dataclass(frozen=True)
 class SparseLatent:
     """Set of (voxel coordinate, feature vector) pairs on the fine grid.
@@ -137,10 +145,7 @@ class SparseLatent:
         features = np.ascontiguousarray(
             np.asarray(self.features).reshape(len(coords), self.dims.l), dtype=DTYPE
         )
-        hi = np.array(self.dims.grid_shape, dtype=np.int64)
-        if len(coords) and ((coords < 0) | (coords >= hi)).any():
-            bad = coords[((coords < 0) | (coords >= hi)).any(axis=1)][0]
-            raise BoundsError(f"coordinate {tuple(bad)} outside grid {self.dims.grid_shape}")
+        check_in_grid(coords, self.dims)
         if not np.isfinite(features).all():
             raise ValueError("sparse latent contains non-finite features")
         coords, features = _canonical_sparse(coords, features, self.dims)

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CoverageError, DimensionError, ProviderError
-from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent
+from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent, check_in_grid
 
 
 @dataclass(frozen=True)
@@ -196,10 +196,15 @@ def box_rows(coords: np.ndarray, x0: int, y0: int, K: int) -> np.ndarray:
 
 
 def restrict_sparse(Z: SparseLatent, x0: int, y0: int, K: int) -> SparseLatent:
-    """Entries of Z inside the box at (x0, y0), translated into [0, K)^3."""
+    """Entries of Z inside the box at (x0, y0), translated into [0, K)^3.
+
+    A translated run of Z's rows keeps their order and uniqueness, so
+    only its bounds are checked, as the constructor checks them."""
     rows = box_rows(Z.coords, x0, y0, K)
     shifted = Z.coords[rows] - np.array([x0, y0, 0], dtype=np.int64)
-    return SparseLatent(Z.dims.patch_dims(), shifted, Z.features[rows])
+    dims = Z.dims.patch_dims()
+    check_in_grid(shifted, dims)
+    return SparseLatent._on_checked_coords(dims, _ro(shifted), Z.features[rows])
 
 
 def patch_sparse(Z: SparseLatent, w: Window) -> SparseLatent:

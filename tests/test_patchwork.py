@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tiledflow.errors import ConfigError, CoverageError
+from tiledflow.errors import BoundsError, ConfigError, CoverageError
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
 from tiledflow.patchwork import (
     SparseWindowPlan,
@@ -16,6 +16,7 @@ from tiledflow.patchwork import (
     merge_vectors,
     patch_dense,
     patch_sparse,
+    restrict_sparse,
 )
 
 from reference_copies import unpatch_dense
@@ -155,6 +156,30 @@ class TestSparsePatch:
             in_both.append(sub.coords[0])
         assert np.array_equal(in_both[0], [5, 5, 1])
         assert np.array_equal(in_both[1], [1, 1, 1])
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(0, 15), st.integers(0, 15),
+        st.sampled_from([1, 2, 4, 8, 12, 16]),
+    )
+    def test_restriction_matches_the_constructor(self, seed, x0, y0, K):
+        # boxes wider than M put translated rows outside the patch grid
+        rng = np.random.default_rng(seed)
+        Z = init_sparse_noise(np.argwhere(rng.random((16, 16, 8)) < 0.3), self.dims, seed=seed % 7)
+        rows = box_rows(Z.coords, x0, y0, K)
+
+        def built():
+            return SparseLatent(self.dims.patch_dims(), Z.coords[rows] - [x0, y0, 0], Z.features[rows])
+
+        outcomes = []
+        for make in (built, lambda: restrict_sparse(Z, x0, y0, K)):
+            try:
+                sub = make()
+                outcomes.append((sub.dims, sub.coords.shape, sub.coords.tobytes(), sub.features.tobytes(),
+                                 sub.coords.flags.writeable, sub.features.flags.writeable))
+            except BoundsError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_membership_oracle(self):
         rng = np.random.default_rng(5)
