@@ -1,8 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from dataclasses import replace
 
 from tiledflow import flowcore
 from tiledflow.errors import ConfigError, DivergenceError, ProviderError, SingularityError
@@ -29,6 +29,7 @@ from tiledflow.lattice import (
     stack_patches,
 )
 from tiledflow.patchwork import SparseWindowPlan, dilated_partition, make_patch_grid
+from tiledflow.priors import ConditionEmbedding
 
 from reference_copies import OracleField, ZeroFieldProvider
 
@@ -403,7 +404,7 @@ def _oracle_plan_cases(draw):
         C=1, l=draw(st.integers(1, 4)),
     )
     d = draw(st.sampled_from([k for k in (1, 2, 4) if dims.M % k == 0]))
-    conditions = draw(st.sampled_from(["plan", "shuffled", "moved", "short", "pillars", "empty", "dims"]))
+    conditions = draw(st.sampled_from(["plan", "shuffled", "moved", "short", "pillars", "empty", "dims", "rows"]))
     t = draw(st.sampled_from([0.5, 1.0, 0.37, 1e-3, 0.0]))
     return dims, d, conditions, t, draw(st.integers(0, 2**32 - 1))
 
@@ -433,6 +434,8 @@ class TestOraclePlanTarget:
         target_dims = replace(dims, l=dims.l + 1) if kind == "dims" else dims
         target = init_sparse_noise(cells[rng.random(len(cells)) < 0.5], target_dims, seed + 1)
         plan = SparseWindowPlan(grid, Z.coords)
+        if kind == "rows" and len(Z) > 1:  # a latent with fewer rows than the plan
+            Z = init_sparse_noise(Z.coords[1:], dims, seed)
         conditions = list(OracleConditioner().window_conditions(grid))
         if kind == "shuffled" and len(conditions) > 1:
             conditions = conditions[1:] + conditions[:1]
@@ -443,7 +446,7 @@ class TestOraclePlanTarget:
         elif kind == "pillars":
             conditions[0] = flowcore.pillar_condition(np.zeros((2, 2), int), np.zeros((2, 2), int))
         elif kind == "empty":
-            conditions[-1] = type(conditions[-1])(b"")
+            conditions[-1] = ConditionEmbedding(b"")
         provider = GlobalOracleProvider(slat_target=target)
         reference = GlobalOracleProvider(slat_target=target)
         got = _outcome(lambda: provider.evaluate_windows(Z, plan, conditions, t))
