@@ -85,7 +85,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolError, ProviderError
-from .flowcore import VectorFieldProvider, evaluate_one, window_values_shape
+from .flowcore import VectorFieldProvider, check_condition_count, evaluate_one, window_values_shape
 from .lattice import (
     DTYPE,
     DenseBatch,
@@ -534,6 +534,7 @@ class RemoteProvider(VectorFieldProvider):
         return evaluate_one(self, patch, condition, t)
 
     def evaluate_batch(self, batch, conditions, t):
+        check_condition_count(batch, conditions)
         if not len(batch):
             return np.empty_like(batch.values)
         request_id, payload = self._exchange(*_batch_parts(batch, conditions, t))

@@ -4,8 +4,13 @@ Mesh-oriented decoding works on overlapping windows: each window's
 sparse features decode to a dense signed-distance patch (channel 0 at
 occupied voxels, +1 outside), and the patches blend into one grid with
 separable raised-cosine weights so seams carry no near-zero-weight
-artifacts.  Point-cloud export consumes the global feature field
-directly, one vertex per occupied voxel center.
+artifacts (`merge_sdf_patches`, for any patches).  Every window decodes
+a cell of one feature field alike, so blending a scene's own windows
+gives back each cell's value; `decode_scene_sdf` writes those values
+without building a patch.  Point-cloud export consumes the global
+feature field directly, one vertex per occupied voxel center; each
+distinct coordinate and color is formatted once, and the vertex lines
+are gathered from those tokens.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CoverageError, DimensionError
-from .lattice import DTYPE, Dims, OccupancyGrid, SparseLatent
+from .lattice import DTYPE, Dims, OccupancyGrid, SparseLatent, check_in_grid
 from .patchwork import PatchGrid, SparseWindowPlan, window_plan
 
 OUTSIDE_SDF = 1.0
@@ -37,15 +42,6 @@ class SdfGrid:
             raise ValueError("sdf grid contains non-finite values")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-
-
-def toy_decode_sdf(slat_patch: SparseLatent) -> np.ndarray:
-    """Dense (M, M, M) grid: feature channel 0 at entries, +1 elsewhere."""
-    M = slat_patch.dims.M
-    out = np.full((M, M, M), OUTSIDE_SDF, dtype=DTYPE)
-    c = slat_patch.coords
-    out[c[:, 0], c[:, 1], c[:, 2]] = slat_patch.features[:, 0]
-    return out
 
 
 @dataclass(frozen=True)
@@ -105,14 +101,26 @@ def merge_sdf_patches(patches: Mapping, grid: PatchGrid) -> SdfGrid:
 
 
 def decode_scene_sdf(slat: SparseLatent, grid: PatchGrid, plan: SparseWindowPlan | None = None) -> SdfGrid:
-    """Window-by-window decode of a global feature field into one SDF.
+    """The SDF that decoding every window of the fine grid `grid` and
+    merging the patches (`merge_sdf_patches`) gives, built without them.
 
-    `plan` is the window plan of the grid and the field's coordinates,
-    built here when not given.
+    Every window covering a cell decodes it alike: feature 0 where it is
+    occupied, OUTSIDE_SDF elsewhere.  The merge's weighted mean of n
+    equal values is that value: its float64 sums stay within about 2n
+    ulps of it, far below float32's half ulp, and w * 1.0 == w makes an
+    empty cell's quotient exactly 1.0.  Since the sums start from 0.0,
+    a feature of -0.0 merges to +0.0.  `plan`, when given, must be the
+    window plan of the grid and the field's coordinates.
     """
-    plan = window_plan(grid, slat.coords, plan)
-    patches = {(w.i, w.j): toy_decode_sdf(p) for w, p in zip(plan.windows, plan.gather(slat))}
-    return merge_sdf_patches(patches, grid)
+    if plan is not None:
+        window_plan(grid, slat.coords, plan)
+    check_in_grid(slat.coords, grid.dims)
+    if grid.K != grid.dims.M:
+        raise DimensionError("SDF merging runs on the fine grid (K = M)")
+    out = np.full(grid.dims.grid_shape, OUTSIDE_SDF, dtype=DTYPE)
+    x, y, z = slat.coords.T
+    out[x, y, z] = slat.features[:, 0] + DTYPE(0.0)  # -0.0 + 0.0 is +0.0
+    return SdfGrid(grid.dims, out)
 
 
 def export_ply(obj: OccupancyGrid | SparseLatent, with_colors: bool = False) -> bytes:
@@ -124,11 +132,9 @@ def export_ply(obj: OccupancyGrid | SparseLatent, with_colors: bool = False) -> 
     """
     if isinstance(obj, SparseLatent):
         coords = obj.coords
-        M = obj.dims.M
         feats = obj.features
     else:
         coords = obj.coords()
-        M = obj.dims.M
         feats = None
     if with_colors and feats is None:
         raise ValueError("colors require a sparse feature field")
@@ -144,17 +150,29 @@ def export_ply(obj: OccupancyGrid | SparseLatent, with_colors: bool = False) -> 
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
     header = "\n".join(lines) + "\n"
-    # One %-format over all vertices; colors are integral floats, which
-    # %d prints like the uchar they stand for.
-    columns = [(coords + 0.5) / M]
-    row_format = "%.9g %.9g %.9g"
+    # Per column, its distinct values formatted once ("%.9g" of a float64
+    # center, "%d" of a color level) and the vertices' indices into them.
+    M = obj.dims.M
+    columns = [
+        (["%.9g" % v for v in ((np.arange(extent) + 0.5) / M).tolist()], coords[:, axis])
+        for axis, extent in enumerate(obj.dims.grid_shape)
+    ]
     if with_colors:
         rgb = np.zeros((len(coords), 3), dtype=np.float64)
         nch = min(3, feats.shape[1])
         rgb[:, :nch] = feats[:, :nch]
-        columns.append(np.clip(np.rint(rgb * 255.0), 0, 255))
-        row_format += " %d %d %d"
-    values = tuple(np.hstack(columns).ravel().tolist())
-    body = (row_format + "\n") * len(coords) % values
-    return (header + body).encode("ascii")
+        levels = np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.intp)
+        columns += [(["%d" % v for v in range(256)], levels[:, k]) for k in range(3)]
+    # One zero-padded row of tokens per vertex, each token ending in its
+    # separator; dropping the padding leaves the vertex lines.
+    last = len(columns) - 1
+    rows = np.concatenate(
+        [_tokens(texts, "\n" if k == last else " ").take(index, axis=0) for k, (texts, index) in enumerate(columns)],
+        axis=1,
+    )
+    return b"".join([header.encode("ascii"), rows[rows != 0]])
 
+
+def _tokens(texts: list[str], sep: str) -> np.ndarray:
+    """(len(texts), width) uint8: each text and `sep` in ASCII, zero-padded."""
+    return np.array([t + sep for t in texts], dtype="S").view(np.uint8).reshape(len(texts), -1)

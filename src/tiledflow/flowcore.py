@@ -81,7 +81,9 @@ class VectorFieldProvider:
     item, so a provider that defines only `evaluate` works unchanged
     (a sparse item's vector must keep its patch's coordinates).  A
     provider that answers whole batches defines `evaluate_batch` and can
-    answer single patches with `evaluate_one`.
+    answer single patches with `evaluate_one`.  Every `evaluate_batch`
+    first refuses a condition count other than the batch's item count
+    (`check_condition_count`).
 
     A window field reaches the provider through `evaluate_windows(Z,
     layout, conditions, t, workers)`, whose default gathers the windows
@@ -104,6 +106,7 @@ class VectorFieldProvider:
     def evaluate_batch(
         self, batch: PatchBatch, conditions: Sequence[ConditionEmbedding], t: float
     ) -> np.ndarray:
+        check_condition_count(batch, conditions)
         values = np.empty_like(batch.values)
         dense = isinstance(batch, DenseBatch)
         for n, (patch, condition) in enumerate(zip(batch, conditions)):
@@ -145,6 +148,13 @@ class VectorFieldProvider:
         """
         batch = layout.gather(Z) if isinstance(layout, SparseWindowPlan) else gather_dense(Z, layout)
         return _evaluate_chunks(self, batch, conditions, t, workers)
+
+
+def check_condition_count(batch: PatchBatch, conditions: Sequence[ConditionEmbedding]) -> None:
+    """ProviderError unless `conditions` holds one condition per item of
+    `batch`."""
+    if len(conditions) != len(batch):
+        raise ProviderError(f"{len(conditions)} conditions for a batch of {len(batch)} items")
 
 
 def evaluate_one(
@@ -333,6 +343,7 @@ class GlobalOracleProvider(VectorFieldProvider):
 
     def evaluate_batch(self, batch, conditions, t):
         """(batch - target sections) / t, over the whole stack at once."""
+        check_condition_count(batch, conditions)
         inv = _inverse_time(t)
         if isinstance(batch, SparseBatch):
             targets = self._slat_targets(conditions, batch.coords, batch.bounds)
@@ -432,6 +443,7 @@ class BiasedOracleProvider(VectorFieldProvider):
         return evaluate_one(self, patch, condition, t)
 
     def evaluate_batch(self, batch, conditions, t):
+        check_condition_count(batch, conditions)
         if isinstance(batch, SparseBatch):
             raise ProviderError("biased oracle serves dense patches only")
         out = _dense_sections(self.ss_target.data, conditions, batch.dims.dense_shape, {})

@@ -179,9 +179,12 @@ def load_config(path: str | PathLike) -> PipelineConfig:
 class RunReport:
     """What a run did, written as its `report.json`.
 
-    `losses` maps a stage name to one `{"t": t, "loss": [...]}` entry per
-    optimized Euler step, in step order, holding the Adam loss trace of
-    that step.
+    `stages` holds one entry per stage: its name, seconds and counts.  A
+    stage's seconds run from the end of the report's previous stage, or
+    from the report's creation, to its own end, so the stages account
+    for the whole run.  `losses` maps a stage name to one
+    `{"t": t, "loss": [...]}` entry per optimized Euler step, in step
+    order, holding the Adam loss trace of that step.
     """
 
     stages: list = field(default_factory=list)
@@ -190,8 +193,14 @@ class RunReport:
     empty_windows: list = field(default_factory=list)
     losses: dict = field(default_factory=dict)
 
-    def add_stage(self, name: str, seconds: float, **detail):
-        self.stages.append({"name": name, "seconds": round(seconds, 6), **detail})
+    def __post_init__(self):
+        self._stage_start = time.monotonic()  # not a field, so not in the report
+
+    def add_stage(self, name: str, **detail):
+        """Close the running stage as `name`, with `detail` counts."""
+        now = time.monotonic()
+        self.stages.append({"name": name, "seconds": round(now - self._stage_start, 6), **detail})
+        self._stage_start = now
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -355,7 +364,6 @@ def generate_sparse_structure(
     def on_round(n, occ):
         report.round_occupancy.append({"round": n, "occupied": occ.count()})
 
-    started = time.monotonic()
     coords = iterative_sdedit(
         occ0,
         config.t_noise,
@@ -373,7 +381,6 @@ def generate_sparse_structure(
     )
     report.add_stage(
         "sparse_structure",
-        time.monotonic() - started,
         prior_points=int(len(points)),
         initial_occupied=occ0.count(),
         final_occupied=int(len(coords)),
@@ -427,11 +434,8 @@ def generate_slat(
     def field_fn(Z, t):
         return extended_field(Z, t, grid, bundle.provider, conditioner, config.workers, plan)
 
-    started = time.monotonic()
     Z0 = euler_integrate(Z1, schedule, field_fn, hook)
-    report.add_stage(
-        "structured_latent", time.monotonic() - started, coordinates=int(len(coords))
-    )
+    report.add_stage("structured_latent", coordinates=int(len(coords)))
     _record_empty_windows(report, "slat", conditioner)
     return Z0
 
@@ -447,11 +451,17 @@ def generate_scene(prior_path: str | PathLike, config: PipelineConfig) -> RunRep
 
 
 def run_pipeline(prior: ScenePrior, config: PipelineConfig, bundle: ProviderBundle) -> RunReport:
+    """Both stages, then decoding and export into `config.out_dir`.
+
+    The report's stages account for the run up to writing `report.json`:
+    each stage's seconds include the set-up before it, so the feature
+    stage also counts the window plan built here for it.
+    """
+    report = RunReport()
     if not config.out_dir:
         raise ConfigError("out_dir must be set to export assets")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = RunReport()
     box = _scene_box(prior)
 
     coords = generate_sparse_structure(prior, config, bundle, report, box)
@@ -459,7 +469,6 @@ def run_pipeline(prior: ScenePrior, config: PipelineConfig, bundle: ProviderBund
     plan = SparseWindowPlan(make_patch_grid(dims, config.d, dims.M), coords)
     slat = generate_slat(coords, prior, config, bundle, report, box, plan)
 
-    started = time.monotonic()
     occupancy = OccupancyGrid.from_coords(dims, coords)
     sdf = decode_scene_sdf(slat, plan.grid, plan)
 
@@ -474,6 +483,6 @@ def run_pipeline(prior: ScenePrior, config: PipelineConfig, bundle: ProviderBund
     tensorio.write_tensor(paths["sdf_xlt"], sdf.data)
     write_slat_table(paths["slat_xlt"], slat)
     report.asset_paths = {k: str(v) for k, v in paths.items()}
-    report.add_stage("decode_export", time.monotonic() - started)
+    report.add_stage("decode_export")
     (out_dir / "report.json").write_text(report.to_json())
     return report

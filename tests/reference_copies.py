@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tiledflow.decode import OUTSIDE_SDF
 from tiledflow.errors import SingularityError
 from tiledflow.flowcore import VectorFieldProvider
 from tiledflow.lattice import DTYPE, DenseLatent, SparseLatent
@@ -46,3 +47,42 @@ def unpatch_dense(X, w, dims):
     (x0, x1), (y0, y1), _ = w.box
     out[x0:x1, y0:y1, : w.K] = X.data
     return DenseLatent(dims, out)
+
+
+def toy_decode_sdf(slat_patch: SparseLatent) -> np.ndarray:
+    """Dense (M, M, M) grid: feature channel 0 at entries, +1 elsewhere."""
+    M = slat_patch.dims.M
+    out = np.full((M, M, M), OUTSIDE_SDF, dtype=DTYPE)
+    c = slat_patch.coords
+    out[c[:, 0], c[:, 1], c[:, 2]] = slat_patch.features[:, 0]
+    return out
+
+
+def export_ply(obj, with_colors=False):
+    """`tiledflow.decode.export_ply` as one %-format over all vertices;
+    colors are integral floats, which %d prints like the uchar they
+    stand for."""
+    if isinstance(obj, SparseLatent):
+        coords, feats = obj.coords, obj.features
+    else:
+        coords, feats = obj.coords(), None
+    if with_colors and feats is None:
+        raise ValueError("colors require a sparse feature field")
+    M = obj.dims.M
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(coords)}"]
+    lines += [f"property float {axis}" for axis in "xyz"]
+    if with_colors:
+        lines += [f"property uchar {color}" for color in ("red", "green", "blue")]
+    lines.append("end_header")
+    header = "\n".join(lines) + "\n"
+    columns = [(coords + 0.5) / M]
+    row_format = "%.9g %.9g %.9g"
+    if with_colors:
+        rgb = np.zeros((len(coords), 3), dtype=np.float64)
+        nch = min(3, feats.shape[1])
+        rgb[:, :nch] = feats[:, :nch]
+        columns.append(np.clip(np.rint(rgb * 255.0), 0, 255))
+        row_format += " %d %d %d"
+    values = tuple(np.hstack(columns).ravel().tolist())
+    body = (row_format + "\n") * len(coords) % values
+    return (header + body).encode("ascii")

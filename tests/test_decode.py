@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_copies
 from tiledflow.decode import (
     CosineWeightField,
     OUTSIDE_SDF,
@@ -8,12 +10,12 @@ from tiledflow.decode import (
     decode_scene_sdf,
     export_ply,
     merge_sdf_patches,
-    toy_decode_sdf,
 )
-from tiledflow.errors import CoverageError
+from tiledflow.errors import BoundsError, CoverageError, DimensionError
 from tiledflow.lattice import Dims, OccupancyGrid, SparseLatent, init_sparse_noise
-from tiledflow.patchwork import make_patch_grid
+from tiledflow.patchwork import SparseWindowPlan, make_patch_grid
 from tiledflow.priors import NormalizationBox, parse_ply_points
+from reference_copies import toy_decode_sdf
 
 
 class TestToyDecodeSdf:
@@ -151,6 +153,17 @@ class TestMergeSdf:
         with pytest.raises(CoverageError):
             merge_sdf_patches({(0, 0): np.zeros((8, 8, 8), dtype=np.float32)}, grid)
 
+    def test_bad_inputs_rejected(self):
+        grid = make_patch_grid(Dims(2, 1, 4, 8), 2, 8)
+        patches = {(w.i, w.j): np.zeros((8, 8, 8), dtype=np.float32) for w in grid.windows()}
+        with pytest.raises(CoverageError, match="one SDF patch per grid window"):
+            merge_sdf_patches({**patches, (3, 0): patches[(0, 0)]}, grid)
+        with pytest.raises(DimensionError, match="SDF patch shape"):
+            merge_sdf_patches({**patches, (1, 0): np.zeros((8, 8, 4), dtype=np.float32)}, grid)
+        coarse = make_patch_grid(Dims(2, 1, 4, 8), 2, 4)  # K = N
+        with pytest.raises(DimensionError, match="fine grid"):
+            merge_sdf_patches({(w.i, w.j): np.zeros((4, 4, 4)) for w in coarse.windows()}, coarse)
+
     def test_seam_continuity_on_two_sdf_fixture(self):
         # two slightly offset sphere SDFs assigned to alternating windows:
         # gradients across window-boundary seams must stay comparable to
@@ -168,6 +181,22 @@ class TestMergeSdf:
         assert seam_max <= interior.max() * 1.5
 
 
+# Feature values at and around the color clip edges and rounding ties:
+# 255 * v lands next to k + 0.5 for v = (k + 0.5) / 255 in float32, its
+# float32 neighbours fall on either side, and v = 0.5 lands on 127.5.
+_TIES = np.array([(k + 0.5) / 255 for k in (0, 1, 127, 128, 253, 254)], dtype=np.float32)
+_EDGE_VALUES = np.concatenate(
+    [
+        _TIES,
+        np.nextafter(_TIES, np.float32(-1)),
+        np.nextafter(_TIES, np.float32(2)),
+        np.array([k / 255 for k in (0, 1, 128, 254, 255)], dtype=np.float32),
+        np.array([-0.0, 0.0, 0.5, 1.0, -1e-3, -0.5, -7.0, 1.0 + 1e-6, 1.5, 300.0, 1e30, -1e30], dtype=np.float32),
+    ]
+)
+_SDF_VALUES = np.concatenate([_EDGE_VALUES, np.array([1e-45, -1e-40, 1e-38, 3e38, -3e38], dtype=np.float32)])
+
+
 class TestDecodeSceneSdf:
     def test_uniform_field(self):
         dims = Dims(2, 2, 4, 8, l=4)
@@ -177,8 +206,84 @@ class TestDecodeSceneSdf:
         sdf = decode_scene_sdf(slat, make_patch_grid(dims, 2, 8))
         assert np.allclose(sdf.data, -0.25, atol=1e-6)
 
+    @settings(max_examples=120)
+    @given(
+        st.sampled_from([Dims(1, 1, 4, 8, l=1), Dims(2, 2, 4, 8, l=2), Dims(3, 2, 4, 12, l=3), Dims(2, 1, 8, 8)]),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_merged_window_patches(self, dims, d, density, seed):
+        """Bit-equal to decoding every window and merging the patches;
+        feature 0 takes exact +1, signed zeros, subnormals, large and
+        negative values."""
+        d = d if dims.M % d == 0 else 2
+        rng = np.random.default_rng(seed)
+        grid = make_patch_grid(dims, d, dims.M)
+        cells = np.argwhere(np.ones(dims.grid_shape, dtype=bool))
+        coords = cells[rng.random(len(cells)) < density]
+        feats = rng.normal(0.0, 2.0, (len(coords), dims.l)).astype(np.float32)
+        kind = rng.integers(0, 6, len(coords))
+        feats[kind == 0, 0] = 1.0
+        feats[kind == 1, 0] = -0.0
+        feats[kind == 2, 0] = rng.choice(_SDF_VALUES, np.count_nonzero(kind == 2))
+        slat = SparseLatent(dims, coords, feats)
+        plan = SparseWindowPlan(grid, slat.coords)
+        patches = {(w.i, w.j): toy_decode_sdf(p) for w, p in zip(plan.windows, plan.gather(slat))}
+        want = merge_sdf_patches(patches, grid).data.tobytes()
+        assert decode_scene_sdf(slat, grid).data.tobytes() == want
+        assert decode_scene_sdf(slat, grid, plan).data.tobytes() == want
+
+    def test_rejects_coarse_grids_and_foreign_coordinates(self):
+        dims = Dims(2, 1, 4, 8)
+        slat = init_sparse_noise(np.array([[0, 0, 0], [9, 3, 7]]), dims, seed=0)
+        with pytest.raises(DimensionError, match="fine grid"):
+            decode_scene_sdf(slat, make_patch_grid(dims, 2, dims.N))
+        with pytest.raises(BoundsError):
+            decode_scene_sdf(slat, make_patch_grid(Dims(1, 1, 4, 8), 2, 8))
+
+
+@st.composite
+def _ply_cases(draw):
+    dims = draw(
+        st.sampled_from(
+            [Dims(1, 1, 4, 8, l=4), Dims(3, 2, 4, 12, l=3), Dims(2, 1, 2, 6, l=2), Dims(1, 2, 1, 5, l=1)]
+        )
+    )
+    dims = Dims(dims.a, dims.b, dims.N, dims.M, l=draw(st.integers(1, 4)))
+    size = draw(st.sampled_from([0, 1, 2, 17, 200]))
+    form = draw(st.sampled_from(["occupancy", "sparse", "colors"]))
+    return dims, size, form, draw(st.integers(0, 2**32 - 1))
+
 
 class TestExportPly:
+    @settings(max_examples=120)
+    @given(_ply_cases())
+    def test_matches_the_per_vertex_format(self, case):
+        dims, size, form, seed = case
+        rng = np.random.default_rng(seed)
+        cells = np.argwhere(np.ones(dims.grid_shape, dtype=bool))
+        coords = cells[rng.choice(len(cells), min(size, len(cells)), replace=False)]
+        feats = rng.choice(_EDGE_VALUES, (len(coords), dims.l))
+        if form == "occupancy":
+            obj = OccupancyGrid.from_coords(dims, coords)
+        else:
+            obj = SparseLatent(dims, coords, feats)
+        colors = form == "colors"
+        assert export_ply(obj, with_colors=colors) == reference_copies.export_ply(obj, with_colors=colors)
+        if form == "occupancy":  # colors need features
+            with pytest.raises(ValueError, match="colors require"):
+                export_ply(obj, with_colors=True)
+
+    def test_every_color_level_and_rounding_tie(self):
+        dims = Dims(2, 2, 4, 12, l=3)
+        cells = np.argwhere(np.ones(dims.grid_shape, dtype=bool))
+        levels = np.float32(np.arange(256) / 255)
+        values = np.concatenate([levels, _EDGE_VALUES])
+        feats = np.stack([values, values[::-1], -values], axis=1)
+        slat = SparseLatent(dims, cells[: len(values)], feats)
+        assert export_ply(slat, with_colors=True) == reference_copies.export_ply(slat, with_colors=True)
+
     def test_empty_grid(self):
         dims = Dims(1, 1, 8, 32)
         blob = export_ply(OccupancyGrid.empty(dims))

@@ -441,7 +441,7 @@ class TestOraclePlanTarget:
             conditions = conditions[1:] + conditions[:1]
         elif kind == "moved":
             conditions[-1] = box_condition(0, 0, grid.K)
-        elif kind == "short" and len(conditions) > 1:
+        elif kind == "short":
             conditions = conditions[:-1]
         elif kind == "pillars":
             conditions[0] = flowcore.pillar_condition(np.zeros((2, 2), int), np.zeros((2, 2), int))
@@ -462,6 +462,33 @@ class TestOraclePlanTarget:
         with pytest.raises(ProviderError, match="no sparse target") as info:
             GlobalOracleProvider().evaluate_windows(Z, plan, conditions, 0.5)
         assert info.value.item == 0
+
+
+class TestConditionCount:
+    """A condition count other than the batch's item count is a
+    ProviderError, on every call, whatever the provider."""
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("provider", ["default", "oracle"])
+    def test_short_and_long_condition_lists_rejected(self, provider, sparse):
+        grid = make_patch_grid(DIMS, 2, DIMS.M if sparse else DIMS.N)
+        if sparse:
+            Z = init_sparse_noise(np.argwhere(np.ones(DIMS.grid_shape, dtype=bool))[::3], DIMS, 0)
+            batch = SparseWindowPlan(grid, Z.coords).gather(Z)
+            target = GlobalOracleProvider(slat_target=Z)
+        else:
+            Z = random_dense(DIMS, 0)
+            batch = flowcore.gather_dense(Z, grid)
+            target = GlobalOracleProvider(ss_target=Z)
+        chosen = ZeroFieldProvider() if provider == "default" else target
+        conditions = list(OracleConditioner().window_conditions(grid))
+        n = len(batch)
+        for given in ([], conditions[:1], conditions[:-1], conditions + conditions[:1]):
+            for _ in range(3):
+                with pytest.raises(ProviderError, match=f"{len(given)} conditions for a batch of {n} items") as info:
+                    chosen.evaluate_batch(batch, given, 0.5)
+                assert info.value.item is None
+        assert chosen.evaluate_batch(batch, conditions, 0.5).shape == batch.values.shape
 
 
 class TestMixedField:

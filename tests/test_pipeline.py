@@ -1,4 +1,5 @@
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -262,6 +263,28 @@ class TestEndToEnd:
         assert names == ["sparse_structure", "structured_latent", "decode_export"]
         assert (tmp_path / "out" / "report.json").exists()
         assert len(report.round_occupancy) == 2
+
+    def test_stage_seconds_add_up_to_the_run(self, tmp_path, monkeypatch):
+        # the set-up before and between the stages, made slow, still
+        # falls inside a stage
+        def slow(real):
+            def call(*args, **kwargs):
+                time.sleep(0.1)
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(pl, "SparseWindowPlan", slow(pl.SparseWindowPlan))
+        monkeypatch.setattr(pl, "_make_conditioner", slow(pl._make_conditioner))
+        scene = build_demo_scene(SMALL)
+        started = time.monotonic()
+        report = run_pipeline(scene.prior, small_config(out_dir=str(tmp_path / "out")), demo_bundle(scene))
+        wall = time.monotonic() - started
+        total = sum(stage["seconds"] for stage in report.stages)
+        assert wall > 0.3
+        assert total <= wall + 1e-5
+        assert wall - total < 0.03
+        assert "_stage_start" not in json.loads(report.to_json())
 
     def test_deterministic_across_runs_and_workers(self, tmp_path):
         blobs = {}
