@@ -106,9 +106,9 @@ def decode_scene_sdf(slat: SparseLatent, grid: PatchGrid, plan: SparseWindowPlan
 
     Every window covering a cell decodes it alike: feature 0 where it is
     occupied, OUTSIDE_SDF elsewhere.  The merge's weighted mean of n
-    equal values is that value: its float64 sums stay within about 2n
-    ulps of it, far below float32's half ulp, and w * 1.0 == w makes an
-    empty cell's quotient exactly 1.0.  Since the sums start from 0.0,
+    equal values is that value: its float64 quotient stays within about
+    2n float64 ulps of it, far below float32's half ulp, and w * 1.0 == w
+    makes an empty cell's quotient exactly 1.0.  Since the sums start from 0.0,
     a feature of -0.0 merges to +0.0.  `plan`, when given, must be the
     window plan of the grid and the field's coordinates.
     """

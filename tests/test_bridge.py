@@ -45,6 +45,7 @@ from tiledflow.lattice import DenseLatent, Dims, SparseLatent, init_sparse_noise
 from tiledflow.patchwork import (
     SparseWindowPlan,
     dilated_partition,
+    gather_dense,
     make_patch_grid,
     merge_dense,
     patch_dense,
@@ -175,6 +176,20 @@ class TestRemoteProvider:
         b = extended_field(Z, 0.4, grid, local, OracleConditioner())
         assert np.array_equal(a.coords, b.coords)
         assert np.array_equal(a.features.view(np.uint32), b.features.view(np.uint32))
+
+    def test_condition_count_checked_before_sending(self, oracle_server):
+        server, target, _ = oracle_server
+        local = GlobalOracleProvider(ss_target=target)
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        batch = gather_dense(random_dense(DIMS, 10), grid)
+        conditions = list(OracleConditioner().window_conditions(grid))
+        with RemoteProvider(server.address, timeout=10) as remote:
+            for given in ([], conditions[:-1], conditions + conditions[:1]):
+                for _ in range(2):
+                    with pytest.raises(ProviderError, match=f"{len(given)} conditions for a batch of {len(batch)}"):
+                        remote.evaluate_batch(batch, given, 0.5)
+            got = remote.evaluate_batch(batch, conditions, 0.5)
+        assert np.array_equal(got, local.evaluate_batch(batch, conditions, 0.5))
 
     def test_many_concurrent_requests(self, oracle_server):
         server, target, _ = oracle_server

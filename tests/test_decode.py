@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import reference_copies
 from tiledflow.decode import (
     CosineWeightField,
     OUTSIDE_SDF,
@@ -15,7 +14,7 @@ from tiledflow.errors import BoundsError, CoverageError, DimensionError
 from tiledflow.lattice import Dims, OccupancyGrid, SparseLatent, init_sparse_noise
 from tiledflow.patchwork import SparseWindowPlan, make_patch_grid
 from tiledflow.priors import NormalizationBox, parse_ply_points
-from reference_copies import toy_decode_sdf
+from reference_copies import export_ply as old_export_ply, toy_decode_sdf
 
 
 class TestToyDecodeSdf:
@@ -270,7 +269,7 @@ class TestExportPly:
         else:
             obj = SparseLatent(dims, coords, feats)
         colors = form == "colors"
-        assert export_ply(obj, with_colors=colors) == reference_copies.export_ply(obj, with_colors=colors)
+        assert export_ply(obj, with_colors=colors) == old_export_ply(obj, with_colors=colors)
         if form == "occupancy":  # colors need features
             with pytest.raises(ValueError, match="colors require"):
                 export_ply(obj, with_colors=True)
@@ -282,7 +281,7 @@ class TestExportPly:
         values = np.concatenate([levels, _EDGE_VALUES])
         feats = np.stack([values, values[::-1], -values], axis=1)
         slat = SparseLatent(dims, cells[: len(values)], feats)
-        assert export_ply(slat, with_colors=True) == reference_copies.export_ply(slat, with_colors=True)
+        assert export_ply(slat, with_colors=True) == old_export_ply(slat, with_colors=True)
 
     def test_empty_grid(self):
         dims = Dims(1, 1, 8, 32)
