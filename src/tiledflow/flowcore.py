@@ -71,9 +71,12 @@ class VectorFieldProvider:
     feature block with their window-local coordinates and per-item
     bounds.  The reply is one float32 array shaped like `batch.values`:
     item n's vector, for `conditions[n]`, sits where item n's values
-    sit.  Every item shares the one t.  The engine checks the replies'
-    shape and finiteness once per field call.  A batch either answers every
-    item or raises; when the failing item is known, the error is a
+    sit.  Every item shares the one t.  The engine checks each field
+    call's reply shape, and reads its finiteness off the merged (or
+    scattered) field, which every reply value reaches; for a sparse
+    field, that is the merged rows.  Only a reply that fails there is
+    scanned, to name its first non-finite item.  A batch either answers
+    every item or raises; when the failing item is known, the error is a
     ProviderError whose `item` is its index, so the engine can name the
     window.
 
@@ -143,8 +146,8 @@ class VectorFieldProvider:
         The default gathers the windows into one batch and answers it
         with at most `workers` `evaluate_batch` calls on contiguous
         chunks (`_evaluate_chunks`).  The engine checks the reply's shape
-        and finiteness and names the failing window; a ProviderError's
-        `item`, when set, is a window index.
+        and finiteness (`_checked_call`) and names the failing window; a
+        ProviderError's `item`, when set, is a window index.
         """
         batch = layout.gather(Z) if isinstance(layout, SparseWindowPlan) else gather_dense(Z, layout)
         return _evaluate_chunks(self, batch, conditions, t, workers)
@@ -359,16 +362,17 @@ class GlobalOracleProvider(VectorFieldProvider):
 
     def evaluate_windows(self, Z, layout, conditions, t, workers=1):
         """On a plan's own window boxes, (Z - aligned target) / t per
-        global row taken into the window rows: the per-window bits.
-        Anything else takes the default path."""
+        global row, taken into the window rows: the per-window bits, as
+        the product is elementwise.  Anything else takes the default
+        path."""
         target = self._plan_target(layout, conditions) if isinstance(layout, SparseWindowPlan) else None
         if target is None or Z.features.shape != target.shape:
             return super().evaluate_windows(Z, layout, conditions, t, workers)
         inv = _inverse_time(t)
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
-            out = (Z.features - target).take(layout.rows, axis=0)
-            out *= inv
-        return out
+            rows = Z.features - target
+            rows *= inv
+        return rows.take(layout.rows, axis=0)
 
     def _plan_target(self, plan: SparseWindowPlan, conditions) -> np.ndarray | None:
         """The sparse target aligned to `plan.coords`; None without a
@@ -544,10 +548,12 @@ def extended_field(
     A sparse Z is cut by `plan`, the window plan of its grid and
     coordinates (built here when not given).  The provider gets the
     whole window field in one `evaluate_windows` call (by default one
-    stacked gather and at most `workers` batch calls); the reply is
-    checked once and merged in the grid's fixed window order, so the
-    result does not depend on the worker count; provider failures carry
-    the window index.
+    stacked gather and at most `workers` batch calls); the reply's shape
+    is checked, and it is merged in the grid's fixed window order, so
+    the result does not depend on the worker count; the merged field's
+    finiteness check stands for the reply's (`_checked_call`).  Provider
+    failures carry the window index.  A Z built on `plan.coords` itself
+    skips the coordinate compare.
     """
     windows = grid.windows()
     if isinstance(Z, SparseLatent):
@@ -558,13 +564,11 @@ def extended_field(
         grid.check_fits(Z.data.shape)
     conditions = conditioner.window_conditions(grid)
     t_eval = float(DTYPE(t))
-    values = _checked_call(
+    return _checked_call(
         lambda: provider.evaluate_windows(Z, layout, conditions, t_eval, workers),
         window_values_shape(Z, layout), bounds, lambda k: f"patch ({windows[k].i}, {windows[k].j})",
+        layout.merge_features if isinstance(Z, SparseLatent) else lambda values: merge_dense(values, grid),
     )
-    if isinstance(Z, SparseLatent):
-        return layout.merge_features(values)
-    return merge_dense(values, grid)
 
 
 def window_values_shape(Z: PatchLatent, layout: PatchGrid | SparseWindowPlan) -> tuple[int, ...]:
@@ -608,13 +612,18 @@ def _evaluate_chunks(provider, batch, conditions, t, workers) -> np.ndarray:
     return np.concatenate(_map_jobs(run, list(zip(bounds, bounds[1:]))))
 
 
-def _checked_call(call, shape, bounds, name) -> np.ndarray:
-    """`call()`'s reply as float32 when it has `shape` and is finite.
+def _checked_call(call, shape, bounds, name, combine):
+    """`combine` (a merge or scatter) of `call()`'s reply, as float32,
+    when the reply has `shape` and is finite.
 
     A failure of the call, or a reply of another shape or with a
     non-finite value, is a ProviderError naming the items: item k is
     `name(k)`, and sparse rows belong to items by `bounds` (None for
-    dense items stacked along axis 0).
+    dense items stacked along axis 0).  Finiteness is read off the
+    combined field: every reply value reaches it, through a float64 sum
+    that cannot overflow or a copy, and its constructor rejects a
+    non-finite value with a ValueError.  Only then is the reply scanned
+    for the first item holding one.
     """
     count = shape[0] if bounds is None else len(bounds) - 1
     where = f"{name(0)} to {name(count - 1)}"
@@ -630,10 +639,14 @@ def _checked_call(call, shape, bounds, name) -> np.ndarray:
             raise ProviderError(f"provider returned {len(values)} vectors for {where}")
         raise ProviderError(f"provider returned values of shape {values.shape} for {where}, expected {shape}")
     values = np.ascontiguousarray(values, dtype=DTYPE)
-    item = first_nonfinite_item(values, bounds)
-    if item is not None:
-        raise ProviderError(f"provider returned non-finite values for {name(item)}")
-    return values
+    with np.errstate(invalid="ignore"):  # inf - inf in a merge sum
+        try:
+            return combine(values)
+        except ValueError:
+            item = first_nonfinite_item(values, bounds)
+            if item is None:
+                raise
+    raise ProviderError(f"provider returned non-finite values for {name(item)}")
 
 
 def _map_jobs(fn, jobs):
@@ -657,11 +670,10 @@ def dilated_field(
     batch = partition.gather_batch(Z)
     conditions = conditioner.dilated_conditions(partition)
     t_eval = float(DTYPE(t))
-    values = _checked_call(
+    return _checked_call(
         lambda: _evaluate_chunks(provider, batch, conditions, t_eval, workers),
-        batch.values.shape, None, lambda n: f"dilated sample {n}",
+        batch.values.shape, None, lambda n: f"dilated sample {n}", partition.scatter,
     )
-    return partition.scatter(values)
 
 
 def mixed_field(

@@ -16,19 +16,23 @@ the grid's row-major order.  Dilated samples are gathered with one
 fancy index and scattered back with one assignment.
 
 Sparse latents keep their coordinates across a whole schedule, so the
-window geometry is planned once per (grid, coordinate set): a
-`SparseWindowPlan` holds, per window, the rows inside it (found by a
-binary search on the sorted x column plus a y/z mask, `box_rows`) and
-their window-local coordinates, plus a rank layout of all windows'
-rows: the global rows in groups of equal coverage c, and each group's
-contributions as c contiguous runs, run j holding every row's j-th
-window in window order.  Each step gathers the feature rows into one
-block with one `take`.  The merge takes the reply into the rank layout
-with one more, and sums each group run by run in float64, in the order
-`np.add.reduceat` over each row's window-ordered contributions would
-(the first, plus numpy's pairwise sum of the rest), so it gives the
-same bits without a float64 copy of the reply.  It then divides by the
-coverage.
+window geometry is planned once per (grid, coordinate set), and read off
+that geometry rather than searched for: a `SparseWindowPlan` holds, per
+window, the rows inside it (K runs of the sorted rows, one per lattice
+column x, located by a cumulative count of rows per (x, y) column), and
+a rank layout of all windows' rows: the global rows in groups of equal
+coverage c, and each group's contributions as c contiguous runs, run j
+holding every row's j-th window in window order.  A row's windows, and
+so its coverage and the rank of each, follow from its stride block.
+Each step gathers the feature rows into one block with one `take`.  The
+merge takes the reply into the rank layout with one more, into a buffer
+the plan keeps for its next merge, and sums each group run by run in
+float64, in the order `np.add.reduceat` over each row's window-ordered
+contributions would (the first, plus numpy's pairwise sum of the rest),
+so it gives the same bits without a float64 copy of the reply.  It then
+divides by the coverage.  The merged rows are finite exactly when the
+reply is, so the merged latent's own check stands for a check of the
+reply.
 
 The per-window forms (`patch_dense`, `merge_vectors` over a mapping,
 `DilatedPartition.gather` of one sample) remain for callers that hold
@@ -279,7 +283,23 @@ class SparseWindowPlan:
     coordinates are `local[bounds[k]:bounds[k + 1]]`.  `coverage[r]`
     counts the windows holding global row r, and every row must lie in
     at least one.  `slot`, `groups` and `layout` are the rank layout
-    `merge_features` sums through (see `_rank_layout`).
+    `merge_features` sums through: the global rows in groups of equal
+    coverage c (in descending c, each group in row order; global row r
+    sits at `slot[r]` of that order), and one (c, g0, g1, lo) per group
+    for its run [g0, g1) of the order and where its contributions start
+    in `layout`.  There they form a (c, g1 - g0) block in which rank j is
+    one contiguous run of reply positions, each row's j-th window in
+    window order.
+
+    All of it follows from the geometry, without a search per window or
+    a sort of the window rows.  The coordinates are sorted by x, then y,
+    then z, and none reaches past a window's height K, so window k's rows
+    are K runs of the global rows, one per column (x, y0_k) to
+    (x, y0_k + K), read off a cumulative count of rows per (x, y) column.
+    A row's windows are those of its stride block (x // s, y // s): ci
+    consecutive i times cy consecutive j, so the window of rank q is
+    (ilo + q // cy, jlo + q % cy), and its position in the reply is a
+    gather from the per-run offsets.
 
     The coordinates pass the `SparseLatent` constructor's checks once,
     here; each window's local coordinates are a translated run of them,
@@ -291,18 +311,56 @@ class SparseWindowPlan:
         self.grid = grid
         self.coords = _checked_coords(grid.dims, coords)
         self.windows = grid.windows()
-        window_rows = [box_rows(self.coords, w.x0, w.y0, w.K) for w in self.windows]
-        counts = [len(rows) for rows in window_rows]
-        self.rows = np.concatenate(window_rows)
-        self.bounds = _ro(np.cumsum([0] + counts))
-        local = self.coords[self.rows]
-        for w, lo, hi in zip(self.windows, self.bounds[:-1], self.bounds[1:]):
-            local[lo:hi, :2] -= (w.x0, w.y0)
-        self.local = _ro(local)
-        self.coverage = np.bincount(self.rows, minlength=len(self.coords))
-        if (self.coverage < 1).any():
+        K, d, s = grid.K, grid.d, grid.K // grid.d
+        X, Y = grid.dims.a * K, grid.dims.b * K
+        x, y, z = self.coords.T
+        if ((x >= X) | (y >= Y) | (z >= K)).any():
             raise CoverageError("sparse coordinate not covered by any window")
-        self.slot, self.groups, self.layout = _rank_layout(self.rows, self.coverage)
+        # column[x * Y + y] is the first row of column (x, y); one past the end
+        column = np.zeros(X * Y + 1, dtype=np.int64)
+        np.cumsum(np.bincount(x * Y + y, minlength=X * Y), out=column[1:])
+        x0, y0 = grid.origins
+        first = (x0[:, None] + np.arange(K)) * Y + y0[:, None]  # (window, u): column (x0 + u, y0)
+        starts = column[first].ravel()
+        lengths = column[first + K].ravel() - starts
+        ends = np.cumsum(lengths)
+        # run (k, u) holds reply positions ends - lengths + n for its rows starts + n
+        shift = ends - lengths - starts
+        self.rows = _ro(np.arange(ends[-1]) - np.repeat(shift, lengths))
+        self.bounds = _ro(np.concatenate(([0], ends[K - 1 :: K])))
+        cx = grid.axis_coverage(grid.ni, X)[x]
+        cy = grid.axis_coverage(grid.nj, Y)[y]
+        self.coverage = _ro(cx * cy)
+        ilo = np.maximum(x // s - d + 1, 0)
+        jlo = np.maximum(y // s - d + 1, 0)
+        groups, order, parts, g0, lo = [], [], [np.zeros(0, dtype=np.intp)], 0, 0
+        for c in np.unique(self.coverage)[::-1].tolist():
+            members = np.flatnonzero(self.coverage == c)
+            qi, qj = np.divmod(np.arange(c)[:, None], cy[members])  # rank q = qi * cy + qj
+            i = ilo[members] + qi
+            run = (i * grid.nj + jlo[members] + qj) * K + x[members] - i * s
+            parts.append((shift[run] + members).ravel())
+            order.append(members)
+            groups.append((c, g0, g0 + len(members), lo))
+            g0, lo = g0 + len(members), lo + c * len(members)
+        slot = np.empty(len(self.coords), dtype=np.intp)
+        if order:
+            slot[np.concatenate(order)] = np.arange(len(slot))
+        self.slot, self.groups, self.layout = _ro(slot), tuple(groups), _ro(np.concatenate(parts))
+        # The first rank buffer is made here, beside the plan's other
+        # arrays.  Made by the first merge, it lands wherever that call's
+        # reply left room, and how many pages later scenes fault in anew
+        # then depends on the allocation history.
+        self._rank_buffers = [np.empty((len(self.rows), grid.dims.l), dtype=DTYPE)]
+
+    @cached_property
+    def local(self) -> np.ndarray:
+        """Every window row's window-local coordinates, window by window;
+        built on first use (`gather` and `merge` read it)."""
+        local = self.coords.take(self.rows, axis=0)
+        origins = np.stack(self.grid.origins, axis=1)
+        local[:, :2] -= np.repeat(origins, np.diff(self.bounds), axis=0)
+        return _ro(local)
 
     def gather(self, Z: SparseLatent) -> SparseBatch:
         """Every window's patch, in window order, as one batch: Z's rows
@@ -326,59 +384,47 @@ class SparseWindowPlan:
         """Coverage-averaged sum of the stacked window features `values`
         ((rows, l) float32, rows in the order `gather` makes them).
 
-        One `take` lays the reply out by rank (`_rank_layout`).  Per
-        coverage group, rank 0 is cast into the group's slice of a float64
-        accumulator, ranks 1..c-1 are summed in numpy's pairwise order
-        (`_pairwise_sum`) and added on, and the slice is divided by c;
-        one `take` through `slot` puts the float32 rows back in global
-        order.  `np.add.reduceat` over a row's contributions in window
-        order copies the first and adds the pairwise sum of the rest to
-        it, and casts to float64 are exact, so every row gets the bits
-        that reduceat gives.  They do not depend on the order in which
-        the windows were evaluated.
+        One `take` lays the reply out by rank, into a float32 buffer the
+        plan keeps for its next merge: a fresh 4 * rows * l bytes per
+        call would be paged in anew each time.  Buffers are held in a
+        free list, one made with the plan and more only while merges
+        overlap, so merges on one plan from two threads never share
+        one.  Per coverage group, rank 0 is cast into the group's slice
+        of a float64 accumulator, ranks 1..c-1 are summed in numpy's
+        pairwise order (`_pairwise_sum`) and added on, and the slice is
+        divided by c; one `take` through `slot` puts the float32 rows
+        back in global order.  `np.add.reduceat` over a row's
+        contributions in window order copies the first and adds the
+        pairwise sum of the rest to it, and casts to float64 are exact,
+        so every row gets the bits that reduceat gives.  They do not
+        depend on the order in which the windows were evaluated.
+
+        The float64 sums of finite float32 values cannot overflow, and
+        their means cast to finite float32, so the merged rows are finite
+        exactly when `values` is; the merged latent's finiteness check
+        (a ValueError) therefore covers every reply value.
         """
         dims = self.grid.dims
         if values.shape != (len(self.rows), dims.l):
             raise DimensionError(f"window features {values.shape} != {(len(self.rows), dims.l)}")
-        ranks = values.take(self.layout, axis=0)
-        acc = np.empty((len(self.coords), dims.l), dtype=np.float64)
-        for c, g0, g1, lo in self.groups:
-            block = ranks[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0, dims.l)
-            head = acc[g0:g1]
-            head[...] = block[0]
-            if c > 1:
-                head += _pairwise_sum(block[1:])
-            head /= c
+        try:
+            ranks = self._rank_buffers.pop()
+        except IndexError:
+            ranks = np.empty(values.shape, dtype=DTYPE)
+        try:
+            np.take(values, self.layout, axis=0, out=ranks, mode="clip")
+            acc = np.empty((len(self.coords), dims.l), dtype=np.float64)
+            for c, g0, g1, lo in self.groups:
+                block = ranks[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0, dims.l)
+                head = acc[g0:g1]
+                head[...] = block[0]
+                if c > 1:
+                    head += _pairwise_sum(block[1:])
+                head /= c
+        finally:
+            self._rank_buffers.append(ranks)
         merged = acc.astype(DTYPE).take(self.slot, axis=0)
         return SparseLatent._on_checked_coords(dims, self.coords, merged)
-
-
-def _rank_layout(rows: np.ndarray, coverage: np.ndarray):
-    """The rank layout of a plan's contributions: (slot, groups, layout).
-
-    `rows` holds the global row of every contribution, window by window,
-    and `coverage` counts each row's contributions.  A stable argsort on
-    -coverage puts the global rows in groups of equal coverage; global
-    row r sits at `slot[r]` of that order.  `groups` holds one
-    (c, g0, g1, lo) per group: its coverage, its run [g0, g1) of the
-    order, and where its contributions start in `layout`.  There they
-    form a (c, g1 - g0) block in which rank j is one contiguous run
-    holding each row's j-th contribution in window order.
-    """
-    order = np.argsort(rows, kind="stable")  # by row; each row's windows in order
-    starts = np.cumsum(coverage) - coverage
-    perm = np.argsort(-coverage, kind="stable")
-    cov = coverage[perm]
-    edges = np.flatnonzero(np.diff(cov, prepend=0, append=0))
-    groups, parts, lo = [], [np.zeros(0, dtype=np.intp)], 0
-    for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        c = int(cov[g0])
-        parts.append((starts[perm[g0:g1]] + np.arange(c)[:, None]).ravel())
-        groups.append((c, g0, g1, lo))
-        lo += c * (g1 - g0)
-    slot = np.empty_like(perm)
-    slot[perm] = np.arange(len(perm))
-    return _ro(slot), tuple(groups), _ro(order.take(np.concatenate(parts)))
 
 
 def _pairwise_sum(ranks: np.ndarray):
@@ -411,11 +457,13 @@ def _pairwise_sum(ranks: np.ndarray):
 def window_plan(grid: PatchGrid, coords: np.ndarray, plan: SparseWindowPlan | None = None) -> SparseWindowPlan:
     """The window plan of `coords` on `grid`: `plan` when given, else a new one.
 
-    A plan built for another grid or coordinate set is a ConfigError.
+    A plan built for another grid or coordinate set is a ConfigError; a
+    latent built on the plan's own coordinate array passes without a
+    compare.
     """
     if plan is None:
         return SparseWindowPlan(grid, coords)
-    if plan.grid != grid or not np.array_equal(plan.coords, coords):
+    if plan.grid != grid or not (plan.coords is coords or np.array_equal(plan.coords, coords)):
         raise ConfigError("window plan was built for another grid or coordinate set")
     return plan
 

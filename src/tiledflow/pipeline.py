@@ -415,6 +415,9 @@ def generate_slat(
     schedule = Schedule.linear(1.0, config.schedule_steps)
     Z1 = init_sparse_noise(coords, dims, substream_seed(config.seed, _STREAM_SLAT_INIT))
     plan = window_plan(grid, Z1.coords, plan)
+    # the same draws on the plan's own coordinate array, so every step's
+    # `window_plan` knows the latent's coordinates without a compare
+    Z1 = SparseLatent._on_checked_coords(dims, plan.coords, Z1.features)
     steps = report.losses.setdefault("structured_latent", [])
 
     hook = None

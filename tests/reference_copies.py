@@ -9,9 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from tiledflow.decode import OUTSIDE_SDF
-from tiledflow.errors import SingularityError
+from tiledflow.errors import CoverageError, SingularityError
 from tiledflow.flowcore import VectorFieldProvider
 from tiledflow.lattice import DTYPE, DenseLatent, SparseLatent
+from tiledflow.patchwork import box_rows
 
 
 @dataclass(frozen=True)
@@ -86,3 +87,46 @@ def export_ply(obj, with_colors=False):
     values = tuple(np.hstack(columns).ravel().tolist())
     body = (row_format + "\n") * len(coords) % values
     return (header + body).encode("ascii")
+
+
+class ReferenceSparseWindowPlan:
+    """`SparseWindowPlan`'s arrays as its constructor built them before
+    they were read off the window geometry: one `box_rows` search per
+    window, and the rank layout from stable argsorts of the window rows
+    and of the coverage."""
+
+    def __init__(self, grid, coords):
+        self.coords = SparseLatent(grid.dims, coords, np.zeros((len(coords), grid.dims.l), dtype=DTYPE)).coords
+        windows = grid.windows()
+        window_rows = [box_rows(self.coords, w.x0, w.y0, w.K) for w in windows]
+        counts = [len(rows) for rows in window_rows]
+        self.rows = np.concatenate(window_rows)
+        self.bounds = np.cumsum([0] + counts)
+        local = self.coords[self.rows]
+        for w, lo, hi in zip(windows, self.bounds[:-1], self.bounds[1:]):
+            local[lo:hi, :2] -= (w.x0, w.y0)
+        self.local = local
+        self.coverage = np.bincount(self.rows, minlength=len(self.coords))
+        if (self.coverage < 1).any():
+            raise CoverageError("sparse coordinate not covered by any window")
+        self.slot, self.groups, self.layout = rank_layout(self.rows, self.coverage)
+
+
+def rank_layout(rows, coverage):
+    """(slot, groups, layout) of a plan's contributions by two stable
+    argsorts: of `rows`, for each row's windows in order, and of
+    -coverage, for the groups of equal coverage."""
+    order = np.argsort(rows, kind="stable")
+    starts = np.cumsum(coverage) - coverage
+    perm = np.argsort(-coverage, kind="stable")
+    cov = coverage[perm]
+    edges = np.flatnonzero(np.diff(cov, prepend=0, append=0))
+    groups, parts, lo = [], [np.zeros(0, dtype=np.intp)], 0
+    for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        c = int(cov[g0])
+        parts.append((starts[perm[g0:g1]] + np.arange(c)[:, None]).ravel())
+        groups.append((c, g0, g1, lo))
+        lo += c * (g1 - g0)
+    slot = np.empty_like(perm)
+    slot[perm] = np.arange(len(perm))
+    return slot, tuple(groups), order.take(np.concatenate(parts))

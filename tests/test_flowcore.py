@@ -24,6 +24,7 @@ from tiledflow.lattice import (
     Dims,
     Schedule,
     SparseLatent,
+    first_nonfinite_item,
     init_sparse_noise,
     sample_gaussian,
     stack_patches,
@@ -414,6 +415,85 @@ def _outcome(call):
         return "ok", call().tobytes()
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "item", None)
+
+
+class FixedReply(VectorFieldProvider):
+    """Answers every window field with one given reply, and every dilated
+    batch with another."""
+
+    def __init__(self, windows=None, samples=None):
+        self.windows, self.samples = windows, samples
+
+    def evaluate_windows(self, Z, layout, conditions, t, workers=1):
+        return self.windows
+
+    def evaluate_batch(self, batch, conditions, t):
+        return self.samples
+
+
+class TestNonFiniteReplies:
+    """A non-finite reply value fails the field call and names the window
+    (or sample) holding the first one, as a scan of the reply does; the
+    sparse check reads the merged rows, where every reply value lands."""
+
+    GRID = make_patch_grid(DIMS, 2, DIMS.M)  # stride 4: a row in block (1, 1) is in 4 windows
+
+    def _sparse_reply(self, dtype=np.float32):
+        Z = init_sparse_noise(np.argwhere(np.ones(DIMS.grid_shape, dtype=bool)), DIMS, seed=5)
+        plan = SparseWindowPlan(self.GRID, Z.coords)
+        row = int(np.flatnonzero((Z.coords == (5, 6, 2)).all(axis=1))[0])
+        at = {}  # window (i, j) -> the reply position of the row in it
+        for w, lo, hi in zip(plan.windows, plan.bounds[:-1], plan.bounds[1:]):
+            hit = np.flatnonzero(plan.rows[lo:hi] == row)
+            if len(hit):
+                at[(w.i, w.j)] = int(lo + hit[0])
+        assert list(at) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        return Z, plan, np.zeros((len(plan.rows), DIMS.l), dtype=dtype), at
+
+    def _fails_naming(self, Z, plan, values, window):
+        with np.errstate(invalid="ignore"):  # inf - inf in the scan's sum
+            scanned = first_nonfinite_item(np.asarray(values, dtype=np.float32), plan.bounds)
+        assert (plan.windows[scanned].i, plan.windows[scanned].j) == window
+        with pytest.raises(ProviderError, match=rf"non-finite values for patch \({window[0]}, {window[1]}\)$"):
+            extended_field(Z, 0.5, self.GRID, FixedReply(values), OracleConditioner(), plan=plan)
+
+    def test_nan_in_a_later_window_of_a_row(self):
+        Z, plan, values, at = self._sparse_reply()
+        values[at[(1, 1)], 2] = np.nan
+        self._fails_naming(Z, plan, values, (1, 1))
+
+    def test_opposite_infinities_in_two_windows_of_a_row(self):
+        Z, plan, values, at = self._sparse_reply()
+        values[at[(0, 1)], 0] = np.inf
+        values[at[(1, 0)], 0] = -np.inf
+        self._fails_naming(Z, plan, values, (0, 1))
+
+    def test_float64_reply_above_float32_range(self):
+        Z, plan, values, at = self._sparse_reply(np.float64)
+        values[at[(1, 0)], 1] = 1e39
+        with np.errstate(over="ignore"):
+            self._fails_naming(Z, plan, values, (1, 0))
+
+    def test_largest_finite_reply_merges(self):
+        Z, plan, values, at = self._sparse_reply()
+        top = np.finfo(np.float32).max
+        values[list(at.values())] = top
+        merged = extended_field(Z, 0.5, self.GRID, FixedReply(values), OracleConditioner(), plan=plan)
+        assert (merged.features[plan.rows[at[(0, 0)]]] == top).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_dense_window_and_dilated_sample_named(self, value):
+        Z = random_dense(DIMS, 23)
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        windows = np.zeros((grid.count,) + DIMS.patch_dims().dense_shape, dtype=np.float32)
+        windows[4, 1, 2, 3, 0] = value  # window (1, 1)
+        with pytest.raises(ProviderError, match=r"non-finite values for patch \(1, 1\)$"):
+            extended_field(Z, 0.5, grid, FixedReply(windows), OracleConditioner())
+        partition = dilated_partition(DIMS, DIMS.N, seed=0)
+        samples = np.zeros((len(partition),) + DIMS.patch_dims().dense_shape, dtype=np.float32)
+        samples[2, 0, 0, 0, 0] = value
+        with pytest.raises(ProviderError, match=r"non-finite values for dilated sample 2$"):
+            dilated_field(Z, 0.5, partition, FixedReply(samples=samples), OracleConditioner())
 
 
 class TestOraclePlanTarget:

@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +22,7 @@ from tiledflow.patchwork import (
     restrict_sparse,
 )
 
-from reference_copies import unpatch_dense
+from reference_copies import ReferenceSparseWindowPlan, unpatch_dense
 
 
 def brute_window_boxes(dims, d, K):
@@ -696,3 +699,95 @@ class TestStackedBitEquality:
         expected = old_dilated_scatter(partition, samples).tobytes()
         assert partition.scatter(values).data.tobytes() == expected
         assert partition.scatter(samples).data.tobytes() == expected
+
+
+@st.composite
+def geometry_cases(draw):
+    """(grid, coords): a and b in 1-4, d in {1, 2, 4}, K in {N, M}, and a
+    coordinate set inside the windows' reach that is dense, sparse,
+    confined to the first K x K column (so some windows hold no rows), a
+    single row or empty; "uncovered" adds one coordinate above the
+    windows' height, or past their x or y reach."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dims = Dims(a, b, 4, 8, l=draw(st.integers(1, 3)))
+    K = draw(st.sampled_from([dims.N, dims.M]))
+    grid = make_patch_grid(dims, draw(st.sampled_from([1, 2, 4])), K)
+    kind = draw(st.sampled_from(["dense", "sparse", "first_column", "one_row", "empty", "uncovered"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reach = np.zeros(dims.grid_shape, dtype=bool)
+    reach[: a * K, : b * K, :K] = True
+    occupied = reach & (rng.random(dims.grid_shape) < (0.6 if kind == "dense" else 0.05))
+    if kind == "first_column":
+        occupied[K:] = occupied[:, K:] = False
+    coords = np.argwhere(occupied)
+    if kind == "one_row":
+        coords = np.argwhere(reach)[[rng.integers(reach.sum())]]
+    elif kind == "empty":
+        coords = coords[:0]
+    elif kind == "uncovered":
+        outside = np.argwhere(~reach)
+        if len(outside):  # K = M on a 1 x 1 lattice reaches every cell
+            coords = np.concatenate([coords, outside[[rng.integers(len(outside))]]])
+    return grid, rng.permutation(coords)
+
+
+class TestPlanGeometry:
+    @settings(max_examples=300, deadline=None)
+    @given(geometry_cases())
+    @example((make_patch_grid(Dims(1, 1, 4, 8), 2, 4), np.array([[0, 0, 5]])))  # z >= K
+    @example((make_patch_grid(Dims(3, 1, 4, 8), 4, 8), np.array([[1, 2, 3]])))
+    def test_geometry_plan_equals_searched_plan(self, case):
+        grid, coords = case
+        try:
+            ref = ReferenceSparseWindowPlan(grid, coords)
+        except CoverageError:
+            with pytest.raises(CoverageError):
+                SparseWindowPlan(grid, coords)
+            return
+        plan = SparseWindowPlan(grid, coords)
+        for name in ("coords", "rows", "bounds", "local", "coverage", "slot", "layout"):
+            assert np.array_equal(getattr(plan, name), getattr(ref, name)), name
+        assert plan.groups == ref.groups
+
+
+def _merge_plan():
+    """A plan of many windows per row (stride 1), and two replies."""
+    dims = Dims(3, 3, 8, 8, l=4)
+    rng = np.random.default_rng(5)
+    coords = np.argwhere(rng.random(dims.grid_shape) < 0.5)
+    plan = SparseWindowPlan(make_patch_grid(dims, 8, 8), coords)
+    replies = [mixed_values(rng, (len(plan.rows), dims.l)) for _ in range(2)]
+    return plan, replies
+
+
+class TestMergeBuffer:
+    def test_merges_allocate_no_reply_sized_buffer(self):
+        # both merges lay the reply out in the buffer the plan holds
+        plan, replies = _merge_plan()
+        tracemalloc.start()
+        try:
+            for values in replies:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                plan.merge_features(values)
+                assert tracemalloc.get_traced_memory()[1] - start < values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_threads_merging_on_one_plan_match_sequential_merges(self):
+        plan, replies = _merge_plan()
+        expected = [plan.merge_features(values).features.tobytes() for values in replies]
+        barrier = threading.Barrier(2)
+        got = [[], []]
+
+        def merge(n):
+            barrier.wait()
+            for _ in range(20):
+                got[n].append(plan.merge_features(replies[n]).features.tobytes())
+
+        threads = [threading.Thread(target=merge, args=(n,)) for n in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert got == [[expected[0]] * 20, [expected[1]] * 20]

@@ -246,6 +246,25 @@ class TestSlatStage:
             with pytest.raises(ConfigError):
                 decode_scene_sdf(scene.slat_target, make_patch_grid(SMALL, config.d, SMALL.M), plan)
 
+    def test_steps_evaluate_on_the_plans_coordinates(self, monkeypatch):
+        # every step's latent shares the plan's coordinate array, so
+        # `window_plan` accepts it without comparing coordinates
+        scene = build_demo_scene(SMALL)
+        coords = scene.occ_target.coords()
+        config = small_config()
+        plan = SparseWindowPlan(make_patch_grid(SMALL, config.d, SMALL.M), coords[::-1])
+        seen = []
+        field = pl.extended_field
+
+        def spy(Z, *args):
+            seen.append(Z.coords is plan.coords)
+            return field(Z, *args)
+
+        monkeypatch.setattr(pl, "extended_field", spy)
+        slat = generate_slat(coords, scene.prior, config, demo_bundle(scene), plan=plan)
+        assert seen and all(seen)
+        assert slat.coords is plan.coords
+
     def test_empty_coords_rejected(self):
         scene = build_demo_scene(SMALL)
         with pytest.raises(ConfigError):
