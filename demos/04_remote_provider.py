@@ -6,8 +6,8 @@ engine's remote provider at it, and checks that the remotely evaluated
 patch-wise fields, dense and sparse, are bit-identical to the in-process
 ones.  The server's provider counts the batch calls and windows it
 answers, so the demo reports how the windows reached it: with a stage
-session, each field's windows arrive as one batch, whatever `workers`
-is.
+session, each field's windows arrive as one batch, through the served
+provider's `evaluate_windows`.
 """
 
 from tiledflow.bridge import ProviderServer, RemoteProvider
@@ -47,7 +47,7 @@ with ProviderServer(served, dims) as server:
         for kind, (Z, grid) in fields.items():
             local_field = extended_field(Z, 0.6, grid, oracle, conditioner)
             served.calls = served.windows = 0
-            remote_field = extended_field(Z, 0.6, grid, remote, conditioner, workers=8)
+            remote_field = extended_field(Z, 0.6, grid, remote, conditioner)
             values = (lambda X: X.data) if kind == "dense" else (lambda X: X.features)
             identical &= values(local_field).tobytes() == values(remote_field).tobytes()
             print(

@@ -38,18 +38,21 @@ coordinates inside the grid, sorted, unique and covered) and answers
 with an empty response.  A field request (mode 5) has shape (session
 id, 0, 0, 0), no condition, and the global latent's float32 values:
 dense (aK, bK, K, C), or sparse (n, l) in the registered coordinate
-order.  The server checks its length and finiteness, gathers the windows
-with `gather_dense` / `SparseWindowPlan.gather`, and answers in mode 3's
-layout: every window's vector, in window order; a provider failure
-keeps its "item N:" text.  A connection holds at most MAX_SESSIONS
-sessions (a further registration evicts the oldest), and they are
-dropped when it closes; a field request naming any other id gets
-"unknown session N".  RemoteProvider registers each layout once per
-connection under an id it never reuses, waits for the acknowledgement,
-and then sends one mode-5 frame per window field.  It registers anew,
-once, after "unknown session", and a peer that answers the registration
-with "unknown eval mode 4" gets mode-3 batches for the rest of the
-connection.
+order.  The server checks its length, builds the global latent (whose
+constructor checks that every value is finite), and answers with its
+provider's `evaluate_windows` on the session's layout, checked against
+`window_values_shape`, in mode 3's layout: every window's vector, in
+window order; a provider failure keeps its "item N:" text.  A served
+provider that answers a layout whole (GlobalOracleProvider on its
+sparse plan) therefore takes that path, as in process.  A connection
+holds at most MAX_SESSIONS sessions (a further registration evicts the
+oldest), and they are dropped when it closes; a field request naming
+any other id gets "unknown session N".  RemoteProvider registers each
+layout once per connection under an id it never reuses, waits for the
+acknowledgement, and then sends one mode-5 frame per window field.  It
+registers anew, once, after "unknown session", and a peer that answers
+the registration with "unknown eval mode 4" gets mode-3 batches for
+the rest of the connection.
 
 The server reads at most MAX_PIPELINED requests of one connection ahead
 of its answers; then it stops reading until an answer is sent, and TCP
@@ -97,7 +100,7 @@ from .lattice import (
     batch_coords_problem,
     first_nonfinite_item,
 )
-from .patchwork import PatchGrid, SparseWindowPlan, gather_dense
+from .patchwork import PatchGrid, SparseWindowPlan
 from .priors import ConditionEmbedding
 
 MAGIC = b"XFP1"
@@ -475,7 +478,8 @@ class RemoteProvider(VectorFieldProvider):
 
     Safe for concurrent calls; requests are pipelined on one connection
     and matched to responses by request id.  Each `evaluate_batch` call
-    is one mode-3 frame and `evaluate` is a batch of one.
+    (a dilated field's samples, or a window field without sessions) is
+    one mode-3 frame and `evaluate` is a batch of one.
 
     A window field (`evaluate_windows`) is one mode-5 frame on a stage
     session: the first call on a layout registers it and its conditions
@@ -485,8 +489,6 @@ class RemoteProvider(VectorFieldProvider):
     answers "unknown eval mode 4" gets mode-3 batches for the rest of
     the connection.
     """
-
-    concurrent_safe = True
 
     def __init__(self, endpoint: str | socket.socket, timeout: float = 30.0):
         if isinstance(endpoint, socket.socket):
@@ -545,14 +547,14 @@ class RemoteProvider(VectorFieldProvider):
             )
         return np.frombuffer(payload, dtype="<f4").reshape(batch.values.shape)
 
-    def evaluate_windows(self, Z, layout, conditions, t, workers=1):
-        """One mode-5 frame on the layout's session, whatever `workers`;
-        the default mode-3 batches when the peer has no sessions."""
+    def evaluate_windows(self, Z, layout, conditions, t):
+        """One mode-5 frame on the layout's session; the default's one
+        mode-3 batch when the peer has no sessions."""
         stale = None
         while True:
             session = self._session(layout, conditions, stale)
             if session is None:
-                return super().evaluate_windows(Z, layout, conditions, t, workers)
+                return super().evaluate_windows(Z, layout, conditions, t)
             try:
                 request_id, payload = self._exchange(*_field_parts(session, Z, t))
             except _RemoteError as exc:
@@ -799,8 +801,8 @@ class ProviderServer:
 
     def _evaluate(self, conn: _Connection, payload) -> list[np.ndarray]:
         """The buffers answering a request: nothing for a registration,
-        else the float32 vectors of its items or of its session's
-        windows, in order, as one buffer."""
+        else the float32 vectors of its items (`evaluate_batch`) or of its
+        session's windows (`evaluate_windows`), in order, as one buffer."""
         t, mode, session, s1, s2, s3, cond_len = _parse_head(payload)
         if mode == MODE_REGISTER:
             conn.register(*_parse_register(payload, self.dims))
@@ -809,31 +811,32 @@ class ProviderServer:
             if (s1, s2, s3, cond_len) != (0, 0, 0, 0):
                 raise ProtocolError("field head holds more than a session id")
             layout, conditions = conn.session(session)
-            return self._reply(self._gather(layout, memoryview(payload)[_REQ_HEAD.size :]), conditions, float(t))
-        requests = parse_request(payload)
-        conditions = [ConditionEmbedding(bytes(req.condition)) for req in requests]
-        return self._reply(self._batch(requests), conditions, requests[0].t)
-
-    def _reply(self, batch: PatchBatch, conditions, t: float) -> list[np.ndarray]:
-        values = np.asarray(self.provider.evaluate_batch(batch, conditions, t))
-        if values.shape != batch.values.shape:
-            raise ProviderError(
-                f"provider returned values of shape {values.shape} for a batch of {batch.values.shape}"
-            )
+            Z = self._field_latent(layout, memoryview(payload)[_REQ_HEAD.size :])
+            values = self.provider.evaluate_windows(Z, layout, conditions, float(t))
+            shape = window_values_shape(Z, layout)
+        else:
+            requests = parse_request(payload)
+            batch = self._batch(requests)
+            conditions = [ConditionEmbedding(bytes(req.condition)) for req in requests]
+            values = self.provider.evaluate_batch(batch, conditions, requests[0].t)
+            shape = batch.values.shape
+        values = np.asarray(values)
+        if values.shape != shape:
+            raise ProviderError(f"provider returned values of shape {values.shape}, expected {shape}")
         return [np.ascontiguousarray(values, dtype="<f4")]
 
-    def _gather(self, layout, latent: memoryview) -> PatchBatch:
-        """The windows of `layout` over the global latent a mode-5 request
-        carries, once its length is checked; the latent constructors
-        check that every value is finite."""
+    def _field_latent(self, layout, latent: memoryview) -> DenseLatent | SparseLatent:
+        """The global latent a mode-5 request carries on `layout`, once
+        its length is checked; the latent constructors check that every
+        value is finite."""
         sparse = isinstance(layout, SparseWindowPlan)
         shape = (len(layout.coords), self.dims.l) if sparse else self.dims.dense_shape
         if len(latent) != 4 * math.prod(shape):
             raise ProtocolError(f"field latent is {len(latent)} bytes, expected {4 * math.prod(shape)}")
         values = np.frombuffer(latent, dtype="<f4").reshape(shape).astype(DTYPE)  # aligned copy
         if sparse:
-            return layout.gather(SparseLatent._on_checked_coords(self.dims, layout.coords, values))
-        return gather_dense(DenseLatent(self.dims, values), layout)
+            return SparseLatent._on_checked_coords(self.dims, layout.coords, values)
+        return DenseLatent(self.dims, values)
 
     def _batch(self, requests: list[EvalRequest]) -> PatchBatch:
         """The stacked batch of a request's items, unpacked straight from

@@ -30,20 +30,11 @@ def _parse_dims(text: str) -> Dims:
         raise ConfigError(f"--dims {text!r}: {exc}") from exc
 
 
-def _workers(args, default: int) -> int:
-    """The --workers value, or `default` when the flag is absent."""
-    if args.workers is not None and args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    return args.workers or default
-
-
 def _cmd_generate(args) -> int:
     config = load_config(args.config) if args.config else PipelineConfig()
     overrides = {}
     if args.out:
         overrides["out_dir"] = args.out
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if overrides:
         config = replace(config, **overrides)
     report = generate_scene(args.prior, config)
@@ -79,21 +70,21 @@ def _cmd_inspect(args) -> int:
 def _cmd_serve_oracle(args) -> int:
     from .bridge import serve_provider
 
-    workers = _workers(args, 8)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     dims = _parse_dims(args.dims)
     provider = load_oracle(dims, args.target, args.slat_target)
     if provider is None:
         raise ConfigError("serve-oracle needs --target and/or --slat-target")
-    serve_provider(provider, args.listen, dims, workers=workers)
+    serve_provider(provider, args.listen, dims, workers=args.workers)
     return 0
 
 
 def _cmd_oracle_demo(args) -> int:
     from .fixtures import run_oracle_demo
 
-    workers = _workers(args, 1)
     out_dir = args.out or "oracle-demo-out"
-    report, _ = run_oracle_demo(out_dir, seed=args.seed, workers=workers, exact=args.exact)
+    report, _ = run_oracle_demo(out_dir, seed=args.seed, exact=args.exact)
     print(report.to_json())
     return 0
 
@@ -109,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("prior", help="SPR1 scene prior file")
     p.add_argument("--config", help="JSON pipeline configuration")
     p.add_argument("--out", help="output directory (overrides config out_dir)")
-    p.add_argument("--workers", type=int, help="concurrent provider batches")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("voxelize", help="voxelize a PLY point cloud to an occupancy tensor")
@@ -127,13 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slat-target", help="sparse target table XLT1 (feature stage)")
     p.add_argument("--listen", required=True, help="host:port to bind")
     p.add_argument("--dims", required=True, help="a,b,N,M[,C,l] of the extended lattice")
-    p.add_argument("--workers", type=int, help="server worker threads")
+    p.add_argument("--workers", type=int, default=8, help="server worker threads")
     p.set_defaults(func=_cmd_serve_oracle)
 
     p = sub.add_parser("oracle-demo", help="self-contained end-to-end fixture run")
     p.add_argument("--out", help="output directory (default oracle-demo-out)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, help="concurrent provider batches")
     p.add_argument("--exact", action="store_true",
                    help="disable per-step optimization for exact oracle reconstruction")
     p.set_defaults(func=_cmd_oracle_demo)

@@ -107,7 +107,9 @@ def demo_bundle(scene: DemoScene) -> ProviderBundle:
 
 def demo_config(out_dir: str, seed: int = 0, workers: int = 1, exact: bool = False) -> PipelineConfig:
     """Default demo configuration; `exact` switches optimization off so
-    the oracle run reproduces the target bit-for-bit (to float32)."""
+    the oracle run reproduces the target bit-for-bit (to float32).
+    `workers` only sets `PipelineConfig.workers`, which the engine no
+    longer reads."""
     config = PipelineConfig(out_dir=out_dir, seed=seed, workers=workers)
     if exact:
         config = replace(
@@ -125,7 +127,8 @@ def run_oracle_demo(
     exact: bool = False,
     dims: Dims | None = None,
 ) -> tuple[RunReport, DemoScene]:
-    """End-to-end pipeline run against the built-in oracle scene."""
+    """End-to-end pipeline run against the built-in oracle scene;
+    `workers` goes to `demo_config`, and changes nothing in the run."""
     scene = build_demo_scene(dims)
     config = demo_config(out_dir, seed=seed, workers=workers, exact=exact)
     if dims is not None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import struct
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -64,15 +63,16 @@ PatchLatent = DenseLatent | SparseLatent
 class VectorFieldProvider:
     """Behavioral interface: evaluate(patch, condition, t) -> same-shape vector.
 
-    The engine calls `evaluate_batch(batch, conditions, t)` once per
-    chunk of windows (or dilated samples), in window order.  The batch is
-    stacked: a DenseBatch holds its n patches as one (n, K, K, K, C)
-    float32 array, and a SparseBatch holds their rows as one (rows, l)
-    feature block with their window-local coordinates and per-item
-    bounds.  The reply is one float32 array shaped like `batch.values`:
-    item n's vector, for `conditions[n]`, sits where item n's values
-    sit.  Every item shares the one t.  The engine checks each field
-    call's reply shape, and reads its finiteness off the merged (or
+    The engine makes one provider call per field: a window field calls
+    `evaluate_windows` (below), and a dilated field calls
+    `evaluate_batch(batch, conditions, t)` on all its samples, in sample
+    order.  The batch is stacked: a DenseBatch holds its n patches as one
+    (n, K, K, K, C) float32 array, and a SparseBatch holds their rows as
+    one (rows, l) feature block with their window-local coordinates and
+    per-item bounds.  The reply is one float32 array shaped like
+    `batch.values`: item n's vector, for `conditions[n]`, sits where item
+    n's values sit.  Every item shares the one t.  The engine checks each
+    field call's reply shape, and reads its finiteness off the merged (or
     scattered) field, which every reply value reaches; for a sparse
     field, that is the merged rows.  Only a reply that fails there is
     scanned, to name its first non-finite item.  A batch either answers
@@ -89,16 +89,16 @@ class VectorFieldProvider:
     (`check_condition_count`).
 
     A window field reaches the provider through `evaluate_windows(Z,
-    layout, conditions, t, workers)`, whose default gathers the windows
-    and makes the chunked `evaluate_batch` calls; a provider that can
-    gather the windows itself (a remote one holding the layout on its
-    peer) overrides it.
+    layout, conditions, t)`, whose default gathers the windows and makes
+    one `evaluate_batch` call; a provider that can gather the windows
+    itself (a remote one holding the layout on its peer) overrides it.
 
     The engine quantizes t to float32 before every call (the wire
     protocol carries it as f32, and in-process and remote providers must
-    see bit-identical inputs).  Providers that cannot run concurrently
-    set `concurrent_safe = False`; the engine then makes one batch call
-    at a time.
+    see bit-identical inputs).  The engine starts no threads.
+    `concurrent_safe` states whether the provider may be called from
+    several threads at once, as a `ProviderServer` calls it; the
+    library itself no longer reads it.
     """
 
     concurrent_safe: bool = True
@@ -135,7 +135,6 @@ class VectorFieldProvider:
         layout: PatchGrid | SparseWindowPlan,
         conditions: Sequence[ConditionEmbedding],
         t: float,
-        workers: int = 1,
     ) -> np.ndarray:
         """Every window's vector for Z, stacked as the gathered windows
         stack their values: (windows, K, K, K, C) for a dense Z on its
@@ -144,13 +143,12 @@ class VectorFieldProvider:
         condition per window, in window order.
 
         The default gathers the windows into one batch and answers it
-        with at most `workers` `evaluate_batch` calls on contiguous
-        chunks (`_evaluate_chunks`).  The engine checks the reply's shape
-        and finiteness (`_checked_call`) and names the failing window; a
-        ProviderError's `item`, when set, is a window index.
+        with one `evaluate_batch` call.  The engine checks the reply's
+        shape and finiteness (`_checked_call`) and names the failing
+        window; a ProviderError's `item`, when set, is a window index.
         """
         batch = layout.gather(Z) if isinstance(layout, SparseWindowPlan) else gather_dense(Z, layout)
-        return _evaluate_chunks(self, batch, conditions, t, workers)
+        return self.evaluate_batch(batch, conditions, t)
 
 
 def check_condition_count(batch: PatchBatch, conditions: Sequence[ConditionEmbedding]) -> None:
@@ -360,14 +358,14 @@ class GlobalOracleProvider(VectorFieldProvider):
             out *= inv
         return out
 
-    def evaluate_windows(self, Z, layout, conditions, t, workers=1):
+    def evaluate_windows(self, Z, layout, conditions, t):
         """On a plan's own window boxes, (Z - aligned target) / t per
         global row, taken into the window rows: the per-window bits, as
         the product is elementwise.  Anything else takes the default
         path."""
         target = self._plan_target(layout, conditions) if isinstance(layout, SparseWindowPlan) else None
         if target is None or Z.features.shape != target.shape:
-            return super().evaluate_windows(Z, layout, conditions, t, workers)
+            return super().evaluate_windows(Z, layout, conditions, t)
         inv = _inverse_time(t)
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
             rows = Z.features - target
@@ -540,7 +538,6 @@ def extended_field(
     grid: PatchGrid,
     provider: VectorFieldProvider,
     conditioner: Conditioner,
-    workers: int = 1,
     plan: SparseWindowPlan | None = None,
 ) -> PatchLatent:
     """Patch-wise field: evaluate the provider on every window and merge.
@@ -548,12 +545,11 @@ def extended_field(
     A sparse Z is cut by `plan`, the window plan of its grid and
     coordinates (built here when not given).  The provider gets the
     whole window field in one `evaluate_windows` call (by default one
-    stacked gather and at most `workers` batch calls); the reply's shape
-    is checked, and it is merged in the grid's fixed window order, so
-    the result does not depend on the worker count; the merged field's
-    finiteness check stands for the reply's (`_checked_call`).  Provider
-    failures carry the window index.  A Z built on `plan.coords` itself
-    skips the coordinate compare.
+    stacked gather and one batch call); the reply's shape is checked,
+    and it is merged in the grid's fixed window order; the merged
+    field's finiteness check stands for the reply's (`_checked_call`).
+    Provider failures carry the window index.  A Z built on
+    `plan.coords` itself skips the coordinate compare.
     """
     windows = grid.windows()
     if isinstance(Z, SparseLatent):
@@ -565,7 +561,7 @@ def extended_field(
     conditions = conditioner.window_conditions(grid)
     t_eval = float(DTYPE(t))
     return _checked_call(
-        lambda: provider.evaluate_windows(Z, layout, conditions, t_eval, workers),
+        lambda: provider.evaluate_windows(Z, layout, conditions, t_eval),
         window_values_shape(Z, layout), bounds, lambda k: f"patch ({windows[k].i}, {windows[k].j})",
         layout.merge_features if isinstance(Z, SparseLatent) else lambda values: merge_dense(values, grid),
     )
@@ -576,40 +572,6 @@ def window_values_shape(Z: PatchLatent, layout: PatchGrid | SparseWindowPlan) ->
     if isinstance(layout, SparseWindowPlan):
         return (len(layout.rows), Z.dims.l)
     return (layout.count, layout.K, layout.K, layout.K, Z.data.shape[-1])
-
-
-def _evaluate_chunks(provider, batch, conditions, t, workers) -> np.ndarray:
-    """The provider's vectors for `batch`, unchecked, stacked like
-    `batch.values`.
-
-    The items are cut into at most `workers` contiguous chunks, one
-    `evaluate_batch` call each; the chunks run on a thread pool only
-    when workers > 1 and the provider is concurrent-safe.  A failing
-    chunk's ProviderError `item` is re-based to the whole batch.
-    """
-    count = len(batch)
-    chunks = min(workers, count) if workers > 1 and provider.concurrent_safe else 1
-    if chunks == 1:
-        return provider.evaluate_batch(batch, conditions, t)
-    bounds = [count * c // chunks for c in range(chunks + 1)]
-
-    def run(span):
-        lo, hi = span
-        part = batch[lo:hi]
-        try:
-            values = np.asarray(provider.evaluate_batch(part, conditions[lo:hi], t))
-        except ProviderError as exc:
-            if exc.item is None or not 0 <= exc.item < hi - lo:
-                raise
-            raise ProviderError(str(exc), item=lo + exc.item) from exc
-        if values.shape != part.values.shape:
-            raise ProviderError(
-                f"provider returned values of shape {values.shape} for items {lo} to {hi - 1}, "
-                f"expected {part.values.shape}"
-            )
-        return values
-
-    return np.concatenate(_map_jobs(run, list(zip(bounds, bounds[1:]))))
 
 
 def _checked_call(call, shape, bounds, name, combine):
@@ -649,29 +611,20 @@ def _checked_call(call, shape, bounds, name, combine):
     raise ProviderError(f"provider returned non-finite values for {name(item)}")
 
 
-def _map_jobs(fn, jobs):
-    """`fn` over `jobs` in order; two or more jobs run one thread each."""
-    if len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def dilated_field(
     Z: DenseLatent,
     t: float,
     partition: DilatedPartition,
     provider: VectorFieldProvider,
     conditioner: Conditioner,
-    workers: int = 1,
 ) -> DenseLatent:
-    """Evaluate the provider on every dilated sample, in at most
-    `workers` batch calls, and scatter back."""
+    """Evaluate the provider on every dilated sample, in one
+    `evaluate_batch` call, and scatter back."""
     batch = partition.gather_batch(Z)
     conditions = conditioner.dilated_conditions(partition)
     t_eval = float(DTYPE(t))
     return _checked_call(
-        lambda: _evaluate_chunks(provider, batch, conditions, t_eval, workers),
+        lambda: provider.evaluate_batch(batch, conditions, t_eval),
         batch.values.shape, None, lambda n: f"dilated sample {n}", partition.scatter,
     )
 
@@ -684,16 +637,15 @@ def mixed_field(
     conditioner: Conditioner,
     partition: DilatedPartition,
     alpha: int = 5,
-    workers: int = 1,
 ) -> DenseLatent:
     """(1 - gamma_t) * patch-wise + gamma_t * dilated."""
     g = gamma(t, alpha)
     if g <= 0.0:
-        return extended_field(Z, t, grid, provider, conditioner, workers)
+        return extended_field(Z, t, grid, provider, conditioner)
     if g >= 1.0:
-        return dilated_field(Z, t, partition, provider, conditioner, workers)
-    pw = extended_field(Z, t, grid, provider, conditioner, workers)
-    dl = dilated_field(Z, t, partition, provider, conditioner, workers)
+        return dilated_field(Z, t, partition, provider, conditioner)
+    pw = extended_field(Z, t, grid, provider, conditioner)
+    dl = dilated_field(Z, t, partition, provider, conditioner)
     g32 = DTYPE(g)
     return Z.with_data((DTYPE(1) - g32) * pw.data + g32 * dl.data)
 

@@ -9,7 +9,9 @@ exports a colored point cloud, a merged SDF, and a JSON run report.
 Configuration is a flat JSON object using exactly the PipelineConfig
 field names; unknown keys are rejected.  A single master seed feeds
 fixed substreams (structure noise, feature init, pillar shuffles), so a
-run is bit-reproducible at any worker count.
+run is bit-reproducible.  The `workers` field is still accepted and
+checked, but the engine no longer reads it: every field is one provider
+call, made on the calling thread.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class PipelineConfig:
     conditioner: str = "window"
     loss_weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # checked, but no longer read: the engine runs no threads
     optimize_every_round: bool = True
     oracle_ss_target: str | None = None
     oracle_slat_target: str | None = None
@@ -376,7 +378,6 @@ def generate_sparse_structure(
         seed=substream_seed(config.seed, _STREAM_SS_NOISE),
         hook_for_round=hook_for_round,
         dilated_alpha=config.alpha if config.dilated_enabled else None,
-        workers=config.workers,
         on_round=on_round,
     )
     report.add_stage(
@@ -435,7 +436,7 @@ def generate_slat(
         )
 
     def field_fn(Z, t):
-        return extended_field(Z, t, grid, bundle.provider, conditioner, config.workers, plan)
+        return extended_field(Z, t, grid, bundle.provider, conditioner, plan)
 
     Z0 = euler_integrate(Z1, schedule, field_fn, hook)
     report.add_stage("structured_latent", coordinates=int(len(coords)))

@@ -96,7 +96,6 @@ def sdedit_round(
     rng: np.random.Generator,
     optimizer_hook: StepHook | None = None,
     dilated_alpha: int | None = None,
-    workers: int = 1,
 ) -> OccupancyGrid:
     """One edit round: encode, noise to `t_noise`, integrate along
     `schedule` (from its first time), decode, threshold.
@@ -108,13 +107,11 @@ def sdedit_round(
 
     if dilated_alpha is None:
         def field_fn(state, t):
-            return extended_field(state, t, grid, provider, conditioner, workers)
+            return extended_field(state, t, grid, provider, conditioner)
     else:
         def field_fn(state, t):
             partition = dilated_partition(grid.dims, grid.K, seed=int(rng.integers(2**63)))
-            return mixed_field(
-                state, t, grid, provider, conditioner, partition, dilated_alpha, workers
-            )
+            return mixed_field(state, t, grid, provider, conditioner, partition, dilated_alpha)
 
     Z_final = euler_integrate(Z, schedule, field_fn, optimizer_hook)
     return codec.decode_occupancy(Z_final)
@@ -132,7 +129,6 @@ def iterative_sdedit(
     seed: int,
     hook_for_round=None,
     dilated_alpha: int | None = None,
-    workers: int = 1,
     on_round=None,
 ) -> np.ndarray:
     """Chain n_iter edit rounds and return the occupied coordinate set.
@@ -148,7 +144,7 @@ def iterative_sdedit(
         occ = sdedit_round(
             occ, t_noise, schedule, provider, conditioner, grid, codec, rng,
             optimizer_hook=hook_for_round(n) if hook_for_round is not None else None,
-            dilated_alpha=dilated_alpha, workers=workers,
+            dilated_alpha=dilated_alpha,
         )
         if on_round is not None:
             on_round(n, occ)

@@ -537,8 +537,7 @@ class TestBatch:
         sock.settimeout(5)
         return sock
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_remote_fields_bit_equal_in_process(self, oracle_server, workers):
+    def test_remote_fields_bit_equal_in_process(self, oracle_server):
         server, target, slat_target = oracle_server
         local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
         cond = OracleConditioner()
@@ -550,9 +549,9 @@ class TestBatch:
 
         def fields(provider):
             return (
-                extended_field(Z, 0.7, dense_grid, provider, cond, workers).data,
-                extended_field(S, 0.4, sparse_grid, provider, cond, workers).features,
-                dilated_field(Z, 0.6, partition, provider, cond, workers).data,
+                extended_field(Z, 0.7, dense_grid, provider, cond).data,
+                extended_field(S, 0.4, sparse_grid, provider, cond).features,
+                dilated_field(Z, 0.6, partition, provider, cond).data,
             )
 
         with RemoteProvider(server.address, timeout=10) as remote:
@@ -588,8 +587,7 @@ class TestBatch:
         finally:
             server.stop()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_remote_failure_on_one_window_names_it(self, workers):
+    def test_remote_failure_on_one_window_names_it(self):
         class FailsAtOneWindow(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
                 if read_oracle_conditions([condition])["box"][0, :2].tolist() == [2, 2]:  # window (1, 1)
@@ -601,10 +599,10 @@ class TestBatch:
             with RemoteProvider(server.address, timeout=10) as remote:
                 grid = make_patch_grid(DIMS, 2, DIMS.N)
                 with pytest.raises(ProviderError, match=r"patch \(1, 1\): .*boom"):
-                    extended_field(random_dense(DIMS, 41), 0.5, grid, remote, OracleConditioner(), workers)
+                    extended_field(random_dense(DIMS, 41), 0.5, grid, remote, OracleConditioner())
                 # the connection still serves a field without that window
                 grid = make_patch_grid(DIMS, 1, DIMS.N)
-                out = extended_field(random_dense(DIMS, 41), 0.5, grid, remote, OracleConditioner(), workers)
+                out = extended_field(random_dense(DIMS, 41), 0.5, grid, remote, OracleConditioner())
                 assert not out.data.any()
         finally:
             server.stop()
@@ -762,31 +760,30 @@ class EvaluateOnly(VectorFieldProvider):
         return vector
 
 
-def _stacked_fields(provider, target, slat_target, workers):
+def _stacked_fields(provider, target, slat_target):
     """Dense, sparse and dilated fields of one provider, as bytes."""
     cond = OracleConditioner()
     Z = random_dense(DIMS, 41)
     S = slat_target.with_features(np.float32(0.25) * slat_target.features - 1)
     return (
-        extended_field(Z, 0.7, make_patch_grid(DIMS, 2, DIMS.N), provider, cond, workers).data.tobytes(),
-        extended_field(S, 0.4, make_patch_grid(DIMS, 2, DIMS.M), provider, cond, workers).features.tobytes(),
-        dilated_field(Z, 0.6, dilated_partition(DIMS, DIMS.N, seed=2), provider, cond, workers).data.tobytes(),
+        extended_field(Z, 0.7, make_patch_grid(DIMS, 2, DIMS.N), provider, cond).data.tobytes(),
+        extended_field(S, 0.4, make_patch_grid(DIMS, 2, DIMS.M), provider, cond).features.tobytes(),
+        dilated_field(Z, 0.6, dilated_partition(DIMS, DIMS.N, seed=2), provider, cond).data.tobytes(),
     )
 
 
 class TestEvaluateOnlyProvider:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_fallback_fields_bit_equal_in_process_and_remote(self, oracle_server, workers):
+    def test_fallback_fields_bit_equal_in_process_and_remote(self, oracle_server):
         server, target, slat_target = oracle_server
         oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
-        expected = _stacked_fields(oracle, target, slat_target, workers)
-        assert _stacked_fields(EvaluateOnly(oracle), target, slat_target, workers) == expected
+        expected = _stacked_fields(oracle, target, slat_target)
+        assert _stacked_fields(EvaluateOnly(oracle), target, slat_target) == expected
         wrapped = ProviderServer(EvaluateOnly(oracle), DIMS).start()
         try:
             with RemoteProvider(wrapped.address, timeout=10) as remote:
-                assert _stacked_fields(remote, target, slat_target, workers) == expected
+                assert _stacked_fields(remote, target, slat_target) == expected
                 # and the client side of the wrapper: per-item frames
-                assert _stacked_fields(EvaluateOnly(remote), target, slat_target, workers) == expected
+                assert _stacked_fields(EvaluateOnly(remote), target, slat_target) == expected
         finally:
             wrapped.stop()
 
@@ -807,6 +804,33 @@ class TestEvaluateOnlyProvider:
                 extended_field(Z, 0.5, grid, remote, OracleConditioner())
         finally:
             server.stop()
+
+
+class TestEngineThreads:
+    def test_engine_starts_no_threads(self, oracle_server, monkeypatch, tmp_path):
+        """Each field is one provider call on the calling thread: a
+        pipeline run at workers = 8 starts no thread, and a remote
+        provider's fields start none beyond its reader.  Only starts made
+        on the test's own thread count, so the server's do not."""
+        from tiledflow.fixtures import run_oracle_demo
+
+        caller = threading.current_thread()
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            if threading.current_thread() is caller:
+                started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        run_oracle_demo(str(tmp_path / "demo"), seed=0, workers=8, dims=Dims(2, 2, 4, 8, C=1, l=4))
+        assert started == []
+        server, target, slat_target = oracle_server
+        with RemoteProvider(server.address, timeout=10) as remote:
+            assert started == [remote._reader]
+            _stacked_fields(remote, target, slat_target)  # extended dense and sparse, dilated
+        assert started == [remote._reader]
 
 
 def _sparse_item(coords, t=0.5):
@@ -1048,8 +1072,7 @@ class TestSessions:
         sock.settimeout(5)
         return sock
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_window_field_is_one_frame_after_one_registration(self, oracle_server, workers):
+    def test_window_field_is_one_frame_after_one_registration(self, oracle_server):
         server, target, slat_target = oracle_server
         local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
         cond = OracleConditioner()
@@ -1060,8 +1083,8 @@ class TestSessions:
 
         def fields(provider):
             return [
-                extended_field(Z, t, dense_grid, provider, cond, workers).data.tobytes()
-                + extended_field(S, t, sparse_grid, provider, cond, workers, plan).features.tobytes()
+                extended_field(Z, t, dense_grid, provider, cond).data.tobytes()
+                + extended_field(S, t, sparse_grid, provider, cond, plan=plan).features.tobytes()
                 for t in (0.7, 0.3)
             ]
 
@@ -1072,6 +1095,29 @@ class TestSessions:
         finally:
             relay.close()
         assert relay.modes() == [MODE_REGISTER, MODE_FIELD, MODE_REGISTER, MODE_FIELD, MODE_FIELD, MODE_FIELD]
+
+    def test_served_oracle_answers_a_sparse_field_on_its_plan_path(self, oracle_server, monkeypatch):
+        _, target, slat_target = oracle_server
+        oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        grid = make_patch_grid(DIMS, 2, DIMS.M)
+        S = slat_target.with_features(np.float32(0.5) * slat_target.features - 1)
+        expected = extended_field(S, 0.4, grid, oracle, OracleConditioner())
+
+        def no_restriction(self, box):
+            raise AssertionError(f"restriction of box {box} cut")
+
+        monkeypatch.setattr(GlobalOracleProvider, "_slat_restriction", no_restriction)
+        server = ProviderServer(oracle, DIMS).start()
+        try:
+            with RemoteProvider(server.address, timeout=10) as remote:
+                field = extended_field(S, 0.4, grid, remote, OracleConditioner())
+                assert field.features.tobytes() == expected.features.tobytes()
+                # the same windows as a mode-3 batch take the per-window path
+                batch = SparseWindowPlan(grid, S.coords).gather(S)
+                with pytest.raises(ProviderError, match="item 0: restriction of box"):
+                    remote.evaluate_batch(batch, OracleConditioner().window_conditions(grid), 0.4)
+        finally:
+            server.stop()
 
     def test_concurrent_fields_register_each_layout_once(self, oracle_server):
         import sys
@@ -1114,19 +1160,18 @@ class TestSessions:
                 return Frame(TYPE_ERROR, frame.request_id, b"unknown eval mode 4")
             return None
 
-        for workers in (1, 2):
-            expected = _stacked_fields(oracle, target, slat_target, workers)
-            relay = _Relay(server, as_parent_server)
-            try:
-                with RemoteProvider(relay.client, timeout=10) as remote:
-                    assert _stacked_fields(remote, target, slat_target, workers) == expected
-                    assert _stacked_fields(remote, target, slat_target, workers) == expected
-            finally:
-                relay.close()
-            modes = relay.modes()
-            assert modes.count(MODE_REGISTER) == 1 and MODE_FIELD not in modes
-            # three fields, each in `workers` batches, twice
-            assert modes.count(MODE_BATCH) == 2 * 3 * workers
+        expected = _stacked_fields(oracle, target, slat_target)
+        relay = _Relay(server, as_parent_server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                assert _stacked_fields(remote, target, slat_target) == expected
+                assert _stacked_fields(remote, target, slat_target) == expected
+        finally:
+            relay.close()
+        modes = relay.modes()
+        assert modes.count(MODE_REGISTER) == 1 and MODE_FIELD not in modes
+        # three fields, one batch each, twice
+        assert modes.count(MODE_BATCH) == 2 * 3
 
     def test_registration_beyond_the_bound_evicts_the_oldest(self, oracle_server):
         server, target, _ = oracle_server

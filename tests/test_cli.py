@@ -230,28 +230,24 @@ class TestServeOracle:
 
 class TestWorkers:
     @pytest.mark.parametrize("workers", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["generate", "oracle-demo", "serve-oracle"])
+    @pytest.mark.parametrize("command", ["serve-oracle"])
     def test_below_one_is_config_error(self, tmp_path, monkeypatch, capsys, command, workers):
         import tiledflow.bridge
-        import tiledflow.fixtures
 
         def must_not_run(*args, **kwargs):
             raise AssertionError(f"{command} ran with --workers {workers}")
 
         monkeypatch.setattr(tiledflow.bridge, "serve_provider", must_not_run)
-        monkeypatch.setattr(tiledflow.fixtures, "run_oracle_demo", must_not_run)
         scene = build_demo_scene(SMALL)
-        prior_path = tmp_path / "scene.spr"
-        write_scene_prior(prior_path, scene.prior)
         target = tmp_path / "ss_target.xlt"
         tensorio.write_tensor(target, scene.ss_target.data)
-        argv = {
-            "generate": ["generate", str(prior_path), "--out", str(tmp_path / "out")],
-            "oracle-demo": ["oracle-demo", "--out", str(tmp_path / "demo")],
-            "serve-oracle": [
-                "serve-oracle", "--target", str(target), "--listen", "127.0.0.1:0",
-                "--dims", "2,2,4,8",
-            ],
-        }[command]
+        argv = ["serve-oracle", "--target", str(target), "--listen", "127.0.0.1:0", "--dims", "2,2,4,8"]
         assert main(argv + ["--workers", workers]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "oracle-demo"])
+    def test_engine_commands_take_no_workers_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command] + (["scene.spr"] if command == "generate" else []) + ["--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

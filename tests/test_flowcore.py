@@ -43,13 +43,13 @@ def random_dense(dims, seed):
     return DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32))
 
 
-def restricted_field(Z, grid, provider, workers=1):
+def restricted_field(Z, grid, provider):
     """Z's window field on `grid` through the default `evaluate_windows`:
-    the gathered windows in `evaluate_batch` chunks, the path on which the
-    oracle cuts box restrictions (a server answering a session takes it)."""
+    the gathered windows in one `evaluate_batch` call, the path on which
+    the oracle cuts box restrictions (a mode-3 batch of windows takes it)."""
     plan = SparseWindowPlan(grid, Z.coords)
     conditions = OracleConditioner().window_conditions(grid)
-    values = VectorFieldProvider.evaluate_windows(provider, Z, plan, conditions, 0.5, workers)
+    values = VectorFieldProvider.evaluate_windows(provider, Z, plan, conditions, 0.5)
     return plan.merge_features(values)
 
 
@@ -174,15 +174,6 @@ class TestExtendedField:
         expected = (Z.features - target.features) / np.float32(0.5)
         assert np.abs(out.features - expected).max() < 1e-6
 
-    def test_worker_count_invariance(self):
-        target = random_dense(DIMS, 16)
-        Z = random_dense(DIMS, 17)
-        grid = make_patch_grid(DIMS, 4, DIMS.N)
-        provider = GlobalOracleProvider(ss_target=target)
-        a = extended_field(Z, 0.7, grid, provider, OracleConditioner(), workers=1)
-        b = extended_field(Z, 0.7, grid, provider, OracleConditioner(), workers=4)
-        assert np.array_equal(a.data, b.data)
-
     def test_provider_failure_carries_patch_index(self):
         class Broken(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
@@ -193,8 +184,7 @@ class TestExtendedField:
         with pytest.raises(ProviderError, match=r"patch \(0, 0\)"):
             extended_field(Z, 0.5, grid, Broken(), OracleConditioner())
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_failure_on_one_window_names_it(self, workers):
+    def test_failure_on_one_window_names_it(self):
         class FailsAtOneWindow(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
                 if read_oracle_conditions([condition])["box"][0, :2].tolist() == [2, 2]:  # window (1, 1)
@@ -204,7 +194,7 @@ class TestExtendedField:
         Z = random_dense(DIMS, 18)
         grid = make_patch_grid(DIMS, 2, DIMS.N)
         with pytest.raises(ProviderError, match=r"patch \(1, 1\): boom"):
-            extended_field(Z, 0.5, grid, FailsAtOneWindow(), OracleConditioner(), workers=workers)
+            extended_field(Z, 0.5, grid, FailsAtOneWindow(), OracleConditioner())
 
     def test_default_batch_reports_failing_item(self):
         class FailsOnSecond(VectorFieldProvider):
@@ -220,32 +210,6 @@ class TestExtendedField:
         assert err.value.item == 1
         assert FailsOnSecond().evaluate_batch(batch[:0], [], 0.5).shape == (0,) + patch.data.shape
 
-    @pytest.mark.parametrize(
-        "workers,concurrent_safe,sizes",
-        [(1, True, [9]), (2, True, [4, 5]), (4, True, [2, 2, 2, 3]), (8, False, [9])],
-    )
-    def test_windows_go_out_in_contiguous_batches(self, workers, concurrent_safe, sizes):
-        import threading
-
-        class Recording(VectorFieldProvider):
-            def __init__(self):
-                self.concurrent_safe = concurrent_safe
-                self.batches = []
-                self.lock = threading.Lock()
-
-            def evaluate_batch(self, batch, conditions, t):
-                with self.lock:
-                    boxes = read_oracle_conditions(conditions)["box"].tolist()
-                    self.batches.append([tuple(box[:2]) for box in boxes])
-                return np.zeros_like(batch.data)
-
-        grid = make_patch_grid(DIMS, 2, DIMS.N)
-        provider = Recording()
-        extended_field(random_dense(DIMS, 19), 0.5, grid, provider, OracleConditioner(), workers)
-        batches = sorted(provider.batches)
-        assert [len(b) for b in batches] == sizes
-        assert sum(batches, []) == [(w.x0, w.y0) for w in grid.windows()]
-
     def test_wrong_vector_count_rejected(self):
         class Short(VectorFieldProvider):
             def evaluate_batch(self, batch, conditions, t):
@@ -255,8 +219,7 @@ class TestExtendedField:
         with pytest.raises(ProviderError, match="returned 8 vectors"):
             extended_field(random_dense(DIMS, 20), 0.5, grid, Short(), OracleConditioner())
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failure_on_one_dilated_sample_names_it(self, workers):
+    def test_failure_on_one_dilated_sample_names_it(self):
         partition = dilated_partition(DIMS, DIMS.N, seed=0)
         bad = OracleConditioner().dilated_condition(partition, 2).data
 
@@ -267,9 +230,7 @@ class TestExtendedField:
                 return patch
 
         with pytest.raises(ProviderError, match="dilated sample 2: boom"):
-            dilated_field(
-                random_dense(DIMS, 21), 0.5, partition, FailsAtOneSample(), OracleConditioner(), workers
-            )
+            dilated_field(random_dense(DIMS, 21), 0.5, partition, FailsAtOneSample(), OracleConditioner())
 
     @pytest.mark.parametrize("change", ["drop_row", "empty"])
     def test_provider_changing_coordinates_names_window(self, change):
@@ -315,57 +276,39 @@ class TestExtendedField:
         assert len(provider._slat_boxes) == cached
 
     def test_oracle_restriction_cache_shared_by_threads(self):
+        # a ProviderServer calls one provider from several threads at once
         import sys
+        import threading
 
         rng = np.random.default_rng(23)
         coords = np.argwhere(rng.random(DIMS.grid_shape) < 0.3)
         target = init_sparse_noise(coords, DIMS, seed=7)
         Z = init_sparse_noise(coords, DIMS, seed=8)
         grid = make_patch_grid(DIMS, 4, DIMS.M)
-        serial = GlobalOracleProvider(slat_target=target)
-        expected = extended_field(Z, 0.5, grid, serial, OracleConditioner())
+        batch = SparseWindowPlan(grid, Z.coords).gather(Z)
+        conditions = OracleConditioner().window_conditions(grid)
+        expected = GlobalOracleProvider(slat_target=target).evaluate_batch(batch, conditions, 0.5).tobytes()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
                 provider = GlobalOracleProvider(slat_target=target)
-                out = restricted_field(Z, grid, provider, workers=8)
-                assert out.features.tobytes() == expected.features.tobytes()
+                out = []
+
+                def answer():
+                    out.append(provider.evaluate_batch(batch, conditions, 0.5).tobytes())
+
+                threads = [threading.Thread(target=answer) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                assert out == [expected, expected]
                 assert len(provider._slat_boxes) == grid.count
         finally:
             sys.setswitchinterval(interval)
 
-    def test_non_concurrent_provider_is_serialized(self):
-        import threading
-
-        class Fragile(VectorFieldProvider):
-            concurrent_safe = False
-
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.in_flight = 0
-                self.max_in_flight = 0
-
-            def evaluate(self, patch, condition, t):
-                with self.lock:
-                    self.in_flight += 1
-                    self.max_in_flight = max(self.max_in_flight, self.in_flight)
-                import time
-
-                time.sleep(0.002)
-                with self.lock:
-                    self.in_flight -= 1
-                return patch.with_data(np.zeros_like(patch.data))
-
-        Z = random_dense(DIMS, 19)
-        grid = make_patch_grid(DIMS, 2, DIMS.N)
-        provider = Fragile()
-        extended_field(Z, 0.5, grid, provider, OracleConditioner(), workers=8)
-        assert provider.max_in_flight == 1
-
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_builtin_oracle_answers_each_chunk_with_one_batch_call(self, monkeypatch, workers):
+    def test_builtin_oracle_answers_each_field_with_one_batch_call(self, monkeypatch):
         calls = {"evaluate": 0, "evaluate_batch": 0}
 
         def counting(name):
@@ -386,12 +329,12 @@ class TestExtendedField:
         dense_grid, sparse_grid = make_patch_grid(DIMS, 2, DIMS.N), make_patch_grid(DIMS, 2, DIMS.M)
         partition = dilated_partition(DIMS, DIMS.N)
         fields = [
-            lambda: extended_field(Z, 0.5, dense_grid, provider, cond, workers),
-            lambda: extended_field(slat_target, 0.5, sparse_grid, provider, cond, workers),
-            lambda: dilated_field(Z, 0.5, partition, provider, cond, workers),
+            lambda: extended_field(Z, 0.5, dense_grid, provider, cond),
+            lambda: extended_field(slat_target, 0.5, sparse_grid, provider, cond),
+            lambda: dilated_field(Z, 0.5, partition, provider, cond),
         ]
         # the sparse window field subtracts one plan-aligned target: no batch call
-        for field_call, batches in zip(fields, (min(workers, 9), 0, min(workers, 4))):
+        for field_call, batches in zip(fields, (1, 0, 1)):
             calls.update(evaluate=0, evaluate_batch=0)
             field_call()
             assert calls == {"evaluate": 0, "evaluate_batch": batches}
@@ -424,7 +367,7 @@ class FixedReply(VectorFieldProvider):
     def __init__(self, windows=None, samples=None):
         self.windows, self.samples = windows, samples
 
-    def evaluate_windows(self, Z, layout, conditions, t, workers=1):
+    def evaluate_windows(self, Z, layout, conditions, t):
         return self.windows
 
     def evaluate_batch(self, batch, conditions, t):

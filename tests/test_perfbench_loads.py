@@ -2,7 +2,10 @@
 
 `perfbench/bench_core.py` imports the library and `bench_trace`, which
 wraps library functions by module attribute.  A change that removes a
-name either of them uses fails here instead of in a benchmark run.
+name either of them uses fails here instead of in a benchmark run; so
+does one that removes a provider attribute the benchmark's wrapping
+providers (`bench_server.TimedProvider`, `bench_trace.TracedProvider`)
+read when they are built.
 """
 
 import json
@@ -15,7 +18,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 SCRIPT = """
 import json
-import bench_core, bench_trace
+import bench_core, bench_server, bench_trace
+from tiledflow.flowcore import GlobalOracleProvider
+bench_server.TimedProvider(GlobalOracleProvider())
+bench_trace.TracedProvider(GlobalOracleProvider(), bench_trace.Tracer())
 missing = set()
 with bench_trace.instrument(bench_trace.Tracer(), missing):
     pass
