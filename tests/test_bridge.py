@@ -133,13 +133,15 @@ class TestEvalPayloads:
 
 
 @pytest.fixture()
-def oracle_server():
+def oracle_server(request):
+    """A served oracle; parametrize it indirectly to set the server's
+    thread count (8 by default)."""
     target = random_dense(DIMS, 5)
     rng = np.random.default_rng(6)
     coords = np.argwhere(rng.random(DIMS.grid_shape) < 0.1)
     slat_target = init_sparse_noise(coords, DIMS, seed=7)
     provider = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
-    server = ProviderServer(provider, DIMS).start()
+    server = ProviderServer(provider, DIMS, workers=getattr(request, "param", 8)).start()
     yield server, target, slat_target
     server.stop()
 
@@ -537,6 +539,7 @@ class TestBatch:
         sock.settimeout(5)
         return sock
 
+    @pytest.mark.parametrize("oracle_server", [1, 2, 8], indirect=True)
     def test_remote_fields_bit_equal_in_process(self, oracle_server):
         server, target, slat_target = oracle_server
         local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
@@ -587,14 +590,15 @@ class TestBatch:
         finally:
             server.stop()
 
-    def test_remote_failure_on_one_window_names_it(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_remote_failure_on_one_window_names_it(self, workers):
         class FailsAtOneWindow(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
                 if read_oracle_conditions([condition])["box"][0, :2].tolist() == [2, 2]:  # window (1, 1)
                     raise RuntimeError("boom")
                 return patch.with_data(np.zeros_like(patch.data))
 
-        server = ProviderServer(FailsAtOneWindow(), DIMS).start()
+        server = ProviderServer(FailsAtOneWindow(), DIMS, workers=workers).start()
         try:
             with RemoteProvider(server.address, timeout=10) as remote:
                 grid = make_patch_grid(DIMS, 2, DIMS.N)
@@ -773,12 +777,13 @@ def _stacked_fields(provider, target, slat_target):
 
 
 class TestEvaluateOnlyProvider:
-    def test_fallback_fields_bit_equal_in_process_and_remote(self, oracle_server):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fallback_fields_bit_equal_in_process_and_remote(self, oracle_server, workers):
         server, target, slat_target = oracle_server
         oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
         expected = _stacked_fields(oracle, target, slat_target)
         assert _stacked_fields(EvaluateOnly(oracle), target, slat_target) == expected
-        wrapped = ProviderServer(EvaluateOnly(oracle), DIMS).start()
+        wrapped = ProviderServer(EvaluateOnly(oracle), DIMS, workers=workers).start()
         try:
             with RemoteProvider(wrapped.address, timeout=10) as remote:
                 assert _stacked_fields(remote, target, slat_target) == expected
@@ -1072,6 +1077,7 @@ class TestSessions:
         sock.settimeout(5)
         return sock
 
+    @pytest.mark.parametrize("oracle_server", [1, 2, 8], indirect=True)
     def test_window_field_is_one_frame_after_one_registration(self, oracle_server):
         server, target, slat_target = oracle_server
         local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)

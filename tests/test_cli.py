@@ -230,20 +230,40 @@ class TestServeOracle:
 
 class TestWorkers:
     @pytest.mark.parametrize("workers", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["serve-oracle"])
+    @pytest.mark.parametrize("command", ["generate", "oracle-demo", "serve-oracle"])
     def test_below_one_is_config_error(self, tmp_path, monkeypatch, capsys, command, workers):
+        """serve-oracle refuses a thread count below one as a configuration
+        error; generate and oracle-demo take no worker count and refuse the
+        flag.  Each exits 2 without running."""
         import tiledflow.bridge
+        import tiledflow.fixtures
 
         def must_not_run(*args, **kwargs):
             raise AssertionError(f"{command} ran with --workers {workers}")
 
         monkeypatch.setattr(tiledflow.bridge, "serve_provider", must_not_run)
+        monkeypatch.setattr(tiledflow.fixtures, "run_oracle_demo", must_not_run)
         scene = build_demo_scene(SMALL)
+        prior_path = tmp_path / "scene.spr"
+        write_scene_prior(prior_path, scene.prior)
         target = tmp_path / "ss_target.xlt"
         tensorio.write_tensor(target, scene.ss_target.data)
-        argv = ["serve-oracle", "--target", str(target), "--listen", "127.0.0.1:0", "--dims", "2,2,4,8"]
-        assert main(argv + ["--workers", workers]) == 2
-        assert "workers must be >= 1" in capsys.readouterr().err
+        argv = {
+            "generate": ["generate", str(prior_path), "--out", str(tmp_path / "out")],
+            "oracle-demo": ["oracle-demo", "--out", str(tmp_path / "demo")],
+            "serve-oracle": [
+                "serve-oracle", "--target", str(target), "--listen", "127.0.0.1:0",
+                "--dims", "2,2,4,8",
+            ],
+        }[command] + ["--workers", workers]
+        if command == "serve-oracle":
+            assert main(argv) == 2
+            assert "workers must be >= 1" in capsys.readouterr().err
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["generate", "oracle-demo"])
     def test_engine_commands_take_no_workers_flag(self, command, capsys):

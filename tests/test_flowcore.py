@@ -184,16 +184,19 @@ class TestExtendedField:
         with pytest.raises(ProviderError, match=r"patch \(0, 0\)"):
             extended_field(Z, 0.5, grid, Broken(), OracleConditioner())
 
-    def test_failure_on_one_window_names_it(self):
+    @pytest.mark.parametrize("failing", [1, 2, 8])
+    def test_failure_on_one_window_names_it(self, failing):
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        window = grid.windows()[failing]  # the field's item `failing`
+
         class FailsAtOneWindow(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
-                if read_oracle_conditions([condition])["box"][0, :2].tolist() == [2, 2]:  # window (1, 1)
+                if read_oracle_conditions([condition])["box"][0, :2].tolist() == [window.x0, window.y0]:
                     raise RuntimeError("boom")
                 return patch.with_data(np.zeros_like(patch.data))
 
         Z = random_dense(DIMS, 18)
-        grid = make_patch_grid(DIMS, 2, DIMS.N)
-        with pytest.raises(ProviderError, match=r"patch \(1, 1\): boom"):
+        with pytest.raises(ProviderError, match=rf"patch \({window.i}, {window.j}\): boom"):
             extended_field(Z, 0.5, grid, FailsAtOneWindow(), OracleConditioner())
 
     def test_default_batch_reports_failing_item(self):
@@ -219,9 +222,10 @@ class TestExtendedField:
         with pytest.raises(ProviderError, match="returned 8 vectors"):
             extended_field(random_dense(DIMS, 20), 0.5, grid, Short(), OracleConditioner())
 
-    def test_failure_on_one_dilated_sample_names_it(self):
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failure_on_one_dilated_sample_names_it(self, failing):
         partition = dilated_partition(DIMS, DIMS.N, seed=0)
-        bad = OracleConditioner().dilated_condition(partition, 2).data
+        bad = OracleConditioner().dilated_condition(partition, failing).data
 
         class FailsAtOneSample(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
@@ -229,7 +233,7 @@ class TestExtendedField:
                     raise RuntimeError("boom")
                 return patch
 
-        with pytest.raises(ProviderError, match="dilated sample 2: boom"):
+        with pytest.raises(ProviderError, match=f"dilated sample {failing}: boom"):
             dilated_field(random_dense(DIMS, 21), 0.5, partition, FailsAtOneSample(), OracleConditioner())
 
     @pytest.mark.parametrize("change", ["drop_row", "empty"])
@@ -308,7 +312,10 @@ class TestExtendedField:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_builtin_oracle_answers_each_field_with_one_batch_call(self, monkeypatch):
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_builtin_oracle_answers_each_chunk_with_one_batch_call(self, monkeypatch, d):
+        """A field is one chunk, whatever its window count: one batch call
+        for a dense or dilated field, none on the sparse plan path."""
         calls = {"evaluate": 0, "evaluate_batch": 0}
 
         def counting(name):
@@ -326,7 +333,7 @@ class TestExtendedField:
         slat_target = init_sparse_noise(np.argwhere(rng.random(DIMS.grid_shape) < 0.3), DIMS, seed=9)
         provider = GlobalOracleProvider(ss_target=random_dense(DIMS, 25), slat_target=slat_target)
         Z, cond = random_dense(DIMS, 26), OracleConditioner()
-        dense_grid, sparse_grid = make_patch_grid(DIMS, 2, DIMS.N), make_patch_grid(DIMS, 2, DIMS.M)
+        dense_grid, sparse_grid = make_patch_grid(DIMS, d, DIMS.N), make_patch_grid(DIMS, d, DIMS.M)
         partition = dilated_partition(DIMS, DIMS.N)
         fields = [
             lambda: extended_field(Z, 0.5, dense_grid, provider, cond),
