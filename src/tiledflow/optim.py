@@ -310,7 +310,9 @@ class _Columns:
     """The image column of every voxel of one coordinate set.
 
     `flat` is each voxel's pixel index in the flattened (h, w) image,
-    and `count` the float64 voxel count of every pixel.
+    and `count` the float64 voxel count of every pixel.  `bins` is the
+    (voxel, channel) entries' bin in the flattened (h, w, 3) image, in
+    voxel-major order, for the min(3, l) rendered channels.
     """
 
     dims: Dims
@@ -318,22 +320,25 @@ class _Columns:
     flat: np.ndarray
     count: np.ndarray
     nonempty: np.ndarray
+    bins: np.ndarray
 
     @classmethod
     def build(cls, dims: Dims, coords: np.ndarray) -> "_Columns":
         w = dims.b * dims.M
         flat = coords[:, 0] * w + coords[:, 1]
         count = np.bincount(flat, minlength=dims.a * dims.M * w).astype(np.float64)
-        return cls(dims, coords, flat, count, count > 0)
+        bins = (flat[:, None] * 3 + np.arange(min(3, dims.l))).ravel()
+        return cls(dims, coords, flat, count, count > 0, bins)
 
 
 def _render_mean(columns: _Columns, feats64: np.ndarray) -> np.ndarray:
-    """Column means of up to 3 leading feature channels; empty columns black."""
+    """Column means of the (voxels, min(3, l)) float64 `feats64`; empty
+    columns black.  One `np.bincount` over (pixel, channel) bins adds
+    each bin's voxels in voxel order, as a bincount per channel would."""
     dims = columns.dims
     h, w = dims.a * dims.M, dims.b * dims.M
-    img = np.zeros((h * w, 3))
-    for ch in range(min(3, feats64.shape[1])):
-        img[:, ch] = np.bincount(columns.flat, weights=feats64[:, ch], minlength=h * w)
+    img = np.bincount(columns.bins, weights=feats64.ravel(), minlength=h * w * 3)
+    img = img.astype(np.float64, copy=False).reshape(h * w, 3)  # with no voxels, bincount counts in ints
     np.divide(img, columns.count[:, None], out=img, where=columns.nonempty[:, None])
     return img.reshape(h, w, 3)
 

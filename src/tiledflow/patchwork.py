@@ -25,14 +25,14 @@ coverage c, and each group's contributions as c contiguous runs, run j
 holding every row's j-th window in window order.  A row's windows, and
 so its coverage and the rank of each, follow from its stride block.
 Each step gathers the feature rows into one block with one `take`.  The
-merge takes the reply into the rank layout with one more, into a buffer
-the plan keeps for its next merge, and sums each group run by run in
+merge walks each coverage group in blocks of at most
+`MERGE_BLOCK_VALUES` contributions: it takes a block's contributions
+from the reply into a small buffer and sums them rank by rank in
 float64, in the order `np.add.reduceat` over each row's window-ordered
 contributions would (the first, plus numpy's pairwise sum of the rest),
-so it gives the same bits without a float64 copy of the reply.  It then
-divides by the coverage.  The merged rows are finite exactly when the
-reply is, so the merged latent's own check stands for a check of the
-reply.
+so it gives the same bits with no reply-sized copy.  It then divides by
+the coverage.  The merged rows are finite exactly when the reply is, so
+the merged latent's own check stands for a check of the reply.
 
 The per-window forms (`patch_dense`, `merge_vectors` over a mapping,
 `DilatedPartition.gather` of one sample) remain for callers that hold
@@ -50,6 +50,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CoverageError, DimensionError, ProviderError
 from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent, check_in_grid
+
+# The most contributions (coverage x rows x channels) one block of a
+# sparse merge takes from a reply: 256 KB of float32, plus float64
+# accumulators, which stay in a core's cache while the block is summed.
+MERGE_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -289,7 +294,8 @@ class SparseWindowPlan:
     for its run [g0, g1) of the order and where its contributions start
     in `layout`.  There they form a (c, g1 - g0) block in which rank j is
     one contiguous run of reply positions, each row's j-th window in
-    window order.
+    window order; a merge reads that block a few columns at a time and
+    keeps nothing on the plan.
 
     All of it follows from the geometry, without a search per window or
     a sort of the window rows.  The coordinates are sorted by x, then y,
@@ -347,11 +353,6 @@ class SparseWindowPlan:
         if order:
             slot[np.concatenate(order)] = np.arange(len(slot))
         self.slot, self.groups, self.layout = _ro(slot), tuple(groups), _ro(np.concatenate(parts))
-        # The first rank buffer is made here, beside the plan's other
-        # arrays.  Made by the first merge, it lands wherever that call's
-        # reply left room, and how many pages later scenes fault in anew
-        # then depends on the allocation history.
-        self._rank_buffers = [np.empty((len(self.rows), grid.dims.l), dtype=DTYPE)]
 
     @cached_property
     def local(self) -> np.ndarray:
@@ -384,20 +385,22 @@ class SparseWindowPlan:
         """Coverage-averaged sum of the stacked window features `values`
         ((rows, l) float32, rows in the order `gather` makes them).
 
-        One `take` lays the reply out by rank, into a float32 buffer the
-        plan keeps for its next merge: a fresh 4 * rows * l bytes per
-        call would be paged in anew each time.  Buffers are held in a
-        free list, one made with the plan and more only while merges
-        overlap, so merges on one plan from two threads never share
-        one.  Per coverage group, rank 0 is cast into the group's slice
-        of a float64 accumulator, ranks 1..c-1 are summed in numpy's
-        pairwise order (`_pairwise_sum`) and added on, and the slice is
-        divided by c; one `take` through `slot` puts the float32 rows
-        back in global order.  `np.add.reduceat` over a row's
-        contributions in window order copies the first and adds the
-        pairwise sum of the rest to it, and casts to float64 are exact,
-        so every row gets the bits that reduceat gives.  They do not
-        depend on the order in which the windows were evaluated.
+        Each coverage group c is merged in blocks of consecutive rows,
+        as many as keep c * rows * l within `MERGE_BLOCK_VALUES` (at
+        least one): one `take` of a block's columns of the group's
+        (c, rows) layout copies its contributions from the reply into a
+        float32 buffer made for this call, ranks 1..c-1 are summed in
+        numpy's pairwise order (`_pairwise_sum`, with float64
+        accumulators also made for this call) into the block's slice of
+        a float64 accumulator, rank 0 is added and the slice divided by
+        c; one `take` through `slot` then puts the float32 rows back in
+        global order.  `np.add.reduceat` over a row's contributions in
+        window order adds the pairwise sum of the rest to the first,
+        casts to float64 are exact and addition commutes, so every row
+        gets the bits that reduceat gives, whatever the block size.
+        They do not depend on the order in which the windows were
+        evaluated.  A merge keeps no state on the plan, so threads may
+        merge on one plan at once.
 
         The float64 sums of finite float32 values cannot overflow, and
         their means cast to finite float32, so the merged rows are finite
@@ -405,53 +408,65 @@ class SparseWindowPlan:
         (a ValueError) therefore covers every reply value.
         """
         dims = self.grid.dims
-        if values.shape != (len(self.rows), dims.l):
-            raise DimensionError(f"window features {values.shape} != {(len(self.rows), dims.l)}")
-        try:
-            ranks = self._rank_buffers.pop()
-        except IndexError:
-            ranks = np.empty(values.shape, dtype=DTYPE)
-        try:
-            np.take(values, self.layout, axis=0, out=ranks, mode="clip")
-            acc = np.empty((len(self.coords), dims.l), dtype=np.float64)
-            for c, g0, g1, lo in self.groups:
-                block = ranks[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0, dims.l)
-                head = acc[g0:g1]
-                head[...] = block[0]
+        l = dims.l
+        if values.shape != (len(self.rows), l):
+            raise DimensionError(f"window features {values.shape} != {(len(self.rows), l)}")
+        # rows per block of each group, and buffers that hold the largest block
+        sizes = [(c, min(g1 - g0, max(1, MERGE_BLOCK_VALUES // (c * l)))) for c, g0, g1, _ in self.groups]
+        taken = np.empty(max([c * m * l for c, m in sizes], default=0), dtype=DTYPE)
+        scratch = np.empty(max([8 * m * l for c, m in sizes if c > 8], default=0))
+        acc = np.empty((len(self.coords), l), dtype=np.float64)
+        for (c, g0, g1, lo), (_, m) in zip(self.groups, sizes):
+            layout = self.layout[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0)
+            for b0 in range(0, g1 - g0, m):
+                index = layout[:, b0 : b0 + m]
+                n = index.shape[1]
+                ranks = taken[: c * n * l].reshape(c, n, l)
+                np.take(values, index, axis=0, out=ranks, mode="clip")
+                head = acc[g0 + b0 : g0 + b0 + n]
                 if c > 1:
-                    head += _pairwise_sum(block[1:])
+                    _pairwise_sum(ranks[1:], head, scratch)
+                    head += ranks[0]
+                else:
+                    head[...] = ranks[0]
                 head /= c
-        finally:
-            self._rank_buffers.append(ranks)
         merged = acc.astype(DTYPE).take(self.slot, axis=0)
         return SparseLatent._on_checked_coords(dims, self.coords, merged)
 
 
-def _pairwise_sum(ranks: np.ndarray):
-    """Float64 sum over the leading axis of `ranks` in the order numpy's
-    `pairwise_sum` adds a strided run of n values: sequentially for
-    n < 8; for n <= 128 into eight accumulators, combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
-    one by one; above that, the sums of two halves, the first n // 2
-    rounded down to a multiple of 8."""
+def _pairwise_sum(ranks: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write into the float64 `out` the sum over the leading axis of
+    `ranks` in the order numpy's `pairwise_sum` adds a strided run of n
+    values: sequentially for n < 8; for n <= 128 into eight
+    accumulators, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the rest one by one; above that, the sums of two
+    halves, the first n // 2 rounded down to a multiple of 8.  The eight
+    accumulators live in the flat float64 `scratch`, which must hold
+    8 * out.size values when n >= 8."""
     n = len(ranks)
     if n < 8:
-        res = ranks[0].astype(np.float64)
+        out[...] = ranks[0]
         for r in ranks[1:]:
-            res += r
-        return res
+            out += r
+        return
     if n <= 128:
         m = n - n % 8
-        acc = ranks[:8].astype(np.float64)
+        acc = scratch[: 8 * out.size].reshape((8,) + out.shape)
+        acc[...] = ranks[:8]
         for i in range(8, m, 8):
             acc += ranks[i : i + 8]
-        pairs = acc[0::2] + acc[1::2]
-        res = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])
+        np.add(acc[0], acc[2], out=acc[0])
+        np.add(acc[4], acc[6], out=acc[4])
+        np.add(acc[0], acc[4], out=out)
         for r in ranks[m:]:
-            res += r
-        return res
+            out += r
+        return
     half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(ranks[:half]) + _pairwise_sum(ranks[half:])
+    _pairwise_sum(ranks[:half], out, scratch)
+    rest = np.empty_like(out)
+    _pairwise_sum(ranks[half:], rest, scratch)
+    out += rest
 
 
 def window_plan(grid: PatchGrid, coords: np.ndarray, plan: SparseWindowPlan | None = None) -> SparseWindowPlan:

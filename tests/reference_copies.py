@@ -130,3 +130,14 @@ def rank_layout(rows, coverage):
     slot = np.empty_like(perm)
     slot[perm] = np.arange(len(perm))
     return slot, tuple(groups), order.take(np.concatenate(parts))
+
+
+def render_mean_per_channel(columns, feats64):
+    """`tiledflow.optim._render_mean` as one `np.bincount` per channel."""
+    dims = columns.dims
+    h, w = dims.a * dims.M, dims.b * dims.M
+    img = np.zeros((h * w, 3))
+    for ch in range(min(3, feats64.shape[1])):
+        img[:, ch] = np.bincount(columns.flat, weights=feats64[:, ch], minlength=h * w)
+    np.divide(img, columns.count[:, None], out=img, where=columns.nonempty[:, None])
+    return img.reshape(h, w, 3)

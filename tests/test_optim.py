@@ -28,6 +28,8 @@ from tiledflow.optim import (
 from tiledflow.pipeline import _adam_hook
 from tiledflow.structedit import ToyCodec
 
+from reference_copies import render_mean_per_channel
+
 
 def finite_difference(objective, v, h=1e-6):
     """Central finite differences of objective(v)[0]."""
@@ -194,6 +196,27 @@ class TestProjectionRender:
         feats = np.array([[0.2, 0.4, 0.0, 0.0], [0.6, 0.0, 0.8, 0.0]], dtype=np.float32)
         img = projection_render(SparseLatent(DIMS, coords, feats))
         assert np.allclose(img[1, 1], [(0.2 + 0.6) / 2, 0.2, 0.4], atol=1e-7)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_one_bincount_equals_per_channel_bincounts(self, a, b, l, density, seed):
+        # density 0 renders no voxel; 0.1 and 0.5 leave empty columns
+        dims = Dims(a, b, 4, 8, l=l)
+        rng = np.random.default_rng(seed)
+        coords = np.argwhere(rng.random(dims.grid_shape) < density)
+        shape = (len(coords), min(3, l))
+        # mixed signs and exponents round differently in every addition order
+        pool = np.array([0.0, -0.0, 1e-30, -1e-30, 1e30, -1e30, 1.0, -0.75])
+        scaled = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-30, 30, size=shape)
+        feats = np.where(rng.random(shape) < 0.4, rng.choice(pool, size=shape), scaled)
+        columns = _Columns.build(dims, coords)
+        assert _same_bytes(_render_mean(columns, feats), render_mean_per_channel(columns, feats))
 
 
 class TestSsim:

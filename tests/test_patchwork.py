@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tiledflow import patchwork
 from tiledflow.errors import BoundsError, ConfigError, CoverageError
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
 from tiledflow.patchwork import (
@@ -680,7 +681,9 @@ class TestStackedBitEquality:
             expected = np.add.reduceat(values.astype(np.float64), [0], axis=0)[0]
             got = values[0].astype(np.float64)
             if n > 1:
-                got += _pairwise_sum(values[1:])
+                tail = np.empty_like(got)
+                _pairwise_sum(values[1:], tail, np.empty(8 * tail.size))
+                got += tail
             assert got.tobytes() == expected.tobytes(), n
 
     @settings(max_examples=150)
@@ -760,9 +763,56 @@ def _merge_plan():
     return plan, replies
 
 
+def _merged_bytes_at_limit(plan, values, limit):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patchwork, "MERGE_BLOCK_VALUES", limit)
+        return plan.merge_features(values).features.tobytes()
+
+
+class TestMergeBlocks:
+    """Merge blocks change only which rows share a numpy call: at block
+    limits of 1, 7 and 64 values (single rows, c * l above the limit, and
+    partial last blocks) the bytes stay the per-window plan's."""
+
+    @pytest.mark.parametrize("limit", [1, 7, 64])
+    @settings(max_examples=60)
+    @given(
+        stacked_cases(),
+        st.sampled_from([0.02, 0.3, 0.9]),
+        st.sampled_from([mixed_values, cancelling_values]),
+    )
+    @example(SINGLE_WINDOW, 0.3, cancelling_values)
+    def test_blocks_equal_per_window_plan(self, limit, case, density, draw_values):
+        dims, d, rng = case
+        grid = make_patch_grid(dims, d, dims.M)
+        occupied = rng.random(dims.grid_shape) < density
+        occupied[tuple(rng.integers(0, dims.M, size=3))] = True
+        Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
+        plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
+        values = draw_values(rng, (len(plan.rows), dims.l))
+        vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
+        assert _merged_bytes_at_limit(plan, values, limit) == old.merge(vectors).tobytes()
+
+    @pytest.mark.parametrize("limit", [1, 7, 64])
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([mixed_values, cancelling_values]))
+    def test_blocks_above_pairwise_block_equal_per_window_plan(self, limit, seed, draw_values):
+        # d = K = 16: coverage 256, so block tails take the halving branch
+        dims = Dims(2, 2, 16, 16, l=2)
+        grid = make_patch_grid(dims, 16, 16)
+        rng = np.random.default_rng(seed)
+        occupied = rng.random(dims.grid_shape) < 0.02
+        occupied[16, 16, rng.integers(16)] = True
+        Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
+        plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
+        assert plan.coverage.max() == 256
+        values = draw_values(rng, (len(plan.rows), dims.l))
+        vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
+        assert _merged_bytes_at_limit(plan, values, limit) == old.merge(vectors).tobytes()
+
+
 class TestMergeBuffer:
     def test_merges_allocate_no_reply_sized_buffer(self):
-        # both merges lay the reply out in the buffer the plan holds
         plan, replies = _merge_plan()
         tracemalloc.start()
         try:
@@ -791,3 +841,23 @@ class TestMergeBuffer:
         for thread in threads:
             thread.join()
         assert got == [[expected[0]] * 20, [expected[1]] * 20]
+
+    def test_plan_holds_no_reply_sized_buffer(self):
+        plan, _ = _merge_plan()
+        shape = (len(plan.rows), plan.grid.dims.l)
+        for name, value in vars(plan).items():
+            for item in value if isinstance(value, list) else [value]:
+                held = isinstance(item, np.ndarray) and item.dtype == np.float32 and item.shape == shape
+                assert not held, name
+
+    def test_merge_peak_is_a_fraction_of_the_reply(self, monkeypatch):
+        plan, (values, _) = _merge_plan()
+        monkeypatch.setattr(patchwork, "MERGE_BLOCK_VALUES", 4096)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            plan.merge_features(values)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 4
