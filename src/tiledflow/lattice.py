@@ -109,7 +109,7 @@ def _canonical_sparse(coords: np.ndarray, features: np.ndarray, dims: Dims):
     strictly increasing keys mean the input is canonical and unique, and
     the sort is skipped.
     """
-    if (np.diff(_coord_key(coords, dims)) > 0).all():
+    if _is_canonical(coords, dims):
         return coords, features
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
@@ -397,6 +397,11 @@ def _coord_key(coords: np.ndarray, dims: Dims) -> np.ndarray:
     return (coords[:, 0] * bm + coords[:, 1]) * m + coords[:, 2]
 
 
+def _is_canonical(coords: np.ndarray, dims: Dims) -> bool:
+    """Whether the in-bounds coordinates' keys strictly increase."""
+    return bool((np.diff(_coord_key(coords, dims)) > 0).all())
+
+
 @dataclass(frozen=True)
 class OccupancyGrid:
     """Boolean voxel grid of shape (a*M, b*M, M)."""
@@ -427,8 +432,13 @@ class OccupancyGrid:
         return cls(dims, occ)
 
     def coords(self) -> np.ndarray:
-        """Occupied coordinates, (n, 3) int64 in lexicographic order."""
-        return np.argwhere(self.occupied).astype(np.int64)
+        """Occupied coordinates, (n, 3) C-ordered int64 in lexicographic order."""
+        flat = np.flatnonzero(self.occupied)
+        out = np.empty((len(flat), 3), dtype=np.int64)
+        _, y, z = self.occupied.shape
+        np.divmod(flat, z, out=(flat, out[:, 2]))
+        np.divmod(flat, y, out=(out[:, 0], out[:, 1]))
+        return out
 
     def count(self) -> int:
         return int(self.occupied.sum())
@@ -488,7 +498,7 @@ def init_sparse_noise(coords: np.ndarray, dims: Dims, seed: int) -> SparseLatent
     depends only on the coordinate *set* and the seed.
     """
     coords = np.ascontiguousarray(np.asarray(coords).reshape(-1, 3), dtype=np.int64)
-    if len(coords):
+    if not _is_canonical(coords, dims):
         order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
         coords = coords[order]
     rng = np.random.default_rng(seed)

@@ -2,9 +2,10 @@
 
 The toy codec is a linear stand-in for a trained occupancy VAE: encode
 block-averages the fine grid onto the coarse lattice and maps occupancy
-fraction o to 2o - 1; decode nearest-neighbor-upsamples the lattice to a
-logit grid thresholded strictly at 0.  Block-constant grids round-trip
-exactly, which makes every edit analyzable.
+fraction o to 2o - 1; decode thresholds the channel-mean lattice strictly
+at 0 and nearest-neighbor-upsamples the result to the fine grid.
+Block-constant grids round-trip exactly, which makes every edit
+analyzable.
 
 An edit round noises the encoded guide to level t_noise and denoises
 along a schedule starting at t_start.  A round accepts any pair of
@@ -36,9 +37,9 @@ from .patchwork import PatchGrid, dilated_partition
 
 def upsample_blocks(coarse: np.ndarray, r: int) -> np.ndarray:
     """Nearest-neighbor upsample: each cell becomes an r x r x r block."""
-    for axis in range(3):
-        coarse = np.repeat(coarse, r, axis=axis)
-    return coarse
+    x, y, z = coarse.shape
+    blocks = np.broadcast_to(coarse[:, None, :, None, :, None], (x, r, y, r, z, r))
+    return blocks.reshape(x * r, y * r, z * r)
 
 
 @dataclass(frozen=True)
@@ -53,24 +54,23 @@ class ToyCodec:
             raise DimensionError("occupancy dims do not match codec dims")
         d = self.dims
         r = d.ratio
-        blocks = grid.occupied.astype(np.float64).reshape(
-            d.a * d.N, r, d.b * d.N, r, d.N, r
-        )
-        mean = blocks.mean(axis=(1, 3, 5))
+        # Block counts as integers, staged x, y, z in dtypes that hold
+        # r, r^2 and r^3: the same exact values a float64 sum would add.
+        counts = grid.occupied.view(np.uint8).reshape(d.a * d.N, r, d.b * d.N, r, d.N, r)
+        for k in (1, 2, 3):
+            counts = counts.sum(axis=k, dtype=np.min_scalar_type(r**k))
+        mean = counts / float(r**3)
         data = (2.0 * mean - 1.0).astype(DTYPE)
         data = np.repeat(data[:, :, :, None], d.C, axis=3)
         return DenseLatent(d, data)
 
-    def decode_logits(self, Z: DenseLatent) -> np.ndarray:
-        """Nearest-neighbor upsample of the channel-mean lattice."""
+    def decode_occupancy(self, Z: DenseLatent) -> OccupancyGrid:
+        """Occupied wherever the nearest-neighbor upsampled channel-mean
+        logit is strictly positive (thresholded before the upsample)."""
         if Z.dims != self.dims:
             raise DimensionError("latent dims do not match codec dims")
         logits = Z.data.mean(axis=3, dtype=np.float64).astype(DTYPE)
-        return upsample_blocks(logits, self.dims.ratio)
-
-    def decode_occupancy(self, Z: DenseLatent) -> OccupancyGrid:
-        """Occupied wherever the decoded logit is strictly positive."""
-        return OccupancyGrid(self.dims, self.decode_logits(Z) > 0.0)
+        return OccupancyGrid(self.dims, upsample_blocks(logits > 0.0, self.dims.ratio))
 
 
 def under_noise(Z0g: DenseLatent, t_noise: float, seed) -> DenseLatent:

@@ -141,3 +141,30 @@ def render_mean_per_channel(columns, feats64):
         img[:, ch] = np.bincount(columns.flat, weights=feats64[:, ch], minlength=h * w)
     np.divide(img, columns.count[:, None], out=img, where=columns.nonempty[:, None])
     return img.reshape(h, w, 3)
+
+
+def encode_block_mean(dims, occupied):
+    """`ToyCodec.encode`'s lattice data as a float64 mean of each block."""
+    r = dims.ratio
+    blocks = occupied.astype(np.float64).reshape(dims.a * dims.N, r, dims.b * dims.N, r, dims.N, r)
+    data = (2.0 * blocks.mean(axis=(1, 3, 5)) - 1.0).astype(DTYPE)
+    return np.repeat(data[:, :, :, None], dims.C, axis=3)
+
+
+def upsample_blocks(coarse, r):
+    """`tiledflow.structedit.upsample_blocks` as three `np.repeat` passes."""
+    for axis in range(3):
+        coarse = np.repeat(coarse, r, axis=axis)
+    return coarse
+
+
+def decode_occupied(dims, data):
+    """`ToyCodec.decode_occupancy`'s grid: the float32 channel-mean logits
+    upsampled to the fine grid, then thresholded."""
+    logits = data.mean(axis=3, dtype=np.float64).astype(DTYPE)
+    return upsample_blocks(logits, dims.ratio) > 0.0
+
+
+def occupancy_coords(occupied):
+    """`OccupancyGrid.coords` through `np.argwhere`."""
+    return np.argwhere(occupied).astype(np.int64)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from tiledflow.lattice import (
     stack_patches,
 )
 from tiledflow import tensorio
+
+import reference_copies as ref
 
 
 SMALL = Dims(a=2, b=2, N=4, M=8, C=1, l=4)
@@ -144,6 +148,18 @@ class TestSparse:
         with pytest.raises(BoundsError):
             init_sparse_noise(np.array([[99, 0, 0]]), SMALL, seed=0)
 
+    def test_unsorted_input_gets_sorted_draws(self):
+        coords = np.argwhere(np.random.default_rng(3).random(SMALL.grid_shape) < 0.3)
+        shuffled = coords[np.random.default_rng(4).permutation(len(coords))]
+        a, b = init_sparse_noise(coords, SMALL, seed=5), init_sparse_noise(shuffled, SMALL, seed=5)
+        assert a.coords.tobytes() == b.coords.tobytes() == coords.tobytes()
+        assert a.features.tobytes() == b.features.tobytes()
+
+    def test_duplicates_raise(self):
+        for coords in ([[0, 0, 0], [1, 1, 1], [1, 1, 1]], [[1, 1, 1], [0, 0, 0], [1, 1, 1]]):
+            with pytest.raises(ValueError):
+                init_sparse_noise(np.array(coords), SMALL, seed=0)
+
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             SparseLatent(SMALL, np.array([[1, 1, 1], [1, 1, 1]]), np.zeros((2, 4)))
@@ -245,6 +261,28 @@ class TestOccupancy:
         grid = OccupancyGrid.from_coords(SMALL, coords)
         assert grid.count() == 3
         assert np.array_equal(grid.coords(), np.array(sorted(map(tuple, coords))))
+
+    @pytest.mark.parametrize("dims", [SMALL, Dims(1, 3, 2, 6), Dims(3, 1, 1, 5)], ids=str)
+    def test_coords_match_argwhere(self, dims):
+        rng = np.random.default_rng(dims.M)
+        grids = [np.zeros(dims.grid_shape, dtype=bool), np.ones(dims.grid_shape, dtype=bool)]
+        grids += [rng.random(dims.grid_shape) < fill for fill in (0.1, 0.5)]
+        for occupied in grids:
+            got, expected = OccupancyGrid(dims, occupied).coords(), ref.occupancy_coords(occupied)
+            assert got.dtype == np.int64 and got.shape == expected.shape and got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+
+    def test_coords_peak_below_40_bytes_per_voxel(self):
+        dims = Dims(4, 4, 8, 32)
+        grid = OccupancyGrid(dims, np.random.default_rng(0).random(dims.grid_shape) < 0.2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grid.coords()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * grid.count()
 
 
 class TestSchedule:

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -171,6 +172,23 @@ class TestSparseStructureStage:
         box = NormalizationBox.from_points(scene.prior.valid_points())
         expected = voxelize(scene.prior.valid_points(), box, SMALL).coords()
         assert np.array_equal(coords, expected)
+
+    def test_wide_structure_stage_peak(self):
+        # tracemalloc peak of one a=8 round: 16.2 MB with the one-byte codec
+        # and one-copy coordinates, 22.2 MB with float64 and float32
+        # temporaries of the fine grid.
+        dims = Dims(8, 8, 8, 32)
+        scene = build_demo_scene(dims)
+        bundle = demo_bundle(scene)
+        config = PipelineConfig(dims=dims, d=4, n_iter=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            generate_sparse_structure(scene.prior, config, bundle)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 19 * 2**20
 
     def test_optimization_keeps_occupancy_exact(self):
         scene = build_demo_scene(SMALL)

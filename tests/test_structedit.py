@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tiledflow.flowcore import GlobalOracleProvider, OracleConditioner
-from tiledflow.lattice import DenseLatent, Dims, OccupancyGrid, Schedule
+from tiledflow.lattice import DTYPE, DenseLatent, Dims, OccupancyGrid, Schedule
 from tiledflow.patchwork import make_patch_grid
-from tiledflow.structedit import ToyCodec, iterative_sdedit, sdedit_round, under_noise
+from tiledflow.structedit import ToyCodec, iterative_sdedit, sdedit_round, under_noise, upsample_blocks
 
+import reference_copies as ref
 from reference_copies import ZeroFieldProvider
 
 
@@ -17,10 +20,7 @@ def block_grid(dims, seed=0, fill=0.4):
     """Random block-constant occupancy (exact under the codec)."""
     rng = np.random.default_rng(seed)
     coarse = rng.random((dims.a * dims.N, dims.b * dims.N, dims.N)) < fill
-    fine = coarse
-    for axis in range(3):
-        fine = np.repeat(fine, dims.ratio, axis=axis)
-    return OccupancyGrid(dims, fine)
+    return OccupancyGrid(dims, ref.upsample_blocks(coarse, dims.ratio))
 
 
 class TestToyCodec:
@@ -61,6 +61,78 @@ class TestToyCodec:
         occ[0, 0, 0] = occ[0, 1, 0] = occ[1, 0, 0] = occ[1, 1, 0] = True  # 4 of 8
         back = codec.decode_occupancy(codec.encode(OccupancyGrid(dims, occ)))
         assert back.occupied[:2, :2, :2].sum() == 0
+
+
+
+# Ratios 1, 2 and 4, and 64 (r^3 = 262,144 cells per block, past uint16).
+CODEC_DIMS = [
+    Dims(a, b, N, M, C=C)
+    for a, b, N, M in ((2, 1, 4, 4), (2, 2, 4, 8), (1, 2, 2, 8), (1, 1, 1, 64))
+    for C in (1, 3)
+]
+TINY = np.nextafter(DTYPE(0), DTYPE(1))
+
+
+def _grids(dims):
+    rng = np.random.default_rng(dims.ratio)
+    yield np.zeros(dims.grid_shape, dtype=bool)
+    yield np.ones(dims.grid_shape, dtype=bool)
+    for fill in (0.1, 0.5, 0.9):
+        yield rng.random(dims.grid_shape) < fill
+
+
+def _latent_data(dims):
+    rng = np.random.default_rng(dims.ratio)
+    for value in (0.0, -0.0, TINY):
+        yield np.full(dims.dense_shape, value, dtype=DTYPE)
+    yield rng.choice(np.array([0.0, -0.0, TINY, -TINY], dtype=DTYPE), size=dims.dense_shape)
+    yield rng.standard_normal(dims.dense_shape, dtype=DTYPE)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dims", CODEC_DIMS, ids=lambda d: f"r{d.ratio}-C{d.C}")
+class TestCodecBitEquality:
+    def test_encode_matches_float64_block_mean(self, dims):
+        for occupied in _grids(dims):
+            got = ToyCodec(dims).encode(OccupancyGrid(dims, occupied)).data
+            assert got.tobytes() == ref.encode_block_mean(dims, occupied).tobytes()
+
+    def test_decode_matches_threshold_of_upsampled_logits(self, dims):
+        for data in _latent_data(dims):
+            got = ToyCodec(dims).decode_occupancy(DenseLatent(dims, data)).occupied
+            expected = ref.decode_occupied(dims, data)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_upsample_matches_repeats(r):
+    values = np.random.default_rng(r).standard_normal((3, 2, 5), dtype=DTYPE)
+    for coarse in (values, values > 0):
+        got, expected = upsample_blocks(coarse, r), ref.upsample_blocks(coarse, r)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestCodecMemory:
+    DIMS = Dims(4, 4, 8, 32)
+
+    def test_encode_peaks_below_the_grid(self):
+        grid = OccupancyGrid(self.DIMS, np.random.default_rng(0).random(self.DIMS.grid_shape) < 0.3)
+        assert _peak_bytes(lambda: ToyCodec(self.DIMS).encode(grid)) < grid.occupied.nbytes
+
+    def test_decode_peaks_near_one_byte_per_voxel(self):
+        Z = DenseLatent(self.DIMS, np.random.default_rng(0).standard_normal(self.DIMS.dense_shape))
+        nbytes = np.prod(self.DIMS.grid_shape)
+        assert _peak_bytes(lambda: ToyCodec(self.DIMS).decode_occupancy(Z)) < 1.5 * nbytes
 
 
 class TestUnderNoise:
