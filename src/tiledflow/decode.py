@@ -21,8 +21,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import CoverageError, DimensionError
-from .lattice import DTYPE, Dims, OccupancyGrid, SparseLatent, check_in_grid
-from .patchwork import PatchGrid, SparseWindowPlan, window_plan
+from .lattice import DTYPE, Dims, OccupancyGrid, SparseLatent
+from .patchwork import PatchGrid
 
 OUTSIDE_SDF = 1.0
 
@@ -100,8 +100,8 @@ def merge_sdf_patches(patches: Mapping, grid: PatchGrid) -> SdfGrid:
     return SdfGrid(dims, (acc / wsum).astype(DTYPE))
 
 
-def decode_scene_sdf(slat: SparseLatent, grid: PatchGrid, plan: SparseWindowPlan | None = None) -> SdfGrid:
-    """The SDF that decoding every window of the fine grid `grid` and
+def decode_scene_sdf(slat: SparseLatent) -> SdfGrid:
+    """The SDF that decoding `slat` on any fine window grid (K = M) and
     merging the patches (`merge_sdf_patches`) gives, built without them.
 
     Every window covering a cell decodes it alike: feature 0 where it is
@@ -109,18 +109,12 @@ def decode_scene_sdf(slat: SparseLatent, grid: PatchGrid, plan: SparseWindowPlan
     equal values is that value: its float64 quotient stays within about
     2n float64 ulps of it, far below float32's half ulp, and w * 1.0 == w
     makes an empty cell's quotient exactly 1.0.  Since the sums start from 0.0,
-    a feature of -0.0 merges to +0.0.  `plan`, when given, must be the
-    window plan of the grid and the field's coordinates.
+    a feature of -0.0 merges to +0.0.
     """
-    if plan is not None:
-        window_plan(grid, slat.coords, plan)
-    check_in_grid(slat.coords, grid.dims)
-    if grid.K != grid.dims.M:
-        raise DimensionError("SDF merging runs on the fine grid (K = M)")
-    out = np.full(grid.dims.grid_shape, OUTSIDE_SDF, dtype=DTYPE)
+    out = np.full(slat.dims.grid_shape, OUTSIDE_SDF, dtype=DTYPE)
     x, y, z = slat.coords.T
     out[x, y, z] = slat.features[:, 0] + DTYPE(0.0)  # -0.0 + 0.0 is +0.0
-    return SdfGrid(grid.dims, out)
+    return SdfGrid(slat.dims, out)
 
 
 def export_ply(obj: OccupancyGrid | SparseLatent, with_colors: bool = False) -> bytes:

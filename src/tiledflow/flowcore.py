@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ProviderError, SingularityError
+from .errors import ConfigError, DivergenceError, ProviderError, SingularityError
 from .lattice import (
     DTYPE,
     DenseBatch,
@@ -53,7 +53,6 @@ from .patchwork import (
     patch_dense,  # noqa: F401
     restrict_sparse,
     window_boxes,
-    window_plan,
 )
 from .priors import ConditionEmbedding, NormalizationBox, ScenePrior, image_patchify, toy_condition
 
@@ -543,7 +542,8 @@ def extended_field(
     """Patch-wise field: evaluate the provider on every window and merge.
 
     A sparse Z is cut by `plan`, the window plan of its grid and
-    coordinates (built here when not given).  The provider gets the
+    coordinates (built here when not given; a plan of another grid or
+    coordinate set is a ConfigError).  The provider gets the
     whole window field in one `evaluate_windows` call (by default one
     stacked gather and one batch call); the reply's shape is checked,
     and it is merged in the grid's fixed window order; the merged
@@ -553,8 +553,11 @@ def extended_field(
     """
     windows = grid.windows()
     if isinstance(Z, SparseLatent):
-        layout = window_plan(grid, Z.coords, plan)
-        bounds = layout.bounds
+        if plan is None:
+            plan = SparseWindowPlan(grid, Z.coords)
+        elif plan.grid != grid or not (plan.coords is Z.coords or np.array_equal(plan.coords, Z.coords)):
+            raise ConfigError("window plan was built for another grid or coordinate set")
+        layout, bounds = plan, plan.bounds
     else:
         layout, bounds = grid, None
         grid.check_fits(Z.data.shape)
@@ -620,7 +623,7 @@ def dilated_field(
 ) -> DenseLatent:
     """Evaluate the provider on every dilated sample, in one
     `evaluate_batch` call, and scatter back."""
-    batch = partition.gather_batch(Z)
+    batch = partition.gather(Z)
     conditions = conditioner.dilated_conditions(partition)
     t_eval = float(DTYPE(t))
     return _checked_call(

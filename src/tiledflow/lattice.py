@@ -377,7 +377,7 @@ def batch_coords_problem(dims: Dims, coords: np.ndarray, bounds: np.ndarray) -> 
     hi = np.array(dims.grid_shape)
     inside = coords.min() >= 0 and (coords < hi).all()
     steps = np.diff(_coord_key(coords, dims))
-    starts = bounds[1:-1][bounds[1:-1] < len(coords)]
+    starts = bounds[1:-1][(bounds[1:-1] > 0) & (bounds[1:-1] < len(coords))]
     steps[starts - 1] = 1  # an item's first row starts afresh
     if inside and steps.min(initial=1) > 0:
         return None

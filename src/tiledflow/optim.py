@@ -297,10 +297,8 @@ def ss_loss(v_hat: np.ndarray, Z_t, t: float, P: np.ndarray | PriorCells | StepC
     return loss, grad_x
 
 
-def projection_render(slat: SparseLatent, axis: str = "z") -> np.ndarray:
+def projection_render(slat: SparseLatent) -> np.ndarray:
     """Orthographic mean over z of the first 3 feature channels as RGB."""
-    if axis != "z":
-        raise ValueError(f"only the z axis projection is implemented, got {axis!r}")
     columns = _Columns.build(slat.dims, slat.coords)
     return _render_mean(columns, slat.features[:, :3].astype(np.float64)).astype(DTYPE)
 

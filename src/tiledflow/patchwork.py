@@ -34,9 +34,9 @@ so it gives the same bits with no reply-sized copy.  It then divides by
 the coverage.  The merged rows are finite exactly when the reply is, so
 the merged latent's own check stands for a check of the reply.
 
-The per-window forms (`patch_dense`, `merge_vectors` over a mapping,
-`DilatedPartition.gather` of one sample) remain for callers that hold
-single patches; they give the same bits.
+The per-window forms (`patch_dense`, `patch_sparse`, `merge_vectors`
+over a mapping) remain for callers that hold single patches; they give
+the same bits.
 """
 
 from __future__ import annotations
@@ -221,25 +221,22 @@ def patch_sparse(Z: SparseLatent, w: Window) -> SparseLatent:
     return restrict_sparse(Z, w.x0, w.y0, w.K)
 
 
-def merge_vectors(patch_vectors: Mapping, grid: PatchGrid, plan: SparseWindowPlan | None = None):
+def merge_vectors(patch_vectors: Mapping, grid: PatchGrid):
     """Average overlapping patch vectors, one per window (i, j), into one
     extended vector.
 
     Per cell: sum of zero-padded patch values divided by the number of
     covering windows.  Sparse latents use the same rule per coordinate
     and feature channel, dividing by the geometric coverage count; each
-    sparse patch must hold exactly its window's share of the coordinates
-    `plan` was built for (by default, the union of all patches).
-    Accumulation runs in float64 with a fixed window order.
+    sparse patch must hold exactly its window's share of the union of
+    all patches.  Accumulation runs in float64 with a fixed window order.
     """
     windows = grid.windows()
     if set(patch_vectors.keys()) != {(w.i, w.j) for w in windows}:
         raise CoverageError("merge requires exactly one patch vector per grid window")
     vectors = [patch_vectors[(w.i, w.j)] for w in windows]
     if isinstance(vectors[0], SparseLatent):
-        if plan is None:
-            plan = SparseWindowPlan(grid, _union_coords(patch_vectors, grid))
-        return plan.merge(vectors)
+        return SparseWindowPlan(grid, _union_coords(patch_vectors, grid)).merge(vectors)
     return merge_dense(np.stack([X.data for X in vectors]), grid)
 
 
@@ -469,20 +466,6 @@ def _pairwise_sum(ranks: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
     out += rest
 
 
-def window_plan(grid: PatchGrid, coords: np.ndarray, plan: SparseWindowPlan | None = None) -> SparseWindowPlan:
-    """The window plan of `coords` on `grid`: `plan` when given, else a new one.
-
-    A plan built for another grid or coordinate set is a ConfigError; a
-    latent built on the plan's own coordinate array passes without a
-    compare.
-    """
-    if plan is None:
-        return SparseWindowPlan(grid, coords)
-    if plan.grid != grid or not (plan.coords is coords or np.array_equal(plan.coords, coords)):
-        raise ConfigError("window plan was built for another grid or coordinate set")
-    return plan
-
-
 def _checked_coords(dims: Dims, coords: np.ndarray) -> np.ndarray:
     """`coords` checked and ordered as the SparseLatent constructor does."""
     coords = np.asarray(coords).reshape(-1, 3)
@@ -506,27 +489,21 @@ class DilatedPartition:
     def __len__(self) -> int:
         return self.dims.a * self.dims.b
 
-    def gather(self, Z: DenseLatent, n: int) -> DenseLatent:
-        """Sample n of Z."""
-        return DenseLatent(self.dims.patch_dims(), Z.data[self.src_x[n], self.src_y[n]])
-
-    def gather_batch(self, Z: DenseLatent) -> DenseBatch:
+    def gather(self, Z: DenseLatent) -> DenseBatch:
         """All samples of Z, in sample order, by one fancy index."""
         return DenseBatch._of_finite(self.dims.patch_dims(), Z.data[self.src_x, self.src_y])
 
-    def scatter(self, sample_vectors) -> DenseLatent:
+    def scatter(self, sample_vectors: np.ndarray) -> DenseLatent:
         """The lattice whose pillars hold the samples' columns.
 
-        `sample_vectors` is a stacked (n, K, K, K, C) array or a sequence
-        of n sample latents; the pillars are disjoint, so one assignment
-        places them all.
+        `sample_vectors` is the stacked (n, K, K, K, C) array of the n
+        samples; the pillars are disjoint, so one assignment places them
+        all.
         """
         if len(sample_vectors) != len(self):
             raise DimensionError(
                 f"expected {len(self)} dilated samples, got {len(sample_vectors)}"
             )
-        if not isinstance(sample_vectors, np.ndarray):
-            sample_vectors = np.stack([sample.data for sample in sample_vectors])
         out = np.zeros(self.dims.dense_shape, dtype=DTYPE)
         out[self.src_x, self.src_y] = sample_vectors
         return DenseLatent(self.dims, out)

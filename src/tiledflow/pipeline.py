@@ -48,7 +48,7 @@ from .optim import (
     slat_objective,
     ss_loss,
 )
-from .patchwork import SparseWindowPlan, make_patch_grid, window_plan
+from .patchwork import SparseWindowPlan, make_patch_grid
 from .priors import NormalizationBox, ScenePrior, load_scene_prior, voxelize
 from .structedit import ToyCodec, iterative_sdedit
 
@@ -397,14 +397,13 @@ def generate_slat(
     bundle: ProviderBundle,
     report: RunReport | None = None,
     box: NormalizationBox | None = None,
-    plan: SparseWindowPlan | None = None,
 ) -> SparseLatent:
     """Feature stage: denoise per-voxel features over fixed coordinates,
     optimizing the rendering objective at every step.
 
-    `plan` is the window plan of the fine grid and `coords`, built here
-    when not given.  The stage is recorded into `report` (a fresh one
-    when not given).
+    The window plan of the fine grid and the coordinates is built once,
+    here, and cuts every step's field.  The stage is recorded into
+    `report` (a fresh one when not given).
     """
     if len(coords) == 0:
         raise ConfigError("feature stage requires a non-empty coordinate set")
@@ -412,12 +411,13 @@ def generate_slat(
     dims = config.dims
     box = box or _scene_box(prior)
     grid = make_patch_grid(dims, config.d, dims.M)
+    # first, so the plan's temporaries do not add to the latent's at the peak
+    plan = SparseWindowPlan(grid, coords)
     conditioner = _make_conditioner(bundle.conditioner_kind, prior, grid, box)
     schedule = Schedule.linear(1.0, config.schedule_steps)
-    Z1 = init_sparse_noise(coords, dims, substream_seed(config.seed, _STREAM_SLAT_INIT))
-    plan = window_plan(grid, Z1.coords, plan)
-    # the same draws on the plan's own coordinate array, so every step's
-    # `window_plan` knows the latent's coordinates without a compare
+    Z1 = init_sparse_noise(plan.coords, dims, substream_seed(config.seed, _STREAM_SLAT_INIT))
+    # the draws on the plan's own coordinate array, so every step's
+    # `extended_field` knows the latent's coordinates without a compare
     Z1 = SparseLatent._on_checked_coords(dims, plan.coords, Z1.features)
     steps = report.losses.setdefault("structured_latent", [])
 
@@ -458,8 +458,7 @@ def run_pipeline(prior: ScenePrior, config: PipelineConfig, bundle: ProviderBund
     """Both stages, then decoding and export into `config.out_dir`.
 
     The report's stages account for the run up to writing `report.json`:
-    each stage's seconds include the set-up before it, so the feature
-    stage also counts the window plan built here for it.
+    each stage's seconds include the set-up before it.
     """
     report = RunReport()
     if not config.out_dir:
@@ -469,12 +468,10 @@ def run_pipeline(prior: ScenePrior, config: PipelineConfig, bundle: ProviderBund
     box = _scene_box(prior)
 
     coords = generate_sparse_structure(prior, config, bundle, report, box)
-    dims = config.dims
-    plan = SparseWindowPlan(make_patch_grid(dims, config.d, dims.M), coords)
-    slat = generate_slat(coords, prior, config, bundle, report, box, plan)
+    slat = generate_slat(coords, prior, config, bundle, report, box)
 
-    occupancy = OccupancyGrid.from_coords(dims, coords)
-    sdf = decode_scene_sdf(slat, plan.grid, plan)
+    occupancy = OccupancyGrid.from_coords(config.dims, coords)
+    sdf = decode_scene_sdf(slat)
 
     paths = {
         "scene_ply": out_dir / "scene.ply",

@@ -10,7 +10,7 @@ from tiledflow.decode import (
     export_ply,
     merge_sdf_patches,
 )
-from tiledflow.errors import BoundsError, CoverageError, DimensionError
+from tiledflow.errors import CoverageError, DimensionError
 from tiledflow.lattice import Dims, OccupancyGrid, SparseLatent, init_sparse_noise
 from tiledflow.patchwork import SparseWindowPlan, make_patch_grid
 from tiledflow.priors import NormalizationBox, parse_ply_points
@@ -202,7 +202,7 @@ class TestDecodeSceneSdf:
         coords = np.argwhere(np.ones(dims.grid_shape, dtype=bool))
         feats = np.full((len(coords), 4), -0.25, dtype=np.float32)
         slat = SparseLatent(dims, coords, feats)
-        sdf = decode_scene_sdf(slat, make_patch_grid(dims, 2, 8))
+        sdf = decode_scene_sdf(slat)
         assert np.allclose(sdf.data, -0.25, atol=1e-6)
 
     @settings(max_examples=120)
@@ -230,16 +230,7 @@ class TestDecodeSceneSdf:
         plan = SparseWindowPlan(grid, slat.coords)
         patches = {(w.i, w.j): toy_decode_sdf(p) for w, p in zip(plan.windows, plan.gather(slat))}
         want = merge_sdf_patches(patches, grid).data.tobytes()
-        assert decode_scene_sdf(slat, grid).data.tobytes() == want
-        assert decode_scene_sdf(slat, grid, plan).data.tobytes() == want
-
-    def test_rejects_coarse_grids_and_foreign_coordinates(self):
-        dims = Dims(2, 1, 4, 8)
-        slat = init_sparse_noise(np.array([[0, 0, 0], [9, 3, 7]]), dims, seed=0)
-        with pytest.raises(DimensionError, match="fine grid"):
-            decode_scene_sdf(slat, make_patch_grid(dims, 2, dims.N))
-        with pytest.raises(BoundsError):
-            decode_scene_sdf(slat, make_patch_grid(Dims(1, 1, 4, 8), 2, 8))
+        assert decode_scene_sdf(slat).data.tobytes() == want
 
 
 @st.composite

@@ -258,9 +258,10 @@ class TestExtendedField:
         coords = np.argwhere(rng.random(DIMS.grid_shape) < 0.3)
         Z = init_sparse_noise(coords, DIMS, seed=4)
         grid = make_patch_grid(DIMS, 2, DIMS.M)
-        plan = SparseWindowPlan(grid, Z.coords[1:])
-        with pytest.raises(ConfigError):
-            extended_field(Z, 0.5, grid, ZeroFieldProvider(), OracleConditioner(), plan=plan)
+        other_grid = make_patch_grid(DIMS, 1, DIMS.M)
+        for plan in (SparseWindowPlan(grid, Z.coords[1:]), SparseWindowPlan(other_grid, Z.coords)):
+            with pytest.raises(ConfigError):
+                extended_field(Z, 0.5, grid, ZeroFieldProvider(), OracleConditioner(), plan=plan)
 
     @pytest.mark.parametrize(
         "bound,value,cached", [("SLAT_BOX_LIMIT", 2, 2), ("SLAT_BOX_ROWS", 0, 0)]

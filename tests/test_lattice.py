@@ -13,6 +13,7 @@ from tiledflow.lattice import (
     Schedule,
     SparseBatch,
     SparseLatent,
+    batch_coords_problem,
     first_nonfinite_item,
     init_sparse_noise,
     lerp_latent,
@@ -228,6 +229,30 @@ class TestBatches:
             SparseBatch(self.PATCH, swapped, batch.features, batch.bounds)
         with pytest.raises(DimensionError):
             SparseBatch(self.PATCH, batch.coords, batch.features, [0, 4, 9])
+
+    @pytest.mark.parametrize("defect", ["unsorted", "duplicate", None])
+    @pytest.mark.parametrize("empty", ["first", "middle", "last"])
+    def test_empty_items_hide_no_unsorted_rows(self, empty, defect):
+        # the defect sits in the batch's last two rows, which the first
+        # row of no item may excuse
+        tail = {
+            "unsorted": [[0, 0, 2], [0, 0, 1]],
+            "duplicate": [[0, 0, 1], [0, 0, 1]],
+            None: [[0, 0, 1], [0, 0, 2]],
+        }
+        item = [[0, 0, 0]] + tail[defect]
+        items = {"first": [[], item], "middle": [[[1, 1, 1], [2, 2, 2]], [], item], "last": [item, []]}[empty]
+        coords = np.array([row for rows in items for row in rows], dtype=np.int64).reshape(-1, 3)
+        bounds = np.cumsum([0] + [len(rows) for rows in items])
+        features = np.zeros((len(coords), self.PATCH.l), dtype=np.float32)
+        if defect is None:
+            assert batch_coords_problem(self.PATCH, coords, bounds) is None
+            assert SparseBatch(self.PATCH, coords, features, bounds).coords.tobytes() == coords.tobytes()
+            return
+        bad = items.index(item)
+        assert batch_coords_problem(self.PATCH, coords, bounds) == (bad, "coordinates are not sorted and unique")
+        with pytest.raises(BoundsError, match=f"item {bad} .*not sorted"):
+            SparseBatch(self.PATCH, coords, features, bounds)
 
     def test_items_and_slices_are_views_of_the_stack(self):
         patches = [self._sparse(seed, n) for seed, n in ((3, 4), (4, 0), (5, 6))]

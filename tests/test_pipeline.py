@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import tiledflow.pipeline as pl
 from tiledflow import tensorio
-from tiledflow.decode import decode_scene_sdf
 from tiledflow.errors import ConfigError, ParseError, TiledFlowError
 from tiledflow.fixtures import build_demo_scene, demo_bundle, run_oracle_demo
 from tiledflow.flowcore import ImageConditioner, OracleConditioner
@@ -250,38 +249,26 @@ class TestSlatStage:
         slat = generate_slat(coords, scene.prior, config, demo_bundle(scene))
         assert np.array_equal(slat.coords, coords)
 
-    def test_plan_for_other_grid_or_coordinates_rejected(self):
-        scene = build_demo_scene(SMALL)
-        coords = scene.occ_target.coords()
-        config = small_config()
-        for grid, planned in (
-            (make_patch_grid(SMALL, 1, SMALL.M), coords),
-            (make_patch_grid(SMALL, config.d, SMALL.M), coords[1:]),
-        ):
-            plan = SparseWindowPlan(grid, planned)
-            with pytest.raises(ConfigError):
-                generate_slat(coords, scene.prior, config, demo_bundle(scene), plan=plan)
-            with pytest.raises(ConfigError):
-                decode_scene_sdf(scene.slat_target, make_patch_grid(SMALL, config.d, SMALL.M), plan)
-
     def test_steps_evaluate_on_the_plans_coordinates(self, monkeypatch):
         # every step's latent shares the plan's coordinate array, so
-        # `window_plan` accepts it without comparing coordinates
+        # `extended_field` accepts the plan without comparing coordinates
         scene = build_demo_scene(SMALL)
         coords = scene.occ_target.coords()
         config = small_config()
-        plan = SparseWindowPlan(make_patch_grid(SMALL, config.d, SMALL.M), coords[::-1])
         seen = []
         field = pl.extended_field
 
-        def spy(Z, *args):
-            seen.append(Z.coords is plan.coords)
-            return field(Z, *args)
+        def spy(Z, t, grid, provider, conditioner, plan):
+            seen.append((Z.coords, plan))
+            return field(Z, t, grid, provider, conditioner, plan)
 
         monkeypatch.setattr(pl, "extended_field", spy)
-        slat = generate_slat(coords, scene.prior, config, demo_bundle(scene), plan=plan)
-        assert seen and all(seen)
+        slat = generate_slat(coords[::-1], scene.prior, config, demo_bundle(scene))
+        assert len(seen) == config.schedule_steps - 1
+        plan = seen[0][1]
+        assert all(p is plan and Z_coords is plan.coords for Z_coords, p in seen)
         assert slat.coords is plan.coords
+        assert np.array_equal(plan.coords, coords)
 
     def test_empty_coords_rejected(self):
         scene = build_demo_scene(SMALL)
@@ -322,6 +309,20 @@ class TestEndToEnd:
         assert total <= wall + 1e-5
         assert wall - total < 0.03
         assert "_stage_start" not in json.loads(report.to_json())
+
+    def test_one_window_plan_per_run(self, tmp_path, monkeypatch):
+        built = []
+        init = SparseWindowPlan.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparseWindowPlan, "__init__", counting)
+        scene = build_demo_scene(SMALL)
+        for n in (1, 2):
+            run_pipeline(scene.prior, small_config(out_dir=str(tmp_path / f"out{n}")), demo_bundle(scene))
+            assert len(built) == n
 
     def test_deterministic_across_runs_and_workers(self, tmp_path):
         blobs = {}
