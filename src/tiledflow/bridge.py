@@ -42,7 +42,8 @@ order.  The server checks its length, builds the global latent (whose
 constructor checks that every value is finite), and answers with its
 provider's `evaluate_windows` on the session's layout, checked against
 `window_values_shape`, in mode 3's layout: every window's vector, in
-window order; a provider failure keeps its "item N:" text.  A served
+window order (a reply in the plan's rank order is put back in window
+order first); a provider failure keeps its "item N:" text.  A served
 provider that answers a layout whole (GlobalOracleProvider on its
 sparse plan) therefore takes that path, as in process.  A connection
 holds at most MAX_SESSIONS sessions (a further registration evicts the
@@ -100,7 +101,7 @@ from .lattice import (
     batch_coords_problem,
     first_nonfinite_item,
 )
-from .patchwork import PatchGrid, SparseWindowPlan
+from .patchwork import PatchGrid, RankedValues, SparseWindowPlan
 from .priors import ConditionEmbedding
 
 MAGIC = b"XFP1"
@@ -814,6 +815,10 @@ class ProviderServer:
             Z = self._field_latent(layout, memoryview(payload)[_REQ_HEAD.size :])
             values = self.provider.evaluate_windows(Z, layout, conditions, float(t))
             shape = window_values_shape(Z, layout)
+            if isinstance(values, RankedValues) and isinstance(layout, SparseWindowPlan):
+                values = np.asarray(values.values)
+                if values.shape == shape:  # the wire carries window order
+                    values = layout.window_order(values)
         else:
             requests = parse_request(payload)
             batch = self._batch(requests)

@@ -45,6 +45,7 @@ from .lattice import (
 from .patchwork import (
     DilatedPartition,
     PatchGrid,
+    RankedValues,
     SparseWindowPlan,
     Window,
     gather_dense,
@@ -91,6 +92,10 @@ class VectorFieldProvider:
     layout, conditions, t)`, whose default gathers the windows and makes
     one `evaluate_batch` call; a provider that can gather the windows
     itself (a remote one holding the layout on its peer) overrides it.
+    Its reply is in window order, except that on a SparseWindowPlan a
+    provider that builds it from global rows (the oracle) may answer a
+    `RankedValues` in the plan's rank order, which the merge sums with
+    no gather.
 
     The engine quantizes t to float32 before every call (the wire
     protocol carries it as f32, and in-process and remote providers must
@@ -134,12 +139,15 @@ class VectorFieldProvider:
         layout: PatchGrid | SparseWindowPlan,
         conditions: Sequence[ConditionEmbedding],
         t: float,
-    ) -> np.ndarray:
+    ) -> np.ndarray | RankedValues:
         """Every window's vector for Z, stacked as the gathered windows
         stack their values: (windows, K, K, K, C) for a dense Z on its
         PatchGrid, (window rows, l) for a sparse Z on the
         SparseWindowPlan of its coordinates.  `conditions` holds one
-        condition per window, in window order.
+        condition per window, in window order.  On a plan, the reply may
+        instead be a `RankedValues` holding the same (window rows, l)
+        values in the plan's rank order (`values.take(plan.layout)`);
+        `plan.window_order` turns it back.
 
         The default gathers the windows into one batch and answers it
         with one `evaluate_batch` call.  The engine checks the reply's
@@ -315,8 +323,9 @@ class GlobalOracleProvider(VectorFieldProvider):
     equal values.
 
     A sparse window field on a plan's own window boxes cuts no
-    restriction: the target aligned to the plan's coordinates is kept
-    per plan, weakly, and answers every window row.
+    restriction: the target aligned to the plan's coordinates (its rows
+    in `plan.order`) is kept per plan, weakly, and answers every window
+    row, in the plan's rank order.
     """
 
     ss_target: DenseLatent | None = None
@@ -359,27 +368,36 @@ class GlobalOracleProvider(VectorFieldProvider):
 
     def evaluate_windows(self, Z, layout, conditions, t):
         """On a plan's own window boxes, (Z - aligned target) / t per
-        global row, taken into the window rows: the per-window bits, as
-        the product is elementwise.  Anything else takes the default
-        path."""
+        global row, in the plan's rank order (`RankedValues`): one
+        `take` of Z's rows through `plan.order`, then each coverage
+        group's rows copied once per rank.  Every window row gets the
+        per-window bits, as the product is elementwise.  Anything else
+        takes the default path."""
         target = self._plan_target(layout, conditions) if isinstance(layout, SparseWindowPlan) else None
         if target is None or Z.features.shape != target.shape:
             return super().evaluate_windows(Z, layout, conditions, t)
         inv = _inverse_time(t)
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
-            rows = Z.features - target
+            rows = Z.features.take(layout.order, axis=0)
+            rows -= target
             rows *= inv
-        return rows.take(layout.rows, axis=0)
+        l = rows.shape[1]
+        values = np.empty((len(layout.rows), l), dtype=DTYPE)
+        for c, g0, g1, lo in layout.groups:
+            values[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0, l)[...] = rows[g0:g1]
+        return RankedValues(values)
 
     def _plan_target(self, plan: SparseWindowPlan, conditions) -> np.ndarray | None:
-        """The sparse target aligned to `plan.coords`; None without a
-        sparse target of the plan's dims or for other conditions."""
+        """The sparse target aligned to `plan.coords`, its rows in the
+        plan's rank order (`plan.order`); None without a sparse target
+        of the plan's dims or for other conditions."""
         if self.slat_target is None or self.slat_target.dims != plan.grid.dims:
             return None
         entry = self._plan_targets.get(plan)
         if entry is None:
             boxes = tuple(box_condition(w.x0, w.y0, w.K) for w in plan.windows)
-            entry = self._plan_targets[plan] = (boxes, _align_sparse_target(self.slat_target, plan.coords))
+            target = _align_sparse_target(self.slat_target, plan.coords).take(plan.order, axis=0)
+            entry = self._plan_targets[plan] = (boxes, target)
         boxes, target = entry
         return target if tuple(conditions) == boxes else None
 
@@ -557,16 +575,16 @@ def extended_field(
             plan = SparseWindowPlan(grid, Z.coords)
         elif plan.grid != grid or not (plan.coords is Z.coords or np.array_equal(plan.coords, Z.coords)):
             raise ConfigError("window plan was built for another grid or coordinate set")
-        layout, bounds = plan, plan.bounds
+        layout = plan
     else:
-        layout, bounds = grid, None
+        layout, plan = grid, None
         grid.check_fits(Z.data.shape)
     conditions = conditioner.window_conditions(grid)
     t_eval = float(DTYPE(t))
     return _checked_call(
         lambda: provider.evaluate_windows(Z, layout, conditions, t_eval),
-        window_values_shape(Z, layout), bounds, lambda k: f"patch ({windows[k].i}, {windows[k].j})",
-        layout.merge_features if isinstance(Z, SparseLatent) else lambda values: merge_dense(values, grid),
+        window_values_shape(Z, layout), plan, lambda k: f"patch ({windows[k].i}, {windows[k].j})",
+        plan.merge_features if plan is not None else lambda values: merge_dense(values, grid),
     )
 
 
@@ -577,38 +595,44 @@ def window_values_shape(Z: PatchLatent, layout: PatchGrid | SparseWindowPlan) ->
     return (layout.count, layout.K, layout.K, layout.K, Z.data.shape[-1])
 
 
-def _checked_call(call, shape, bounds, name, combine):
+def _checked_call(call, shape, plan, name, combine):
     """`combine` (a merge or scatter) of `call()`'s reply, as float32,
     when the reply has `shape` and is finite.
 
     A failure of the call, or a reply of another shape or with a
     non-finite value, is a ProviderError naming the items: item k is
-    `name(k)`, and sparse rows belong to items by `bounds` (None for
-    dense items stacked along axis 0).  Finiteness is read off the
-    combined field: every reply value reaches it, through a float64 sum
-    that cannot overflow or a copy, and its constructor rejects a
-    non-finite value with a ValueError.  Only then is the reply scanned
-    for the first item holding one.
+    `name(k)`.  Dense items are stacked along axis 0 (`plan` None);
+    sparse rows belong to windows by `plan.bounds`, and a reply may then
+    also be a `RankedValues` in the plan's rank order, which is checked
+    alike and merged as it is.  Finiteness is read off the combined
+    field: every reply value reaches it, through a float64 sum that
+    cannot overflow or a copy, and its constructor rejects a non-finite
+    value with a ValueError.  Only then is the reply (a ranked one put
+    in window order) scanned for the first item holding one.
     """
-    count = shape[0] if bounds is None else len(bounds) - 1
+    count = shape[0] if plan is None else len(plan.windows)
     where = f"{name(0)} to {name(count - 1)}"
     try:
-        values = np.asarray(call())
+        reply = call()
+        ranked = plan is not None and isinstance(reply, RankedValues)
+        values = np.asarray(reply.values if ranked else reply)
     except Exception as exc:
         item = exc.item if isinstance(exc, ProviderError) else None
         if item is not None and 0 <= item < count:
             where = name(item)
         raise ProviderError(f"provider failed on {where}: {exc}") from exc
     if values.shape != shape:
-        if bounds is None and values.shape[1:] == shape[1:]:
+        if plan is None and values.shape[1:] == shape[1:]:
             raise ProviderError(f"provider returned {len(values)} vectors for {where}")
         raise ProviderError(f"provider returned values of shape {values.shape} for {where}, expected {shape}")
     values = np.ascontiguousarray(values, dtype=DTYPE)
     with np.errstate(invalid="ignore"):  # inf - inf in a merge sum
         try:
-            return combine(values)
+            return combine(RankedValues(values) if ranked else values)
         except ValueError:
-            item = first_nonfinite_item(values, bounds)
+            item = first_nonfinite_item(
+                plan.window_order(values) if ranked else values, None if plan is None else plan.bounds
+            )
             if item is None:
                 raise
     raise ProviderError(f"provider returned non-finite values for {name(item)}")

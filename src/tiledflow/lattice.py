@@ -102,21 +102,36 @@ class DenseLatent:
         return DenseLatent(self.dims, data)
 
 
-def _canonical_sparse(coords: np.ndarray, features: np.ndarray, dims: Dims):
-    """Sort entries lexicographically by coordinate; reject duplicates.
+def checked_coords(dims: Dims, coords) -> np.ndarray:
+    """`coords` as the SparseLatent constructor keeps them: a read-only
+    C-ordered (n, 3) int64 array, inside the fine grid (else a
+    BoundsError), sorted and unique (else a ValueError).  A read-only
+    array that passes is returned itself, so a latent built on a checked
+    array keeps that array."""
+    return _sorted_coords(dims, coords)[0]
 
-    Coordinates must already be in bounds, so their keys are a bijection:
-    strictly increasing keys mean the input is canonical and unique, and
-    the sort is skipped.
+
+def _sorted_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
+    """`checked_coords`, and the order that sorted them (None when they
+    already were).
+
+    In-bounds coordinates' keys are a bijection, so strictly increasing
+    keys mean the input is canonical and unique, and the sort is skipped.
+    A writable input is frozen as a view, so the caller's array stays
+    writable.
     """
+    coords = np.asarray(coords)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        coords = coords.reshape(-1, 3)
+    coords = np.ascontiguousarray(coords, dtype=np.int64)
+    check_in_grid(coords, dims)
     if _is_canonical(coords, dims):
-        return coords, features
+        return (_freeze(coords.view()) if coords.flags.writeable else coords), None
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
-    features = features[order]
     if len(coords) > 1 and (np.diff(coords, axis=0) == 0).all(axis=1).any():
         raise ValueError("sparse latent has duplicate coordinates")
-    return coords, features
+    return _freeze(coords), order
 
 
 def check_in_grid(coords: np.ndarray, dims: Dims) -> None:
@@ -141,15 +156,15 @@ class SparseLatent:
     features: np.ndarray
 
     def __post_init__(self):
-        coords = np.ascontiguousarray(np.asarray(self.coords).reshape(-1, 3), dtype=np.int64)
+        coords, order = _sorted_coords(self.dims, self.coords)
         features = np.ascontiguousarray(
             np.asarray(self.features).reshape(len(coords), self.dims.l), dtype=DTYPE
         )
-        check_in_grid(coords, self.dims)
         if not np.isfinite(features).all():
             raise ValueError("sparse latent contains non-finite features")
-        coords, features = _canonical_sparse(coords, features, self.dims)
-        object.__setattr__(self, "coords", _freeze(coords))
+        if order is not None:
+            features = features[order]
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "features", _freeze(features))
 
     def __len__(self) -> int:
@@ -494,13 +509,12 @@ def sample_gaussian(dims: Dims, seed: int) -> DenseLatent:
 def init_sparse_noise(coords: np.ndarray, dims: Dims, seed: int) -> SparseLatent:
     """One i.i.d. standard-normal feature vector per coordinate.
 
-    Coordinates are canonicalized (sorted) before drawing, so the result
-    depends only on the coordinate *set* and the seed.
+    Coordinates are checked and canonicalized (`checked_coords`) before
+    drawing, so the result depends only on the coordinate *set* and the
+    seed; a checked array (a latent's or a plan's `coords`) is kept as
+    the latent's coordinates.
     """
-    coords = np.ascontiguousarray(np.asarray(coords).reshape(-1, 3), dtype=np.int64)
-    if not _is_canonical(coords, dims):
-        order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
-        coords = coords[order]
+    coords = checked_coords(dims, coords)
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((len(coords), dims.l), dtype=DTYPE)
-    return SparseLatent(dims, coords, feats)
+    return SparseLatent._on_checked_coords(dims, coords, feats)

@@ -26,13 +26,17 @@ holding every row's j-th window in window order.  A row's windows, and
 so its coverage and the rank of each, follow from its stride block.
 Each step gathers the feature rows into one block with one `take`.  The
 merge walks each coverage group in blocks of at most
-`MERGE_BLOCK_VALUES` contributions: it takes a block's contributions
-from the reply into a small buffer and sums them rank by rank in
+`MERGE_BLOCK_VALUES` contributions and sums them rank by rank in
 float64, in the order `np.add.reduceat` over each row's window-ordered
 contributions would (the first, plus numpy's pairwise sum of the rest),
 so it gives the same bits with no reply-sized copy.  It then divides by
-the coverage.  The merged rows are finite exactly when the reply is, so
-the merged latent's own check stands for a check of the reply.
+the coverage.  A reply in window order (any provider's) has each
+block's contributions taken into a small buffer; a reply already in
+rank order (`RankedValues`, which a provider that builds its reply from
+global rows can lay out with one `take` through the plan's row order and
+one broadcast copy per group) has them read as views.  The merged rows
+are finite exactly when the reply is, so the merged latent's own check
+stands for a check of the reply.
 
 The per-window forms (`patch_dense`, `patch_sparse`, `merge_vectors`
 over a mapping) remain for callers that hold single patches; they give
@@ -49,7 +53,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CoverageError, DimensionError, ProviderError
-from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent, check_in_grid
+from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent, check_in_grid, checked_coords
 
 # The most contributions (coverage x rows x channels) one block of a
 # sparse merge takes from a reply: 256 KB of float32, plus float64
@@ -277,6 +281,22 @@ def _union_coords(patch_vectors: Mapping, grid: PatchGrid) -> np.ndarray:
     return np.unique(np.concatenate(parts), axis=0)
 
 
+class RankedValues:
+    """A sparse window reply in its plan's rank order: `values[i]` is the
+    window-order reply's row `plan.layout[i]`.  Group (c, g0, g1, lo) of
+    `plan.groups` is then `values[lo : lo + c * (g1 - g0)]`, a (c, g1 -
+    g0, l) block whose entry [j, b] is the vector of the j-th window (in
+    window order) of global row `plan.order[g0 + b]`.  A provider that
+    builds its reply from global rows can answer in this order, and the
+    merge sums it with no `take`.  It is not an array, so rank order
+    never passes for window order; `plan.window_order` converts it."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+
 class SparseWindowPlan:
     """Window geometry of one fixed coordinate set (held sorted) on a grid.
 
@@ -284,15 +304,17 @@ class SparseWindowPlan:
     the global rows `rows[bounds[k]:bounds[k + 1]]`, whose window-local
     coordinates are `local[bounds[k]:bounds[k + 1]]`.  `coverage[r]`
     counts the windows holding global row r, and every row must lie in
-    at least one.  `slot`, `groups` and `layout` are the rank layout
-    `merge_features` sums through: the global rows in groups of equal
-    coverage c (in descending c, each group in row order; global row r
-    sits at `slot[r]` of that order), and one (c, g0, g1, lo) per group
-    for its run [g0, g1) of the order and where its contributions start
-    in `layout`.  There they form a (c, g1 - g0) block in which rank j is
-    one contiguous run of reply positions, each row's j-th window in
-    window order; a merge reads that block a few columns at a time and
-    keeps nothing on the plan.
+    at least one.  `order`, `slot`, `groups` and `layout` are the rank
+    layout `merge_features` sums through: the global rows in groups of
+    equal coverage c (`order`, in descending c, each group in row order;
+    global row r sits at `slot[r]` of it), and one (c, g0, g1, lo) per
+    group for its run [g0, g1) of `order` and where its contributions
+    start in `layout`.  There they form a (c, g1 - g0) block in which
+    rank j is one contiguous run of reply positions, each row's j-th
+    window in window order, so `rows.take(layout)` is `order[g0:g1]`
+    once per rank.  A merge reads that block a few columns at a time and
+    keeps nothing on the plan; a reply laid out in this rank order is a
+    `RankedValues`.
 
     All of it follows from the geometry, without a search per window or
     a sort of the window rows.  The coordinates are sorted by x, then y,
@@ -304,15 +326,15 @@ class SparseWindowPlan:
     (ilo + q // cy, jlo + q % cy), and its position in the reply is a
     gather from the per-run offsets.
 
-    The coordinates pass the `SparseLatent` constructor's checks once,
-    here; each window's local coordinates are a translated run of them,
-    so they stay in bounds and in order.  Gathered batches and the
+    The coordinates pass the `SparseLatent` constructor's coordinate
+    check (`checked_coords`) once, here; each window's local coordinates
+    are a translated run of them, so they stay in bounds and in order.  Gathered batches and the
     merged vector then check only their features.
     """
 
     def __init__(self, grid: PatchGrid, coords: np.ndarray):
         self.grid = grid
-        self.coords = _checked_coords(grid.dims, coords)
+        self.coords = checked_coords(grid.dims, coords)
         self.windows = grid.windows()
         K, d, s = grid.K, grid.d, grid.K // grid.d
         X, Y = grid.dims.a * K, grid.dims.b * K
@@ -346,9 +368,9 @@ class SparseWindowPlan:
             order.append(members)
             groups.append((c, g0, g0 + len(members), lo))
             g0, lo = g0 + len(members), lo + c * len(members)
+        self.order = _ro(np.concatenate(order) if order else np.zeros(0, dtype=np.intp))
         slot = np.empty(len(self.coords), dtype=np.intp)
-        if order:
-            slot[np.concatenate(order)] = np.arange(len(slot))
+        slot[self.order] = np.arange(len(slot))
         self.slot, self.groups, self.layout = _ro(slot), tuple(groups), _ro(np.concatenate(parts))
 
     @cached_property
@@ -378,15 +400,25 @@ class SparseWindowPlan:
                 raise ProviderError(f"patch ({w.i}, {w.j}) does not keep its window's coordinates")
         return self.merge_features(np.concatenate([X.features for X in results]))
 
-    def merge_features(self, values: np.ndarray) -> SparseLatent:
+    def window_order(self, values: np.ndarray) -> np.ndarray:
+        """Rank-ordered window values (a `RankedValues` reply's) in
+        window order, the order `gather` makes: one scatter through
+        `layout`."""
+        out = np.empty_like(values)
+        out[self.layout] = values
+        return out
+
+    def merge_features(self, values: np.ndarray | RankedValues) -> SparseLatent:
         """Coverage-averaged sum of the stacked window features `values`
-        ((rows, l) float32, rows in the order `gather` makes them).
+        ((rows, l) float32, rows in the order `gather` makes them, or a
+        `RankedValues` of them in rank order).
 
         Each coverage group c is merged in blocks of consecutive rows,
         as many as keep c * rows * l within `MERGE_BLOCK_VALUES` (at
         least one): one `take` of a block's columns of the group's
         (c, rows) layout copies its contributions from the reply into a
-        float32 buffer made for this call, ranks 1..c-1 are summed in
+        float32 buffer made for this call (a ranked reply's block is a
+        view of its group, with no copy), ranks 1..c-1 are summed in
         numpy's pairwise order (`_pairwise_sum`, with float64
         accumulators also made for this call) into the block's slice of
         a float64 accumulator, rank 0 is added and the slice divided by
@@ -406,20 +438,27 @@ class SparseWindowPlan:
         """
         dims = self.grid.dims
         l = dims.l
+        ranked = isinstance(values, RankedValues)
+        if ranked:
+            values = values.values
         if values.shape != (len(self.rows), l):
             raise DimensionError(f"window features {values.shape} != {(len(self.rows), l)}")
         # rows per block of each group, and buffers that hold the largest block
         sizes = [(c, min(g1 - g0, max(1, MERGE_BLOCK_VALUES // (c * l)))) for c, g0, g1, _ in self.groups]
-        taken = np.empty(max([c * m * l for c, m in sizes], default=0), dtype=DTYPE)
+        taken = np.empty(0 if ranked else max([c * m * l for c, m in sizes], default=0), dtype=DTYPE)
         scratch = np.empty(max([8 * m * l for c, m in sizes if c > 8], default=0))
         acc = np.empty((len(self.coords), l), dtype=np.float64)
         for (c, g0, g1, lo), (_, m) in zip(self.groups, sizes):
-            layout = self.layout[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0)
+            hi = lo + c * (g1 - g0)
+            group = values[lo:hi].reshape(c, g1 - g0, l) if ranked else self.layout[lo:hi].reshape(c, g1 - g0)
             for b0 in range(0, g1 - g0, m):
-                index = layout[:, b0 : b0 + m]
-                n = index.shape[1]
-                ranks = taken[: c * n * l].reshape(c, n, l)
-                np.take(values, index, axis=0, out=ranks, mode="clip")
+                block = group[:, b0 : b0 + m]
+                n = block.shape[1]
+                if ranked:
+                    ranks = block
+                else:
+                    ranks = taken[: c * n * l].reshape(c, n, l)
+                    np.take(values, block, axis=0, out=ranks, mode="clip")
                 head = acc[g0 + b0 : g0 + b0 + n]
                 if c > 1:
                     _pairwise_sum(ranks[1:], head, scratch)
@@ -464,12 +503,6 @@ def _pairwise_sum(ranks: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
     rest = np.empty_like(out)
     _pairwise_sum(ranks[half:], rest, scratch)
     out += rest
-
-
-def _checked_coords(dims: Dims, coords: np.ndarray) -> np.ndarray:
-    """`coords` checked and ordered as the SparseLatent constructor does."""
-    coords = np.asarray(coords).reshape(-1, 3)
-    return SparseLatent(dims, coords, np.zeros((len(coords), dims.l), dtype=DTYPE)).coords
 
 
 @dataclass(frozen=True)

@@ -415,10 +415,9 @@ def generate_slat(
     plan = SparseWindowPlan(grid, coords)
     conditioner = _make_conditioner(bundle.conditioner_kind, prior, grid, box)
     schedule = Schedule.linear(1.0, config.schedule_steps)
-    Z1 = init_sparse_noise(plan.coords, dims, substream_seed(config.seed, _STREAM_SLAT_INIT))
-    # the draws on the plan's own coordinate array, so every step's
+    # drawn on the plan's own coordinate array, so every step's
     # `extended_field` knows the latent's coordinates without a compare
-    Z1 = SparseLatent._on_checked_coords(dims, plan.coords, Z1.features)
+    Z1 = init_sparse_noise(plan.coords, dims, substream_seed(config.seed, _STREAM_SLAT_INIT))
     steps = report.losses.setdefault("structured_latent", [])
 
     hook = None

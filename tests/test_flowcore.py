@@ -29,7 +29,7 @@ from tiledflow.lattice import (
     sample_gaussian,
     stack_patches,
 )
-from tiledflow.patchwork import SparseWindowPlan, dilated_partition, make_patch_grid
+from tiledflow.patchwork import RankedValues, SparseWindowPlan, dilated_partition, make_patch_grid
 from tiledflow.priors import ConditionEmbedding
 
 from reference_copies import OracleField, ZeroFieldProvider
@@ -368,6 +368,10 @@ def _outcome(call):
         return type(exc), str(exc), getattr(exc, "item", None)
 
 
+def _in_window_order(plan, reply):
+    return plan.window_order(reply.values) if isinstance(reply, RankedValues) else reply
+
+
 class FixedReply(VectorFieldProvider):
     """Answers every window field with one given reply, and every dilated
     batch with another."""
@@ -432,6 +436,37 @@ class TestNonFiniteReplies:
         merged = extended_field(Z, 0.5, self.GRID, FixedReply(values), OracleConditioner(), plan=plan)
         assert (merged.features[plan.rows[at[(0, 0)]]] == top).all()
 
+    @pytest.mark.parametrize(
+        "windows", [[(0, 0), (0, 1), (1, 0), (1, 1)], [(1, 1)], [(1, 0), (0, 1)], [(1, 1), (1, 0)]]
+    )
+    def test_nan_in_a_ranked_reply_names_the_first_window(self, windows):
+        # NaN at the rank positions of a row in 4 windows: the error names
+        # the first of them in window order, as for the window-order reply
+        Z, plan, values, at = self._sparse_reply()
+        for window in windows:
+            values[at[window], 1] = np.nan
+        ranked = values.take(plan.layout, axis=0)
+        rank_of = np.empty_like(plan.layout)
+        rank_of[plan.layout] = np.arange(len(plan.layout))
+        assert np.isnan(ranked[rank_of[[at[w] for w in windows]], 1]).all()
+        first = min(windows, key=list(at).index)
+        self._fails_naming(Z, plan, values, first)
+        with pytest.raises(ProviderError, match=rf"non-finite values for patch \({first[0]}, {first[1]}\)$"):
+            extended_field(Z, 0.5, self.GRID, FixedReply(RankedValues(ranked)), OracleConditioner(), plan=plan)
+
+    def test_ranked_reply_of_another_shape_rejected(self):
+        Z, plan, values, _ = self._sparse_reply()
+        short = RankedValues(values.take(plan.layout, axis=0)[1:])
+        with pytest.raises(ProviderError, match=r"returned values of shape \(\d+, 3\) for patch"):
+            extended_field(Z, 0.5, self.GRID, FixedReply(short), OracleConditioner(), plan=plan)
+
+    def test_ranked_reply_on_a_dense_grid_rejected(self):
+        Z = random_dense(DIMS, 23)
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        windows = np.zeros((grid.count,) + DIMS.patch_dims().dense_shape, dtype=np.float32)
+        with pytest.raises(ProviderError, match=r"returned values of shape \(\) for patch"):
+            extended_field(Z, 0.5, grid, FixedReply(RankedValues(windows)), OracleConditioner())
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_dense_window_and_dilated_sample_named(self, value):
         Z = random_dense(DIMS, 23)
@@ -480,11 +515,24 @@ class TestOraclePlanTarget:
             conditions[-1] = ConditionEmbedding(b"")
         provider = GlobalOracleProvider(slat_target=target)
         reference = GlobalOracleProvider(slat_target=target)
-        got = _outcome(lambda: provider.evaluate_windows(Z, plan, conditions, t))
+        # the plan path answers in rank order; its window order is compared
+        got = _outcome(lambda: _in_window_order(plan, provider.evaluate_windows(Z, plan, conditions, t)))
         want = _outcome(lambda: VectorFieldProvider.evaluate_windows(reference, Z, plan, conditions, t))
         assert got == want
         if kind == "plan":  # the plan's own boxes cut no restriction
             assert not provider._slat_boxes
+
+    def test_plan_path_keeps_one_target_row_per_coordinate(self):
+        # the plan's rank order is laid out per call, from `plan.order`;
+        # nothing of window-row length is kept per plan
+        Z = init_sparse_noise(np.argwhere(np.ones(DIMS.grid_shape, dtype=bool)), DIMS, 0)
+        grid = make_patch_grid(DIMS, 2, DIMS.M)
+        plan, conditions = SparseWindowPlan(grid, Z.coords), OracleConditioner().window_conditions(grid)
+        provider = GlobalOracleProvider(slat_target=Z)
+        reply = provider.evaluate_windows(Z, plan, conditions, 0.5)
+        assert isinstance(reply, RankedValues) and reply.values.shape == (len(plan.rows), DIMS.l)
+        ((_, target),) = provider._plan_targets.values()
+        assert target.shape == Z.features.shape
 
     def test_without_sparse_target_falls_back(self):
         Z = init_sparse_noise(np.argwhere(np.ones(DIMS.grid_shape, dtype=bool)), DIMS, 0)

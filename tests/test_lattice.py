@@ -14,6 +14,7 @@ from tiledflow.lattice import (
     SparseBatch,
     SparseLatent,
     batch_coords_problem,
+    checked_coords,
     first_nonfinite_item,
     init_sparse_noise,
     lerp_latent,
@@ -169,6 +170,25 @@ class TestSparse:
             SparseLatent(
                 SMALL, np.array([[0, 0, 0], [1, 1, 1], [1, 1, 1], [2, 0, 0]]), np.zeros((4, 4))
             )
+
+    def test_checked_coords_is_the_constructors_check(self):
+        coords = np.argwhere(np.random.default_rng(3).random(SMALL.grid_shape) < 0.3)
+        shuffled = coords[np.random.default_rng(4).permutation(len(coords))]
+        checked = checked_coords(SMALL, shuffled)
+        assert checked.dtype == np.int64 and checked.flags.c_contiguous and not checked.flags.writeable
+        assert checked.tobytes() == SparseLatent(SMALL, shuffled, np.zeros((len(coords), SMALL.l))).coords.tobytes()
+        assert checked.tobytes() == coords.tobytes()
+        assert checked_coords(SMALL, checked) is checked  # a checked array is kept
+        assert SparseLatent(SMALL, checked, np.zeros((len(coords), SMALL.l))).coords is checked
+        assert shuffled.flags.writeable and coords.flags.writeable  # the caller's arrays stay writable
+        assert checked_coords(SMALL, coords).tobytes() == coords.tobytes() and coords.flags.writeable
+        with pytest.raises(BoundsError):
+            checked_coords(SMALL, np.array([[0, 0, 0], [99, 0, 0]]))
+        for dup in ([[0, 0, 0], [1, 1, 1], [1, 1, 1]], [[1, 1, 1], [0, 0, 0], [1, 1, 1]]):
+            with pytest.raises(ValueError, match="duplicate"):
+                checked_coords(SMALL, np.array(dup))
+        assert checked_coords(SMALL, np.zeros((0, 3))).shape == (0, 3)
+        assert checked_coords(SMALL, [1, 2, 3]).tolist() == [[1, 2, 3]]
 
     def test_with_features_checks_only_features(self):
         s = init_sparse_noise(np.array([[0, 0, 0], [3, 2, 1], [1, 1, 1]]), SMALL, seed=0)

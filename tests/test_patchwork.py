@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tiledflow import patchwork
-from tiledflow.errors import BoundsError, ConfigError, CoverageError
+from tiledflow.errors import BoundsError, ConfigError, CoverageError, DimensionError
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
 from tiledflow.patchwork import (
+    RankedValues,
     SparseWindowPlan,
     Window,
     _pairwise_sum,
@@ -855,6 +856,124 @@ class TestMergeBuffer:
         try:
             start = tracemalloc.get_traced_memory()[0]
             plan.merge_features(values)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes / 4
+
+
+def _assert_ranked_merge_equal(plan, values, limit=None):
+    """The merge of `values` in rank order (their `take` through the
+    layout) gives the window-order merge's bytes at the block limit, and
+    `window_order` gives `values` back."""
+    ranked = values.take(plan.layout, axis=0)
+    assert plan.window_order(ranked).tobytes() == values.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(patchwork, "MERGE_BLOCK_VALUES", limit)
+        expected = plan.merge_features(values).features.tobytes()
+        assert plan.merge_features(RankedValues(ranked)).features.tobytes() == expected
+
+
+class TestRankedMerge:
+    """A reply in the plan's rank order merges to the bytes of the same
+    reply in window order, on the cases and block limits of
+    `TestStackedBitEquality` and `TestMergeBlocks`."""
+
+    @pytest.mark.parametrize("limit", [None, 1, 7, 64, 4096])
+    @settings(max_examples=60)
+    @given(
+        stacked_cases(),
+        st.sampled_from([0.02, 0.3, 0.9]),
+        st.sampled_from([mixed_values, cancelling_values]),
+    )
+    @example(SINGLE_WINDOW, 0.3, cancelling_values)
+    def test_ranked_merge_equals_window_order_merge(self, limit, case, density, draw_values):
+        dims, d, rng = case
+        occupied = rng.random(dims.grid_shape) < density
+        occupied[tuple(rng.integers(0, dims.M, size=3))] = True
+        plan = SparseWindowPlan(make_patch_grid(dims, d, dims.M), np.argwhere(occupied))
+        _assert_ranked_merge_equal(plan, draw_values(rng, (len(plan.rows), dims.l)), limit)
+
+    @pytest.mark.parametrize("limit", [None, 1, 7, 64, 4096])
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([mixed_values, cancelling_values]))
+    def test_ranked_merge_above_pairwise_block(self, limit, seed, draw_values):
+        # d = K = 16: coverage 256, so the tails take the halving branch
+        dims = Dims(2, 2, 16, 16, l=2)
+        rng = np.random.default_rng(seed)
+        occupied = rng.random(dims.grid_shape) < 0.02
+        occupied[16, 16, rng.integers(16)] = True
+        plan = SparseWindowPlan(make_patch_grid(dims, 16, 16), np.argwhere(occupied))
+        assert plan.coverage.max() == 256
+        _assert_ranked_merge_equal(plan, draw_values(rng, (len(plan.rows), dims.l)), limit)
+
+    def test_empty_plan(self):
+        dims = Dims(2, 1, 4, 8, l=3)
+        plan = SparseWindowPlan(make_patch_grid(dims, 2, 8), np.zeros((0, 3), dtype=np.int64))
+        _assert_ranked_merge_equal(plan, np.zeros((0, 3), dtype=np.float32))
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometry_cases())
+    def test_rank_layout_tiles_the_order(self, case):
+        # group (c, g0, g1, lo) holds order[g0:g1] once per rank, and
+        # window_order undoes the rank layout
+        grid, coords = case
+        try:
+            plan = SparseWindowPlan(grid, coords)
+        except CoverageError:
+            return
+        ranked_rows = plan.rows.take(plan.layout)
+        for c, g0, g1, lo in plan.groups:
+            group = ranked_rows[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0)
+            assert (group == plan.order[g0:g1]).all()
+        assert np.array_equal(plan.window_order(ranked_rows), plan.rows)
+        assert np.array_equal(plan.slot[plan.order], np.arange(len(plan.coords)))
+
+    def test_ranked_reply_is_no_array(self):
+        # rank order must never pass for window order
+        plan, (values, _) = _merge_plan()
+        assert np.asarray(RankedValues(values)).shape == ()
+
+    def test_wrong_shape_rejected(self):
+        plan, (values, _) = _merge_plan()
+        with pytest.raises(DimensionError, match="window features"):
+            plan.merge_features(RankedValues(values[1:]))
+
+
+class TestRankedMemory:
+    def test_plan_holds_no_other_window_row_index(self):
+        # a cached rank index of window-row length (rows[layout]) would
+        # cost 8 bytes per window row on every plan
+        plan, _ = _merge_plan()
+        plan.local
+        held = {
+            name for name, value in vars(plan).items()
+            if isinstance(value, np.ndarray) and value.dtype.kind in "iu" and len(value) == len(plan.rows)
+        }
+        assert held == {"rows", "layout", "local"}
+
+    def test_ranked_merge_allocates_no_reply_sized_buffer(self):
+        plan, replies = _merge_plan()
+        ranked = [RankedValues(values.take(plan.layout, axis=0)) for values in replies]
+        tracemalloc.start()
+        try:
+            for reply in ranked:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                plan.merge_features(reply)
+                assert tracemalloc.get_traced_memory()[1] - start < reply.values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    def test_ranked_merge_peak_is_a_fraction_of_the_reply(self, monkeypatch):
+        plan, (values, _) = _merge_plan()
+        reply = RankedValues(values.take(plan.layout, axis=0))
+        monkeypatch.setattr(patchwork, "MERGE_BLOCK_VALUES", 4096)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            plan.merge_features(reply)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()

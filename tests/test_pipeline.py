@@ -12,7 +12,7 @@ from tiledflow import tensorio
 from tiledflow.errors import ConfigError, ParseError, TiledFlowError
 from tiledflow.fixtures import build_demo_scene, demo_bundle, run_oracle_demo
 from tiledflow.flowcore import ImageConditioner, OracleConditioner
-from tiledflow.lattice import Dims
+from tiledflow.lattice import Dims, SparseLatent
 from tiledflow.optim import AdamParams
 from tiledflow.pipeline import (
     PipelineConfig,
@@ -269,6 +269,22 @@ class TestSlatStage:
         assert all(p is plan and Z_coords is plan.coords for Z_coords, p in seen)
         assert slat.coords is plan.coords
         assert np.array_equal(plan.coords, coords)
+
+    def test_stage_builds_no_latent_to_check_coordinates(self, monkeypatch):
+        # the plan and the noise check the coordinates alone; every latent
+        # of the stage is built on the plan's checked array
+        scene = build_demo_scene(SMALL)
+        coords = scene.occ_target.coords()
+        built = []
+        post_init = SparseLatent.__post_init__
+
+        def counted(latent):
+            built.append(latent)
+            post_init(latent)
+
+        monkeypatch.setattr(SparseLatent, "__post_init__", counted)
+        generate_slat(coords[::-1], scene.prior, small_config(), demo_bundle(scene))
+        assert built == []
 
     def test_empty_coords_rejected(self):
         scene = build_demo_scene(SMALL)
