@@ -101,7 +101,7 @@ from .lattice import (
     batch_coords_problem,
     first_nonfinite_item,
 )
-from .patchwork import PatchGrid, RankedValues, SparseWindowPlan
+from .patchwork import PatchGrid, SparseWindowPlan
 from .priors import ConditionEmbedding
 
 MAGIC = b"XFP1"
@@ -814,11 +814,9 @@ class ProviderServer:
             layout, conditions = conn.session(session)
             Z = self._field_latent(layout, memoryview(payload)[_REQ_HEAD.size :])
             values = self.provider.evaluate_windows(Z, layout, conditions, float(t))
+            if isinstance(layout, SparseWindowPlan):
+                values = layout.window_order(values)  # the wire carries window order
             shape = window_values_shape(Z, layout)
-            if isinstance(values, RankedValues) and isinstance(layout, SparseWindowPlan):
-                values = np.asarray(values.values)
-                if values.shape == shape:  # the wire carries window order
-                    values = layout.window_order(values)
         else:
             requests = parse_request(payload)
             batch = self._batch(requests)

@@ -626,13 +626,14 @@ def _checked_call(call, shape, plan, name, combine):
             raise ProviderError(f"provider returned {len(values)} vectors for {where}")
         raise ProviderError(f"provider returned values of shape {values.shape} for {where}, expected {shape}")
     values = np.ascontiguousarray(values, dtype=DTYPE)
+    reply = RankedValues(values) if ranked else values
     with np.errstate(invalid="ignore"):  # inf - inf in a merge sum
         try:
-            return combine(RankedValues(values) if ranked else values)
+            return combine(reply)
         except ValueError:
-            item = first_nonfinite_item(
-                plan.window_order(values) if ranked else values, None if plan is None else plan.bounds
-            )
+            if plan is not None:
+                values = plan.window_order(reply)
+            item = first_nonfinite_item(values, None if plan is None else plan.bounds)
             if item is None:
                 raise
     raise ProviderError(f"provider returned non-finite values for {name(item)}")

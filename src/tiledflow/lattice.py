@@ -102,23 +102,17 @@ class DenseLatent:
         return DenseLatent(self.dims, data)
 
 
-def checked_coords(dims: Dims, coords) -> np.ndarray:
-    """`coords` as the SparseLatent constructor keeps them: a read-only
-    C-ordered (n, 3) int64 array, inside the fine grid (else a
-    BoundsError), sorted and unique (else a ValueError).  A read-only
-    array that passes is returned itself, so a latent built on a checked
-    array keeps that array."""
-    return _sorted_coords(dims, coords)[0]
-
-
-def _sorted_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
-    """`checked_coords`, and the order that sorted them (None when they
-    already were).
+def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
+    """`coords` as the SparseLatent constructor keeps them, and the order
+    that sorted them (None when they already were): a read-only C-ordered
+    (n, 3) int64 array, inside the fine grid (else a BoundsError), sorted
+    and unique (else a ValueError).
 
     In-bounds coordinates' keys are a bijection, so strictly increasing
     keys mean the input is canonical and unique, and the sort is skipped.
-    A writable input is frozen as a view, so the caller's array stays
-    writable.
+    A read-only array that passes is returned itself, so a latent built
+    on a checked array keeps that array; a writable one is frozen as a
+    view, so the caller's array stays writable.
     """
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != 3:
@@ -156,7 +150,7 @@ class SparseLatent:
     features: np.ndarray
 
     def __post_init__(self):
-        coords, order = _sorted_coords(self.dims, self.coords)
+        coords, order = checked_coords(self.dims, self.coords)
         features = np.ascontiguousarray(
             np.asarray(self.features).reshape(len(coords), self.dims.l), dtype=DTYPE
         )
@@ -509,12 +503,15 @@ def sample_gaussian(dims: Dims, seed: int) -> DenseLatent:
 def init_sparse_noise(coords: np.ndarray, dims: Dims, seed: int) -> SparseLatent:
     """One i.i.d. standard-normal feature vector per coordinate.
 
-    Coordinates are checked and canonicalized (`checked_coords`) before
-    drawing, so the result depends only on the coordinate *set* and the
-    seed; a checked array (a latent's or a plan's `coords`) is kept as
-    the latent's coordinates.
+    The draws are laid on the coordinates in canonical (sorted) order, so
+    the result depends only on the coordinate *set* and the seed.  The
+    constructor is the one check of the coordinates, and keeps a checked
+    array (a latent's or a plan's `coords`) as the latent's coordinates.
     """
-    coords = checked_coords(dims, coords)
+    coords = np.asarray(coords)
     rng = np.random.default_rng(seed)
-    feats = rng.standard_normal((len(coords), dims.l), dtype=DTYPE)
-    return SparseLatent._on_checked_coords(dims, coords, feats)
+    feats = rng.standard_normal((coords.size // 3, dims.l), dtype=DTYPE)
+    Z = SparseLatent(dims, coords, feats)
+    if not np.may_share_memory(Z.features, feats):  # the constructor sorted the rows
+        Z = SparseLatent._on_checked_coords(dims, Z.coords, feats)
+    return Z

@@ -334,7 +334,7 @@ class SparseWindowPlan:
 
     def __init__(self, grid: PatchGrid, coords: np.ndarray):
         self.grid = grid
-        self.coords = checked_coords(grid.dims, coords)
+        self.coords, _ = checked_coords(grid.dims, coords)
         self.windows = grid.windows()
         K, d, s = grid.K, grid.d, grid.K // grid.d
         X, Y = grid.dims.a * K, grid.dims.b * K
@@ -400,10 +400,17 @@ class SparseWindowPlan:
                 raise ProviderError(f"patch ({w.i}, {w.j}) does not keep its window's coordinates")
         return self.merge_features(np.concatenate([X.features for X in results]))
 
-    def window_order(self, values: np.ndarray) -> np.ndarray:
-        """Rank-ordered window values (a `RankedValues` reply's) in
-        window order, the order `gather` makes: one scatter through
-        `layout`."""
+    def window_order(self, reply):
+        """A window reply in window order, the order `gather` makes: a
+        `RankedValues` is scattered back through `layout`, and any other
+        reply is returned as it is.  A ranked reply that is not one row
+        per window row is returned unwrapped, for the caller's shape
+        check to reject."""
+        if not isinstance(reply, RankedValues):
+            return reply
+        values = np.asarray(reply.values)
+        if values.shape[:1] != self.layout.shape:
+            return values
         out = np.empty_like(values)
         out[self.layout] = values
         return out

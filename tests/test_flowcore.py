@@ -368,10 +368,6 @@ def _outcome(call):
         return type(exc), str(exc), getattr(exc, "item", None)
 
 
-def _in_window_order(plan, reply):
-    return plan.window_order(reply.values) if isinstance(reply, RankedValues) else reply
-
-
 class FixedReply(VectorFieldProvider):
     """Answers every window field with one given reply, and every dilated
     batch with another."""
@@ -516,7 +512,7 @@ class TestOraclePlanTarget:
         provider = GlobalOracleProvider(slat_target=target)
         reference = GlobalOracleProvider(slat_target=target)
         # the plan path answers in rank order; its window order is compared
-        got = _outcome(lambda: _in_window_order(plan, provider.evaluate_windows(Z, plan, conditions, t)))
+        got = _outcome(lambda: plan.window_order(provider.evaluate_windows(Z, plan, conditions, t)))
         want = _outcome(lambda: VectorFieldProvider.evaluate_windows(reference, Z, plan, conditions, t))
         assert got == want
         if kind == "plan":  # the plan's own boxes cut no restriction

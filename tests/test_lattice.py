@@ -173,22 +173,46 @@ class TestSparse:
 
     def test_checked_coords_is_the_constructors_check(self):
         coords = np.argwhere(np.random.default_rng(3).random(SMALL.grid_shape) < 0.3)
-        shuffled = coords[np.random.default_rng(4).permutation(len(coords))]
-        checked = checked_coords(SMALL, shuffled)
+        perm = np.random.default_rng(4).permutation(len(coords))
+        shuffled = coords[perm]
+        checked, order = checked_coords(SMALL, shuffled)
         assert checked.dtype == np.int64 and checked.flags.c_contiguous and not checked.flags.writeable
         assert checked.tobytes() == SparseLatent(SMALL, shuffled, np.zeros((len(coords), SMALL.l))).coords.tobytes()
-        assert checked.tobytes() == coords.tobytes()
-        assert checked_coords(SMALL, checked) is checked  # a checked array is kept
+        assert checked.tobytes() == coords.tobytes() and np.array_equal(perm[order], np.arange(len(coords)))
+        assert checked_coords(SMALL, checked) == (checked, None)  # a checked array is kept
         assert SparseLatent(SMALL, checked, np.zeros((len(coords), SMALL.l))).coords is checked
         assert shuffled.flags.writeable and coords.flags.writeable  # the caller's arrays stay writable
-        assert checked_coords(SMALL, coords).tobytes() == coords.tobytes() and coords.flags.writeable
+        assert checked_coords(SMALL, coords)[0].tobytes() == coords.tobytes() and coords.flags.writeable
         with pytest.raises(BoundsError):
             checked_coords(SMALL, np.array([[0, 0, 0], [99, 0, 0]]))
         for dup in ([[0, 0, 0], [1, 1, 1], [1, 1, 1]], [[1, 1, 1], [0, 0, 0], [1, 1, 1]]):
             with pytest.raises(ValueError, match="duplicate"):
                 checked_coords(SMALL, np.array(dup))
-        assert checked_coords(SMALL, np.zeros((0, 3))).shape == (0, 3)
-        assert checked_coords(SMALL, [1, 2, 3]).tolist() == [[1, 2, 3]]
+        assert checked_coords(SMALL, np.zeros((0, 3)))[0].shape == (0, 3)
+        assert checked_coords(SMALL, [1, 2, 3])[0].tolist() == [[1, 2, 3]]
+
+    def test_noise_is_one_build_on_a_checked_array(self, monkeypatch):
+        # the constructor is the draw's one check; it keeps a checked
+        # array, and draws land in sorted order whatever the input's form
+        coords = np.argwhere(np.random.default_rng(3).random(SMALL.grid_shape) < 0.3)
+        shuffled = coords[np.random.default_rng(4).permutation(len(coords))]
+        checked, _ = checked_coords(SMALL, coords)
+        frozen = shuffled.copy()
+        frozen.flags.writeable = False
+        built = []
+        post_init = SparseLatent.__post_init__
+
+        def counted(latent):
+            built.append(latent)
+            post_init(latent)
+
+        monkeypatch.setattr(SparseLatent, "__post_init__", counted)
+        Z = init_sparse_noise(checked, SMALL, seed=5)
+        assert len(built) == 1 and Z.coords is checked
+        for form in (frozen, shuffled.astype(np.int32), coords.T.copy().T):
+            other = init_sparse_noise(form, SMALL, seed=5)
+            assert other.coords.tobytes() == checked.tobytes()
+            assert other.features.tobytes() == Z.features.tobytes()
 
     def test_with_features_checks_only_features(self):
         s = init_sparse_noise(np.array([[0, 0, 0], [3, 2, 1], [1, 1, 1]]), SMALL, seed=0)

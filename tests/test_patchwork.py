@@ -867,7 +867,7 @@ def _assert_ranked_merge_equal(plan, values, limit=None):
     layout) gives the window-order merge's bytes at the block limit, and
     `window_order` gives `values` back."""
     ranked = values.take(plan.layout, axis=0)
-    assert plan.window_order(ranked).tobytes() == values.tobytes()
+    assert plan.window_order(RankedValues(ranked)).tobytes() == values.tobytes()
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
             mp.setattr(patchwork, "MERGE_BLOCK_VALUES", limit)
@@ -927,13 +927,21 @@ class TestRankedMerge:
         for c, g0, g1, lo in plan.groups:
             group = ranked_rows[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0)
             assert (group == plan.order[g0:g1]).all()
-        assert np.array_equal(plan.window_order(ranked_rows), plan.rows)
+        assert np.array_equal(plan.window_order(RankedValues(ranked_rows)), plan.rows)
         assert np.array_equal(plan.slot[plan.order], np.arange(len(plan.coords)))
 
     def test_ranked_reply_is_no_array(self):
         # rank order must never pass for window order
         plan, (values, _) = _merge_plan()
         assert np.asarray(RankedValues(values)).shape == ()
+
+    def test_window_order_passes_other_replies(self):
+        # a window-order reply is returned as it is; a ranked one that is
+        # not one row per window row is unwrapped for a shape check
+        plan, (values, _) = _merge_plan()
+        assert plan.window_order(values) is values
+        assert plan.window_order(RankedValues(values[1:])).shape == (len(values) - 1, values.shape[1])
+        assert plan.window_order(RankedValues(None)).shape == ()
 
     def test_wrong_shape_rejected(self):
         plan, (values, _) = _merge_plan()

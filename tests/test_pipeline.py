@@ -270,9 +270,9 @@ class TestSlatStage:
         assert slat.coords is plan.coords
         assert np.array_equal(plan.coords, coords)
 
-    def test_stage_builds_no_latent_to_check_coordinates(self, monkeypatch):
-        # the plan and the noise check the coordinates alone; every latent
-        # of the stage is built on the plan's checked array
+    def test_stage_builds_one_latent_the_noise(self, monkeypatch):
+        # the plan checks the coordinates alone; the one latent the stage
+        # builds through the constructor is the noise, on the plan's array
         scene = build_demo_scene(SMALL)
         coords = scene.occ_target.coords()
         built = []
@@ -283,8 +283,8 @@ class TestSlatStage:
             post_init(latent)
 
         monkeypatch.setattr(SparseLatent, "__post_init__", counted)
-        generate_slat(coords[::-1], scene.prior, small_config(), demo_bundle(scene))
-        assert built == []
+        slat = generate_slat(coords[::-1], scene.prior, small_config(), demo_bundle(scene))
+        assert len(built) == 1 and built[0].coords is slat.coords
 
     def test_empty_coords_rejected(self):
         scene = build_demo_scene(SMALL)
