@@ -42,18 +42,18 @@ order.  The server checks its length, builds the global latent (whose
 constructor checks that every value is finite), and answers with its
 provider's `evaluate_windows` on the session's layout, checked against
 `window_values_shape`, in mode 3's layout: every window's vector, in
-window order (a reply in the plan's rank order is put back in window
-order first); a provider failure keeps its "item N:" text.  A served
-provider that answers a layout whole (GlobalOracleProvider on its
-sparse plan) therefore takes that path, as in process.  A connection
-holds at most MAX_SESSIONS sessions (a further registration evicts the
-oldest), and they are dropped when it closes; a field request naming
-any other id gets "unknown session N".  RemoteProvider registers each
-layout once per connection under an id it never reuses, waits for the
-acknowledgement, and then sends one mode-5 frame per window field.  It
-registers anew, once, after "unknown session", and a peer that answers
-the registration with "unknown eval mode 4" gets mode-3 batches for
-the rest of the connection.
+window order (an `AgreedField` reply is expanded by the layout's
+`window_order` first); a provider failure keeps its "item N:" text.  A
+served provider that answers a layout whole (GlobalOracleProvider on
+its grid's or plan's own conditions) therefore takes that path, as in
+process.  A connection holds at most MAX_SESSIONS sessions (a further
+registration evicts the oldest), and they are dropped when it closes;
+a field request naming any other id gets "unknown session N".
+RemoteProvider registers each layout once per connection under an id it
+never reuses, waits for the acknowledgement, and then sends one mode-5
+frame per window field.  It registers anew, once, after "unknown
+session", and a peer that answers the registration with "unknown eval
+mode 4" gets mode-3 batches for the rest of the connection.
 
 The server reads at most MAX_PIPELINED requests of one connection ahead
 of its answers; then it stops reading until an answer is sent, and TCP
@@ -101,7 +101,7 @@ from .lattice import (
     batch_coords_problem,
     first_nonfinite_item,
 )
-from .patchwork import PatchGrid, SparseWindowPlan
+from .patchwork import DilatedPartition, PatchGrid, SparseWindowPlan
 from .priors import ConditionEmbedding
 
 MAGIC = b"XFP1"
@@ -480,7 +480,9 @@ class RemoteProvider(VectorFieldProvider):
     Safe for concurrent calls; requests are pipelined on one connection
     and matched to responses by request id.  Each `evaluate_batch` call
     (a dilated field's samples, or a window field without sessions) is
-    one mode-3 frame and `evaluate` is a batch of one.
+    one mode-3 frame and `evaluate` is a batch of one.  A dilated field
+    (`evaluate_windows` on a DilatedPartition) takes the default path:
+    its gathered samples in one such batch.
 
     A window field (`evaluate_windows`) is one mode-5 frame on a stage
     session: the first call on a layout registers it and its conditions
@@ -550,10 +552,11 @@ class RemoteProvider(VectorFieldProvider):
 
     def evaluate_windows(self, Z, layout, conditions, t):
         """One mode-5 frame on the layout's session; the default's one
-        mode-3 batch when the peer has no sessions."""
+        mode-3 batch for a dilated partition (a new one every step, so a
+        session would not pay) or when the peer has no sessions."""
         stale = None
         while True:
-            session = self._session(layout, conditions, stale)
+            session = None if isinstance(layout, DilatedPartition) else self._session(layout, conditions, stale)
             if session is None:
                 return super().evaluate_windows(Z, layout, conditions, t)
             try:
@@ -814,8 +817,7 @@ class ProviderServer:
             layout, conditions = conn.session(session)
             Z = self._field_latent(layout, memoryview(payload)[_REQ_HEAD.size :])
             values = self.provider.evaluate_windows(Z, layout, conditions, float(t))
-            if isinstance(layout, SparseWindowPlan):
-                values = layout.window_order(values)  # the wire carries window order
+            values = layout.window_order(values)  # the wire carries window order
             shape = window_values_shape(Z, layout)
         else:
             requests = parse_request(payload)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ProviderError, SingularityError
+from .errors import ConfigError, DimensionError, DivergenceError, ProviderError, SingularityError
 from .lattice import (
     DTYPE,
     DenseBatch,
@@ -43,9 +43,9 @@ from .lattice import (
 # patch_dense and merge_vectors stay importable here because the
 # benchmark's trace wraps them as flowcore attributes.
 from .patchwork import (
+    AgreedField,
     DilatedPartition,
     PatchGrid,
-    RankedValues,
     SparseWindowPlan,
     Window,
     gather_dense,
@@ -63,22 +63,24 @@ PatchLatent = DenseLatent | SparseLatent
 class VectorFieldProvider:
     """Behavioral interface: evaluate(patch, condition, t) -> same-shape vector.
 
-    The engine makes one provider call per field: a window field calls
-    `evaluate_windows` (below), and a dilated field calls
-    `evaluate_batch(batch, conditions, t)` on all its samples, in sample
-    order.  The batch is stacked: a DenseBatch holds its n patches as one
-    (n, K, K, K, C) float32 array, and a SparseBatch holds their rows as
-    one (rows, l) feature block with their window-local coordinates and
-    per-item bounds.  The reply is one float32 array shaped like
-    `batch.values`: item n's vector, for `conditions[n]`, sits where item
-    n's values sit.  Every item shares the one t.  The engine checks each
-    field call's reply shape, and reads its finiteness off the merged (or
-    scattered) field, which every reply value reaches; for a sparse
-    field, that is the merged rows.  Only a reply that fails there is
-    scanned, to name its first non-finite item.  A batch either answers
-    every item or raises; when the failing item is known, the error is a
-    ProviderError whose `item` is its index, so the engine can name the
-    window.
+    The engine makes one provider call per field, `evaluate_windows(Z,
+    layout, conditions, t)` (below), on one of three layouts: a dense
+    window field's `PatchGrid`, a sparse window field's
+    `SparseWindowPlan`, or a dilated field's `DilatedPartition`.  Its
+    default gathers the windows (or samples) into one stacked batch and
+    makes one `evaluate_batch(batch, conditions, t)` call.  A DenseBatch
+    holds its n patches as one (n, K, K, K, C) float32 array, and a
+    SparseBatch holds their rows as one (rows, l) feature block with
+    their window-local coordinates and per-item bounds.  The reply is
+    one float32 array shaped like `batch.values`: item n's vector, for
+    `conditions[n]`, sits where item n's values sit.  Every item shares
+    the one t.  The engine checks each field call's reply shape, and
+    reads its finiteness off the merged (or scattered) field, which
+    every reply value reaches; for a sparse field, that is the merged
+    rows.  Only a reply that fails there is scanned, to name its first
+    non-finite item.  A batch either answers every item or raises; when
+    the failing item is known, the error is a ProviderError whose `item`
+    is its index, so the engine can name the window.
 
     The default `evaluate_batch` loops over `evaluate`, one latent per
     item, so a provider that defines only `evaluate` works unchanged
@@ -87,15 +89,6 @@ class VectorFieldProvider:
     answer single patches with `evaluate_one`.  Every `evaluate_batch`
     first refuses a condition count other than the batch's item count
     (`check_condition_count`).
-
-    A window field reaches the provider through `evaluate_windows(Z,
-    layout, conditions, t)`, whose default gathers the windows and makes
-    one `evaluate_batch` call; a provider that can gather the windows
-    itself (a remote one holding the layout on its peer) overrides it.
-    Its reply is in window order, except that on a SparseWindowPlan a
-    provider that builds it from global rows (the oracle) may answer a
-    `RankedValues` in the plan's rank order, which the merge sums with
-    no gather.
 
     The engine quantizes t to float32 before every call (the wire
     protocol carries it as f32, and in-process and remote providers must
@@ -136,25 +129,31 @@ class VectorFieldProvider:
     def evaluate_windows(
         self,
         Z: PatchLatent,
-        layout: PatchGrid | SparseWindowPlan,
+        layout: PatchGrid | SparseWindowPlan | DilatedPartition,
         conditions: Sequence[ConditionEmbedding],
         t: float,
-    ) -> np.ndarray | RankedValues:
-        """Every window's vector for Z, stacked as the gathered windows
-        stack their values: (windows, K, K, K, C) for a dense Z on its
-        PatchGrid, (window rows, l) for a sparse Z on the
-        SparseWindowPlan of its coordinates.  `conditions` holds one
-        condition per window, in window order.  On a plan, the reply may
-        instead be a `RankedValues` holding the same (window rows, l)
-        values in the plan's rank order (`values.take(plan.layout)`);
-        `plan.window_order` turns it back.
+    ) -> np.ndarray | AgreedField:
+        """Every window's (or dilated sample's) vector for Z, stacked as
+        the gathered items stack their values: (windows, K, K, K, C) for
+        a dense Z on its PatchGrid, (window rows, l) for a sparse Z on the
+        SparseWindowPlan of its coordinates, and (samples, K, K, K, C)
+        for a dense Z on a DilatedPartition.  `conditions` holds one
+        condition per item, in item order.
 
-        The default gathers the windows into one batch and answers it
-        with one `evaluate_batch` call.  The engine checks the reply's
-        shape and finiteness (`_checked_call`) and names the failing
-        window; a ProviderError's `item`, when set, is a window index.
+        A provider whose items are all cuts of one global field may
+        answer that field instead, as an `AgreedField` shaped like Z's
+        own (`Z.features` on a plan, `Z.data` on a grid or a partition):
+        `layout.window_order` expands it to the stacked form, and the
+        layout's merge (or scatter) takes it whole with the bits it
+        would give the stacked form, because c float32 copies of a value
+        sum exactly in float64 and divide back to it.
+
+        The default gathers the items into one batch and answers it with
+        one `evaluate_batch` call.  The engine checks the reply's shape
+        and finiteness (`_checked_call`) and names the failing window or
+        sample; a ProviderError's `item`, when set, is its index.
         """
-        batch = layout.gather(Z) if isinstance(layout, SparseWindowPlan) else gather_dense(Z, layout)
+        batch = gather_dense(Z, layout) if isinstance(layout, PatchGrid) else layout.gather(Z)
         return self.evaluate_batch(batch, conditions, t)
 
 
@@ -322,10 +321,13 @@ class GlobalOracleProvider(VectorFieldProvider):
     `SLAT_BOX_LIMIT` boxes.  Two threads computing the same box store
     equal values.
 
-    A sparse window field on a plan's own window boxes cuts no
-    restriction: the target aligned to the plan's coordinates (its rows
-    in `plan.order`) is kept per plan, weakly, and answers every window
-    row, in the plan's rank order.
+    A field whose conditions are its layout's own (a grid's or a plan's
+    window boxes, a partition's pillar maps) cuts no section: every item
+    is then the restriction of the one field (Z - target) / t, which is
+    answered whole, as an `AgreedField`.  The target aligned to a plan's
+    coordinates and a grid's box conditions are kept per layout, weakly,
+    so the layouts of clients served over the wire leave nothing behind;
+    pillar maps, which change every step, are decoded and compared.
     """
 
     ss_target: DenseLatent | None = None
@@ -333,6 +335,9 @@ class GlobalOracleProvider(VectorFieldProvider):
     _slat_boxes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _box_views: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _plan_targets: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, compare=False, repr=False
+    )
+    _grid_boxes: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, compare=False, repr=False
     )
 
@@ -367,39 +372,50 @@ class GlobalOracleProvider(VectorFieldProvider):
         return out
 
     def evaluate_windows(self, Z, layout, conditions, t):
-        """On a plan's own window boxes, (Z - aligned target) / t per
-        global row, in the plan's rank order (`RankedValues`): one
-        `take` of Z's rows through `plan.order`, then each coverage
-        group's rows copied once per rank.  Every window row gets the
-        per-window bits, as the product is elementwise.  Anything else
-        takes the default path."""
-        target = self._plan_target(layout, conditions) if isinstance(layout, SparseWindowPlan) else None
-        if target is None or Z.features.shape != target.shape:
+        """On the layout's own conditions, (Z - target) / t over Z's whole
+        field, in one array (`AgreedField`): each item's vector is its cut,
+        with the per-item bits, as the arithmetic is elementwise.  Anything
+        else takes the default path."""
+        target = self._own_target(Z, layout, conditions)
+        if target is None:
             return super().evaluate_windows(Z, layout, conditions, t)
         inv = _inverse_time(t)
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
-            rows = Z.features.take(layout.order, axis=0)
-            rows -= target
-            rows *= inv
-        l = rows.shape[1]
-        values = np.empty((len(layout.rows), l), dtype=DTYPE)
-        for c, g0, g1, lo in layout.groups:
-            values[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0, l)[...] = rows[g0:g1]
-        return RankedValues(values)
+            out = np.subtract(Z.features if isinstance(layout, SparseWindowPlan) else Z.data, target)
+            out *= inv
+        return AgreedField(out)
 
-    def _plan_target(self, plan: SparseWindowPlan, conditions) -> np.ndarray | None:
-        """The sparse target aligned to `plan.coords`, its rows in the
-        plan's rank order (`plan.order`); None without a sparse target
-        of the plan's dims or for other conditions."""
-        if self.slat_target is None or self.slat_target.dims != plan.grid.dims:
-            return None
-        entry = self._plan_targets.get(plan)
-        if entry is None:
-            boxes = tuple(box_condition(w.x0, w.y0, w.K) for w in plan.windows)
-            target = _align_sparse_target(self.slat_target, plan.coords).take(plan.order, axis=0)
-            entry = self._plan_targets[plan] = (boxes, target)
-        boxes, target = entry
-        return target if tuple(conditions) == boxes else None
+    def _own_target(self, Z, layout, conditions) -> np.ndarray | None:
+        """The target field shaped like Z's, when `conditions` are
+        `layout`'s own and every item fits the target; else None."""
+        if isinstance(layout, SparseWindowPlan):
+            if self.slat_target is None or self.slat_target.dims != layout.grid.dims:
+                return None
+            target = self._plan_targets.get(layout)
+            if target is None:
+                target = self._plan_targets[layout] = _align_sparse_target(self.slat_target, layout.coords)
+            own = Z.features.shape == target.shape and self._own_boxes(layout.grid, conditions)
+        else:
+            if self.ss_target is None or layout.K != layout.dims.N:
+                return None
+            target = self.ss_target.data
+            if Z.data.shape != target.shape or layout.dims.dense_shape != target.shape:
+                return None
+            if isinstance(layout, PatchGrid):
+                own = self._own_boxes(layout, conditions)
+            else:
+                own = _own_pillars(layout, conditions)
+        return target if own else None
+
+    def _own_boxes(self, grid: PatchGrid, conditions) -> bool:
+        """Whether `conditions` are the box conditions of `grid`'s windows."""
+        boxes = self._grid_boxes.get(grid)
+        if boxes is None:
+            boxes = self._grid_boxes[grid] = [box_condition(w.x0, w.y0, w.K).data for w in grid.windows()]
+        try:
+            return [c.data for c in conditions] == boxes
+        except AttributeError:  # no oracle conditions: the default path reports them
+            return False
 
     def _slat_targets(self, conditions, coords: np.ndarray, bounds) -> list[np.ndarray]:
         """Per item, the target features of the box its condition names,
@@ -443,6 +459,19 @@ def _inverse_time(t: float):
     if not np.isfinite(inv):
         raise SingularityError(f"t = {t} is too small to evaluate")
     return inv
+
+
+def _own_pillars(partition: DilatedPartition, conditions) -> bool:
+    """Whether `conditions` are the pillar conditions of `partition`'s
+    samples, compared as decoded maps."""
+    try:
+        records = read_oracle_conditions(conditions)
+    except ProviderError:
+        return False
+    if records.dtype == BOX_RECORD or len(records) != len(partition):
+        return False
+    src = records["src"]
+    return np.array_equal(src[..., 0], partition.src_x) and np.array_equal(src[..., 1], partition.src_y)
 
 
 @dataclass(frozen=True)
@@ -575,65 +604,70 @@ def extended_field(
             plan = SparseWindowPlan(grid, Z.coords)
         elif plan.grid != grid or not (plan.coords is Z.coords or np.array_equal(plan.coords, Z.coords)):
             raise ConfigError("window plan was built for another grid or coordinate set")
-        layout = plan
+        layout, combine = plan, plan.merge_features
     else:
-        layout, plan = grid, None
         grid.check_fits(Z.data.shape)
+        layout, combine = grid, lambda values: merge_dense(values, grid)
     conditions = conditioner.window_conditions(grid)
     t_eval = float(DTYPE(t))
     return _checked_call(
         lambda: provider.evaluate_windows(Z, layout, conditions, t_eval),
-        window_values_shape(Z, layout), plan, lambda k: f"patch ({windows[k].i}, {windows[k].j})",
-        plan.merge_features if plan is not None else lambda values: merge_dense(values, grid),
+        Z, layout, lambda k: f"patch ({windows[k].i}, {windows[k].j})", combine,
     )
 
 
-def window_values_shape(Z: PatchLatent, layout: PatchGrid | SparseWindowPlan) -> tuple[int, ...]:
-    """The shape of the stacked window vectors of Z on `layout`."""
+def window_values_shape(
+    Z: PatchLatent, layout: PatchGrid | SparseWindowPlan | DilatedPartition
+) -> tuple[int, ...]:
+    """The shape of the stacked window (or sample) vectors of Z on `layout`."""
     if isinstance(layout, SparseWindowPlan):
         return (len(layout.rows), Z.dims.l)
-    return (layout.count, layout.K, layout.K, layout.K, Z.data.shape[-1])
+    n = layout.count if isinstance(layout, PatchGrid) else len(layout)
+    return (n, layout.K, layout.K, layout.K, Z.data.shape[-1])
 
 
-def _checked_call(call, shape, plan, name, combine):
-    """`combine` (a merge or scatter) of `call()`'s reply, as float32,
-    when the reply has `shape` and is finite.
+def _checked_call(call, Z: PatchLatent, layout, name, combine):
+    """`combine` (the layout's merge or scatter) of `call()`'s reply, as
+    float32, when the reply has the shape of the stacked items of Z on
+    `layout` (`window_values_shape`), or is an `AgreedField` shaped like
+    Z's own field, and is finite.
 
     A failure of the call, or a reply of another shape or with a
     non-finite value, is a ProviderError naming the items: item k is
-    `name(k)`.  Dense items are stacked along axis 0 (`plan` None);
-    sparse rows belong to windows by `plan.bounds`, and a reply may then
-    also be a `RankedValues` in the plan's rank order, which is checked
-    alike and merged as it is.  Finiteness is read off the combined
-    field: every reply value reaches it, through a float64 sum that
-    cannot overflow or a copy, and its constructor rejects a non-finite
-    value with a ValueError.  Only then is the reply (a ranked one put
-    in window order) scanned for the first item holding one.
+    `name(k)`.  Dense items are stacked along axis 0; sparse rows belong
+    to windows by the plan's `bounds`.  Finiteness is read off the
+    combined field: every reply value reaches it, through a float64 sum
+    that cannot overflow or a copy, and its constructor rejects a
+    non-finite value with a ValueError.  Only then is the reply, in
+    window order (`layout.window_order`), scanned for the first item
+    holding one.
     """
-    count = shape[0] if plan is None else len(plan.windows)
+    shape = window_values_shape(Z, layout)
+    bounds = layout.bounds if isinstance(layout, SparseWindowPlan) else None
+    count = shape[0] if bounds is None else len(layout.windows)
     where = f"{name(0)} to {name(count - 1)}"
     try:
         reply = call()
-        ranked = plan is not None and isinstance(reply, RankedValues)
-        values = np.asarray(reply.values if ranked else reply)
+        agreed = isinstance(reply, AgreedField)
+        values = np.asarray(reply.values if agreed else reply)
     except Exception as exc:
         item = exc.item if isinstance(exc, ProviderError) else None
         if item is not None and 0 <= item < count:
             where = name(item)
         raise ProviderError(f"provider failed on {where}: {exc}") from exc
+    if agreed:
+        shape = (Z.features if bounds is not None else Z.data).shape
     if values.shape != shape:
-        if plan is None and values.shape[1:] == shape[1:]:
+        if bounds is None and not agreed and values.shape[1:] == shape[1:]:
             raise ProviderError(f"provider returned {len(values)} vectors for {where}")
         raise ProviderError(f"provider returned values of shape {values.shape} for {where}, expected {shape}")
-    values = np.ascontiguousarray(values, dtype=DTYPE)
-    reply = RankedValues(values) if ranked else values
+    if not agreed:
+        reply = np.ascontiguousarray(values, dtype=DTYPE)
     with np.errstate(invalid="ignore"):  # inf - inf in a merge sum
         try:
             return combine(reply)
         except ValueError:
-            if plan is not None:
-                values = plan.window_order(reply)
-            item = first_nonfinite_item(values, None if plan is None else plan.bounds)
+            item = first_nonfinite_item(np.asarray(layout.window_order(reply), dtype=DTYPE), bounds)
             if item is None:
                 raise
     raise ProviderError(f"provider returned non-finite values for {name(item)}")
@@ -647,13 +681,15 @@ def dilated_field(
     conditioner: Conditioner,
 ) -> DenseLatent:
     """Evaluate the provider on every dilated sample, in one
-    `evaluate_batch` call, and scatter back."""
-    batch = partition.gather(Z)
+    `evaluate_windows` call on the partition (by default one gather and
+    one batch call), and scatter back."""
+    if (partition.dims.dense_shape, partition.K) != (Z.data.shape, Z.dims.N):
+        raise DimensionError(f"dilated samples of side {partition.K} do not fit lattice {Z.data.shape}")
     conditions = conditioner.dilated_conditions(partition)
     t_eval = float(DTYPE(t))
     return _checked_call(
-        lambda: provider.evaluate_batch(batch, conditions, t_eval),
-        batch.values.shape, None, lambda n: f"dilated sample {n}", partition.scatter,
+        lambda: provider.evaluate_windows(Z, partition, conditions, t_eval),
+        Z, partition, lambda n: f"dilated sample {n}", partition.scatter,
     )
 
 

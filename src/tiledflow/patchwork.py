@@ -19,24 +19,31 @@ Sparse latents keep their coordinates across a whole schedule, so the
 window geometry is planned once per (grid, coordinate set), and read off
 that geometry rather than searched for: a `SparseWindowPlan` holds, per
 window, the rows inside it (K runs of the sorted rows, one per lattice
-column x, located by a cumulative count of rows per (x, y) column), and
-a rank layout of all windows' rows: the global rows in groups of equal
-coverage c, and each group's contributions as c contiguous runs, run j
-holding every row's j-th window in window order.  A row's windows, and
-so its coverage and the rank of each, follow from its stride block.
-Each step gathers the feature rows into one block with one `take`.  The
-merge walks each coverage group in blocks of at most
-`MERGE_BLOCK_VALUES` contributions and sums them rank by rank in
-float64, in the order `np.add.reduceat` over each row's window-ordered
-contributions would (the first, plus numpy's pairwise sum of the rest),
-so it gives the same bits with no reply-sized copy.  It then divides by
-the coverage.  A reply in window order (any provider's) has each
-block's contributions taken into a small buffer; a reply already in
-rank order (`RankedValues`, which a provider that builds its reply from
-global rows can lay out with one `take` through the plan's row order and
-one broadcast copy per group) has them read as views.  The merged rows
+column x, located by a cumulative count of rows per (x, y) column).
+Each step gathers the feature rows into one block with one `take`.  A
+reply in window order is merged through the plan's rank layout (built
+on first use): the global rows in groups of equal coverage c, and each
+group's contributions as c runs, run j holding every row's j-th window
+in window order.  The merge walks each group in blocks of at most
+`MERGE_BLOCK_VALUES` contributions, takes them into a small buffer and
+sums them rank by rank in float64, in the order `np.add.reduceat` over
+each row's window-ordered contributions would (the first, plus numpy's
+pairwise sum of the rest), so it gives the same bits with no
+reply-sized copy.  It then divides by the coverage.  The merged rows
 are finite exactly when the reply is, so the merged latent's own check
 stands for a check of the reply.
+
+A reply may instead be an `AgreedField`: one array shaped like the
+latent's own field (`Z.features` on a plan, `Z.data` on a grid or a
+partition) that every window's vector is a cut of, by the layout's own
+gather.  A provider whose windows are all restrictions of one global
+field (the exact oracle) answers so.  Each layout's `window_order`
+expands it to window order, and each layout's combine takes it whole:
+c float32 copies of a value sum exactly in float64 (24 + log2(c) <= 53
+bits) and divide back to it, so a plan's merge is the field's rows as
+they are, a grid's is the field plus +0.0 (its float64 sum starts from
++0.0, which turns -0.0 into +0.0), and a partition's scatter, whose
+pillars cover the lattice once, is the field itself.
 
 The per-window forms (`patch_dense`, `patch_sparse`, `merge_vectors`
 over a mapping) remain for callers that hold single patches; they give
@@ -150,6 +157,15 @@ class PatchGrid:
         if (self.ni - 1) * stride + self.K > X or (self.nj - 1) * stride + self.K > Y or self.K > H:
             raise DimensionError(f"windows of side {self.K} exceed lattice {tuple(shape)}")
 
+    def window_order(self, reply):
+        """A window reply in window order, as `gather_dense` stacks it: an
+        `AgreedField` of the lattice is cut at the windows' origins, and
+        any other reply is returned as it is."""
+        if not isinstance(reply, AgreedField):
+            return reply
+        field = reply.field((self.dims.a * self.K, self.dims.b * self.K, self.K, self.dims.C))
+        return window_boxes(field, self.K)[self.origins]
+
     def axis_coverage(self, n_windows: int, extent: int) -> np.ndarray:
         """Per-position window-coverage count along one extended axis."""
         pos = np.arange(extent)
@@ -244,15 +260,19 @@ def merge_vectors(patch_vectors: Mapping, grid: PatchGrid):
     return merge_dense(np.stack([X.data for X in vectors]), grid)
 
 
-def merge_dense(values: np.ndarray, grid: PatchGrid) -> DenseLatent:
+def merge_dense(values: np.ndarray | AgreedField, grid: PatchGrid) -> DenseLatent:
     """Average the stacked window vectors `values` ((n, K, K, K, C), in
     window order) into one extended vector.
 
     The float64 sum adds each cell's windows in window order, so it is
     bit-equal to adding the zero-padded patches one window at a time.
+    An `AgreedField` of the (a*K, b*K, K, C) lattice merges to itself
+    plus +0.0, the bits that sum gives its windows.
     """
     dims, K, d = grid.dims, grid.K, grid.d
     stride, C = K // d, dims.C
+    if isinstance(values, AgreedField):
+        return DenseLatent(dims, np.add(values.field((dims.a * K, dims.b * K, K, C)), 0.0, dtype=DTYPE))
     if values.shape != (grid.count, K, K, K, C):
         raise DimensionError(f"window vectors {values.shape} != {(grid.count, K, K, K, C)}")
     acc = np.zeros((dims.a * K, dims.b * K, K, C), dtype=np.float64)
@@ -281,20 +301,27 @@ def _union_coords(patch_vectors: Mapping, grid: PatchGrid) -> np.ndarray:
     return np.unique(np.concatenate(parts), axis=0)
 
 
-class RankedValues:
-    """A sparse window reply in its plan's rank order: `values[i]` is the
-    window-order reply's row `plan.layout[i]`.  Group (c, g0, g1, lo) of
-    `plan.groups` is then `values[lo : lo + c * (g1 - g0)]`, a (c, g1 -
-    g0, l) block whose entry [j, b] is the vector of the j-th window (in
-    window order) of global row `plan.order[g0 + b]`.  A provider that
-    builds its reply from global rows can answer in this order, and the
-    merge sums it with no `take`.  It is not an array, so rank order
-    never passes for window order; `plan.window_order` converts it."""
+class AgreedField:
+    """A layout's reply as the one field its windows agree on: `values`
+    is shaped like the latent's own field (`Z.features` on a
+    `SparseWindowPlan`, `Z.data` on a `PatchGrid` or a
+    `DilatedPartition`), and each window's (or sample's) vector is that
+    field cut by the layout's gather.  The layout's `window_order`
+    expands it, and its combine takes it whole (see the module
+    docstring).  It is not an array, so it never passes for a reply in
+    window order."""
 
     __slots__ = ("values",)
 
     def __init__(self, values: np.ndarray):
         self.values = values
+
+    def field(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The values as an array; DimensionError unless of `shape`."""
+        values = np.asarray(self.values)
+        if values.shape != shape:
+            raise DimensionError(f"agreed field {values.shape} != {shape}")
+        return values
 
 
 class SparseWindowPlan:
@@ -304,17 +331,17 @@ class SparseWindowPlan:
     the global rows `rows[bounds[k]:bounds[k + 1]]`, whose window-local
     coordinates are `local[bounds[k]:bounds[k + 1]]`.  `coverage[r]`
     counts the windows holding global row r, and every row must lie in
-    at least one.  `order`, `slot`, `groups` and `layout` are the rank
-    layout `merge_features` sums through: the global rows in groups of
-    equal coverage c (`order`, in descending c, each group in row order;
-    global row r sits at `slot[r]` of it), and one (c, g0, g1, lo) per
-    group for its run [g0, g1) of `order` and where its contributions
-    start in `layout`.  There they form a (c, g1 - g0) block in which
-    rank j is one contiguous run of reply positions, each row's j-th
-    window in window order, so `rows.take(layout)` is `order[g0:g1]`
-    once per rank.  A merge reads that block a few columns at a time and
-    keeps nothing on the plan; a reply laid out in this rank order is a
-    `RankedValues`.
+    at least one.  `rank_layout` is the (slot, groups, layout) that
+    `merge_features` sums a window-order reply through, built on first
+    use: the global rows listed in groups of equal coverage c, in
+    descending c and each group in row order (global row r sits at
+    `slot[r]` of that list), and one (c, g0, g1, lo) per group for its
+    run [g0, g1) of the list and where its contributions start in
+    `layout`.  There they form a (c, g1 - g0) block in which rank j is
+    one contiguous run of reply positions, each row's j-th window in
+    window order, so `rows.take(layout)` is the group's rows once per
+    rank.  A merge reads that block a few columns at a time and keeps
+    nothing on the plan.
 
     All of it follows from the geometry, without a search per window or
     a sort of the window rows.  The coordinates are sorted by x, then y,
@@ -336,7 +363,7 @@ class SparseWindowPlan:
         self.grid = grid
         self.coords, _ = checked_coords(grid.dims, coords)
         self.windows = grid.windows()
-        K, d, s = grid.K, grid.d, grid.K // grid.d
+        K = grid.K
         X, Y = grid.dims.a * K, grid.dims.b * K
         x, y, z = self.coords.T
         if ((x >= X) | (y >= Y) | (z >= K)).any():
@@ -350,28 +377,33 @@ class SparseWindowPlan:
         lengths = column[first + K].ravel() - starts
         ends = np.cumsum(lengths)
         # run (k, u) holds reply positions ends - lengths + n for its rows starts + n
-        shift = ends - lengths - starts
-        self.rows = _ro(np.arange(ends[-1]) - np.repeat(shift, lengths))
+        self._shift = _ro(ends - lengths - starts)
+        self.rows = _ro(np.arange(ends[-1]) - np.repeat(self._shift, lengths))
         self.bounds = _ro(np.concatenate(([0], ends[K - 1 :: K])))
-        cx = grid.axis_coverage(grid.ni, X)[x]
-        cy = grid.axis_coverage(grid.nj, Y)[y]
-        self.coverage = _ro(cx * cy)
+        self.coverage = _ro(grid.axis_coverage(grid.ni, X)[x] * grid.axis_coverage(grid.nj, Y)[y])
+
+    @cached_property
+    def rank_layout(self) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """(slot, groups, layout), from the geometry: one pass per coverage."""
+        grid = self.grid
+        K, d, s = grid.K, grid.d, grid.K // grid.d
+        x, y = self.coords[:, 0], self.coords[:, 1]
+        cy = grid.axis_coverage(grid.nj, grid.dims.b * K)[y]
         ilo = np.maximum(x // s - d + 1, 0)
         jlo = np.maximum(y // s - d + 1, 0)
-        groups, order, parts, g0, lo = [], [], [np.zeros(0, dtype=np.intp)], 0, 0
+        groups, order, parts, g0, lo = [], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], 0, 0
         for c in np.unique(self.coverage)[::-1].tolist():
             members = np.flatnonzero(self.coverage == c)
             qi, qj = np.divmod(np.arange(c)[:, None], cy[members])  # rank q = qi * cy + qj
             i = ilo[members] + qi
             run = (i * grid.nj + jlo[members] + qj) * K + x[members] - i * s
-            parts.append((shift[run] + members).ravel())
+            parts.append((self._shift[run] + members).ravel())
             order.append(members)
             groups.append((c, g0, g0 + len(members), lo))
             g0, lo = g0 + len(members), lo + c * len(members)
-        self.order = _ro(np.concatenate(order) if order else np.zeros(0, dtype=np.intp))
         slot = np.empty(len(self.coords), dtype=np.intp)
-        slot[self.order] = np.arange(len(slot))
-        self.slot, self.groups, self.layout = _ro(slot), tuple(groups), _ro(np.concatenate(parts))
+        slot[np.concatenate(order)] = np.arange(len(slot))
+        return _ro(slot), tuple(groups), _ro(np.concatenate(parts))
 
     @cached_property
     def local(self) -> np.ndarray:
@@ -401,31 +433,24 @@ class SparseWindowPlan:
         return self.merge_features(np.concatenate([X.features for X in results]))
 
     def window_order(self, reply):
-        """A window reply in window order, the order `gather` makes: a
-        `RankedValues` is scattered back through `layout`, and any other
-        reply is returned as it is.  A ranked reply that is not one row
-        per window row is returned unwrapped, for the caller's shape
-        check to reject."""
-        if not isinstance(reply, RankedValues):
+        """A window reply in window order, the order `gather` makes: an
+        `AgreedField` of the plan's rows is taken through `rows`, and any
+        other reply is returned as it is."""
+        if not isinstance(reply, AgreedField):
             return reply
-        values = np.asarray(reply.values)
-        if values.shape[:1] != self.layout.shape:
-            return values
-        out = np.empty_like(values)
-        out[self.layout] = values
-        return out
+        return reply.field((len(self.coords), self.grid.dims.l)).take(self.rows, axis=0)
 
-    def merge_features(self, values: np.ndarray | RankedValues) -> SparseLatent:
+    def merge_features(self, values: np.ndarray | AgreedField) -> SparseLatent:
         """Coverage-averaged sum of the stacked window features `values`
-        ((rows, l) float32, rows in the order `gather` makes them, or a
-        `RankedValues` of them in rank order).
+        ((rows, l) float32, rows in the order `gather` makes them).  An
+        `AgreedField` of the plan's rows merges to those rows as they are:
+        its windows' copies of a row sum and divide back to it.
 
         Each coverage group c is merged in blocks of consecutive rows,
         as many as keep c * rows * l within `MERGE_BLOCK_VALUES` (at
         least one): one `take` of a block's columns of the group's
         (c, rows) layout copies its contributions from the reply into a
-        float32 buffer made for this call (a ranked reply's block is a
-        view of its group, with no copy), ranks 1..c-1 are summed in
+        float32 buffer made for this call, ranks 1..c-1 are summed in
         numpy's pairwise order (`_pairwise_sum`, with float64
         accumulators also made for this call) into the block's slice of
         a float64 accumulator, rank 0 is added and the slice divided by
@@ -445,27 +470,23 @@ class SparseWindowPlan:
         """
         dims = self.grid.dims
         l = dims.l
-        ranked = isinstance(values, RankedValues)
-        if ranked:
-            values = values.values
+        if isinstance(values, AgreedField):
+            return SparseLatent._on_checked_coords(dims, self.coords, values.field((len(self.coords), l)))
         if values.shape != (len(self.rows), l):
             raise DimensionError(f"window features {values.shape} != {(len(self.rows), l)}")
+        slot, groups, layout = self.rank_layout
         # rows per block of each group, and buffers that hold the largest block
-        sizes = [(c, min(g1 - g0, max(1, MERGE_BLOCK_VALUES // (c * l)))) for c, g0, g1, _ in self.groups]
-        taken = np.empty(0 if ranked else max([c * m * l for c, m in sizes], default=0), dtype=DTYPE)
+        sizes = [(c, min(g1 - g0, max(1, MERGE_BLOCK_VALUES // (c * l)))) for c, g0, g1, _ in groups]
+        taken = np.empty(max([c * m * l for c, m in sizes], default=0), dtype=DTYPE)
         scratch = np.empty(max([8 * m * l for c, m in sizes if c > 8], default=0))
         acc = np.empty((len(self.coords), l), dtype=np.float64)
-        for (c, g0, g1, lo), (_, m) in zip(self.groups, sizes):
-            hi = lo + c * (g1 - g0)
-            group = values[lo:hi].reshape(c, g1 - g0, l) if ranked else self.layout[lo:hi].reshape(c, g1 - g0)
+        for (c, g0, g1, lo), (_, m) in zip(groups, sizes):
+            group = layout[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0)
             for b0 in range(0, g1 - g0, m):
                 block = group[:, b0 : b0 + m]
                 n = block.shape[1]
-                if ranked:
-                    ranks = block
-                else:
-                    ranks = taken[: c * n * l].reshape(c, n, l)
-                    np.take(values, block, axis=0, out=ranks, mode="clip")
+                ranks = taken[: c * n * l].reshape(c, n, l)
+                np.take(values, block, axis=0, out=ranks, mode="clip")
                 head = acc[g0 + b0 : g0 + b0 + n]
                 if c > 1:
                     _pairwise_sum(ranks[1:], head, scratch)
@@ -473,7 +494,7 @@ class SparseWindowPlan:
                 else:
                     head[...] = ranks[0]
                 head /= c
-        merged = acc.astype(DTYPE).take(self.slot, axis=0)
+        merged = acc.astype(DTYPE).take(slot, axis=0)
         return SparseLatent._on_checked_coords(dims, self.coords, merged)
 
 
@@ -533,13 +554,24 @@ class DilatedPartition:
         """All samples of Z, in sample order, by one fancy index."""
         return DenseBatch._of_finite(self.dims.patch_dims(), Z.data[self.src_x, self.src_y])
 
-    def scatter(self, sample_vectors: np.ndarray) -> DenseLatent:
+    def window_order(self, reply):
+        """A sample reply in sample order, as `gather` stacks it: an
+        `AgreedField` of the lattice is cut by one fancy index, and any
+        other reply is returned as it is."""
+        if not isinstance(reply, AgreedField):
+            return reply
+        return reply.field(self.dims.dense_shape)[self.src_x, self.src_y]
+
+    def scatter(self, sample_vectors: np.ndarray | AgreedField) -> DenseLatent:
         """The lattice whose pillars hold the samples' columns.
 
         `sample_vectors` is the stacked (n, K, K, K, C) array of the n
         samples; the pillars are disjoint, so one assignment places them
-        all.
+        all.  They also cover the lattice, so an `AgreedField` of the
+        lattice scatters to itself.
         """
+        if isinstance(sample_vectors, AgreedField):
+            return DenseLatent(self.dims, sample_vectors.field(self.dims.dense_shape))
         if len(sample_vectors) != len(self):
             raise DimensionError(
                 f"expected {len(self)} dilated samples, got {len(sample_vectors)}"

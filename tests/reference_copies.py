@@ -10,7 +10,7 @@ import numpy as np
 
 from tiledflow.decode import OUTSIDE_SDF
 from tiledflow.errors import CoverageError, SingularityError
-from tiledflow.flowcore import VectorFieldProvider
+from tiledflow.flowcore import GlobalOracleProvider, VectorFieldProvider
 from tiledflow.lattice import DTYPE, DenseLatent, SparseLatent
 from tiledflow.patchwork import box_rows
 
@@ -30,6 +30,15 @@ class OracleField(VectorFieldProvider):
             assert np.array_equal(patch.coords, self.target.coords)
             return patch.with_features((patch.features - self.target.features) * inv)
         return patch.with_data((patch.data - self.target.data) * inv)
+
+
+class DefaultPathOracle(GlobalOracleProvider):
+    """`GlobalOracleProvider` without its agreed-field path: every field
+    is gathered and answered by one `evaluate_batch` call, item by item
+    from the target's sections."""
+
+    def evaluate_windows(self, Z, layout, conditions, t):
+        return VectorFieldProvider.evaluate_windows(self, Z, layout, conditions, t)
 
 
 class ZeroFieldProvider(VectorFieldProvider):

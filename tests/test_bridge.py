@@ -53,7 +53,7 @@ from tiledflow.patchwork import (
 )
 from tiledflow.priors import ConditionEmbedding
 
-from reference_copies import ZeroFieldProvider
+from reference_copies import DefaultPathOracle, ZeroFieldProvider
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=3)
@@ -1124,6 +1124,56 @@ class TestSessions:
                     remote.evaluate_batch(batch, OracleConditioner().window_conditions(grid), 0.4)
         finally:
             server.stop()
+
+    def test_served_oracle_session_bytes_equal_the_default_path(self):
+        # the served oracle answers its sessions' fields as agreed fields;
+        # expanded to window order, its reply bytes are those of a server
+        # whose oracle gathers every window, -0.0 included
+        rng = np.random.default_rng(47)
+        values = rng.standard_normal((2,) + DIMS.dense_shape, dtype=np.float32)
+        values[0][rng.random(DIMS.dense_shape) < 0.3] = -0.0
+        values[1][values[0] == 0] = 0.0
+        Z, target = DenseLatent(DIMS, values[0]), DenseLatent(DIMS, values[1])
+        coords = np.argwhere(rng.random(DIMS.grid_shape) < 0.3)
+        S = init_sparse_noise(coords, DIMS, seed=48)
+        S = S.with_features(np.where(rng.random(S.features.shape) < 0.3, np.float32(-0.0), S.features))
+        slat_target = S.with_features(np.where(S.features == 0, np.float32(0.0), S.features[::-1]))
+        cond = OracleConditioner()
+        dense_grid, sparse_grid = make_patch_grid(DIMS, 2, DIMS.N), make_patch_grid(DIMS, 2, DIMS.M)
+        plan = SparseWindowPlan(sparse_grid, S.coords)
+        replies = []
+        for oracle in (GlobalOracleProvider, DefaultPathOracle):
+            server = ProviderServer(oracle(ss_target=target, slat_target=slat_target), DIMS).start()
+            relay = _Relay(server)
+            try:
+                with RemoteProvider(relay.client, timeout=10) as remote:
+                    for t in (0.7, 0.3):
+                        extended_field(Z, t, dense_grid, remote, cond)
+                        extended_field(S, t, sparse_grid, remote, cond, plan=plan)
+            finally:
+                relay.close()
+                server.stop()
+            assert relay.modes() == [MODE_REGISTER, MODE_FIELD, MODE_REGISTER, MODE_FIELD, MODE_FIELD, MODE_FIELD]
+            replies.append([frame.payload for frame in relay.replies])
+        agreed, default = replies
+        assert agreed == default
+        assert any(np.signbit(np.frombuffer(reply, "<f4")).any() for reply in agreed[1::2])
+
+    def test_dilated_field_goes_as_one_batch(self, oracle_server):
+        # a partition changes every step, so it is no session: its samples
+        # go as one mode-3 batch, with the bits of the in-process field
+        server, target, slat_target = oracle_server
+        local = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        Z, cond = random_dense(DIMS, 49), OracleConditioner()
+        partition = dilated_partition(DIMS, DIMS.N, seed=3)
+        relay = _Relay(server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                field = dilated_field(Z, 0.6, partition, remote, cond)
+        finally:
+            relay.close()
+        assert relay.modes() == [MODE_BATCH]
+        assert field.data.tobytes() == dilated_field(Z, 0.6, partition, local, cond).data.tobytes()
 
     def test_concurrent_fields_register_each_layout_once(self, oracle_server):
         import sys

@@ -29,10 +29,10 @@ from tiledflow.lattice import (
     sample_gaussian,
     stack_patches,
 )
-from tiledflow.patchwork import RankedValues, SparseWindowPlan, dilated_partition, make_patch_grid
+from tiledflow.patchwork import AgreedField, DilatedPartition, SparseWindowPlan, dilated_partition, make_patch_grid
 from tiledflow.priors import ConditionEmbedding
 
-from reference_copies import OracleField, ZeroFieldProvider
+from reference_copies import DefaultPathOracle, OracleField, ZeroFieldProvider
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=3)
@@ -315,8 +315,9 @@ class TestExtendedField:
 
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_builtin_oracle_answers_each_chunk_with_one_batch_call(self, monkeypatch, d):
-        """A field is one chunk, whatever its window count: one batch call
-        for a dense or dilated field, none on the sparse plan path."""
+        """A field is one chunk, whatever its window count: on the
+        layout's own conditions the oracle answers the agreed field with
+        no batch call, and on any others with one batch call."""
         calls = {"evaluate": 0, "evaluate_batch": 0}
 
         def counting(name):
@@ -333,32 +334,46 @@ class TestExtendedField:
         rng = np.random.default_rng(24)
         slat_target = init_sparse_noise(np.argwhere(rng.random(DIMS.grid_shape) < 0.3), DIMS, seed=9)
         provider = GlobalOracleProvider(ss_target=random_dense(DIMS, 25), slat_target=slat_target)
-        Z, cond = random_dense(DIMS, 26), OracleConditioner()
+        Z = random_dense(DIMS, 26)
         dense_grid, sparse_grid = make_patch_grid(DIMS, d, DIMS.N), make_patch_grid(DIMS, d, DIMS.M)
         partition = dilated_partition(DIMS, DIMS.N)
-        fields = [
-            lambda: extended_field(Z, 0.5, dense_grid, provider, cond),
-            lambda: extended_field(slat_target, 0.5, sparse_grid, provider, cond),
-            lambda: dilated_field(Z, 0.5, partition, provider, cond),
-        ]
-        # the sparse window field subtracts one plan-aligned target: no batch call
-        for field_call, batches in zip(fields, (1, 0, 1)):
-            calls.update(evaluate=0, evaluate_batch=0)
-            field_call()
-            assert calls == {"evaluate": 0, "evaluate_batch": batches}
+        for cond, batches in ((OracleConditioner(), 0), (ReversedConditions(), 1)):
+            fields = [
+                lambda: extended_field(Z, 0.5, dense_grid, provider, cond),
+                lambda: extended_field(slat_target, 0.5, sparse_grid, provider, cond),
+                lambda: dilated_field(Z, 0.5, partition, provider, cond),
+            ]
+            for field_call in fields:
+                calls.update(evaluate=0, evaluate_batch=0)
+                field_call()
+                assert calls == {"evaluate": 0, "evaluate_batch": batches}
+
+
+class ReversedConditions(OracleConditioner):
+    """The oracle's conditions in reverse item order: valid, but not the
+    layout's own."""
+
+    def window_conditions(self, grid):
+        return super().window_conditions(grid)[::-1]
+
+    def dilated_conditions(self, partition):
+        return super().dilated_conditions(partition)[::-1]
 
 
 @st.composite
-def _oracle_plan_cases(draw):
+def _oracle_layout_cases(draw):
     N = draw(st.sampled_from([1, 2, 4]))
     dims = Dims(
         draw(st.integers(1, 3)), draw(st.integers(1, 2)), N, N * draw(st.sampled_from([1, 2])),
-        C=1, l=draw(st.integers(1, 4)),
+        C=draw(st.integers(1, 2)), l=draw(st.integers(1, 4)),
     )
-    d = draw(st.sampled_from([k for k in (1, 2, 4) if dims.M % k == 0]))
-    conditions = draw(st.sampled_from(["plan", "shuffled", "moved", "short", "pillars", "empty", "dims", "rows"]))
+    layout = draw(st.sampled_from(["plan", "grid", "partition"]))
+    K = dims.M if layout == "plan" else dims.N
+    d = draw(st.sampled_from([k for k in (1, 2, 4) if K % k == 0]))
+    kinds = ["own", "shuffled", "moved", "short", "kind", "empty", "dims", "overflow"]
+    conditions = draw(st.sampled_from(kinds + (["rows"] if layout == "plan" else [])))
     t = draw(st.sampled_from([0.5, 1.0, 0.37, 1e-3, 0.0]))
-    return dims, d, conditions, t, draw(st.integers(0, 2**32 - 1))
+    return dims, layout, d, conditions, t, draw(st.integers(0, 2**32 - 1))
 
 
 def _outcome(call):
@@ -370,22 +385,20 @@ def _outcome(call):
 
 class FixedReply(VectorFieldProvider):
     """Answers every window field with one given reply, and every dilated
-    batch with another."""
+    field with another."""
 
     def __init__(self, windows=None, samples=None):
         self.windows, self.samples = windows, samples
 
     def evaluate_windows(self, Z, layout, conditions, t):
-        return self.windows
-
-    def evaluate_batch(self, batch, conditions, t):
-        return self.samples
+        return self.samples if isinstance(layout, DilatedPartition) else self.windows
 
 
 class TestNonFiniteReplies:
     """A non-finite reply value fails the field call and names the window
-    (or sample) holding the first one, as a scan of the reply does; the
-    sparse check reads the merged rows, where every reply value lands."""
+    (or sample) holding the first one, as a scan of the reply in window
+    order does; the sparse check reads the merged rows, where every reply
+    value lands."""
 
     GRID = make_patch_grid(DIMS, 2, DIMS.M)  # stride 4: a row in block (1, 1) is in 4 windows
 
@@ -401,12 +414,12 @@ class TestNonFiniteReplies:
         assert list(at) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         return Z, plan, np.zeros((len(plan.rows), DIMS.l), dtype=dtype), at
 
-    def _fails_naming(self, Z, plan, values, window):
+    def _fails_naming(self, Z, plan, reply, window):
         with np.errstate(invalid="ignore"):  # inf - inf in the scan's sum
-            scanned = first_nonfinite_item(np.asarray(values, dtype=np.float32), plan.bounds)
+            scanned = first_nonfinite_item(np.asarray(plan.window_order(reply), dtype=np.float32), plan.bounds)
         assert (plan.windows[scanned].i, plan.windows[scanned].j) == window
         with pytest.raises(ProviderError, match=rf"non-finite values for patch \({window[0]}, {window[1]}\)$"):
-            extended_field(Z, 0.5, self.GRID, FixedReply(values), OracleConditioner(), plan=plan)
+            extended_field(Z, 0.5, self.GRID, FixedReply(reply), OracleConditioner(), plan=plan)
 
     def test_nan_in_a_later_window_of_a_row(self):
         Z, plan, values, at = self._sparse_reply()
@@ -424,6 +437,10 @@ class TestNonFiniteReplies:
         values[at[(1, 0)], 1] = 1e39
         with np.errstate(over="ignore"):
             self._fails_naming(Z, plan, values, (1, 0))
+            # an agreed field casts alike
+            agreed = np.zeros(Z.features.shape)
+            agreed[plan.rows[at[(1, 0)]], 1] = 1e39
+            self._fails_naming(Z, plan, AgreedField(agreed), (0, 0))
 
     def test_largest_finite_reply_merges(self):
         Z, plan, values, at = self._sparse_reply()
@@ -436,32 +453,35 @@ class TestNonFiniteReplies:
         "windows", [[(0, 0), (0, 1), (1, 0), (1, 1)], [(1, 1)], [(1, 0), (0, 1)], [(1, 1), (1, 0)]]
     )
     def test_nan_in_a_ranked_reply_names_the_first_window(self, windows):
-        # NaN at the rank positions of a row in 4 windows: the error names
-        # the first of them in window order, as for the window-order reply
-        Z, plan, values, at = self._sparse_reply()
-        for window in windows:
-            values[at[window], 1] = np.nan
-        ranked = values.take(plan.layout, axis=0)
-        rank_of = np.empty_like(plan.layout)
-        rank_of[plan.layout] = np.arange(len(plan.layout))
-        assert np.isnan(ranked[rank_of[[at[w] for w in windows]], 1]).all()
-        first = min(windows, key=list(at).index)
-        self._fails_naming(Z, plan, values, first)
-        with pytest.raises(ProviderError, match=rf"non-finite values for patch \({first[0]}, {first[1]}\)$"):
-            extended_field(Z, 0.5, self.GRID, FixedReply(RankedValues(ranked)), OracleConditioner(), plan=plan)
+        # a reply not in window order (an agreed field) with NaN at one row
+        # per listed window, the row whose first window it is: the error
+        # names the first listed window in window order, as a scan of the
+        # field's window-order expansion does
+        Z, plan, _, _ = self._sparse_reply()
+        field = np.zeros(Z.features.shape, dtype=np.float32)
+        for i, j in windows:  # block (i + 1, j + 1) of the stride-4 grid
+            row = np.flatnonzero((Z.coords == (4 * i + 5, 4 * j + 6, 2)).all(axis=1))
+            field[row, 1] = np.nan
+        self._fails_naming(Z, plan, AgreedField(field), min(windows))
 
     def test_ranked_reply_of_another_shape_rejected(self):
+        # an agreed field must have the latent's own shape, not the
+        # stacked windows' shape or one row fewer
         Z, plan, values, _ = self._sparse_reply()
-        short = RankedValues(values.take(plan.layout, axis=0)[1:])
-        with pytest.raises(ProviderError, match=r"returned values of shape \(\d+, 3\) for patch"):
-            extended_field(Z, 0.5, self.GRID, FixedReply(short), OracleConditioner(), plan=plan)
+        for wrong in (values, Z.features[1:]):
+            with pytest.raises(ProviderError, match=r"returned values of shape \(\d+, 3\) for patch .*expected \(2048, 3\)"):
+                extended_field(Z, 0.5, self.GRID, FixedReply(AgreedField(wrong)), OracleConditioner(), plan=plan)
 
     def test_ranked_reply_on_a_dense_grid_rejected(self):
+        # the stacked windows wrapped as an agreed field are not the lattice
         Z = random_dense(DIMS, 23)
         grid = make_patch_grid(DIMS, 2, DIMS.N)
         windows = np.zeros((grid.count,) + DIMS.patch_dims().dense_shape, dtype=np.float32)
-        with pytest.raises(ProviderError, match=r"returned values of shape \(\) for patch"):
-            extended_field(Z, 0.5, grid, FixedReply(RankedValues(windows)), OracleConditioner())
+        with pytest.raises(ProviderError, match=r"returned values of shape \(9, 4, 4, 4, 1\) for patch .*expected \(8, 8, 4, 1\)"):
+            extended_field(Z, 0.5, grid, FixedReply(AgreedField(windows)), OracleConditioner())
+        partition = dilated_partition(DIMS, DIMS.N, seed=0)
+        with pytest.raises(ProviderError, match=r"values of shape \(\) for dilated sample 0 to dilated sample 3, expected \(8, 8, 4, 1\)"):
+            dilated_field(Z, 0.5, partition, FixedReply(samples=AgreedField(None)), OracleConditioner())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_dense_window_and_dilated_sample_named(self, value):
@@ -476,59 +496,134 @@ class TestNonFiniteReplies:
         samples[2, 0, 0, 0, 0] = value
         with pytest.raises(ProviderError, match=r"non-finite values for dilated sample 2$"):
             dilated_field(Z, 0.5, partition, FixedReply(samples=samples), OracleConditioner())
+        # as agreed fields: column (3, 5) lies in windows (0, 1), (0, 2), (1, 1) and (1, 2)
+        field = np.zeros(DIMS.dense_shape, dtype=np.float32)
+        field[3, 5, 1, 0] = value
+        with pytest.raises(ProviderError, match=r"non-finite values for patch \(0, 1\)$"):
+            extended_field(Z, 0.5, grid, FixedReply(AgreedField(field)), OracleConditioner())
+        sample = int(np.flatnonzero((partition.src_x == 3) & (partition.src_y == 5))[0] // (DIMS.N * DIMS.N))
+        with pytest.raises(ProviderError, match=rf"non-finite values for dilated sample {sample}$"):
+            dilated_field(Z, 0.5, partition, FixedReply(samples=AgreedField(field)), OracleConditioner())
 
 
-class TestOraclePlanTarget:
-    """A sparse window field on a plan takes one plan-aligned target and
-    answers with the default path's bits, or its error."""
+class GivenConditions(OracleConditioner):
+    """Hands every field the given conditions."""
 
-    @settings(max_examples=150)
-    @given(_oracle_plan_cases())
-    def test_matches_default_path(self, case):
-        dims, d, kind, t, seed = case
-        rng = np.random.default_rng(seed)
+    def __init__(self, conditions):
+        self.conditions = conditions
+
+    def window_conditions(self, grid):
+        return self.conditions
+
+    def dilated_conditions(self, partition):
+        return self.conditions
+
+
+def _layout_case(dims, layout, d, kind, seed):
+    """A field on one of the three layouts, the oracle's target, the
+    conditions of a case of `_oracle_layout_cases`, and whether the case
+    keeps the layout's own conditions and a target that fits."""
+    rng = np.random.default_rng(seed)
+    target_dims = replace(dims, l=dims.l + 1, C=dims.C + 1) if kind == "dims" else dims
+
+    def scaled(values):  # latent and target values +-3e38, whose differences overflow
+        return np.sign(values) * np.float32(3e38) if kind == "overflow" else values
+
+    if layout == "plan":
         grid = make_patch_grid(dims, d, dims.M)
         cells = np.argwhere(np.ones(dims.grid_shape, dtype=bool))
         keep = rng.random(len(cells)) < 0.5
         keep[rng.integers(len(cells))] = True
         Z = init_sparse_noise(cells[keep], dims, seed)
+        Z = Z.with_features(scaled(Z.features))
         # a target missing some of Z's coordinates and holding others
-        target_dims = replace(dims, l=dims.l + 1) if kind == "dims" else dims
         target = init_sparse_noise(cells[rng.random(len(cells)) < 0.5], target_dims, seed + 1)
-        plan = SparseWindowPlan(grid, Z.coords)
+        target = target.with_features(scaled(target.features))
+        layout = SparseWindowPlan(grid, Z.coords)
         if kind == "rows" and len(Z) > 1:  # a latent with fewer rows than the plan
             Z = init_sparse_noise(Z.coords[1:], dims, seed)
+        elif kind == "rows":
+            kind = "own"
+        oracle = dict(slat_target=target)
         conditions = list(OracleConditioner().window_conditions(grid))
-        if kind == "shuffled" and len(conditions) > 1:
-            conditions = conditions[1:] + conditions[:1]
-        elif kind == "moved":
-            conditions[-1] = box_condition(0, 0, grid.K)
-        elif kind == "short":
-            conditions = conditions[:-1]
-        elif kind == "pillars":
-            conditions[0] = flowcore.pillar_condition(np.zeros((2, 2), int), np.zeros((2, 2), int))
-        elif kind == "empty":
-            conditions[-1] = ConditionEmbedding(b"")
-        provider = GlobalOracleProvider(slat_target=target)
-        reference = GlobalOracleProvider(slat_target=target)
-        # the plan path answers in rank order; its window order is compared
-        got = _outcome(lambda: plan.window_order(provider.evaluate_windows(Z, plan, conditions, t)))
-        want = _outcome(lambda: VectorFieldProvider.evaluate_windows(reference, Z, plan, conditions, t))
-        assert got == want
-        if kind == "plan":  # the plan's own boxes cut no restriction
+        other = flowcore.pillar_condition(np.zeros((2, 2), int), np.zeros((2, 2), int))
+    else:
+        # some cells -0.0 in Z and +0.0 in the target, whose field value is -0.0
+        values = scaled(rng.standard_normal((2,) + dims.dense_shape, dtype=np.float32))
+        values[0][rng.random(dims.dense_shape) < 0.2] = -0.0
+        values[1][values[0] == 0] = 0.0
+        Z = DenseLatent(dims, values[0])
+        target = values[1] if kind != "dims" else rng.standard_normal(target_dims.dense_shape, dtype=np.float32)
+        oracle = dict(ss_target=DenseLatent(target_dims, target))
+        if layout == "grid":
+            grid = make_patch_grid(dims, d, dims.N)
+            layout = grid
+            conditions = list(OracleConditioner().window_conditions(grid))
+            other = flowcore.pillar_condition(np.zeros((dims.N, dims.N), int), np.zeros((dims.N, dims.N), int))
+        else:
+            layout = dilated_partition(dims, dims.N, seed=seed % 1000)
+            conditions = OracleConditioner().dilated_conditions(layout)
+            other = box_condition(0, 0, dims.N)
+    if kind == "shuffled" and len(conditions) > 1:
+        conditions = conditions[1:] + conditions[:1]
+    elif kind == "shuffled":
+        kind = "own"
+    elif kind == "moved":
+        conditions[-1] = conditions[0] if len(conditions) > 1 else other
+    elif kind == "short":
+        conditions = conditions[:-1]
+    elif kind == "kind":
+        conditions[0] = other
+    elif kind == "empty":
+        conditions[-1] = ConditionEmbedding(b"")
+    return Z, layout, oracle, conditions, kind in ("own", "overflow")
+
+
+class TestOraclePlanTarget:
+    """A field on any layout, with the layout's own conditions, is one
+    agreed field whose window order is the default path's bits; with any
+    other conditions, or a target that does not fit, it takes the
+    default path.  Either way the reply, the merged or scattered field,
+    and any error are the default path's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_oracle_layout_cases())
+    def test_matches_default_path(self, case):
+        dims, kind_of_layout, d, kind, t, seed = case
+        Z, layout, targets, conditions, own = _layout_case(dims, kind_of_layout, d, kind, seed)
+        provider, reference = GlobalOracleProvider(**targets), DefaultPathOracle(**targets)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _outcome(lambda: layout.window_order(provider.evaluate_windows(Z, layout, conditions, t)))
+            want = _outcome(lambda: reference.evaluate_windows(Z, layout, conditions, t))
+            assert got == want
+            if got[0] == "ok":
+                assert isinstance(provider.evaluate_windows(Z, layout, conditions, t), AgreedField) == own
+            # the field through the engine: merged, scattered and checked alike
+            if isinstance(layout, DilatedPartition):
+                def field(oracle):
+                    return dilated_field(Z, t, layout, oracle, GivenConditions(conditions)).data
+            else:
+                grid = layout.grid if isinstance(layout, SparseWindowPlan) else layout
+                plan = layout if isinstance(layout, SparseWindowPlan) and len(Z) == len(layout.coords) else None
+
+                def field(oracle):
+                    X = extended_field(Z, t, grid, oracle, GivenConditions(conditions), plan=plan)
+                    return X.features if plan is not None else X.data
+            assert _outcome(lambda: field(provider)) == _outcome(lambda: field(reference))
+        if kind == "own" and kind_of_layout == "plan":  # the plan's own boxes cut no restriction
             assert not provider._slat_boxes
 
     def test_plan_path_keeps_one_target_row_per_coordinate(self):
-        # the plan's rank order is laid out per call, from `plan.order`;
-        # nothing of window-row length is kept per plan
+        # the agreed field is one row per coordinate, and so is the one
+        # target kept per plan: the sparse target itself, on its own rows
         Z = init_sparse_noise(np.argwhere(np.ones(DIMS.grid_shape, dtype=bool)), DIMS, 0)
         grid = make_patch_grid(DIMS, 2, DIMS.M)
         plan, conditions = SparseWindowPlan(grid, Z.coords), OracleConditioner().window_conditions(grid)
         provider = GlobalOracleProvider(slat_target=Z)
         reply = provider.evaluate_windows(Z, plan, conditions, 0.5)
-        assert isinstance(reply, RankedValues) and reply.values.shape == (len(plan.rows), DIMS.l)
-        ((_, target),) = provider._plan_targets.values()
-        assert target.shape == Z.features.shape
+        assert isinstance(reply, AgreedField) and reply.values.shape == Z.features.shape
+        (target,) = provider._plan_targets.values()
+        assert target is Z.features
 
     def test_without_sparse_target_falls_back(self):
         Z = init_sparse_noise(np.argwhere(np.ones(DIMS.grid_shape, dtype=bool)), DIMS, 0)

@@ -9,7 +9,7 @@ from tiledflow import patchwork
 from tiledflow.errors import BoundsError, ConfigError, CoverageError, DimensionError
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
 from tiledflow.patchwork import (
-    RankedValues,
+    AgreedField,
     SparseWindowPlan,
     Window,
     _pairwise_sum,
@@ -747,17 +747,22 @@ class TestPlanGeometry:
                 SparseWindowPlan(grid, coords)
             return
         plan = SparseWindowPlan(grid, coords)
-        for name in ("coords", "rows", "bounds", "local", "coverage", "slot", "layout"):
+        for name in ("coords", "rows", "bounds", "local", "coverage"):
             assert np.array_equal(getattr(plan, name), getattr(ref, name)), name
-        assert plan.groups == ref.groups
+        slot, groups, layout = plan.rank_layout
+        assert np.array_equal(slot, ref.slot) and np.array_equal(layout, ref.layout)
+        assert groups == ref.groups
 
 
 def _merge_plan():
-    """A plan of many windows per row (stride 1), and two replies."""
+    """A plan of many windows per row (stride 1), and two replies.  The
+    plan's rank layout, which the first window-order merge on a plan
+    builds once, is built, so that merges are measured alone."""
     dims = Dims(3, 3, 8, 8, l=4)
     rng = np.random.default_rng(5)
     coords = np.argwhere(rng.random(dims.grid_shape) < 0.5)
     plan = SparseWindowPlan(make_patch_grid(dims, 8, 8), coords)
+    plan.rank_layout
     replies = [mixed_values(rng, (len(plan.rows), dims.l)) for _ in range(2)]
     return plan, replies
 
@@ -862,23 +867,24 @@ class TestMergeBuffer:
         assert peak < values.nbytes / 4
 
 
-def _assert_ranked_merge_equal(plan, values, limit=None):
-    """The merge of `values` in rank order (their `take` through the
-    layout) gives the window-order merge's bytes at the block limit, and
-    `window_order` gives `values` back."""
-    ranked = values.take(plan.layout, axis=0)
-    assert plan.window_order(RankedValues(ranked)).tobytes() == values.tobytes()
+def _assert_agreed_merge_equal(plan, field, limit=None):
+    """The window-order expansion of the agreed `field` (its `take`
+    through the plan's rows) merges rank by rank, at the block limit,
+    back to `field`'s bytes, which the agreed merge gives as they are."""
+    expanded = plan.window_order(AgreedField(field))
+    assert expanded.tobytes() == field.take(plan.rows, axis=0).tobytes()
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
             mp.setattr(patchwork, "MERGE_BLOCK_VALUES", limit)
-        expected = plan.merge_features(values).features.tobytes()
-        assert plan.merge_features(RankedValues(ranked)).features.tobytes() == expected
+        assert plan.merge_features(expanded).features.tobytes() == field.tobytes()
+    assert plan.merge_features(AgreedField(field)).features.tobytes() == field.tobytes()
 
 
 class TestRankedMerge:
-    """A reply in the plan's rank order merges to the bytes of the same
-    reply in window order, on the cases and block limits of
-    `TestStackedBitEquality` and `TestMergeBlocks`."""
+    """The rank-by-rank merge of a window-order reply whose windows agree
+    (an agreed field's expansion) gives the agreed field back, on the
+    cases and block limits of `TestStackedBitEquality` and
+    `TestMergeBlocks`, so the agreed merge may take the field as it is."""
 
     @pytest.mark.parametrize("limit", [None, 1, 7, 64, 4096])
     @settings(max_examples=60)
@@ -893,7 +899,7 @@ class TestRankedMerge:
         occupied = rng.random(dims.grid_shape) < density
         occupied[tuple(rng.integers(0, dims.M, size=3))] = True
         plan = SparseWindowPlan(make_patch_grid(dims, d, dims.M), np.argwhere(occupied))
-        _assert_ranked_merge_equal(plan, draw_values(rng, (len(plan.rows), dims.l)), limit)
+        _assert_agreed_merge_equal(plan, draw_values(rng, (len(plan.coords), dims.l)), limit)
 
     @pytest.mark.parametrize("limit", [None, 1, 7, 64, 4096])
     @settings(max_examples=10)
@@ -906,83 +912,154 @@ class TestRankedMerge:
         occupied[16, 16, rng.integers(16)] = True
         plan = SparseWindowPlan(make_patch_grid(dims, 16, 16), np.argwhere(occupied))
         assert plan.coverage.max() == 256
-        _assert_ranked_merge_equal(plan, draw_values(rng, (len(plan.rows), dims.l)), limit)
+        _assert_agreed_merge_equal(plan, draw_values(rng, (len(plan.coords), dims.l)), limit)
 
     def test_empty_plan(self):
         dims = Dims(2, 1, 4, 8, l=3)
         plan = SparseWindowPlan(make_patch_grid(dims, 2, 8), np.zeros((0, 3), dtype=np.int64))
-        _assert_ranked_merge_equal(plan, np.zeros((0, 3), dtype=np.float32))
+        _assert_agreed_merge_equal(plan, np.zeros((0, 3), dtype=np.float32))
 
     @settings(max_examples=100, deadline=None)
     @given(geometry_cases())
     def test_rank_layout_tiles_the_order(self, case):
-        # group (c, g0, g1, lo) holds order[g0:g1] once per rank, and
-        # window_order undoes the rank layout
+        # group (c, g0, g1, lo) holds the rows listed at g0:g1 once per
+        # rank, and the layout lists every reply position once
         grid, coords = case
         try:
             plan = SparseWindowPlan(grid, coords)
         except CoverageError:
             return
-        ranked_rows = plan.rows.take(plan.layout)
-        for c, g0, g1, lo in plan.groups:
+        slot, groups, layout = plan.rank_layout
+        order = np.empty_like(slot)
+        order[slot] = np.arange(len(order))
+        ranked_rows = plan.rows.take(layout)
+        for c, g0, g1, lo in groups:
             group = ranked_rows[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0)
-            assert (group == plan.order[g0:g1]).all()
-        assert np.array_equal(plan.window_order(RankedValues(ranked_rows)), plan.rows)
-        assert np.array_equal(plan.slot[plan.order], np.arange(len(plan.coords)))
+            assert (group == order[g0:g1]).all()
+            assert (plan.coverage[order[g0:g1]] == c).all()
+        assert np.array_equal(np.sort(layout), np.arange(len(plan.rows)))
 
     def test_ranked_reply_is_no_array(self):
-        # rank order must never pass for window order
+        # a reply that is not in window order (an agreed field) must
+        # never pass for one
         plan, (values, _) = _merge_plan()
-        assert np.asarray(RankedValues(values)).shape == ()
+        assert np.asarray(AgreedField(values)).shape == ()
 
     def test_window_order_passes_other_replies(self):
-        # a window-order reply is returned as it is; a ranked one that is
-        # not one row per window row is unwrapped for a shape check
+        # a window-order reply is returned as it is; an agreed field of
+        # another shape than the latent's is refused
         plan, (values, _) = _merge_plan()
         assert plan.window_order(values) is values
-        assert plan.window_order(RankedValues(values[1:])).shape == (len(values) - 1, values.shape[1])
-        assert plan.window_order(RankedValues(None)).shape == ()
+        for wrong in (values, values[: len(plan.coords) - 1], None):
+            with pytest.raises(DimensionError, match="agreed field"):
+                plan.window_order(AgreedField(wrong))
 
     def test_wrong_shape_rejected(self):
         plan, (values, _) = _merge_plan()
         with pytest.raises(DimensionError, match="window features"):
-            plan.merge_features(RankedValues(values[1:]))
+            plan.merge_features(values[1:])
+        with pytest.raises(DimensionError, match="agreed field"):
+            plan.merge_features(AgreedField(values))
 
 
 class TestRankedMemory:
     def test_plan_holds_no_other_window_row_index(self):
         # a cached rank index of window-row length (rows[layout]) would
-        # cost 8 bytes per window row on every plan
-        plan, _ = _merge_plan()
+        # cost 8 bytes per window row on every plan; the rank layout is
+        # built on the first window-order merge, not by the constructor
+        built, (values, _) = _merge_plan()
+        plan = SparseWindowPlan(built.grid, built.coords)
+        assert "rank_layout" not in vars(plan)
+        plan.merge_features(AgreedField(values[: len(plan.coords)]))
+        assert "rank_layout" not in vars(plan)
         plan.local
+        plan.merge_features(values)
         held = {
             name for name, value in vars(plan).items()
-            if isinstance(value, np.ndarray) and value.dtype.kind in "iu" and len(value) == len(plan.rows)
+            for item in (value if isinstance(value, tuple) else [value])
+            if isinstance(item, np.ndarray) and item.dtype.kind in "iu" and len(item) == len(plan.rows)
         }
-        assert held == {"rows", "layout", "local"}
+        assert held == {"rows", "rank_layout", "local"}
 
     def test_ranked_merge_allocates_no_reply_sized_buffer(self):
+        # the agreed merge keeps the field's own array as the merged rows
         plan, replies = _merge_plan()
-        ranked = [RankedValues(values.take(plan.layout, axis=0)) for values in replies]
-        tracemalloc.start()
-        try:
-            for reply in ranked:
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
-                plan.merge_features(reply)
-                assert tracemalloc.get_traced_memory()[1] - start < reply.values.nbytes
-        finally:
-            tracemalloc.stop()
+        for values in replies:
+            field = values[: len(plan.coords)].copy()
+            tracemalloc.start()
+            try:
+                merged = plan.merge_features(AgreedField(field))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.shares_memory(merged.features, field)
+            assert peak < field.nbytes / 2
 
     def test_ranked_merge_peak_is_a_fraction_of_the_reply(self, monkeypatch):
         plan, (values, _) = _merge_plan()
-        reply = RankedValues(values.take(plan.layout, axis=0))
+        field = AgreedField(values[: len(plan.coords)].copy())
         monkeypatch.setattr(patchwork, "MERGE_BLOCK_VALUES", 4096)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            plan.merge_features(reply)
+            plan.merge_features(field)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert peak < values.nbytes / 4
+
+
+def extreme_values(rng, shape):
+    """float32 values with signed zeros, subnormals, +-1e38 and the
+    float32 maximum, among values of every exponent."""
+    top = np.finfo(np.float32).max
+    pool = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-40, -3e-39, 1e38, -1e38, top, -top, 1.0, -0.75], dtype=np.float32)
+    scaled = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-38, 38, size=shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(pool, size=shape), scaled).astype(np.float32)
+
+
+class TestAgreedFieldBitEquality:
+    """Each layout's combine of an agreed field F gives the bits its merge
+    (or scatter) gives F's expansion in window order: c float32 copies of
+    a value sum exactly in float64 and divide back to it."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    def test_sparse_merge_of_copies_is_the_field(self, d, seed, a):
+        dims = Dims(a, 2, 16, 16, l=2)
+        rng = np.random.default_rng(seed)
+        occupied = rng.random(dims.grid_shape) < 0.05
+        occupied[a * 8, 16, rng.integers(16)] = True  # a row in every window of a column of windows
+        plan = SparseWindowPlan(make_patch_grid(dims, d, 16), np.argwhere(occupied))
+        assert plan.coverage.max() == (d * d if a == 2 else d)
+        F = extreme_values(rng, (len(plan.coords), dims.l))
+        assert plan.merge_features(F.take(plan.rows, axis=0)).features.tobytes() == F.tobytes()
+        assert plan.merge_features(AgreedField(F)).features.tobytes() == F.tobytes()
+
+    @settings(max_examples=100)
+    @given(stacked_cases())
+    @example(SINGLE_WINDOW)
+    def test_dense_merge_of_copies_is_the_field_plus_zero(self, case):
+        dims, d, rng = case
+        grid = make_patch_grid(dims, d, dims.N)
+        F = extreme_values(rng, dims.dense_shape)
+        F[0, 0, 0, 0] = -0.0  # the merge's +0.0 start makes it +0.0
+        expected = (F + np.float32(0.0)).tobytes()
+        assert expected != F.tobytes()
+        windows = grid.window_order(AgreedField(F))
+        assert windows.tobytes() == gather_dense(DenseLatent(dims, F), grid).values.tobytes()
+        assert merge_dense(windows, grid).data.tobytes() == expected
+        assert merge_dense(AgreedField(F), grid).data.tobytes() == expected
+
+    @settings(max_examples=100)
+    @given(stacked_cases())
+    @example(SINGLE_WINDOW)
+    def test_dilated_scatter_of_samples_is_the_field(self, case):
+        dims, _, rng = case
+        part = dilated_partition(dims, dims.N, seed=int(rng.integers(2**31)))
+        F = extreme_values(rng, dims.dense_shape)
+        samples = part.gather(DenseLatent(dims, F)).values
+        assert part.window_order(AgreedField(F)).tobytes() == samples.tobytes()
+        assert part.scatter(samples).data.tobytes() == F.tobytes()
+        assert part.scatter(AgreedField(F)).data.tobytes() == F.tobytes()
