@@ -7,7 +7,10 @@ patch-wise fields, dense and sparse, are bit-identical to the in-process
 ones.  The server's provider counts the batch calls and windows it
 answers, so the demo reports how the windows reached it: with a stage
 session, each field's windows arrive as one batch, through the served
-provider's `evaluate_windows`.
+provider's `evaluate_windows`.  The server merges them and replies with
+the merged field, one value per voxel and channel; the demo prints that
+reply's size beside the size of every window's vector in window order,
+the reply it replaces.
 """
 
 from tiledflow.bridge import ProviderServer, RemoteProvider
@@ -30,6 +33,20 @@ class CountingProvider(VectorFieldProvider):
         return self.inner.evaluate_batch(batch, conditions, t)
 
 
+class ReplyMeter(VectorFieldProvider):
+    """Passes window fields to the remote provider and keeps the last
+    reply (the merged field, viewed over the received payload) and its
+    layout."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate_windows(self, Z, layout, conditions, t):
+        self.layout = layout
+        self.reply = self.inner.evaluate_windows(Z, layout, conditions, t)
+        return self.reply
+
+
 scene = build_demo_scene()
 dims = scene.dims
 oracle = GlobalOracleProvider(ss_target=scene.ss_target, slat_target=scene.slat_target)
@@ -44,14 +61,21 @@ identical = True
 with ProviderServer(served, dims) as server:
     print(f"oracle server listening on {server.address}")
     with RemoteProvider(server.address, timeout=10) as remote:
+        meter = ReplyMeter(remote)
         for kind, (Z, grid) in fields.items():
             local_field = extended_field(Z, 0.6, grid, oracle, conditioner)
             served.calls = served.windows = 0
-            remote_field = extended_field(Z, 0.6, grid, remote, conditioner)
+            remote_field = extended_field(Z, 0.6, grid, meter, conditioner)
             values = (lambda X: X.data) if kind == "dense" else (lambda X: X.features)
             identical &= values(local_field).tobytes() == values(remote_field).tobytes()
             print(
                 f"{kind} field: the server evaluated {served.windows} of {grid.count} windows "
                 f"in {served.calls} batch call(s)"
+            )
+            reply_bytes = meter.reply.values.nbytes
+            window_order_bytes = meter.layout.window_order(meter.reply).nbytes
+            print(
+                f"{kind} field: reply of {reply_bytes:,} bytes in place of {window_order_bytes:,} "
+                f"bytes in window order ({window_order_bytes / reply_bytes:.1f}x)"
             )
 print(f"remote dense and sparse fields bit-identical to in-process: {identical}")

@@ -26,34 +26,43 @@ and reads the reply as one stacked array; a server that predates mode 3
 answers it with an "unknown eval mode 3" error frame.  Frames go out in
 gathered writes, so both ends set TCP_NODELAY.
 
-Stage sessions (modes 4 and 5) carry a window field without its
-windows.  A register request (mode 4) has shape (session id, K, d,
-kind), kind 1 a dense PatchGrid and 2 a SparseWindowPlan; its condition
-section holds the grid's window conditions in window order, each a u32
-length and its bytes, and its latent section is empty for a dense grid
-and, for a sparse plan, a u32 n and n x 3 u32 coordinates.  The server
-builds the layout on its own Dims with the library's constructors and
-their checks (K is N or M and d divides K, one condition per window,
-coordinates inside the grid, sorted, unique and covered) and answers
-with an empty response.  A field request (mode 5) has shape (session
-id, 0, 0, 0), no condition, and the global latent's float32 values:
-dense (aK, bK, K, C), or sparse (n, l) in the registered coordinate
-order.  The server checks its length, builds the global latent (whose
-constructor checks that every value is finite), and answers with its
-provider's `evaluate_windows` on the session's layout, checked against
-`window_values_shape`, in mode 3's layout: every window's vector, in
-window order (an `AgreedField` reply is expanded by the layout's
-`window_order` first); a provider failure keeps its "item N:" text.  A
-served provider that answers a layout whole (GlobalOracleProvider on
-its grid's or plan's own conditions) therefore takes that path, as in
-process.  A connection holds at most MAX_SESSIONS sessions (a further
-registration evicts the oldest), and they are dropped when it closes;
-a field request naming any other id gets "unknown session N".
-RemoteProvider registers each layout once per connection under an id it
-never reuses, waits for the acknowledgement, and then sends one mode-5
-frame per window field.  It registers anew, once, after "unknown
-session", and a peer that answers the registration with "unknown eval
-mode 4" gets mode-3 batches for the rest of the connection.
+Stage sessions (modes 4 and 6) carry a window field without its
+windows, and answer it with the merged field.  A register request
+(mode 4) has shape (session id, K, d, kind), kind 1 a dense PatchGrid
+and 2 a SparseWindowPlan; its condition section holds the grid's window
+conditions in window order, each a u32 length and its bytes, and its
+latent section is empty for a dense grid and, for a sparse plan, a u32
+n and n x 3 u32 coordinates.  The server builds the layout on its own
+Dims with the library's constructors and their checks (K is N or M and
+d divides K, one condition per window, coordinates inside the grid,
+sorted, unique and covered), keeps it for the session (a plan keeps
+there whatever merge layout it builds), and answers with an empty
+response.  A field request (mode 6) has shape (session id, 0, 0, 0), no
+condition, and the global latent's float32 values: dense (aK, bK, K,
+C), or sparse (n, l) in the registered coordinate order.  The server
+checks its length, builds the global latent (whose constructor checks
+that every value is finite), and answers with `window_field` on the
+session's layout, the engine's one check and merge of its provider's
+`evaluate_windows`: the float32 field the client's merge would give,
+dense (aK, bK, K, C) or sparse (n, l) in registered order, one value
+per voxel and channel whatever the windows' overlap.  A served provider
+that answers a layout whole (GlobalOracleProvider on its grid's or
+plan's own conditions) takes that path, as in process, and any other
+has its window-order reply merged on the server.  A failure that names
+a window keeps its "item N:" text.  The client takes the reply as an
+`AgreedField`, which its merge passes through with the same bits.
+Mode 5, which answered every window's vector in window order, is
+retired: a server answers it with "unknown eval mode 5", and at d = 1,
+where the two replies have one length, a peer of the other version
+fails loudly instead of misreading one layout as the other.  A
+connection holds at most MAX_SESSIONS sessions (a further registration
+evicts the oldest), and they are dropped when it closes; a field
+request naming any other id gets "unknown session N".  RemoteProvider
+registers each layout once per connection under an id it never
+reuses, waits for the acknowledgement, and then sends one mode-6 frame
+per window field.  It registers anew, once, after "unknown session",
+and a peer that answers the registration with "unknown eval mode 4"
+gets mode-3 batches for the rest of the connection.
 
 The server reads at most MAX_PIPELINED requests of one connection ahead
 of its answers; then it stops reading until an answer is sent, and TCP
@@ -89,7 +98,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolError, ProviderError
-from .flowcore import VectorFieldProvider, check_condition_count, evaluate_one, window_values_shape
+from .flowcore import VectorFieldProvider, check_condition_count, evaluate_one, window_field
 from .lattice import (
     DTYPE,
     DenseBatch,
@@ -101,7 +110,7 @@ from .lattice import (
     batch_coords_problem,
     first_nonfinite_item,
 )
-from .patchwork import DilatedPartition, PatchGrid, SparseWindowPlan
+from .patchwork import AgreedField, DilatedPartition, PatchGrid, SparseWindowPlan
 from .priors import ConditionEmbedding
 
 MAGIC = b"XFP1"
@@ -113,7 +122,8 @@ MODE_DENSE = 1
 MODE_SPARSE = 2
 MODE_BATCH = 3
 MODE_REGISTER = 4
-MODE_FIELD = 5
+# Mode 5, the field request answered in window order, is retired.
+MODE_FIELD = 6
 
 MAX_PAYLOAD = 256 * 1024 * 1024
 # Bounds on the input a server discards after a framing error before closing.
@@ -380,7 +390,7 @@ def _parse_register(payload, dims: Dims) -> tuple[int, PatchGrid | SparseWindowP
 
 
 def _field_parts(session: int, Z: DenseLatent | SparseLatent, t: float) -> tuple[int, list]:
-    """Size and buffers of the mode-5 request evaluating `session`'s
+    """Size and buffers of the mode-6 request evaluating `session`'s
     windows on Z: the head (shape (session, 0, 0, 0)), then Z's float32
     values, a dense lattice or the sparse rows in registered order."""
     values = np.ascontiguousarray(Z.features if isinstance(Z, SparseLatent) else Z.data, dtype="<f4")
@@ -397,8 +407,9 @@ def _send_frame(sock: socket.socket, ftype: int, request_id: int, size: int, par
     views = [memoryview(_frame_header(ftype, request_id, size))]
     queued = total = 0
     for part in parts:
-        view = memoryview(part).cast("B")
-        if len(view):
+        view = memoryview(part)
+        if view.nbytes:  # a zero-size array of several dimensions cannot be cast
+            view = view.cast("B")
             views.append(view)
             queued += len(view)
             total += len(view)
@@ -484,13 +495,16 @@ class RemoteProvider(VectorFieldProvider):
     (`evaluate_windows` on a DilatedPartition) takes the default path:
     its gathered samples in one such batch.
 
-    A window field (`evaluate_windows`) is one mode-5 frame on a stage
-    session: the first call on a layout registers it and its conditions
-    (mode 4) under a fresh id and waits for the acknowledgement.  The
-    registry holds layouts by weak reference.  A session the peer has
-    evicted is registered once more under a fresh id; a peer that
-    answers "unknown eval mode 4" gets mode-3 batches for the rest of
-    the connection.
+    A window field (`evaluate_windows`) is one mode-6 frame on a stage
+    session, answered with the merged field, which it returns as an
+    `AgreedField`; the engine's merge passes it through with the same
+    bits, so the client neither holds a window-order reply nor builds a
+    plan's merge layout.  The first call on a layout registers it and
+    its conditions (mode 4) under a fresh id and waits for the
+    acknowledgement.  The registry holds layouts by weak reference.  A
+    session the peer has evicted is registered once more under a fresh
+    id; a peer that answers "unknown eval mode 4" gets mode-3 batches
+    for the rest of the connection.
     """
 
     def __init__(self, endpoint: str | socket.socket, timeout: float = 30.0):
@@ -551,9 +565,10 @@ class RemoteProvider(VectorFieldProvider):
         return np.frombuffer(payload, dtype="<f4").reshape(batch.values.shape)
 
     def evaluate_windows(self, Z, layout, conditions, t):
-        """One mode-5 frame on the layout's session; the default's one
-        mode-3 batch for a dilated partition (a new one every step, so a
-        session would not pay) or when the peer has no sessions."""
+        """One mode-6 frame on the layout's session, answered with the
+        merged field as an `AgreedField`; the default's one mode-3 batch
+        for a dilated partition (a new one every step, so a session would
+        not pay) or when the peer has no sessions."""
         stale = None
         while True:
             session = None if isinstance(layout, DilatedPartition) else self._session(layout, conditions, stale)
@@ -566,12 +581,12 @@ class RemoteProvider(VectorFieldProvider):
                     raise
                 stale = session
                 continue
-            shape = window_values_shape(Z, layout)
+            shape = (Z.features if isinstance(Z, SparseLatent) else Z.data).shape
             if len(payload) != 4 * math.prod(shape):
                 raise ProtocolError(
                     f"response {request_id}: payload {len(payload)} bytes != expected {4 * math.prod(shape)}"
                 )
-            return np.frombuffer(payload, dtype="<f4").reshape(shape)
+            return AgreedField(np.frombuffer(payload, dtype="<f4").reshape(shape))
 
     def _session(self, layout, conditions, stale: int | None) -> int | None:
         """The id of this connection's session holding `layout` with
@@ -711,7 +726,11 @@ class ProviderServer:
     """Serves a VectorFieldProvider over XFP1.
 
     Handles concurrent requests per connection; responses go out as
-    they complete, matched by request id.  Malformed payloads produce
+    they complete, matched by request id.  A session's field request is
+    answered through `window_field`, the engine's own check and merge,
+    with the merged field; the session's layout, and a plan's merge
+    layout once built, stay on the server until the session is evicted
+    or the connection closes.  Malformed payloads produce
     type-3 error frames and the connection survives; an unframeable
     stream (bad magic) gets one error frame and the connection closes,
     since resynchronization is impossible.
@@ -805,8 +824,9 @@ class ProviderServer:
 
     def _evaluate(self, conn: _Connection, payload) -> list[np.ndarray]:
         """The buffers answering a request: nothing for a registration,
-        else the float32 vectors of its items (`evaluate_batch`) or of its
-        session's windows (`evaluate_windows`), in order, as one buffer."""
+        the merged field of a session's windows (`window_field`, the
+        engine's own check and merge), or the float32 vectors of a
+        batch's items (`evaluate_batch`) in item order, as one buffer."""
         t, mode, session, s1, s2, s3, cond_len = _parse_head(payload)
         if mode == MODE_REGISTER:
             conn.register(*_parse_register(payload, self.dims))
@@ -816,22 +836,19 @@ class ProviderServer:
                 raise ProtocolError("field head holds more than a session id")
             layout, conditions = conn.session(session)
             Z = self._field_latent(layout, memoryview(payload)[_REQ_HEAD.size :])
-            values = self.provider.evaluate_windows(Z, layout, conditions, float(t))
-            values = layout.window_order(values)  # the wire carries window order
-            shape = window_values_shape(Z, layout)
-        else:
-            requests = parse_request(payload)
-            batch = self._batch(requests)
-            conditions = [ConditionEmbedding(bytes(req.condition)) for req in requests]
-            values = self.provider.evaluate_batch(batch, conditions, requests[0].t)
-            shape = batch.values.shape
-        values = np.asarray(values)
-        if values.shape != shape:
-            raise ProviderError(f"provider returned values of shape {values.shape}, expected {shape}")
+            merged = window_field(Z, layout, self.provider, conditions, t)
+            values = merged.features if isinstance(merged, SparseLatent) else merged.data
+            return [np.ascontiguousarray(values, dtype="<f4")]
+        requests = parse_request(payload)
+        batch = self._batch(requests)
+        conditions = [ConditionEmbedding(bytes(req.condition)) for req in requests]
+        values = np.asarray(self.provider.evaluate_batch(batch, conditions, requests[0].t))
+        if values.shape != batch.values.shape:
+            raise ProviderError(f"provider returned values of shape {values.shape}, expected {batch.values.shape}")
         return [np.ascontiguousarray(values, dtype="<f4")]
 
     def _field_latent(self, layout, latent: memoryview) -> DenseLatent | SparseLatent:
-        """The global latent a mode-5 request carries on `layout`, once
+        """The global latent a mode-6 request carries on `layout`, once
         its length is checked; the latent constructors check that every
         value is finite."""
         sparse = isinstance(layout, SparseWindowPlan)

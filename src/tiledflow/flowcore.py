@@ -140,13 +140,17 @@ class VectorFieldProvider:
         for a dense Z on a DilatedPartition.  `conditions` holds one
         condition per item, in item order.
 
-        A provider whose items are all cuts of one global field may
-        answer that field instead, as an `AgreedField` shaped like Z's
-        own (`Z.features` on a plan, `Z.data` on a grid or a partition):
-        `layout.window_order` expands it to the stacked form, and the
-        layout's merge (or scatter) takes it whole with the bits it
-        would give the stacked form, because c float32 copies of a value
-        sum exactly in float64 and divide back to it.
+        A provider may instead answer one field shaped like Z's own
+        (`Z.features` on a plan, `Z.data` on a grid or a partition), as
+        an `AgreedField`.  The contract the engine relies on: the
+        layout's merge (or scatter) passes that field through with the
+        bits it gives the field's expansion to the stacked form,
+        `layout.window_order(reply)`.  Two replies keep it.  A field
+        whose every item is a cut (the exact oracle's `(Z - T) / t`):
+        c float32 copies of a value sum exactly in float64 and divide
+        back to it.  And a field that is already merged, such as an
+        XFP1 server's answer: it is its own expansion's merge, and a
+        merged lattice holds no -0.0, so a grid's +0.0 keeps its bits.
 
         The default gathers the items into one batch and answers it with
         one `evaluate_batch` call.  The engine checks the reply's shape
@@ -590,25 +594,44 @@ def extended_field(
 
     A sparse Z is cut by `plan`, the window plan of its grid and
     coordinates (built here when not given; a plan of another grid or
-    coordinate set is a ConfigError).  The provider gets the
-    whole window field in one `evaluate_windows` call (by default one
-    stacked gather and one batch call); the reply's shape is checked,
-    and it is merged in the grid's fixed window order; the merged
-    field's finiteness check stands for the reply's (`_checked_call`).
-    Provider failures carry the window index.  A Z built on
-    `plan.coords` itself skips the coordinate compare.
+    coordinate set is a ConfigError), and a dense Z's lattice must hold
+    every window.  The field is `window_field` of Z on that layout, with
+    the grid's window conditions.  A Z built on `plan.coords` itself
+    skips the coordinate compare.
     """
-    windows = grid.windows()
     if isinstance(Z, SparseLatent):
         if plan is None:
             plan = SparseWindowPlan(grid, Z.coords)
         elif plan.grid != grid or not (plan.coords is Z.coords or np.array_equal(plan.coords, Z.coords)):
             raise ConfigError("window plan was built for another grid or coordinate set")
-        layout, combine = plan, plan.merge_features
+        layout = plan
     else:
         grid.check_fits(Z.data.shape)
-        layout, combine = grid, lambda values: merge_dense(values, grid)
-    conditions = conditioner.window_conditions(grid)
+        layout = grid
+    return window_field(Z, layout, provider, conditioner.window_conditions(grid), t)
+
+
+def window_field(
+    Z: PatchLatent,
+    layout: PatchGrid | SparseWindowPlan,
+    provider: VectorFieldProvider,
+    conditions: Sequence[ConditionEmbedding],
+    t: float,
+) -> PatchLatent:
+    """The merged window field of Z on `layout`, a PatchGrid that fits
+    the dense Z or the SparseWindowPlan of the sparse Z's coordinates,
+    with one condition per window in window order.
+
+    The provider gets the whole field in one `evaluate_windows` call at
+    t quantized to float32 (by default one stacked gather and one batch
+    call); `_checked_call` checks the reply and merges it in the grid's
+    fixed window order, and failures name the window, `patch (i, j)`.
+    `extended_field` and the XFP1 server's field answer both take this
+    one path.
+    """
+    sparse = isinstance(layout, SparseWindowPlan)
+    windows = layout.windows if sparse else layout.windows()
+    combine = layout.merge_features if sparse else lambda values: merge_dense(values, layout)
     t_eval = float(DTYPE(t))
     return _checked_call(
         lambda: provider.evaluate_windows(Z, layout, conditions, t_eval),
@@ -616,35 +639,29 @@ def extended_field(
     )
 
 
-def window_values_shape(
-    Z: PatchLatent, layout: PatchGrid | SparseWindowPlan | DilatedPartition
-) -> tuple[int, ...]:
-    """The shape of the stacked window (or sample) vectors of Z on `layout`."""
-    if isinstance(layout, SparseWindowPlan):
-        return (len(layout.rows), Z.dims.l)
-    n = layout.count if isinstance(layout, PatchGrid) else len(layout)
-    return (n, layout.K, layout.K, layout.K, Z.data.shape[-1])
-
-
 def _checked_call(call, Z: PatchLatent, layout, name, combine):
     """`combine` (the layout's merge or scatter) of `call()`'s reply, as
     float32, when the reply has the shape of the stacked items of Z on
-    `layout` (`window_values_shape`), or is an `AgreedField` shaped like
-    Z's own field, and is finite.
+    `layout` ((window rows, l) on a plan, (items, K, K, K, C) on a grid
+    or a partition), or is an `AgreedField` shaped like Z's own field,
+    and is finite.
 
     A failure of the call, or a reply of another shape or with a
     non-finite value, is a ProviderError naming the items: item k is
-    `name(k)`.  Dense items are stacked along axis 0; sparse rows belong
-    to windows by the plan's `bounds`.  Finiteness is read off the
-    combined field: every reply value reaches it, through a float64 sum
-    that cannot overflow or a copy, and its constructor rejects a
-    non-finite value with a ValueError.  Only then is the reply, in
-    window order (`layout.window_order`), scanned for the first item
-    holding one.
+    `name(k)`, and the error's `item` is k when one item is named.
+    Dense items are stacked along axis 0; sparse rows belong to windows
+    by the plan's `bounds`.  Finiteness is read off the combined field:
+    every reply value reaches it, through a float64 sum that cannot
+    overflow or a copy, and its constructor rejects a non-finite value
+    with a ValueError.  Only then is the reply, in window order
+    (`layout.window_order`), scanned for the first item holding one.
     """
-    shape = window_values_shape(Z, layout)
-    bounds = layout.bounds if isinstance(layout, SparseWindowPlan) else None
-    count = shape[0] if bounds is None else len(layout.windows)
+    if isinstance(layout, SparseWindowPlan):
+        bounds, count = layout.bounds, len(layout.windows)
+        shape = (len(layout.rows), Z.dims.l)
+    else:
+        bounds, count = None, layout.count if isinstance(layout, PatchGrid) else len(layout)
+        shape = (count, layout.K, layout.K, layout.K, Z.data.shape[-1])
     where = f"{name(0)} to {name(count - 1)}"
     try:
         reply = call()
@@ -654,7 +671,9 @@ def _checked_call(call, Z: PatchLatent, layout, name, combine):
         item = exc.item if isinstance(exc, ProviderError) else None
         if item is not None and 0 <= item < count:
             where = name(item)
-        raise ProviderError(f"provider failed on {where}: {exc}") from exc
+        else:
+            item = None
+        raise ProviderError(f"provider failed on {where}: {exc}", item) from exc
     if agreed:
         shape = (Z.features if bounds is not None else Z.data).shape
     if values.shape != shape:
@@ -670,7 +689,7 @@ def _checked_call(call, Z: PatchLatent, layout, name, combine):
             item = first_nonfinite_item(np.asarray(layout.window_order(reply), dtype=DTYPE), bounds)
             if item is None:
                 raise
-    raise ProviderError(f"provider returned non-finite values for {name(item)}")
+    raise ProviderError(f"provider returned non-finite values for {name(item)}", item)
 
 
 def dilated_field(

@@ -35,15 +35,17 @@ stands for a check of the reply.
 
 A reply may instead be an `AgreedField`: one array shaped like the
 latent's own field (`Z.features` on a plan, `Z.data` on a grid or a
-partition) that every window's vector is a cut of, by the layout's own
-gather.  A provider whose windows are all restrictions of one global
-field (the exact oracle) answers so.  Each layout's `window_order`
-expands it to window order, and each layout's combine takes it whole:
-c float32 copies of a value sum exactly in float64 (24 + log2(c) <= 53
-bits) and divide back to it, so a plan's merge is the field's rows as
-they are, a grid's is the field plus +0.0 (its float64 sum starts from
-+0.0, which turns -0.0 into +0.0), and a partition's scatter, whose
-pillars cover the lattice once, is the field itself.
+partition), which each layout's combine takes whole, with the bits it
+gives the field's expansion to window order (`window_order`, a cut by
+the layout's own gather).  Two kinds of field keep that contract.  One
+whose windows are all its restrictions (the exact oracle's): c float32
+copies of a value sum exactly in float64 (24 + log2(c) <= 53 bits) and
+divide back to it, so a plan's merge is the field's rows as they are,
+a grid's is the field plus +0.0 (its float64 sum starts from +0.0,
+which turns -0.0 into +0.0), and a partition's scatter, whose pillars
+cover the lattice once, is the field itself.  And one that is already
+merged (an XFP1 server's answer): it is the merge of its own expansion
+for the same reason, and a merged lattice holds no -0.0.
 
 The per-window forms (`patch_dense`, `patch_sparse`, `merge_vectors`
 over a mapping) remain for callers that hold single patches; they give
@@ -305,11 +307,16 @@ class AgreedField:
     """A layout's reply as the one field its windows agree on: `values`
     is shaped like the latent's own field (`Z.features` on a
     `SparseWindowPlan`, `Z.data` on a `PatchGrid` or a
-    `DilatedPartition`), and each window's (or sample's) vector is that
-    field cut by the layout's gather.  The layout's `window_order`
-    expands it, and its combine takes it whole (see the module
-    docstring).  It is not an array, so it never passes for a reply in
-    window order."""
+    `DilatedPartition`).  The layout's `window_order` expands it, and
+    its combine takes it whole (see the module docstring).
+
+    The contract: the combine passes the field through with the bits it
+    gives the expansion.  The exact oracle's field, of which every
+    window's (or sample's) vector is a cut, keeps it; so does a field
+    that is already merged, as an XFP1 server answers a window field,
+    since a merged lattice holds no -0.0 for a grid's +0.0 to change.
+    It is not an array, so it never passes for a reply in window order.
+    """
 
     __slots__ = ("values",)
 

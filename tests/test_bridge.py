@@ -1,3 +1,4 @@
+import math
 import socket
 import struct
 import threading
@@ -47,7 +48,6 @@ from tiledflow.patchwork import (
     dilated_partition,
     gather_dense,
     make_patch_grid,
-    merge_dense,
     patch_dense,
     patch_sparse,
 )
@@ -515,6 +515,11 @@ def _batch(t, items, count=None):
     return _REQ_HEAD.pack(t, MODE_BATCH, len(items) if count is None else count, 0, 0, 0, 0) + body
 
 
+def _holds_negative_zero(payload):
+    values = np.frombuffer(payload, "<f4")
+    return bool((np.signbit(values) & (values == 0)).any())
+
+
 def _read_frames(sock, count):
     """The next `count` frames of the stream."""
     frames, buf = [], b""
@@ -937,15 +942,15 @@ class TestStackedWireBytes:
             assert (len(seen[part]), hashlib.sha256(seen[part]).hexdigest()) == (length, digest)
 
     # Stage sessions on the same scene, whole 3 x 3 window grids: the
-    # mode-4 registration, the mode-5 request and its reply, which is
-    # mode 3's reply layout for all nine windows.
+    # mode-4 registration, the mode-6 request and its reply, which is the
+    # merged field, dense (aK, bK, K, C) or sparse (n, l).
     SESSION_GOLDEN = {
         ("dense", "register"): (178, "3b273fb6e2ea95951c17798b7ab1db90a726ca86d78ce8f28491b96372193e19"),
-        ("dense", "field"): (2073, "bc4884769f2b43041dc804c280b26f29651b42c1cfaf7c39837d6c87a37d07c8"),
-        ("dense", "reply"): (4608, "f935068b8220714faf17f54cd7fa8d000aa7f46319516c487d47712f136f1748"),
+        ("dense", "field"): (2073, "73cdbf32e7b6787625d916cc67c2c3569b387af0f8c1c7c29f58b4f2fc3d76d5"),
+        ("dense", "reply"): (2048, "0202b81bedc58a92f4075ceae67c0c4a4b9c10079269f7cacdcbf3d517c8db80"),
         ("sparse", "register"): (3698, "6a2b7075317ceb836ffd0cb55353af1ea90a76aaddf73c8fb74b350f9d5e0f4d"),
-        ("sparse", "field"): (3541, "a224dc415258219124f890328a5eabcbc774e51840277b55c25376d1a612b309"),
-        ("sparse", "reply"): (7896, "0ba8436c9e5a1b3517804007355381cc34e06bb2cbb163c656ebb3bd42139569"),
+        ("sparse", "field"): (3541, "13e8d26fcf055d7ea549af6d0d3dae97d85ae1fbd830c9eaff47be13d74f3ad6"),
+        ("sparse", "reply"): (3516, "b5c6f188fd210df828b4399016b9dbefab7ba11ab965c6a1877d38c66e31e001"),
     }
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -976,8 +981,8 @@ class TestStackedWireBytes:
         head = _REQ_HEAD.pack(0.0, MODE_REGISTER, 1, grid.K, 2, 1 if kind == "dense" else 2, len(section))
         assert seen["register"] == head + section + coords
         assert seen["field"] == _REQ_HEAD.pack(0.5, MODE_FIELD, 1, 0, 0, 0, 0) + latent.tobytes()
-        patches = [patch_dense(Z, w) if kind == "dense" else patch_sparse(S, w) for w in grid.windows()]
-        assert seen["reply"] == oracle.evaluate_batch(stack_patches(patches), conditions, 0.5).tobytes()
+        # the reply is the merged field itself, one value per voxel and channel
+        assert seen["reply"] == values(expected).tobytes()
         for part, payload in seen.items():
             assert (len(payload), hashlib.sha256(payload).hexdigest()) == self.SESSION_GOLDEN[(kind, part)]
 
@@ -1127,8 +1132,8 @@ class TestSessions:
 
     def test_served_oracle_session_bytes_equal_the_default_path(self):
         # the served oracle answers its sessions' fields as agreed fields;
-        # expanded to window order, its reply bytes are those of a server
-        # whose oracle gathers every window, -0.0 included
+        # merged on the server, its reply bytes are those of a server whose
+        # oracle gathers every window, -0.0 included
         rng = np.random.default_rng(47)
         values = rng.standard_normal((2,) + DIMS.dense_shape, dtype=np.float32)
         values[0][rng.random(DIMS.dense_shape) < 0.3] = -0.0
@@ -1157,7 +1162,7 @@ class TestSessions:
             replies.append([frame.payload for frame in relay.replies])
         agreed, default = replies
         assert agreed == default
-        assert any(np.signbit(np.frombuffer(reply, "<f4")).any() for reply in agreed[1::2])
+        assert any(_holds_negative_zero(reply) for reply in agreed[1::2])
 
     def test_dilated_field_goes_as_one_batch(self, oracle_server):
         # a partition changes every step, so it is no session: its samples
@@ -1251,8 +1256,7 @@ class TestSessions:
             (reply,) = _read_frames(sock, 1)
             assert (reply.type, reply.request_id) == (TYPE_RESPONSE, 101)
             expected = extended_field(Z, 0.5, grid, GlobalOracleProvider(ss_target=target), OracleConditioner())
-            values = np.frombuffer(reply.payload, dtype="<f4").reshape(grid.count, 4, 4, 4, 1)
-            assert merge_dense(values, grid).data.tobytes() == expected.data.tobytes()
+            assert bytes(reply.payload) == expected.data.tobytes()
             sock.sendall(_valid_request_blob(102))
             (reply,) = _read_frames(sock, 1)
             assert (reply.type, reply.request_id) == (TYPE_RESPONSE, 102)
@@ -1348,9 +1352,127 @@ class TestSessions:
             assert text in reply.payload.decode()
             sock.sendall(encode_frame(Frame(TYPE_REQUEST, 92, _REQ_HEAD.pack(0.5, MODE_FIELD, 1, 0, 0, 0, 0) + Z)))
             (reply,) = _read_frames(sock, 1)
-            assert (reply.type, reply.request_id, len(reply.payload)) == (TYPE_RESPONSE, 92, 4 * grid.count * DIMS.N**3 * DIMS.C)
+            assert (reply.type, reply.request_id, len(reply.payload)) == (TYPE_RESPONSE, 92, 4 * math.prod(DIMS.dense_shape))
         finally:
             sock.close()
+
+
+
+class TestMergedFieldReply:
+    """A session's field is answered with the merged field, through the
+    engine's one check and merge: one float32 value per voxel and channel
+    on the wire, whatever the windows' overlap."""
+
+    @staticmethod
+    def _scene(seed):
+        # -0.0 in Z where the target is +0.0, so the field holds -0.0 cells
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((2,) + DIMS.dense_shape, dtype=np.float32)
+        values[0][rng.random(DIMS.dense_shape) < 0.2] = -0.0
+        values[1][values[0] == 0] = 0.0
+        coords = np.argwhere(rng.random(DIMS.grid_shape) < 0.2)
+        S = init_sparse_noise(coords, DIMS, seed=seed + 1)
+        S = S.with_features(np.where(rng.random(S.features.shape) < 0.2, np.float32(-0.0), S.features))
+        slat_target = S.with_features(np.where(S.features == 0, np.float32(0.0), S.features[::-1]))
+        return DenseLatent(DIMS, values[0]), S, GlobalOracleProvider(DenseLatent(DIMS, values[1]), slat_target)
+
+    @pytest.mark.parametrize("served", ["oracle", "evaluate-only"])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_remote_fields_bit_equal_in_process(self, d, served):
+        # the oracle answers agreed fields; an evaluate-only provider's
+        # window-order reply is merged on the server
+        Z, S, oracle = self._scene(60 + d)
+        provider = oracle if served == "oracle" else EvaluateOnly(oracle)
+        cond = OracleConditioner()
+        dense_grid, sparse_grid = make_patch_grid(DIMS, d, DIMS.N), make_patch_grid(DIMS, d, DIMS.M)
+        plan = SparseWindowPlan(sparse_grid, S.coords)
+
+        def fields(provider, plan):
+            return [
+                extended_field(Z, t, dense_grid, provider, cond).data.tobytes()
+                + extended_field(S, t, sparse_grid, provider, cond, plan=plan).features.tobytes()
+                for t in (0.7, 0.3)
+            ]
+
+        expected = fields(provider, None)
+        assert expected == fields(oracle, None)
+        assert any(_holds_negative_zero(e) for e in expected)
+        server = ProviderServer(provider, DIMS).start()
+        relay = _Relay(server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                assert fields(remote, plan) == expected
+        finally:
+            relay.close()
+            server.stop()
+        # the client merged nothing: its plan never built a merge layout
+        assert "rank_layout" not in vars(plan)
+        assert relay.modes() == [MODE_REGISTER, MODE_FIELD, MODE_REGISTER, MODE_FIELD, MODE_FIELD, MODE_FIELD]
+        replies = {frame.request_id: len(frame.payload) for frame in relay.replies}
+        sizes = [replies[frame.request_id] for frame in relay.requests]
+        assert sizes == [0, Z.data.nbytes, 0, S.features.nbytes, Z.data.nbytes, S.features.nbytes]
+
+    def test_retired_field_mode_gets_one_error_frame(self, oracle_server):
+        server, target, _ = oracle_server
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        conditions = [OracleConditioner().window_condition(w).data for w in grid.windows()]
+        section = b"".join(struct.pack("<I", len(c)) + c for c in conditions)
+        Z = random_dense(DIMS, 63)
+        expected = extended_field(Z, 0.5, grid, GlobalOracleProvider(ss_target=target), OracleConditioner())
+        host, port = server.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            register = _REQ_HEAD.pack(0.0, MODE_REGISTER, 1, DIMS.N, 2, 1, len(section)) + section
+            sock.sendall(encode_frame(Frame(TYPE_REQUEST, 1, register)))
+            (reply,) = _read_frames(sock, 1)
+            assert (reply.type, reply.payload) == (TYPE_RESPONSE, b"")
+            for request_id, mode in ((2, 5), (3, MODE_FIELD)):
+                field = _REQ_HEAD.pack(0.5, mode, 1, 0, 0, 0, 0) + Z.data.tobytes()
+                sock.sendall(encode_frame(Frame(TYPE_REQUEST, request_id, field)))
+            retired, answered = _read_frames(sock, 2)
+        assert (retired.type, retired.request_id, bytes(retired.payload)) == (TYPE_ERROR, 2, b"unknown eval mode 5")
+        assert (answered.type, answered.request_id) == (TYPE_RESPONSE, 3)
+        assert bytes(answered.payload) == expected.data.tobytes()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_server_names_the_failing_window_through_item(self, oracle_server, sparse):
+        # window (1, 0) of the d = 2 grid is item 3, the fourth evaluation
+        _, target, slat_target = oracle_server
+        oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        grid = make_patch_grid(DIMS, 2, DIMS.M if sparse else DIMS.N)
+        Z = slat_target if sparse else random_dense(DIMS, 42)
+        with pytest.raises(ProviderError, match=r"non-finite values for patch \(1, 0\)") as local:
+            extended_field(Z, 0.5, grid, EvaluateOnly(oracle, poison=4), OracleConditioner())
+        server = ProviderServer(EvaluateOnly(oracle, poison=4), DIMS).start()
+        relay = _Relay(server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                with pytest.raises(ProviderError, match=r"non-finite values for patch \(1, 0\)") as remote_error:
+                    extended_field(Z, 0.5, grid, remote, OracleConditioner())
+        finally:
+            relay.close()
+            server.stop()
+        assert local.value.item == remote_error.value.item == 3
+        (error,) = [frame for frame in relay.replies if frame.type == TYPE_ERROR]
+        assert error.payload.decode() == "item 3: provider returned non-finite values for patch (1, 0)"
+
+    @pytest.mark.parametrize("served", ["oracle", "evaluate-only"])
+    def test_empty_coordinate_set_round_trips(self, oracle_server, served):
+        # the plan's (0, 3) coordinates, the (0, l) features and the (0, l)
+        # reply are zero-size arrays of two dimensions on the wire
+        _, target, slat_target = oracle_server
+        oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+        provider = oracle if served == "oracle" else EvaluateOnly(oracle)
+        grid = make_patch_grid(DIMS, 2, DIMS.M)
+        S = SparseLatent(DIMS, np.zeros((0, 3), dtype=np.int64), np.zeros((0, DIMS.l), dtype=np.float32))
+        expected = extended_field(S, 0.5, grid, provider, OracleConditioner())
+        server = ProviderServer(provider, DIMS).start()
+        try:
+            with RemoteProvider(server.address, timeout=10) as remote:
+                field = extended_field(S, 0.5, grid, remote, OracleConditioner())
+        finally:
+            server.stop()
+        assert field.features.shape == expected.features.shape == (0, DIMS.l)
+        assert field.coords.shape == (0, 3)
 
 
 _FUZZ_DIMS = Dims(2, 2, 4, 8, C=1, l=2)

@@ -1,6 +1,7 @@
 """Smoke tests: the demos run from a clean working directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,12 @@ def test_remote_provider_demo_is_bit_identical(tmp_path):
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert any(line.endswith("bit-identical to in-process: True") for line in lines), result.stdout
+    # each field's reply is the merged field, smaller than every window's vector
+    reply_line = re.compile(r"(dense|sparse) field: reply of ([\d,]+) bytes in place of ([\d,]+) bytes in window order")
+    sizes = {}
+    for line in lines:
+        found = reply_line.match(line)
+        if found:
+            sizes[found[1]] = (int(found[2].replace(",", "")), int(found[3].replace(",", "")))
+    assert sizes.keys() == {"dense", "sparse"}, result.stdout
+    assert all(0 < reply < window_order for reply, window_order in sizes.values()), sizes
