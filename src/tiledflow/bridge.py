@@ -50,7 +50,7 @@ that answers a layout whole (GlobalOracleProvider on its grid's or
 plan's own conditions) takes that path, as in process, and any other
 has its window-order reply merged on the server.  A failure that names
 a window keeps its "item N:" text.  The client takes the reply as an
-`AgreedField`, which its merge passes through with the same bits.
+`AgreedField`, which its merge takes as it is.
 Mode 5, which answered every window's vector in window order, is
 retired: a server answers it with "unknown eval mode 5", and at d = 1,
 where the two replies have one length, a peer of the other version
@@ -497,9 +497,9 @@ class RemoteProvider(VectorFieldProvider):
 
     A window field (`evaluate_windows`) is one mode-6 frame on a stage
     session, answered with the merged field, which it returns as an
-    `AgreedField`; the engine's merge passes it through with the same
-    bits, so the client neither holds a window-order reply nor builds a
-    plan's merge layout.  The first call on a layout registers it and
+    `AgreedField`; the engine's merge takes it as it is, so the client
+    neither holds a window-order reply nor builds a plan's merge
+    layout.  The first call on a layout registers it and
     its conditions (mode 4) under a fresh id and waits for the
     acknowledgement.  The registry holds layouts by weak reference.  A
     session the peer has evicted is registered once more under a fresh

@@ -142,15 +142,9 @@ class VectorFieldProvider:
 
         A provider may instead answer one field shaped like Z's own
         (`Z.features` on a plan, `Z.data` on a grid or a partition), as
-        an `AgreedField`.  The contract the engine relies on: the
-        layout's merge (or scatter) passes that field through with the
-        bits it gives the field's expansion to the stacked form,
-        `layout.window_order(reply)`.  Two replies keep it.  A field
-        whose every item is a cut (the exact oracle's `(Z - T) / t`):
-        c float32 copies of a value sum exactly in float64 and divide
-        back to it.  And a field that is already merged, such as an
-        XFP1 server's answer: it is its own expansion's merge, and a
-        merged lattice holds no -0.0, so a grid's +0.0 keeps its bits.
+        an `AgreedField`: the field the layout's merge (or scatter)
+        would give, which it then takes as it is (see `AgreedField` for
+        the contract).
 
         The default gathers the items into one batch and answers it with
         one `evaluate_batch` call.  The engine checks the reply's shape
@@ -378,8 +372,9 @@ class GlobalOracleProvider(VectorFieldProvider):
     def evaluate_windows(self, Z, layout, conditions, t):
         """On the layout's own conditions, (Z - target) / t over Z's whole
         field, in one array (`AgreedField`): each item's vector is its cut,
-        with the per-item bits, as the arithmetic is elementwise.  Anything
-        else takes the default path."""
+        with the per-item bits, as the arithmetic is elementwise.  On a
+        grid the field gets +0.0 in place, as the grid's merge of those
+        cuts would give it.  Anything else takes the default path."""
         target = self._own_target(Z, layout, conditions)
         if target is None:
             return super().evaluate_windows(Z, layout, conditions, t)
@@ -387,6 +382,8 @@ class GlobalOracleProvider(VectorFieldProvider):
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
             out = np.subtract(Z.features if isinstance(layout, SparseWindowPlan) else Z.data, target)
             out *= inv
+        if isinstance(layout, PatchGrid):
+            out += DTYPE(0.0)  # -0.0 + 0.0 is +0.0
         return AgreedField(out)
 
     def _own_target(self, Z, layout, conditions) -> np.ndarray | None:

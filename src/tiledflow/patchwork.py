@@ -33,19 +33,9 @@ reply-sized copy.  It then divides by the coverage.  The merged rows
 are finite exactly when the reply is, so the merged latent's own check
 stands for a check of the reply.
 
-A reply may instead be an `AgreedField`: one array shaped like the
-latent's own field (`Z.features` on a plan, `Z.data` on a grid or a
-partition), which each layout's combine takes whole, with the bits it
-gives the field's expansion to window order (`window_order`, a cut by
-the layout's own gather).  Two kinds of field keep that contract.  One
-whose windows are all its restrictions (the exact oracle's): c float32
-copies of a value sum exactly in float64 (24 + log2(c) <= 53 bits) and
-divide back to it, so a plan's merge is the field's rows as they are,
-a grid's is the field plus +0.0 (its float64 sum starts from +0.0,
-which turns -0.0 into +0.0), and a partition's scatter, whose pillars
-cover the lattice once, is the field itself.  And one that is already
-merged (an XFP1 server's answer): it is the merge of its own expansion
-for the same reason, and a merged lattice holds no -0.0.
+A reply may instead be an `AgreedField`, the field the layout's combine
+would give its windows' vectors; each combine takes it as it is (the
+contract is stated on `AgreedField`).
 
 The per-window forms (`patch_dense`, `patch_sparse`, `merge_vectors`
 over a mapping) remain for callers that hold single patches; they give
@@ -268,13 +258,12 @@ def merge_dense(values: np.ndarray | AgreedField, grid: PatchGrid) -> DenseLaten
 
     The float64 sum adds each cell's windows in window order, so it is
     bit-equal to adding the zero-padded patches one window at a time.
-    An `AgreedField` of the (a*K, b*K, K, C) lattice merges to itself
-    plus +0.0, the bits that sum gives its windows.
+    An `AgreedField` of the (a*K, b*K, K, C) lattice is taken as it is.
     """
     dims, K, d = grid.dims, grid.K, grid.d
     stride, C = K // d, dims.C
     if isinstance(values, AgreedField):
-        return DenseLatent(dims, np.add(values.field((dims.a * K, dims.b * K, K, C)), 0.0, dtype=DTYPE))
+        return DenseLatent(dims, values.field((dims.a * K, dims.b * K, K, C)))
     if values.shape != (grid.count, K, K, K, C):
         raise DimensionError(f"window vectors {values.shape} != {(grid.count, K, K, K, C)}")
     acc = np.zeros((dims.a * K, dims.b * K, K, C), dtype=np.float64)
@@ -307,15 +296,20 @@ class AgreedField:
     """A layout's reply as the one field its windows agree on: `values`
     is shaped like the latent's own field (`Z.features` on a
     `SparseWindowPlan`, `Z.data` on a `PatchGrid` or a
-    `DilatedPartition`).  The layout's `window_order` expands it, and
-    its combine takes it whole (see the module docstring).
+    `DilatedPartition`).  It is not an array, so it never passes for a
+    reply in window order.
 
-    The contract: the combine passes the field through with the bits it
-    gives the expansion.  The exact oracle's field, of which every
-    window's (or sample's) vector is a cut, keeps it; so does a field
-    that is already merged, as an XFP1 server answers a window field,
-    since a merged lattice holds no -0.0 for a grid's +0.0 to change.
-    It is not an array, so it never passes for a reply in window order.
+    The contract: `values` holds the bits the layout's combine (a
+    plan's `merge_features`, `merge_dense`, a partition's `scatter`)
+    gives the reply's expansion to window order, `window_order(reply)`,
+    and each combine takes it as it is.  The provider that answers one
+    keeps that promise.  The exact oracle's field, of which every
+    window's vector is a cut, keeps it, because c float32 copies of a
+    value sum exactly in float64 and divide back to it; on a grid it
+    adds +0.0 itself, as the grid merge's float64 sum starts from +0.0
+    and so turns -0.0 into +0.0.  An XFP1 server's merged field keeps
+    it by being the combine's own output.  The expansion serves to name
+    a failing window.
     """
 
     __slots__ = ("values",)
@@ -450,8 +444,7 @@ class SparseWindowPlan:
     def merge_features(self, values: np.ndarray | AgreedField) -> SparseLatent:
         """Coverage-averaged sum of the stacked window features `values`
         ((rows, l) float32, rows in the order `gather` makes them).  An
-        `AgreedField` of the plan's rows merges to those rows as they are:
-        its windows' copies of a row sum and divide back to it.
+        `AgreedField` of the plan's rows is taken as it is.
 
         Each coverage group c is merged in blocks of consecutive rows,
         as many as keep c * rows * l within `MERGE_BLOCK_VALUES` (at
@@ -574,8 +567,7 @@ class DilatedPartition:
 
         `sample_vectors` is the stacked (n, K, K, K, C) array of the n
         samples; the pillars are disjoint, so one assignment places them
-        all.  They also cover the lattice, so an `AgreedField` of the
-        lattice scatters to itself.
+        all.  An `AgreedField` of the lattice is taken as it is.
         """
         if isinstance(sample_vectors, AgreedField):
             return DenseLatent(self.dims, sample_vectors.field(self.dims.dense_shape))

@@ -42,7 +42,7 @@ from tiledflow.flowcore import (
     extended_field,
     read_oracle_conditions,
 )
-from tiledflow.lattice import DenseLatent, Dims, SparseLatent, init_sparse_noise, stack_patches
+from tiledflow.lattice import DenseLatent, Dims, SparseBatch, SparseLatent, init_sparse_noise, stack_patches
 from tiledflow.patchwork import (
     SparseWindowPlan,
     dilated_partition,
@@ -769,6 +769,22 @@ class EvaluateOnly(VectorFieldProvider):
         return vector
 
 
+class AlternatingSubnormals(VectorFieldProvider):
+    """Answers a batch's odd items with the negative float32 subnormal of
+    least magnitude and its even items with 0, so two windows of one row
+    average to half of it, which rounds to -0.0."""
+
+    def evaluate_batch(self, batch, conditions, t):
+        values = np.zeros_like(batch.values)
+        tiny = -np.finfo(np.float32).smallest_subnormal
+        for n in range(1, len(conditions), 2):
+            if isinstance(batch, SparseBatch):
+                values[batch.bounds[n] : batch.bounds[n + 1]] = tiny
+            else:
+                values[n] = tiny
+        return values
+
+
 def _stacked_fields(provider, target, slat_target):
     """Dense, sparse and dilated fields of one provider, as bytes."""
     cond = OracleConditioner()
@@ -1376,6 +1392,17 @@ class TestMergedFieldReply:
         slat_target = S.with_features(np.where(S.features == 0, np.float32(0.0), S.features[::-1]))
         return DenseLatent(DIMS, values[0]), S, GlobalOracleProvider(DenseLatent(DIMS, values[1]), slat_target)
 
+    @staticmethod
+    def _fields(Z, S, d, provider, plan):
+        """The dense and the sparse field at two times, as bytes."""
+        cond = OracleConditioner()
+        dense_grid, sparse_grid = make_patch_grid(DIMS, d, DIMS.N), make_patch_grid(DIMS, d, DIMS.M)
+        return [
+            extended_field(Z, t, dense_grid, provider, cond).data.tobytes()
+            + extended_field(S, t, sparse_grid, provider, cond, plan=plan).features.tobytes()
+            for t in (0.7, 0.3)
+        ]
+
     @pytest.mark.parametrize("served", ["oracle", "evaluate-only"])
     @pytest.mark.parametrize("d", [1, 2, 4])
     def test_remote_fields_bit_equal_in_process(self, d, served):
@@ -1383,25 +1410,15 @@ class TestMergedFieldReply:
         # window-order reply is merged on the server
         Z, S, oracle = self._scene(60 + d)
         provider = oracle if served == "oracle" else EvaluateOnly(oracle)
-        cond = OracleConditioner()
-        dense_grid, sparse_grid = make_patch_grid(DIMS, d, DIMS.N), make_patch_grid(DIMS, d, DIMS.M)
-        plan = SparseWindowPlan(sparse_grid, S.coords)
-
-        def fields(provider, plan):
-            return [
-                extended_field(Z, t, dense_grid, provider, cond).data.tobytes()
-                + extended_field(S, t, sparse_grid, provider, cond, plan=plan).features.tobytes()
-                for t in (0.7, 0.3)
-            ]
-
-        expected = fields(provider, None)
-        assert expected == fields(oracle, None)
+        plan = SparseWindowPlan(make_patch_grid(DIMS, d, DIMS.M), S.coords)
+        expected = self._fields(Z, S, d, provider, None)
+        assert expected == self._fields(Z, S, d, oracle, None)
         assert any(_holds_negative_zero(e) for e in expected)
         server = ProviderServer(provider, DIMS).start()
         relay = _Relay(server)
         try:
             with RemoteProvider(relay.client, timeout=10) as remote:
-                assert fields(remote, plan) == expected
+                assert self._fields(Z, S, d, remote, plan) == expected
         finally:
             relay.close()
             server.stop()
@@ -1411,6 +1428,23 @@ class TestMergedFieldReply:
         replies = {frame.request_id: len(frame.payload) for frame in relay.replies}
         sizes = [replies[frame.request_id] for frame in relay.requests]
         assert sizes == [0, Z.data.nbytes, 0, S.features.nbytes, Z.data.nbytes, S.features.nbytes]
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_negative_subnormal_means_keep_their_sign(self, d):
+        # the windows' means round to -0.0 where they are tiny and
+        # negative: the server's merge gives that -0.0, and the client
+        # takes the merged field as it is
+        Z, S, _ = self._scene(70 + d)
+        plan = SparseWindowPlan(make_patch_grid(DIMS, d, DIMS.M), S.coords)
+        expected = self._fields(Z, S, d, AlternatingSubnormals(), None)
+        n = Z.data.nbytes  # the dense field's bytes, then the sparse field's
+        assert all(_holds_negative_zero(e[:n]) and _holds_negative_zero(e[n:]) for e in expected)
+        server = ProviderServer(AlternatingSubnormals(), DIMS).start()
+        try:
+            with RemoteProvider(server.address, timeout=10) as remote:
+                assert self._fields(Z, S, d, remote, plan) == expected
+        finally:
+            server.stop()
 
     def test_retired_field_mode_gets_one_error_frame(self, oracle_server):
         server, target, _ = oracle_server
