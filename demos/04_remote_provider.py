@@ -66,14 +66,13 @@ with ProviderServer(served, dims) as server:
             local_field = extended_field(Z, 0.6, grid, oracle, conditioner)
             served.calls = served.windows = 0
             remote_field = extended_field(Z, 0.6, grid, meter, conditioner)
-            values = (lambda X: X.data) if kind == "dense" else (lambda X: X.features)
-            identical &= values(local_field).tobytes() == values(remote_field).tobytes()
+            identical &= local_field.values.tobytes() == remote_field.values.tobytes()
             print(
                 f"{kind} field: the server evaluated {served.windows} of {grid.count} windows "
                 f"in {served.calls} batch call(s)"
             )
             reply_bytes = meter.reply.values.nbytes
-            window_order_bytes = meter.layout.window_order(meter.reply).nbytes
+            window_order_bytes = meter.layout.window_order(meter.reply.values).nbytes
             print(
                 f"{kind} field: reply of {reply_bytes:,} bytes in place of {window_order_bytes:,} "
                 f"bytes in window order ({window_order_bytes / reply_bytes:.1f}x)"

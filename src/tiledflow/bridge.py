@@ -41,7 +41,7 @@ response.  A field request (mode 6) has shape (session id, 0, 0, 0), no
 condition, and the global latent's float32 values: dense (aK, bK, K,
 C), or sparse (n, l) in the registered coordinate order.  The server
 checks its length, builds the global latent (whose constructor checks
-that every value is finite), and answers with `window_field` on the
+that every value is finite), and answers with `layout_field` on the
 session's layout, the engine's one check and merge of its provider's
 `evaluate_windows`: the float32 field the client's merge would give,
 dense (aK, bK, K, C) or sparse (n, l) in registered order, one value
@@ -50,7 +50,7 @@ that answers a layout whole (GlobalOracleProvider on its grid's or
 plan's own conditions) takes that path, as in process, and any other
 has its window-order reply merged on the server.  A failure that names
 a window keeps its "item N:" text.  The client takes the reply as an
-`AgreedField`, which its merge takes as it is.
+`AgreedField`, which its `layout_field` takes as the field.
 Mode 5, which answered every window's vector in window order, is
 retired: a server answers it with "unknown eval mode 5", and at d = 1,
 where the two replies have one length, a peer of the other version
@@ -98,7 +98,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolError, ProviderError
-from .flowcore import VectorFieldProvider, check_condition_count, evaluate_one, window_field
+from .flowcore import VectorFieldProvider, check_condition_count, evaluate_one, layout_field
 from .lattice import (
     DTYPE,
     DenseBatch,
@@ -393,7 +393,7 @@ def _field_parts(session: int, Z: DenseLatent | SparseLatent, t: float) -> tuple
     """Size and buffers of the mode-6 request evaluating `session`'s
     windows on Z: the head (shape (session, 0, 0, 0)), then Z's float32
     values, a dense lattice or the sparse rows in registered order."""
-    values = np.ascontiguousarray(Z.features if isinstance(Z, SparseLatent) else Z.data, dtype="<f4")
+    values = np.ascontiguousarray(Z.values, dtype="<f4")
     head = _REQ_HEAD.pack(t, MODE_FIELD, session, 0, 0, 0, 0)
     return len(head) + values.nbytes, [head, values]
 
@@ -497,9 +497,9 @@ class RemoteProvider(VectorFieldProvider):
 
     A window field (`evaluate_windows`) is one mode-6 frame on a stage
     session, answered with the merged field, which it returns as an
-    `AgreedField`; the engine's merge takes it as it is, so the client
-    neither holds a window-order reply nor builds a plan's merge
-    layout.  The first call on a layout registers it and
+    `AgreedField`; the engine's `layout_field` takes it as the field,
+    so the client neither holds a window-order reply nor builds a
+    plan's merge layout.  The first call on a layout registers it and
     its conditions (mode 4) under a fresh id and waits for the
     acknowledgement.  The registry holds layouts by weak reference.  A
     session the peer has evicted is registered once more under a fresh
@@ -581,7 +581,7 @@ class RemoteProvider(VectorFieldProvider):
                     raise
                 stale = session
                 continue
-            shape = (Z.features if isinstance(Z, SparseLatent) else Z.data).shape
+            shape = Z.values.shape
             if len(payload) != 4 * math.prod(shape):
                 raise ProtocolError(
                     f"response {request_id}: payload {len(payload)} bytes != expected {4 * math.prod(shape)}"
@@ -727,7 +727,7 @@ class ProviderServer:
 
     Handles concurrent requests per connection; responses go out as
     they complete, matched by request id.  A session's field request is
-    answered through `window_field`, the engine's own check and merge,
+    answered through `layout_field`, the engine's own check and merge,
     with the merged field; the session's layout, and a plan's merge
     layout once built, stay on the server until the session is evicted
     or the connection closes.  Malformed payloads produce
@@ -824,7 +824,7 @@ class ProviderServer:
 
     def _evaluate(self, conn: _Connection, payload) -> list[np.ndarray]:
         """The buffers answering a request: nothing for a registration,
-        the merged field of a session's windows (`window_field`, the
+        the merged field of a session's windows (`layout_field`, the
         engine's own check and merge), or the float32 vectors of a
         batch's items (`evaluate_batch`) in item order, as one buffer."""
         t, mode, session, s1, s2, s3, cond_len = _parse_head(payload)
@@ -836,9 +836,8 @@ class ProviderServer:
                 raise ProtocolError("field head holds more than a session id")
             layout, conditions = conn.session(session)
             Z = self._field_latent(layout, memoryview(payload)[_REQ_HEAD.size :])
-            merged = window_field(Z, layout, self.provider, conditions, t)
-            values = merged.features if isinstance(merged, SparseLatent) else merged.data
-            return [np.ascontiguousarray(values, dtype="<f4")]
+            merged = layout_field(Z, layout, self.provider, conditions, t)
+            return [np.ascontiguousarray(merged.values, dtype="<f4")]
         requests = parse_request(payload)
         batch = self._batch(requests)
         conditions = [ConditionEmbedding(bytes(req.condition)) for req in requests]

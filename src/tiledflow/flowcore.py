@@ -48,8 +48,6 @@ from .patchwork import (
     PatchGrid,
     SparseWindowPlan,
     Window,
-    gather_dense,
-    merge_dense,
     merge_vectors,  # noqa: F401
     patch_dense,  # noqa: F401
     restrict_sparse,
@@ -140,19 +138,18 @@ class VectorFieldProvider:
         for a dense Z on a DilatedPartition.  `conditions` holds one
         condition per item, in item order.
 
-        A provider may instead answer one field shaped like Z's own
-        (`Z.features` on a plan, `Z.data` on a grid or a partition), as
-        an `AgreedField`: the field the layout's merge (or scatter)
-        would give, which it then takes as it is (see `AgreedField` for
-        the contract).
+        A provider may instead answer one field shaped like `Z.values`,
+        as an `AgreedField`: the field the layout's `combine` would give,
+        which `layout_field` takes as Z's new values (see `AgreedField`
+        for the contract).
 
-        The default gathers the items into one batch and answers it with
-        one `evaluate_batch` call.  The engine checks the reply's shape
-        and finiteness (`_checked_call`) and names the failing window or
-        sample; a ProviderError's `item`, when set, is its index.
+        The default gathers the items into one batch (`layout.gather`)
+        and answers it with one `evaluate_batch` call.  The engine checks
+        the reply's shape and finiteness (`layout_field`) and names the
+        failing window or sample; a ProviderError's `item`, when set, is
+        its index.
         """
-        batch = gather_dense(Z, layout) if isinstance(layout, PatchGrid) else layout.gather(Z)
-        return self.evaluate_batch(batch, conditions, t)
+        return self.evaluate_batch(layout.gather(Z), conditions, t)
 
 
 def check_condition_count(batch: PatchBatch, conditions: Sequence[ConditionEmbedding]) -> None:
@@ -380,7 +377,7 @@ class GlobalOracleProvider(VectorFieldProvider):
             return super().evaluate_windows(Z, layout, conditions, t)
         inv = _inverse_time(t)
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
-            out = np.subtract(Z.features if isinstance(layout, SparseWindowPlan) else Z.data, target)
+            out = np.subtract(Z.values, target)
             out *= inv
         if isinstance(layout, PatchGrid):
             out += DTYPE(0.0)  # -0.0 + 0.0 is +0.0
@@ -395,12 +392,12 @@ class GlobalOracleProvider(VectorFieldProvider):
             target = self._plan_targets.get(layout)
             if target is None:
                 target = self._plan_targets[layout] = _align_sparse_target(self.slat_target, layout.coords)
-            own = Z.features.shape == target.shape and self._own_boxes(layout.grid, conditions)
+            own = Z.values.shape == target.shape and self._own_boxes(layout.grid, conditions)
         else:
             if self.ss_target is None or layout.K != layout.dims.N:
                 return None
             target = self.ss_target.data
-            if Z.data.shape != target.shape or layout.dims.dense_shape != target.shape:
+            if Z.values.shape != target.shape or layout.dims.dense_shape != target.shape:
                 return None
             if isinstance(layout, PatchGrid):
                 own = self._own_boxes(layout, conditions)
@@ -592,7 +589,7 @@ def extended_field(
     A sparse Z is cut by `plan`, the window plan of its grid and
     coordinates (built here when not given; a plan of another grid or
     coordinate set is a ConfigError), and a dense Z's lattice must hold
-    every window.  The field is `window_field` of Z on that layout, with
+    every window.  The field is `layout_field` of Z on that layout, with
     the grid's window conditions.  A Z built on `plan.coords` itself
     skips the coordinate compare.
     """
@@ -605,63 +602,40 @@ def extended_field(
     else:
         grid.check_fits(Z.data.shape)
         layout = grid
-    return window_field(Z, layout, provider, conditioner.window_conditions(grid), t)
+    return layout_field(Z, layout, provider, conditioner.window_conditions(grid), t)
 
 
-def window_field(
+def layout_field(
     Z: PatchLatent,
-    layout: PatchGrid | SparseWindowPlan,
+    layout: PatchGrid | SparseWindowPlan | DilatedPartition,
     provider: VectorFieldProvider,
     conditions: Sequence[ConditionEmbedding],
     t: float,
 ) -> PatchLatent:
-    """The merged window field of Z on `layout`, a PatchGrid that fits
-    the dense Z or the SparseWindowPlan of the sparse Z's coordinates,
-    with one condition per window in window order.
+    """The field of Z on `layout`, with one condition per item in item
+    order: a PatchGrid's windows, a SparseWindowPlan's windows (of the
+    sparse Z's coordinates), or a DilatedPartition's samples.
 
     The provider gets the whole field in one `evaluate_windows` call at
     t quantized to float32 (by default one stacked gather and one batch
-    call); `_checked_call` checks the reply and merges it in the grid's
-    fixed window order, and failures name the window, `patch (i, j)`.
-    `extended_field` and the XFP1 server's field answer both take this
-    one path.
+    call).  A reply in window order must have `layout.batch_shape(Z)`,
+    and is combined in the layout's fixed order (`layout.combine`); an
+    `AgreedField` must have the shape of `Z.values`, and is taken as Z's
+    new values.  A failure of the call, or a reply of another shape or
+    with a non-finite value, is a ProviderError naming the items: item k
+    is `layout.item_name(k)`, and the error's `item` is k when one item
+    is named.  Finiteness is read off the field: every reply value
+    reaches it, through a float64 sum that cannot overflow or a copy,
+    and the latent's constructor rejects a non-finite value with a
+    ValueError.  Only then is the reply, in window order, scanned for
+    the first item holding one (sparse rows belong to windows by the
+    plan's `bounds`).  `extended_field`, `dilated_field` and the XFP1
+    server's field answer all take this one path.
     """
-    sparse = isinstance(layout, SparseWindowPlan)
-    windows = layout.windows if sparse else layout.windows()
-    combine = layout.merge_features if sparse else lambda values: merge_dense(values, layout)
-    t_eval = float(DTYPE(t))
-    return _checked_call(
-        lambda: provider.evaluate_windows(Z, layout, conditions, t_eval),
-        Z, layout, lambda k: f"patch ({windows[k].i}, {windows[k].j})", combine,
-    )
-
-
-def _checked_call(call, Z: PatchLatent, layout, name, combine):
-    """`combine` (the layout's merge or scatter) of `call()`'s reply, as
-    float32, when the reply has the shape of the stacked items of Z on
-    `layout` ((window rows, l) on a plan, (items, K, K, K, C) on a grid
-    or a partition), or is an `AgreedField` shaped like Z's own field,
-    and is finite.
-
-    A failure of the call, or a reply of another shape or with a
-    non-finite value, is a ProviderError naming the items: item k is
-    `name(k)`, and the error's `item` is k when one item is named.
-    Dense items are stacked along axis 0; sparse rows belong to windows
-    by the plan's `bounds`.  Finiteness is read off the combined field:
-    every reply value reaches it, through a float64 sum that cannot
-    overflow or a copy, and its constructor rejects a non-finite value
-    with a ValueError.  Only then is the reply, in window order
-    (`layout.window_order`), scanned for the first item holding one.
-    """
-    if isinstance(layout, SparseWindowPlan):
-        bounds, count = layout.bounds, len(layout.windows)
-        shape = (len(layout.rows), Z.dims.l)
-    else:
-        bounds, count = None, layout.count if isinstance(layout, PatchGrid) else len(layout)
-        shape = (count, layout.K, layout.K, layout.K, Z.data.shape[-1])
+    name, count = layout.item_name, layout.count
     where = f"{name(0)} to {name(count - 1)}"
     try:
-        reply = call()
+        reply = provider.evaluate_windows(Z, layout, conditions, float(DTYPE(t)))
         agreed = isinstance(reply, AgreedField)
         values = np.asarray(reply.values if agreed else reply)
     except Exception as exc:
@@ -671,19 +645,19 @@ def _checked_call(call, Z: PatchLatent, layout, name, combine):
         else:
             item = None
         raise ProviderError(f"provider failed on {where}: {exc}", item) from exc
-    if agreed:
-        shape = (Z.features if bounds is not None else Z.data).shape
+    shape = Z.values.shape if agreed else layout.batch_shape(Z)
     if values.shape != shape:
-        if bounds is None and not agreed and values.shape[1:] == shape[1:]:
+        if layout.bounds is None and not agreed and values.shape[1:] == shape[1:]:
             raise ProviderError(f"provider returned {len(values)} vectors for {where}")
         raise ProviderError(f"provider returned values of shape {values.shape} for {where}, expected {shape}")
-    if not agreed:
-        reply = np.ascontiguousarray(values, dtype=DTYPE)
     with np.errstate(invalid="ignore"):  # inf - inf in a merge sum
         try:
-            return combine(reply)
+            if agreed:
+                return Z.with_values(values)
+            return layout.combine(np.ascontiguousarray(values, dtype=DTYPE))
         except ValueError:
-            item = first_nonfinite_item(np.asarray(layout.window_order(reply), dtype=DTYPE), bounds)
+            ordered = layout.window_order(values) if agreed else values
+            item = first_nonfinite_item(np.asarray(ordered, dtype=DTYPE), layout.bounds)
             if item is None:
                 raise
     raise ProviderError(f"provider returned non-finite values for {name(item)}", item)
@@ -696,17 +670,11 @@ def dilated_field(
     provider: VectorFieldProvider,
     conditioner: Conditioner,
 ) -> DenseLatent:
-    """Evaluate the provider on every dilated sample, in one
-    `evaluate_windows` call on the partition (by default one gather and
-    one batch call), and scatter back."""
+    """`layout_field` of Z on the dilated samples of `partition` (by
+    default one gather, one batch call and one scatter)."""
     if (partition.dims.dense_shape, partition.K) != (Z.data.shape, Z.dims.N):
         raise DimensionError(f"dilated samples of side {partition.K} do not fit lattice {Z.data.shape}")
-    conditions = conditioner.dilated_conditions(partition)
-    t_eval = float(DTYPE(t))
-    return _checked_call(
-        lambda: provider.evaluate_windows(Z, partition, conditions, t_eval),
-        Z, partition, lambda n: f"dilated sample {n}", partition.scatter,
-    )
+    return layout_field(Z, partition, provider, conditioner.dilated_conditions(partition), t)
 
 
 def mixed_field(
@@ -750,15 +718,8 @@ def euler_integrate(
         v = field_fn(Z, t_m)
         if per_step_hook is not None:
             v = per_step_hook(v, Z, t_m)
-        dt = DTYPE(t_next - t_m)
-        if isinstance(Z, SparseLatent):
-            feats = Z.features + dt * v.features
-            if not np.isfinite(feats).all():
-                raise DivergenceError(f"non-finite state after step {m} (t={t_m:g})", m)
-            Z = Z.with_features(feats)
-        else:
-            data = Z.data + dt * v.data
-            if not np.isfinite(data).all():
-                raise DivergenceError(f"non-finite state after step {m} (t={t_m:g})", m)
-            Z = Z.with_data(data)
+        values = Z.values + DTYPE(t_next - t_m) * v.values
+        if not np.isfinite(values).all():
+            raise DivergenceError(f"non-finite state after step {m} (t={t_m:g})", m)
+        Z = Z.with_values(values)
     return Z

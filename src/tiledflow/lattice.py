@@ -101,6 +101,12 @@ class DenseLatent:
     def with_data(self, data: np.ndarray) -> "DenseLatent":
         return DenseLatent(self.dims, data)
 
+    @property
+    def values(self) -> np.ndarray:
+        return self.data
+
+    with_values = with_data
+
 
 def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     """`coords` as the SparseLatent constructor keeps them, and the order
@@ -171,6 +177,12 @@ class SparseLatent:
     def with_features(self, features: np.ndarray) -> "SparseLatent":
         """Same coordinates, new features; only the features are checked."""
         return SparseLatent._on_checked_coords(self.dims, self.coords, features)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.features
+
+    with_values = with_features
 
     @classmethod
     def _on_checked_coords(cls, dims: Dims, coords: np.ndarray, features) -> "SparseLatent":

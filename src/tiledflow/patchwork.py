@@ -33,9 +33,12 @@ reply-sized copy.  It then divides by the coverage.  The merged rows
 are finite exactly when the reply is, so the merged latent's own check
 stands for a check of the reply.
 
-A reply may instead be an `AgreedField`, the field the layout's combine
-would give its windows' vectors; each combine takes it as it is (the
-contract is stated on `AgreedField`).
+The three layouts, `PatchGrid`, `SparseWindowPlan` and
+`DilatedPartition`, answer the same members: `count`, `item_name(k)`,
+`bounds` (None when dense), `batch_shape(Z)`, `gather(Z)`,
+`window_order(field)` and `combine(values)`.  A reply may instead be an
+`AgreedField`, which no combine sees (the contract is stated on the
+class).
 
 The per-window forms (`patch_dense`, `patch_sparse`, `merge_vectors`
 over a mapping) remain for callers that hold single patches; they give
@@ -121,6 +124,15 @@ class PatchGrid:
     def count(self) -> int:
         return self.ni * self.nj
 
+    bounds = None
+
+    def item_name(self, k: int) -> str:
+        i, j = divmod(k, self.nj)
+        return f"patch ({i}, {j})"
+
+    def batch_shape(self, Z: DenseLatent) -> tuple[int, ...]:
+        return (self.count, self.K, self.K, self.K, Z.dims.C)
+
     def window(self, i: int, j: int) -> Window:
         if not (0 <= i < self.ni and 0 <= j < self.nj):
             raise ConfigError(f"window index ({i}, {j}) outside grid {self.ni}x{self.nj}")
@@ -149,14 +161,44 @@ class PatchGrid:
         if (self.ni - 1) * stride + self.K > X or (self.nj - 1) * stride + self.K > Y or self.K > H:
             raise DimensionError(f"windows of side {self.K} exceed lattice {tuple(shape)}")
 
-    def window_order(self, reply):
-        """A window reply in window order, as `gather_dense` stacks it: an
-        `AgreedField` of the lattice is cut at the windows' origins, and
-        any other reply is returned as it is."""
-        if not isinstance(reply, AgreedField):
-            return reply
-        field = reply.field((self.dims.a * self.K, self.dims.b * self.K, self.K, self.dims.C))
+    def gather(self, Z: DenseLatent) -> DenseBatch:
+        """Every window's patch of Z, in window order, as one batch: the
+        boxes at the origins (`window_boxes`).  Item k equals
+        `patch_dense(Z, self.windows()[k])`."""
+        self.check_fits(Z.data.shape)
+        return DenseBatch._of_finite(Z.dims.patch_dims(), self.window_order(Z.data))
+
+    def window_order(self, field: np.ndarray) -> np.ndarray:
+        """The lattice `field` cut at the windows' origins, as `gather`
+        stacks it."""
         return window_boxes(field, self.K)[self.origins]
+
+    def combine(self, values: np.ndarray) -> DenseLatent:
+        """Average the stacked window vectors `values` ((n, K, K, K, C), in
+        window order) into one extended vector.
+
+        The float64 sum adds each cell's windows in window order, so it is
+        bit-equal to adding the zero-padded patches one window at a time.
+        """
+        dims, K, d = self.dims, self.K, self.d
+        stride, C = K // d, dims.C
+        if values.shape != (self.count, K, K, K, C):
+            raise DimensionError(f"window vectors {values.shape} != {(self.count, K, K, K, C)}")
+        acc = np.zeros((dims.a * K, dims.b * K, K, C), dtype=np.float64)
+        # The lattice in stride x stride column blocks, and every window in its
+        # d x d blocks: window (i, j) adds its block (p, q) onto block
+        # (i + p, j + q).  Descending p, then q, adds each block's windows in
+        # row-major window order.
+        blocks = acc.reshape(dims.a * d, stride, dims.b * d, stride, K, C).swapaxes(1, 2)
+        parts = values.reshape(self.ni, self.nj, d, stride, d, stride, K, C).swapaxes(3, 4)
+        for p in reversed(range(d)):
+            for q in reversed(range(d)):
+                blocks[p : p + self.ni, q : q + self.nj] += parts[:, :, p, q]
+        cov = self.coverage_xy()
+        if (cov < 1).any():
+            raise CoverageError("uncovered cell in patch grid")
+        acc /= cov[:, :, None, None]
+        return DenseLatent(dims, acc.astype(DTYPE))
 
     def axis_coverage(self, n_windows: int, extent: int) -> np.ndarray:
         """Per-position window-coverage count along one extended axis."""
@@ -195,16 +237,6 @@ def window_boxes(data: np.ndarray, K: int) -> np.ndarray:
     """
     # (x0, y0, z, C, x, y), then the box axes in lattice order
     return sliding_window_view(data[:, :, :K], (K, K), axis=(0, 1)).transpose(0, 1, 4, 5, 2, 3)
-
-
-def gather_dense(Z: DenseLatent, grid: PatchGrid) -> DenseBatch:
-    """Every window's patch of Z, in window order, as one batch: the
-    boxes at the grid's origins (`window_boxes`).  Item k equals
-    `patch_dense(Z, grid.windows()[k])`.
-    """
-    grid.check_fits(Z.data.shape)
-    stack = window_boxes(Z.data, grid.K)[grid.origins]
-    return DenseBatch._of_finite(Z.dims.patch_dims(), stack)
 
 
 def box_rows(coords: np.ndarray, x0: int, y0: int, K: int) -> np.ndarray:
@@ -249,38 +281,7 @@ def merge_vectors(patch_vectors: Mapping, grid: PatchGrid):
     vectors = [patch_vectors[(w.i, w.j)] for w in windows]
     if isinstance(vectors[0], SparseLatent):
         return SparseWindowPlan(grid, _union_coords(patch_vectors, grid)).merge(vectors)
-    return merge_dense(np.stack([X.data for X in vectors]), grid)
-
-
-def merge_dense(values: np.ndarray | AgreedField, grid: PatchGrid) -> DenseLatent:
-    """Average the stacked window vectors `values` ((n, K, K, K, C), in
-    window order) into one extended vector.
-
-    The float64 sum adds each cell's windows in window order, so it is
-    bit-equal to adding the zero-padded patches one window at a time.
-    An `AgreedField` of the (a*K, b*K, K, C) lattice is taken as it is.
-    """
-    dims, K, d = grid.dims, grid.K, grid.d
-    stride, C = K // d, dims.C
-    if isinstance(values, AgreedField):
-        return DenseLatent(dims, values.field((dims.a * K, dims.b * K, K, C)))
-    if values.shape != (grid.count, K, K, K, C):
-        raise DimensionError(f"window vectors {values.shape} != {(grid.count, K, K, K, C)}")
-    acc = np.zeros((dims.a * K, dims.b * K, K, C), dtype=np.float64)
-    # The lattice in stride x stride column blocks, and every window in its
-    # d x d blocks: window (i, j) adds its block (p, q) onto block
-    # (i + p, j + q).  Descending p, then q, adds each block's windows in
-    # row-major window order.
-    blocks = acc.reshape(dims.a * d, stride, dims.b * d, stride, K, C).swapaxes(1, 2)
-    parts = values.reshape(grid.ni, grid.nj, d, stride, d, stride, K, C).swapaxes(3, 4)
-    for p in reversed(range(d)):
-        for q in reversed(range(d)):
-            blocks[p : p + grid.ni, q : q + grid.nj] += parts[:, :, p, q]
-    cov = grid.coverage_xy()
-    if (cov < 1).any():
-        raise CoverageError("uncovered cell in patch grid")
-    acc /= cov[:, :, None, None]
-    return DenseLatent(dims, acc.astype(DTYPE))
+    return grid.combine(np.stack([X.data for X in vectors]))
 
 
 def _union_coords(patch_vectors: Mapping, grid: PatchGrid) -> np.ndarray:
@@ -294,22 +295,19 @@ def _union_coords(patch_vectors: Mapping, grid: PatchGrid) -> np.ndarray:
 
 class AgreedField:
     """A layout's reply as the one field its windows agree on: `values`
-    is shaped like the latent's own field (`Z.features` on a
-    `SparseWindowPlan`, `Z.data` on a `PatchGrid` or a
-    `DilatedPartition`).  It is not an array, so it never passes for a
-    reply in window order.
+    is shaped like the latent's own field, `Z.values`.  It is not an
+    array, so it never passes for a reply in window order.
 
-    The contract: `values` holds the bits the layout's combine (a
-    plan's `merge_features`, `merge_dense`, a partition's `scatter`)
-    gives the reply's expansion to window order, `window_order(reply)`,
-    and each combine takes it as it is.  The provider that answers one
+    The contract: `layout_field` takes it as Z's new values; no combine
+    sees one.  `values` holds the bits the layout's `combine` gives the
+    reply's expansion to window order, `window_order(values)`, which
+    serves to name a failing window.  The provider that answers one
     keeps that promise.  The exact oracle's field, of which every
     window's vector is a cut, keeps it, because c float32 copies of a
     value sum exactly in float64 and divide back to it; on a grid it
     adds +0.0 itself, as the grid merge's float64 sum starts from +0.0
     and so turns -0.0 into +0.0.  An XFP1 server's merged field keeps
-    it by being the combine's own output.  The expansion serves to name
-    a failing window.
+    it by being the combine's own output.
     """
 
     __slots__ = ("values",)
@@ -317,23 +315,16 @@ class AgreedField:
     def __init__(self, values: np.ndarray):
         self.values = values
 
-    def field(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The values as an array; DimensionError unless of `shape`."""
-        values = np.asarray(self.values)
-        if values.shape != shape:
-            raise DimensionError(f"agreed field {values.shape} != {shape}")
-        return values
-
 
 class SparseWindowPlan:
     """Window geometry of one fixed coordinate set (held sorted) on a grid.
 
-    Window k (`windows[k]`, in the grid's fixed row-major order) covers
+    Window k (`grid.windows()[k]`, in the grid's fixed row-major order) covers
     the global rows `rows[bounds[k]:bounds[k + 1]]`, whose window-local
     coordinates are `local[bounds[k]:bounds[k + 1]]`.  `coverage[r]`
     counts the windows holding global row r, and every row must lie in
     at least one.  `rank_layout` is the (slot, groups, layout) that
-    `merge_features` sums a window-order reply through, built on first
+    `combine` sums a window-order reply through, built on first
     use: the global rows listed in groups of equal coverage c, in
     descending c and each group in row order (global row r sits at
     `slot[r]` of that list), and one (c, g0, g1, lo) per group for its
@@ -363,7 +354,6 @@ class SparseWindowPlan:
     def __init__(self, grid: PatchGrid, coords: np.ndarray):
         self.grid = grid
         self.coords, _ = checked_coords(grid.dims, coords)
-        self.windows = grid.windows()
         K = grid.K
         X, Y = grid.dims.a * K, grid.dims.b * K
         x, y, z = self.coords.T
@@ -382,6 +372,16 @@ class SparseWindowPlan:
         self.rows = _ro(np.arange(ends[-1]) - np.repeat(self._shift, lengths))
         self.bounds = _ro(np.concatenate(([0], ends[K - 1 :: K])))
         self.coverage = _ro(grid.axis_coverage(grid.ni, X)[x] * grid.axis_coverage(grid.nj, Y)[y])
+
+    @property
+    def count(self) -> int:
+        return self.grid.count
+
+    def item_name(self, k: int) -> str:
+        return self.grid.item_name(k)
+
+    def batch_shape(self, Z: SparseLatent) -> tuple[int, ...]:
+        return (len(self.rows), Z.dims.l)
 
     @cached_property
     def rank_layout(self) -> tuple[np.ndarray, tuple, np.ndarray]:
@@ -418,33 +418,30 @@ class SparseWindowPlan:
     def gather(self, Z: SparseLatent) -> SparseBatch:
         """Every window's patch, in window order, as one batch: Z's rows
         inside it, in window-local coordinates, gathered by one `take`."""
-        feats = Z.features.take(self.rows, axis=0)
+        feats = self.window_order(Z.features)
         return SparseBatch._on_checked_coords(Z.dims.patch_dims(), self.local, feats, self.bounds)
 
     def merge(self, results: Sequence[SparseLatent]) -> SparseLatent:
         """Coverage-averaged sum of the per-window vectors, given in window
         order; each must keep its patch's coordinates, and the first that
-        does not is named.  The sum is `merge_features`'."""
-        if len(results) != len(self.windows):
+        does not is named.  The sum is `combine`'s."""
+        windows = self.grid.windows()
+        if len(results) != len(windows):
             raise CoverageError("merge requires exactly one patch vector per grid window")
         l = self.grid.dims.l
-        for w, lo, hi, X in zip(self.windows, self.bounds[:-1], self.bounds[1:], results):
+        for w, lo, hi, X in zip(windows, self.bounds[:-1], self.bounds[1:], results):
             if not (isinstance(X, SparseLatent) and X.dims.l == l and np.array_equal(X.coords, self.local[lo:hi])):
                 raise ProviderError(f"patch ({w.i}, {w.j}) does not keep its window's coordinates")
-        return self.merge_features(np.concatenate([X.features for X in results]))
+        return self.combine(np.concatenate([X.features for X in results]))
 
-    def window_order(self, reply):
-        """A window reply in window order, the order `gather` makes: an
-        `AgreedField` of the plan's rows is taken through `rows`, and any
-        other reply is returned as it is."""
-        if not isinstance(reply, AgreedField):
-            return reply
-        return reply.field((len(self.coords), self.grid.dims.l)).take(self.rows, axis=0)
+    def window_order(self, field: np.ndarray) -> np.ndarray:
+        """The (n, l) `field` of the plan's rows taken through `rows`, in
+        the order `gather` makes."""
+        return field.take(self.rows, axis=0)
 
-    def merge_features(self, values: np.ndarray | AgreedField) -> SparseLatent:
+    def combine(self, values: np.ndarray) -> SparseLatent:
         """Coverage-averaged sum of the stacked window features `values`
-        ((rows, l) float32, rows in the order `gather` makes them).  An
-        `AgreedField` of the plan's rows is taken as it is.
+        ((rows, l) float32, rows in the order `gather` makes them).
 
         Each coverage group c is merged in blocks of consecutive rows,
         as many as keep c * rows * l within `MERGE_BLOCK_VALUES` (at
@@ -470,8 +467,6 @@ class SparseWindowPlan:
         """
         dims = self.grid.dims
         l = dims.l
-        if isinstance(values, AgreedField):
-            return SparseLatent._on_checked_coords(dims, self.coords, values.field((len(self.coords), l)))
         if values.shape != (len(self.rows), l):
             raise DimensionError(f"window features {values.shape} != {(len(self.rows), l)}")
         slot, groups, layout = self.rank_layout
@@ -550,27 +545,34 @@ class DilatedPartition:
     def __len__(self) -> int:
         return self.dims.a * self.dims.b
 
+    count = property(__len__)
+    bounds = None
+
+    def item_name(self, n: int) -> str:
+        return f"dilated sample {n}"
+
+    def batch_shape(self, Z: DenseLatent) -> tuple[int, ...]:
+        return (len(self), self.K, self.K, self.K, Z.dims.C)
+
     def gather(self, Z: DenseLatent) -> DenseBatch:
         """All samples of Z, in sample order, by one fancy index."""
-        return DenseBatch._of_finite(self.dims.patch_dims(), Z.data[self.src_x, self.src_y])
+        return DenseBatch._of_finite(self.dims.patch_dims(), self.window_order(Z.data))
 
-    def window_order(self, reply):
-        """A sample reply in sample order, as `gather` stacks it: an
-        `AgreedField` of the lattice is cut by one fancy index, and any
-        other reply is returned as it is."""
-        if not isinstance(reply, AgreedField):
-            return reply
-        return reply.field(self.dims.dense_shape)[self.src_x, self.src_y]
+    def window_order(self, field: np.ndarray) -> np.ndarray:
+        """The lattice `field` cut by one fancy index into the samples, as
+        `gather` stacks them."""
+        return field[self.src_x, self.src_y]
 
-    def scatter(self, sample_vectors: np.ndarray | AgreedField) -> DenseLatent:
+    def combine(self, values: np.ndarray) -> DenseLatent:
+        return self.scatter(values)
+
+    def scatter(self, sample_vectors: np.ndarray) -> DenseLatent:
         """The lattice whose pillars hold the samples' columns.
 
         `sample_vectors` is the stacked (n, K, K, K, C) array of the n
         samples; the pillars are disjoint, so one assignment places them
-        all.  An `AgreedField` of the lattice is taken as it is.
+        all.
         """
-        if isinstance(sample_vectors, AgreedField):
-            return DenseLatent(self.dims, sample_vectors.field(self.dims.dense_shape))
         if len(sample_vectors) != len(self):
             raise DimensionError(
                 f"expected {len(self)} dilated samples, got {len(sample_vectors)}"

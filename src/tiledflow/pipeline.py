@@ -306,7 +306,7 @@ def _adam_hook(loss, bind, params: AdamParams, steps: list):
 
     `bind(Z, t)` does once per step what the objective keeps fixed
     within it; the binding's `index` selects the support in the step's
-    vector (a dense one's data, a sparse one's features) and its
+    vector's values and its
     `classes` the entries that share a gradient.  Adam runs on
     `vec[index]` against `loss(u, Z, t, bound)`, one moment per class
     (see `optim`).  The entries outside keep their bits: the objective
@@ -316,14 +316,12 @@ def _adam_hook(loss, bind, params: AdamParams, steps: list):
     """
 
     def hook(v, Z, t):
-        sparse = isinstance(v, SparseLatent)
-        vec = v.features if sparse else v.data
         bound = bind(Z, t)
-        u_opt, losses = optimize_vector(vec[bound.index], StepObjective(loss, Z, t, bound), params)
+        u_opt, losses = optimize_vector(v.values[bound.index], StepObjective(loss, Z, t, bound), params)
         steps.append({"t": float(t), "loss": losses})
-        out = vec.copy()
+        out = v.values.copy()
         out[bound.index] = u_opt
-        return v.with_features(out) if sparse else v.with_data(out)
+        return v.with_values(out)
 
     return hook
 

@@ -46,7 +46,6 @@ from tiledflow.lattice import DenseLatent, Dims, SparseBatch, SparseLatent, init
 from tiledflow.patchwork import (
     SparseWindowPlan,
     dilated_partition,
-    gather_dense,
     make_patch_grid,
     patch_dense,
     patch_sparse,
@@ -183,7 +182,7 @@ class TestRemoteProvider:
         server, target, _ = oracle_server
         local = GlobalOracleProvider(ss_target=target)
         grid = make_patch_grid(DIMS, 2, DIMS.N)
-        batch = gather_dense(random_dense(DIMS, 10), grid)
+        batch = grid.gather(random_dense(DIMS, 10))
         conditions = list(OracleConditioner().window_conditions(grid))
         with RemoteProvider(server.address, timeout=10) as remote:
             for given in ([], conditions[:-1], conditions + conditions[:1]):

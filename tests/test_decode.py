@@ -228,7 +228,7 @@ class TestDecodeSceneSdf:
         feats[kind == 2, 0] = rng.choice(_SDF_VALUES, np.count_nonzero(kind == 2))
         slat = SparseLatent(dims, coords, feats)
         plan = SparseWindowPlan(grid, slat.coords)
-        patches = {(w.i, w.j): toy_decode_sdf(p) for w, p in zip(plan.windows, plan.gather(slat))}
+        patches = {(w.i, w.j): toy_decode_sdf(p) for w, p in zip(grid.windows(), plan.gather(slat))}
         want = merge_sdf_patches(patches, grid).data.tobytes()
         assert decode_scene_sdf(slat).data.tobytes() == want
 

@@ -57,7 +57,7 @@ def restricted_field(Z, grid, provider):
     plan = SparseWindowPlan(grid, Z.coords)
     conditions = OracleConditioner().window_conditions(grid)
     values = VectorFieldProvider.evaluate_windows(provider, Z, plan, conditions, 0.5)
-    return plan.merge_features(values)
+    return plan.combine(values)
 
 
 class TestOracleField:
@@ -414,19 +414,23 @@ class TestNonFiniteReplies:
         plan = SparseWindowPlan(self.GRID, Z.coords)
         row = int(np.flatnonzero((Z.coords == (5, 6, 2)).all(axis=1))[0])
         at = {}  # window (i, j) -> the reply position of the row in it
-        for w, lo, hi in zip(plan.windows, plan.bounds[:-1], plan.bounds[1:]):
+        for w, lo, hi in zip(self.GRID.windows(), plan.bounds[:-1], plan.bounds[1:]):
             hit = np.flatnonzero(plan.rows[lo:hi] == row)
             if len(hit):
                 at[(w.i, w.j)] = int(lo + hit[0])
         assert list(at) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         return Z, plan, np.zeros((len(plan.rows), DIMS.l), dtype=dtype), at
 
-    def _fails_naming(self, Z, plan, reply, window):
+    def _fails_naming(self, Z, plan, reply, window, agreed=False):
+        # an agreed `reply` is the latent's field, scanned in window order
+        ordered = plan.window_order(reply) if agreed else reply
         with np.errstate(invalid="ignore"):  # inf - inf in the scan's sum
-            scanned = first_nonfinite_item(np.asarray(plan.window_order(reply), dtype=np.float32), plan.bounds)
-        assert (plan.windows[scanned].i, plan.windows[scanned].j) == window
+            scanned = first_nonfinite_item(np.asarray(ordered, dtype=np.float32), plan.bounds)
+        windows = self.GRID.windows()
+        assert (windows[scanned].i, windows[scanned].j) == window
+        provider = FixedReply(AgreedField(reply) if agreed else reply)
         with pytest.raises(ProviderError, match=rf"non-finite values for patch \({window[0]}, {window[1]}\)$"):
-            extended_field(Z, 0.5, self.GRID, FixedReply(reply), OracleConditioner(), plan=plan)
+            extended_field(Z, 0.5, self.GRID, provider, OracleConditioner(), plan=plan)
 
     def test_nan_in_a_later_window_of_a_row(self):
         Z, plan, values, at = self._sparse_reply()
@@ -447,7 +451,7 @@ class TestNonFiniteReplies:
             # an agreed field casts alike
             agreed = np.zeros(Z.features.shape)
             agreed[plan.rows[at[(1, 0)]], 1] = 1e39
-            self._fails_naming(Z, plan, AgreedField(agreed), (0, 0))
+            self._fails_naming(Z, plan, agreed, (0, 0), agreed=True)
 
     def test_largest_finite_reply_merges(self):
         Z, plan, values, at = self._sparse_reply()
@@ -469,7 +473,7 @@ class TestNonFiniteReplies:
         for i, j in windows:  # block (i + 1, j + 1) of the stride-4 grid
             row = np.flatnonzero((Z.coords == (4 * i + 5, 4 * j + 6, 2)).all(axis=1))
             field[row, 1] = np.nan
-        self._fails_naming(Z, plan, AgreedField(field), min(windows))
+        self._fails_naming(Z, plan, field, min(windows), agreed=True)
 
     def test_ranked_reply_of_another_shape_rejected(self):
         # an agreed field must have the latent's own shape, not the
@@ -586,6 +590,12 @@ def _layout_case(dims, layout, d, kind, seed):
     return Z, layout, oracle, conditions, kind in ("own", "overflow")
 
 
+def _in_window_order(layout, reply):
+    """`reply` in window order: an agreed field expanded by the layout's
+    `window_order`, and any other reply as it is."""
+    return layout.window_order(np.asarray(reply.values)) if isinstance(reply, AgreedField) else reply
+
+
 class TestOraclePlanTarget:
     """A field on any layout, with the layout's own conditions, is one
     agreed field whose window order is the default path's bits; with any
@@ -607,7 +617,7 @@ class TestOraclePlanTarget:
             return values + np.float32(0.0) if own and isinstance(layout, PatchGrid) else values
 
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _outcome(lambda: layout.window_order(provider.evaluate_windows(Z, layout, conditions, t)))
+            got = _outcome(lambda: _in_window_order(layout, provider.evaluate_windows(Z, layout, conditions, t)))
             assert got == _outcome(reference_windows)
             if got[0] == "ok":
                 assert isinstance(provider.evaluate_windows(Z, layout, conditions, t), AgreedField) == own
@@ -661,7 +671,7 @@ class TestConditionCount:
             target = GlobalOracleProvider(slat_target=Z)
         else:
             Z = random_dense(DIMS, 0)
-            batch = flowcore.gather_dense(Z, grid)
+            batch = grid.gather(Z)
             target = GlobalOracleProvider(ss_target=Z)
         chosen = ZeroFieldProvider() if provider == "default" else target
         conditions = list(OracleConditioner().window_conditions(grid))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tiledflow import patchwork
-from tiledflow.errors import BoundsError, ConfigError, CoverageError, DimensionError
+from tiledflow.errors import BoundsError, ConfigError, CoverageError, DimensionError, ProviderError
+from tiledflow.flowcore import VectorFieldProvider, layout_field
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
 from tiledflow.patchwork import (
     AgreedField,
@@ -15,9 +16,7 @@ from tiledflow.patchwork import (
     _pairwise_sum,
     box_rows,
     dilated_partition,
-    gather_dense,
     make_patch_grid,
-    merge_dense,
     merge_vectors,
     patch_dense,
     patch_sparse,
@@ -611,7 +610,7 @@ class TestStackedBitEquality:
         dims, d, rng = case
         grid = make_patch_grid(dims, d, dims.N)
         Z = DenseLatent(dims, mixed_values(rng, dims.dense_shape))
-        batch = gather_dense(Z, grid)
+        batch = grid.gather(Z)
         assert len(batch) == grid.count
         for item, ref in zip(batch, old_patch_dense_loop(Z, grid)):
             assert item.data.tobytes() == ref.data.tobytes()
@@ -625,7 +624,7 @@ class TestStackedBitEquality:
         values = mixed_values(rng, (grid.count,) + dims.patch_dims().dense_shape)
         by_window = {(w.i, w.j): DenseLatent(dims.patch_dims(), v) for w, v in zip(grid.windows(), values)}
         expected = old_merge_dense(by_window, grid).data.tobytes()
-        assert merge_dense(values, grid).data.tobytes() == expected
+        assert grid.combine(values).data.tobytes() == expected
         assert merge_vectors(by_window, grid).data.tobytes() == expected
 
     @settings(max_examples=150)
@@ -648,7 +647,7 @@ class TestStackedBitEquality:
         values = mixed_values(rng, batch.features.shape)
         vectors = [ref.with_features(v) for ref, v in zip(ref_patches, np.split(values, batch.bounds[1:-1]))]
         expected = old.merge(vectors).tobytes()
-        assert plan.merge_features(values).features.tobytes() == expected
+        assert plan.combine(values).features.tobytes() == expected
         assert plan.merge(vectors).features.tobytes() == expected
 
     @settings(max_examples=25)
@@ -670,7 +669,7 @@ class TestStackedBitEquality:
         assert plan.coverage.max() == 256
         values = draw_values(rng, (len(plan.rows), dims.l))
         vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
-        assert plan.merge_features(values).features.tobytes() == old.merge(vectors).tobytes()
+        assert plan.combine(values).features.tobytes() == old.merge(vectors).tobytes()
 
     def test_pairwise_sum_follows_reduceat(self):
         # every branch and two levels of halving; rows are a row's
@@ -770,7 +769,7 @@ def _merge_plan():
 def _merged_bytes_at_limit(plan, values, limit):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(patchwork, "MERGE_BLOCK_VALUES", limit)
-        return plan.merge_features(values).features.tobytes()
+        return plan.combine(values).features.tobytes()
 
 
 class TestMergeBlocks:
@@ -823,21 +822,21 @@ class TestMergeBuffer:
             for values in replies:
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
-                plan.merge_features(values)
+                plan.combine(values)
                 assert tracemalloc.get_traced_memory()[1] - start < values.nbytes
         finally:
             tracemalloc.stop()
 
     def test_threads_merging_on_one_plan_match_sequential_merges(self):
         plan, replies = _merge_plan()
-        expected = [plan.merge_features(values).features.tobytes() for values in replies]
+        expected = [plan.combine(values).features.tobytes() for values in replies]
         barrier = threading.Barrier(2)
         got = [[], []]
 
         def merge(n):
             barrier.wait()
             for _ in range(20):
-                got[n].append(plan.merge_features(replies[n]).features.tobytes())
+                got[n].append(plan.combine(replies[n]).features.tobytes())
 
         threads = [threading.Thread(target=merge, args=(n,)) for n in range(2)]
         for thread in threads:
@@ -860,24 +859,44 @@ class TestMergeBuffer:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            plan.merge_features(values)
+            plan.combine(values)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert peak < values.nbytes / 4
 
 
+class AgreedReply(VectorFieldProvider):
+    """Answers every field with one given field, as an agreed field."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def evaluate_windows(self, Z, layout, conditions, t):
+        return AgreedField(self.field)
+
+
+def agreed_field(layout, field, Z=None):
+    """The field `layout_field` gives on `layout` when the provider
+    answers `field` as an agreed field; Z is a latent of `field`'s shape
+    (zeros on a plan's coordinates when not given)."""
+    if Z is None:
+        dims = layout.grid.dims
+        Z = SparseLatent(dims, layout.coords, np.zeros((len(layout.coords), dims.l), dtype=np.float32))
+    return layout_field(Z, layout, AgreedReply(field), [None] * layout.count, 0.5)
+
+
 def _assert_agreed_merge_equal(plan, field, limit=None):
     """The window-order expansion of the agreed `field` (its `take`
     through the plan's rows) merges rank by rank, at the block limit,
-    back to `field`'s bytes, which the agreed merge gives as they are."""
-    expanded = plan.window_order(AgreedField(field))
+    back to `field`'s bytes, which the agreed field gives as they are."""
+    expanded = plan.window_order(field)
     assert expanded.tobytes() == field.take(plan.rows, axis=0).tobytes()
     with pytest.MonkeyPatch.context() as mp:
         if limit is not None:
             mp.setattr(patchwork, "MERGE_BLOCK_VALUES", limit)
-        assert plan.merge_features(expanded).features.tobytes() == field.tobytes()
-    assert plan.merge_features(AgreedField(field)).features.tobytes() == field.tobytes()
+        assert plan.combine(expanded).features.tobytes() == field.tobytes()
+    assert agreed_field(plan, field).features.tobytes() == field.tobytes()
 
 
 class TestRankedMerge:
@@ -945,21 +964,20 @@ class TestRankedMerge:
         plan, (values, _) = _merge_plan()
         assert np.asarray(AgreedField(values)).shape == ()
 
-    def test_window_order_passes_other_replies(self):
-        # a window-order reply is returned as it is; an agreed field of
-        # another shape than the latent's is refused
+    def test_agreed_field_of_another_shape_refused(self):
+        # an agreed field of another shape than the latent's is refused
         plan, (values, _) = _merge_plan()
-        assert plan.window_order(values) is values
+        expected = rf"expected \({len(plan.coords)}, 4\)$"
         for wrong in (values, values[: len(plan.coords) - 1], None):
-            with pytest.raises(DimensionError, match="agreed field"):
-                plan.window_order(AgreedField(wrong))
+            with pytest.raises(ProviderError, match=expected):
+                agreed_field(plan, wrong)
 
     def test_wrong_shape_rejected(self):
         plan, (values, _) = _merge_plan()
         with pytest.raises(DimensionError, match="window features"):
-            plan.merge_features(values[1:])
-        with pytest.raises(DimensionError, match="agreed field"):
-            plan.merge_features(AgreedField(values))
+            plan.combine(values[1:])
+        with pytest.raises(ProviderError, match=rf"values of shape \({len(plan.rows)}, 4\)"):
+            agreed_field(plan, values)
 
 
 class TestRankedMemory:
@@ -970,10 +988,10 @@ class TestRankedMemory:
         built, (values, _) = _merge_plan()
         plan = SparseWindowPlan(built.grid, built.coords)
         assert "rank_layout" not in vars(plan)
-        plan.merge_features(AgreedField(values[: len(plan.coords)]))
+        agreed_field(plan, values[: len(plan.coords)])
         assert "rank_layout" not in vars(plan)
         plan.local
-        plan.merge_features(values)
+        plan.combine(values)
         held = {
             name for name, value in vars(plan).items()
             for item in (value if isinstance(value, tuple) else [value])
@@ -982,13 +1000,14 @@ class TestRankedMemory:
         assert held == {"rows", "rank_layout", "local"}
 
     def test_ranked_merge_allocates_no_reply_sized_buffer(self):
-        # the agreed merge keeps the field's own array as the merged rows
+        # the agreed field's own array is the field's rows
         plan, replies = _merge_plan()
         for values in replies:
             field = values[: len(plan.coords)].copy()
+            Z = SparseLatent(plan.grid.dims, plan.coords, np.zeros_like(field))
             tracemalloc.start()
             try:
-                merged = plan.merge_features(AgreedField(field))
+                merged = agreed_field(plan, field, Z)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -997,12 +1016,13 @@ class TestRankedMemory:
 
     def test_ranked_merge_peak_is_a_fraction_of_the_reply(self, monkeypatch):
         plan, (values, _) = _merge_plan()
-        field = AgreedField(values[: len(plan.coords)].copy())
+        field = values[: len(plan.coords)].copy()
+        Z = SparseLatent(plan.grid.dims, plan.coords, np.zeros_like(field))
         monkeypatch.setattr(patchwork, "MERGE_BLOCK_VALUES", 4096)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            plan.merge_features(field)
+            agreed_field(plan, field, Z)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -1019,10 +1039,10 @@ def extreme_values(rng, shape):
 
 
 class TestAgreedFieldBitEquality:
-    """Each layout's combine takes an agreed field as it is, and the merge
-    (or scatter) of a field F's expansion in window order gives F (plus
-    +0.0 on a grid): c float32 copies of a value sum exactly in float64
-    and divide back to it."""
+    """`layout_field` takes an agreed field as it is on each layout, and
+    the merge (or scatter) of a field F's expansion in window order gives
+    F (plus +0.0 on a grid): c float32 copies of a value sum exactly in
+    float64 and divide back to it."""
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     @settings(max_examples=15, deadline=None)
@@ -1035,8 +1055,8 @@ class TestAgreedFieldBitEquality:
         plan = SparseWindowPlan(make_patch_grid(dims, d, 16), np.argwhere(occupied))
         assert plan.coverage.max() == (d * d if a == 2 else d)
         F = extreme_values(rng, (len(plan.coords), dims.l))
-        assert plan.merge_features(F.take(plan.rows, axis=0)).features.tobytes() == F.tobytes()
-        assert plan.merge_features(AgreedField(F)).features.tobytes() == F.tobytes()
+        assert plan.combine(plan.window_order(F)).features.tobytes() == F.tobytes()
+        assert agreed_field(plan, F).features.tobytes() == F.tobytes()
 
     @settings(max_examples=100)
     @given(stacked_cases())
@@ -1048,11 +1068,11 @@ class TestAgreedFieldBitEquality:
         F[0, 0, 0, 0] = -0.0  # the merge's +0.0 start makes it +0.0
         expected = (F + np.float32(0.0)).tobytes()
         assert expected != F.tobytes()
-        windows = grid.window_order(AgreedField(F))
-        assert windows.tobytes() == gather_dense(DenseLatent(dims, F), grid).values.tobytes()
-        assert merge_dense(windows, grid).data.tobytes() == expected
+        windows = grid.window_order(F)
+        assert windows.tobytes() == grid.gather(DenseLatent(dims, F)).values.tobytes()
+        assert grid.combine(windows).data.tobytes() == expected
         # the agreed field is taken as it is, -0.0 included
-        assert merge_dense(AgreedField(F), grid).data.tobytes() == F.tobytes()
+        assert agreed_field(grid, F, DenseLatent.zeros(dims)).data.tobytes() == F.tobytes()
 
     @settings(max_examples=100)
     @given(stacked_cases())
@@ -1062,6 +1082,6 @@ class TestAgreedFieldBitEquality:
         part = dilated_partition(dims, dims.N, seed=int(rng.integers(2**31)))
         F = extreme_values(rng, dims.dense_shape)
         samples = part.gather(DenseLatent(dims, F)).values
-        assert part.window_order(AgreedField(F)).tobytes() == samples.tobytes()
+        assert part.window_order(F).tobytes() == samples.tobytes()
         assert part.scatter(samples).data.tobytes() == F.tobytes()
-        assert part.scatter(AgreedField(F)).data.tobytes() == F.tobytes()
+        assert agreed_field(part, F, DenseLatent.zeros(dims)).data.tobytes() == F.tobytes()
