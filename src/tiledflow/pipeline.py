@@ -305,14 +305,13 @@ def _adam_hook(loss, bind, params: AdamParams, steps: list):
     """Per-step hook: Adam on the support of the step's objective.
 
     `bind(Z, t)` does once per step what the objective keeps fixed
-    within it; the binding's `index` selects the support in the step's
-    vector's values and its
-    `classes` the entries that share a gradient.  Adam runs on
-    `vec[index]` against `loss(u, Z, t, bound)`, one moment per class
-    (see `optim`).  The entries outside keep their bits: the objective
-    has no gradient there, and an Adam step on a zero gradient from zero
-    moments moves nothing.  Each step's t and loss trace are appended to
-    `steps`.
+    within it; the binding's `index` selects the support in the step
+    vector's `values` and its `classes` the entries that share a
+    gradient.  Adam runs on `v.values[index]` against `loss(u, Z, t,
+    bound)`, one moment per class (see `optim`).  The entries outside
+    keep their bits: the objective has no gradient there, and an Adam
+    step on a zero gradient from zero moments moves nothing.  Each
+    step's t and loss trace are appended to `steps`.
     """
 
     def hook(v, Z, t):

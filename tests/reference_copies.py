@@ -41,6 +41,16 @@ class DefaultPathOracle(GlobalOracleProvider):
         return VectorFieldProvider.evaluate_windows(self, Z, layout, conditions, t)
 
 
+class FixedReply(VectorFieldProvider):
+    """Answers every field, on any layout, with one given reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def evaluate_windows(self, Z, layout, conditions, t):
+        return self.reply
+
+
 class ZeroFieldProvider(VectorFieldProvider):
     """Returns the zero vector; the flow becomes the identity."""
 

@@ -39,7 +39,7 @@ from tiledflow.patchwork import (
 )
 from tiledflow.priors import ConditionEmbedding
 
-from reference_copies import DefaultPathOracle, OracleField, ZeroFieldProvider
+from reference_copies import DefaultPathOracle, FixedReply, OracleField, ZeroFieldProvider
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=3)
@@ -390,17 +390,6 @@ def _outcome(call):
         return type(exc), str(exc), getattr(exc, "item", None)
 
 
-class FixedReply(VectorFieldProvider):
-    """Answers every window field with one given reply, and every dilated
-    field with another."""
-
-    def __init__(self, windows=None, samples=None):
-        self.windows, self.samples = windows, samples
-
-    def evaluate_windows(self, Z, layout, conditions, t):
-        return self.samples if isinstance(layout, DilatedPartition) else self.windows
-
-
 class TestNonFiniteReplies:
     """A non-finite reply value fails the field call and names the window
     (or sample) holding the first one, as a scan of the reply in window
@@ -492,7 +481,7 @@ class TestNonFiniteReplies:
             extended_field(Z, 0.5, grid, FixedReply(AgreedField(windows)), OracleConditioner())
         partition = dilated_partition(DIMS, DIMS.N, seed=0)
         with pytest.raises(ProviderError, match=r"values of shape \(\) for dilated sample 0 to dilated sample 3, expected \(8, 8, 4, 1\)"):
-            dilated_field(Z, 0.5, partition, FixedReply(samples=AgreedField(None)), OracleConditioner())
+            dilated_field(Z, 0.5, partition, FixedReply(AgreedField(None)), OracleConditioner())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_dense_window_and_dilated_sample_named(self, value):
@@ -506,7 +495,7 @@ class TestNonFiniteReplies:
         samples = np.zeros((len(partition),) + DIMS.patch_dims().dense_shape, dtype=np.float32)
         samples[2, 0, 0, 0, 0] = value
         with pytest.raises(ProviderError, match=r"non-finite values for dilated sample 2$"):
-            dilated_field(Z, 0.5, partition, FixedReply(samples=samples), OracleConditioner())
+            dilated_field(Z, 0.5, partition, FixedReply(samples), OracleConditioner())
         # as agreed fields: column (3, 5) lies in windows (0, 1), (0, 2), (1, 1) and (1, 2)
         field = np.zeros(DIMS.dense_shape, dtype=np.float32)
         field[3, 5, 1, 0] = value
@@ -514,7 +503,7 @@ class TestNonFiniteReplies:
             extended_field(Z, 0.5, grid, FixedReply(AgreedField(field)), OracleConditioner())
         sample = int(np.flatnonzero((partition.src_x == 3) & (partition.src_y == 5))[0] // (DIMS.N * DIMS.N))
         with pytest.raises(ProviderError, match=rf"non-finite values for dilated sample {sample}$"):
-            dilated_field(Z, 0.5, partition, FixedReply(samples=AgreedField(field)), OracleConditioner())
+            dilated_field(Z, 0.5, partition, FixedReply(AgreedField(field)), OracleConditioner())
 
 
 class GivenConditions(OracleConditioner):

@@ -15,6 +15,8 @@ from tiledflow.flowcore import GlobalOracleProvider, OracleConditioner, VectorFi
 from tiledflow.lattice import DenseLatent, Dims, init_sparse_noise
 from tiledflow.patchwork import AgreedField, SparseWindowPlan, dilated_partition, make_patch_grid
 
+from reference_copies import FixedReply
+
 DIMS = Dims(2, 2, 4, 8, C=2, l=3)
 MEMBERS = {"count", "item_name", "bounds", "batch_shape", "gather", "window_order", "combine"}
 CASES = [("grid", 2), ("plan", 1), ("plan", 2), ("plan", 4), ("partition", None)]
@@ -42,14 +44,6 @@ def _case(kind, d, seed=0):
         return Z, layout, oracle, conditioner.window_conditions(layout)
     layout = dilated_partition(DIMS, DIMS.N, seed=seed)
     return Z, layout, oracle, conditioner.dilated_conditions(layout)
-
-
-class FixedReply(VectorFieldProvider):
-    def __init__(self, reply):
-        self.reply = reply
-
-    def evaluate_windows(self, Z, layout, conditions, t):
-        return self.reply
 
 
 @pytest.fixture(params=CASES, ids=lambda case: "-".join(map(str, case)))

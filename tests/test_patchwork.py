@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tiledflow import patchwork
 from tiledflow.errors import BoundsError, ConfigError, CoverageError, DimensionError, ProviderError
-from tiledflow.flowcore import VectorFieldProvider, layout_field
+from tiledflow.flowcore import layout_field
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
 from tiledflow.patchwork import (
     AgreedField,
@@ -23,7 +23,7 @@ from tiledflow.patchwork import (
     restrict_sparse,
 )
 
-from reference_copies import ReferenceSparseWindowPlan, unpatch_dense
+from reference_copies import FixedReply, ReferenceSparseWindowPlan, unpatch_dense
 
 
 def brute_window_boxes(dims, d, K):
@@ -866,16 +866,6 @@ class TestMergeBuffer:
         assert peak < values.nbytes / 4
 
 
-class AgreedReply(VectorFieldProvider):
-    """Answers every field with one given field, as an agreed field."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def evaluate_windows(self, Z, layout, conditions, t):
-        return AgreedField(self.field)
-
-
 def agreed_field(layout, field, Z=None):
     """The field `layout_field` gives on `layout` when the provider
     answers `field` as an agreed field; Z is a latent of `field`'s shape
@@ -883,7 +873,7 @@ def agreed_field(layout, field, Z=None):
     if Z is None:
         dims = layout.grid.dims
         Z = SparseLatent(dims, layout.coords, np.zeros((len(layout.coords), dims.l), dtype=np.float32))
-    return layout_field(Z, layout, AgreedReply(field), [None] * layout.count, 0.5)
+    return layout_field(Z, layout, FixedReply(AgreedField(field)), [None] * layout.count, 0.5)
 
 
 def _assert_agreed_merge_equal(plan, field, limit=None):
