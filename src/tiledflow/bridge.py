@@ -60,9 +60,8 @@ evicts the oldest), and they are dropped when it closes; a field
 request naming any other id gets "unknown session N".  RemoteProvider
 registers each layout once per connection under an id it never
 reuses, waits for the acknowledgement, and then sends one mode-6 frame
-per window field.  It registers anew, once, after "unknown session",
-and a peer that answers the registration with "unknown eval mode 4"
-gets mode-3 batches for the rest of the connection.
+per window field.  It registers anew, once, after "unknown session";
+a peer without sessions answers "unknown eval mode 4", failing the field.
 
 The server reads at most MAX_PIPELINED requests of one connection ahead
 of its answers; then it stops reading until an answer is sent, and TCP
@@ -490,10 +489,9 @@ class RemoteProvider(VectorFieldProvider):
 
     Safe for concurrent calls; requests are pipelined on one connection
     and matched to responses by request id.  Each `evaluate_batch` call
-    (a dilated field's samples, or a window field without sessions) is
-    one mode-3 frame and `evaluate` is a batch of one.  A dilated field
-    (`evaluate_windows` on a DilatedPartition) takes the default path:
-    its gathered samples in one such batch.
+    is one mode-3 frame and `evaluate` is a batch of one.  A dilated
+    field (`evaluate_windows` on a DilatedPartition) takes the default
+    path: its gathered samples in one such batch.
 
     A window field (`evaluate_windows`) is one mode-6 frame on a stage
     session, answered with the merged field, which it returns as an
@@ -503,8 +501,7 @@ class RemoteProvider(VectorFieldProvider):
     its conditions (mode 4) under a fresh id and waits for the
     acknowledgement.  The registry holds layouts by weak reference.  A
     session the peer has evicted is registered once more under a fresh
-    id; a peer that answers "unknown eval mode 4" gets mode-3 batches
-    for the rest of the connection.
+    id.  A peer without sessions ("unknown eval mode 4") fails the call.
     """
 
     def __init__(self, endpoint: str | socket.socket, timeout: float = 30.0):
@@ -524,7 +521,6 @@ class RemoteProvider(VectorFieldProvider):
         # layout -> (conditions, session id), for layouts still alive
         self._sessions = weakref.WeakKeyDictionary()
         self._session_lock = threading.Lock()
-        self._sessions_served = True
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -568,44 +564,33 @@ class RemoteProvider(VectorFieldProvider):
         """One mode-6 frame on the layout's session, answered with the
         merged field as an `AgreedField`; the default's one mode-3 batch
         for a dilated partition (a new one every step, so a session would
-        not pay) or when the peer has no sessions."""
-        stale = None
-        while True:
-            session = None if isinstance(layout, DilatedPartition) else self._session(layout, conditions, stale)
-            if session is None:
-                return super().evaluate_windows(Z, layout, conditions, t)
-            try:
-                request_id, payload = self._exchange(*_field_parts(session, Z, t))
-            except _RemoteError as exc:
-                if stale is not None or not exc.text.startswith("unknown session"):
-                    raise
-                stale = session
-                continue
-            shape = Z.values.shape
-            if len(payload) != 4 * math.prod(shape):
-                raise ProtocolError(
-                    f"response {request_id}: payload {len(payload)} bytes != expected {4 * math.prod(shape)}"
-                )
-            return AgreedField(np.frombuffer(payload, dtype="<f4").reshape(shape))
+        not pay)."""
+        if isinstance(layout, DilatedPartition):
+            return super().evaluate_windows(Z, layout, conditions, t)
+        session = self._session(layout, conditions, None)
+        try:
+            request_id, payload = self._exchange(*_field_parts(session, Z, t))
+        except _RemoteError as exc:
+            if not exc.text.startswith("unknown session"):
+                raise
+            session = self._session(layout, conditions, session)
+            request_id, payload = self._exchange(*_field_parts(session, Z, t))
+        shape = Z.values.shape
+        expected = 4 * math.prod(shape)
+        if len(payload) != expected:
+            raise ProtocolError(f"response {request_id}: payload {len(payload)} bytes != expected {expected}")
+        return AgreedField(np.frombuffer(payload, dtype="<f4").reshape(shape))
 
-    def _session(self, layout, conditions, stale: int | None) -> int | None:
+    def _session(self, layout, conditions, stale: int | None) -> int:
         """The id of this connection's session holding `layout` with
         `conditions`, registered under a fresh id when there is none or
-        it is `stale`; None when the peer has no sessions."""
+        it is `stale`."""
         with self._session_lock:
-            if not self._sessions_served:
-                return None
             entry = self._sessions.get(layout)
             if entry is not None and entry[1] != stale and (entry[0] is conditions or entry[0] == tuple(conditions)):
                 return entry[1]
             session = next(self._session_ids)
-            try:
-                self._exchange(*_register_parts(session, layout, conditions))
-            except _RemoteError as exc:
-                if exc.text != f"unknown eval mode {MODE_REGISTER}":
-                    raise
-                self._sessions_served = False
-                return None
+            self._exchange(*_register_parts(session, layout, conditions))
             self._sessions[layout] = (tuple(conditions), session)
             return session
 

@@ -40,16 +40,12 @@ from .lattice import (
     first_nonfinite_item,
     stack_patches,
 )
-# patch_dense and merge_vectors stay importable here because the
-# benchmark's trace wraps them as flowcore attributes.
 from .patchwork import (
     AgreedField,
     DilatedPartition,
     PatchGrid,
     SparseWindowPlan,
     Window,
-    merge_vectors,  # noqa: F401
-    patch_dense,  # noqa: F401
     restrict_sparse,
     window_boxes,
 )
@@ -199,10 +195,6 @@ def box_condition(x0: int, y0: int, K: int) -> ConditionEmbedding:
     return ConditionEmbedding(struct.pack("<B3I", _COND_BOX, x0, y0, K))
 
 
-def pillar_condition(src_x: np.ndarray, src_y: np.ndarray) -> ConditionEmbedding:
-    return pillar_conditions(src_x[None], src_y[None])[0]
-
-
 def pillar_conditions(src_x: np.ndarray, src_y: np.ndarray) -> list[ConditionEmbedding]:
     """One pillar condition per (K, K) map of the stacked (n, K, K) maps,
     all cast to little-endian u4 at once."""
@@ -342,7 +334,7 @@ class GlobalOracleProvider(VectorFieldProvider):
         it reads the one condition without building a batch."""
         inv = _inverse_time(t)
         if isinstance(patch, SparseLatent):
-            (target,) = self._slat_targets((condition,), patch.coords, (0, len(patch)))
+            (target,) = self._slat_targets((condition,), patch.dims.M, patch.coords, (0, len(patch)))
             return patch.with_features((patch.features - target) * inv)
         if self.ss_target is None:
             raise ProviderError("no dense target configured")
@@ -355,7 +347,7 @@ class GlobalOracleProvider(VectorFieldProvider):
         check_condition_count(batch, conditions)
         inv = _inverse_time(t)
         if isinstance(batch, SparseBatch):
-            targets = self._slat_targets(conditions, batch.coords, batch.bounds)
+            targets = self._slat_targets(conditions, batch.dims.M, batch.coords, batch.bounds)
             out = np.concatenate(targets) if targets else np.empty_like(batch.features)
         elif self.ss_target is None:
             raise ProviderError("no dense target configured")
@@ -415,20 +407,27 @@ class GlobalOracleProvider(VectorFieldProvider):
         except AttributeError:  # no oracle conditions: the default path reports them
             return False
 
-    def _slat_targets(self, conditions, coords: np.ndarray, bounds) -> list[np.ndarray]:
+    def _slat_targets(self, conditions, M: int, coords: np.ndarray, bounds) -> list[np.ndarray]:
         """Per item, the target features of the box its condition names,
-        aligned to its rows coords[bounds[n]:bounds[n + 1]]."""
+        aligned to its rows coords[bounds[n]:bounds[n + 1]].  As in
+        `_dense_sections`, a box must be of the patch side M and inside
+        the grid, and the first item that fails is a ProviderError."""
         if self.slat_target is None:
             raise ProviderError("no sparse target configured", item=0)
         try:
             records = read_oracle_conditions(conditions)
         except ProviderError as exc:
-            self._slat_targets(conditions[: exc.item], coords, bounds)  # an earlier failure comes first
+            self._slat_targets(conditions[: exc.item], M, coords, bounds)  # an earlier failure comes first
             raise
         if records.dtype != BOX_RECORD:
             raise ProviderError("sparse oracle expects box conditions", item=0)
+        boxes = records["box"].tolist()
+        X, Y, H = self.slat_target.dims.grid_shape
+        misfit = [side != M or M > H or x0 > X - M or y0 > Y - M for x0, y0, side in boxes]
+        if True in misfit:
+            raise ProviderError(f"box condition does not fit grid {(X, Y, H)} as a patch {M}", misfit.index(True))
         targets = []
-        for n, box in enumerate(records["box"].tolist()):
+        for n, box in enumerate(boxes):
             try:
                 target = self._slat_restriction(tuple(box))
                 targets.append(_align_sparse_target(target, coords[bounds[n] : bounds[n + 1]]))
@@ -501,17 +500,15 @@ class BiasedOracleProvider(VectorFieldProvider):
 class Conditioner:
     """Produces provider conditions for windows and dilated samples.
 
-    A subclass defines `window_condition` and `dilated_condition`.  The
-    engine asks for a field call's conditions all at once: a grid's
-    window conditions are built once per conditioner, by one
-    `window_condition` call per window, and then reused by every call on
-    that grid; a partition's conditions are built for each partition.
+    A subclass defines the hooks `window_condition` and
+    `dilated_conditions`.  The engine asks for a field call's conditions
+    all at once: a grid's window conditions are built once per
+    conditioner, by one `window_condition` call per window, and then
+    reused by every call on that grid; a partition's conditions are
+    built for each partition.
     """
 
     def window_condition(self, window: Window) -> ConditionEmbedding:
-        raise NotImplementedError
-
-    def dilated_condition(self, partition: DilatedPartition, n: int) -> ConditionEmbedding:
         raise NotImplementedError
 
     def window_conditions(self, grid: PatchGrid) -> tuple[ConditionEmbedding, ...]:
@@ -525,7 +522,7 @@ class Conditioner:
 
     def dilated_conditions(self, partition: DilatedPartition) -> list[ConditionEmbedding]:
         """Every dilated sample's condition, in sample order."""
-        return [self.dilated_condition(partition, n) for n in range(len(partition))]
+        raise NotImplementedError
 
 
 class OracleConditioner(Conditioner):
@@ -533,9 +530,6 @@ class OracleConditioner(Conditioner):
 
     def window_condition(self, window):
         return box_condition(window.x0, window.y0, window.K)
-
-    def dilated_condition(self, partition, n):
-        return pillar_condition(partition.src_x[n], partition.src_y[n])
 
     def dilated_conditions(self, partition):
         return pillar_conditions(partition.src_x, partition.src_y)
@@ -565,8 +559,8 @@ class ImageConditioner(Conditioner):
             return self._global
         return toy_condition(patch)
 
-    def dilated_condition(self, partition, n):
-        return self._global
+    def dilated_conditions(self, partition):
+        return [self._global] * len(partition)
 
 
 def gamma(t: float, alpha: int) -> float:
@@ -588,10 +582,10 @@ def extended_field(
 
     A sparse Z is cut by `plan`, the window plan of its grid and
     coordinates (built here when not given; a plan of another grid or
-    coordinate set is a ConfigError), and a dense Z's lattice must hold
-    every window.  The field is `layout_field` of Z on that layout, with
-    the grid's window conditions.  A Z built on `plan.coords` itself
-    skips the coordinate compare.
+    coordinate set is a ConfigError), and a dense Z must be the lattice
+    the grid tiles (else a DimensionError).  The field is `layout_field`
+    of Z on that layout, with the grid's window conditions.  A Z built
+    on `plan.coords` itself skips the coordinate compare.
     """
     if isinstance(Z, SparseLatent):
         if plan is None:
@@ -600,7 +594,9 @@ def extended_field(
             raise ConfigError("window plan was built for another grid or coordinate set")
         layout = plan
     else:
-        grid.check_fits(Z.data.shape)
+        lattice = (grid.dims.a * grid.K, grid.dims.b * grid.K, grid.K, grid.dims.C)
+        if Z.data.shape != lattice:
+            raise DimensionError(f"windows of side {grid.K} tile lattice {lattice}, not {Z.data.shape}")
         layout = grid
     return layout_field(Z, layout, provider, conditioner.window_conditions(grid), t)
 

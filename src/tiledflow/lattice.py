@@ -13,6 +13,7 @@ as float32; reductions elsewhere accumulate in float64.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -210,8 +211,7 @@ class DenseBatch:
 
     `data` has shape (n,) + dims.dense_shape and holds float32 values,
     finite and read-only, like a DenseLatent's.  `batch[k]` is item k as
-    a DenseLatent and `batch[lo:hi]` is a batch of the items lo to hi;
-    both are views of `data`.
+    a DenseLatent, a view of `data`.
     """
 
     dims: Dims
@@ -237,11 +237,9 @@ class DenseBatch:
         return len(self.data)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return DenseBatch._of_finite(self.dims, self.data[k])
         latent = object.__new__(DenseLatent)
         object.__setattr__(latent, "dims", self.dims)
-        object.__setattr__(latent, "data", self.data[k])
+        object.__setattr__(latent, "data", self.data[operator.index(k)])
         return latent
 
     def __iter__(self):
@@ -270,7 +268,7 @@ class SparseBatch:
     (rows, 3)) and `features` (float32, (rows, l)).  Each item's
     coordinates are in bounds and strictly increasing, as a
     SparseLatent's are; features are finite.  All arrays are read-only;
-    `batch[k]` and `batch[lo:hi]` are views.
+    `batch[k]` is item k as a SparseLatent of views.
     """
 
     dims: Dims
@@ -312,16 +310,7 @@ class SparseBatch:
         return len(self.bounds) - 1
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            lo, hi, step = k.indices(len(self))
-            if step != 1:
-                raise IndexError("sparse batches slice contiguously")
-            hi = max(lo, hi)
-            r0, r1 = self.bounds[lo], self.bounds[hi]
-            return SparseBatch._on_checked_coords(
-                self.dims, self.coords[r0:r1], self.features[r0:r1], self.bounds[lo : hi + 1] - r0
-            )
-        k = range(len(self))[k]
+        k = range(len(self))[operator.index(k)]
         lo, hi = self.bounds[k], self.bounds[k + 1]
         latent = object.__new__(SparseLatent)
         object.__setattr__(latent, "dims", self.dims)

@@ -4,6 +4,7 @@ They left the library because no program calls them; the tests keep
 them as small, obviously correct references.
 """
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from tiledflow.errors import CoverageError, SingularityError
 from tiledflow.flowcore import GlobalOracleProvider, VectorFieldProvider
 from tiledflow.lattice import DTYPE, DenseLatent, SparseLatent
 from tiledflow.patchwork import box_rows
+from tiledflow.priors import ConditionEmbedding
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,14 @@ class ZeroFieldProvider(VectorFieldProvider):
         if isinstance(patch, SparseLatent):
             return patch.with_features(np.zeros_like(patch.features))
         return patch.with_data(np.zeros_like(patch.data))
+
+
+def pillar_condition(src_x, src_y):
+    """One dilated sample's oracle condition, encoded on its own: kind 2,
+    the side K, then its (K, K) map of little-endian u4 (src_x, src_y)
+    pairs.  The reference for `flowcore.pillar_conditions`."""
+    pairs = np.stack([src_x, src_y], axis=-1).astype("<u4")
+    return ConditionEmbedding(struct.pack("<BI", 2, src_x.shape[-1]) + pairs.tobytes())
 
 
 def unpatch_dense(X, w, dims):

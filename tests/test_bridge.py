@@ -1226,9 +1226,8 @@ class TestSessions:
         modes = relay.modes()
         assert (modes.count(MODE_REGISTER), modes.count(MODE_FIELD)) == (2, 32)
 
-    def test_peer_without_sessions_gets_batches_for_the_connection(self, oracle_server):
-        server, target, slat_target = oracle_server
-        oracle = GlobalOracleProvider(ss_target=target, slat_target=slat_target)
+    def test_peer_without_sessions_fails_loudly(self, oracle_server):
+        server, target, _ = oracle_server
 
         def as_parent_server(frame):
             # the error frame a server that predates sessions answers mode 4 with
@@ -1236,18 +1235,17 @@ class TestSessions:
                 return Frame(TYPE_ERROR, frame.request_id, b"unknown eval mode 4")
             return None
 
-        expected = _stacked_fields(oracle, target, slat_target)
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
         relay = _Relay(server, as_parent_server)
         try:
             with RemoteProvider(relay.client, timeout=10) as remote:
-                assert _stacked_fields(remote, target, slat_target) == expected
-                assert _stacked_fields(remote, target, slat_target) == expected
+                for _ in range(2):
+                    with pytest.raises(ProviderError, match="unknown eval mode 4"):
+                        extended_field(random_dense(DIMS, 41), 0.7, grid, remote, OracleConditioner())
         finally:
             relay.close()
-        modes = relay.modes()
-        assert modes.count(MODE_REGISTER) == 1 and MODE_FIELD not in modes
-        # three fields, one batch each, twice
-        assert modes.count(MODE_BATCH) == 2 * 3
+        # each field registers once and fails; no batch or field frame follows
+        assert relay.modes() == [MODE_REGISTER, MODE_REGISTER]
 
     def test_registration_beyond_the_bound_evicts_the_oldest(self, oracle_server):
         server, target, _ = oracle_server

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiledflow import flowcore
-from tiledflow.errors import ConfigError, DivergenceError, ProviderError, SingularityError
+from tiledflow.errors import ConfigError, DimensionError, DivergenceError, ProviderError, SingularityError
 from tiledflow.flowcore import (
     Conditioner,
     GlobalOracleProvider,
@@ -20,6 +20,7 @@ from tiledflow.flowcore import (
     read_oracle_conditions,
 )
 from tiledflow.lattice import (
+    DenseBatch,
     DenseLatent,
     Dims,
     Schedule,
@@ -39,7 +40,7 @@ from tiledflow.patchwork import (
 )
 from tiledflow.priors import ConditionEmbedding
 
-from reference_copies import DefaultPathOracle, FixedReply, OracleField, ZeroFieldProvider
+from reference_copies import DefaultPathOracle, FixedReply, OracleField, ZeroFieldProvider, pillar_condition
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=3)
@@ -158,10 +159,18 @@ class TestExtendedField:
         partition = dilated_partition(Dims(a, b, 4, 8), K, seed=a + b + K)
         conditioner = OracleConditioner()
         stacked = conditioner.dilated_conditions(partition)
-        assert [c.data for c in stacked] == [
-            conditioner.dilated_condition(partition, n).data for n in range(len(partition))
-        ]
-        assert stacked == Conditioner.dilated_conditions(conditioner, partition)
+        per_sample = [pillar_condition(partition.src_x[n], partition.src_y[n]) for n in range(len(partition))]
+        assert [c.data for c in stacked] == [c.data for c in per_sample]
+        assert stacked == per_sample
+
+    def test_dense_latent_must_be_the_grids_lattice(self):
+        # a wider Z holds every window of the grid, but the grid's field
+        # is not a field over Z: neither reply may be taken for one
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        Z = random_dense(Dims(3, 2, 4, 8), 22)
+        for provider in (ZeroFieldProvider(), FixedReply(AgreedField(np.zeros_like(Z.data)))):
+            with pytest.raises(DimensionError, match=r"tile lattice \(8, 8, 4, 1\), not \(12, 8, 4, 1\)"):
+                extended_field(Z, 0.5, grid, provider, OracleConditioner())
 
     def test_zero_provider(self):
         Z = random_dense(DIMS, 14)
@@ -218,7 +227,8 @@ class TestExtendedField:
         with pytest.raises(ProviderError, match="boom") as err:
             FailsOnSecond().evaluate_batch(batch, ["first", "second", "third"], 0.5)
         assert err.value.item == 1
-        assert FailsOnSecond().evaluate_batch(batch[:0], [], 0.5).shape == (0,) + patch.data.shape
+        empty = DenseBatch(patch.dims, np.empty((0,) + patch.data.shape, dtype=np.float32))
+        assert FailsOnSecond().evaluate_batch(empty, [], 0.5).shape == (0,) + patch.data.shape
 
     def test_wrong_vector_count_rejected(self):
         class Short(VectorFieldProvider):
@@ -232,7 +242,7 @@ class TestExtendedField:
     @pytest.mark.parametrize("failing", [1, 2])
     def test_failure_on_one_dilated_sample_names_it(self, failing):
         partition = dilated_partition(DIMS, DIMS.N, seed=0)
-        bad = OracleConditioner().dilated_condition(partition, failing).data
+        bad = OracleConditioner().dilated_conditions(partition)[failing].data
 
         class FailsAtOneSample(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
@@ -546,7 +556,7 @@ def _layout_case(dims, layout, d, kind, seed):
             kind = "own"
         oracle = dict(slat_target=target)
         conditions = list(OracleConditioner().window_conditions(grid))
-        other = flowcore.pillar_condition(np.zeros((2, 2), int), np.zeros((2, 2), int))
+        other = pillar_condition(np.zeros((2, 2), int), np.zeros((2, 2), int))
     else:
         # some cells -0.0 in Z and +0.0 in the target, whose field value is -0.0
         values = scaled(rng.standard_normal((2,) + dims.dense_shape, dtype=np.float32))
@@ -559,7 +569,7 @@ def _layout_case(dims, layout, d, kind, seed):
             grid = make_patch_grid(dims, d, dims.N)
             layout = grid
             conditions = list(OracleConditioner().window_conditions(grid))
-            other = flowcore.pillar_condition(np.zeros((dims.N, dims.N), int), np.zeros((dims.N, dims.N), int))
+            other = pillar_condition(np.zeros((dims.N, dims.N), int), np.zeros((dims.N, dims.N), int))
         else:
             layout = dilated_partition(dims, dims.N, seed=seed % 1000)
             conditions = OracleConditioner().dilated_conditions(layout)

@@ -25,12 +25,13 @@ from tiledflow.flowcore import (
     GlobalOracleProvider,
     _dense_sections,
     box_condition,
-    pillar_condition,
     read_oracle_conditions,
 )
-from tiledflow.lattice import DTYPE, Dims, init_sparse_noise
+from tiledflow.lattice import DTYPE, DenseLatent, Dims, init_sparse_noise
 from tiledflow.patchwork import SparseWindowPlan, make_patch_grid
 from tiledflow.priors import ConditionEmbedding
+
+from reference_copies import pillar_condition
 
 # --- reference: the decoder and sections before the single decoder ----------
 
@@ -246,3 +247,31 @@ def test_sparse_oracle_names_the_first_bad_item():
         with pytest.raises(ProviderError) as err:
             provider.evaluate_batch(batch, conditions, 0.5)
         assert err.value.item == item
+
+
+@pytest.mark.parametrize("evaluate", ["batch", "item"])
+@pytest.mark.parametrize("box", [(0, 0, 7), (0, 0, 4), (12, 0, 8), (0, 10, 8)])
+def test_sparse_oracle_refuses_a_box_the_dense_oracle_refuses(evaluate, box):
+    # as the dense oracle does: a box of another side than the patch's,
+    # or reaching outside the grid, names its item
+    dims = Dims(2, 2, 4, 8, l=3)
+    grid = make_patch_grid(dims, 2, dims.M)
+    rng = np.random.default_rng(4)
+    target = init_sparse_noise(np.argwhere(rng.random(dims.grid_shape) < 0.3), dims, seed=1)
+    batch = SparseWindowPlan(grid, target.coords).gather(target)
+    conditions = [box_condition(w.x0, w.y0, w.K) for w in grid.windows()]
+    conditions[1] = box_condition(*box)
+    provider = GlobalOracleProvider(slat_target=target)
+    with pytest.raises(ProviderError, match="does not fit") as err:
+        if evaluate == "batch":
+            provider.evaluate_batch(batch, conditions, 0.5)
+        else:
+            provider.evaluate(batch[1], conditions[1], 0.5)
+    assert err.value.item == (1 if evaluate == "batch" else 0)
+    dense = GlobalOracleProvider(ss_target=DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32)))
+    dense_box = [box_condition(w.x0, w.y0, w.K) for w in make_patch_grid(dims, 2, dims.N).windows()]
+    dense_box[1] = box_condition(box[0] // 2, box[1] // 2, box[2] // 2)
+    dense_batch = make_patch_grid(dims, 2, dims.N).gather(dense.ss_target)
+    with pytest.raises(ProviderError) as dense_err:
+        dense.evaluate_batch(dense_batch, dense_box, 0.5)
+    assert dense_err.value.item == 1

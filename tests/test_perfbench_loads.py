@@ -42,5 +42,12 @@ def test_bench_core_imports_and_instruments():
     assert result.returncode == 0, result.stderr
     missing = json.loads(result.stdout.strip().splitlines()[-1])
     # flowcore gathers sparse windows through SparseWindowPlan, so the
-    # trace's wrap of flowcore.patch_sparse has had no target since then
-    assert set(missing) == {"tiledflow.flowcore.patch_sparse"}
+    # trace's wrap of flowcore.patch_sparse has had no target since then;
+    # nor have its wraps of flowcore.patch_dense and merge_vectors since
+    # flowcore stopped importing them, and their spans already read 0
+    # because no field calls them
+    assert set(missing) == {
+        "tiledflow.flowcore.patch_sparse",
+        "tiledflow.flowcore.patch_dense",
+        "tiledflow.flowcore.merge_vectors",
+    }
