@@ -195,12 +195,26 @@ def box_condition(x0: int, y0: int, K: int) -> ConditionEmbedding:
     return ConditionEmbedding(struct.pack("<B3I", _COND_BOX, x0, y0, K))
 
 
-def pillar_conditions(src_x: np.ndarray, src_y: np.ndarray) -> list[ConditionEmbedding]:
-    """One pillar condition per (K, K) map of the stacked (n, K, K) maps,
-    all cast to little-endian u4 at once."""
-    payload = struct.pack("<BI", _COND_PILLARS, src_x.shape[-1])
-    pairs = np.stack([src_x, src_y], axis=-1).astype("<u4")
-    return [ConditionEmbedding(payload + item.tobytes()) for item in pairs]
+class PillarConditions(Sequence):
+    """The pillar conditions of stacked (n, K, K) maps, one per map: kind
+    2, the side K, then the map's (src_x, src_y) pairs as little-endian
+    u4.  A read-only sequence that holds the maps themselves and encodes
+    an item only when it is read, so an oracle that knows the maps (see
+    `GlobalOracleProvider`) reads no bytes, and the wire reads each item
+    once.  A slice reads its items into a list."""
+
+    def __init__(self, src_x: np.ndarray, src_y: np.ndarray):
+        self.src_x, self.src_y = src_x, src_y
+        self._head = struct.pack("<BI", _COND_PILLARS, src_x.shape[-1])
+
+    def __len__(self) -> int:
+        return len(self.src_x)
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[k] for k in range(*n.indices(len(self)))]
+        pairs = np.stack([self.src_x[n], self.src_y[n]], axis=-1).astype("<u4")
+        return ConditionEmbedding(self._head + pairs.tobytes())
 
 
 def read_oracle_conditions(conditions: Sequence[ConditionEmbedding]) -> np.ndarray:
@@ -313,8 +327,11 @@ class GlobalOracleProvider(VectorFieldProvider):
     is then the restriction of the one field (Z - target) / t, which is
     answered whole, as an `AgreedField`.  The target aligned to a plan's
     coordinates and a grid's box conditions are kept per layout, weakly,
-    so the layouts of clients served over the wire leave nothing behind;
-    pillar maps, which change every step, are decoded and compared.
+    so the layouts of clients served over the wire leave nothing behind.
+    A partition's pillar maps change every step: `PillarConditions`
+    holding the partition's own (read-only) maps are its own without a
+    read, and any other conditions, such as the decoded list a served
+    oracle gets, are decoded and compared.
     """
 
     ss_target: DenseLatent | None = None
@@ -460,7 +477,11 @@ def _inverse_time(t: float):
 
 def _own_pillars(partition: DilatedPartition, conditions) -> bool:
     """Whether `conditions` are the pillar conditions of `partition`'s
-    samples, compared as decoded maps."""
+    samples: `PillarConditions` holding the partition's own maps, or
+    conditions whose decoded maps equal them."""
+    if isinstance(conditions, PillarConditions):
+        if conditions.src_x is partition.src_x and conditions.src_y is partition.src_y:
+            return True
     try:
         records = read_oracle_conditions(conditions)
     except ProviderError:
@@ -505,7 +526,7 @@ class Conditioner:
     all at once: a grid's window conditions are built once per
     conditioner, by one `window_condition` call per window, and then
     reused by every call on that grid; a partition's conditions are
-    built for each partition.
+    built for each partition, as any sequence of conditions.
     """
 
     def window_condition(self, window: Window) -> ConditionEmbedding:
@@ -520,7 +541,7 @@ class Conditioner:
             conditions = built[grid] = tuple(self.window_condition(w) for w in grid.windows())
         return conditions
 
-    def dilated_conditions(self, partition: DilatedPartition) -> list[ConditionEmbedding]:
+    def dilated_conditions(self, partition: DilatedPartition) -> Sequence[ConditionEmbedding]:
         """Every dilated sample's condition, in sample order."""
         raise NotImplementedError
 
@@ -532,7 +553,7 @@ class OracleConditioner(Conditioner):
         return box_condition(window.x0, window.y0, window.K)
 
     def dilated_conditions(self, partition):
-        return pillar_conditions(partition.src_x, partition.src_y)
+        return PillarConditions(partition.src_x, partition.src_y)
 
 
 class ImageConditioner(Conditioner):

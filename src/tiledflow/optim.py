@@ -19,11 +19,19 @@ stage: `PriorCells` checks the prior points and reduces them to their
 unique lattice cells, and `RenderTarget` holds each voxel's image
 column, the column counts and the target image's SSIM window
 statistics.  A call then gathers, renders and filters only what depends
-on v_hat.  Planned and unplanned calls give the same bits: the per-cell
-and per-pixel sums use `np.bincount`, which adds its weights one at a
-time in input order in float64, as the `np.add.at` scatter did
+on v_hat.  Planned and unplanned calls give the same bits.  The
+per-pixel sums use `np.bincount`, which adds its weights one at a time
+in input order in float64, as the `np.add.at` scatter did
 (`np.add.reduceat` would not: it adds a segment's head to the sum of
-its tail), and the structure loss still averages n per-point values.
+its tail).  The structure loss's gradient adds each cell's one value
+once per point of the cell, so each cell's sum is c additions of the
+same value from 0.0, c its point count, whatever the point order:
+`PriorCells` lists its cells by descending count, and
+`PriorCells.point_sums` makes the k-th additions of all cells that
+have a k-th point as one slice add, at (largest count) slice adds per
+call instead of one bincount weight per point.  The structure loss
+still averages n per-point values, by one gather in point order and
+numpy's pairwise sum.
 
 Within one Euler step Z_t and t are fixed too, and each objective has
 gradient on only part of the vector: the structure loss on the prior's
@@ -194,26 +202,55 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class PriorCells:
     """Prior coordinates reduced once to the lattice cells they sample.
 
-    `cells` indexes the unique coarse cells as an (x, y, z) tuple,
-    `inverse` maps each prior point, in order, to its cell.
+    `cells` indexes the unique coarse cells as an (x, y, z) tuple, in
+    descending order of their point counts (cells of equal count in
+    ascending (x, y, z) order), and `inverse` maps each prior point, in
+    order, to its cell.  `ends[k - 1]` is the number of cells holding at
+    least k points, for k = 1 to the largest count: cells 0 to ends[k - 1]
+    are the ones that take a k-th point.
     """
 
     dims: Dims
     cells: tuple
     inverse: np.ndarray
+    ends: tuple
 
     @classmethod
     def build(cls, P, dims: Dims) -> "PriorCells":
-        """Check (n, 3) fine-grid coordinates and bin them into cells."""
-        P = np.asarray(P, dtype=np.int64).reshape(-1, 3)
+        """Check (n, 3) fine-grid coordinates and bin them into cells.
+
+        A coordinate must be a whole number inside the fine grid; one that
+        is not finite or not whole is a BoundsError naming its point."""
+        P = np.asarray(P).reshape(-1, 3)
         if len(P) == 0:
             raise ValueError("ss_loss requires a non-empty prior coordinate set")
-        if ((P < 0) | (P >= np.array(dims.grid_shape, dtype=np.int64))).any():
+        if P.dtype.kind not in "iu":
+            P = P.astype(np.float64)
+            whole = (np.isfinite(P) & (np.floor(P) == P)).all(axis=1)
+            if not whole.all():
+                n = int(np.argmin(whole))
+                raise BoundsError(f"prior coordinate {P[n].tolist()} of point {n} is not a finite whole number")
+        if ((P < 0) | (P >= np.array(dims.grid_shape))).any():
             raise BoundsError("prior coordinate outside the fine grid")
         shape = dims.dense_shape[:3]
-        keys = np.ravel_multi_index(tuple((P // dims.ratio).T), shape)
-        unique, inverse = np.unique(keys, return_inverse=True)
-        return cls(dims, np.unravel_index(unique, shape), inverse)
+        keys = np.ravel_multi_index(tuple((P.astype(np.int64, copy=False) // dims.ratio).T), shape)
+        unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        order = np.argsort(-counts, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        # counts[order] descends, so the cells holding k or more points lead
+        ends = np.searchsorted(-counts[order], -np.arange(1, counts.max() + 1), side="right")
+        return cls(dims, np.unravel_index(unique[order], shape), rank[inverse], tuple(ends.tolist()))
+
+    def point_sums(self, y: np.ndarray) -> np.ndarray:
+        """Each cell's float64 value `y[cell]` summed once per point of the
+        cell, from 0.0 and one addition at a time, as `np.bincount(inverse,
+        weights=y[inverse])` sums it: the k-th additions of all cells are
+        one slice add over the first `ends[k - 1]` cells."""
+        out = np.zeros(len(y))
+        for m in self.ends:
+            out[:m] += y[:m]
+        return out
 
     def at(self, Z_t: DenseLatent, t: float) -> "StepCells":
         """These cells bound to one Euler step (Z_t, t)."""
@@ -267,20 +304,22 @@ def ss_loss(v_hat: np.ndarray, Z_t, t: float, P: np.ndarray | PriorCells | StepC
     w.r.t. v_hat is analytic through the linear codec: only lattice
     cells feeding a sampled logit receive gradient, every other entry
     is -0.0.  With a step binding, v_hat holds only the cells' entries,
-    `v_hat[step.index]`, and the gradient is one column per cell.
+    `v_hat[step.index]`, and the gradient is one column per cell, in the
+    order of `PriorCells.cells`, summed over the cell's points by
+    `PriorCells.point_sums`.
     """
     if isinstance(P, StepCells):
         if P.prior.dims != codec.dims:
             raise ConfigError("prior cells were built for other lattice dims")
         _check_step(P, Z_t, t, v_hat)
         x = P.z - t * np.asarray(v_hat, dtype=np.float64)
-        logits = x.mean(axis=1)
+        logits = np.add.reduce(x, axis=1) / x.shape[1]
         inverse = P.prior.inverse
-        loss = float(np.mean(np.logaddexp(0.0, -logits)[inverse]))
+        loss = float(np.add.reduce(np.logaddexp(0.0, -logits)[inverse]) / len(inverse))
         if not P.need_grad:
             return loss, None
         dz = (_sigmoid(logits) - 1.0) / len(inverse)  # d loss / d logit per point of a cell
-        grad = np.bincount(inverse, weights=(dz / codec.dims.C)[inverse])[:, None]
+        grad = P.prior.point_sums(dz / codec.dims.C)[:, None]
         grad *= -t
         return loss, grad
     _check_t(t)

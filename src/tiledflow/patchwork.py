@@ -346,19 +346,30 @@ class SparseWindowPlan:
     gather from the per-run offsets.
 
     The coordinates pass the `SparseLatent` constructor's coordinate
-    check (`checked_coords`) once, here; each window's local coordinates
-    are a translated run of them, so they stay in bounds and in order.  Gathered batches and the
-    merged vector then check only their features.
+    check (`checked_coords`) once, in the constructor, which also refuses
+    a row outside every window; `rows`, `bounds` and `coverage` are built
+    on first use, as `rank_layout` and `local` are.  Each window's local
+    coordinates are a translated run of the coordinates, so they stay in
+    bounds and in order.  Gathered batches and the merged vector then
+    check only their features.
     """
 
     def __init__(self, grid: PatchGrid, coords: np.ndarray):
         self.grid = grid
         self.coords, _ = checked_coords(grid.dims, coords)
         K = grid.K
-        X, Y = grid.dims.a * K, grid.dims.b * K
         x, y, z = self.coords.T
-        if ((x >= X) | (y >= Y) | (z >= K)).any():
+        if ((x >= grid.dims.a * K) | (y >= grid.dims.b * K) | (z >= K)).any():
             raise CoverageError("sparse coordinate not covered by any window")
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(shift, rows, bounds), built together on first use: run (k, u)
+        holds reply positions ends - lengths + n for its rows starts + n."""
+        grid = self.grid
+        K = grid.K
+        X, Y = grid.dims.a * K, grid.dims.b * K
+        x, y = self.coords[:, 0], self.coords[:, 1]
         # column[x * Y + y] is the first row of column (x, y); one past the end
         column = np.zeros(X * Y + 1, dtype=np.int64)
         np.cumsum(np.bincount(x * Y + y, minlength=X * Y), out=column[1:])
@@ -367,11 +378,24 @@ class SparseWindowPlan:
         starts = column[first].ravel()
         lengths = column[first + K].ravel() - starts
         ends = np.cumsum(lengths)
-        # run (k, u) holds reply positions ends - lengths + n for its rows starts + n
-        self._shift = _ro(ends - lengths - starts)
-        self.rows = _ro(np.arange(ends[-1]) - np.repeat(self._shift, lengths))
-        self.bounds = _ro(np.concatenate(([0], ends[K - 1 :: K])))
-        self.coverage = _ro(grid.axis_coverage(grid.ni, X)[x] * grid.axis_coverage(grid.nj, Y)[y])
+        shift = _ro(ends - lengths - starts)
+        rows = _ro(np.arange(ends[-1]) - np.repeat(shift, lengths))
+        return shift, rows, _ro(np.concatenate(([0], ends[K - 1 :: K])))
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._runs[1]
+
+    @property
+    def bounds(self) -> np.ndarray:
+        return self._runs[2]
+
+    @cached_property
+    def coverage(self) -> np.ndarray:
+        grid = self.grid
+        cx = grid.axis_coverage(grid.ni, grid.dims.a * grid.K)
+        cy = grid.axis_coverage(grid.nj, grid.dims.b * grid.K)
+        return _ro(cx[self.coords[:, 0]] * cy[self.coords[:, 1]])
 
     @property
     def count(self) -> int:
@@ -398,7 +422,7 @@ class SparseWindowPlan:
             qi, qj = np.divmod(np.arange(c)[:, None], cy[members])  # rank q = qi * cy + qj
             i = ilo[members] + qi
             run = (i * grid.nj + jlo[members] + qj) * K + x[members] - i * s
-            parts.append((self._shift[run] + members).ravel())
+            parts.append((self._runs[0][run] + members).ravel())
             order.append(members)
             groups.append((c, g0, g0 + len(members), lo))
             g0, lo = g0 + len(members), lo + c * len(members)

@@ -13,6 +13,7 @@ from tiledflow.decode import OUTSIDE_SDF
 from tiledflow.errors import CoverageError, SingularityError
 from tiledflow.flowcore import GlobalOracleProvider, VectorFieldProvider
 from tiledflow.lattice import DTYPE, DenseLatent, SparseLatent
+from tiledflow.optim import _sigmoid
 from tiledflow.patchwork import box_rows
 from tiledflow.priors import ConditionEmbedding
 
@@ -65,7 +66,7 @@ class ZeroFieldProvider(VectorFieldProvider):
 def pillar_condition(src_x, src_y):
     """One dilated sample's oracle condition, encoded on its own: kind 2,
     the side K, then its (K, K) map of little-endian u4 (src_x, src_y)
-    pairs.  The reference for `flowcore.pillar_conditions`."""
+    pairs.  The reference for `flowcore.PillarConditions`' items."""
     pairs = np.stack([src_x, src_y], axis=-1).astype("<u4")
     return ConditionEmbedding(struct.pack("<BI", 2, src_x.shape[-1]) + pairs.tobytes())
 
@@ -159,6 +160,25 @@ def rank_layout(rows, coverage):
     slot = np.empty_like(perm)
     slot[perm] = np.arange(len(perm))
     return slot, tuple(groups), order.take(np.concatenate(parts))
+
+
+def ss_loss_by_bincount(v_hat, Z_t, t, step, codec):
+    """`tiledflow.optim.ss_loss` on a step binding, its gradient summed
+    by one `np.bincount` of every prior point's weight, in point order."""
+    x = step.z - t * np.asarray(v_hat, dtype=np.float64)
+    logits = x.mean(axis=1)
+    inverse = step.prior.inverse
+    loss = float(np.mean(np.logaddexp(0.0, -logits)[inverse]))
+    dz = (_sigmoid(logits) - 1.0) / len(inverse)  # d loss / d logit per point of a cell
+    grad = np.bincount(inverse, weights=(dz / codec.dims.C)[inverse])[:, None]
+    grad *= -t
+    return loss, grad
+
+
+def point_sums_by_bincount(cells, y):
+    """`tiledflow.optim.PriorCells.point_sums` as one `np.bincount` of the
+    points' weights, in point order."""
+    return np.bincount(cells.inverse, weights=y[cells.inverse], minlength=len(y))
 
 
 def render_mean_per_channel(columns, feats64):

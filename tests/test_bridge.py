@@ -1001,6 +1001,35 @@ class TestStackedWireBytes:
         for part, payload in seen.items():
             assert (len(payload), hashlib.sha256(payload).hexdigest()) == self.SESSION_GOLDEN[(kind, part)]
 
+    # A served dilated field on the same scene: one mode-3 batch of the
+    # partition's samples, each with its pillar condition, and its reply.
+    # The digests were taken from the eagerly encoded pillar conditions.
+    DILATED_GOLDEN = {
+        "request": (2721, "740435d360d4513f60416c69b7979273938dbbddb6fcd954e92c6297089cb71b"),
+        "reply": (2048, "4f072c2f26dce14e311cb53a98deaed2cd65185a810ec5538eb0e496847fdde3"),
+    }
+
+    def test_dilated_field_bytes_pinned(self):
+        import hashlib
+
+        dims, Z, T, _, _ = self._scene()
+        partition = dilated_partition(dims, dims.N, seed=5)
+        oracle = GlobalOracleProvider(ss_target=T)
+        server = ProviderServer(oracle, dims).start()
+        relay = _Relay(server)
+        try:
+            with RemoteProvider(relay.client, timeout=10) as remote:
+                field = dilated_field(Z, 0.5, partition, remote, OracleConditioner())
+        finally:
+            relay.close()
+            server.stop()
+        expected = dilated_field(Z, 0.5, partition, oracle, OracleConditioner())
+        assert field.data.tobytes() == expected.data.tobytes()
+        assert relay.modes() == [MODE_BATCH]
+        seen = {"request": relay.requests[0].payload, "reply": relay.replies[0].payload}
+        for part, payload in seen.items():
+            assert (len(payload), hashlib.sha256(payload).hexdigest()) == self.DILATED_GOLDEN[part]
+
 
 class TestBoundedReceive:
     def test_header_alone_pins_no_payload_buffer(self):

@@ -10,6 +10,7 @@ from tiledflow.flowcore import (
     Conditioner,
     GlobalOracleProvider,
     OracleConditioner,
+    PillarConditions,
     VectorFieldProvider,
     box_condition,
     dilated_field,
@@ -161,7 +162,30 @@ class TestExtendedField:
         stacked = conditioner.dilated_conditions(partition)
         per_sample = [pillar_condition(partition.src_x[n], partition.src_y[n]) for n in range(len(partition))]
         assert [c.data for c in stacked] == [c.data for c in per_sample]
-        assert stacked == per_sample
+        assert list(stacked) == per_sample
+        assert stacked[::-1] == per_sample[::-1] and stacked[-1] == per_sample[-1]
+        with pytest.raises(TypeError):
+            stacked[0] = per_sample[0]
+        with pytest.raises(IndexError):
+            stacked[len(partition)]
+
+    def test_in_process_dilated_field_encodes_no_condition(self, monkeypatch):
+        # the oracle knows the partition's maps: no item of its pillar
+        # conditions is read, and the field keeps the default path's bits
+        dims = Dims(2, 3, 4, 8, C=2, l=3)
+        provider = GlobalOracleProvider(ss_target=random_dense(dims, 30))
+        reads = []
+        encode = PillarConditions.__getitem__
+        monkeypatch.setattr(PillarConditions, "__getitem__", lambda self, n: reads.append(n) or encode(self, n))
+        for seed, t in ((31, 0.5), (32, 0.3)):
+            Z = random_dense(dims, seed)
+            partition = dilated_partition(dims, dims.N, seed=seed)
+            field = dilated_field(Z, t, partition, provider, OracleConditioner())
+            assert reads == []
+            want = dilated_field(Z, t, partition, DefaultPathOracle(ss_target=provider.ss_target), OracleConditioner())
+            assert set(range(len(partition))) <= set(reads)  # the default path reads every item
+            assert field.data.tobytes() == want.data.tobytes()
+            reads.clear()
 
     def test_dense_latent_must_be_the_grids_lattice(self):
         # a wider Z holds every window of the grid, but the grid's field
@@ -574,6 +598,8 @@ def _layout_case(dims, layout, d, kind, seed):
             layout = dilated_partition(dims, dims.N, seed=seed % 1000)
             conditions = OracleConditioner().dilated_conditions(layout)
             other = box_condition(0, 0, dims.N)
+    if kind in ("moved", "kind", "empty"):
+        conditions = list(conditions)  # a partition's pillar conditions are read-only
     if kind == "shuffled" and len(conditions) > 1:
         conditions = conditions[1:] + conditions[:1]
     elif kind == "shuffled":

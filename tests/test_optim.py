@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from tiledflow.optim import (
 from tiledflow.pipeline import _adam_hook
 from tiledflow.structedit import ToyCodec
 
-from reference_copies import render_mean_per_channel
+from reference_copies import point_sums_by_bincount, render_mean_per_channel, ss_loss_by_bincount
 
 
 def finite_difference(objective, v, h=1e-6):
@@ -582,6 +584,34 @@ class TestObjectivePlans:
         with pytest.raises(BoundsError):
             PriorCells.build(np.array([[0, 0, DIMS.M]]), DIMS)
 
+    @pytest.mark.parametrize(
+        "P, named",
+        [
+            ([[0.9, 3.7, 1.2]], r"\[0\.9, 3\.7, 1\.2\] of point 0"),
+            ([[1, 2, 3], [0.0, 2.5, 0.0]], r"\[0\.0, 2\.5, 0\.0\] of point 1"),
+            ([[0, np.inf, 0]], r"\[0\.0, inf, 0\.0\] of point 0"),
+            ([[0, 0, -np.inf]], r"\[0\.0, 0\.0, -inf\] of point 0"),
+            ([[2, 2, 2], [np.nan, 0, 0]], r"\[nan, 0\.0, 0\.0\] of point 1"),
+        ],
+        ids=["fraction", "second-point", "inf", "minus-inf", "nan"],
+    )
+    def test_prior_cells_refuse_coordinates_that_are_not_whole(self, P, named):
+        # refused before any cast: no truncation to cell (0, 0, 0), and no
+        # "invalid value encountered in cast" warning first
+        v, Z = np.zeros(DIMS.dense_shape), DenseLatent.zeros(DIMS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundsError, match=rf"prior coordinate {named} is not a finite whole number"):
+                PriorCells.build(np.array(P), DIMS)
+            with pytest.raises(BoundsError, match=named):
+                ss_loss(v, Z, 0.5, np.array(P), CODEC)
+
+    def test_prior_cells_take_whole_floats_as_their_integers(self):
+        P = np.array([[5, 2, 7], [0, 0, 0], [5, 3, 6]])
+        ints, floats = PriorCells.build(P, DIMS), PriorCells.build(P.astype(np.float64), DIMS)
+        assert all(np.array_equal(i, f) for i, f in zip(ints.cells, floats.cells))
+        assert np.array_equal(ints.inverse, floats.inverse) and ints.ends == floats.ends
+
     def test_t_checked_on_every_call(self):
         cells = PriorCells.build(np.array([[0, 0, 0]]), DIMS)
         with pytest.raises(ValueError):
@@ -610,6 +640,73 @@ class TestObjectivePlans:
 
 # The per-step hook as it was before Adam ran on the support: Adam over the
 # whole step vector against the full-vector objective.
+
+
+def _prior_of_counts(dims, rng):
+    """Prior points in some coarse cells of `dims`, each cell holding
+    between 1 and ratio**3 distinct fine points (one cell the most), in
+    shuffled point order."""
+    r = dims.ratio
+    coarse = np.argwhere(np.ones(dims.dense_shape[:3], dtype=bool))
+    chosen = coarse[rng.random(len(coarse)) < 0.6]
+    chosen = chosen if len(chosen) else coarse[:1]
+    counts = rng.integers(1, r**3 + 1, size=len(chosen))
+    counts[rng.integers(len(counts))] = r**3
+    offsets = np.argwhere(np.ones((r, r, r), dtype=bool))
+    P = np.concatenate([c * r + offsets[rng.permutation(r**3)[:k]] for c, k in zip(chosen, counts)])
+    return P[rng.permutation(len(P))], np.sort(counts)[::-1]
+
+
+def _values_across_exponents(rng, n):
+    """n float64 values of both signs with exponents from the subnormal
+    range to 2**1000, some of them -0.0, +0.0 or the least subnormal."""
+    y = np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-1074, 1000, n)) * rng.choice([-1.0, 1.0], n)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.0**-1060, -(2.0**-1030)])
+    pick = rng.random(n) < 0.2
+    y[pick] = rng.choice(special, pick.sum())
+    return y
+
+
+@st.composite
+def _count_cases(draw):
+    N, M = draw(st.sampled_from([(8, 8), (4, 8), (2, 8)]))  # at most 1, 8 or 64 distinct points a cell
+    dims = Dims(draw(st.integers(1, 2)), draw(st.integers(1, 2)), N, M, C=draw(st.sampled_from([1, 2, 3])), l=4)
+    return dims, draw(st.integers(0, 2**32 - 1))
+
+
+class TestCountOrderedSum:
+    """`PriorCells.point_sums` adds each cell's value once per point from
+    0.0, in the bits of a point-order `np.bincount`."""
+
+    @settings(max_examples=150)
+    @given(_count_cases())
+    def test_point_sums_equal_bincount(self, case):
+        dims, seed = case
+        rng = np.random.default_rng(seed)
+        P, counts = _prior_of_counts(dims, rng)
+        cells = PriorCells.build(P, dims)
+        assert np.bincount(cells.inverse).tolist() == counts.tolist()  # cells by descending count
+        assert len(cells.ends) == counts[0] and cells.ends[0] == len(counts)
+        y = _values_across_exponents(rng, len(counts))
+        assert _same_bytes(cells.point_sums(y), point_sums_by_bincount(cells, y))
+
+    @settings(max_examples=100)
+    @given(_count_cases())
+    def test_ss_loss_equals_bincount_form(self, case):
+        dims, seed = case
+        rng = np.random.default_rng(seed)
+        P, _ = _prior_of_counts(dims, rng)
+        codec = ToyCodec(dims)
+        scale = 10.0 ** rng.uniform(-6, 3)
+        Z = DenseLatent(dims, (rng.standard_normal(dims.dense_shape) * scale).astype(np.float32))
+        t = float(rng.uniform(0.01, 1.0))
+        step = PriorCells.build(P, dims).at(Z, t)
+        u = rng.standard_normal(step.z.shape) * scale
+        u[rng.random(u.shape) < 0.1] = -0.0
+        loss, grad = ss_loss(u, Z, t, step, codec)
+        want_loss, want_grad = ss_loss_by_bincount(u, Z, t, step, codec)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert _same_bytes(grad, want_grad)
 
 
 def _old_adam_hook(loss, params, steps):

@@ -974,12 +974,15 @@ class TestRankedMemory:
     def test_plan_holds_no_other_window_row_index(self):
         # a cached rank index of window-row length (rows[layout]) would
         # cost 8 bytes per window row on every plan; the rank layout is
-        # built on the first window-order merge, not by the constructor
+        # built on the first window-order merge, not by the constructor,
+        # and the window rows (in `_runs`, with their shifts and bounds)
+        # and the coverage on first use: an agreed field reads none of them
         built, (values, _) = _merge_plan()
         plan = SparseWindowPlan(built.grid, built.coords)
-        assert "rank_layout" not in vars(plan)
+        lazy = {"rank_layout", "_runs", "coverage", "local"}
+        assert not lazy & set(vars(plan))
         agreed_field(plan, values[: len(plan.coords)])
-        assert "rank_layout" not in vars(plan)
+        assert not lazy & set(vars(plan))
         plan.local
         plan.combine(values)
         held = {
@@ -987,7 +990,8 @@ class TestRankedMemory:
             for item in (value if isinstance(value, tuple) else [value])
             if isinstance(item, np.ndarray) and item.dtype.kind in "iu" and len(item) == len(plan.rows)
         }
-        assert held == {"rows", "rank_layout", "local"}
+        assert held == {"_runs", "rank_layout", "local"}
+        assert plan.rows is plan._runs[1] and plan.bounds is plan._runs[2]
 
     def test_ranked_merge_allocates_no_reply_sized_buffer(self):
         # the agreed field's own array is the field's rows
