@@ -97,7 +97,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import IncompleteFrameError, ProtocolError, ProviderError
-from .flowcore import VectorFieldProvider, check_condition_count, evaluate_one, layout_field
+from .flowcore import VectorFieldProvider, check_condition_count, layout_field
 from .lattice import (
     DTYPE,
     DenseBatch,
@@ -108,6 +108,7 @@ from .lattice import (
     SparseLatent,
     batch_coords_problem,
     first_nonfinite_item,
+    stack_patches,
 )
 from .patchwork import AgreedField, DilatedPartition, PatchGrid, SparseWindowPlan
 from .priors import ConditionEmbedding
@@ -546,7 +547,8 @@ class RemoteProvider(VectorFieldProvider):
             slot.event.set()
 
     def evaluate(self, patch, condition, t):
-        return evaluate_one(self, patch, condition, t)
+        batch = stack_patches([patch])
+        return batch.with_values(self.evaluate_batch(batch, [condition], t))[0]
 
     def evaluate_batch(self, batch, conditions, t):
         check_condition_count(batch, conditions)

@@ -12,9 +12,10 @@ Closed-form oracle fields make the whole machinery exactly verifiable:
 the trajectory of (Z - target) / t is the straight interpolation line,
 so integration from any start lands on the target.  An oracle's
 condition bytes say which part of the scene a patch came from (a
-window's box origin, or a dilated sample's pillar maps);
-`read_oracle_conditions` reads a whole batch of them at once, and box
-sections are cut from the target's `window_boxes` view, as windows are.
+window's box origin, or a dilated sample's pillar maps), and
+`read_oracle_conditions` is their one decoder.  The oracles cut one
+target section per condition: a box by one slice, pillar maps by one
+fancy index.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ from .lattice import (
     DenseLatent,
     PatchBatch,
     Schedule,
-    SparseBatch,
     SparseLatent,
     _coord_key,
     first_nonfinite_item,
-    stack_patches,
 )
 from .patchwork import (
     AgreedField,
@@ -47,9 +46,8 @@ from .patchwork import (
     SparseWindowPlan,
     Window,
     restrict_sparse,
-    window_boxes,
 )
-from .priors import ConditionEmbedding, NormalizationBox, ScenePrior, image_patchify, toy_condition
+from .priors import ConditionEmbedding, NormalizationBox, ScenePrior, image_patchify, pixel_voxels, toy_condition
 
 PatchLatent = DenseLatent | SparseLatent
 
@@ -79,8 +77,8 @@ class VectorFieldProvider:
     The default `evaluate_batch` loops over `evaluate`, one latent per
     item, so a provider that defines only `evaluate` works unchanged
     (a sparse item's vector must keep its patch's coordinates).  A
-    provider that answers whole batches defines `evaluate_batch` and can
-    answer single patches with `evaluate_one`.  Every `evaluate_batch`
+    provider that answers whole batches defines `evaluate_batch`, and
+    may answer a single patch as a batch of one.  Every `evaluate_batch`
     first refuses a condition count other than the batch's item count
     (`check_condition_count`).
 
@@ -153,14 +151,6 @@ def check_condition_count(batch: PatchBatch, conditions: Sequence[ConditionEmbed
     `batch`."""
     if len(conditions) != len(batch):
         raise ProviderError(f"{len(conditions)} conditions for a batch of {len(batch)} items")
-
-
-def evaluate_one(
-    provider: VectorFieldProvider, patch: PatchLatent, condition: ConditionEmbedding, t: float
-) -> PatchLatent:
-    """The provider's vector for one patch, through `evaluate_batch`."""
-    batch = stack_patches([patch])
-    return batch.with_values(provider.evaluate_batch(batch, [condition], t))[0]
 
 
 def _align_sparse_target(target: SparseLatent, coords: np.ndarray) -> np.ndarray:
@@ -256,51 +246,31 @@ def _record_dtype(data: bytes, item: int) -> np.dtype:
     return np.dtype([("kind", "u1"), ("K", "<u4"), ("src", "<u4", (K, K, 2))])
 
 
-def _dense_sections(data: np.ndarray, conditions, shape: tuple, views: dict) -> np.ndarray:
-    """The sections of the lattice `data` that oracle `conditions` name,
-    stacked in a new (n,) + `shape` array.
+def _dense_section(data: np.ndarray, condition: ConditionEmbedding, shape: tuple) -> np.ndarray:
+    """The section of the lattice `data` that oracle `condition` names, of
+    `shape`: a view for a box, a new array for a pillar map.
 
     A box (x0, y0, K) names data[x0 : x0 + K, y0 : y0 + K, :K], which
-    must lie inside the lattice and have `shape`; boxes are cut by one
-    index into `data`'s window-box view of side K (kept in `views`),
-    pillar maps by one fancy index.  The first condition that does not
-    read, or whose section does not fit, is a ProviderError naming it.
+    must lie inside the lattice and have `shape`; a pillar map names
+    data[src_x, src_y] by one fancy index, and every pillar must lie
+    inside the lattice.  A condition that does not read, or whose section
+    does not fit, is a ProviderError.
     """
-    try:
-        records = read_oracle_conditions(conditions)
-    except ProviderError as exc:
-        _dense_sections(data, conditions[: exc.item], shape, views)  # an earlier misfit comes first
-        raise
+    (record,) = read_oracle_conditions((condition,))
     X, Y, H, C = data.shape
     K = shape[0]
-    if records.dtype != BOX_RECORD:
-        src = records["src"].astype(np.intp)
-        fits = src.shape[1:3] + (H, C) == shape
-        if fits:
+    if record.dtype == BOX_RECORD:
+        x0, y0, side = record["box"].tolist()
+        if shape == (K, K, K, C) and side == K <= H and x0 <= X - K and y0 <= Y - K:
+            return data[x0 : x0 + K, y0 : y0 + K, :K]
+    else:
+        src = record["src"].astype(np.intp)
+        if src.shape[:2] + (H, C) == shape:
             try:
                 return data[src[..., 0], src[..., 1]]  # numpy checks that every pillar is inside
             except IndexError:
                 pass
-        outside = (src >= (X, Y)).reshape(len(src), -1).any(axis=1)
-        misfit = [not fits or out for out in outside.tolist()]
-    else:
-        boxes = records["box"].tolist()
-        fits = shape == (K, K, K, C) and K <= H
-        # item by item: cheaper than array operations for the few boxes
-        # of a window grid, and for the one box of `evaluate`
-        misfit = [not fits or side != K or x0 > X - K or y0 > Y - K for x0, y0, side in boxes]
-        if True not in misfit:
-            if not boxes:
-                return np.empty((0,) + shape, dtype=DTYPE)
-            view = views.get(K)
-            if view is None:
-                view = views[K] = window_boxes(data, K)
-            if len(boxes) == 1:  # a basic index and a copy, much cheaper than a fancy index
-                return view[boxes[0][0], boxes[0][1]][None].copy()
-            origins = records["box"][:, :2].astype(np.intp)  # aligned indices index faster
-            return view[origins[:, 0], origins[:, 1]]
-    n = misfit.index(True)
-    raise ProviderError(f"oracle condition does not fit lattice {data.shape} as a patch {shape}", item=n)
+    raise ProviderError(f"oracle condition does not fit lattice {data.shape} as a patch {shape}")
 
 
 # Bounds on GlobalOracleProvider's restriction cache, so queries for
@@ -312,15 +282,14 @@ SLAT_BOX_LIMIT = 1024
 @dataclass(frozen=True)
 class GlobalOracleProvider(VectorFieldProvider):
     """Oracle over one global scene: answers any window or pillar query
-    against the matching restriction of the global target(s), a whole
-    batch with one vector operation.
+    against the matching section of the global target(s), one condition
+    at a time (`_section`).  A batch cuts each item's section into one
+    array, then subtracts and scales that array whole.
 
-    The dense target's window-box view is kept per box side (a view, so
-    it holds no copy of the target).  Sparse restrictions are kept per
-    box once computed, up to `SLAT_BOX_ROWS` cached rows per target row
-    (the windows of a d = 4 grid hold at most 16) in at most
-    `SLAT_BOX_LIMIT` boxes.  Two threads computing the same box store
-    equal values.
+    Sparse restrictions are kept per box once computed, up to
+    `SLAT_BOX_ROWS` cached rows per target row (the windows of a d = 4
+    grid hold at most 16) in at most `SLAT_BOX_LIMIT` boxes.  Two
+    threads computing the same box store equal values.
 
     A field whose conditions are its layout's own (a grid's or a plan's
     window boxes, a partition's pillar maps) cuts no section: every item
@@ -337,7 +306,6 @@ class GlobalOracleProvider(VectorFieldProvider):
     ss_target: DenseLatent | None = None
     slat_target: SparseLatent | None = None
     _slat_boxes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _box_views: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _plan_targets: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, init=False, compare=False, repr=False
     )
@@ -346,30 +314,26 @@ class GlobalOracleProvider(VectorFieldProvider):
     )
 
     def evaluate(self, patch, condition, t):
-        """One patch, with the bits `evaluate_batch` gives it in a batch.
-        Providers that wrap only `evaluate` call this once per item, so
-        it reads the one condition without building a batch."""
+        """(patch - its target section) / t, with the bits `evaluate_batch`
+        gives it in a batch."""
         inv = _inverse_time(t)
-        if isinstance(patch, SparseLatent):
-            (target,) = self._slat_targets((condition,), patch.dims.M, patch.coords, (0, len(patch)))
-            return patch.with_features((patch.features - target) * inv)
-        if self.ss_target is None:
-            raise ProviderError("no dense target configured")
-        target = _dense_sections(self.ss_target.data, (condition,), patch.data.shape, self._box_views)[0]
+        target = self._section(patch, condition)
         with np.errstate(over="ignore"):  # garbage inputs surface as ValueError
-            return patch.with_data((patch.data - target) * inv)
+            return patch.with_values((patch.values - target) * inv)
 
     def evaluate_batch(self, batch, conditions, t):
-        """(batch - target sections) / t, over the whole stack at once."""
+        """(batch - target sections) / t: the items' sections are cut into
+        one array, which is then subtracted and scaled whole.  A section
+        that cannot be cut is a ProviderError naming its item."""
         check_condition_count(batch, conditions)
         inv = _inverse_time(t)
-        if isinstance(batch, SparseBatch):
-            targets = self._slat_targets(conditions, batch.dims.M, batch.coords, batch.bounds)
-            out = np.concatenate(targets) if targets else np.empty_like(batch.features)
-        elif self.ss_target is None:
-            raise ProviderError("no dense target configured")
-        else:
-            out = _dense_sections(self.ss_target.data, conditions, batch.dims.dense_shape, self._box_views)
+        out = np.empty_like(batch.values)
+        dense = isinstance(batch, DenseBatch)
+        for n, (patch, condition) in enumerate(zip(batch, conditions)):
+            try:
+                out[n if dense else slice(batch.bounds[n], batch.bounds[n + 1])] = self._section(patch, condition)
+            except Exception as exc:
+                raise ProviderError(str(exc), item=n) from exc
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
             np.subtract(batch.values, out, out=out)
             out *= inv
@@ -424,33 +388,27 @@ class GlobalOracleProvider(VectorFieldProvider):
         except AttributeError:  # no oracle conditions: the default path reports them
             return False
 
-    def _slat_targets(self, conditions, M: int, coords: np.ndarray, bounds) -> list[np.ndarray]:
-        """Per item, the target features of the box its condition names,
-        aligned to its rows coords[bounds[n]:bounds[n + 1]].  As in
-        `_dense_sections`, a box must be of the patch side M and inside
-        the grid, and the first item that fails is a ProviderError."""
+    def _section(self, patch, condition) -> np.ndarray:
+        """The target section that oracle `condition` names for `patch`,
+        shaped like `patch.values`: a dense section (`_dense_section`), or
+        the sparse target's restriction to a box, row-aligned to the
+        patch's coordinates.  A sparse box must be of the patch side M
+        and inside the grid, as a dense box must."""
+        if isinstance(patch, DenseLatent):
+            if self.ss_target is None:
+                raise ProviderError("no dense target configured")
+            return _dense_section(self.ss_target.data, condition, patch.data.shape)
         if self.slat_target is None:
-            raise ProviderError("no sparse target configured", item=0)
-        try:
-            records = read_oracle_conditions(conditions)
-        except ProviderError as exc:
-            self._slat_targets(conditions[: exc.item], M, coords, bounds)  # an earlier failure comes first
-            raise
-        if records.dtype != BOX_RECORD:
-            raise ProviderError("sparse oracle expects box conditions", item=0)
-        boxes = records["box"].tolist()
+            raise ProviderError("no sparse target configured")
+        (record,) = read_oracle_conditions((condition,))
+        if record.dtype != BOX_RECORD:
+            raise ProviderError("sparse oracle expects box conditions")
+        x0, y0, side = box = tuple(record["box"].tolist())
         X, Y, H = self.slat_target.dims.grid_shape
-        misfit = [side != M or M > H or x0 > X - M or y0 > Y - M for x0, y0, side in boxes]
-        if True in misfit:
-            raise ProviderError(f"box condition does not fit grid {(X, Y, H)} as a patch {M}", misfit.index(True))
-        targets = []
-        for n, box in enumerate(boxes):
-            try:
-                target = self._slat_restriction(tuple(box))
-                targets.append(_align_sparse_target(target, coords[bounds[n] : bounds[n + 1]]))
-            except Exception as exc:
-                raise ProviderError(str(exc), item=n) from exc
-        return targets
+        M = patch.dims.M
+        if side != M or M > H or x0 > X - M or y0 > Y - M:
+            raise ProviderError(f"box condition does not fit grid {(X, Y, H)} as a patch {M}")
+        return _align_sparse_target(self._slat_restriction(box), patch.coords)
 
     def _slat_restriction(self, box: tuple[int, int, int]) -> SparseLatent:
         cache = self._slat_boxes
@@ -506,16 +464,10 @@ class BiasedOracleProvider(VectorFieldProvider):
     rate: float = 1.0
 
     def evaluate(self, patch, condition, t):
-        return evaluate_one(self, patch, condition, t)
-
-    def evaluate_batch(self, batch, conditions, t):
-        check_condition_count(batch, conditions)
-        if isinstance(batch, SparseBatch):
+        if isinstance(patch, SparseLatent):
             raise ProviderError("biased oracle serves dense patches only")
-        out = _dense_sections(self.ss_target.data, conditions, batch.dims.dense_shape, {})
-        np.subtract(batch.data, out, out=out)
-        out *= DTYPE(self.rate)
-        return out
+        target = _dense_section(self.ss_target.data, condition, patch.data.shape)
+        return patch.with_data((patch.data - target) * DTYPE(self.rate))
 
 
 class Conditioner:
@@ -564,8 +516,7 @@ class ImageConditioner(Conditioner):
         self.prior = prior
         self.grid = grid
         self.box = box
-        h, w = prior.shape
-        self._voxel_map = box.to_voxels(prior.point_map.reshape(-1, 3), grid.dims).reshape(h, w, 3)
+        self._voxel_map = pixel_voxels(prior, box, grid.dims)
         self._global = toy_condition(prior.image)
         self.empty_windows: list[tuple[int, int]] = []
 

@@ -124,7 +124,7 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     coords = np.asarray(coords)
     if coords.ndim != 2 or coords.shape[1] != 3:
         coords = coords.reshape(-1, 3)
-    coords = np.ascontiguousarray(coords, dtype=np.int64)
+    coords = int_coords(coords, dims)
     check_in_grid(coords, dims)
     if _is_canonical(coords, dims):
         return (_freeze(coords.view()) if coords.flags.writeable else coords), None
@@ -135,12 +135,28 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     return _freeze(coords), order
 
 
+def int_coords(coords: np.ndarray, dims: Dims, what: str = "coordinate") -> np.ndarray:
+    """The (n, 3) `coords` as a C-ordered int64 array.  An integer array
+    is only cast, and its bounds are the caller's to check.  Any other
+    must hold finite whole numbers inside the fine grid, else a
+    BoundsError names its first bad point, before a cast could truncate
+    or wrap it."""
+    if coords.dtype.kind not in "iu":
+        values = coords.astype(np.float64)
+        whole = (np.isfinite(values) & (np.floor(values) == values)).all(axis=1)
+        if not whole.all():
+            n = int(np.argmin(whole))
+            raise BoundsError(f"{what} {values[n].tolist()} of point {n} is not a finite whole number")
+        check_in_grid(values, dims)
+    return np.ascontiguousarray(coords, dtype=np.int64)
+
+
 def check_in_grid(coords: np.ndarray, dims: Dims) -> None:
     """BoundsError naming the first (n, 3) coordinate outside the fine grid."""
     hi = np.array(dims.grid_shape, dtype=np.int64)
     if len(coords) and ((coords < 0) | (coords >= hi)).any():
         bad = coords[((coords < 0) | (coords >= hi)).any(axis=1)][0]
-        raise BoundsError(f"coordinate {tuple(bad)} outside grid {dims.grid_shape}")
+        raise BoundsError(f"coordinate {tuple(int(v) for v in bad)} outside grid {dims.grid_shape}")
 
 
 @dataclass(frozen=True)
@@ -277,7 +293,7 @@ class SparseBatch:
     bounds: np.ndarray
 
     def __post_init__(self):
-        coords = np.ascontiguousarray(np.asarray(self.coords).reshape(-1, 3), dtype=np.int64)
+        coords = int_coords(np.asarray(self.coords).reshape(-1, 3), self.dims)
         bounds = np.ascontiguousarray(self.bounds, dtype=np.int64).reshape(-1)
         if len(bounds) < 1 or bounds[0] != 0 or bounds[-1] != len(coords) or (np.diff(bounds) < 0).any():
             raise DimensionError(f"batch bounds do not split {len(coords)} rows")
@@ -434,10 +450,8 @@ class OccupancyGrid:
     @classmethod
     def from_coords(cls, dims: Dims, coords: np.ndarray) -> "OccupancyGrid":
         occ = np.zeros(dims.grid_shape, dtype=bool)
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-        hi = np.array(dims.grid_shape, dtype=np.int64)
-        if len(coords) and ((coords < 0) | (coords >= hi)).any():
-            raise BoundsError("occupancy coordinate out of bounds")
+        coords = int_coords(np.asarray(coords).reshape(-1, 3), dims)
+        check_in_grid(coords, dims)
         occ[coords[:, 0], coords[:, 1], coords[:, 2]] = True
         return cls(dims, occ)
 

@@ -64,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundsError, ConfigError, OptimizationError
-from .lattice import DTYPE, DenseLatent, Dims, SparseLatent
+from .lattice import DTYPE, DenseLatent, Dims, SparseLatent, int_coords
 from .structedit import ToyCodec
 
 
@@ -224,16 +224,11 @@ class PriorCells:
         P = np.asarray(P).reshape(-1, 3)
         if len(P) == 0:
             raise ValueError("ss_loss requires a non-empty prior coordinate set")
-        if P.dtype.kind not in "iu":
-            P = P.astype(np.float64)
-            whole = (np.isfinite(P) & (np.floor(P) == P)).all(axis=1)
-            if not whole.all():
-                n = int(np.argmin(whole))
-                raise BoundsError(f"prior coordinate {P[n].tolist()} of point {n} is not a finite whole number")
+        P = int_coords(P, dims, "prior coordinate")
         if ((P < 0) | (P >= np.array(dims.grid_shape))).any():
             raise BoundsError("prior coordinate outside the fine grid")
         shape = dims.dense_shape[:3]
-        keys = np.ravel_multi_index(tuple((P.astype(np.int64, copy=False) // dims.ratio).T), shape)
+        keys = np.ravel_multi_index(tuple((P // dims.ratio).T), shape)
         unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
         order = np.argsort(-counts, kind="stable")
         rank = np.empty_like(order)

@@ -9,11 +9,11 @@ assembled from one pillar per block.
 
 The engine moves all windows of a field call as one stacked batch
 (`DenseBatch`, `SparseBatch`).  Dense window boxes are cut by origin
-from one sliding-window view (`window_boxes`, which the oracles' box
-sections use too) and merged by d*d block adds of the whole stack into
-a float64 buffer, ordered so that each cell still adds its windows in
-the grid's row-major order.  Dilated samples are gathered with one
-fancy index and scattered back with one assignment.
+from one sliding-window view (`PatchGrid.window_order`) and merged by
+d*d block adds of the whole stack into a float64 buffer, ordered so
+that each cell still adds its windows in the grid's row-major order.
+Dilated samples are gathered with one fancy index and scattered back
+with one assignment.
 
 Sparse latents keep their coordinates across a whole schedule, so the
 window geometry is planned once per (grid, coordinate set), and read off
@@ -163,15 +163,18 @@ class PatchGrid:
 
     def gather(self, Z: DenseLatent) -> DenseBatch:
         """Every window's patch of Z, in window order, as one batch: the
-        boxes at the origins (`window_boxes`).  Item k equals
+        boxes at the origins (`window_order`).  Item k equals
         `patch_dense(Z, self.windows()[k])`."""
         self.check_fits(Z.data.shape)
         return DenseBatch._of_finite(Z.dims.patch_dims(), self.window_order(Z.data))
 
     def window_order(self, field: np.ndarray) -> np.ndarray:
         """The lattice `field` cut at the windows' origins, as `gather`
-        stacks it."""
-        return window_boxes(field, self.K)[self.origins]
+        stacks it, by one index into its sliding-window view."""
+        K = self.K
+        # (x0, y0, z, C, x, y), then the box axes in lattice order
+        boxes = sliding_window_view(field[:, :, :K], (K, K), axis=(0, 1)).transpose(0, 1, 4, 5, 2, 3)
+        return boxes[self.origins]
 
     def combine(self, values: np.ndarray) -> DenseLatent:
         """Average the stacked window vectors `values` ((n, K, K, K, C), in
@@ -227,16 +230,6 @@ def patch_dense(Z: DenseLatent, w: Window) -> DenseLatent:
         raise DimensionError(f"window {w.box} exceeds lattice {Z.data.shape}")
     sub = Z.data[x0:x1, y0:y1, z0:z1].copy()
     return DenseLatent(Z.dims.patch_dims(), sub)
-
-
-def window_boxes(data: np.ndarray, K: int) -> np.ndarray:
-    """Every box of side K in the (X, Y, H, C) lattice `data`, as one
-    (x0, y0, K, K, K, C) view: entry [x0, y0] is
-    data[x0 : x0 + K, y0 : y0 + K, :K].  Indexing it with arrays of
-    origins copies their boxes out in one step.
-    """
-    # (x0, y0, z, C, x, y), then the box axes in lattice order
-    return sliding_window_view(data[:, :, :K], (K, K), axis=(0, 1)).transpose(0, 1, 4, 5, 2, 3)
 
 
 def box_rows(coords: np.ndarray, x0: int, y0: int, K: int) -> np.ndarray:

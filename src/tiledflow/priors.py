@@ -177,6 +177,15 @@ def voxelize(points: np.ndarray, box: NormalizationBox, dims: Dims) -> Occupancy
     return OccupancyGrid.from_coords(dims, idx)
 
 
+def pixel_voxels(prior: ScenePrior, box: NormalizationBox, dims: Dims) -> np.ndarray:
+    """Per-pixel voxel coordinates (H, W, 3) of the prior's points.  Only
+    valid pixels are voxelized, since an invalid pixel's point may be
+    anything, NaN included; invalid pixels read (0, 0, 0)."""
+    voxels = np.zeros(prior.shape + (3,), dtype=np.int64)
+    voxels[prior.valid] = box.to_voxels(prior.valid_points(), dims)
+    return voxels
+
+
 @dataclass(frozen=True)
 class ImagePatch:
     """Square image cut for one window; `empty` flags a window that no
@@ -196,12 +205,11 @@ def image_patchify(
     """Keep pixels whose 3D point falls in the window, black out the rest,
     crop to the kept bounding box, and pad bottom/right to a square.
 
-    `voxel_map` may carry precomputed per-pixel voxel coordinates (H, W, 3)
-    to avoid renormalizing the point map for every window.
+    `voxel_map` may carry the precomputed `pixel_voxels` to avoid
+    renormalizing the point map for every window.
     """
-    h, w = prior.shape
     if voxel_map is None:
-        voxel_map = box.to_voxels(prior.point_map.reshape(-1, 3), grid.dims).reshape(h, w, 3)
+        voxel_map = pixel_voxels(prior, box, grid.dims)
     scale = grid.K / grid.dims.M  # voxel coordinates live on the M grid
     vx = np.floor(voxel_map[:, :, 0] * scale).astype(np.int64)
     vy = np.floor(voxel_map[:, :, 1] * scale).astype(np.int64)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -322,6 +323,46 @@ class TestBatches:
         assert first_nonfinite_item(values, np.array([0, 2, 2, 6])) == 2
         huge = np.full((2, 3), np.finfo(np.float32).max, dtype=np.float32)
         assert first_nonfinite_item(huge) is None  # the float64 sum does not overflow
+
+
+class TestWholeCoordinates:
+    """Every constructor that takes coordinates refuses one that is not a
+    finite whole number before any cast, so nothing is truncated to a
+    cell or wrapped, and names a coordinate outside the grid as ints."""
+
+    BUILDS = {
+        "latent": lambda c: SparseLatent(SMALL, c, np.zeros((len(c), SMALL.l))),
+        "batch": lambda c: SparseBatch(SMALL, c, np.zeros((len(c), SMALL.l)), [0, len(c)]),
+        "occupancy": lambda c: OccupancyGrid.from_coords(SMALL, c),
+        "checked": lambda c: checked_coords(SMALL, c),
+    }
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize(
+        "coords, named",
+        [
+            ([[0.9, 3.7, 1.2]], r"\[0\.9, 3\.7, 1\.2\] of point 0 is not a finite whole number"),
+            ([[1, 2, 3], [0.0, 2.5, 0.0]], r"\[0\.0, 2\.5, 0\.0\] of point 1 is not"),
+            ([[0, np.inf, 0]], r"\[0\.0, inf, 0\.0\] of point 0 is not"),
+            ([[2, 2, 2], [np.nan, 0, 0]], r"\[nan, 0\.0, 0\.0\] of point 1 is not"),
+            ([[1e30, 0, 0]], r"coordinate \(1000000000000000019884624838656, 0, 0\) outside grid"),
+            ([[0, 0, -1.0]], r"coordinate \(0, 0, -1\) outside grid"),
+            ([[99, 0, 0]], r"coordinate \(99, 0, 0\) outside grid"),
+        ],
+        ids=["fraction", "second-point", "inf", "nan", "huge", "negative-float", "int-outside"],
+    )
+    def test_refused_before_any_cast(self, build, coords, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BoundsError, match=named):
+                self.BUILDS[build](np.array(coords))
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_whole_floats_are_their_integers(self, build):
+        coords = np.array([[0, 0, 0], [1, 2, 3], [7, 6, 5]])
+        ints, floats = self.BUILDS[build](coords), self.BUILDS[build](coords.astype(np.float32))
+        key = {"occupancy": lambda g: g.occupied, "checked": lambda c: c[0]}.get(build, lambda x: x.coords)
+        assert key(floats).dtype == key(ints).dtype and key(floats).tobytes() == key(ints).tobytes()
 
 
 class TestOccupancy:

@@ -1,15 +1,13 @@
 """The oracle-condition decoder and the dense oracle sections, against a
 copy of the per-item decoder and section code they replaced.
 
-Every list of conditions must give the same stacked sections, or a
-ProviderError naming the same item, with two deliberate exceptions in
-which the reference answered and the new code names the item:
-
-- a well-formed condition whose kind differs from the first item's:
-  one batch holds one kind;
-- an overshooting box, whose K exceeds the patch side but whose slice
-  the lattice edge clips to the patch's shape: a box must lie inside the
-  lattice.
+Every condition must give the same section, or a ProviderError, with
+one deliberate exception in which the reference answered and the new
+code refuses: an overshooting box, whose K exceeds the patch side but
+whose slice the lattice edge clips to the patch's shape (a box must lie
+inside the lattice).  A batch's conditions are read one at a time, so a
+batch that mixes kinds is answered item by item, as the reference
+answered it.
 """
 
 import struct
@@ -20,15 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tiledflow.errors import ProviderError
+from tiledflow.errors import ProviderError, SingularityError
 from tiledflow.flowcore import (
     GlobalOracleProvider,
-    _dense_sections,
+    OracleConditioner,
+    _dense_section,
     box_condition,
     read_oracle_conditions,
 )
-from tiledflow.lattice import DTYPE, DenseLatent, Dims, init_sparse_noise
-from tiledflow.patchwork import SparseWindowPlan, make_patch_grid
+from tiledflow.lattice import DTYPE, DenseLatent, Dims, init_sparse_noise, stack_patches
+from tiledflow.patchwork import SparseWindowPlan, dilated_partition, make_patch_grid
 from tiledflow.priors import ConditionEmbedding
 
 from reference_copies import pillar_condition
@@ -177,28 +176,57 @@ def overshoots(condition, shape):
     return kind[0] == "box" and kind[3] != shape[0]
 
 
-def is_other_kind(condition, first):
-    try:
-        return decode_oracle_condition(condition)[0] != decode_oracle_condition(first)[0]
-    except ProviderError:
-        return False
-
-
 @settings(max_examples=300)
 @given(cases())
 def test_sections_match_the_reference(case):
     data, items, shape = case
-    want = answer(_dense_targets, SimpleNamespace(data=data), items, shape)
-    got = answer(_dense_sections, data, items, shape, {})
-    if isinstance(got, np.ndarray) and isinstance(want, np.ndarray):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        return
-    assert isinstance(got, ProviderError), f"the reference failed on item {want.item}"
-    first_bad = len(items) if isinstance(want, np.ndarray) else want.item
-    assert got.item <= first_bad
-    if got.item < first_bad:  # an item the reference accepted
-        item = items[got.item]
-        assert is_other_kind(item, items[0]) or overshoots(item, shape)
+    for item in items:
+        want = answer(_dense_targets, SimpleNamespace(data=data), [item], shape)
+        got = answer(_dense_section, data, item, shape)
+        if isinstance(want, np.ndarray):
+            if isinstance(got, np.ndarray):
+                assert got.shape == shape and got.tobytes() == want[0].tobytes()
+            else:
+                assert overshoots(item, shape), "an item the reference accepted"
+        else:
+            assert isinstance(got, ProviderError), "an item the reference refused"
+
+
+def test_a_batch_of_mixed_kinds_is_answered_item_by_item():
+    # one box and one pillar map in one batch: each item gets the vector
+    # its own condition gives it alone
+    dims = Dims(2, 2, 4, 8)
+    rng = np.random.default_rng(5)
+    target = DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32))
+    Z = DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32))
+    grid = make_patch_grid(dims, 2, dims.N)
+    partition = dilated_partition(dims, dims.N, seed=2)
+    batch = stack_patches([grid.gather(Z)[4], partition.gather(Z)[1]])
+    window = grid.windows()[4]
+    conditions = [box_condition(window.x0, window.y0, window.K), OracleConditioner().dilated_conditions(partition)[1]]
+    provider = GlobalOracleProvider(ss_target=target)
+    got = provider.evaluate_batch(batch, conditions, 0.5)
+    for n, (patch, condition) in enumerate(zip(batch, conditions)):
+        assert got[n].tobytes() == provider.evaluate(patch, condition, 0.5).data.tobytes()
+    # the pillar item's section is not the box's
+    assert got.tobytes() != provider.evaluate_batch(batch, conditions[:1] * 2, 0.5).tobytes()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_batch_at_t_zero_is_singular_for_no_item(sparse):
+    # the time is checked before any item's section is cut, so no item is named
+    dims = Dims(2, 2, 4, 8, l=3)
+    target = init_sparse_noise(np.argwhere(np.random.default_rng(6).random(dims.grid_shape) < 0.3), dims, seed=1)
+    if sparse:
+        grid = make_patch_grid(dims, 2, dims.M)
+        batch, provider = SparseWindowPlan(grid, target.coords).gather(target), GlobalOracleProvider(slat_target=target)
+    else:
+        grid = make_patch_grid(dims, 2, dims.N)
+        batch, provider = grid.gather(DenseLatent.zeros(dims)), GlobalOracleProvider(ss_target=DenseLatent.zeros(dims))
+    conditions = [box_condition(w.x0, w.y0, w.K) for w in grid.windows()]
+    with pytest.raises(SingularityError) as err:
+        provider.evaluate_batch(batch, conditions, 0.0)
+    assert type(err.value) is SingularityError and getattr(err.value, "item", None) is None
 
 
 @given(conditions(2 * K, 3 * K))
@@ -267,7 +295,7 @@ def test_sparse_oracle_refuses_a_box_the_dense_oracle_refuses(evaluate, box):
             provider.evaluate_batch(batch, conditions, 0.5)
         else:
             provider.evaluate(batch[1], conditions[1], 0.5)
-    assert err.value.item == (1 if evaluate == "batch" else 0)
+    assert err.value.item == (1 if evaluate == "batch" else None)  # one patch is no batch item
     dense = GlobalOracleProvider(ss_target=DenseLatent(dims, rng.standard_normal(dims.dense_shape, dtype=np.float32)))
     dense_box = [box_condition(w.x0, w.y0, w.K) for w in make_patch_grid(dims, 2, dims.N).windows()]
     dense_box[1] = box_condition(box[0] // 2, box[1] // 2, box[2] // 2)

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tiledflow.decode import export_ply
 from tiledflow.errors import ParseError, TiledFlowError
+from tiledflow.fixtures import build_demo_scene
+from tiledflow.flowcore import ImageConditioner
 from tiledflow.lattice import Dims, OccupancyGrid
 from tiledflow.patchwork import make_patch_grid
 from tiledflow.priors import (
@@ -228,6 +232,23 @@ class TestImagePatchify:
         # the right half's color only; left-half color must not appear
         kept = patch.pixels.reshape(-1, 3)
         assert not any(np.allclose(px, [0.8, 0.2, 0.1]) for px in kept if px.any())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_invalid_pixels_are_not_voxelized(self):
+        # a prior may hold NaN at invalid pixels: the window conditions are
+        # those of the same prior with finite points there, with no warning
+        scene = build_demo_scene(Dims(2, 2, 4, 8))
+        valid = scene.prior.valid.copy()
+        valid[::3, 1::2] = False
+        finite = replace(scene.prior, valid=valid)
+        nan = replace(finite, point_map=np.where(valid[..., None], finite.point_map, np.nan))
+        grid = make_patch_grid(scene.dims, 2, scene.dims.N)
+        box = NormalizationBox.from_points(finite.valid_points())
+        want = ImageConditioner(finite, grid, box).window_conditions(grid)
+        assert ImageConditioner(nan, grid, box).window_conditions(grid) == want
+        for window, condition in zip(grid.windows(), want):
+            patch = image_patchify(nan, window, grid, box)
+            assert patch.empty or toy_condition(patch) == condition
 
     def test_all_invalid_flags_empty(self):
         prior = tiny_prior(4, 4, valid_all=False)
