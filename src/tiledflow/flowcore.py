@@ -256,15 +256,15 @@ def _dense_section(data: np.ndarray, condition: ConditionEmbedding, shape: tuple
     inside the lattice.  A condition that does not read, or whose section
     does not fit, is a ProviderError.
     """
-    (record,) = read_oracle_conditions((condition,))
+    records = read_oracle_conditions((condition,))
     X, Y, H, C = data.shape
     K = shape[0]
-    if record.dtype == BOX_RECORD:
-        x0, y0, side = record["box"].tolist()
+    if records.dtype == BOX_RECORD:
+        ((x0, y0, side),) = records["box"].tolist()
         if shape == (K, K, K, C) and side == K <= H and x0 <= X - K and y0 <= Y - K:
             return data[x0 : x0 + K, y0 : y0 + K, :K]
     else:
-        src = record["src"].astype(np.intp)
+        src = records["src"][0].astype(np.intp)
         if src.shape[:2] + (H, C) == shape:
             try:
                 return data[src[..., 0], src[..., 1]]  # numpy checks that every pillar is inside
@@ -318,8 +318,10 @@ class GlobalOracleProvider(VectorFieldProvider):
         gives it in a batch."""
         inv = _inverse_time(t)
         target = self._section(patch, condition)
+        if isinstance(patch, SparseLatent):
+            return patch.with_features((patch.features - target) * inv)
         with np.errstate(over="ignore"):  # garbage inputs surface as ValueError
-            return patch.with_values((patch.values - target) * inv)
+            return patch.with_data((patch.data - target) * inv)
 
     def evaluate_batch(self, batch, conditions, t):
         """(batch - target sections) / t: the items' sections are cut into
@@ -400,15 +402,15 @@ class GlobalOracleProvider(VectorFieldProvider):
             return _dense_section(self.ss_target.data, condition, patch.data.shape)
         if self.slat_target is None:
             raise ProviderError("no sparse target configured")
-        (record,) = read_oracle_conditions((condition,))
-        if record.dtype != BOX_RECORD:
+        records = read_oracle_conditions((condition,))
+        if records.dtype != BOX_RECORD:
             raise ProviderError("sparse oracle expects box conditions")
-        x0, y0, side = box = tuple(record["box"].tolist())
+        ((x0, y0, side),) = records["box"].tolist()
         X, Y, H = self.slat_target.dims.grid_shape
         M = patch.dims.M
         if side != M or M > H or x0 > X - M or y0 > Y - M:
             raise ProviderError(f"box condition does not fit grid {(X, Y, H)} as a patch {M}")
-        return _align_sparse_target(self._slat_restriction(box), patch.coords)
+        return _align_sparse_target(self._slat_restriction((x0, y0, side)), patch.coords)
 
     def _slat_restriction(self, box: tuple[int, int, int]) -> SparseLatent:
         cache = self._slat_boxes
