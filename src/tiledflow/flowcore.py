@@ -688,8 +688,8 @@ def euler_integrate(
         v = field_fn(Z, t_m)
         if per_step_hook is not None:
             v = per_step_hook(v, Z, t_m)
-        values = Z.values + DTYPE(t_next - t_m) * v.values
-        if not np.isfinite(values).all():
-            raise DivergenceError(f"non-finite state after step {m} (t={t_m:g})", m)
-        Z = Z.with_values(values)
+        try:  # the latent's constructor is the one finiteness check
+            Z = Z.with_values(Z.values + DTYPE(t_next - t_m) * v.values)
+        except ValueError as exc:
+            raise DivergenceError(f"non-finite state after step {m} (t={t_m:g})", m) from exc
     return Z

@@ -112,8 +112,8 @@ class DenseLatent:
 def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     """`coords` as the SparseLatent constructor keeps them, and the order
     that sorted them (None when they already were): a read-only C-ordered
-    (n, 3) int64 array, inside the fine grid (else a BoundsError), sorted
-    and unique (else a ValueError).
+    (n, 3) int64 array of fine-grid cells (`int_coords`), sorted and
+    unique (else a ValueError).
 
     In-bounds coordinates' keys are a bijection, so strictly increasing
     keys mean the input is canonical and unique, and the sort is skipped.
@@ -121,11 +121,7 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     on a checked array keeps that array; a writable one is frozen as a
     view, so the caller's array stays writable.
     """
-    coords = np.asarray(coords)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        coords = coords.reshape(-1, 3)
     coords = int_coords(coords, dims)
-    check_in_grid(coords, dims)
     if _is_canonical(coords, dims):
         return (_freeze(coords.view()) if coords.flags.writeable else coords), None
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
@@ -135,28 +131,30 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     return _freeze(coords), order
 
 
-def int_coords(coords: np.ndarray, dims: Dims, what: str = "coordinate") -> np.ndarray:
-    """The (n, 3) `coords` as a C-ordered int64 array.  An integer array
-    is only cast, and its bounds are the caller's to check.  Any other
-    must hold finite whole numbers inside the fine grid, else a
-    BoundsError names its first bad point, before a cast could truncate
-    or wrap it."""
-    if coords.dtype.kind not in "iu":
-        values = coords.astype(np.float64)
-        whole = (np.isfinite(values) & (np.floor(values) == values)).all(axis=1)
+def int_coords(coords, dims: Dims, what: str = "coordinate") -> np.ndarray:
+    """`coords`, reshaped to (n, 3), as a C-ordered int64 array of cells
+    of the fine grid; a C-ordered (n, 3) int64 array is returned itself.
+
+    Only bool, integer and real floating arrays are read, and a float
+    must be a finite whole number.  Every point must lie inside the grid.
+    Each check runs on the values as given, before the cast could
+    truncate or wrap one, and a failure is a BoundsError naming the dtype
+    or the first bad point."""
+    coords = np.asarray(coords)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        coords = coords.reshape(-1, 3)
+    if coords.dtype.kind not in "biuf":
+        raise BoundsError(f"{what}s of dtype {coords.dtype} are not real numbers")
+    if coords.dtype.kind == "f":
+        whole = (np.isfinite(coords) & (np.floor(coords) == coords)).all(axis=1)
         if not whole.all():
             n = int(np.argmin(whole))
-            raise BoundsError(f"{what} {values[n].tolist()} of point {n} is not a finite whole number")
-        check_in_grid(values, dims)
+            raise BoundsError(f"{what} {coords[n].tolist()} of point {n} is not a finite whole number")
+    outside = (coords < 0) | (coords >= np.array(dims.grid_shape, dtype=np.int64))
+    if outside.any():
+        bad = coords[outside.any(axis=1)][0]
+        raise BoundsError(f"{what} {tuple(int(v) for v in bad)} outside grid {dims.grid_shape}")
     return np.ascontiguousarray(coords, dtype=np.int64)
-
-
-def check_in_grid(coords: np.ndarray, dims: Dims) -> None:
-    """BoundsError naming the first (n, 3) coordinate outside the fine grid."""
-    hi = np.array(dims.grid_shape, dtype=np.int64)
-    if len(coords) and ((coords < 0) | (coords >= hi)).any():
-        bad = coords[((coords < 0) | (coords >= hi)).any(axis=1)][0]
-        raise BoundsError(f"coordinate {tuple(int(v) for v in bad)} outside grid {dims.grid_shape}")
 
 
 @dataclass(frozen=True)
@@ -174,15 +172,10 @@ class SparseLatent:
 
     def __post_init__(self):
         coords, order = checked_coords(self.dims, self.coords)
-        features = np.ascontiguousarray(
-            np.asarray(self.features).reshape(len(coords), self.dims.l), dtype=DTYPE
-        )
-        if not np.isfinite(features).all():
-            raise ValueError("sparse latent contains non-finite features")
-        if order is not None:
-            features = features[order]
+        features = np.asarray(self.features).reshape(len(coords), self.dims.l)
+        built = SparseLatent._on_checked_coords(self.dims, coords, features if order is None else features[order])
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "features", _freeze(features))
+        object.__setattr__(self, "features", built.features)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -293,7 +286,7 @@ class SparseBatch:
     bounds: np.ndarray
 
     def __post_init__(self):
-        coords = int_coords(np.asarray(self.coords).reshape(-1, 3), self.dims)
+        coords = int_coords(self.coords, self.dims)
         bounds = np.ascontiguousarray(self.bounds, dtype=np.int64).reshape(-1)
         if len(bounds) < 1 or bounds[0] != 0 or bounds[-1] != len(coords) or (np.diff(bounds) < 0).any():
             raise DimensionError(f"batch bounds do not split {len(coords)} rows")
@@ -450,8 +443,7 @@ class OccupancyGrid:
     @classmethod
     def from_coords(cls, dims: Dims, coords: np.ndarray) -> "OccupancyGrid":
         occ = np.zeros(dims.grid_shape, dtype=bool)
-        coords = int_coords(np.asarray(coords).reshape(-1, 3), dims)
-        check_in_grid(coords, dims)
+        coords = int_coords(coords, dims)
         occ[coords[:, 0], coords[:, 1], coords[:, 2]] = True
         return cls(dims, occ)
 

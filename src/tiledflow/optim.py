@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, OptimizationError
+from .errors import ConfigError, OptimizationError
 from .lattice import DTYPE, DenseLatent, Dims, SparseLatent, int_coords
 from .structedit import ToyCodec
 
@@ -217,16 +217,11 @@ class PriorCells:
 
     @classmethod
     def build(cls, P, dims: Dims) -> "PriorCells":
-        """Check (n, 3) fine-grid coordinates and bin them into cells.
-
-        A coordinate must be a whole number inside the fine grid; one that
-        is not finite or not whole is a BoundsError naming its point."""
-        P = np.asarray(P).reshape(-1, 3)
+        """Check fine-grid coordinates (`int_coords`) and bin them into
+        cells; an empty set is a ValueError."""
+        P = int_coords(P, dims, "prior coordinate")
         if len(P) == 0:
             raise ValueError("ss_loss requires a non-empty prior coordinate set")
-        P = int_coords(P, dims, "prior coordinate")
-        if ((P < 0) | (P >= np.array(dims.grid_shape))).any():
-            raise BoundsError("prior coordinate outside the fine grid")
         shape = dims.dense_shape[:3]
         keys = np.ravel_multi_index(tuple((P // dims.ratio).T), shape)
         unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)

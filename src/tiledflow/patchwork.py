@@ -55,7 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CoverageError, DimensionError, ProviderError
-from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent, check_in_grid, checked_coords
+from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent, _freeze, checked_coords, int_coords
 
 # The most contributions (coverage x rows x channels) one block of a
 # sparse merge takes from a reply: 256 KB of float32, plus float64
@@ -151,7 +151,7 @@ class PatchGrid:
         """The windows' x0 and y0, in window order, as read-only arrays."""
         i, j = np.divmod(np.arange(self.count), self.nj)
         stride = self.K // self.d
-        return _ro(i * stride), _ro(j * stride)
+        return _freeze(i * stride), _freeze(j * stride)
 
     def check_fits(self, shape: Sequence[int]) -> None:
         """DimensionError unless every window fits inside a lattice of
@@ -245,12 +245,12 @@ def restrict_sparse(Z: SparseLatent, x0: int, y0: int, K: int) -> SparseLatent:
     """Entries of Z inside the box at (x0, y0), translated into [0, K)^3.
 
     A translated run of Z's rows keeps their order and uniqueness, so
-    only its bounds are checked, as the constructor checks them."""
+    only its bounds are checked, by the constructor's gate `int_coords`:
+    a box wider than the patch puts rows outside the patch grid."""
     rows = box_rows(Z.coords, x0, y0, K)
     shifted = Z.coords[rows] - np.array([x0, y0, 0], dtype=np.int64)
     dims = Z.dims.patch_dims()
-    check_in_grid(shifted, dims)
-    return SparseLatent._on_checked_coords(dims, _ro(shifted), Z.features[rows])
+    return SparseLatent._on_checked_coords(dims, _freeze(int_coords(shifted, dims)), Z.features[rows])
 
 
 def patch_sparse(Z: SparseLatent, w: Window) -> SparseLatent:
@@ -371,9 +371,9 @@ class SparseWindowPlan:
         starts = column[first].ravel()
         lengths = column[first + K].ravel() - starts
         ends = np.cumsum(lengths)
-        shift = _ro(ends - lengths - starts)
-        rows = _ro(np.arange(ends[-1]) - np.repeat(shift, lengths))
-        return shift, rows, _ro(np.concatenate(([0], ends[K - 1 :: K])))
+        shift = _freeze(ends - lengths - starts)
+        rows = _freeze(np.arange(ends[-1]) - np.repeat(shift, lengths))
+        return shift, rows, _freeze(np.concatenate(([0], ends[K - 1 :: K])))
 
     @property
     def rows(self) -> np.ndarray:
@@ -388,7 +388,7 @@ class SparseWindowPlan:
         grid = self.grid
         cx = grid.axis_coverage(grid.ni, grid.dims.a * grid.K)
         cy = grid.axis_coverage(grid.nj, grid.dims.b * grid.K)
-        return _ro(cx[self.coords[:, 0]] * cy[self.coords[:, 1]])
+        return _freeze(cx[self.coords[:, 0]] * cy[self.coords[:, 1]])
 
     @property
     def count(self) -> int:
@@ -421,7 +421,7 @@ class SparseWindowPlan:
             g0, lo = g0 + len(members), lo + c * len(members)
         slot = np.empty(len(self.coords), dtype=np.intp)
         slot[np.concatenate(order)] = np.arange(len(slot))
-        return _ro(slot), tuple(groups), _ro(np.concatenate(parts))
+        return _freeze(slot), tuple(groups), _freeze(np.concatenate(parts))
 
     @cached_property
     def local(self) -> np.ndarray:
@@ -430,7 +430,7 @@ class SparseWindowPlan:
         local = self.coords.take(self.rows, axis=0)
         origins = np.stack(self.grid.origins, axis=1)
         local[:, :2] -= np.repeat(origins, np.diff(self.bounds), axis=0)
-        return _ro(local)
+        return _freeze(local)
 
     def gather(self, Z: SparseLatent) -> SparseBatch:
         """Every window's patch, in window order, as one batch: Z's rows
@@ -611,7 +611,7 @@ def dilated_partition(dims: Dims, K: int, seed: int = 0) -> DilatedPartition:
         raise ConfigError(f"K={K} must be one of N={dims.N}, M={dims.M}")
     pillars = np.random.default_rng(seed).permuted(_block_pillars(dims.a, dims.b, K), axis=0)
     src_x, src_y = np.divmod(pillars, dims.b * K)
-    return DilatedPartition(dims, K, _ro(src_x), _ro(src_y))
+    return DilatedPartition(dims, K, _freeze(src_x), _freeze(src_y))
 
 
 @lru_cache(maxsize=16)
@@ -619,9 +619,5 @@ def _block_pillars(a: int, b: int, K: int) -> np.ndarray:
     """Read-only (a*b, K, K) flat indices x * b*K + y of the pillars: entry
     (s, u, v) is pillar s of block (u, v), at (u*a + s // b, v*b + s % b)."""
     s, u, v = np.indices((a * b, K, K))
-    return _ro((u * a + s // b) * (b * K) + v * b + s % b)
+    return _freeze((u * a + s // b) * (b * K) + v * b + s % b)
 
-
-def _ro(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr

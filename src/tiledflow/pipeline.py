@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensorio
 from .decode import decode_scene_sdf, export_ply
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import BoundsError, ConfigError, DimensionError, ParseError
 from .flowcore import (
     Conditioner,
     GlobalOracleProvider,
@@ -253,14 +253,9 @@ def read_slat_table(path: str | PathLike, dims: Dims) -> SparseLatent:
         raise ConfigError(
             f"sparse latent table must be (n, {3 + dims.l}), got {table.shape}"
         )
-    coords = table[:, :3]
-    # NaN and infinities fail these comparisons, so they are rejected too.
-    inside = (coords == np.rint(coords)) & (coords >= 0) & (coords < dims.grid_shape)
-    if not inside.all():
-        raise ParseError(f"{path}: coordinates must be integers inside the grid {dims.grid_shape}")
     try:
-        return SparseLatent(dims, coords.astype(np.int64), table[:, 3:])
-    except ValueError as exc:  # non-finite features or a repeated coordinate
+        return SparseLatent(dims, table[:, :3], table[:, 3:])
+    except (BoundsError, ValueError) as exc:  # a bad coordinate or feature, or a repeated coordinate
         raise ParseError(f"{path}: {exc}") from exc
 
 
