@@ -172,10 +172,9 @@ class SparseLatent:
 
     def __post_init__(self):
         coords, order = checked_coords(self.dims, self.coords)
-        features = np.asarray(self.features).reshape(len(coords), self.dims.l)
-        built = SparseLatent._on_checked_coords(self.dims, coords, features if order is None else features[order])
+        features = SparseLatent._on_checked_coords(self.dims, coords, self.features).features
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "features", built.features)
+        object.__setattr__(self, "features", features if order is None else _freeze(features[order]))
 
     def __len__(self) -> int:
         return len(self.coords)
