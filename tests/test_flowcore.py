@@ -796,6 +796,18 @@ class TestEulerIntegrate:
             euler_integrate(start, Schedule.linear(1.0, 5), pushing)
         assert err.value.step_index == 0
 
+    def test_sparse_divergence_reports_step(self):
+        start = init_sparse_noise(np.array([[0, 0, 0], [1, 2, 3]]), DIMS, seed=1).with_features(
+            np.full((2, DIMS.l), -3e38)
+        )
+
+        def pushing_after_the_first_step(Z, t):
+            return Z.with_features(np.full_like(Z.features, 3.4e38 if t < 1.0 else 0.0))
+
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match=r"after step 1 \(t=0\.75\)") as err:
+            euler_integrate(start, Schedule.linear(1.0, 5), pushing_after_the_first_step)
+        assert err.value.step_index == 1
+
     def test_hook_applied(self):
         start = sample_gaussian(DIMS, 36)
         calls = []

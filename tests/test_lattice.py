@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from tiledflow.lattice import (
     stack_patches,
 )
 from tiledflow import tensorio
+from tiledflow.optim import PriorCells
 
 import reference_copies as ref
 
@@ -326,9 +328,10 @@ class TestBatches:
 
 
 class TestWholeCoordinates:
-    """Every constructor that takes coordinates refuses one that is not a
-    finite whole number before any cast, so nothing is truncated to a
-    cell or wrapped, and names a coordinate outside the grid as ints."""
+    """Every constructor that takes coordinates refuses a dtype that is not
+    real numbers, and a value that is not a finite whole number, before
+    any cast, so nothing is truncated to a cell or wrapped, and names a
+    coordinate outside the grid as given, as ints."""
 
     BUILDS = {
         "latent": lambda c: SparseLatent(SMALL, c, np.zeros((len(c), SMALL.l))),
@@ -348,8 +351,15 @@ class TestWholeCoordinates:
             ([[1e30, 0, 0]], r"coordinate \(1000000000000000019884624838656, 0, 0\) outside grid"),
             ([[0, 0, -1.0]], r"coordinate \(0, 0, -1\) outside grid"),
             ([[99, 0, 0]], r"coordinate \(99, 0, 0\) outside grid"),
+            (np.array([[2**63 + 5, 0, 0]], np.uint64), r"coordinate \(9223372036854775813, 0, 0\) outside grid"),
+            ([[1 + 1j, 0, 0]], "coordinates of dtype complex128 are not real numbers"),
+            ([["1", "2", "3"]], "coordinates of dtype <U1 are not real numbers"),
+            (np.array([["a", 0, 0]], dtype=object), "coordinates of dtype object are not real numbers"),
         ],
-        ids=["fraction", "second-point", "inf", "nan", "huge", "negative-float", "int-outside"],
+        ids=[
+            "fraction", "second-point", "inf", "nan", "huge", "negative-float", "int-outside",
+            "uint64-above-int64", "complex", "str", "object",
+        ],
     )
     def test_refused_before_any_cast(self, build, coords, named):
         with warnings.catch_warnings():
@@ -363,6 +373,79 @@ class TestWholeCoordinates:
         ints, floats = self.BUILDS[build](coords), self.BUILDS[build](coords.astype(np.float32))
         key = {"occupancy": lambda g: g.occupied, "checked": lambda c: c[0]}.get(build, lambda x: x.coords)
         assert key(floats).dtype == key(ints).dtype and key(floats).tobytes() == key(ints).tobytes()
+
+
+# (160, 32, 32): the x side and its edge do not fit an int8
+GATE = Dims(a=5, b=1, N=2, M=32, C=1, l=1)
+
+
+def _gate_values(side: int) -> list:
+    return [-1, 0, 1, side - 1, side, 2**63 + 5, 0.5, np.nan, np.inf]
+
+
+def _fits(value, dtype) -> bool:
+    """Whether `value` is exactly a value of the bool or integer `dtype`
+    (other dtypes take any value, rounded or as a string)."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "b":
+        return value in (0, 1)
+    if dtype.kind in "iu":
+        return isinstance(value, int) and np.iinfo(dtype).min <= value <= np.iinfo(dtype).max
+    return True
+
+
+def _gate_array(rows: list, dtype) -> np.ndarray:
+    """The (n, 3) array of `rows` in `dtype`: a float16 overflow is inf, a
+    string dtype holds each value's text."""
+    if np.dtype(dtype).kind == "U":
+        rows = [[str(v) for v in row] for row in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return np.array(rows, dtype=dtype).reshape(-1, 3)
+
+
+class TestCoordinateGate:
+    """`int_coords` is the one gate for every coordinate array: it reads
+    only bool, integer and real floating values, and checks them, unsigned
+    included, as given, before the cast could wrap or truncate them."""
+
+    BUILDS = {
+        "latent": lambda dims, c: SparseLatent(dims, c, np.zeros((len(c), dims.l))),
+        "batch": lambda dims, c: SparseBatch(dims, c, np.zeros((len(c), dims.l)), [0, len(c)]),
+        "occupancy": lambda dims, c: OccupancyGrid.from_coords(dims, c),
+        "prior": lambda dims, c: PriorCells.build(c, dims),
+    }
+    DTYPES = [
+        np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
+        np.float16, np.float32, np.float64, np.complex128, np.str_, np.object_,
+    ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=400)
+    @given(st.sampled_from(sorted(BUILDS)), st.sampled_from(DTYPES), st.data())
+    def test_any_array_gives_its_cells_or_a_bounds_error(self, build, dtype, data):
+        axes = [st.sampled_from([v for v in _gate_values(side) if _fits(v, dtype)]) for side in GATE.grid_shape]
+        rows = data.draw(st.lists(st.tuples(*axes), max_size=4))
+        coords = _gate_array(rows, dtype)
+        given_rows = list(map(tuple, coords.tolist()))
+        try:
+            value = self.BUILDS[build](GATE, coords)
+        except BoundsError as exc:
+            named = re.search(r"\((-?\d+), (-?\d+), (-?\d+)\) outside grid", str(exc))
+            assert named is None or tuple(map(int, named.groups())) in given_rows, str(exc)
+            return
+        except ValueError as exc:
+            repeated = len(set(given_rows)) < len(given_rows)
+            assert (build, repeated) == ("latent", True) or (build, len(rows)) == ("prior", 0), str(exc)
+            return
+        assert coords.dtype.kind in "biuf"
+        if build == "prior":
+            cells = [tuple(int(c[k]) for c in value.cells) for k in value.inverse]
+            assert cells == [tuple(v // GATE.ratio for v in row) for row in given_rows]
+            return
+        got = value.coords() if build == "occupancy" else value.coords
+        want = {"latent": sorted(given_rows), "batch": given_rows, "occupancy": sorted(set(given_rows))}[build]
+        assert got.dtype == np.int64 and list(map(tuple, got.tolist())) == want
 
 
 class TestOccupancy:

@@ -606,6 +606,11 @@ class TestObjectivePlans:
             with pytest.raises(BoundsError, match=named):
                 ss_loss(v, Z, 0.5, np.array(P), CODEC)
 
+    def test_prior_cells_name_an_unsigned_coordinate_as_given(self):
+        P = np.array([[2**63 + 5, 0, 0]], np.uint64)
+        with pytest.raises(BoundsError, match=r"prior coordinate \(9223372036854775813, 0, 0\) outside grid"):
+            PriorCells.build(P, Dims(2, 2, 4, 8))
+
     def test_prior_cells_take_whole_floats_as_their_integers(self):
         P = np.array([[5, 2, 7], [0, 0, 0], [5, 3, 6]])
         ints, floats = PriorCells.build(P, DIMS), PriorCells.build(P.astype(np.float64), DIMS)
