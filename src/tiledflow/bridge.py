@@ -19,49 +19,51 @@ N).  Nested batches, a count the payload cannot hold, and an item whose
 t differs from the head's get an error frame, and the connection stays
 open.  The server unpacks a batch into one stacked DenseBatch or
 SparseBatch, so its items must all be dense of one shape or all sparse
-(sorted, unique coordinates); the first item that breaks this is the
-failing item.  RemoteProvider packs every evaluation as a batch
-straight from the stacked batch, with the bytes per-item packing gives,
-and reads the reply as one stacked array; a server that predates mode 3
-answers it with an "unknown eval mode 3" error frame.  Frames go out in
-gathered writes, so both ends set TCP_NODELAY.
+with a SparseBatch's checks (`int_coords`, `first_unsorted_item`); the
+first item that breaks this is the failing item.  RemoteProvider packs
+every evaluation as a batch straight from the stacked batch, with the
+bytes per-item packing gives, and reads the reply as one stacked array;
+a server that predates mode 3 answers it with an "unknown eval mode 3"
+error frame.  Frames go out in gathered writes, so both ends set
+TCP_NODELAY.
 
-Stage sessions (modes 4 and 6) carry a window field without its
-windows, and answer it with the merged field.  A register request
-(mode 4) has shape (session id, K, d, kind), kind 1 a dense PatchGrid
-and 2 a SparseWindowPlan; its condition section holds the grid's window
+Stage sessions (modes 4 and 6) carry a window field without its windows,
+and answer it with the merged field.  A register request (mode 4) has
+shape (session id, K, d, kind), kind 1 a dense PatchGrid and 2 a
+SparseWindowPlan; its condition section holds the grid's window
 conditions in window order, each a u32 length and its bytes, and its
-latent section is empty for a dense grid and, for a sparse plan, a u32
-n and n x 3 u32 coordinates.  The server builds the layout on its own
-Dims with the library's constructors and their checks (K is N or M and
-d divides K, one condition per window, coordinates inside the grid,
-sorted, unique and covered), keeps it for the session (a plan keeps
-there whatever merge layout it builds), and answers with an empty
-response.  A field request (mode 6) has shape (session id, 0, 0, 0), no
-condition, and the global latent's float32 values: dense (aK, bK, K,
-C), or sparse (n, l) in the registered coordinate order.  The server
-checks its length, builds the global latent (whose constructor checks
-that every value is finite), and answers with `layout_field` on the
-session's layout, the engine's one check and merge of its provider's
-`evaluate_windows`: the float32 field the client's merge would give,
-dense (aK, bK, K, C) or sparse (n, l) in registered order, one value
-per voxel and channel whatever the windows' overlap.  A served provider
-that answers a layout whole (GlobalOracleProvider on its grid's or
-plan's own conditions) takes that path, as in process, and any other
-has its window-order reply merged on the server.  A failure that names
-a window keeps its "item N:" text.  The client takes the reply as an
-`AgreedField`, which its `layout_field` takes as the field.
-Mode 5, which answered every window's vector in window order, is
-retired: a server answers it with "unknown eval mode 5", and at d = 1,
-where the two replies have one length, a peer of the other version
-fails loudly instead of misreading one layout as the other.  A
-connection holds at most MAX_SESSIONS sessions (a further registration
-evicts the oldest), and they are dropped when it closes; a field
-request naming any other id gets "unknown session N".  RemoteProvider
-registers each layout once per connection under an id it never
-reuses, waits for the acknowledgement, and then sends one mode-6 frame
-per window field.  It registers anew, once, after "unknown session";
-a peer without sessions answers "unknown eval mode 4", failing the field.
+latent section is empty for a dense grid and, for a sparse plan, a u32 n
+and n x 3 u32 coordinates.  The server builds the layout on its own Dims
+with the library's constructors and their checks (K is N or M and d
+divides K, one condition per window, coordinates inside the grid by
+`int_coords`, sorted and unique as sent, and covered), keeps it for the
+session (a plan keeps there whatever merge layout it builds), and
+answers with an empty response.  A field request (mode 6) has shape
+(session id, 0, 0, 0), no condition, and the global latent's float32
+values: dense (aK, bK, K, C), or sparse (n, l) in the registered
+coordinate order.  The server checks its length, builds the global
+latent (whose constructor checks that every value is finite), and
+answers with `layout_field` on the session's layout, the engine's one
+check and merge of its provider's `evaluate_windows`: the float32 field
+the client's merge would give, dense (aK, bK, K, C) or sparse (n, l) in
+registered order, one value per voxel and channel whatever the windows'
+overlap.  A served provider that answers a layout whole
+(GlobalOracleProvider on its grid's or plan's own conditions) takes that
+path, as in process, and any other has its window-order reply merged on
+the server.  A failure that names a window keeps its "item N:" text.
+The client takes the reply as an `AgreedField`, which its `layout_field`
+takes as the field.  Mode 5, which answered every window's vector in
+window order, is retired: a server answers it with "unknown eval mode
+5", and at d = 1, where the two replies have one length, a peer of the
+other version fails loudly instead of misreading one layout as the
+other.  A connection holds at most MAX_SESSIONS sessions (a further
+registration evicts the oldest), and they are dropped when it closes; a
+field request naming any other id gets "unknown session N".
+RemoteProvider registers each layout once per connection under an id it
+never reuses, waits for the acknowledgement, and then sends one mode-6
+frame per window field.  It registers anew, once, after "unknown
+session"; a peer without sessions answers "unknown eval mode 4", failing
+the field.
 
 The server reads at most MAX_PIPELINED requests of one connection ahead
 of its answers; then it stops reading until an answer is sent, and TCP
@@ -96,7 +98,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import IncompleteFrameError, ProtocolError, ProviderError
+from .errors import BoundsError, IncompleteFrameError, ProtocolError, ProviderError
 from .flowcore import VectorFieldProvider, check_condition_count, layout_field
 from .lattice import (
     DTYPE,
@@ -106,8 +108,9 @@ from .lattice import (
     PatchBatch,
     SparseBatch,
     SparseLatent,
-    batch_coords_problem,
     first_nonfinite_item,
+    first_unsorted_item,
+    int_coords,
     stack_patches,
 )
 from .patchwork import AgreedField, DilatedPartition, PatchGrid, SparseWindowPlan
@@ -352,8 +355,8 @@ def _parse_register(payload, dims: Dims) -> tuple[int, PatchGrid | SparseWindowP
     """(session, layout, conditions) of a mode-4 request, the layout
     built on `dims` by the library's constructors and their checks: K is
     N or M and d divides K, there is one condition per window, and a
-    sparse plan's coordinates are inside the grid, sorted, unique and
-    covered."""
+    sparse plan's coordinates are inside the grid (`int_coords`), sorted
+    and unique as sent (field values arrive in that order), and covered."""
     _, _, session, K, d, kind, cond_len = _parse_head(payload)
     if kind not in (MODE_DENSE, MODE_SPARSE):
         raise ProtocolError(f"unknown layout kind {kind}")
@@ -382,10 +385,9 @@ def _parse_register(payload, dims: Dims) -> tuple[int, PatchGrid | SparseWindowP
         return session, grid, tuple(conditions)
     if len(latent) < _U32.size or len(latent) != _U32.size + 12 * _U32.unpack_from(latent, 0)[0]:
         raise ProtocolError(f"sparse register latent section of {len(latent)} bytes is not a count and its coordinates")
-    coords = np.frombuffer(latent, dtype="<u4", offset=_U32.size).reshape(-1, 3).astype(np.int64)
-    problem = batch_coords_problem(dims, coords, np.array([0, len(coords)]))
-    if problem is not None:
-        raise ProtocolError(problem[1])
+    coords = int_coords(np.frombuffer(latent, dtype="<u4", offset=_U32.size).reshape(-1, 3), dims)
+    if first_unsorted_item(coords, dims) is not None:
+        raise ProtocolError("coordinates are not sorted and unique")
     return session, SparseWindowPlan(grid, coords), tuple(conditions)
 
 
@@ -872,7 +874,8 @@ class ProviderServer:
 
     def _sparse_batch(self, requests: list[EvalRequest]) -> SparseBatch:
         """Each item's rows are unpacked and checked while they are in
-        cache, straight into the stacked coordinates and features."""
+        cache, straight into the stacked coordinates and features, by a
+        SparseBatch's checks."""
         l = self.dims.l
         patch_dims = self.dims.patch_dims()
         bounds = np.cumsum([0] + [req.shape[0] for req in requests])
@@ -884,9 +887,12 @@ class ProviderServer:
             rows = np.frombuffer(req.latent, dtype=np.uint8)[4:].reshape(hi - lo, 12 + 4 * l)
             coords[lo:hi] = rows[:, :12].view("<u4")
             features[lo:hi] = rows[:, 12:].view("<f4")
-            problem = batch_coords_problem(patch_dims, coords[lo:hi], np.array([0, hi - lo]))
-            if problem is not None:
-                raise ProviderError(problem[1], item=n)
+            try:
+                int_coords(coords[lo:hi], patch_dims)
+            except BoundsError as exc:
+                raise ProviderError(str(exc), item=n) from exc
+            if first_unsorted_item(coords[lo:hi], patch_dims) is not None:
+                raise ProviderError("coordinates are not sorted and unique", item=n)
             if first_nonfinite_item(features[lo:hi]) is not None:
                 raise ProviderError("sparse latent contains non-finite features", item=n)
         return SparseBatch._on_checked_coords(patch_dims, coords, features, bounds)

@@ -115,14 +115,14 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     (n, 3) int64 array of fine-grid cells (`int_coords`), sorted and
     unique (else a ValueError).
 
-    In-bounds coordinates' keys are a bijection, so strictly increasing
-    keys mean the input is canonical and unique, and the sort is skipped.
-    A read-only array that passes is returned itself, so a latent built
-    on a checked array keeps that array; a writable one is frozen as a
-    view, so the caller's array stays writable.
+    Coordinates that pass the order check (`first_unsorted_item`) are
+    canonical and unique, and the sort is skipped.  A read-only array
+    that passes is returned itself, so a latent built on a checked array
+    keeps that array; a writable one is frozen as a view, so the
+    caller's array stays writable.
     """
     coords = int_coords(coords, dims)
-    if _is_canonical(coords, dims):
+    if first_unsorted_item(coords, dims) is None:
         return (_freeze(coords.view()) if coords.flags.writeable else coords), None
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
@@ -132,17 +132,20 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def int_coords(coords, dims: Dims, what: str = "coordinate") -> np.ndarray:
-    """`coords`, reshaped to (n, 3), as a C-ordered int64 array of cells
-    of the fine grid; a C-ordered (n, 3) int64 array is returned itself.
+    """`coords`, an (n, 3) array or one (3,) point, as a C-ordered (n, 3)
+    int64 array of cells of the fine grid; a C-ordered (n, 3) int64
+    array is returned itself.  Any other shape is a DimensionError.
 
     Only bool, integer and real floating arrays are read, and a float
     must be a finite whole number.  Every point must lie inside the grid.
     Each check runs on the values as given, before the cast could
     truncate or wrap one, and a failure is a BoundsError naming the dtype
-    or the first bad point."""
+    or the first bad point: the one bounds check of coordinate arrays."""
     coords = np.asarray(coords)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        coords = coords.reshape(-1, 3)
+    if coords.shape == (3,):
+        coords = coords.reshape(1, 3)
+    elif coords.ndim != 2 or coords.shape[1] != 3:
+        raise DimensionError(f"{what}s of shape {coords.shape} are not (n, 3) points")
     if coords.dtype.kind not in "biuf":
         raise BoundsError(f"{what}s of dtype {coords.dtype} are not real numbers")
     if coords.dtype.kind == "f":
@@ -286,12 +289,16 @@ class SparseBatch:
 
     def __post_init__(self):
         coords = int_coords(self.coords, self.dims)
-        bounds = np.ascontiguousarray(self.bounds, dtype=np.int64).reshape(-1)
-        if len(bounds) < 1 or bounds[0] != 0 or bounds[-1] != len(coords) or (np.diff(bounds) < 0).any():
+        bounds = np.asarray(self.bounds)  # checked as given, before the cast could truncate one
+        if bounds.dtype.kind not in "biuf" or (bounds.dtype.kind == "f" and (np.floor(bounds) != bounds).any()):
+            raise DimensionError(f"batch bounds {bounds.tolist()} are not whole numbers")
+        splits = bounds.ndim == 1 and len(bounds) and bounds[0] == 0 and bounds[-1] == len(coords)
+        if not splits or (bounds[1:] < bounds[:-1]).any():
             raise DimensionError(f"batch bounds do not split {len(coords)} rows")
-        problem = batch_coords_problem(self.dims, coords, bounds)
-        if problem is not None:
-            raise BoundsError(f"item {problem[0]} of a sparse batch: {problem[1]}")
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+        item = first_unsorted_item(coords, self.dims, bounds)
+        if item is not None:
+            raise BoundsError(f"item {item} of a sparse batch: coordinates are not sorted and unique")
         features = _sparse_batch_features(self.dims, self.features, len(coords))
         item = first_nonfinite_item(features, bounds)
         if item is not None:
@@ -304,9 +311,9 @@ class SparseBatch:
         cls, dims: Dims, coords: np.ndarray, features, bounds: np.ndarray
     ) -> "SparseBatch":
         """Batch over `coords` and `bounds` that a constructor (or
-        `batch_coords_problem`) already checked, with features known to be
-        finite; only the features' shape is checked.  The arrays are
-        marked read-only, not copied."""
+        `int_coords` and `first_unsorted_item`) already checked, with
+        features known to be finite; only the features' shape is checked.
+        The arrays are marked read-only, not copied."""
         batch = object.__new__(cls)
         object.__setattr__(batch, "dims", dims)
         object.__setattr__(batch, "coords", _freeze(coords))
@@ -385,39 +392,25 @@ def first_nonfinite_item(values: np.ndarray, bounds: np.ndarray | None = None) -
     return row if bounds is None else int(np.searchsorted(bounds, row, side="right")) - 1
 
 
-def batch_coords_problem(dims: Dims, coords: np.ndarray, bounds: np.ndarray) -> tuple[int, str] | None:
-    """(item, reason) for the first item of a sparse batch whose
-    coordinates are outside `dims`'s grid or not strictly increasing;
-    None when every item's coordinates could be a SparseLatent's as
-    given."""
-    if not len(coords):
-        return None
-    hi = np.array(dims.grid_shape)
-    inside = coords.min() >= 0 and (coords < hi).all()
+def first_unsorted_item(coords: np.ndarray, dims: Dims, bounds: np.ndarray | None = None) -> int | None:
+    """Index of the first item of in-bounds `coords` (`int_coords`) whose
+    keys do not strictly increase (that is, not sorted and unique), or
+    None: the one order check.  Rows bounds[k]:bounds[k + 1] are item k;
+    without `bounds` all rows are one item."""
     steps = np.diff(_coord_key(coords, dims))
-    starts = bounds[1:-1][(bounds[1:-1] > 0) & (bounds[1:-1] < len(coords))]
-    steps[starts - 1] = 1  # an item's first row starts afresh
-    if inside and steps.min(initial=1) > 0:
+    if bounds is not None:
+        starts = bounds[1:-1][(bounds[1:-1] > 0) & (bounds[1:-1] < len(coords))]
+        steps[starts - 1] = 1  # an item's first row starts afresh
+    if steps.min(initial=1) > 0:
         return None
-    outside = ((coords < 0) | (coords >= hi)).any(axis=1)
-    unsorted = np.concatenate([[False], steps <= 0])
-    bad = outside | unsorted
-    row = int(np.argmax(bad))
-    item = int(np.searchsorted(bounds, row, side="right")) - 1
-    if outside[row]:
-        return item, f"coordinate {tuple(int(v) for v in coords[row])} outside grid {dims.grid_shape}"
-    return item, "coordinates are not sorted and unique"
+    row = int(np.argmax(steps <= 0)) + 1
+    return 0 if bounds is None else int(np.searchsorted(bounds, row, side="right")) - 1
 
 
 def _coord_key(coords: np.ndarray, dims: Dims) -> np.ndarray:
     """Flatten coordinates into sortable scalar keys (lexicographic order)."""
     bm, m = dims.b * dims.M, dims.M
     return (coords[:, 0] * bm + coords[:, 1]) * m + coords[:, 2]
-
-
-def _is_canonical(coords: np.ndarray, dims: Dims) -> bool:
-    """Whether the in-bounds coordinates' keys strictly increase."""
-    return bool((np.diff(_coord_key(coords, dims)) > 0).all())
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from os import PathLike
 from pathlib import Path
 
@@ -132,12 +132,7 @@ _STR_FIELDS = {
 _BOOL_FIELDS = ("dilated_enabled", "optimize_every_round")
 _REAL_FIELDS = ("t_start", "t_noise")
 
-_NESTED_FIELDS = {
-    "dims": (Dims, ("a", "b", "N", "M", "C", "l")),
-    "ss_adam": (AdamParams, ("lr", "beta1", "beta2", "eps", "steps")),
-    "slat_adam": (AdamParams, ("lr", "beta1", "beta2", "eps", "steps")),
-    "loss_weights": (LossWeights, ("l2", "ssim")),
-}
+_NESTED_FIELDS = {"dims": Dims, "ss_adam": AdamParams, "slat_adam": AdamParams, "loss_weights": LossWeights}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -151,10 +146,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     kwargs = {}
     for key, value in raw.items():
         if key in _NESTED_FIELDS:
-            cls, names = _NESTED_FIELDS[key]
+            cls = _NESTED_FIELDS[key]
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {key!r} must be an object")
-            bad = set(value) - set(names)
+            bad = set(value) - {f.name for f in fields(cls)}
             if bad:
                 raise ConfigError(f"unknown keys in {key!r}: {sorted(bad)}")
             try:

@@ -1341,6 +1341,7 @@ class TestSessions:
             (("sparse-unsorted", DIMS.M, 2), "not sorted"),
             (("sparse-uncovered", DIMS.N, 2), "not covered"),
             (("conditions", DIMS.N, 2), "one condition per window"),
+            (("sparse-outside", DIMS.M, 2), f"coordinate ({DIMS.a * DIMS.M}, 0, 0) outside grid {DIMS.grid_shape}"),
         ],
     )
     def test_bad_registration_gets_an_error_frame(self, oracle_server, layout, text):
@@ -1352,6 +1353,8 @@ class TestSessions:
         latent = b""
         if kind.startswith("sparse"):
             coords = slat_target.coords[::-1] if kind == "sparse-unsorted" else slat_target.coords
+            if kind == "sparse-outside":  # sorted, one u4 cell past the grid's x side
+                coords = np.concatenate([coords, [[DIMS.a * DIMS.M, 0, 0]]])
             latent = struct.pack("<I", len(coords)) + coords.astype("<u4").tobytes()
         payload = _REQ_HEAD.pack(0.0, MODE_REGISTER, 1, K, d, 2 if latent else 1, len(section)) + section + latent
         sock = self._connect(server)

@@ -15,9 +15,9 @@ from tiledflow.lattice import (
     Schedule,
     SparseBatch,
     SparseLatent,
-    batch_coords_problem,
     checked_coords,
     first_nonfinite_item,
+    first_unsorted_item,
     init_sparse_noise,
     lerp_latent,
     sample_gaussian,
@@ -174,6 +174,13 @@ class TestSparse:
                 SMALL, np.array([[0, 0, 0], [1, 1, 1], [1, 1, 1], [2, 0, 0]]), np.zeros((4, 4))
             )
 
+    def test_six_numbers_are_not_two_points(self):
+        # six numbers are not two points, and a (4, 2) array is no reshape fault
+        for pairs, rows in (([[1, 2], [3, 4], [5, 6]], 2), (np.zeros((4, 2)), 4)):
+            shape = np.shape(pairs)
+            with pytest.raises(DimensionError, match=re.escape(f"coordinates of shape {shape} are not (n, 3)")):
+                SparseLatent(Dims(1, 1, 4, 8), pairs, np.zeros((rows, 4)))
+
     def test_checked_coords_is_the_constructors_check(self):
         coords = np.argwhere(np.random.default_rng(3).random(SMALL.grid_shape) < 0.3)
         perm = np.random.default_rng(4).permutation(len(coords))
@@ -277,6 +284,29 @@ class TestBatches:
         with pytest.raises(DimensionError):
             SparseBatch(self.PATCH, batch.coords, batch.features, [0, 4, 9])
 
+    @pytest.mark.parametrize(
+        "bounds, text",
+        [
+            (np.array([0, 1.5, 3]), r"batch bounds \[0\.0, 1\.5, 3\.0\] are not whole numbers"),
+            (np.array([0, np.nan, 3]), "are not whole numbers"),
+            (np.array([0, 1 + 0j, 3]), "are not whole numbers"),
+            (np.array(["0", "1", "3"]), "are not whole numbers"),
+            (np.array([0, np.inf, 3]), "do not split 3 rows"),
+            (np.array([0, 2**63 + 5, 3], dtype=np.uint64), "do not split 3 rows"),
+            (np.array([[0, 1, 3]]), "do not split 3 rows"),
+            (np.array(3), "do not split 3 rows"),
+        ],
+        ids=["fraction", "nan", "complex", "str", "inf", "uint64-above-int64", "2-D", "0-D"],
+    )
+    def test_sparse_batch_bounds_are_whole_row_numbers(self, bounds, text):
+        coords, features = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 2]]), np.zeros((3, self.PATCH.l))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match=text):
+                SparseBatch(self.PATCH, coords, features, bounds)
+            whole = SparseBatch(self.PATCH, coords, features, np.array([0.0, 1.0, 3.0]))
+        assert whole.bounds.dtype == np.int64 and whole.bounds.tolist() == [0, 1, 3]
+
     @pytest.mark.parametrize("defect", ["unsorted", "duplicate", None])
     @pytest.mark.parametrize("empty", ["first", "middle", "last"])
     def test_empty_items_hide_no_unsorted_rows(self, empty, defect):
@@ -293,12 +323,12 @@ class TestBatches:
         bounds = np.cumsum([0] + [len(rows) for rows in items])
         features = np.zeros((len(coords), self.PATCH.l), dtype=np.float32)
         if defect is None:
-            assert batch_coords_problem(self.PATCH, coords, bounds) is None
+            assert first_unsorted_item(coords, self.PATCH, bounds) is None
             assert SparseBatch(self.PATCH, coords, features, bounds).coords.tobytes() == coords.tobytes()
             return
         bad = items.index(item)
-        assert batch_coords_problem(self.PATCH, coords, bounds) == (bad, "coordinates are not sorted and unique")
-        with pytest.raises(BoundsError, match=f"item {bad} .*not sorted"):
+        assert first_unsorted_item(coords, self.PATCH, bounds) == bad
+        with pytest.raises(BoundsError, match=f"^item {bad} of a sparse batch: coordinates are not sorted and unique$"):
             SparseBatch(self.PATCH, coords, features, bounds)
 
     def test_items_are_views_of_the_stack(self):
@@ -368,6 +398,13 @@ class TestWholeCoordinates:
                 self.BUILDS[build](np.array(coords))
 
     @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 2), (2, 4), (1, 2, 3), (6,), (0,)], ids=str)
+    def test_only_points_of_three_coordinates_are_read(self, build, shape):
+        coords = np.arange(np.prod(shape, dtype=int)).reshape(shape) % 4
+        with pytest.raises(DimensionError, match=re.escape(f"coordinates of shape {shape} are not (n, 3) points")):
+            self.BUILDS[build](coords)
+
+    @pytest.mark.parametrize("build", BUILDS)
     def test_whole_floats_are_their_integers(self, build):
         coords = np.array([[0, 0, 0], [1, 2, 3], [7, 6, 5]])
         ints, floats = self.BUILDS[build](coords), self.BUILDS[build](coords.astype(np.float32))
@@ -394,51 +431,84 @@ def _fits(value, dtype) -> bool:
     return True
 
 
-def _gate_array(rows: list, dtype) -> np.ndarray:
-    """The (n, 3) array of `rows` in `dtype`: a float16 overflow is inf, a
-    string dtype holds each value's text."""
+def _gate_array(values: list, dtype) -> np.ndarray:
+    """The array of `values` (nested lists) in `dtype`: a float16
+    overflow is inf, a string dtype holds each value's text."""
     if np.dtype(dtype).kind == "U":
-        rows = [[str(v) for v in row] for row in rows]
+        values = np.vectorize(str, otypes=[object])(np.array(values, dtype=object)).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return np.array(rows, dtype=dtype).reshape(-1, 3)
+        return np.array(values, dtype=dtype)
+
+
+def _splits(bounds: np.ndarray, rows: int) -> bool:
+    """Whether `bounds`, as given, are a batch's bounds of `rows` rows:
+    1-D real whole numbers from 0 to `rows`, never decreasing."""
+    if bounds.ndim != 1 or bounds.dtype.kind not in "biuf" or not len(bounds):
+        return False
+    values = bounds.tolist()
+    return all(float(v).is_integer() for v in values) and values[0] == 0 and values[-1] == rows and values == sorted(values)
 
 
 class TestCoordinateGate:
     """`int_coords` is the one gate for every coordinate array: it reads
-    only bool, integer and real floating values, and checks them, unsigned
-    included, as given, before the cast could wrap or truncate them."""
+    only an (n, 3) array or one (3,) point of bool, integer and real
+    floating values, and checks them, unsigned included, as given, before
+    the cast could wrap or truncate them.  A batch's bounds are checked
+    as given too."""
 
     BUILDS = {
-        "latent": lambda dims, c: SparseLatent(dims, c, np.zeros((len(c), dims.l))),
-        "batch": lambda dims, c: SparseBatch(dims, c, np.zeros((len(c), dims.l)), [0, len(c)]),
-        "occupancy": lambda dims, c: OccupancyGrid.from_coords(dims, c),
-        "prior": lambda dims, c: PriorCells.build(c, dims),
+        "latent": lambda dims, c, rows, bounds: SparseLatent(dims, c, np.zeros((rows, dims.l))),
+        "batch": lambda dims, c, rows, bounds: SparseBatch(dims, c, np.zeros((rows, dims.l)), bounds),
+        "occupancy": lambda dims, c, rows, bounds: OccupancyGrid.from_coords(dims, c),
+        "prior": lambda dims, c, rows, bounds: PriorCells.build(c, dims),
     }
     DTYPES = [
         np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64,
         np.float16, np.float32, np.float64, np.complex128, np.str_, np.object_,
     ]
+    # what each shape makes of the drawn (n, 3) points: only the first two
+    # are points, the rest a DimensionError
+    SHAPES = {
+        "points": lambda a: a,
+        "point": lambda a: a[0],
+        "pairs": lambda a: a[:, :2],
+        "quads": lambda a: np.concatenate([a, a[:, :1]], axis=1),
+        "3-D": lambda a: a[None],
+        "empty": lambda a: a.reshape(-1)[:0],
+    }
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @settings(max_examples=400)
-    @given(st.sampled_from(sorted(BUILDS)), st.sampled_from(DTYPES), st.data())
-    def test_any_array_gives_its_cells_or_a_bounds_error(self, build, dtype, data):
+    @settings(max_examples=600)
+    @given(st.sampled_from(sorted(BUILDS)), st.sampled_from(DTYPES), st.sampled_from(sorted(SHAPES)), st.data())
+    def test_any_array_gives_its_cells_or_a_typed_error(self, build, dtype, shape, data):
         axes = [st.sampled_from([v for v in _gate_values(side) if _fits(v, dtype)]) for side in GATE.grid_shape]
-        rows = data.draw(st.lists(st.tuples(*axes), max_size=4))
-        coords = _gate_array(rows, dtype)
-        given_rows = list(map(tuple, coords.tolist()))
+        rows = data.draw(st.lists(st.tuples(*axes), min_size=shape == "point", max_size=4))
+        coords = self.SHAPES[shape](_gate_array(rows, dtype).reshape(-1, 3))
+        points = shape in ("points", "point")
+        given_rows = list(map(tuple, coords.reshape(-1, 3).tolist())) if points else None
+        n = len(given_rows) if points else len(rows)
+        bounds = None
+        if build == "batch":
+            cut = st.sampled_from([0, 1, n, n + 1, -1, 2**63 + 5, 0.5, np.nan, np.inf])
+            values = [data.draw(st.sampled_from([0, 1]))] + data.draw(st.lists(cut, max_size=2)) + [n]
+            bounds_dtype = data.draw(st.sampled_from([d for d in self.DTYPES if all(_fits(v, d) for v in values)]))
+            bounds = _gate_array(data.draw(st.sampled_from([values, [values]])), bounds_dtype)
         try:
-            value = self.BUILDS[build](GATE, coords)
+            value = self.BUILDS[build](GATE, coords, n, bounds)
+        except DimensionError as exc:
+            assert not points or (build == "batch" and not _splits(bounds, n)), str(exc)
+            return
         except BoundsError as exc:
+            assert points and ("of a sparse batch" not in str(exc) or _splits(bounds, n)), str(exc)
             named = re.search(r"\((-?\d+), (-?\d+), (-?\d+)\) outside grid", str(exc))
             assert named is None or tuple(map(int, named.groups())) in given_rows, str(exc)
             return
         except ValueError as exc:
-            repeated = len(set(given_rows)) < len(given_rows)
-            assert (build, repeated) == ("latent", True) or (build, len(rows)) == ("prior", 0), str(exc)
+            repeated = points and len(set(given_rows)) < len(given_rows)
+            assert (build, repeated) == ("latent", True) or (build, points, n) == ("prior", True, 0), str(exc)
             return
-        assert coords.dtype.kind in "biuf"
+        assert points and coords.dtype.kind in "biuf"
         if build == "prior":
             cells = [tuple(int(c[k]) for c in value.cells) for k in value.inverse]
             assert cells == [tuple(v // GATE.ratio for v in row) for row in given_rows]
@@ -446,6 +516,9 @@ class TestCoordinateGate:
         got = value.coords() if build == "occupancy" else value.coords
         want = {"latent": sorted(given_rows), "batch": given_rows, "occupancy": sorted(set(given_rows))}[build]
         assert got.dtype == np.int64 and list(map(tuple, got.tolist())) == want
+        if build == "batch":
+            assert _splits(bounds, n) and value.bounds.dtype == np.int64
+            assert value.bounds.tolist() == [int(v) for v in bounds.tolist()]
 
 
 class TestOccupancy:
