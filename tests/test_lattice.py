@@ -174,13 +174,6 @@ class TestSparse:
                 SMALL, np.array([[0, 0, 0], [1, 1, 1], [1, 1, 1], [2, 0, 0]]), np.zeros((4, 4))
             )
 
-    def test_six_numbers_are_not_two_points(self):
-        # six numbers are not two points, and a (4, 2) array is no reshape fault
-        for pairs, rows in (([[1, 2], [3, 4], [5, 6]], 2), (np.zeros((4, 2)), 4)):
-            shape = np.shape(pairs)
-            with pytest.raises(DimensionError, match=re.escape(f"coordinates of shape {shape} are not (n, 3)")):
-                SparseLatent(Dims(1, 1, 4, 8), pairs, np.zeros((rows, 4)))
-
     def test_checked_coords_is_the_constructors_check(self):
         coords = np.argwhere(np.random.default_rng(3).random(SMALL.grid_shape) < 0.3)
         perm = np.random.default_rng(4).permutation(len(coords))
