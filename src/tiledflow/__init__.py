@@ -33,6 +33,7 @@ from .decode import CosineWeightField, merge_sdf_patches
 from .errors import (
     BoundsError,
     ConfigError,
+    CoordinateSetError,
     CoverageError,
     DimensionError,
     DivergenceError,
@@ -89,9 +90,9 @@ __all__ = [
     "TYPE_ERROR", "TYPE_REQUEST", "TYPE_RESPONSE", "EvalRequest", "Frame", "ProviderServer",
     "RemoteProvider", "decode_frame", "encode_eval_request", "encode_frame", "serve_provider",
     "CosineWeightField", "merge_sdf_patches",
-    "BoundsError", "ConfigError", "CoverageError", "DimensionError", "DivergenceError",
-    "IncompleteFrameError", "OptimizationError", "ParseError", "ProtocolError", "ProviderError",
-    "SingularityError", "TiledFlowError",
+    "BoundsError", "ConfigError", "CoordinateSetError", "CoverageError", "DimensionError",
+    "DivergenceError", "IncompleteFrameError", "OptimizationError", "ParseError", "ProtocolError",
+    "ProviderError", "SingularityError", "TiledFlowError",
     "build_cavity_fixture", "build_demo_scene", "cavity_recall", "demo_bundle", "demo_config",
     "run_oracle_demo",
     "GlobalOracleProvider", "OracleConditioner", "VectorFieldProvider", "euler_integrate",

@@ -13,6 +13,11 @@ class BoundsError(TiledFlowError):
     """A coordinate falls outside its lattice."""
 
 
+class CoordinateSetError(TiledFlowError, ValueError):
+    """A coordinate set repeats a coordinate, or is empty where points
+    are required."""
+
+
 class ConfigError(TiledFlowError):
     """Invalid configuration (bad parameter combination or config file)."""
 

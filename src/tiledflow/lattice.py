@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, DimensionError
+from .errors import BoundsError, CoordinateSetError, DimensionError
 
 DTYPE = np.float32
 
@@ -113,7 +113,7 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     """`coords` as the SparseLatent constructor keeps them, and the order
     that sorted them (None when they already were): a read-only C-ordered
     (n, 3) int64 array of fine-grid cells (`int_coords`), sorted and
-    unique (else a ValueError).
+    unique (else a `CoordinateSetError`).
 
     Coordinates that pass the order check (`first_unsorted_item`) are
     canonical and unique, and the sort is skipped.  A read-only array
@@ -127,7 +127,7 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
     if len(coords) > 1 and (np.diff(coords, axis=0) == 0).all(axis=1).any():
-        raise ValueError("sparse latent has duplicate coordinates")
+        raise CoordinateSetError("sparse latent has duplicate coordinates")
     return _freeze(coords), order
 
 

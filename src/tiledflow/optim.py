@@ -63,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, OptimizationError
+from .errors import ConfigError, CoordinateSetError, OptimizationError
 from .lattice import DTYPE, DenseLatent, Dims, SparseLatent, int_coords
 from .structedit import ToyCodec
 
@@ -218,10 +218,10 @@ class PriorCells:
     @classmethod
     def build(cls, P, dims: Dims) -> "PriorCells":
         """Check fine-grid coordinates (`int_coords`) and bin them into
-        cells; an empty set is a ValueError."""
+        cells; an empty set is a `CoordinateSetError`."""
         P = int_coords(P, dims, "prior coordinate")
         if len(P) == 0:
-            raise ValueError("ss_loss requires a non-empty prior coordinate set")
+            raise CoordinateSetError("ss_loss requires a non-empty prior coordinate set")
         shape = dims.dense_shape[:3]
         keys = np.ravel_multi_index(tuple((P // dims.ratio).T), shape)
         unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)

@@ -21,17 +21,14 @@ that geometry rather than searched for: a `SparseWindowPlan` holds, per
 window, the rows inside it (K runs of the sorted rows, one per lattice
 column x, located by a cumulative count of rows per (x, y) column).
 Each step gathers the feature rows into one block with one `take`.  A
-reply in window order is merged through the plan's rank layout (built
-on first use): the global rows in groups of equal coverage c, and each
-group's contributions as c runs, run j holding every row's j-th window
-in window order.  The merge walks each group in blocks of at most
-`MERGE_BLOCK_VALUES` contributions, takes them into a small buffer and
-sums them rank by rank in float64, in the order `np.add.reduceat` over
-each row's window-ordered contributions would (the first, plus numpy's
-pairwise sum of the rest), so it gives the same bits with no
-reply-sized copy.  It then divides by the coverage.  The merged rows
-are finite exactly when the reply is, so the merged latent's own check
-stands for a check of the reply.
+reply in window order is merged by the dense merge's rule: each row is
+its first window's value plus each later window's, one at a time in
+window order, in float64, divided by its coverage.  The plan's rank
+layout (built on first use from two stable argsorts) lists the rows by
+descending coverage, so rank j, every row's j-th window, is one `take`
+and one float64 add over a prefix of that list; no copy is reply-sized.
+The merged rows are finite exactly when the reply is, so the merged
+latent's own check stands for a check of the reply.
 
 The three layouts, `PatchGrid`, `SparseWindowPlan` and
 `DilatedPartition`, answer the same members: `count`, `item_name(k)`,
@@ -56,11 +53,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CoverageError, DimensionError, ProviderError
 from .lattice import DTYPE, DenseBatch, DenseLatent, Dims, SparseBatch, SparseLatent, _freeze, checked_coords, int_coords
-
-# The most contributions (coverage x rows x channels) one block of a
-# sparse merge takes from a reply: 256 KB of float32, plus float64
-# accumulators, which stay in a core's cache while the block is summed.
-MERGE_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -316,27 +308,20 @@ class SparseWindowPlan:
     the global rows `rows[bounds[k]:bounds[k + 1]]`, whose window-local
     coordinates are `local[bounds[k]:bounds[k + 1]]`.  `coverage[r]`
     counts the windows holding global row r, and every row must lie in
-    at least one.  `rank_layout` is the (slot, groups, layout) that
-    `combine` sums a window-order reply through, built on first
-    use: the global rows listed in groups of equal coverage c, in
-    descending c and each group in row order (global row r sits at
-    `slot[r]` of that list), and one (c, g0, g1, lo) per group for its
-    run [g0, g1) of the list and where its contributions start in
-    `layout`.  There they form a (c, g1 - g0) block in which rank j is
-    one contiguous run of reply positions, each row's j-th window in
-    window order, so `rows.take(layout)` is the group's rows once per
-    rank.  A merge reads that block a few columns at a time and keeps
-    nothing on the plan.
+    at least one.  `rank_layout` is the (slot, ends, layout) that
+    `combine` sums a window-order reply through, built on first use: the
+    global rows listed by descending coverage (global row r sits at
+    `slot[r]` of that list), so that the rows with more than j windows
+    are its first `ends[j]`, and the reply positions of their j-th
+    windows, in window order, as one run of `layout` per rank j.  A
+    merge keeps nothing on the plan.
 
-    All of it follows from the geometry, without a search per window or
-    a sort of the window rows.  The coordinates are sorted by x, then y,
-    then z, and none reaches past a window's height K, so window k's rows
-    are K runs of the global rows, one per column (x, y0_k) to
-    (x, y0_k + K), read off a cumulative count of rows per (x, y) column.
-    A row's windows are those of its stride block (x // s, y // s): ci
-    consecutive i times cy consecutive j, so the window of rank q is
-    (ilo + q // cy, jlo + q % cy), and its position in the reply is a
-    gather from the per-run offsets.
+    The window rows follow from the geometry, without a search per
+    window.  The coordinates are sorted by x, then y, then z, and none
+    reaches past a window's height K, so window k's rows are K runs of
+    the global rows, one per column (x, y0_k) to (x, y0_k + K), read off
+    a cumulative count of rows per (x, y) column; a row's coverage is the
+    product of its x and y axis coverages.
 
     The coordinates pass the `SparseLatent` constructor's coordinate
     check (`checked_coords`) once, in the constructor, which also refuses
@@ -356,9 +341,9 @@ class SparseWindowPlan:
             raise CoverageError("sparse coordinate not covered by any window")
 
     @cached_property
-    def _runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(shift, rows, bounds), built together on first use: run (k, u)
-        holds reply positions ends - lengths + n for its rows starts + n."""
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, bounds), built together on first use: window k's run u
+        is the rows of columns (x0_k + u, y0_k) to (x0_k + u, y0_k + K)."""
         grid = self.grid
         K = grid.K
         X, Y = grid.dims.a * K, grid.dims.b * K
@@ -371,17 +356,16 @@ class SparseWindowPlan:
         starts = column[first].ravel()
         lengths = column[first + K].ravel() - starts
         ends = np.cumsum(lengths)
-        shift = _freeze(ends - lengths - starts)
-        rows = _freeze(np.arange(ends[-1]) - np.repeat(shift, lengths))
-        return shift, rows, _freeze(np.concatenate(([0], ends[K - 1 :: K])))
+        rows = np.arange(ends[-1]) - np.repeat(ends - lengths - starts, lengths)
+        return _freeze(rows), _freeze(np.concatenate(([0], ends[K - 1 :: K])))
 
     @property
     def rows(self) -> np.ndarray:
-        return self._runs[1]
+        return self._runs[0]
 
     @property
     def bounds(self) -> np.ndarray:
-        return self._runs[2]
+        return self._runs[1]
 
     @cached_property
     def coverage(self) -> np.ndarray:
@@ -402,26 +386,20 @@ class SparseWindowPlan:
 
     @cached_property
     def rank_layout(self) -> tuple[np.ndarray, tuple, np.ndarray]:
-        """(slot, groups, layout), from the geometry: one pass per coverage."""
-        grid = self.grid
-        K, d, s = grid.K, grid.d, grid.K // grid.d
-        x, y = self.coords[:, 0], self.coords[:, 1]
-        cy = grid.axis_coverage(grid.nj, grid.dims.b * K)[y]
-        ilo = np.maximum(x // s - d + 1, 0)
-        jlo = np.maximum(y // s - d + 1, 0)
-        groups, order, parts, g0, lo = [], [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)], 0, 0
-        for c in np.unique(self.coverage)[::-1].tolist():
-            members = np.flatnonzero(self.coverage == c)
-            qi, qj = np.divmod(np.arange(c)[:, None], cy[members])  # rank q = qi * cy + qj
-            i = ilo[members] + qi
-            run = (i * grid.nj + jlo[members] + qj) * K + x[members] - i * s
-            parts.append((self._runs[0][run] + members).ravel())
-            order.append(members)
-            groups.append((c, g0, g0 + len(members), lo))
-            g0, lo = g0 + len(members), lo + c * len(members)
-        slot = np.empty(len(self.coords), dtype=np.intp)
-        slot[np.concatenate(order)] = np.arange(len(slot))
-        return _freeze(slot), tuple(groups), _freeze(np.concatenate(parts))
+        """(slot, ends, layout), by two stable argsorts: of `rows`, which
+        lists each row's windows in window order, and of -coverage."""
+        coverage = self.coverage
+        by_row = np.argsort(self.rows, kind="stable")
+        order = np.argsort(-coverage, kind="stable")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order))
+        # where each listed row's windows start in by_row; the rows with
+        # more than j windows are the first ends[j] listed
+        first = (np.cumsum(coverage) - coverage)[order]
+        ends = np.searchsorted(-coverage[order], -np.arange(1, coverage.max(initial=0) + 1), side="right")
+        ranks = [first[:m] + j for j, m in enumerate(ends.tolist())]
+        layout = by_row.take(np.concatenate([np.zeros(0, dtype=np.intp)] + ranks))
+        return _freeze(slot), tuple(ends.tolist()), _freeze(layout)
 
     @cached_property
     def local(self) -> np.ndarray:
@@ -460,22 +438,17 @@ class SparseWindowPlan:
         """Coverage-averaged sum of the stacked window features `values`
         ((rows, l) float32, rows in the order `gather` makes them).
 
-        Each coverage group c is merged in blocks of consecutive rows,
-        as many as keep c * rows * l within `MERGE_BLOCK_VALUES` (at
-        least one): one `take` of a block's columns of the group's
-        (c, rows) layout copies its contributions from the reply into a
-        float32 buffer made for this call, ranks 1..c-1 are summed in
-        numpy's pairwise order (`_pairwise_sum`, with float64
-        accumulators also made for this call) into the block's slice of
-        a float64 accumulator, rank 0 is added and the slice divided by
-        c; one `take` through `slot` then puts the float32 rows back in
-        global order.  `np.add.reduceat` over a row's contributions in
-        window order adds the pairwise sum of the rest to the first,
-        casts to float64 are exact and addition commutes, so every row
-        gets the bits that reduceat gives, whatever the block size.
-        They do not depend on the order in which the windows were
-        evaluated.  A merge keeps no state on the plan, so threads may
-        merge on one plan at once.
+        Each row is its first window's value plus each later window's,
+        one at a time in window order, in float64, then divided by its
+        coverage: the rule of `PatchGrid.combine`, which starts from +0.0
+        instead, so only a row whose windows all hold -0.0 differs (it
+        stays -0.0).  Through `rank_layout` that is one `take` and one
+        float64 add per rank j, over the rows with more than j windows,
+        which lead the rows listed by descending coverage; after the
+        division, one `take` through `slot` puts the float32 rows back in
+        order.  The bits do not depend on the order in which the windows
+        were evaluated.  A merge keeps no state on the plan, so threads
+        may merge on one plan at once.
 
         The float64 sums of finite float32 values cannot overflow, and
         their means cast to finite float32, so the merged rows are finite
@@ -483,66 +456,23 @@ class SparseWindowPlan:
         (a ValueError) therefore covers every reply value.
         """
         dims = self.grid.dims
-        l = dims.l
-        if values.shape != (len(self.rows), l):
-            raise DimensionError(f"window features {values.shape} != {(len(self.rows), l)}")
-        slot, groups, layout = self.rank_layout
-        # rows per block of each group, and buffers that hold the largest block
-        sizes = [(c, min(g1 - g0, max(1, MERGE_BLOCK_VALUES // (c * l)))) for c, g0, g1, _ in groups]
-        taken = np.empty(max([c * m * l for c, m in sizes], default=0), dtype=DTYPE)
-        scratch = np.empty(max([8 * m * l for c, m in sizes if c > 8], default=0))
-        acc = np.empty((len(self.coords), l), dtype=np.float64)
-        for (c, g0, g1, lo), (_, m) in zip(groups, sizes):
-            group = layout[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0)
-            for b0 in range(0, g1 - g0, m):
-                block = group[:, b0 : b0 + m]
-                n = block.shape[1]
-                ranks = taken[: c * n * l].reshape(c, n, l)
-                np.take(values, block, axis=0, out=ranks, mode="clip")
-                head = acc[g0 + b0 : g0 + b0 + n]
-                if c > 1:
-                    _pairwise_sum(ranks[1:], head, scratch)
-                    head += ranks[0]
-                else:
-                    head[...] = ranks[0]
-                head /= c
+        if values.shape != (len(self.rows), dims.l):
+            raise DimensionError(f"window features {values.shape} != {(len(self.rows), dims.l)}")
+        slot, ends, layout = self.rank_layout
+        acc = np.empty((len(self.coords), dims.l), dtype=np.float64)
+        lo = 0
+        for j, m in enumerate(ends):
+            rank = values.take(layout[lo : lo + m], axis=0)
+            if j == 0:
+                acc[...] = rank
+            else:
+                acc[:m] += rank
+            lo += m
+        # the rows listed from ends[c] to ends[c - 1] have c windows
+        for c, (m, fewer) in enumerate(zip(ends, ends[1:] + (0,)), 1):
+            acc[fewer:m] /= c
         merged = acc.astype(DTYPE).take(slot, axis=0)
         return SparseLatent._on_checked_coords(dims, self.coords, merged)
-
-
-def _pairwise_sum(ranks: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write into the float64 `out` the sum over the leading axis of
-    `ranks` in the order numpy's `pairwise_sum` adds a strided run of n
-    values: sequentially for n < 8; for n <= 128 into eight
-    accumulators, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)), then the rest one by one; above that, the sums of two
-    halves, the first n // 2 rounded down to a multiple of 8.  The eight
-    accumulators live in the flat float64 `scratch`, which must hold
-    8 * out.size values when n >= 8."""
-    n = len(ranks)
-    if n < 8:
-        out[...] = ranks[0]
-        for r in ranks[1:]:
-            out += r
-        return
-    if n <= 128:
-        m = n - n % 8
-        acc = scratch[: 8 * out.size].reshape((8,) + out.shape)
-        acc[...] = ranks[:8]
-        for i in range(8, m, 8):
-            acc += ranks[i : i + 8]
-        np.add(acc[0::2], acc[1::2], out=acc[0::2])
-        np.add(acc[0], acc[2], out=acc[0])
-        np.add(acc[4], acc[6], out=acc[4])
-        np.add(acc[0], acc[4], out=out)
-        for r in ranks[m:]:
-            out += r
-        return
-    half = n // 2 - (n // 2) % 8
-    _pairwise_sum(ranks[:half], out, scratch)
-    rest = np.empty_like(out)
-    _pairwise_sum(ranks[half:], rest, scratch)
-    out += rest
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,9 @@ class PipelineConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name, cls in _NESTED_FIELDS.items():
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         for name, floor in _INT_FLOORS.items():
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -120,7 +123,8 @@ class PipelineConfig:
 
 
 # The integer fields and their least values; the string fields and
-# whether they may be null; the bool fields; the float fields.
+# whether they may be null; the bool fields; the float fields; the
+# nested fields and their classes, which `config_from_dict` builds.
 _INT_FLOORS = {"d": 1, "n_iter": 0, "schedule_steps": 2, "alpha": 1, "seed": 0, "workers": 1}
 _STR_FIELDS = {
     "provider": str,

@@ -122,8 +122,7 @@ def export_ply(obj, with_colors=False):
 class ReferenceSparseWindowPlan:
     """`SparseWindowPlan`'s arrays as its constructor built them before
     they were read off the window geometry: one `box_rows` search per
-    window, and the rank layout from stable argsorts of the window rows
-    and of the coverage."""
+    window, and the rank layout by counting each row's windows."""
 
     def __init__(self, grid, coords):
         self.coords = SparseLatent(grid.dims, coords, np.zeros((len(coords), grid.dims.l), dtype=DTYPE)).coords
@@ -139,27 +138,25 @@ class ReferenceSparseWindowPlan:
         self.coverage = np.bincount(self.rows, minlength=len(self.coords))
         if (self.coverage < 1).any():
             raise CoverageError("sparse coordinate not covered by any window")
-        self.slot, self.groups, self.layout = rank_layout(self.rows, self.coverage)
+        self.slot, self.ends, self.layout = rank_layout(window_rows, self.coverage)
 
 
-def rank_layout(rows, coverage):
-    """(slot, groups, layout) of a plan's contributions by two stable
-    argsorts: of `rows`, for each row's windows in order, and of
-    -coverage, for the groups of equal coverage."""
-    order = np.argsort(rows, kind="stable")
-    starts = np.cumsum(coverage) - coverage
-    perm = np.argsort(-coverage, kind="stable")
-    cov = coverage[perm]
-    edges = np.flatnonzero(np.diff(cov, prepend=0, append=0))
-    groups, parts, lo = [], [np.zeros(0, dtype=np.intp)], 0
-    for g0, g1 in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        c = int(cov[g0])
-        parts.append((starts[perm[g0:g1]] + np.arange(c)[:, None]).ravel())
-        groups.append((c, g0, g1, lo))
-        lo += c * (g1 - g0)
-    slot = np.empty_like(perm)
-    slot[perm] = np.arange(len(perm))
-    return slot, tuple(groups), order.take(np.concatenate(parts))
+def rank_layout(window_rows, coverage):
+    """(slot, ends, layout) of a plan's reply positions, window by window:
+    a position's rank is how many earlier windows hold its row.  The rows
+    are listed by descending coverage, ties in row order (row r at
+    slot[r]); `layout` holds the positions of rank 0, then rank 1, ...,
+    each rank in that list's order, and ends[j] counts rank j."""
+    seen = np.zeros(len(coverage), dtype=np.int64)
+    rank = []
+    for rows in window_rows:
+        rank.append(seen[rows])
+        seen[rows] += 1
+    rows, rank = np.concatenate(window_rows), np.concatenate(rank)
+    slot = np.empty(len(coverage), dtype=np.intp)
+    slot[sorted(range(len(coverage)), key=lambda r: -coverage[r])] = np.arange(len(coverage))
+    layout = np.lexsort((slot[rows], rank))
+    return slot, tuple(np.bincount(rank).tolist()), layout
 
 
 def ss_loss_by_bincount(v_hat, Z_t, t, step, codec):

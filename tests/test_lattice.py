@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiledflow.errors import BoundsError, DimensionError, ParseError, TiledFlowError
+from tiledflow.errors import BoundsError, CoordinateSetError, DimensionError, ParseError, TiledFlowError
 from tiledflow.lattice import (
     DenseBatch,
     DenseLatent,
@@ -497,7 +497,7 @@ class TestCoordinateGate:
             named = re.search(r"\((-?\d+), (-?\d+), (-?\d+)\) outside grid", str(exc))
             assert named is None or tuple(map(int, named.groups())) in given_rows, str(exc)
             return
-        except ValueError as exc:
+        except CoordinateSetError as exc:
             repeated = points and len(set(given_rows)) < len(given_rows)
             assert (build, repeated) == ("latent", True) or (build, points, n) == ("prior", True, 0), str(exc)
             return

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tiledflow import patchwork
 from tiledflow.errors import BoundsError, ConfigError, CoverageError, DimensionError, ProviderError
 from tiledflow.flowcore import layout_field
 from tiledflow.lattice import DenseLatent, Dims, SparseLatent, _coord_key, init_sparse_noise
@@ -13,7 +12,6 @@ from tiledflow.patchwork import (
     AgreedField,
     SparseWindowPlan,
     Window,
-    _pairwise_sum,
     box_rows,
     dilated_partition,
     make_patch_grid,
@@ -304,21 +302,29 @@ def reference_gather(Z, w):
     return shifted[order], feats[order]
 
 
+def sum_window_by_window(n, l, window_rows, window_feats):
+    """float64 sums of n rows: each row is its first window's value,
+    plus each later window's, one at a time in window order (the rule of
+    `PatchGrid.combine`, which starts from +0.0 instead)."""
+    acc = np.zeros((n, l))
+    seen = np.zeros(n, dtype=bool)
+    for rows, feats in zip(window_rows, window_feats):
+        later = seen[rows]
+        acc[rows[~later]] = feats[~later]
+        acc[rows[later]] += feats[later]
+        seen[rows] = True
+    return acc
+
+
 def reference_merge(vectors, grid):
-    """Sparse merge by a stable argsort of all contributions and reduceat."""
+    """Sparse merge of the union of the patches' global coordinates,
+    window by window."""
     dims = grid.dims
-    coord_parts, feat_parts = [], []
-    for w, X in zip(grid.windows(), vectors):
-        coord_parts.append(X.coords + np.array([w.x0, w.y0, 0], dtype=np.int64))
-        feat_parts.append(X.features.astype(np.float64))
-    all_coords = np.concatenate(coord_parts)
-    all_feats = np.concatenate(feat_parts)
-    keys = _coord_key(all_coords, dims)
-    order = np.argsort(keys, kind="stable")
-    keys, all_coords, all_feats = keys[order], all_coords[order], all_feats[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    coords = all_coords[starts]
-    acc = np.add.reduceat(all_feats, starts, axis=0)
+    coord_parts = [X.coords + np.array([w.x0, w.y0, 0], dtype=np.int64) for w, X in zip(grid.windows(), vectors)]
+    coords = np.unique(np.concatenate(coord_parts), axis=0)
+    keys = _coord_key(coords, dims)
+    window_rows = [np.searchsorted(keys, _coord_key(c, dims)) for c in coord_parts]
+    acc = sum_window_by_window(len(coords), dims.l, window_rows, [X.features for X in vectors])
     acc /= grid.coverage_xy()[coords[:, 0], coords[:, 1]][:, None]
     return coords, acc.astype(np.float32)
 
@@ -536,9 +542,8 @@ class OldSparseWindowPlan:
         ]
         self.rows = np.concatenate(window_rows)
         self.bounds = np.cumsum([0] + [len(rows) for rows in window_rows])
+        self.window_rows = window_rows
         self.coverage = np.bincount(self.rows, minlength=len(coords))
-        self.order = np.argsort(self.rows, kind="stable")
-        self.starts = np.concatenate([[0], np.cumsum(self.coverage[:-1])])
 
     def gather(self, Z):
         feats = Z.features.take(self.rows, axis=0)
@@ -548,8 +553,8 @@ class OldSparseWindowPlan:
         ]
 
     def merge(self, results):
-        feats = np.concatenate([X.features for X in results]).take(self.order, axis=0)
-        acc = np.add.reduceat(feats.astype(np.float64), self.starts, axis=0)
+        feats = [X.features for X in results]
+        acc = sum_window_by_window(len(self.coords), results[0].dims.l, self.window_rows, feats)
         acc /= self.coverage[:, None]
         return acc.astype(np.float32)
 
@@ -650,6 +655,19 @@ class TestStackedBitEquality:
         assert plan.combine(values).features.tobytes() == expected
         assert plan.merge(vectors).features.tobytes() == expected
 
+    @settings(max_examples=100)
+    @given(stacked_cases(), st.sampled_from([mixed_values, cancelling_values]))
+    @example((Dims(3, 2, 8, 8, C=2, l=2), 4, np.random.default_rng(0)), mixed_values)
+    def test_sparse_merge_of_a_full_lattice_is_the_dense_merge(self, case, draw_values):
+        # every cell occupied: the plan's window order is the grid's boxes
+        # flattened, and both merges add each cell's windows in window order
+        dims, d, rng = case
+        grid = make_patch_grid(dims, d, dims.N)
+        plan = SparseWindowPlan(grid, np.argwhere(np.ones(dims.grid_shape, dtype=bool)))
+        values = draw_values(rng, (grid.count,) + dims.patch_dims().dense_shape)
+        sparse = plan.combine(values.reshape(-1, dims.C)).features + np.float32(0.0)
+        assert sparse.tobytes() == grid.combine(values).data.tobytes()
+
     @settings(max_examples=25)
     @given(
         st.integers(0, 2**32 - 1),
@@ -657,8 +675,7 @@ class TestStackedBitEquality:
         st.sampled_from([mixed_values, cancelling_values]),
     )
     def test_sparse_merge_above_pairwise_block_equals_per_window_plan(self, seed, density, draw_values):
-        # d = K = 16: stride-1 windows, so coverage reaches 16 * 16 = 256 and
-        # the tail sums take the recursive halving branch (n > 128)
+        # d = K = 16: stride-1 windows, so coverage reaches 16 * 16 = 256
         dims = Dims(2, 2, 16, 16, l=2)
         grid = make_patch_grid(dims, 16, 16)
         rng = np.random.default_rng(seed)
@@ -670,20 +687,6 @@ class TestStackedBitEquality:
         values = draw_values(rng, (len(plan.rows), dims.l))
         vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
         assert plan.combine(values).features.tobytes() == old.merge(vectors).tobytes()
-
-    def test_pairwise_sum_follows_reduceat(self):
-        # every branch and two levels of halving; rows are a row's
-        # contributions, so reduceat adds the head to the tail's pairwise sum
-        rng = np.random.default_rng(7)
-        for n in range(1, 530):
-            values = mixed_values(rng, (n, 3, 2))
-            expected = np.add.reduceat(values.astype(np.float64), [0], axis=0)[0]
-            got = values[0].astype(np.float64)
-            if n > 1:
-                tail = np.empty_like(got)
-                _pairwise_sum(values[1:], tail, np.empty(8 * tail.size))
-                got += tail
-            assert got.tobytes() == expected.tobytes(), n
 
     @settings(max_examples=150)
     @given(stacked_cases())
@@ -748,9 +751,9 @@ class TestPlanGeometry:
         plan = SparseWindowPlan(grid, coords)
         for name in ("coords", "rows", "bounds", "local", "coverage"):
             assert np.array_equal(getattr(plan, name), getattr(ref, name)), name
-        slot, groups, layout = plan.rank_layout
+        slot, ends, layout = plan.rank_layout
         assert np.array_equal(slot, ref.slot) and np.array_equal(layout, ref.layout)
-        assert groups == ref.groups
+        assert ends == ref.ends
 
 
 def _merge_plan():
@@ -766,18 +769,10 @@ def _merge_plan():
     return plan, replies
 
 
-def _merged_bytes_at_limit(plan, values, limit):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(patchwork, "MERGE_BLOCK_VALUES", limit)
-        return plan.combine(values).features.tobytes()
-
-
 class TestMergeBlocks:
-    """Merge blocks change only which rows share a numpy call: at block
-    limits of 1, 7 and 64 values (single rows, c * l above the limit, and
-    partial last blocks) the bytes stay the per-window plan's."""
+    """The rank-by-rank merge gives the per-window plan's bytes on
+    cancelling draws too, on stacked cases and at coverage 256."""
 
-    @pytest.mark.parametrize("limit", [1, 7, 64])
     @settings(max_examples=60)
     @given(
         stacked_cases(),
@@ -785,7 +780,7 @@ class TestMergeBlocks:
         st.sampled_from([mixed_values, cancelling_values]),
     )
     @example(SINGLE_WINDOW, 0.3, cancelling_values)
-    def test_blocks_equal_per_window_plan(self, limit, case, density, draw_values):
+    def test_blocks_equal_per_window_plan(self, case, density, draw_values):
         dims, d, rng = case
         grid = make_patch_grid(dims, d, dims.M)
         occupied = rng.random(dims.grid_shape) < density
@@ -794,13 +789,12 @@ class TestMergeBlocks:
         plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
         values = draw_values(rng, (len(plan.rows), dims.l))
         vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
-        assert _merged_bytes_at_limit(plan, values, limit) == old.merge(vectors).tobytes()
+        assert plan.combine(values).features.tobytes() == old.merge(vectors).tobytes()
 
-    @pytest.mark.parametrize("limit", [1, 7, 64])
     @settings(max_examples=10)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([mixed_values, cancelling_values]))
-    def test_blocks_above_pairwise_block_equal_per_window_plan(self, limit, seed, draw_values):
-        # d = K = 16: coverage 256, so block tails take the halving branch
+    def test_blocks_above_pairwise_block_equal_per_window_plan(self, seed, draw_values):
+        # d = K = 16: stride-1 windows, so coverage reaches 256
         dims = Dims(2, 2, 16, 16, l=2)
         grid = make_patch_grid(dims, 16, 16)
         rng = np.random.default_rng(seed)
@@ -811,7 +805,7 @@ class TestMergeBlocks:
         assert plan.coverage.max() == 256
         values = draw_values(rng, (len(plan.rows), dims.l))
         vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
-        assert _merged_bytes_at_limit(plan, values, limit) == old.merge(vectors).tobytes()
+        assert plan.combine(values).features.tobytes() == old.merge(vectors).tobytes()
 
 
 class TestMergeBuffer:
@@ -853,9 +847,8 @@ class TestMergeBuffer:
                 held = isinstance(item, np.ndarray) and item.dtype == np.float32 and item.shape == shape
                 assert not held, name
 
-    def test_merge_peak_is_a_fraction_of_the_reply(self, monkeypatch):
+    def test_merge_peak_is_a_fraction_of_the_reply(self):
         plan, (values, _) = _merge_plan()
-        monkeypatch.setattr(patchwork, "MERGE_BLOCK_VALUES", 4096)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -876,26 +869,22 @@ def agreed_field(layout, field, Z=None):
     return layout_field(Z, layout, FixedReply(AgreedField(field)), [None] * layout.count, 0.5)
 
 
-def _assert_agreed_merge_equal(plan, field, limit=None):
+def _assert_agreed_merge_equal(plan, field):
     """The window-order expansion of the agreed `field` (its `take`
-    through the plan's rows) merges rank by rank, at the block limit,
-    back to `field`'s bytes, which the agreed field gives as they are."""
+    through the plan's rows) merges rank by rank back to `field`'s
+    bytes, which the agreed field gives as they are."""
     expanded = plan.window_order(field)
     assert expanded.tobytes() == field.take(plan.rows, axis=0).tobytes()
-    with pytest.MonkeyPatch.context() as mp:
-        if limit is not None:
-            mp.setattr(patchwork, "MERGE_BLOCK_VALUES", limit)
-        assert plan.combine(expanded).features.tobytes() == field.tobytes()
+    assert plan.combine(expanded).features.tobytes() == field.tobytes()
     assert agreed_field(plan, field).features.tobytes() == field.tobytes()
 
 
 class TestRankedMerge:
     """The rank-by-rank merge of a window-order reply whose windows agree
     (an agreed field's expansion) gives the agreed field back, on the
-    cases and block limits of `TestStackedBitEquality` and
-    `TestMergeBlocks`, so the agreed merge may take the field as it is."""
+    cases of `TestStackedBitEquality` and `TestMergeBlocks`, so the
+    agreed merge may take the field as it is."""
 
-    @pytest.mark.parametrize("limit", [None, 1, 7, 64, 4096])
     @settings(max_examples=60)
     @given(
         stacked_cases(),
@@ -903,25 +892,24 @@ class TestRankedMerge:
         st.sampled_from([mixed_values, cancelling_values]),
     )
     @example(SINGLE_WINDOW, 0.3, cancelling_values)
-    def test_ranked_merge_equals_window_order_merge(self, limit, case, density, draw_values):
+    def test_ranked_merge_equals_window_order_merge(self, case, density, draw_values):
         dims, d, rng = case
         occupied = rng.random(dims.grid_shape) < density
         occupied[tuple(rng.integers(0, dims.M, size=3))] = True
         plan = SparseWindowPlan(make_patch_grid(dims, d, dims.M), np.argwhere(occupied))
-        _assert_agreed_merge_equal(plan, draw_values(rng, (len(plan.coords), dims.l)), limit)
+        _assert_agreed_merge_equal(plan, draw_values(rng, (len(plan.coords), dims.l)))
 
-    @pytest.mark.parametrize("limit", [None, 1, 7, 64, 4096])
     @settings(max_examples=10)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([mixed_values, cancelling_values]))
-    def test_ranked_merge_above_pairwise_block(self, limit, seed, draw_values):
-        # d = K = 16: coverage 256, so the tails take the halving branch
+    def test_ranked_merge_above_pairwise_block(self, seed, draw_values):
+        # d = K = 16: stride-1 windows, so coverage reaches 256
         dims = Dims(2, 2, 16, 16, l=2)
         rng = np.random.default_rng(seed)
         occupied = rng.random(dims.grid_shape) < 0.02
         occupied[16, 16, rng.integers(16)] = True
         plan = SparseWindowPlan(make_patch_grid(dims, 16, 16), np.argwhere(occupied))
         assert plan.coverage.max() == 256
-        _assert_agreed_merge_equal(plan, draw_values(rng, (len(plan.coords), dims.l)), limit)
+        _assert_agreed_merge_equal(plan, draw_values(rng, (len(plan.coords), dims.l)))
 
     def test_empty_plan(self):
         dims = Dims(2, 1, 4, 8, l=3)
@@ -931,21 +919,27 @@ class TestRankedMerge:
     @settings(max_examples=100, deadline=None)
     @given(geometry_cases())
     def test_rank_layout_tiles_the_order(self, case):
-        # group (c, g0, g1, lo) holds the rows listed at g0:g1 once per
-        # rank, and the layout lists every reply position once
+        # rank j lists the first ends[j] rows of the coverage-descending
+        # list, each row's j-th window later in the reply than its
+        # (j-1)-th, and the layout lists every reply position once
         grid, coords = case
         try:
             plan = SparseWindowPlan(grid, coords)
         except CoverageError:
             return
-        slot, groups, layout = plan.rank_layout
+        slot, ends, layout = plan.rank_layout
         order = np.empty_like(slot)
         order[slot] = np.arange(len(order))
-        ranked_rows = plan.rows.take(layout)
-        for c, g0, g1, lo in groups:
-            group = ranked_rows[lo : lo + c * (g1 - g0)].reshape(c, g1 - g0)
-            assert (group == order[g0:g1]).all()
-            assert (plan.coverage[order[g0:g1]] == c).all()
+        assert (np.diff(plan.coverage[order]) <= 0).all()
+        assert sum(ends) == len(layout) and (len(ends) == 0 or ends[0] == len(order))
+        lo, previous = 0, None
+        for j, m in enumerate(ends):
+            run = layout[lo : lo + m]
+            assert (plan.rows.take(run) == order[:m]).all()
+            assert (plan.coverage[order[:m]] > j).all() and (plan.coverage[order[m:]] <= j).all()
+            if previous is not None:
+                assert (run > previous[:m]).all()
+            lo, previous = lo + m, run
         assert np.array_equal(np.sort(layout), np.arange(len(plan.rows)))
 
     def test_ranked_reply_is_no_array(self):
@@ -975,7 +969,7 @@ class TestRankedMemory:
         # a cached rank index of window-row length (rows[layout]) would
         # cost 8 bytes per window row on every plan; the rank layout is
         # built on the first window-order merge, not by the constructor,
-        # and the window rows (in `_runs`, with their shifts and bounds)
+        # and the window rows (in `_runs`, with their bounds)
         # and the coverage on first use: an agreed field reads none of them
         built, (values, _) = _merge_plan()
         plan = SparseWindowPlan(built.grid, built.coords)
@@ -991,7 +985,7 @@ class TestRankedMemory:
             if isinstance(item, np.ndarray) and item.dtype.kind in "iu" and len(item) == len(plan.rows)
         }
         assert held == {"_runs", "rank_layout", "local"}
-        assert plan.rows is plan._runs[1] and plan.bounds is plan._runs[2]
+        assert plan.rows is plan._runs[0] and plan.bounds is plan._runs[1]
 
     def test_ranked_merge_allocates_no_reply_sized_buffer(self):
         # the agreed field's own array is the field's rows
@@ -1008,11 +1002,10 @@ class TestRankedMemory:
             assert np.shares_memory(merged.features, field)
             assert peak < field.nbytes / 2
 
-    def test_ranked_merge_peak_is_a_fraction_of_the_reply(self, monkeypatch):
+    def test_ranked_merge_peak_is_a_fraction_of_the_reply(self):
         plan, (values, _) = _merge_plan()
         field = values[: len(plan.coords)].copy()
         Z = SparseLatent(plan.grid.dims, plan.coords, np.zeros_like(field))
-        monkeypatch.setattr(patchwork, "MERGE_BLOCK_VALUES", 4096)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]

@@ -13,7 +13,7 @@ from tiledflow.errors import ConfigError, ParseError, TiledFlowError
 from tiledflow.fixtures import build_demo_scene, demo_bundle, run_oracle_demo
 from tiledflow.flowcore import ImageConditioner, OracleConditioner
 from tiledflow.lattice import Dims, SparseLatent
-from tiledflow.optim import AdamParams
+from tiledflow.optim import AdamParams, LossWeights
 from tiledflow.pipeline import (
     PipelineConfig,
     ProviderBundle,
@@ -148,6 +148,21 @@ class TestConfig:
     def test_bool_and_float_fields_checked(self, raw, name):
         with pytest.raises(ConfigError, match=name):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"dims": None}, "dims"),
+            ({"ss_adam": None}, "ss_adam"),
+            ({"slat_adam": {"lr": 0.1}}, "slat_adam"),
+            ({"loss_weights": 3}, "loss_weights"),
+            ({"ss_adam": LossWeights()}, "ss_adam"),
+        ],
+        ids=["dims-none", "ss_adam-none", "slat_adam-dict", "loss_weights-int", "ss_adam-weights"],
+    )
+    def test_nested_fields_checked(self, kwargs, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be a "):
+            PipelineConfig(**kwargs)
 
     def test_adam_state_persist_is_not_a_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
