@@ -769,10 +769,25 @@ def _merge_plan():
     return plan, replies
 
 
+def thinned(rng, occupied, count):
+    """`occupied` with all but `count` of its cells, drawn by `rng`,
+    cleared; as it is (and with no draw) when `count` is None or no
+    smaller than its cell count."""
+    cells = np.flatnonzero(occupied)
+    if count is None or count >= len(cells):
+        return occupied
+    kept = np.zeros(occupied.size, dtype=bool)
+    kept[rng.choice(cells, count, replace=False)] = True
+    return kept.reshape(occupied.shape)
+
+
 class TestMergeBlocks:
     """The rank-by-rank merge gives the per-window plan's bytes on
-    cancelling draws too, on stacked cases and at coverage 256."""
+    cancelling draws too, on stacked cases and at coverage 256, on 1, 7
+    and 64 of the drawn cells (ranks of a single row, and short ranks
+    under long ones) as on all of them."""
 
+    @pytest.mark.parametrize("count", [1, 7, 64])
     @settings(max_examples=60)
     @given(
         stacked_cases(),
@@ -780,25 +795,27 @@ class TestMergeBlocks:
         st.sampled_from([mixed_values, cancelling_values]),
     )
     @example(SINGLE_WINDOW, 0.3, cancelling_values)
-    def test_blocks_equal_per_window_plan(self, case, density, draw_values):
+    def test_blocks_equal_per_window_plan(self, count, case, density, draw_values):
         dims, d, rng = case
         grid = make_patch_grid(dims, d, dims.M)
         occupied = rng.random(dims.grid_shape) < density
         occupied[tuple(rng.integers(0, dims.M, size=3))] = True
+        occupied = thinned(rng, occupied, count)
         Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
         plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
         values = draw_values(rng, (len(plan.rows), dims.l))
         vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
         assert plan.combine(values).features.tobytes() == old.merge(vectors).tobytes()
 
+    @pytest.mark.parametrize("count", [1, 7, 64])
     @settings(max_examples=10)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([mixed_values, cancelling_values]))
-    def test_blocks_above_pairwise_block_equal_per_window_plan(self, seed, draw_values):
+    def test_blocks_above_pairwise_block_equal_per_window_plan(self, count, seed, draw_values):
         # d = K = 16: stride-1 windows, so coverage reaches 256
         dims = Dims(2, 2, 16, 16, l=2)
         grid = make_patch_grid(dims, 16, 16)
         rng = np.random.default_rng(seed)
-        occupied = rng.random(dims.grid_shape) < 0.02
+        occupied = thinned(rng, rng.random(dims.grid_shape) < 0.02, count)
         occupied[16, 16, rng.integers(16)] = True
         Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
         plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
@@ -882,9 +899,11 @@ def _assert_agreed_merge_equal(plan, field):
 class TestRankedMerge:
     """The rank-by-rank merge of a window-order reply whose windows agree
     (an agreed field's expansion) gives the agreed field back, on the
-    cases of `TestStackedBitEquality` and `TestMergeBlocks`, so the
-    agreed merge may take the field as it is."""
+    cases of `TestStackedBitEquality` and `TestMergeBlocks`, on 1, 7, 64
+    and 4096 of their drawn cells as on all of them (None), so the agreed
+    merge may take the field as it is."""
 
+    @pytest.mark.parametrize("count", [None, 1, 7, 64, 4096])
     @settings(max_examples=60)
     @given(
         stacked_cases(),
@@ -892,20 +911,22 @@ class TestRankedMerge:
         st.sampled_from([mixed_values, cancelling_values]),
     )
     @example(SINGLE_WINDOW, 0.3, cancelling_values)
-    def test_ranked_merge_equals_window_order_merge(self, case, density, draw_values):
+    def test_ranked_merge_equals_window_order_merge(self, count, case, density, draw_values):
         dims, d, rng = case
         occupied = rng.random(dims.grid_shape) < density
         occupied[tuple(rng.integers(0, dims.M, size=3))] = True
+        occupied = thinned(rng, occupied, count)
         plan = SparseWindowPlan(make_patch_grid(dims, d, dims.M), np.argwhere(occupied))
         _assert_agreed_merge_equal(plan, draw_values(rng, (len(plan.coords), dims.l)))
 
+    @pytest.mark.parametrize("count", [None, 1, 7, 64, 4096])
     @settings(max_examples=10)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([mixed_values, cancelling_values]))
-    def test_ranked_merge_above_pairwise_block(self, seed, draw_values):
+    def test_ranked_merge_above_pairwise_block(self, count, seed, draw_values):
         # d = K = 16: stride-1 windows, so coverage reaches 256
         dims = Dims(2, 2, 16, 16, l=2)
         rng = np.random.default_rng(seed)
-        occupied = rng.random(dims.grid_shape) < 0.02
+        occupied = thinned(rng, rng.random(dims.grid_shape) < 0.02, count)
         occupied[16, 16, rng.integers(16)] = True
         plan = SparseWindowPlan(make_patch_grid(dims, 16, 16), np.argwhere(occupied))
         assert plan.coverage.max() == 256
