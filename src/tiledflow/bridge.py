@@ -5,8 +5,10 @@ a u64 request id, a u32 payload length, then the payload; everything is
 little-endian.  One connection carries pipelined requests; responses
 may return out of order and are matched by id.  An eval request holds
 t, a mode byte (1 dense / 2 sparse), four u32 shape fields, opaque
-condition bytes, and the float32 latent payload; the response carries
-the float32 vector of identical shape.
+condition bytes, and the float32 latent payload: a dense patch's
+values, or a sparse patch's u32 row count and its rows, each the cell's
+x, y, z as u32 and then its features as f32 (`_sparse_row`).  The
+response carries the float32 vector of identical shape.
 
 Batch requests (mode 3) carry many evaluations in one frame: the same
 head with the item count in shape[0], zero for the other shape fields
@@ -20,12 +22,12 @@ t differs from the head's get an error frame, and the connection stays
 open.  The server unpacks a batch into one stacked DenseBatch or
 SparseBatch, so its items must all be dense of one shape or all sparse
 with a SparseBatch's checks (`int_coords`, `first_unsorted_item`); the
-first item that breaks this is the failing item.  RemoteProvider packs
-every evaluation as a batch straight from the stacked batch, with the
-bytes per-item packing gives, and reads the reply as one stacked array;
-a server that predates mode 3 answers it with an "unknown eval mode 3"
-error frame.  Frames go out in gathered writes, so both ends set
-TCP_NODELAY.
+first item that breaks this is the failing item.  RemoteProvider sends
+every evaluation as a batch, each item packed by `encode_eval_request`
+from the stacked batch, and reads the reply as one stacked array; a
+server that predates mode 3 answers it with an "unknown eval mode 3"
+error frame.  A frame's payload goes out as a list of buffers in
+gathered writes, so both ends set TCP_NODELAY.
 
 Stage sessions (modes 4 and 6) carry a window field without its windows,
 and answer it with the merged field.  A register request (mode 4) has
@@ -92,9 +94,8 @@ import threading
 import time
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -145,10 +146,8 @@ HEADER_SIZE = _HEADER.size
 
 _REQ_HEAD = struct.Struct("<fB4II")  # t, mode, shape[4], condition_len
 _U32 = struct.Struct("<I")
-# Bounds on one gathered write (the kernel caps an iovec at 1024 buffers);
-# the byte bound keeps few on-the-fly request parts alive at once.
+# Buffers in one gathered write (the kernel caps an iovec at 1024).
 _SEND_BUFFERS = 256
-_SEND_BYTES = 1 << 20
 _ITEM_ERROR = re.compile(r"item (\d+):")
 
 
@@ -238,7 +237,10 @@ def parse_eval_request(payload: bytes) -> EvalRequest:
             )
     else:
         n, l = s0, s1
-        expected = 4 + n * (12 + 4 * l)
+        try:
+            expected = _U32.size + n * _sparse_row(l).itemsize
+        except ValueError:  # a width whose row numpy cannot describe
+            raise ProtocolError(f"sparse feature width {l} is too large") from None
         if len(latent) != expected:
             raise ProtocolError(
                 f"sparse latent payload is {len(latent)} bytes, expected {expected}"
@@ -292,52 +294,35 @@ def parse_request(payload) -> list[EvalRequest]:
     return items
 
 
-def _sparse_rows(coords: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Sparse wire rows, one uint8 row per entry: x, y, z as u32, then
-    the features as f32."""
-    n, l = features.shape
-    rows = np.empty((n, 12 + 4 * l), dtype=np.uint8)
-    if n:
-        rows[:, :12] = coords.astype("<u4").view(np.uint8).reshape(n, 12)
-        rows[:, 12:] = features.astype("<f4").view(np.uint8).reshape(n, 4 * l)
-    return rows
+def _sparse_row(l: int) -> np.dtype:
+    """One sparse wire row: the cell's x, y, z as u32, then its l
+    features as f32."""
+    return np.dtype([("coords", "<u4", (3,)), ("features", "<f4", (l,))])
 
 
-def _batch_parts(batch: PatchBatch, conditions, t: float) -> tuple[int, Iterator]:
-    """Size and buffers of the mode-3 request payload carrying `batch`,
-    packed from its stacked arrays: after the batch head, per item one
-    prefix (its u32 length, eval head, condition and, when sparse, row
-    count), then its values as a view of the stack, or its wire rows,
-    made while the frame is sent so that one item's rows exist at a
-    time."""
+def _batch_parts(batch: PatchBatch, conditions, t: float) -> list:
+    """The buffers of the mode-3 request payload carrying `batch`: the
+    batch head, then per item its u32 length and its mode 1 or 2 request
+    (`encode_eval_request`), packed from the stacked arrays."""
+    parts = [_REQ_HEAD.pack(t, MODE_BATCH, len(batch), 0, 0, 0, 0)]
     if isinstance(batch, DenseBatch):
         data = np.ascontiguousarray(batch.data, dtype="<f4")
-        heads = [
-            _REQ_HEAD.pack(t, MODE_DENSE, *data.shape[1:], len(c.data)) + c.data for c in conditions
-        ]
-        sizes = [data[0].nbytes] * len(heads)
-        latents = (memoryview(values).cast("B") for values in data)
+        items = (EvalRequest(t, MODE_DENSE, data.shape[1:], c.data, values) for values, c in zip(data, conditions))
     else:
-        l = batch.dims.l
-        spans = list(zip(batch.bounds[:-1].tolist(), batch.bounds[1:].tolist()))
-        heads = [
-            _REQ_HEAD.pack(t, MODE_SPARSE, hi - lo, l, 0, 0, len(c.data)) + c.data + _U32.pack(hi - lo)
+        rows = np.empty(len(batch.coords), _sparse_row(batch.dims.l))
+        rows["coords"], rows["features"] = batch.coords, batch.features
+        spans = zip(batch.bounds[:-1].tolist(), batch.bounds[1:].tolist())
+        items = (
+            EvalRequest(t, MODE_SPARSE, (hi - lo, batch.dims.l, 0, 0), c.data, _U32.pack(hi - lo) + rows[lo:hi].tobytes())
             for (lo, hi), c in zip(spans, conditions)
-        ]
-        sizes = [(hi - lo) * (12 + 4 * l) for lo, hi in spans]
-        latents = (_sparse_rows(batch.coords[lo:hi], batch.features[lo:hi]).reshape(-1) for lo, hi in spans)
-
-    def parts():
-        yield _REQ_HEAD.pack(t, MODE_BATCH, len(heads), 0, 0, 0, 0)
-        for head, size, latent in zip(heads, sizes, latents):
-            yield _U32.pack(len(head) + size) + head
-            yield latent
-
-    return _REQ_HEAD.size + sum(map(len, heads)) + sum(sizes) + _U32.size * len(heads), parts()
+        )
+    for item in map(encode_eval_request, items):
+        parts += [_U32.pack(len(item)), item]
+    return parts
 
 
-def _register_parts(session: int, layout: PatchGrid | SparseWindowPlan, conditions) -> tuple[int, list]:
-    """Size and buffers of the mode-4 request registering `layout` and
+def _register_parts(session: int, layout: PatchGrid | SparseWindowPlan, conditions) -> list:
+    """The buffers of the mode-4 request registering `layout` and
     its window conditions under `session`: the head (t 0, shape
     (session, K, d, kind)), each condition behind its u32 length, then,
     for a sparse plan, a u32 count and the coordinates as u32 triples."""
@@ -348,7 +333,7 @@ def _register_parts(session: int, layout: PatchGrid | SparseWindowPlan, conditio
     parts = [_REQ_HEAD.pack(0.0, MODE_REGISTER, session, grid.K, grid.d, kind, len(section)), section]
     if sparse:
         parts += [_U32.pack(len(layout.coords)), np.ascontiguousarray(layout.coords, dtype="<u4")]
-    return sum(memoryview(p).nbytes for p in parts), parts
+    return parts
 
 
 def _parse_register(payload, dims: Dims) -> tuple[int, PatchGrid | SparseWindowPlan, tuple]:
@@ -391,36 +376,22 @@ def _parse_register(payload, dims: Dims) -> tuple[int, PatchGrid | SparseWindowP
     return session, SparseWindowPlan(grid, coords), tuple(conditions)
 
 
-def _field_parts(session: int, Z: DenseLatent | SparseLatent, t: float) -> tuple[int, list]:
-    """Size and buffers of the mode-6 request evaluating `session`'s
-    windows on Z: the head (shape (session, 0, 0, 0)), then Z's float32
-    values, a dense lattice or the sparse rows in registered order."""
-    values = np.ascontiguousarray(Z.values, dtype="<f4")
-    head = _REQ_HEAD.pack(t, MODE_FIELD, session, 0, 0, 0, 0)
-    return len(head) + values.nbytes, [head, values]
+def _field_parts(session: int, Z: DenseLatent | SparseLatent, t: float) -> list:
+    """The buffers of the mode-6 request evaluating `session`'s windows
+    on Z: the head (shape (session, 0, 0, 0)), then Z's float32 values, a
+    dense lattice or the sparse rows in registered order."""
+    return [_REQ_HEAD.pack(t, MODE_FIELD, session, 0, 0, 0, 0), np.ascontiguousarray(Z.values, dtype="<f4")]
 
 
-def _send_frame(sock: socket.socket, ftype: int, request_id: int, size: int, parts) -> None:
-    """Send one frame whose payload is the `size` bytes of the buffers
-    `parts` yields, in order.  The buffers are never joined: they go out
-    in gathered writes of at most _SEND_BUFFERS buffers or about
-    _SEND_BYTES bytes, so parts made on the fly are held one write at a
-    time."""
-    views = [memoryview(_frame_header(ftype, request_id, size))]
-    queued = total = 0
-    for part in parts:
-        view = memoryview(part)
-        if view.nbytes:  # a zero-size array of several dimensions cannot be cast
-            view = view.cast("B")
-            views.append(view)
-            queued += len(view)
-            total += len(view)
-        if len(views) >= _SEND_BUFFERS or queued >= _SEND_BYTES:
-            _send_views(sock, views)
-            views, queued = [], 0
-    _send_views(sock, views)
-    if total != size:
-        raise ProtocolError(f"frame payload of {total} bytes was declared as {size}")
+def _send_frame(sock: socket.socket, ftype: int, request_id: int, parts: list) -> None:
+    """Send one frame whose payload is the buffers `parts`, in order.  The
+    buffers are never joined: they go out in gathered writes of at most
+    _SEND_BUFFERS buffers."""
+    # a zero-size array of several dimensions cannot be cast, and adds nothing
+    views = [view.cast("B") for view in map(memoryview, parts) if view.nbytes]
+    views.insert(0, memoryview(_frame_header(ftype, request_id, sum(map(len, views)))))
+    for i in range(0, len(views), _SEND_BUFFERS):
+        _send_views(sock, views[i : i + _SEND_BUFFERS])
 
 
 def _send_views(sock: socket.socket, views: list) -> None:
@@ -478,20 +449,13 @@ class _RemoteError(ProviderError):
         self.text = text
 
 
-class _Pending:
-    __slots__ = ("event", "frame", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.frame: Frame | None = None
-        self.error: Exception | None = None
-
-
 class RemoteProvider(VectorFieldProvider):
     """VectorFieldProvider backed by an XFP1 peer.
 
     Safe for concurrent calls; requests are pipelined on one connection
-    and matched to responses by request id.  Each `evaluate_batch` call
+    and matched to responses by request id, each waiting on a `Future`
+    that the reader thread resolves.  A reply that arrives after its
+    request timed out is dropped.  Each `evaluate_batch` call
     is one mode-3 frame and `evaluate` is a batch of one.  A dilated
     field (`evaluate_windows` on a DilatedPartition) takes the default
     path: its gathered samples in one such batch.
@@ -517,7 +481,7 @@ class RemoteProvider(VectorFieldProvider):
         self.timeout = timeout
         self._ids = itertools.count(1)
         self._send_lock = threading.Lock()
-        self._pending: dict[int, _Pending] = {}
+        self._pending: dict[int, Future] = {}
         self._pending_lock = threading.Lock()
         self._closed = False
         self._session_ids = itertools.count(1)
@@ -532,21 +496,19 @@ class RemoteProvider(VectorFieldProvider):
             while True:
                 frame = _read_frame(self._sock)
                 with self._pending_lock:
-                    slot = self._pending.pop(frame.request_id, None)
-                if slot is not None:
-                    slot.frame = frame
-                    slot.event.set()
+                    reply = self._pending.pop(frame.request_id, None)
+                if reply is not None:  # else its request timed out, and the frame is dropped
+                    reply.set_result(frame)
         except Exception as exc:
             self._fail_all(exc)
 
     def _fail_all(self, exc: Exception):
         self._closed = True
         with self._pending_lock:
-            slots = list(self._pending.values())
+            replies = list(self._pending.values())
             self._pending.clear()
-        for slot in slots:
-            slot.error = exc
-            slot.event.set()
+        for reply in replies:
+            reply.set_exception(exc)
 
     def evaluate(self, patch, condition, t):
         batch = stack_patches([patch])
@@ -556,7 +518,7 @@ class RemoteProvider(VectorFieldProvider):
         check_condition_count(batch, conditions)
         if not len(batch):
             return np.empty_like(batch.values)
-        request_id, payload = self._exchange(*_batch_parts(batch, conditions, t))
+        request_id, payload = self._exchange(_batch_parts(batch, conditions, t))
         expected = 4 * batch.values.size
         if len(payload) != expected:
             raise ProtocolError(
@@ -573,12 +535,12 @@ class RemoteProvider(VectorFieldProvider):
             return super().evaluate_windows(Z, layout, conditions, t)
         session = self._session(layout, conditions, None)
         try:
-            request_id, payload = self._exchange(*_field_parts(session, Z, t))
+            request_id, payload = self._exchange(_field_parts(session, Z, t))
         except _RemoteError as exc:
             if not exc.text.startswith("unknown session"):
                 raise
             session = self._session(layout, conditions, session)
-            request_id, payload = self._exchange(*_field_parts(session, Z, t))
+            request_id, payload = self._exchange(_field_parts(session, Z, t))
         shape = Z.values.shape
         expected = 4 * math.prod(shape)
         if len(payload) != expected:
@@ -594,32 +556,33 @@ class RemoteProvider(VectorFieldProvider):
             if entry is not None and entry[1] != stale and (entry[0] is conditions or entry[0] == tuple(conditions)):
                 return entry[1]
             session = next(self._session_ids)
-            self._exchange(*_register_parts(session, layout, conditions))
+            self._exchange(_register_parts(session, layout, conditions))
             self._sessions[layout] = (tuple(conditions), session)
             return session
 
-    def _exchange(self, size: int, parts) -> tuple[int, bytearray]:
+    def _exchange(self, parts: list) -> tuple[int, bytearray]:
         """Send one request frame and wait for its response payload."""
         if self._closed:
             raise ProviderError("provider connection is closed")
         request_id = next(self._ids)
-        slot = _Pending()
+        pending = Future()
         with self._pending_lock:
-            self._pending[request_id] = slot
+            self._pending[request_id] = pending
         try:
             with self._send_lock:
-                _send_frame(self._sock, TYPE_REQUEST, request_id, size, parts)
+                _send_frame(self._sock, TYPE_REQUEST, request_id, parts)
         except (OSError, ProtocolError) as exc:
             with self._pending_lock:
                 self._pending.pop(request_id, None)
             raise ProviderError(f"send failed for request {request_id}: {exc}") from exc
-        if not slot.event.wait(self.timeout):
+        try:
+            reply = pending.result(self.timeout)
+        except FutureTimeout:  # not the builtin TimeoutError before Python 3.11
             with self._pending_lock:
                 self._pending.pop(request_id, None)
-            raise ProviderError(f"timeout waiting for response to request {request_id}")
-        if slot.error is not None:
-            raise ProviderError(f"connection failed for request {request_id}: {slot.error}")
-        reply = slot.frame
+            raise ProviderError(f"timeout waiting for response to request {request_id}") from None
+        except Exception as exc:  # the connection failed (`_fail_all`)
+            raise ProviderError(f"connection failed for request {request_id}: {exc}") from exc
         if reply.type == TYPE_ERROR:
             text = reply.payload.decode("utf-8", "replace")
             item = _ITEM_ERROR.match(text)
@@ -676,7 +639,7 @@ class _Connection:
     def send(self, ftype: int, request_id: int, parts: list):
         try:
             with self.send_lock:
-                _send_frame(self.sock, ftype, request_id, sum(memoryview(p).nbytes for p in parts), parts)
+                _send_frame(self.sock, ftype, request_id, parts)
         except OSError:
             pass
 
@@ -877,16 +840,15 @@ class ProviderServer:
         cache, straight into the stacked coordinates and features, by a
         SparseBatch's checks."""
         l = self.dims.l
-        patch_dims = self.dims.patch_dims()
+        patch_dims, row = self.dims.patch_dims(), _sparse_row(l)
         bounds = np.cumsum([0] + [req.shape[0] for req in requests])
         coords = np.empty((bounds[-1], 3), dtype=np.int64)
         features = np.empty((bounds[-1], l), dtype=DTYPE)
         for n, (req, lo, hi) in enumerate(zip(requests, bounds[:-1].tolist(), bounds[1:].tolist())):
             if req.shape[1] != l:
                 raise ProviderError(f"sparse feature width {req.shape[1]} != {l}", item=n)
-            rows = np.frombuffer(req.latent, dtype=np.uint8)[4:].reshape(hi - lo, 12 + 4 * l)
-            coords[lo:hi] = rows[:, :12].view("<u4")
-            features[lo:hi] = rows[:, 12:].view("<f4")
+            rows = np.frombuffer(req.latent, row, offset=_U32.size)
+            coords[lo:hi], features[lo:hi] = rows["coords"], rows["features"]
             try:
                 int_coords(coords[lo:hi], patch_dims)
             except BoundsError as exc:

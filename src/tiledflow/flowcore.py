@@ -10,10 +10,11 @@ vector can be optimized.
 
 Closed-form oracle fields make the whole machinery exactly verifiable:
 the trajectory of (Z - target) / t is the straight interpolation line,
-so integration from any start lands on the target.  An oracle's
-condition bytes say which part of the scene a patch came from (a
-window's box origin, or a dilated sample's pillar maps), and
-`read_oracle_conditions` is their one decoder.  The oracles cut one
+so integration from any start lands on the target; the biased oracle
+is the same oracle scaled by a constant rate in place of 1 / t.  An
+oracle's condition bytes say which part of the scene a patch came from
+(a window's box origin, or a dilated sample's pillar maps), and
+`read_oracle_condition` is their one reader.  The oracles cut one
 target section per condition: a box by one slice, pillar maps by one
 fancy index.
 """
@@ -173,7 +174,7 @@ def _align_sparse_target(target: SparseLatent, coords: np.ndarray) -> np.ndarray
 # conditioned on image embeddings; an oracle instead needs to know which
 # part of the scene a patch came from, so its condition bytes encode the
 # gather geometry (a window origin, or pillar maps for dilated samples).
-# `read_oracle_conditions` is their one decoder.
+# `read_oracle_condition` is their one reader.
 
 _COND_BOX = 1
 _COND_PILLARS = 2
@@ -207,43 +208,26 @@ class PillarConditions(Sequence):
         return ConditionEmbedding(self._head + pairs.tobytes())
 
 
-def read_oracle_conditions(conditions: Sequence[ConditionEmbedding]) -> np.ndarray:
-    """The records of oracle `conditions`, read by one `np.frombuffer`:
-    BOX_RECORDs, or the pillar records of one side K (kind, K, then the
-    (K, K) map of (src_x, src_y) pairs).  No conditions read as no boxes.
-
-    The first condition sets the kind.  The first that is empty, of an
-    unknown kind or of the wrong length, or whose kind or side differs
-    from the first's, is a ProviderError whose `item` is its index.
-    """
-    datas = [c.data for c in conditions]
-    if not datas:
-        return np.empty(0, BOX_RECORD)
-    dtype = _record_dtype(datas[0], 0)
-    head = datas[0][: 1 if dtype == BOX_RECORD else 5]  # kind, and a pillar map's side
-    for n, data in enumerate(datas):
-        if len(data) != dtype.itemsize or not data.startswith(head):
-            _record_dtype(data, n)
-            raise ProviderError("oracle conditions mix kinds or pillar sides", item=n)
-    return np.frombuffer(b"".join(datas), dtype)
-
-
-def _record_dtype(data: bytes, item: int) -> np.dtype:
-    """The record that condition `data`, item `item` of its batch, fills."""
+def read_oracle_condition(condition: ConditionEmbedding) -> np.void:
+    """The record of one oracle condition, read by `np.frombuffer`: a
+    BOX_RECORD, or a pillar record (kind, K, then the (K, K) map of
+    (src_x, src_y) pairs).  A condition that is empty, of an unknown kind
+    or of the wrong length is a ProviderError."""
+    data = condition.data
     if not data:
-        raise ProviderError("empty oracle condition", item=item)
+        raise ProviderError("empty oracle condition")
     if data[0] == _COND_BOX:
         if len(data) != BOX_RECORD.itemsize:
-            raise ProviderError(f"bad box condition length {len(data)}", item=item)
-        return BOX_RECORD
+            raise ProviderError(f"bad box condition length {len(data)}")
+        return np.frombuffer(data, BOX_RECORD)[0]
     if data[0] != _COND_PILLARS:
-        raise ProviderError(f"unknown oracle condition kind {data[0]}", item=item)
+        raise ProviderError(f"unknown oracle condition kind {data[0]}")
     if len(data) < 5:
-        raise ProviderError("truncated pillar condition", item=item)
+        raise ProviderError("truncated pillar condition")
     K = int.from_bytes(data[1:5], "little")
     if len(data) != 5 + 8 * K * K:
-        raise ProviderError(f"bad pillar condition length {len(data)}", item=item)
-    return np.dtype([("kind", "u1"), ("K", "<u4"), ("src", "<u4", (K, K, 2))])
+        raise ProviderError(f"bad pillar condition length {len(data)}")
+    return np.frombuffer(data, [("kind", "u1"), ("K", "<u4"), ("src", "<u4", (K, K, 2))])[0]
 
 
 def _dense_section(data: np.ndarray, condition: ConditionEmbedding, shape: tuple) -> np.ndarray:
@@ -256,15 +240,15 @@ def _dense_section(data: np.ndarray, condition: ConditionEmbedding, shape: tuple
     inside the lattice.  A condition that does not read, or whose section
     does not fit, is a ProviderError.
     """
-    records = read_oracle_conditions((condition,))
+    record = read_oracle_condition(condition)
     X, Y, H, C = data.shape
     K = shape[0]
-    if records.dtype == BOX_RECORD:
-        ((x0, y0, side),) = records["box"].tolist()
+    if record.dtype == BOX_RECORD:
+        x0, y0, side = record["box"].tolist()
         if shape == (K, K, K, C) and side == K <= H and x0 <= X - K and y0 <= Y - K:
             return data[x0 : x0 + K, y0 : y0 + K, :K]
     else:
-        src = records["src"][0].astype(np.intp)
+        src = record["src"].astype(np.intp)
         if src.shape[:2] + (H, C) == shape:
             try:
                 return data[src[..., 0], src[..., 1]]  # numpy checks that every pillar is inside
@@ -297,10 +281,12 @@ class GlobalOracleProvider(VectorFieldProvider):
     answered whole, as an `AgreedField`.  The target aligned to a plan's
     coordinates and a grid's box conditions are kept per layout, weakly,
     so the layouts of clients served over the wire leave nothing behind.
-    A partition's pillar maps change every step: `PillarConditions`
-    holding the partition's own (read-only) maps are its own without a
-    read, and any other conditions, such as the decoded list a served
-    oracle gets, are decoded and compared.
+    A partition's pillar maps change every step, and its conditions are
+    its own only as the `PillarConditions` holding the partition's own
+    (read-only) maps; any other sequence takes the default path.
+
+    Every path scales by `_scale(t)`, 1 / t here, so a subclass that
+    overrides it alone (`BiasedOracleProvider`) keeps every path's bits.
     """
 
     ss_target: DenseLatent | None = None
@@ -316,7 +302,7 @@ class GlobalOracleProvider(VectorFieldProvider):
     def evaluate(self, patch, condition, t):
         """(patch - its target section) / t, with the bits `evaluate_batch`
         gives it in a batch."""
-        inv = _inverse_time(t)
+        inv = self._scale(t)
         target = self._section(patch, condition)
         if isinstance(patch, SparseLatent):
             return patch.with_features((patch.features - target) * inv)
@@ -328,7 +314,7 @@ class GlobalOracleProvider(VectorFieldProvider):
         one array, which is then subtracted and scaled whole.  A section
         that cannot be cut is a ProviderError naming its item."""
         check_condition_count(batch, conditions)
-        inv = _inverse_time(t)
+        inv = self._scale(t)
         out = np.empty_like(batch.values)
         dense = isinstance(batch, DenseBatch)
         for n, (patch, condition) in enumerate(zip(batch, conditions)):
@@ -350,7 +336,7 @@ class GlobalOracleProvider(VectorFieldProvider):
         target = self._own_target(Z, layout, conditions)
         if target is None:
             return super().evaluate_windows(Z, layout, conditions, t)
-        inv = _inverse_time(t)
+        inv = self._scale(t)
         with np.errstate(over="ignore"):  # garbage inputs surface as non-finite values
             out = np.subtract(Z.values, target)
             out *= inv
@@ -377,7 +363,9 @@ class GlobalOracleProvider(VectorFieldProvider):
             if isinstance(layout, PatchGrid):
                 own = self._own_boxes(layout, conditions)
             else:
-                own = _own_pillars(layout, conditions)
+                own = isinstance(conditions, PillarConditions) and (
+                    conditions.src_x is layout.src_x and conditions.src_y is layout.src_y
+                )
         return target if own else None
 
     def _own_boxes(self, grid: PatchGrid, conditions) -> bool:
@@ -389,6 +377,15 @@ class GlobalOracleProvider(VectorFieldProvider):
             return [c.data for c in conditions] == boxes
         except AttributeError:  # no oracle conditions: the default path reports them
             return False
+
+    def _scale(self, t: float):
+        """1 / t as float32; SingularityError where the field is singular."""
+        if t <= 0.0:
+            raise SingularityError("oracle field is singular at t = 0")
+        inv = DTYPE(1.0 / t)
+        if not np.isfinite(inv):
+            raise SingularityError(f"t = {t} is too small to evaluate")
+        return inv
 
     def _section(self, patch, condition) -> np.ndarray:
         """The target section that oracle `condition` names for `patch`,
@@ -402,10 +399,10 @@ class GlobalOracleProvider(VectorFieldProvider):
             return _dense_section(self.ss_target.data, condition, patch.data.shape)
         if self.slat_target is None:
             raise ProviderError("no sparse target configured")
-        records = read_oracle_conditions((condition,))
-        if records.dtype != BOX_RECORD:
+        record = read_oracle_condition(condition)
+        if record.dtype != BOX_RECORD:
             raise ProviderError("sparse oracle expects box conditions")
-        ((x0, y0, side),) = records["box"].tolist()
+        x0, y0, side = record["box"].tolist()
         X, Y, H = self.slat_target.dims.grid_shape
         M = patch.dims.M
         if side != M or M > H or x0 > X - M or y0 > Y - M:
@@ -425,51 +422,22 @@ class GlobalOracleProvider(VectorFieldProvider):
         return target_patch
 
 
-def _inverse_time(t: float):
-    """1 / t as float32; SingularityError where the oracle field is singular."""
-    if t <= 0.0:
-        raise SingularityError("oracle field is singular at t = 0")
-    inv = DTYPE(1.0 / t)
-    if not np.isfinite(inv):
-        raise SingularityError(f"t = {t} is too small to evaluate")
-    return inv
-
-
-def _own_pillars(partition: DilatedPartition, conditions) -> bool:
-    """Whether `conditions` are the pillar conditions of `partition`'s
-    samples: `PillarConditions` holding the partition's own maps, or
-    conditions whose decoded maps equal them."""
-    if isinstance(conditions, PillarConditions):
-        if conditions.src_x is partition.src_x and conditions.src_y is partition.src_y:
-            return True
-    try:
-        records = read_oracle_conditions(conditions)
-    except ProviderError:
-        return False
-    if records.dtype == BOX_RECORD or len(records) != len(partition):
-        return False
-    src = records["src"]
-    return np.array_equal(src[..., 0], partition.src_x) and np.array_equal(src[..., 1], partition.src_y)
-
-
 @dataclass(frozen=True)
-class BiasedOracleProvider(VectorFieldProvider):
-    """Constant-rate relaxation toward a completed dense target.
+class BiasedOracleProvider(GlobalOracleProvider):
+    """The exact oracle at a constant rate: (patch - target) * rate.
 
     Unlike the exact oracle this field is not normalized by t, so the
     amount of correction depends on how much schedule it integrates
     over: longer denoising spans complete more structure.  Used to study
-    noising/denoising trade-offs on synthetic scenes.
+    noising/denoising trade-offs on synthetic scenes.  It relaxes toward
+    a dense target only, so it takes no sparse target.
     """
 
-    ss_target: DenseLatent
-    rate: float = 1.0
+    slat_target: None = field(default=None, init=False)
+    rate: float = field(default=1.0, kw_only=True)
 
-    def evaluate(self, patch, condition, t):
-        if isinstance(patch, SparseLatent):
-            raise ProviderError("biased oracle serves dense patches only")
-        target = _dense_section(self.ss_target.data, condition, patch.data.shape)
-        return patch.with_data((patch.data - target) * DTYPE(self.rate))
+    def _scale(self, t):
+        return DTYPE(self.rate)
 
 
 class Conditioner:

@@ -116,14 +116,13 @@ def checked_coords(dims: Dims, coords) -> tuple[np.ndarray, np.ndarray | None]:
     unique (else a `CoordinateSetError`).
 
     Coordinates that pass the order check (`first_unsorted_item`) are
-    canonical and unique, and the sort is skipped.  A read-only array
-    that passes is returned itself, so a latent built on a checked array
-    keeps that array; a writable one is frozen as a view, so the
-    caller's array stays writable.
+    canonical and unique, and the sort is skipped.  An array that passes
+    is returned itself, frozen, so a latent built on a checked array
+    keeps that array and no writable alias of it.
     """
     coords = int_coords(coords, dims)
     if first_unsorted_item(coords, dims) is None:
-        return (_freeze(coords.view()) if coords.flags.writeable else coords), None
+        return _freeze(coords), None
     order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
     coords = coords[order]
     if len(coords) > 1 and (np.diff(coords, axis=0) == 0).all(axis=1).any():
@@ -175,9 +174,9 @@ class SparseLatent:
 
     def __post_init__(self):
         coords, order = checked_coords(self.dims, self.coords)
-        features = SparseLatent._on_checked_coords(self.dims, coords, self.features).features
+        latent = SparseLatent._on_checked_coords(self.dims, coords, self.features, order)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "features", features if order is None else _freeze(features[order]))
+        object.__setattr__(self, "features", latent.features)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -197,18 +196,25 @@ class SparseLatent:
     with_values = with_features
 
     @classmethod
-    def _on_checked_coords(cls, dims: Dims, coords: np.ndarray, features) -> "SparseLatent":
+    def _on_checked_coords(cls, dims: Dims, coords: np.ndarray, features, order=None) -> "SparseLatent":
         """Latent over `coords` that a constructor already checked for `dims`.
 
         The coordinates must be the read-only array of a built latent (or
         one checked the same way); the features get the constructor's
-        shape, dtype and finiteness checks.
+        shape, dtype and finiteness checks, and are then taken in `order`
+        (the sort `checked_coords` made) when one is given.  The latent
+        freezes the array it keeps: the features themselves when they are
+        C-ordered float32 of the right shape and need no reorder, else a
+        copy, never a view of the caller's array.
         """
-        features = np.ascontiguousarray(
-            np.asarray(features).reshape(len(coords), dims.l), dtype=DTYPE
-        )
+        features = np.asarray(features)
+        if features.shape != (len(coords), dims.l):
+            features = np.array(features.reshape(len(coords), dims.l), dtype=DTYPE)
+        features = np.ascontiguousarray(features, dtype=DTYPE)
         if not np.isfinite(features).all():
             raise ValueError("sparse latent contains non-finite features")
+        if order is not None:
+            features = features[order]
         latent = object.__new__(cls)
         object.__setattr__(latent, "dims", dims)
         object.__setattr__(latent, "coords", coords)

@@ -11,7 +11,7 @@ import numpy as np
 
 from tiledflow.decode import OUTSIDE_SDF
 from tiledflow.errors import CoverageError, SingularityError
-from tiledflow.flowcore import GlobalOracleProvider, VectorFieldProvider
+from tiledflow.flowcore import GlobalOracleProvider, VectorFieldProvider, _dense_section
 from tiledflow.lattice import DTYPE, DenseLatent, SparseLatent
 from tiledflow.optim import _sigmoid
 from tiledflow.patchwork import box_rows
@@ -42,6 +42,20 @@ class DefaultPathOracle(GlobalOracleProvider):
 
     def evaluate_windows(self, Z, layout, conditions, t):
         return VectorFieldProvider.evaluate_windows(self, Z, layout, conditions, t)
+
+
+@dataclass(frozen=True)
+class PerItemBiasedOracle(VectorFieldProvider):
+    """The biased oracle as it was defined before it became the exact
+    oracle at a constant rate: (patch - target section) * rate, item by
+    item through the default paths."""
+
+    ss_target: DenseLatent
+    rate: float = 1.0
+
+    def evaluate(self, patch, condition, t):
+        target = _dense_section(self.ss_target.data, condition, patch.data.shape)
+        return patch.with_data((patch.data - target) * DTYPE(self.rate))
 
 
 class FixedReply(VectorFieldProvider):

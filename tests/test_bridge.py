@@ -40,7 +40,7 @@ from tiledflow.flowcore import (
     VectorFieldProvider,
     dilated_field,
     extended_field,
-    read_oracle_conditions,
+    read_oracle_condition,
 )
 from tiledflow.lattice import DenseLatent, Dims, SparseBatch, SparseLatent, init_sparse_noise, stack_patches
 from tiledflow.patchwork import (
@@ -273,6 +273,33 @@ class TestRemoteProvider:
                 remote.evaluate(random_dense(DIMS.patch_dims(), 13), ConditionEmbedding(b""), 0.5)
             remote.close()
         finally:
+            server.stop()
+
+    def test_late_reply_is_dropped_and_the_next_request_gets_its_own(self):
+        # the server answers the first request only after the client gave
+        # up on it; the late reply must not answer the next request
+        release = threading.Event()
+
+        class LateOnCue(VectorFieldProvider):
+            def evaluate(self, patch, condition, t):
+                if condition.data == b"late":
+                    release.wait(10)
+                return patch
+
+        server = ProviderServer(LateOnCue(), DIMS).start()
+        try:
+            with RemoteProvider(server.address, timeout=0.2) as remote:
+                late, own = (random_dense(DIMS.patch_dims(), seed) for seed in (40, 41))
+                with pytest.raises(ProviderError, match="timeout"):
+                    remote.evaluate(late, ConditionEmbedding(b"late"), 0.5)
+                release.set()
+                time.sleep(0.2)  # the late reply arrives first, and is dropped
+                remote.timeout = 10
+                got = remote.evaluate(own, ConditionEmbedding(b"now"), 0.5)
+                assert got.data.tobytes() == own.data.tobytes()
+                assert not remote._pending
+        finally:
+            release.set()
             server.stop()
 
     def test_idle_connection_survives(self, oracle_server):
@@ -598,7 +625,7 @@ class TestBatch:
     def test_remote_failure_on_one_window_names_it(self, workers):
         class FailsAtOneWindow(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
-                if read_oracle_conditions([condition])["box"][0, :2].tolist() == [2, 2]:  # window (1, 1)
+                if read_oracle_condition(condition)["box"][:2].tolist() == [2, 2]:  # window (1, 1)
                     raise RuntimeError("boom")
                 return patch.with_data(np.zeros_like(patch.data))
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tiledflow import flowcore
 from tiledflow.errors import ConfigError, DimensionError, DivergenceError, ProviderError, SingularityError
 from tiledflow.flowcore import (
+    BiasedOracleProvider,
     Conditioner,
     GlobalOracleProvider,
     OracleConditioner,
@@ -18,7 +19,7 @@ from tiledflow.flowcore import (
     extended_field,
     gamma,
     mixed_field,
-    read_oracle_conditions,
+    read_oracle_condition,
 )
 from tiledflow.lattice import (
     DenseBatch,
@@ -41,7 +42,14 @@ from tiledflow.patchwork import (
 )
 from tiledflow.priors import ConditionEmbedding
 
-from reference_copies import DefaultPathOracle, FixedReply, OracleField, ZeroFieldProvider, pillar_condition
+from reference_copies import (
+    DefaultPathOracle,
+    FixedReply,
+    OracleField,
+    PerItemBiasedOracle,
+    ZeroFieldProvider,
+    pillar_condition,
+)
 
 
 DIMS = Dims(2, 2, 4, 8, C=1, l=3)
@@ -231,7 +239,7 @@ class TestExtendedField:
 
         class FailsAtOneWindow(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
-                if read_oracle_conditions([condition])["box"][0, :2].tolist() == [window.x0, window.y0]:
+                if read_oracle_condition(condition)["box"][:2].tolist() == [window.x0, window.y0]:
                     raise RuntimeError("boom")
                 return patch.with_data(np.zeros_like(patch.data))
 
@@ -281,7 +289,7 @@ class TestExtendedField:
     def test_provider_changing_coordinates_names_window(self, change):
         class Reshaping(VectorFieldProvider):
             def evaluate(self, patch, condition, t):
-                x0, y0, _ = read_oracle_conditions([condition])["box"][0].tolist()
+                x0, y0, _ = read_oracle_condition(condition)["box"].tolist()
                 if (x0, y0) == (4, 4):  # window (1, 1) of the d = 2 grid
                     if change == "drop_row":
                         return SparseLatent(patch.dims, patch.coords[1:], patch.features[1:])
@@ -680,6 +688,36 @@ class TestOraclePlanTarget:
         with pytest.raises(ProviderError, match="no sparse target") as info:
             GlobalOracleProvider().evaluate_windows(Z, plan, conditions, 0.5)
         assert info.value.item == 0
+
+
+class TestBiasedOracle:
+    """The biased oracle is the exact oracle at a constant rate: its batch
+    and agreed-field paths give the bits of its per-item field."""
+
+    @pytest.mark.parametrize("rate", [1.0, 0.37, 3.5])
+    def test_every_path_gives_the_per_item_bits(self, rate):
+        target, Z = random_dense(DIMS, 40), random_dense(DIMS, 41)
+        provider, reference = BiasedOracleProvider(target, rate=rate), PerItemBiasedOracle(target, rate)
+        grid = make_patch_grid(DIMS, 2, DIMS.N)
+        partition = dilated_partition(DIMS, DIMS.N, seed=3)
+        conditions = OracleConditioner().window_conditions(grid)
+        fields = [
+            (
+                extended_field(Z, 0.5, grid, oracle, OracleConditioner()).data.tobytes(),
+                dilated_field(Z, 0.5, partition, oracle, OracleConditioner()).data.tobytes(),
+                oracle.evaluate_batch(grid.gather(Z), conditions, 0.5).tobytes(),
+            )
+            for oracle in (provider, reference)
+        ]
+        assert fields[0] == fields[1]
+        assert isinstance(provider.evaluate_windows(Z, grid, conditions, 0.5), AgreedField)
+
+    def test_rate_is_keyword_only_and_no_sparse_target_is_taken(self):
+        target = DenseLatent.zeros(DIMS)
+        with pytest.raises(TypeError):
+            BiasedOracleProvider(target, 0.5)
+        provider = BiasedOracleProvider(target, rate=0.5)
+        assert provider.slat_target is None and provider.rate == 0.5
 
 
 class TestConditionCount:

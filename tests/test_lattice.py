@@ -1,3 +1,4 @@
+import contextlib
 import re
 import tracemalloc
 import warnings
@@ -193,6 +194,23 @@ class TestSparse:
                 checked_coords(SMALL, np.array(dup))
         assert checked_coords(SMALL, np.zeros((0, 3)))[0].shape == (0, 3)
         assert checked_coords(SMALL, [1, 2, 3])[0].tolist() == [[1, 2, 3]]
+
+    def test_latent_keeps_no_writable_alias_of_its_inputs(self):
+        # the latent freezes the arrays it keeps, and reshapes or reorders
+        # into a copy, so no later write by the caller reaches it
+        c, unsorted = np.array([[0, 0, 0], [1, 1, 1]]), np.array([[1, 1, 1], [0, 0, 0]])
+        f, g = np.zeros((2, 4), np.float32), np.zeros((2, 4), np.float32)
+        flat = np.zeros(8, np.float32)
+        S = SparseLatent(Dims(1, 1, 4, 8), c, f)
+        reshaped = SparseLatent(Dims(1, 1, 4, 8), [[0, 0, 0], [1, 1, 1]], flat)
+        sorted_copy = SparseLatent(Dims(1, 1, 4, 8), unsorted, g)
+        assert unsorted.flags.writeable and g.flags.writeable  # copies were kept, so nothing is frozen
+        writes = ((c, 1, c[0]), (f, (0, 0), np.nan), (flat, 0, np.nan), (unsorted, 0, 0), (g, (0, 0), np.nan))
+        for array, index, value in writes:
+            with contextlib.suppress(ValueError):  # assignment destination is read-only
+                array[index] = value
+        assert S.coords.tolist() == sorted_copy.coords.tolist() == [[0, 0, 0], [1, 1, 1]]
+        assert not (S.features.any() or reshaped.features.any() or sorted_copy.features.any())
 
     def test_noise_is_one_build_on_a_checked_array(self, monkeypatch):
         # the constructor is the draw's one check; it keeps a checked

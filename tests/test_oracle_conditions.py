@@ -1,4 +1,4 @@
-"""The oracle-condition decoder and the dense oracle sections, against a
+"""The oracle-condition reader and the dense oracle sections, against a
 copy of the per-item decoder and section code they replaced.
 
 Every condition must give the same section, or a ProviderError, with
@@ -24,7 +24,7 @@ from tiledflow.flowcore import (
     OracleConditioner,
     _dense_section,
     box_condition,
-    read_oracle_conditions,
+    read_oracle_condition,
 )
 from tiledflow.lattice import DTYPE, DenseLatent, Dims, init_sparse_noise, stack_patches
 from tiledflow.patchwork import SparseWindowPlan, dilated_partition, make_patch_grid
@@ -232,30 +232,13 @@ def test_batch_at_t_zero_is_singular_for_no_item(sparse):
 @given(conditions(2 * K, 3 * K))
 def test_one_condition_reads_as_the_reference(condition):
     want = answer(decode_oracle_condition, condition)
-    got = answer(read_oracle_conditions, [condition])
-    if isinstance(want, ProviderError):
-        assert isinstance(got, ProviderError) and got.item == 0 and str(got) == str(want)
+    got = answer(read_oracle_condition, condition)
+    if isinstance(want, ProviderError):  # one condition is no batch item
+        assert isinstance(got, ProviderError) and got.item is None and str(got) == str(want)
     elif want[0] == "box":
-        assert got["box"].tolist() == [list(want[1:])]
+        assert got["box"].tolist() == list(want[1:])
     else:
-        assert np.array_equal(got["src"][0, ..., 0], want[1]) and np.array_equal(got["src"][0, ..., 1], want[2])
-
-
-@pytest.mark.parametrize(
-    "items,item",
-    [
-        ([box_condition(0, 0, K), ConditionEmbedding(b"")], 1),
-        ([box_condition(0, 0, K), box_condition(4, 0, K), ConditionEmbedding(b"\7")], 2),
-        ([box_condition(0, 0, K), pillar_condition(np.zeros((K, K), int), np.zeros((K, K), int))], 1),
-        ([pillar_condition(np.zeros((K, K), int), np.zeros((K, K), int)), box_condition(0, 0, K)], 1),
-        ([pillar_condition(np.zeros((2, 2), int), np.zeros((2, 2), int)),
-          pillar_condition(np.zeros((K, K), int), np.zeros((K, K), int))], 1),
-    ],
-)
-def test_decoder_names_the_first_bad_item(items, item):
-    with pytest.raises(ProviderError) as err:
-        read_oracle_conditions(items)
-    assert err.value.item == item
+        assert np.array_equal(got["src"][..., 0], want[1]) and np.array_equal(got["src"][..., 1], want[2])
 
 
 def test_sparse_oracle_names_the_first_bad_item():
