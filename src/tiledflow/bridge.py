@@ -309,11 +309,12 @@ def _batch_parts(batch: PatchBatch, conditions, t: float) -> list:
         data = np.ascontiguousarray(batch.data, dtype="<f4")
         items = (EvalRequest(t, MODE_DENSE, data.shape[1:], c.data, values) for values, c in zip(data, conditions))
     else:
-        rows = np.empty(len(batch.coords), _sparse_row(batch.dims.l))
+        l = batch.dims.l
+        rows = np.empty(len(batch.coords), _sparse_row(l))
         rows["coords"], rows["features"] = batch.coords, batch.features
         spans = zip(batch.bounds[:-1].tolist(), batch.bounds[1:].tolist())
         items = (
-            EvalRequest(t, MODE_SPARSE, (hi - lo, batch.dims.l, 0, 0), c.data, _U32.pack(hi - lo) + rows[lo:hi].tobytes())
+            EvalRequest(t, MODE_SPARSE, (hi - lo, l, 0, 0), c.data, _U32.pack(hi - lo) + rows[lo:hi].tobytes())
             for (lo, hi), c in zip(spans, conditions)
         )
     for item in map(encode_eval_request, items):
