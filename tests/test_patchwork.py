@@ -607,24 +607,6 @@ def stacked_cases(draw):
 SINGLE_WINDOW = (Dims(1, 1, 8, 8, C=2, l=2), 4, np.random.default_rng(0))
 
 
-def thinned(rng, occupied, count):
-    """`occupied` with all but `count` of its cells, drawn by `rng`,
-    cleared; as it is (and with no draw) when `count` is None or no
-    smaller than its cell count."""
-    cells = np.flatnonzero(occupied)
-    if count is None or count >= len(cells):
-        return occupied
-    kept = np.zeros(occupied.size, dtype=bool)
-    kept[rng.choice(cells, count, replace=False)] = True
-    return kept.reshape(occupied.shape)
-
-
-# Cell counts a merge check thins its drawn cells to (None keeps them
-# all): plans of a single row, where every rank is one row, and short
-# ranks under long ones.
-CELL_COUNTS = [None, 1, 7, 64]
-
-
 class TestStackedBitEquality:
     @settings(max_examples=150)
     @given(stacked_cases())
@@ -650,23 +632,14 @@ class TestStackedBitEquality:
         assert grid.combine(values).data.tobytes() == expected
         assert merge_vectors(by_window, grid).data.tobytes() == expected
 
-    @settings(max_examples=210)
-    @given(
-        stacked_cases(),
-        st.sampled_from([0.02, 0.3, 0.9]),
-        st.sampled_from(CELL_COUNTS),
-        st.sampled_from([mixed_values, cancelling_values]),
-    )
-    @example(SINGLE_WINDOW, 0.3, None, mixed_values)
-    @example(SINGLE_WINDOW, 0.3, 1, cancelling_values)
-    @example(SINGLE_WINDOW, 0.3, 7, cancelling_values)
-    @example(SINGLE_WINDOW, 0.3, 64, cancelling_values)
-    def test_sparse_gather_and_merge_equal_per_window_plan(self, case, density, count, draw_values):
+    @settings(max_examples=150)
+    @given(stacked_cases(), st.sampled_from([0.02, 0.3, 0.9]))
+    @example(SINGLE_WINDOW, 0.3)
+    def test_sparse_gather_and_merge_equal_per_window_plan(self, case, density):
         dims, d, rng = case
         grid = make_patch_grid(dims, d, dims.M)
         occupied = rng.random(dims.grid_shape) < density
         occupied[tuple(rng.integers(0, dims.M, size=3))] = True
-        occupied = thinned(rng, occupied, count)
         Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
         Z = Z.with_features(mixed_values(rng, Z.features.shape))
         plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
@@ -676,7 +649,7 @@ class TestStackedBitEquality:
         for item, ref in zip(batch, ref_patches):
             assert item.coords.tobytes() == ref.coords.tobytes()
             assert item.features.tobytes() == ref.features.tobytes()
-        values = draw_values(rng, batch.features.shape)
+        values = mixed_values(rng, batch.features.shape)
         vectors = [ref.with_features(v) for ref, v in zip(ref_patches, np.split(values, batch.bounds[1:-1]))]
         expected = old.merge(vectors).tobytes()
         assert plan.combine(values).features.tobytes() == expected
@@ -695,22 +668,18 @@ class TestStackedBitEquality:
         sparse = plan.combine(values.reshape(-1, dims.C)).features + np.float32(0.0)
         assert sparse.tobytes() == grid.combine(values).data.tobytes()
 
-    @settings(max_examples=40)
+    @settings(max_examples=25)
     @given(
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.02, 0.1, 0.3]),
-        st.sampled_from(CELL_COUNTS),
         st.sampled_from([mixed_values, cancelling_values]),
     )
-    @example(0, 0.02, 1, cancelling_values)
-    @example(0, 0.02, 7, cancelling_values)
-    @example(0, 0.02, 64, cancelling_values)
-    def test_coverage_256_merge_equals_per_window_plan(self, seed, density, count, draw_values):
+    def test_sparse_merge_above_pairwise_block_equals_per_window_plan(self, seed, density, draw_values):
         # d = K = 16: stride-1 windows, so coverage reaches 16 * 16 = 256
         dims = Dims(2, 2, 16, 16, l=2)
         grid = make_patch_grid(dims, 16, 16)
         rng = np.random.default_rng(seed)
-        occupied = thinned(rng, rng.random(dims.grid_shape) < density, count)
+        occupied = rng.random(dims.grid_shape) < density
         occupied[16, 16, rng.integers(16)] = True
         Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
         plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
@@ -800,6 +769,62 @@ def _merge_plan():
     return plan, replies
 
 
+def thinned(rng, occupied, count):
+    """`occupied` with all but `count` of its cells, drawn by `rng`,
+    cleared; as it is (and with no draw) when `count` is None or no
+    smaller than its cell count."""
+    cells = np.flatnonzero(occupied)
+    if count is None or count >= len(cells):
+        return occupied
+    kept = np.zeros(occupied.size, dtype=bool)
+    kept[rng.choice(cells, count, replace=False)] = True
+    return kept.reshape(occupied.shape)
+
+
+class TestMergeBlocks:
+    """The rank-by-rank merge gives the per-window plan's bytes on
+    cancelling draws too, on stacked cases and at coverage 256, on 1, 7
+    and 64 of the drawn cells (ranks of a single row, and short ranks
+    under long ones) as on all of them."""
+
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    @settings(max_examples=60)
+    @given(
+        stacked_cases(),
+        st.sampled_from([0.02, 0.3, 0.9]),
+        st.sampled_from([mixed_values, cancelling_values]),
+    )
+    @example(SINGLE_WINDOW, 0.3, cancelling_values)
+    def test_blocks_equal_per_window_plan(self, count, case, density, draw_values):
+        dims, d, rng = case
+        grid = make_patch_grid(dims, d, dims.M)
+        occupied = rng.random(dims.grid_shape) < density
+        occupied[tuple(rng.integers(0, dims.M, size=3))] = True
+        occupied = thinned(rng, occupied, count)
+        Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
+        plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
+        values = draw_values(rng, (len(plan.rows), dims.l))
+        vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
+        assert plan.combine(values).features.tobytes() == old.merge(vectors).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 7, 64])
+    @settings(max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([mixed_values, cancelling_values]))
+    def test_blocks_above_pairwise_block_equal_per_window_plan(self, count, seed, draw_values):
+        # d = K = 16: stride-1 windows, so coverage reaches 256
+        dims = Dims(2, 2, 16, 16, l=2)
+        grid = make_patch_grid(dims, 16, 16)
+        rng = np.random.default_rng(seed)
+        occupied = thinned(rng, rng.random(dims.grid_shape) < 0.02, count)
+        occupied[16, 16, rng.integers(16)] = True
+        Z = init_sparse_noise(np.argwhere(occupied), dims, seed=int(rng.integers(2**31)))
+        plan, old = SparseWindowPlan(grid, Z.coords), OldSparseWindowPlan(grid, Z.coords)
+        assert plan.coverage.max() == 256
+        values = draw_values(rng, (len(plan.rows), dims.l))
+        vectors = [ref.with_features(v) for ref, v in zip(old.gather(Z), np.split(values, plan.bounds[1:-1]))]
+        assert plan.combine(values).features.tobytes() == old.merge(vectors).tobytes()
+
+
 class TestMergeBuffer:
     def test_merges_allocate_no_reply_sized_buffer(self):
         plan, replies = _merge_plan()
@@ -874,7 +899,7 @@ def _assert_agreed_merge_equal(plan, field):
 class TestRankedMerge:
     """The rank-by-rank merge of a window-order reply whose windows agree
     (an agreed field's expansion) gives the agreed field back, on the
-    cases of `TestStackedBitEquality`'s sparse merge checks, on 1, 7, 64
+    cases of `TestStackedBitEquality` and `TestMergeBlocks`, on 1, 7, 64
     and 4096 of their drawn cells as on all of them (None), so the agreed
     merge may take the field as it is."""
 
